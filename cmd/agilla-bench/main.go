@@ -9,7 +9,7 @@
 //	agilla-bench -exp fig10,fig11,fig12,fig5,memory,speed,casestudy,mate
 //	agilla-bench -exp ablate
 //
-// Experiments (see DESIGN.md §3 for the index):
+// Experiments (E-numbers as in internal/experiments' package comment):
 //
 //	fig9      reliability of smove vs rout across 1-5 hops  (E1)
 //	fig10     latency of smove vs rout across 1-5 hops      (E2)

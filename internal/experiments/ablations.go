@@ -21,7 +21,7 @@ type AblationRow struct {
 	Frames     map[int]uint64  // hops -> migration frames offered
 }
 
-// AblationResult collects the design-choice ablations DESIGN.md calls out.
+// AblationResult collects one design-choice ablation's rows.
 type AblationResult struct {
 	Title string
 	Rows  []AblationRow

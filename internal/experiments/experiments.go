@@ -1,10 +1,10 @@
 // Package experiments regenerates every table and figure in the paper's
-// evaluation (§4) and case study (§5), plus the ablations DESIGN.md calls
-// out. Each experiment builds its own deployment, runs a scripted
-// workload, and returns a result whose String method prints the same
-// rows/series the paper reports.
+// evaluation (§4) and case study (§5), plus ablations of the design
+// choices behind them. Each experiment builds its own deployment, runs
+// a scripted workload, and returns a result whose String method prints
+// the same rows/series the paper reports.
 //
-// Experiment index (see DESIGN.md for the full mapping):
+// Experiment index (the E-numbers agilla-bench's usage text cites):
 //
 //	Fig9and10   E1/E2  reliability and latency of smove vs rout, 1-5 hops
 //	Fig11       E3     one-hop latency of every remote operation

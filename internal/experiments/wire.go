@@ -179,7 +179,7 @@ func wirePump(name string, src, dst transport.Transport, frames []wire.Frame, ba
 
 	var bytes int64
 	for _, f := range frames {
-		bytes += int64(f.EncodedLen())
+		bytes += int64(f.RecordLen())
 	}
 
 	received := 0

@@ -44,12 +44,11 @@ type Bridge struct {
 
 // BridgeStats counts border traffic.
 type BridgeStats struct {
-	Relayed      uint64 // frames relayed to peers (post radio model)
-	RelayedBytes uint64 // enveloped bytes relayed
-	Injected     uint64 // inbound frames delivered into the local medium
-	Stale        uint64 // inbound frames whose destination node is gone
-	Misrouted    uint64 // inbound frames for locations this process does not own
-	SendErrs     uint64 // transport send failures
+	Relayed   uint64 // frames relayed to peers (post radio model)
+	Injected  uint64 // inbound frames delivered into the local medium
+	Stale     uint64 // inbound frames whose destination node is gone
+	Misrouted uint64 // inbound frames for locations this process does not own
+	SendErrs  uint64 // transport send failures
 
 	// RelayedByKind and InjectedByKind break the two traffic counters
 	// down by frame kind (radio.FrameKind indexes; kinds past the array
@@ -118,7 +117,6 @@ func (p *borderPort) ReceiveFrame(f radio.Frame) {
 		b.stats.SendErrs++
 	} else {
 		b.stats.Relayed++
-		b.stats.RelayedBytes += uint64(wf.EncodedLen())
 		b.stats.RelayedByKind[kindBucket(wf.Kind)]++
 	}
 	b.mu.Unlock()

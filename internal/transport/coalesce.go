@@ -7,42 +7,28 @@ import (
 	"github.com/agilla-go/agilla/internal/wire"
 )
 
-// Per-peer frame coalescing, shared by the UDP and TCP transports. PR
-// 8 paid one wire write (and one syscall) per frame; the coalescer
-// instead accumulates a peer's outbound frames into a wire.Batch and
-// seals it when any of three thresholds fires:
+// Per-peer frame coalescing, shared by the UDP and TCP transports. One
+// wire write (and one syscall) per frame bounds throughput by
+// per-packet cost; the coalescer instead accumulates a peer's outbound
+// frames into a wire.Batch and seals it when any of three thresholds
+// fires:
 //
-//   - size: the encoded batch would exceed Batching.MaxBytes (kept
-//     MTU-safe by default so a UDP batch is one unfragmented datagram);
-//   - count: Batching.MaxFrames frames are pending;
-//   - time: Batching.Linger has passed since the first pending frame —
-//     the bound on added latency when traffic is sparse.
+//   - size: the encoded batch would exceed DefaultBatchBytes (MTU-safe,
+//     so a UDP batch is one unfragmented datagram);
+//   - count: DefaultBatchFrames frames are pending;
+//   - time: DefaultBatchLinger has passed since the first pending frame
+//     — the bound on added latency when traffic is sparse.
 //
 // A fourth trigger, Transport.Flush, seals whatever is pending right
 // now; the bridge invokes it at every pump quantum boundary so bridged
 // virtual time never stalls on the linger timer.
 //
 // Sealed batches queue on a bounded channel drained by the transport's
-// per-peer sender goroutine. The queue keeps the existing drop-oldest
-// discipline: when it is full the oldest sealed batch is discarded
-// (its frames counted via onDrop) to admit the new one — for this
-// traffic new frames carry newer protocol state, and retransmission
-// regenerates old ones.
-
-// Batching tunes per-peer frame coalescing. The zero value means the
-// defaults.
-type Batching struct {
-	// MaxBytes seals a batch before its encoding would exceed this
-	// many bytes. Default DefaultBatchBytes, chosen to keep a UDP
-	// batch inside a conservative 1500-byte path MTU.
-	MaxBytes int
-	// MaxFrames seals a batch at this many frames. Default
-	// DefaultBatchFrames.
-	MaxFrames int
-	// Linger is how long a partial batch may wait for company before
-	// it is sealed anyway. Default DefaultBatchLinger.
-	Linger time.Duration
-}
+// per-peer sender goroutine. The queue is drop-oldest: when it is full
+// the oldest sealed batch is discarded (its frames counted via onDrop)
+// to admit the new one — for this traffic new frames carry newer
+// protocol state and retransmission regenerates old ones, so head drop
+// beats tail drop and either beats blocking the simulation.
 
 const (
 	// DefaultBatchBytes is the MTU-safe batch size bound: 1500 less
@@ -55,21 +41,9 @@ const (
 	// DefaultBatchLinger bounds the latency a lone frame pays waiting
 	// for a batch to fill.
 	DefaultBatchLinger = 500 * time.Microsecond
+	// sendQueueCap bounds each peer's queue of sealed batches.
+	sendQueueCap = 256
 )
-
-// withDefaults fills unset fields.
-func (b Batching) withDefaults() Batching {
-	if b.MaxBytes <= 0 {
-		b.MaxBytes = DefaultBatchBytes
-	}
-	if b.MaxFrames <= 0 {
-		b.MaxFrames = DefaultBatchFrames
-	}
-	if b.Linger <= 0 {
-		b.Linger = DefaultBatchLinger
-	}
-	return b
-}
 
 // outBatch is one sealed batch awaiting the sender goroutine. bytes
 // aliases the writer, which the sender returns to the pool after the
@@ -84,20 +58,28 @@ type outBatch struct {
 // coalescer's mu is always taken before the owning transport's
 // stats lock (onDrop runs under mu), never after.
 type coalescer struct {
-	cfg    Batching
 	out    chan outBatch
 	onDrop func(frames int) // called under mu when drop-oldest discards a batch
 
-	mu     sync.Mutex
-	w      *wire.BatchWriter // pending, nil when empty
-	timer  *time.Timer       // linger; nil until first armed
-	closed bool
+	mu sync.Mutex
+	// The thresholds are the Default* constants; they are fields only
+	// so in-package tests can make a seal fire on demand.
+	maxBytes  int
+	maxFrames int
+	linger    time.Duration
+	w         *wire.BatchWriter // pending, nil when empty
+	timer     *time.Timer       // linger; nil until first armed
+	closed    bool
 }
 
-// newCoalescer builds a coalescer with a queue of queueCap sealed
-// batches.
-func newCoalescer(cfg Batching, queueCap int, onDrop func(int)) *coalescer {
-	return &coalescer{cfg: cfg.withDefaults(), out: make(chan outBatch, queueCap), onDrop: onDrop}
+func newCoalescer(onDrop func(frames int)) *coalescer {
+	return &coalescer{
+		out:       make(chan outBatch, sendQueueCap),
+		onDrop:    onDrop,
+		maxBytes:  DefaultBatchBytes,
+		maxFrames: DefaultBatchFrames,
+		linger:    DefaultBatchLinger,
+	}
 }
 
 // add appends one frame, sealing on the size or count threshold and
@@ -111,7 +93,7 @@ func (c *coalescer) add(f wire.Frame) {
 	if c.closed {
 		return
 	}
-	if c.w != nil && c.w.Size()+f.RecordLen() > c.cfg.MaxBytes {
+	if c.w != nil && c.w.Size()+f.RecordLen() > c.maxBytes {
 		c.sealLocked()
 	}
 	if c.w == nil {
@@ -121,15 +103,15 @@ func (c *coalescer) add(f wire.Frame) {
 		// Unreachable for validated frames; drop rather than poison the batch.
 		return
 	}
-	if c.w.Count() >= c.cfg.MaxFrames || c.w.Size() >= c.cfg.MaxBytes {
+	if c.w.Count() >= c.maxFrames || c.w.Size() >= c.maxBytes {
 		c.sealLocked()
 		return
 	}
 	if c.w.Count() == 1 {
 		if c.timer == nil {
-			c.timer = time.AfterFunc(c.cfg.Linger, c.flush)
+			c.timer = time.AfterFunc(c.linger, c.flush)
 		} else {
-			c.timer.Reset(c.cfg.Linger)
+			c.timer.Reset(c.linger)
 		}
 	}
 }
@@ -153,9 +135,7 @@ func (c *coalescer) sealLocked() {
 		}
 		select {
 		case old := <-c.out:
-			if c.onDrop != nil {
-				c.onDrop(old.frames)
-			}
+			c.onDrop(old.frames)
 			wire.PutBatchWriter(old.w)
 		default:
 		}

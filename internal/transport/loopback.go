@@ -2,16 +2,17 @@ package transport
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 
 	"github.com/agilla-go/agilla/internal/wire"
 )
 
 // The loopback transport: a process-global registry of named endpoints.
-// Send encodes the frame through the real envelope codec and appends the
-// decoded result to the destination's inbox under its lock — so the wire
-// format is exercised end to end, but delivery has no goroutines, no
-// sockets, and no clocks. A single-threaded driver that alternates
+// Send encodes the frame through the real batch codec and hands the
+// bytes to the destination's deliver — so the wire format and the
+// receive path are exercised end to end, but delivery has no goroutines,
+// no sockets, and no clocks. A single-threaded driver that alternates
 // send/pump between two endpoints gets fully reproducible delivery, which
 // is what makes Loopback the oracle-adjacent path of the conformance
 // suite: any disagreement with the in-process run is a bridge or protocol
@@ -26,58 +27,42 @@ var (
 // (or Open with a "loop:" address); the endpoint joins the registry at
 // Listen and leaves it at Close.
 type Loopback struct {
-	addr Addr
-
-	mu     sync.Mutex
-	live   bool
-	inbox  []inFrame
-	lost   uint64 // inbox overflow drops
-	stats  map[Addr]*PeerStats
-	dialed map[Addr]bool
+	endpoint
 }
 
 // NewLoopback creates an endpoint named by addr ("loop:name").
 func NewLoopback(addr Addr) *Loopback {
-	return &Loopback{
-		addr:   addr,
-		stats:  make(map[Addr]*PeerStats),
-		dialed: make(map[Addr]bool),
-	}
+	return &Loopback{endpoint: newEndpoint(addr)}
 }
 
 // Listen registers the endpoint in the process-global registry.
 func (l *Loopback) Listen() error {
-	loopMu.Lock()
-	defer loopMu.Unlock()
-	if other, ok := loopReg[l.addr]; ok && other != l {
-		return fmt.Errorf("transport: loopback endpoint %q already registered", l.addr)
-	}
-	loopReg[l.addr] = l
-	l.mu.Lock()
-	l.live = true
-	l.mu.Unlock()
-	return nil
+	return l.listen(func() error {
+		loopMu.Lock()
+		defer loopMu.Unlock()
+		if _, ok := loopReg[l.addr]; ok {
+			return fmt.Errorf("transport: loopback endpoint %q already registered", l.addr)
+		}
+		loopReg[l.addr] = l
+		return nil
+	})
 }
 
-// Dial records the peer. Loopback resolves peers at send time, so this
-// only validates the scheme.
+// Dial only validates the scheme: Loopback resolves peers in the
+// registry at send time and has nothing to coalesce for them.
 func (l *Loopback) Dial(addr Addr) error {
-	if len(addr) < 6 || addr[:5] != "loop:" {
+	if !strings.HasPrefix(string(addr), "loop:") || len(addr) == len("loop:") {
 		return fmt.Errorf("transport: loopback cannot dial %q", addr)
 	}
-	l.mu.Lock()
-	l.dialed[addr] = true
-	l.mu.Unlock()
 	return nil
 }
 
-// Send encodes f — as a batch of one, through the same container codec
-// the wire transports coalesce with — and delivers it into the
-// destination endpoint's inbox. An unregistered destination is an error
-// (the peer process has not started or already closed); a full inbox
-// drops the oldest frame. There is no coalescing: loopback delivery is
-// synchronous by design, so every frame is its own single-frame batch
-// and determinism is preserved.
+// Send encodes f as a batch of one — the same container the wire
+// transports coalesce into — and delivers it into the destination
+// endpoint's inbox before returning: loopback delivery is synchronous by
+// design, which is what keeps it deterministic. An unregistered
+// destination is an error (the peer process has not started or already
+// closed).
 func (l *Loopback) Send(addr Addr, f wire.Frame) error {
 	b, err := wire.EncodeBatch([]wire.Frame{f})
 	if err != nil {
@@ -97,65 +82,13 @@ func (l *Loopback) Send(addr Addr, f wire.Frame) error {
 	st.Batches++
 	if dst == nil {
 		st.SendErrs++
-		l.mu.Unlock()
-		return fmt.Errorf("transport: no loopback endpoint %q", addr)
 	}
 	l.mu.Unlock()
-	// Decode through the real codec so loopback exercises the same wire
-	// path as UDP and TCP; the batch was just encoded, so this cannot
-	// fail.
-	out, err := wire.DecodeBatch(b)
-	if err != nil || len(out) != 1 {
-		return fmt.Errorf("transport: loopback re-decode: %v", err)
+	if dst == nil {
+		return fmt.Errorf("transport: no loopback endpoint %q", addr)
 	}
-	dst.push(l.addr, out[0], len(b))
+	dst.deliver(l.addr, b, 0)
 	return nil
-}
-
-// Flush is a no-op: loopback delivery is synchronous, nothing lingers.
-func (l *Loopback) Flush() {}
-
-// push appends one frame to the inbox, dropping the oldest on overflow.
-func (l *Loopback) push(from Addr, f wire.Frame, nbytes int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.live {
-		return
-	}
-	if len(l.inbox) >= inboxCap {
-		l.inbox = l.inbox[1:]
-		l.lost++
-	}
-	l.inbox = append(l.inbox, inFrame{from: from, f: f})
-	st := l.peerStats(from)
-	st.Recv++
-	st.RecvBytes += uint64(nbytes)
-}
-
-// Recv pops the oldest received frame, non-blocking.
-func (l *Loopback) Recv() (Addr, wire.Frame, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if len(l.inbox) == 0 {
-		return "", wire.Frame{}, false
-	}
-	in := l.inbox[0]
-	l.inbox = l.inbox[1:]
-	return in.from, in.f, true
-}
-
-// LocalAddr returns the endpoint's registered name.
-func (l *Loopback) LocalAddr() Addr { return l.addr }
-
-// Stats snapshots per-peer counters.
-func (l *Loopback) Stats() map[Addr]PeerStats {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[Addr]PeerStats, len(l.stats))
-	for a, s := range l.stats {
-		out[a] = *s
-	}
-	return out
 }
 
 // Close removes the endpoint from the registry and drops queued frames.
@@ -165,19 +98,6 @@ func (l *Loopback) Close() error {
 		delete(loopReg, l.addr)
 	}
 	loopMu.Unlock()
-	l.mu.Lock()
-	l.live = false
-	l.inbox = nil
-	l.mu.Unlock()
+	l.shut()
 	return nil
-}
-
-// peerStats returns the counter cell for addr; callers hold l.mu.
-func (l *Loopback) peerStats(addr Addr) *PeerStats {
-	st, ok := l.stats[addr]
-	if !ok {
-		st = &PeerStats{}
-		l.stats[addr] = st
-	}
-	return st
 }

@@ -8,17 +8,20 @@
 // the conformance suite (deterministic — no goroutines, no clocks,
 // delivery happens synchronously into the peer's inbox and is drained
 // by an explicit pump); UDP, a real datagram transport (reader
-// goroutine, per-peer send queues with drop-oldest backpressure,
-// malformed-frame accounting); and TCP, a stream transport for
-// lossless inter-shard links (length-prefixed batch records, per-peer
-// connections with reconnect-on-error, Nagle disabled in favor of our
-// own linger). All present the same poll-style interface so the bridge
-// and the conformance driver are transport-agnostic.
+// goroutine, per-peer send queues with drop-oldest backpressure);
+// and TCP, a stream transport for lossless inter-shard links
+// (length-prefixed batch records, per-peer connections with
+// reconnect-on-error, Nagle disabled in favor of our own linger). All
+// three embed one endpoint core (endpoint.go) — inbox, counters,
+// Send/Flush/Recv/Stats, malformed-record accounting — and present the
+// same poll-style interface, so the bridge and the conformance driver
+// are transport-agnostic.
 //
-// The wire path is batched: UDP and TCP coalesce each peer's outbound
-// frames into wire.Batch containers (see coalesce.go for the
+// There is one wire path: every write is a wire.Batch container. UDP
+// and TCP coalesce each peer's outbound frames (see coalesce.go for the
 // size/count/linger thresholds) so envelope and syscall costs amortize
-// across frames instead of being paid per frame.
+// across frames instead of being paid per frame; Loopback sends batches
+// of one.
 //
 // Everything here runs on wall-clock threads, outside the deterministic
 // simulation kernel. The boundary discipline is: transports never touch
@@ -34,9 +37,9 @@ import (
 	"github.com/agilla-go/agilla/internal/wire"
 )
 
-// Addr names a transport endpoint, scheme-prefixed: "udp:host:port" or
-// "loop:name". The scheme travels with the address so peer lists in
-// configuration stay self-describing.
+// Addr names a transport endpoint, scheme-prefixed: "udp:host:port",
+// "tcp:host:port" or "loop:name". The scheme travels with the address so
+// peer lists in configuration stay self-describing.
 type Addr string
 
 // PeerStats counts traffic exchanged with one peer (or, for receive-side
@@ -45,9 +48,10 @@ type PeerStats struct {
 	Sent      uint64 // frames accepted for send
 	SentBytes uint64 // encoded bytes written to the wire (batch container included)
 	Batches   uint64 // wire writes (datagrams / stream records) carrying those bytes
-	Dropped   uint64 // frames dropped by send-queue backpressure (oldest first)
+	Dropped   uint64 // frames dropped by send-queue backpressure (oldest first) or lost with a failed write
 	Recv      uint64 // frames received and decoded
 	RecvBytes uint64 // encoded bytes received
+	Overrun   uint64 // received frames evicted unread from the full inbox (oldest first)
 	Malformed uint64 // datagrams or stream records rejected by the decoder
 	SendErrs  uint64 // socket write or connect failures
 }
@@ -72,7 +76,7 @@ func (s PeerStats) FramesPerBatch() float64 {
 // idempotent. Send queues one frame to a dialed peer and never blocks on
 // the network (backpressure drops the oldest queued data instead); the
 // wire transports coalesce queued frames into batches, so a frame may
-// wait up to the configured linger before it is written. Flush seals
+// wait up to DefaultBatchLinger before it is written. Flush seals
 // every peer's pending batch immediately — the bridge calls it at each
 // pump quantum boundary so bridged virtual time never stalls on the
 // linger timer. Recv pops one received frame without blocking — the
@@ -89,17 +93,6 @@ type Transport interface {
 	LocalAddr() Addr
 	Stats() map[Addr]PeerStats
 	Close() error
-}
-
-// inboxCap bounds every transport's receive inbox; beyond it the oldest
-// frame is dropped. Protocol retransmission recovers the loss, exactly as
-// it does for radio loss.
-const inboxCap = 4096
-
-// inFrame is one received frame awaiting the pump.
-type inFrame struct {
-	from Addr
-	f    wire.Frame
 }
 
 // Open constructs a transport from a scheme-prefixed address: "loop:name"

@@ -1,8 +1,14 @@
 package transport
 
 import (
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"net"
+	"os"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -73,7 +79,7 @@ func TestOpenMalformedAddr(t *testing.T) {
 }
 
 func TestDoubleListen(t *testing.T) {
-	for _, addr := range []Addr{"udp:127.0.0.1:0", "tcp:127.0.0.1:0"} {
+	for _, addr := range []Addr{"loop:twice", "udp:127.0.0.1:0", "tcp:127.0.0.1:0"} {
 		tr, err := Open(addr)
 		if err != nil {
 			t.Fatal(err)
@@ -88,109 +94,56 @@ func TestDoubleListen(t *testing.T) {
 	}
 }
 
-func TestLoopbackRoundTrip(t *testing.T) {
-	a, b := NewLoopback("loop:a"), NewLoopback("loop:b")
-	if err := a.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
-	if err := a.Dial("loop:b"); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Dial("udp:127.0.0.1:9"); err == nil {
-		t.Fatal("loopback must refuse udp peers")
-	}
+// Constructors for endpoints that are not yet listening; loopback names
+// are made unique per call so tests never collide in the registry.
+var loopSeq atomic.Int64
 
-	for i := 0; i < 3; i++ {
-		if err := a.Send("loop:b", testFrame(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 0; i < 3; i++ {
-		from, f, ok := b.Recv()
-		if !ok {
-			t.Fatalf("frame %d missing", i)
-		}
-		if from != "loop:a" {
-			t.Fatalf("frame %d attributed to %q, want loop:a", i, from)
-		}
-		if seqOf(f) != i {
-			t.Fatalf("frame order broken: got seq %d at slot %d", seqOf(f), i)
-		}
-	}
-	if _, _, ok := b.Recv(); ok {
-		t.Fatal("empty inbox must report ok=false")
-	}
+func newLoop() Transport { return NewLoopback(Addr(fmt.Sprintf("loop:t%d", loopSeq.Add(1)))) }
+func newUDP() Transport  { return NewUDP("udp:127.0.0.1:0") }
+func newTCP() Transport  { return NewTCP("tcp:127.0.0.1:0") }
 
-	st := a.Stats()["loop:b"]
-	if st.Sent != 3 || st.SentBytes == 0 {
-		t.Fatalf("sender stats = %+v, want Sent=3 and bytes counted", st)
-	}
-	rst := b.Stats()["loop:a"]
-	if rst.Recv != 3 || rst.RecvBytes != st.SentBytes {
-		t.Fatalf("receiver stats = %+v, want Recv=3 RecvBytes=%d", rst, st.SentBytes)
-	}
-
-	// An unregistered destination is a send error, and a second endpoint
-	// cannot squat on a live name.
-	if err := a.Send("loop:ghost", testFrame(0)); err == nil {
-		t.Fatal("send to unregistered endpoint must fail")
-	}
-	if err := NewLoopback("loop:a").Listen(); err == nil {
-		t.Fatal("duplicate loopback name must fail Listen")
-	}
-
-	// Closing unregisters: sends to it now fail, and the closed endpoint
-	// refuses further sends.
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Send("loop:b", testFrame(0)); err == nil {
-		t.Fatal("send to closed endpoint must fail")
-	}
-	if err := b.Send("loop:a", testFrame(0)); err == nil {
-		t.Fatal("send from closed endpoint must fail")
-	}
+// schemes lists the three transports for the table-driven tests.
+var schemes = []struct {
+	name  string
+	mk    func() Transport
+	ghost Addr // well-formed, but nothing a test ever dials or registers
+}{
+	{"loop", newLoop, "loop:ghost"},
+	{"udp", newUDP, "udp:127.0.0.1:1"},
+	{"tcp", newTCP, "tcp:127.0.0.1:1"},
 }
 
-func TestLoopbackDropOldest(t *testing.T) {
-	a, b := NewLoopback("loop:drop-src"), NewLoopback("loop:drop-dst")
-	if err := a.Listen(); err != nil {
-		t.Fatal(err)
+// core reaches the shared endpoint inside a transport.
+func core(tr Transport) *endpoint {
+	switch v := tr.(type) {
+	case *Loopback:
+		return &v.endpoint
+	case *UDP:
+		return &v.endpoint
+	case *TCP:
+		return &v.endpoint
 	}
-	if err := b.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
+	panic("unknown transport")
+}
 
-	const extra = 10
-	for i := 0; i < inboxCap+extra; i++ {
-		if err := a.Send("loop:drop-dst", testFrame(i)); err != nil {
-			t.Fatal(err)
-		}
+// listening builds and starts one endpoint, closed with the test.
+func listening(t *testing.T, mk func() Transport) Transport {
+	t.Helper()
+	tr := mk()
+	if err := tr.Listen(); err != nil {
+		t.Fatal(err)
 	}
-	n := 0
-	first := -1
-	for {
-		_, f, ok := b.Recv()
-		if !ok {
-			break
+	t.Cleanup(func() { tr.Close() })
+	return tr
+}
+
+// eventually polls cond until it holds or five seconds pass.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
 		}
-		if first < 0 {
-			first = seqOf(f)
-		}
-		n++
-	}
-	if n != inboxCap {
-		t.Fatalf("inbox held %d frames, want cap %d", n, inboxCap)
-	}
-	if first != extra {
-		t.Fatalf("oldest surviving frame is seq %d, want %d (drop-oldest)", first, extra)
 	}
 }
 
@@ -208,157 +161,262 @@ func recvDeadline(t *testing.T, tr Transport, d time.Duration) (Addr, wire.Frame
 	return "", wire.Frame{}
 }
 
-func TestUDPRoundTrip(t *testing.T) {
-	a, b := NewUDP("udp:127.0.0.1:0"), NewUDP("udp:127.0.0.1:0")
-	if err := a.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
-	addrA, addrB := a.LocalAddr(), b.LocalAddr()
-	if addrA == "udp:127.0.0.1:0" || addrB == "udp:127.0.0.1:0" {
-		t.Fatalf("LocalAddr did not resolve the kernel port: %q %q", addrA, addrB)
-	}
-	if err := a.Dial(addrB); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Dial(addrA); err != nil {
-		t.Fatal(err)
-	}
-
-	const frames = 20
-	for i := 0; i < frames; i++ {
-		if err := a.Send(addrB, testFrame(i)); err != nil {
+// sendSeqs sends frames numbered [lo, hi) and flushes.
+func sendSeqs(t *testing.T, tr Transport, to Addr, lo, hi int) {
+	t.Helper()
+	for i := lo; i < hi; i++ {
+		if err := tr.Send(to, testFrame(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	got := make(map[int]bool)
-	for i := 0; i < frames; i++ {
-		from, f := recvDeadline(t, b, 5*time.Second)
-		if from != addrA {
-			t.Fatalf("frame attributed to %q, want %q", from, addrA)
-		}
-		got[seqOf(f)] = true
-	}
-	if len(got) != frames {
-		t.Fatalf("received %d distinct frames, want %d", len(got), frames)
-	}
+	tr.Flush()
+}
 
-	// The reverse direction shares the socket pair.
-	if err := b.Send(addrA, testFrame(7)); err != nil {
-		t.Fatal(err)
-	}
-	if _, f := recvDeadline(t, a, 5*time.Second); seqOf(f) != 7 {
-		t.Fatalf("reverse frame seq = %d, want 7", seqOf(f))
-	}
+// TestTransportConformance holds all three transports to the one
+// contract the bridge relies on: frames round-trip in order with their
+// sender's dialed address attached, counters are kept per peer and agree
+// across the wire, a full inbox evicts oldest-first and says so in
+// Overrun, and a closed endpoint neither sends nor yields frames. (UDP
+// promises no ordering in general; one sender over the loopback
+// interface keeps it, and the assertions below lean on that.)
+func TestTransportConformance(t *testing.T) {
+	for _, sc := range schemes {
+		t.Run(sc.name, func(t *testing.T) {
+			a, b, c := listening(t, sc.mk), listening(t, sc.mk), listening(t, sc.mk)
+			addrA, addrB, addrC := a.LocalAddr(), b.LocalAddr(), c.LocalAddr()
+			if strings.HasSuffix(string(addrA), ":0") || strings.HasSuffix(string(addrB), ":0") {
+				t.Fatalf("LocalAddr did not resolve the kernel port: %q %q", addrA, addrB)
+			}
+			for _, d := range []struct {
+				tr Transport
+				to Addr
+			}{{a, addrB}, {b, addrA}, {c, addrB}, {a, addrB}} { // the repeat: Dial is idempotent
+				if err := d.tr.Dial(d.to); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := a.Dial("sctp:127.0.0.1:9"); err == nil {
+				t.Fatal("dialing a foreign scheme must fail")
+			}
 
-	if st := a.Stats()[addrB]; st.Sent != frames || st.SentBytes == 0 {
-		t.Fatalf("sender stats = %+v, want Sent=%d", st, frames)
-	}
-	if st := b.Stats()[addrA]; st.Recv != frames {
-		t.Fatalf("receiver stats = %+v, want Recv=%d", st, frames)
-	}
+			// Round trip, in order, attributed to the dialed address (for
+			// TCP that is the hello's doing: the source port is ephemeral).
+			const frames = 20
+			sendSeqs(t, a, addrB, 0, frames)
+			for i := 0; i < frames; i++ {
+				from, f := recvDeadline(t, b, 5*time.Second)
+				if from != addrA {
+					t.Fatalf("frame %d attributed to %q, want %q", i, from, addrA)
+				}
+				if seqOf(f) != i {
+					t.Fatalf("frame order broken: got seq %d at slot %d", seqOf(f), i)
+				}
+			}
+			if _, _, ok := b.Recv(); ok {
+				t.Fatal("empty inbox must report ok=false")
+			}
+			sendSeqs(t, b, addrA, 7, 8)
+			if _, f := recvDeadline(t, a, 5*time.Second); seqOf(f) != 7 {
+				t.Fatalf("reverse frame seq = %d, want 7", seqOf(f))
+			}
 
-	// Sends to peers that were never dialed fail fast.
-	if err := a.Send("udp:127.0.0.1:1", testFrame(0)); err == nil {
-		t.Fatal("send to undialed peer must fail")
+			// Counters are per peer and agree end to end: a second sender
+			// lands in its own cell, and what one side wrote the other read.
+			sendSeqs(t, c, addrB, 0, 3)
+			eventually(t, "c's frames at b", func() bool { return b.Stats()[addrC].Recv == 3 })
+			eventually(t, "a's writes accounted", func() bool {
+				st := a.Stats()[addrB]
+				return st.Batches > 0 && st.SentBytes == b.Stats()[addrA].RecvBytes
+			})
+			if st := a.Stats()[addrB]; st.Sent != frames || st.SentBytes == 0 {
+				t.Fatalf("sender stats = %+v, want Sent=%d and bytes counted", st, frames)
+			}
+			if st := b.Stats()[addrA]; st.Recv != frames {
+				t.Fatalf("receiver stats for a = %+v, want Recv=%d", st, frames)
+			}
+			for i := 0; i < 3; i++ {
+				if from, _ := recvDeadline(t, b, 5*time.Second); from != addrC {
+					t.Fatalf("c's frame attributed to %q, want %q", from, addrC)
+				}
+			}
+			if err := a.Send(sc.ghost, testFrame(0)); err == nil {
+				t.Fatal("send to a peer that was never dialed or registered must fail")
+			}
+			if err := a.Send(addrB, wire.Frame{Payload: make([]byte, wire.MaxFramePayload+1)}); !errors.Is(err, wire.ErrBadMessage) {
+				t.Fatalf("oversized payload: err = %v, want ErrBadMessage", err)
+			}
+
+			// Drop-oldest: overfill b's inbox without draining. The oldest
+			// frames go, the newest inboxCap stay in order, and the loss is
+			// charged to the peer whose frames were evicted.
+			const extra = 10
+			sendSeqs(t, a, addrB, 0, inboxCap+extra)
+			eventually(t, "the flood at b", func() bool { return b.Stats()[addrA].Recv == frames+inboxCap+extra })
+			if st := b.Stats(); st[addrA].Overrun != extra || st[addrC].Overrun != 0 {
+				t.Fatalf("Overrun = %d for a, %d for c; want %d, 0", st[addrA].Overrun, st[addrC].Overrun, extra)
+			}
+			for i := 0; i < inboxCap; i++ {
+				_, f, ok := b.Recv()
+				if !ok {
+					t.Fatalf("inbox held %d frames, want cap %d", i, inboxCap)
+				}
+				if seqOf(f) != extra+i {
+					t.Fatalf("slot %d holds seq %d, want %d (drop-oldest)", i, seqOf(f), extra+i)
+				}
+			}
+			if _, _, ok := b.Recv(); ok {
+				t.Fatalf("inbox held more than its cap of %d", inboxCap)
+			}
+
+			// Close drops what is queued and refuses further traffic; a
+			// second Close is harmless.
+			sendSeqs(t, a, addrB, 0, 2)
+			eventually(t, "frames queued at b", func() bool { return b.Stats()[addrA].Recv == frames+inboxCap+extra+2 })
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, _, ok := b.Recv(); ok {
+				t.Fatal("Recv on a closed endpoint must report ok=false")
+			}
+			if err := b.Send(addrA, testFrame(0)); err == nil {
+				t.Fatal("Send on a closed endpoint must fail")
+			}
+			if err := b.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+		})
 	}
 }
 
-func TestUDPMalformedDatagram(t *testing.T) {
-	u := NewUDP("udp:127.0.0.1:0")
-	if err := u.Listen(); err != nil {
+// TestLoopbackRegistry covers what only Loopback has: names are claimed
+// at Listen and released at Close, and a send to a name nobody holds
+// fails synchronously.
+func TestLoopbackRegistry(t *testing.T) {
+	a, b := listening(t, newLoop), listening(t, newLoop)
+	if err := NewLoopback(b.LocalAddr()).Listen(); err == nil {
+		t.Fatal("duplicate loopback name must fail Listen")
+	}
+	if err := a.Send(b.LocalAddr(), testFrame(0)); err != nil {
 		t.Fatal(err)
 	}
-	defer u.Close()
-	hp := string(u.LocalAddr())[len("udp:"):]
-	raw, err := net.Dial("udp", hp)
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Send(b.LocalAddr(), testFrame(0)); err == nil {
+		t.Fatal("send to a closed (unregistered) endpoint must fail")
+	}
+	if st := a.Stats()[b.LocalAddr()]; st.Sent != 2 || st.SendErrs != 1 {
+		t.Fatalf("sender stats = %+v, want Sent=2 SendErrs=1", st)
+	}
+}
+
+// TestRing pins the inbox ring's three promises: FIFO order across
+// wrap-around, a capacity that starts small and stops at inboxCap, and
+// no reference left behind in a vacated slot.
+func TestRing(t *testing.T) {
+	var r ring
+	in := func(seq int) inFrame { return inFrame{from: "loop:x", f: testFrame(seq)} }
+	next := 0 // seq expected from the next pop
+	pop := func() {
+		t.Helper()
+		got, ok := r.pop()
+		if !ok || seqOf(got.f) != next {
+			t.Fatalf("pop = seq %d ok=%v, want seq %d", seqOf(got.f), ok, next)
+		}
+		next++
+	}
+	if _, ok := r.pop(); ok {
+		t.Fatal("pop on an empty ring must report ok=false")
+	}
+	seq := 0
+	// Interleave pushes and pops so head walks around a small buffer.
+	for round := 0; round < 100; round++ {
+		for i := 0; i < 5; i++ {
+			if _, overrun := r.push(in(seq)); overrun {
+				t.Fatal("overrun below inboxCap")
+			}
+			seq++
+		}
+		for i := 0; i < 4; i++ {
+			pop()
+		}
+	}
+	if len(r.buf) >= inboxCap {
+		t.Fatalf("ring grew to %d slots holding %d frames; it must start small", len(r.buf), r.n)
+	}
+	// Fill to the cap and beyond: growth stops, the oldest is evicted.
+	for r.n < inboxCap {
+		r.push(in(seq))
+		seq++
+	}
+	for i := 0; i < 3; i++ {
+		ev, overrun := r.push(in(seq))
+		seq++
+		if !overrun || seqOf(ev.f) != next {
+			t.Fatalf("push at cap evicted seq %d overrun=%v, want seq %d", seqOf(ev.f), overrun, next)
+		}
+		next++
+	}
+	if len(r.buf) != inboxCap || r.n != inboxCap {
+		t.Fatalf("ring holds %d frames in %d slots, want both %d", r.n, len(r.buf), inboxCap)
+	}
+	for r.n > 0 {
+		pop()
+	}
+	for i, slot := range r.buf {
+		if slot.from != "" || slot.f.Payload != nil {
+			t.Fatalf("slot %d still references %+v after pop", i, slot)
+		}
+	}
+}
+
+// soloEnvelope hand-builds the retired one-frame envelope (magic 0xA6)
+// a pre-batching sender would have written; both wire transports must
+// treat it as the garbage it now is.
+func soloEnvelope(f wire.Frame) []byte {
+	b := []byte{0xA6, 1, f.Kind, 0,
+		byte(f.Src.X >> 8), byte(f.Src.X), byte(f.Src.Y >> 8), byte(f.Src.Y),
+		byte(f.Dst.X >> 8), byte(f.Dst.X), byte(f.Dst.Y >> 8), byte(f.Dst.Y),
+		byte(len(f.Payload) >> 8), byte(len(f.Payload))}
+	b = append(b, f.Payload...)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// malformedTotal sums the Malformed counter over every peer.
+func malformedTotal(tr Transport) (n uint64) {
+	for _, st := range tr.Stats() {
+		n += st.Malformed
+	}
+	return n
+}
+
+func TestUDPMalformedDatagram(t *testing.T) {
+	u := listening(t, newUDP)
+	raw, err := net.Dial("udp", strings.TrimPrefix(string(u.LocalAddr()), "udp:"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer raw.Close()
-	if _, err := raw.Write([]byte("not a frame")); err != nil {
+	good, err := wire.EncodeBatch([]wire.Frame{testFrame(5)})
+	if err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var malformed uint64
-		for _, st := range u.Stats() {
-			malformed += st.Malformed
-		}
-		if malformed == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("malformed datagram not counted; stats = %+v", u.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, _, ok := u.Recv(); ok {
-		t.Fatal("malformed datagram must not reach the inbox")
-	}
-}
-
-func TestTCPRoundTrip(t *testing.T) {
-	a, b := NewTCP("tcp:127.0.0.1:0"), NewTCP("tcp:127.0.0.1:0")
-	if err := a.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
-	addrA, addrB := a.LocalAddr(), b.LocalAddr()
-	if addrA == "tcp:127.0.0.1:0" || addrB == "tcp:127.0.0.1:0" {
-		t.Fatalf("LocalAddr did not resolve the kernel port: %q %q", addrA, addrB)
-	}
-	if err := a.Dial(addrB); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Dial(addrA); err != nil {
-		t.Fatal(err)
-	}
-
-	const frames = 20
-	for i := 0; i < frames; i++ {
-		if err := a.Send(addrB, testFrame(i)); err != nil {
+	// Junk and a well-formed legacy solo envelope are each counted and
+	// skipped; the datagram boundary resynchronizes, so a batch behind
+	// them still arrives.
+	for _, dgram := range [][]byte{[]byte("not a frame"), soloEnvelope(testFrame(4)), good} {
+		if _, err := raw.Write(dgram); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a.Flush()
-	// TCP preserves order, and the hello record attributes the stream to
-	// the dialer's listen address, not its ephemeral source port.
-	for i := 0; i < frames; i++ {
-		from, f := recvDeadline(t, b, 5*time.Second)
-		if from != addrA {
-			t.Fatalf("frame attributed to %q, want %q", from, addrA)
-		}
-		if seqOf(f) != i {
-			t.Fatalf("stream order broken: got seq %d at slot %d", seqOf(f), i)
-		}
+	if _, f := recvDeadline(t, u, 5*time.Second); seqOf(f) != 5 {
+		t.Fatalf("frame after the malformed datagrams has seq %d, want 5", seqOf(f))
 	}
-
-	// The reverse direction uses b's own outbound connection.
-	if err := b.Send(addrA, testFrame(7)); err != nil {
-		t.Fatal(err)
+	if n := malformedTotal(u); n != 2 {
+		t.Fatalf("Malformed = %d, want 2; stats = %+v", n, u.Stats())
 	}
-	b.Flush()
-	if _, f := recvDeadline(t, a, 5*time.Second); seqOf(f) != 7 {
-		t.Fatalf("reverse frame seq = %d, want 7", seqOf(f))
-	}
-
-	if st := a.Stats()[addrB]; st.Sent != frames || st.SentBytes == 0 || st.Batches == 0 {
-		t.Fatalf("sender stats = %+v, want Sent=%d with batches counted", st, frames)
-	}
-	if st := b.Stats()[addrA]; st.Recv != frames {
-		t.Fatalf("receiver stats = %+v, want Recv=%d", st, frames)
-	}
-	if err := a.Send("tcp:127.0.0.1:1", testFrame(0)); err == nil {
-		t.Fatal("send to undialed peer must fail")
+	if _, _, ok := u.Recv(); ok {
+		t.Fatal("malformed datagrams must not reach the inbox")
 	}
 }
 
@@ -411,93 +469,93 @@ func TestTCPReconnect(t *testing.T) {
 	t.Fatalf("no frame after receiver restart; sender stats = %+v", a.Stats()[addrB])
 }
 
+// TestTCPMalformedRecord feeds a listener streams that go bad in every
+// way the reader guards against. Each must be counted malformed exactly
+// once, deliver nothing past the bad record, and lose its connection —
+// a stream has no boundary to resynchronize on.
 func TestTCPMalformedRecord(t *testing.T) {
-	tr := NewTCP("tcp:127.0.0.1:0")
-	if err := tr.Listen(); err != nil {
-		t.Fatal(err)
+	record := func(body []byte) []byte {
+		return append(binary.BigEndian.AppendUint32(nil, uint32(len(body))), body...)
 	}
-	defer tr.Close()
-	hp := string(tr.LocalAddr())[len("tcp:"):]
-	raw, err := net.Dial("tcp", hp)
+	hello := func(addr string) []byte { return record(append([]byte("AGH1"), addr...)) }
+	good, err := wire.EncodeBatch([]wire.Frame{testFrame(5)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer raw.Close()
-	// A well-framed record whose body decodes as neither hello, batch,
-	// nor bare frame: counted malformed, and the stream is dropped.
-	if _, err := raw.Write([]byte{0, 0, 0, 4, 'j', 'u', 'n', 'k'}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var malformed uint64
-		for _, st := range tr.Stats() {
-			malformed += st.Malformed
-		}
-		if malformed == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("malformed record not counted; stats = %+v", tr.Stats())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if _, _, ok := tr.Recv(); ok {
-		t.Fatal("malformed record must not reach the inbox")
-	}
-	// The connection was dropped: the next write eventually errors.
-	raw.SetWriteDeadline(time.Now().Add(5 * time.Second))
-	var werr error
-	for i := 0; i < 5000 && werr == nil; i++ {
-		_, werr = raw.Write([]byte{0, 0, 0, 1, 'x'})
-	}
-	if werr == nil {
-		t.Fatal("writes kept succeeding after a corrupt record; want dropped connection")
-	}
-}
-
-// batchTransport is the sender-configurable subset shared by UDP and TCP.
-type batchTransport interface {
-	Transport
-	setBatch(Batching)
-}
-
-type udpWrap struct{ *UDP }
-
-func (w udpWrap) setBatch(b Batching) { w.UDP.Batch = b }
-
-type tcpWrap struct{ *TCP }
-
-func (w tcpWrap) setBatch(b Batching) { w.TCP.Batch = b }
-
-func TestBatchingCoalesces(t *testing.T) {
+	const peer = "tcp:127.0.0.1:7"
 	cases := []struct {
-		name string
-		mk   func() batchTransport
+		name      string
+		stream    [][]byte
+		delivered int  // frames that must arrive before the stream is dropped
+		blamed    Addr // who the malformed record is charged to; "" = the raw remote address
 	}{
-		{"udp", func() batchTransport { return udpWrap{NewUDP("udp:127.0.0.1:0")} }},
-		{"tcp", func() batchTransport { return tcpWrap{NewTCP("tcp:127.0.0.1:0")} }},
+		{"junk", [][]byte{record([]byte("junk"))}, 0, ""},
+		{"legacy solo envelope", [][]byte{hello(peer), record(soloEnvelope(testFrame(4)))}, 0, peer},
+		{"absurd length prefix", [][]byte{{0xFF, 0xFF, 0xFF, 0xFF}}, 0, ""},
+		{"late hello", [][]byte{hello(peer), record(good), hello("tcp:127.0.0.1:8")}, 1, peer},
+		{"oversized hello", [][]byte{hello("tcp:" + strings.Repeat("a", tcpMaxHelloAddr))}, 0, ""},
+		{"hello without a tcp: address", [][]byte{hello("udp:127.0.0.1:7")}, 0, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			a, b := tc.mk(), tc.mk()
-			// A linger far past the test's deadline: only the count
-			// threshold and explicit Flush may seal batches here.
-			a.setBatch(Batching{MaxFrames: 8, Linger: time.Hour})
-			if err := a.Listen(); err != nil {
+			tr := listening(t, newTCP)
+			raw, err := net.Dial("tcp", strings.TrimPrefix(string(tr.LocalAddr()), "tcp:"))
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Listen(); err != nil {
-				t.Fatal(err)
+			defer raw.Close()
+			for _, rec := range tc.stream {
+				if _, err := raw.Write(rec); err != nil {
+					t.Fatal(err)
+				}
 			}
-			defer a.Close()
-			defer b.Close()
+			blamed := tc.blamed
+			if blamed == "" {
+				blamed = Addr("tcp:" + raw.LocalAddr().String())
+			}
+			eventually(t, "the malformed count", func() bool { return tr.Stats()[blamed].Malformed == 1 })
+			stats := tr.Stats()
+			if n := malformedTotal(tr); n != 1 || len(stats) != 1 {
+				t.Fatalf("want one malformed record in one stats cell (%q), got %+v", blamed, stats)
+			}
+			if got := int(stats[blamed].Recv); got != tc.delivered {
+				t.Fatalf("delivered %d frames, want %d", got, tc.delivered)
+			}
+			// The connection was dropped: the peer sees EOF or a reset,
+			// not a read that times out on a stream still open.
+			raw.SetReadDeadline(time.Now().Add(5 * time.Second))
+			if _, err := raw.Read(make([]byte, 1)); err == nil || errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("read after a corrupt record: err = %v, want a dropped connection", err)
+			}
+		})
+	}
+}
+
+// tighten overrides the thresholds of a's coalescer for peer; the
+// production values are constants, so only a test can do this.
+func tighten(a Transport, peer Addr, maxFrames int, linger time.Duration) {
+	e := core(a)
+	e.mu.Lock()
+	co := e.out[peer]
+	e.mu.Unlock()
+	co.mu.Lock()
+	co.maxFrames, co.linger = maxFrames, linger
+	co.mu.Unlock()
+}
+
+func TestBatchingCoalesces(t *testing.T) {
+	for _, sc := range schemes[1:] { // the wire transports; Loopback has no coalescer
+		t.Run(sc.name, func(t *testing.T) {
+			a, b := listening(t, sc.mk), listening(t, sc.mk)
 			addrB := b.LocalAddr()
 			if err := a.Dial(addrB); err != nil {
 				t.Fatal(err)
 			}
+			// A linger far past the test's deadline: only the count
+			// threshold and explicit Flush may seal batches here.
+			tighten(a, addrB, 8, time.Hour)
 
-			// Exactly MaxFrames frames seal one batch with no flush.
+			// Exactly maxFrames frames seal one batch with no flush.
 			for i := 0; i < 8; i++ {
 				if err := a.Send(addrB, testFrame(i)); err != nil {
 					t.Fatal(err)
@@ -507,7 +565,7 @@ func TestBatchingCoalesces(t *testing.T) {
 				recvDeadline(t, b, 5*time.Second)
 			}
 			if st := a.Stats()[addrB]; st.Batches != 1 {
-				t.Fatalf("%s stats after count-threshold seal = %+v, want Batches=1", tc.name, st)
+				t.Fatalf("%s stats after count-threshold seal = %+v, want Batches=1", sc.name, st)
 			}
 
 			// A partial batch stays pending (linger is an hour) until
@@ -519,7 +577,7 @@ func TestBatchingCoalesces(t *testing.T) {
 			}
 			time.Sleep(50 * time.Millisecond)
 			if _, _, ok := b.Recv(); ok {
-				t.Fatalf("%s: partial batch delivered before Flush", tc.name)
+				t.Fatalf("%s: partial batch delivered before Flush", sc.name)
 			}
 			a.Flush()
 			for i := 0; i < 3; i++ {
@@ -527,30 +585,22 @@ func TestBatchingCoalesces(t *testing.T) {
 			}
 			st := a.Stats()[addrB]
 			if st.Batches != 2 {
-				t.Fatalf("%s stats after Flush = %+v, want Batches=2", tc.name, st)
+				t.Fatalf("%s stats after Flush = %+v, want Batches=2", sc.name, st)
 			}
 			if got := st.FramesPerBatch(); got < 5 || got > 6 {
-				t.Fatalf("%s FramesPerBatch = %v, want 11/2", tc.name, got)
+				t.Fatalf("%s FramesPerBatch = %v, want 11/2", sc.name, got)
 			}
 		})
 	}
 }
 
 func TestBatchingLinger(t *testing.T) {
-	a, b := NewUDP("udp:127.0.0.1:0"), NewUDP("udp:127.0.0.1:0")
-	a.Batch = Batching{Linger: 2 * time.Millisecond}
-	if err := a.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Listen(); err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	defer b.Close()
+	a, b := listening(t, newUDP), listening(t, newUDP)
 	addrB := b.LocalAddr()
 	if err := a.Dial(addrB); err != nil {
 		t.Fatal(err)
 	}
+	tighten(a, addrB, DefaultBatchFrames, 2*time.Millisecond)
 	// One lone frame, no Flush: the linger timer must seal it.
 	if err := a.Send(addrB, testFrame(9)); err != nil {
 		t.Fatal(err)
@@ -613,8 +663,12 @@ func TestBridgeRelayAcrossLoopback(t *testing.T) {
 	if len(b.node.got) != 1 || b.node.got[0].Payload[0] != 42 {
 		t.Fatalf("remote mote heard %+v, want one frame with payload [42]", b.node.got)
 	}
-	if st := a.br.Stats(); st.Relayed != 1 || st.RelayedBytes == 0 {
+	if st := a.br.Stats(); st.Relayed != 1 {
 		t.Fatalf("A bridge stats = %+v, want Relayed=1", st)
+	}
+	// The relayed frame's true on-wire size: one record in one container.
+	if st := a.br.Transport().Stats()["loop:half-b"]; st.SentBytes != wire.BatchOverhead+wire.FrameRecordOverhead+1 {
+		t.Fatalf("A transport stats = %+v, want SentBytes = one 1-byte-payload batch", st)
 	}
 	if st := b.br.Stats(); st.Injected != 1 {
 		t.Fatalf("B bridge stats = %+v, want Injected=1", st)

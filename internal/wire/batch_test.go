@@ -206,9 +206,10 @@ func TestBatchRandomizedRoundTrip(t *testing.T) {
 }
 
 // FuzzBatchDecode proves the batch decoder never panics and that
-// whatever it accepts re-encodes byte-identical, mirroring
-// FuzzFrameDecode's contract for the single-frame envelope. Seeds cover
-// valid batches plus truncated, overlength, and CRC-flipped variants.
+// whatever it accepts re-encodes byte-identical and carries payloads the
+// inner codecs survive (fuzzDecode). Seeds cover valid batches plus
+// truncated, overlength, and CRC-flipped variants, and the lone frames
+// FuzzFrameDecode starts from.
 func FuzzBatchDecode(f *testing.F) {
 	frames := batchWorkload(&testing.T{}, 6)
 	for _, n := range []int{1, 3, 6} {
@@ -225,22 +226,8 @@ func FuzzBatchDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{BatchMagic, BatchVersion, 0, 1})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		frames, err := DecodeBatch(b)
-		if err != nil {
-			if !errors.Is(err, ErrBadMessage) {
-				t.Fatalf("rejection not wrapping ErrBadMessage: %v", err)
-			}
-			return
-		}
-		re, err := EncodeBatch(frames)
-		if err != nil {
-			t.Fatalf("accepted batch does not re-encode: %v", err)
-		}
-		if !bytes.Equal(re, b) {
-			t.Fatalf("re-encode mismatch:\n  in  %x\n  out %x", b, re)
-		}
-	})
+	loneFrameSeeds(f)
+	f.Fuzz(fuzzDecode)
 }
 
 // BenchmarkBatchEncodeDecode pins the pooled hot path — Get, Add xN,

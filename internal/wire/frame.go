@@ -1,125 +1,22 @@
 package wire
 
-import (
-	"fmt"
-	"hash/crc32"
+import "github.com/agilla-go/agilla/internal/topology"
 
-	"github.com/agilla-go/agilla/internal/topology"
-)
-
-// The outer frame envelope: what actually crosses a process boundary when
-// two deployments peer over a real transport (internal/transport). The
-// in-process medium hands receivers a radio.Frame struct directly; on the
-// wire that struct is wrapped in a small versioned header so a peer can
-// validate, demultiplex, and safely reject anything malformed or truncated
-// without trusting the sender.
-//
-// Layout (big-endian), FrameOverhead = 18 bytes around the payload:
-//
-//	offset  size  field
-//	0       1     magic (0xA6)
-//	1       1     version (1)
-//	2       1     kind (the radio frame kind: beacon, migrate, ...)
-//	3       1     flags (reserved; must be zero in version 1)
-//	4       4     src location (int16 X, int16 Y)
-//	8       4     dst location (radio.Broadcast encodes like any other)
-//	12      2     payload length N
-//	14      N     payload (the existing hand-packed inner codec for kind)
-//	14+N    4     CRC-32 (IEEE) over bytes [0, 14+N)
-//
-// The checksum is not cryptographic: it catches truncation, corruption,
-// and framing bugs, the failure modes UDP actually has. The payload stays
-// opaque at this layer — inner codecs already reject garbage with
-// ErrBadMessage, and keeping the envelope payload-agnostic means new frame
-// kinds need no envelope change.
-
-const (
-	// FrameMagic is the first byte of every enveloped frame.
-	FrameMagic = 0xA6
-	// FrameVersion is the envelope version this build speaks.
-	FrameVersion = 1
-	// frameHeaderLen is the fixed prefix before the payload.
-	frameHeaderLen = 14
-	// FrameOverhead is the envelope cost around the payload: header plus
-	// trailing checksum.
-	FrameOverhead = frameHeaderLen + 4
-	// MaxFramePayload is the largest payload the 16-bit length field can
-	// carry. Radio payloads are mote-sized (tens of bytes); the bound
-	// exists so a decoder can reject absurd lengths before allocating.
-	MaxFramePayload = 1<<16 - 1
-)
+// MaxFramePayload is the largest payload a frame record's 16-bit length
+// field can carry. Radio payloads are mote-sized (tens of bytes); the
+// bound exists so a decoder can reject absurd lengths before allocating.
+const MaxFramePayload = 1<<16 - 1
 
 // Frame is the neutral form of one over-the-air message as it crosses a
 // transport: the radio frame fields without the radio package. The bridge
-// converts to and from radio.Frame at the medium boundary.
+// converts to and from radio.Frame at the medium boundary; on the wire a
+// frame is one record of a Batch (batch.go), the only envelope. The
+// payload stays opaque at this layer — inner codecs already reject
+// garbage with ErrBadMessage, and keeping the envelope payload-agnostic
+// means new frame kinds need no envelope change.
 type Frame struct {
 	Kind    uint8
 	Src     topology.Location
 	Dst     topology.Location
 	Payload []byte
-}
-
-// EncodedLen returns the wire size of the frame.
-func (f Frame) EncodedLen() int { return FrameOverhead + len(f.Payload) }
-
-// EncodeFrame renders the envelope. It returns an error only when the
-// payload exceeds the 16-bit length field.
-func EncodeFrame(f Frame) ([]byte, error) {
-	if len(f.Payload) > MaxFramePayload {
-		return nil, fmt.Errorf("%w: frame payload %d bytes (max %d)", ErrBadMessage, len(f.Payload), MaxFramePayload)
-	}
-	b := make([]byte, frameHeaderLen+len(f.Payload)+4)
-	b[0] = FrameMagic
-	b[1] = FrameVersion
-	b[2] = f.Kind
-	b[3] = 0 // flags, reserved
-	putLoc(b[4:], f.Src)
-	putLoc(b[8:], f.Dst)
-	put16(b[12:], uint16(len(f.Payload)))
-	copy(b[frameHeaderLen:], f.Payload)
-	sum := crc32.ChecksumIEEE(b[:frameHeaderLen+len(f.Payload)])
-	n := frameHeaderLen + len(f.Payload)
-	b[n] = byte(sum >> 24)
-	b[n+1] = byte(sum >> 16)
-	b[n+2] = byte(sum >> 8)
-	b[n+3] = byte(sum)
-	return b, nil
-}
-
-// DecodeFrame parses one envelope. The buffer must contain exactly one
-// frame (one UDP datagram carries one frame); anything short, long,
-// corrupt, or from a different version is rejected with an error wrapping
-// ErrBadMessage. The returned payload aliases b.
-func DecodeFrame(b []byte) (Frame, error) {
-	if len(b) < FrameOverhead {
-		return Frame{}, fmt.Errorf("%w: frame truncated at %d bytes", ErrBadMessage, len(b))
-	}
-	if b[0] != FrameMagic {
-		return Frame{}, fmt.Errorf("%w: bad frame magic 0x%02x", ErrBadMessage, b[0])
-	}
-	if b[1] != FrameVersion {
-		return Frame{}, fmt.Errorf("%w: unsupported frame version %d", ErrBadMessage, b[1])
-	}
-	if b[3] != 0 {
-		return Frame{}, fmt.Errorf("%w: reserved frame flags 0x%02x", ErrBadMessage, b[3])
-	}
-	n := int(get16(b[12:]))
-	if len(b) != frameHeaderLen+n+4 {
-		return Frame{}, fmt.Errorf("%w: frame length %d does not match payload length %d", ErrBadMessage, len(b), n)
-	}
-	sum := crc32.ChecksumIEEE(b[:frameHeaderLen+n])
-	got := uint32(b[frameHeaderLen+n])<<24 | uint32(b[frameHeaderLen+n+1])<<16 |
-		uint32(b[frameHeaderLen+n+2])<<8 | uint32(b[frameHeaderLen+n+3])
-	if sum != got {
-		return Frame{}, fmt.Errorf("%w: frame checksum mismatch", ErrBadMessage)
-	}
-	f := Frame{
-		Kind: b[2],
-		Src:  getLoc(b[4:]),
-		Dst:  getLoc(b[8:]),
-	}
-	if n > 0 {
-		f.Payload = b[frameHeaderLen : frameHeaderLen+n]
-	}
-	return f, nil
 }
