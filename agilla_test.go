@@ -5,17 +5,18 @@ import (
 	"time"
 
 	"github.com/agilla-go/agilla"
+	"github.com/agilla-go/agilla/program"
 )
 
 func TestQuickstartFlow(t *testing.T) {
-	nw, err := agilla.NewNetwork(agilla.Options{Width: 3, Height: 3, Reliable: true, Seed: 1})
+	nw, err := agilla.New(agilla.WithTopology(agilla.Grid(3, 3)), agilla.WithReliableRadio(), agilla.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := nw.WarmUp(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Inject(`
+	if _, err := nw.Launch(program.MustParse(`
 		pushc 7
 		putled
 		pushn hi
@@ -23,15 +24,15 @@ func TestQuickstartFlow(t *testing.T) {
 		pushc 2
 		out
 		halt
-	`, agilla.Loc(2, 2)); err != nil {
+	`), agilla.Loc(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := nw.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := nw.Read(agilla.Loc(2, 2), agilla.Tmpl(agilla.Str("hi"), agilla.TypeV(3)))
+	got, ok := nw.Space(agilla.Loc(2, 2)).Rdp(agilla.Tmpl(agilla.Str("hi"), agilla.TypeV(3)))
 	if !ok {
-		t.Fatalf("greeting tuple missing; space: %v", nw.Tuples(agilla.Loc(2, 2)))
+		t.Fatalf("greeting tuple missing; space: %v", nw.Space(agilla.Loc(2, 2)).All())
 	}
 	if got.Fields[1].Loc() != agilla.Loc(2, 2) {
 		t.Errorf("wrong location in tuple: %v", got)
@@ -42,64 +43,59 @@ func TestQuickstartFlow(t *testing.T) {
 }
 
 func TestInjectBadProgram(t *testing.T) {
-	nw, err := agilla.NewNetwork(agilla.Options{Width: 2, Height: 1, Reliable: true})
+	nw, err := agilla.New(agilla.WithTopology(agilla.Grid(2, 1)), agilla.WithReliableRadio())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := nw.Inject("frobnicate", agilla.Loc(1, 1)); err == nil {
-		t.Error("bad source must fail to inject")
+	if _, err := program.Parse("frobnicate"); err == nil {
+		t.Error("bad source must fail to parse")
 	}
-	if _, err := nw.Inject("halt", agilla.Loc(9, 9)); err == nil {
+	if _, err := nw.Launch(program.MustParse("halt"), agilla.Loc(9, 9)); err == nil {
 		t.Error("unknown destination must fail")
 	}
 }
 
-// TestTupleHelpers exercises the deprecated Network shims, which must
-// keep delegating to the Space handles until they are removed.
 func TestTupleHelpers(t *testing.T) {
-	nw, err := agilla.NewNetwork(agilla.Options{Width: 2, Height: 1, Reliable: true})
+	nw, err := agilla.New(agilla.WithTopology(agilla.Grid(2, 1)), agilla.WithReliableRadio())
 	if err != nil {
 		t.Fatal(err)
 	}
 	loc := agilla.Loc(1, 1)
-	if err := nw.Out(loc, agilla.T(agilla.Int(5), agilla.Str("ab"))); err != nil {
+	if err := nw.Space(loc).Out(agilla.T(agilla.Int(5), agilla.Str("ab"))); err != nil {
 		t.Fatal(err)
 	}
-	if n := nw.Count(loc, agilla.Tmpl(agilla.TypeV(1), agilla.TypeV(2))); n != 1 {
+	if n := nw.Space(loc).Count(agilla.Tmpl(agilla.TypeV(1), agilla.TypeV(2))); n != 1 {
 		t.Errorf("Count = %d", n)
 	}
-	got, ok := nw.Take(loc, agilla.Tmpl(agilla.Int(5), agilla.Str("ab")))
+	got, ok := nw.Space(loc).Inp(agilla.Tmpl(agilla.Int(5), agilla.Str("ab")))
 	if !ok || got.Fields[0].A != 5 {
 		t.Errorf("Take = %v,%v", got, ok)
 	}
-	if _, ok := nw.Read(loc, agilla.Tmpl(agilla.Int(5), agilla.Str("ab"))); ok {
+	if _, ok := nw.Space(loc).Rdp(agilla.Tmpl(agilla.Int(5), agilla.Str("ab"))); ok {
 		t.Error("tuple should be gone after Take")
-	}
-	if got, want := len(nw.Tuples(loc)), len(nw.Space(loc).All()); got != want {
-		t.Errorf("Tuples shim = %d entries, Space.All = %d", got, want)
 	}
 }
 
 func TestRemoteRead(t *testing.T) {
-	nw, err := agilla.NewNetwork(agilla.Options{Width: 3, Height: 1, Reliable: true, Seed: 2})
+	nw, err := agilla.New(agilla.WithTopology(agilla.Grid(3, 1)), agilla.WithReliableRadio(), agilla.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := nw.WarmUp(); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Out(agilla.Loc(3, 1), agilla.T(agilla.Int(77))); err != nil {
+	if err := nw.Space(agilla.Loc(3, 1)).Out(agilla.T(agilla.Int(77))); err != nil {
 		t.Fatal(err)
 	}
-	tup, ok, err := nw.RemoteRead(agilla.Loc(3, 1), agilla.Tmpl(agilla.Int(77)))
+	tup, ok, err := nw.Remote().Rrdp(agilla.Loc(3, 1), agilla.Tmpl(agilla.Int(77)))
 	if err != nil || !ok {
-		t.Fatalf("RemoteRead = %v, %v, %v", tup, ok, err)
+		t.Fatalf("Rrdp = %v, %v, %v", tup, ok, err)
 	}
 }
 
 func TestFireEnvironment(t *testing.T) {
 	fire := agilla.NewFire(time.Minute, 3, 3)
-	nw, err := agilla.NewNetwork(agilla.Options{Width: 3, Height: 3, Reliable: true, Field: fire, Seed: 3})
+	nw, err := agilla.New(agilla.WithTopology(agilla.Grid(3, 3)), agilla.WithReliableRadio(), agilla.WithField(fire), agilla.WithSeed(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,19 +105,19 @@ func TestFireEnvironment(t *testing.T) {
 	fire.Ignite(agilla.Loc(2, 2), nw.Now())
 
 	// An agent sensing at the burning node reads >200.
-	if _, err := nw.Inject(`
+	if _, err := nw.Launch(program.MustParse(`
 		pushc TEMPERATURE
 		sense
 		pushc 1
 		out
 		halt
-	`, agilla.Loc(2, 2)); err != nil {
+	`), agilla.Loc(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if err := nw.Run(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := nw.Read(agilla.Loc(2, 2), agilla.Tmpl(agilla.TypeV(agilla.TypeOfSensor(agilla.SensorTemperature))))
+	got, ok := nw.Space(agilla.Loc(2, 2)).Rdp(agilla.Tmpl(agilla.TypeV(agilla.TypeOfSensor(agilla.SensorTemperature))))
 	if !ok {
 		t.Fatal("reading tuple missing")
 	}
@@ -132,14 +128,14 @@ func TestFireEnvironment(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	run := func() string {
-		nw, err := agilla.NewNetwork(agilla.Options{Width: 3, Height: 3, Seed: 9})
+		nw, err := agilla.New(agilla.WithTopology(agilla.Grid(3, 3)), agilla.WithSeed(9))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := nw.WarmUp(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := nw.Inject("pushn hi\nloc\npushc 2\nout\nhalt", agilla.Loc(3, 3)); err != nil {
+		if _, err := nw.Launch(program.MustParse("pushn hi\nloc\npushc 2\nout\nhalt"), agilla.Loc(3, 3)); err != nil {
 			t.Fatal(err)
 		}
 		if err := nw.Run(10 * time.Second); err != nil {
@@ -159,11 +155,11 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestAssembleDisassemble(t *testing.T) {
-	code, err := agilla.Assemble("pushc 1\npop\nhalt")
+	p, err := program.Parse("pushc 1\npop\nhalt")
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := agilla.Disassemble(code)
+	text, err := program.Disassemble(p.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/agilla-go/agilla"
+	"github.com/agilla-go/agilla/program"
 )
 
 // marker is an agent that stamps <"vst", here> and halts.
@@ -30,7 +31,7 @@ func playFarthestCourier(_ context.Context, nw *agilla.Network, m *agilla.Metric
 			far = l
 		}
 	}
-	ag, err := nw.Inject(marker, far)
+	ag, err := nw.Launch(program.MustParse(marker), far)
 	if err != nil {
 		return err
 	}
@@ -88,7 +89,7 @@ func TestLineMigrationEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	end := agilla.Loc(n, 1)
-	ag, err := nw.Inject(marker, end)
+	ag, err := nw.Launch(program.MustParse(marker), end)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +110,8 @@ func TestLineMigrationEndToEnd(t *testing.T) {
 	if ag.Hops() != n {
 		t.Fatalf("agent took %d hops, want %d", ag.Hops(), n)
 	}
-	if nw.Count(end, visited) != 1 {
-		t.Fatalf("end of line not stamped; space: %v", nw.Tuples(end))
+	if nw.Space(end).Count(visited) != 1 {
+		t.Fatalf("end of line not stamped; space: %v", nw.Space(end).All())
 	}
 }
 
@@ -139,7 +140,7 @@ func TestRingMigrationEndToEnd(t *testing.T) {
 		prog += fmt.Sprintf("pushloc %d %d\nsmove\npushn vst\nloc\npushc 2\nout\n", wp.X, wp.Y)
 	}
 	prog += "halt\n"
-	ag, err := nw.Inject(prog, start)
+	ag, err := nw.Launch(program.MustParse(prog), start)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestRingMigrationEndToEnd(t *testing.T) {
 		t.Fatalf("agent ended at %v, want %v (full circumnavigation)", ag.Location(), start)
 	}
 	for _, wp := range []agilla.Location{ring[0], ring[3], ring[6], ring[9]} {
-		if nw.Count(wp, visited) == 0 {
+		if nw.Space(wp).Count(visited) == 0 {
 			t.Errorf("waypoint %v not stamped", wp)
 		}
 	}
@@ -176,7 +177,7 @@ func TestAgentWaitSemantics(t *testing.T) {
 	if err := nw.WarmUp(); err != nil {
 		t.Fatal(err)
 	}
-	ag, err := nw.Inject("pushc 16\nsleep\nhalt", agilla.Loc(2, 1))
+	ag, err := nw.Launch(program.MustParse("pushc 16\nsleep\nhalt"), agilla.Loc(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +238,7 @@ func TestAgentCloneCount(t *testing.T) {
 	}
 	// Strong-clone once to the neighbor mote, then halt. The clone
 	// resumes after the sclone with condition 1 and halts there.
-	ag, err := nw.Inject("pushloc 2 1\nsclone\nhalt", agilla.Loc(1, 1))
+	ag, err := nw.Launch(program.MustParse("pushloc 2 1\nsclone\nhalt"), agilla.Loc(1, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +282,7 @@ func TestRemoteReadTimeoutTyped(t *testing.T) {
 	// Kill the target mote: requests vanish, the operation must time out
 	// with the typed error rather than a generic failure.
 	nw.Node(agilla.Loc(3, 1)).Stop()
-	_, ok, err := nw.RemoteRead(agilla.Loc(3, 1), agilla.Tmpl(agilla.Int(1)))
+	_, ok, err := nw.Remote().Rrdp(agilla.Loc(3, 1), agilla.Tmpl(agilla.Int(1)))
 	if ok {
 		t.Fatal("read of a dead mote cannot succeed")
 	}
@@ -290,7 +291,7 @@ func TestRemoteReadTimeoutTyped(t *testing.T) {
 	}
 
 	// A live mote with no matching tuple is ok=false with NO error.
-	if _, ok, err := nw.RemoteRead(agilla.Loc(2, 1), agilla.Tmpl(agilla.Int(1))); ok || err != nil {
+	if _, ok, err := nw.Remote().Rrdp(agilla.Loc(2, 1), agilla.Tmpl(agilla.Int(1))); ok || err != nil {
 		t.Fatalf("no-match read = %v, %v; want false, nil", ok, err)
 	}
 }
@@ -315,7 +316,7 @@ func TestRemoteReadHonorsNodeConfig(t *testing.T) {
 	}
 	nw.Node(agilla.Loc(2, 1)).Stop()
 	before := nw.Now()
-	_, _, err = nw.RemoteRead(agilla.Loc(2, 1), agilla.Tmpl(agilla.Int(1)))
+	_, _, err = nw.Remote().Rrdp(agilla.Loc(2, 1), agilla.Tmpl(agilla.Int(1)))
 	if !errors.Is(err, agilla.ErrRemoteTimeout) {
 		t.Fatalf("err = %v, want ErrRemoteTimeout", err)
 	}
@@ -332,13 +333,13 @@ func courierScenario() *agilla.Scenario {
 		Name:     "courier",
 		Topology: agilla.Grid(3, 3),
 		Radio:    &reliable,
-		Agents:   []agilla.AgentSpec{{Name: "courier", Source: marker, At: agilla.Loc(3, 3)}},
+		Agents:   []agilla.AgentSpec{{Name: "courier", Program: program.MustParse(marker), At: agilla.Loc(3, 3)}},
 		Duration: 2 * time.Minute,
 		Until: func(nw *agilla.Network) bool {
-			return nw.Count(agilla.Loc(3, 3), visited) > 0
+			return nw.Space(agilla.Loc(3, 3)).Count(visited) > 0
 		},
 		Collect: func(nw *agilla.Network, m *agilla.Metrics) {
-			m.Set("stamped", float64(nw.Count(agilla.Loc(3, 3), visited)))
+			m.Set("stamped", float64(nw.Space(agilla.Loc(3, 3)).Count(visited)))
 		},
 	}
 }
@@ -433,14 +434,14 @@ func TestCustomTopology(t *testing.T) {
 	if err := nw.WarmUp(); err != nil {
 		t.Fatal(err)
 	}
-	ag, err := nw.Inject(marker, agilla.Loc(2, 3))
+	ag, err := nw.Launch(program.MustParse(marker), agilla.Loc(2, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if done, err := ag.WaitDone(time.Minute); err != nil || !done {
 		t.Fatalf("courier on custom topology: done=%v err=%v (%v)", done, err, ag)
 	}
-	if nw.Count(agilla.Loc(2, 3), visited) != 1 {
+	if nw.Space(agilla.Loc(2, 3)).Count(visited) != 1 {
 		t.Fatal("top of the T not stamped")
 	}
 }

@@ -224,9 +224,6 @@ func (nw *Network) runUntilAt(pred func() bool, deadline time.Duration) (bool, e
 			return false, nil
 		}
 		step := nw.quantum
-		if step <= 0 {
-			step = bridgeQuantumDefault
-		}
 		if now+step > deadline {
 			step = deadline - now
 		}

@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/agilla-go/agilla/internal/network"
 	"github.com/agilla-go/agilla/program"
 )
 
@@ -147,7 +148,7 @@ func playConformance(t *testing.T, drive *Network, lookup func(Location) *Networ
 	}
 	stamped := Tmpl(Str("vst"), TypeV(3))
 	arrived, err := drive.RunUntil(func() bool {
-		return lookup(farDest).Count(farDest, stamped) > 0
+		return lookup(farDest).Space(farDest).Count(stamped) > 0
 	}, 2*time.Minute)
 	if err != nil {
 		t.Fatal(err)
@@ -155,7 +156,7 @@ func playConformance(t *testing.T, drive *Network, lookup func(Location) *Networ
 	if !arrived {
 		t.Fatalf("courier never stamped %v", farDest)
 	}
-	tp, ok := lookup(farDest).Read(farDest, stamped)
+	tp, ok := lookup(farDest).Space(farDest).Rdp(stamped)
 	out.courierTuple = renderTuple(tp, ok)
 
 	// Remote tuple space operations from the base: two inserts and a
@@ -196,7 +197,7 @@ func playConformance(t *testing.T, drive *Network, lookup func(Location) *Networ
 	for y := int16(1); y <= confH; y++ {
 		for x := int16(1); x <= confW; x++ {
 			loc := Loc(x, y)
-			tuples := lookup(loc).Tuples(loc)
+			tuples := lookup(loc).Space(loc).All()
 			if len(tuples) == 0 {
 				continue
 			}
@@ -315,6 +316,40 @@ func playSocketConformance(t *testing.T, addrA, addrB string) {
 		}
 		if sent > 0 && batches == 0 {
 			t.Errorf("half %s sent %d frames in 0 batches: coalescer bypassed", name, sent)
+		}
+	}
+}
+
+// TestWarmUpSpanBridgedMatchesUnbridged pins the one warm-up rule: two and
+// a half of the configured beacon periods, whether the run is pumped in
+// bridge quanta or not.
+func TestWarmUpSpanBridgedMatchesUnbridged(t *testing.T) {
+	const beacon = 800 * time.Millisecond
+	_, bOwned := confSplit()
+	opts := []Option{
+		WithTopology(Grid(confW, confH)),
+		WithSeed(confSeed),
+		WithNodeConfig(NodeConfig{Network: network.Config{BeaconEvery: beacon}}),
+	}
+	plain, err := New(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bridged, err := New(append(opts, WithTransportBridge(BridgeConfig{
+		Listen: "loop:warmup-span",
+		Peers:  []BridgePeer{{Addr: "loop:warmup-span-peer", Locations: bOwned}},
+	}))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { bridged.Close() })
+	bridged.idle = nil // no peer to keep pace with: skip the wall-clock sleeps
+	for name, nw := range map[string]*Network{"unbridged": plain, "bridged": bridged} {
+		if err := nw.WarmUp(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := nw.Now(), 2*beacon+beacon/2; got != want {
+			t.Errorf("%s warmed up for %v, want %v", name, got, want)
 		}
 	}
 }

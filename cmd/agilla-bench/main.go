@@ -43,8 +43,8 @@
 //	          Also opt-in, for the same reason as scale.
 //	vm        execution-backend comparison: the same
 //	          compute workload under the seed per-event
-//	          interpreter, the burst engine, and the
-//	          compiled-closure backend; asserts identical
+//	          interpreter and the burst engine driving
+//	          compiled closures; asserts identical
 //	          instruction streams and hashes, reports the
 //	          wall-clock speedup; -json writes
 //	          BENCH_vm.json rows. Opt-in like scale.

@@ -155,17 +155,12 @@ func run(args []string) error {
 		seed   = fs.Int64("seed", 1, "simulation seed")
 		runFor = fs.Duration("run", 30*time.Second, "virtual time to run after injecting")
 		lossy  = fs.Bool("lossy", true, "use the calibrated lossy radio")
-		disasm = fs.String("disasm", "", "deprecated: use the disasm subcommand")
 		watch  = fs.Bool("watch", false, "print middleware events as they happen")
 		fireAt = fs.String("fire", "", "ignite a fire at this node, e.g. 4,4")
 		repl   = fs.Bool("replication", false, "replicate tuple spaces by anti-entropy gossip")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *disasm != "" {
-		return runDisasm([]string{*disasm})
 	}
 
 	var top agilla.Topology

@@ -53,19 +53,6 @@ const (
 // String returns the instruction mnemonic ("rout", "rinp", "rrdp").
 func (k RemoteKind) String() string { return vm.RemoteKind(k).String() }
 
-// Opcode is one VM instruction opcode, as found in bytecode produced by
-// Assemble. Opcodes from Figure 7 of the paper are used verbatim.
-type Opcode byte
-
-// String returns the assembly mnemonic ("pushc", "smove", "regrxn").
-func (o Opcode) String() string { return vm.Op(o).String() }
-
-// OpcodeByName returns the opcode for an assembly mnemonic.
-func OpcodeByName(name string) (Opcode, bool) {
-	op, ok := vm.ByName(name)
-	return Opcode(op), ok
-}
-
 // EventKind discriminates Event variants; use it with OfKind to subscribe
 // to a subset of the stream.
 type EventKind uint8
@@ -125,8 +112,9 @@ func (k EventKind) String() string {
 
 // Event is one middleware occurrence somewhere in the network. The
 // concrete variants are AgentArrived, AgentHalted, AgentDied,
-// MigrationStarted, MigrationDone, RemoteDone, TupleOut, and
-// ReactionFired; type-switch to access variant fields:
+// MigrationStarted, MigrationDone, RemoteDone, TupleOut, ReactionFired,
+// NodeDied, NodeRecovered, NodeMoved, EnergyExhausted, ReplicaSynced, and
+// TupleRecovered; type-switch to access variant fields:
 //
 //	for e := range nw.Events(agilla.OfKind(agilla.EventAgentDied)) {
 //		d := e.(agilla.AgentDied)

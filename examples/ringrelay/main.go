@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"github.com/agilla-go/agilla"
+	"github.com/agilla-go/agilla/program"
 )
 
 const ringSize = 12
@@ -52,7 +53,11 @@ func main() {
 	}
 	prog.WriteString("halt\n")
 
-	ag, err := nw.Inject(prog.String(), start)
+	courier, err := program.Parse(prog.String())
+	if err != nil {
+		log.Fatal(err)
+	}
+	ag, err := nw.Launch(courier, start)
 	if err != nil {
 		log.Fatal(err)
 	}

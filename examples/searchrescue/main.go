@@ -18,10 +18,11 @@ import (
 
 	"github.com/agilla-go/agilla"
 	"github.com/agilla-go/agilla/internal/agents"
+	"github.com/agilla-go/agilla/program"
 )
 
 func main() {
-	nw, err := agilla.NewNetwork(agilla.Options{Seed: 11})
+	nw, err := agilla.New(agilla.WithSeed(11))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func main() {
 		     halt
 	`
 	// Inject one sweeping agent; it weak-clones across the whole grid.
-	if _, err := nw.InjectCode(agents.Spreader(payload), agilla.Loc(1, 1)); err != nil {
+	if _, err := nw.Launch(program.MustParse(agents.SpreaderSrc(payload)), agilla.Loc(1, 1)); err != nil {
 		log.Fatal(err)
 	}
 

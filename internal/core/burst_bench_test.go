@@ -95,6 +95,5 @@ func benchEngineInstr(b *testing.B, mode ExecMode) {
 	runInstr(b, d, start+uint64(b.N))
 }
 
-func BenchmarkEngineInstrStep(b *testing.B)  { benchEngineInstr(b, ExecStep) }
-func BenchmarkEngineInstrBurst(b *testing.B) { benchEngineInstr(b, ExecBurst) }
-func BenchmarkEngineInstrAuto(b *testing.B)  { benchEngineInstr(b, ExecAuto) }
+func BenchmarkEngineInstrStep(b *testing.B) { benchEngineInstr(b, ExecStep) }
+func BenchmarkEngineInstrAuto(b *testing.B) { benchEngineInstr(b, ExecAuto) }

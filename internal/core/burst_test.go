@@ -11,12 +11,12 @@ import (
 	"github.com/agilla-go/agilla/internal/vm"
 )
 
-// The burst engine's contract is that ExecBurst and ExecAuto are pure
-// optimizations: every middleware observable — trace hooks, per-node
+// The burst engine's contract is that ExecAuto is a pure optimization:
+// every middleware observable — trace hooks, per-node
 // counters, medium statistics, the logical event count, and the exact
 // per-instruction schedule — must be byte-identical to the ExecStep seed
-// interpreter (one heap event per instruction). These tests diff the
-// fast modes against the ExecStep oracle on the full determinism
+// interpreter (one heap event per instruction). These tests diff
+// ExecAuto against the ExecStep oracle on the full determinism
 // workloads and on targeted burst-boundary scenarios: a reaction firing
 // delivered mid-straight-line-run, energy exhaustion on the k-th
 // instruction of a burst, Slice exhaustion inside a burst, and agent
@@ -26,11 +26,6 @@ import (
 // mode.
 func withExec(mode ExecMode) func(*DeploymentSpec) {
 	return func(s *DeploymentSpec) { s.Node.Exec = mode }
-}
-
-var execFastModes = map[string]ExecMode{
-	"burst": ExecBurst,
-	"auto":  ExecAuto,
 }
 
 // TestExecModesMatchSeedTrace reruns the determinism workloads
@@ -45,19 +40,17 @@ func TestExecModesMatchSeedTrace(t *testing.T) {
 		if wantLen == 0 {
 			t.Fatal("oracle run produced no trace events")
 		}
-		for name, mode := range execFastModes {
-			for _, workers := range []int{1, 4} {
-				gotHash, gotLen, gotStats, gotExec := runDeterminismWorkload(t, layout, 3, workers, withExec(mode))
-				if gotLen != wantLen || gotHash != wantHash {
-					t.Errorf("%s/workers=%d: trace hash %016x (%d events), want %016x (%d events)",
-						name, workers, gotHash, gotLen, wantHash, wantLen)
-				}
-				if gotStats != wantStats {
-					t.Errorf("%s/workers=%d: stats %+v, want %+v", name, workers, gotStats, wantStats)
-				}
-				if gotExec.String() != wantExec.String() {
-					t.Errorf("%s/workers=%d: executor state %v, want %v", name, workers, gotExec, wantExec)
-				}
+		for _, workers := range []int{1, 4} {
+			gotHash, gotLen, gotStats, gotExec := runDeterminismWorkload(t, layout, 3, workers, withExec(ExecAuto))
+			if gotLen != wantLen || gotHash != wantHash {
+				t.Errorf("auto/workers=%d: trace hash %016x (%d events), want %016x (%d events)",
+					workers, gotHash, gotLen, wantHash, wantLen)
+			}
+			if gotStats != wantStats {
+				t.Errorf("auto/workers=%d: stats %+v, want %+v", workers, gotStats, wantStats)
+			}
+			if gotExec.String() != wantExec.String() {
+				t.Errorf("auto/workers=%d: executor state %v, want %v", workers, gotExec, wantExec)
 			}
 		}
 	})
@@ -66,22 +59,20 @@ func TestExecModesMatchSeedTrace(t *testing.T) {
 		if wantLen == 0 {
 			t.Fatal("oracle run produced no trace events")
 		}
-		for name, mode := range execFastModes {
-			for _, workers := range []int{1, 4} {
-				gotHash, gotLen, gotStats, gotExec, gotWorld := runWorldDeterminismWorkload(t, 5, workers, withExec(mode))
-				if gotLen != wantLen || gotHash != wantHash {
-					t.Errorf("%s/workers=%d: trace hash %016x (%d events), want %016x (%d events)",
-						name, workers, gotHash, gotLen, wantHash, wantLen)
-				}
-				if gotStats != wantStats {
-					t.Errorf("%s/workers=%d: stats %+v, want %+v", name, workers, gotStats, wantStats)
-				}
-				if gotExec.String() != wantExec.String() {
-					t.Errorf("%s/workers=%d: executor state %v, want %v", name, workers, gotExec, wantExec)
-				}
-				if gotWorld != wantWorld {
-					t.Errorf("%s/workers=%d: world stats %+v, want %+v", name, workers, gotWorld, wantWorld)
-				}
+		for _, workers := range []int{1, 4} {
+			gotHash, gotLen, gotStats, gotExec, gotWorld := runWorldDeterminismWorkload(t, 5, workers, withExec(ExecAuto))
+			if gotLen != wantLen || gotHash != wantHash {
+				t.Errorf("auto/workers=%d: trace hash %016x (%d events), want %016x (%d events)",
+					workers, gotHash, gotLen, wantHash, wantLen)
+			}
+			if gotStats != wantStats {
+				t.Errorf("auto/workers=%d: stats %+v, want %+v", workers, gotStats, wantStats)
+			}
+			if gotExec.String() != wantExec.String() {
+				t.Errorf("auto/workers=%d: executor state %v, want %v", workers, gotExec, wantExec)
+			}
+			if gotWorld != wantWorld {
+				t.Errorf("auto/workers=%d: world stats %+v, want %+v", workers, gotWorld, wantWorld)
 			}
 		}
 	})
@@ -90,22 +81,65 @@ func TestExecModesMatchSeedTrace(t *testing.T) {
 		if wantLen == 0 {
 			t.Fatal("oracle run produced no trace events")
 		}
-		for name, mode := range execFastModes {
-			for _, workers := range []int{1, 4} {
-				gotHash, gotLen, gotStats, gotExec := runReplicationDeterminismWorkload(t, 7, workers, withExec(mode))
-				if gotLen != wantLen || gotHash != wantHash {
-					t.Errorf("%s/workers=%d: trace hash %016x (%d events), want %016x (%d events)",
-						name, workers, gotHash, gotLen, wantHash, wantLen)
-				}
-				if gotStats != wantStats {
-					t.Errorf("%s/workers=%d: stats %+v, want %+v", name, workers, gotStats, wantStats)
-				}
-				if gotExec.String() != wantExec.String() {
-					t.Errorf("%s/workers=%d: executor state %v, want %v", name, workers, gotExec, wantExec)
-				}
+		for _, workers := range []int{1, 4} {
+			gotHash, gotLen, gotStats, gotExec := runReplicationDeterminismWorkload(t, 7, workers, withExec(ExecAuto))
+			if gotLen != wantLen || gotHash != wantHash {
+				t.Errorf("auto/workers=%d: trace hash %016x (%d events), want %016x (%d events)",
+					workers, gotHash, gotLen, wantHash, wantLen)
+			}
+			if gotStats != wantStats {
+				t.Errorf("auto/workers=%d: stats %+v, want %+v", workers, gotStats, wantStats)
+			}
+			if gotExec.String() != wantExec.String() {
+				t.Errorf("auto/workers=%d: executor state %v, want %v", workers, gotExec, wantExec)
 			}
 		}
 	})
+	t.Run("interpreter-fallback", func(t *testing.T) {
+		// Neither agent has a compiled closure where it runs, so ExecAuto
+		// must carry both through vm.Step on the burst engine's step chain.
+		if _, err := vm.Verify(unverifiableLoop); err == nil {
+			t.Fatal("unverifiableLoop passes vm.Verify — it would be compiled")
+		}
+		if c, err := vm.Compile(misalignedLoop); err != nil || c.StepAt(7) != nil {
+			t.Fatalf("misalignedLoop must compile with no closure at pc 7 (err %v)", err)
+		}
+		spec := DeploymentSpec{Layout: topology.GridLayout(1, 1), Seed: 23}
+		oracle, auto := runBoundaryScenario(t, spec, time.Second, func(t *testing.T, d *Deployment) {
+			n := d.Node(d.Locations()[0])
+			for _, code := range [][]byte{unverifiableLoop, misalignedLoop} {
+				if _, err := n.CreateAgent(code); err != nil {
+					t.Fatalf("create agent: %v", err)
+				}
+			}
+		})
+		if oracle.stats.AgentsDied != 0 || oracle.stats.InstrExecuted < 4*uint64(DefaultSlice) {
+			t.Fatalf("fallback agents did not keep running: %+v", oracle.stats)
+		}
+		if auto.dispatched >= auto.exec.Events {
+			t.Errorf("auto mode absorbed no events: dispatched %d of %d", auto.dispatched, auto.exec.Events)
+		}
+	})
+}
+
+// unverifiableLoop is busyLoopSrc with an unknown opcode after the jump:
+// never reached, but it fails vm.Verify, so the program is never compiled
+// and every instruction is interpreted.
+var unverifiableLoop = []byte{
+	byte(vm.OpPushc), 1, byte(vm.OpPushc), 2, byte(vm.OpAdd), byte(vm.OpPop),
+	byte(vm.OpRjump), 0xfa, // back to pc 0
+	0xee,
+}
+
+// misalignedLoop verifies and compiles, but its computed jumps lands on
+// pc 7, inside pushcl's operands. Those bytes decode as `pushc 1`, which
+// falls through onto the pop at pc 9 — a compiled boundary again — so each
+// lap runs one instruction the compiled program has no closure for.
+var misalignedLoop = []byte{
+	byte(vm.OpPushc), 3, byte(vm.OpPushc), 4, byte(vm.OpAdd), byte(vm.OpJumps), // pc 0-5: jump to 3+4
+	byte(vm.OpPushcl), byte(vm.OpPushc), 1, // pc 6: never executed as pushcl
+	byte(vm.OpPop),         // pc 9
+	byte(vm.OpRjump), 0xf6, // pc 10: back to pc 0
 }
 
 // busyLoopSrc is a pure straight-line compute loop — the maximal-burst
@@ -196,7 +230,7 @@ func runBurstScenario(t *testing.T, mode ExecMode, workers int, spec DeploymentS
 	}
 }
 
-// diffBurstScenario compares a fast-mode run against the ExecStep oracle
+// diffBurstScenario compares an ExecAuto run against the ExecStep oracle
 // and, on mismatch, prints the first diverging trace line.
 func diffBurstScenario(t *testing.T, label string, got, want burstScenarioResult) {
 	t.Helper()
@@ -215,9 +249,9 @@ func diffBurstScenario(t *testing.T, label string, got, want burstScenarioResult
 	t.Errorf("%s: traces are a prefix of each other (got %d lines, want %d)", label, len(got.trace), len(want.trace))
 }
 
-// runBoundaryScenario diffs every fast mode (at 1 and 2 workers) against
-// the sequential seed interpreter and returns the oracle plus the
-// 1-worker auto-mode result for scenario-specific assertions.
+// runBoundaryScenario diffs ExecAuto (at 1 and 2 workers) against the
+// sequential seed interpreter and returns the oracle plus the 1-worker
+// auto-mode result for scenario-specific assertions.
 func runBoundaryScenario(t *testing.T, spec DeploymentSpec, horizon time.Duration,
 	drive func(t *testing.T, d *Deployment)) (oracle, auto burstScenarioResult) {
 	t.Helper()
@@ -229,13 +263,11 @@ func runBoundaryScenario(t *testing.T, spec DeploymentSpec, horizon time.Duratio
 		t.Fatalf("ExecStep absorbed events locally: dispatched %d, executed %d",
 			oracle.dispatched, oracle.exec.Events)
 	}
-	for name, mode := range execFastModes {
-		for _, workers := range []int{1, 2} {
-			got := runBurstScenario(t, mode, workers, spec, horizon, drive)
-			diffBurstScenario(t, fmt.Sprintf("%s/workers=%d", name, workers), got, oracle)
-			if name == "auto" && workers == 1 {
-				auto = got
-			}
+	for _, workers := range []int{1, 2} {
+		got := runBurstScenario(t, ExecAuto, workers, spec, horizon, drive)
+		diffBurstScenario(t, fmt.Sprintf("auto/workers=%d", workers), got, oracle)
+		if workers == 1 {
+			auto = got
 		}
 	}
 	return oracle, auto

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"github.com/agilla-go/agilla/internal/network"
 	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/internal/sensor"
 	"github.com/agilla-go/agilla/internal/sim"
@@ -130,51 +131,6 @@ type DeploymentSpec struct {
 	// sequential kernel. Both produce the identical per-node schedule for
 	// the same seed (see internal/sim).
 	Workers int
-}
-
-// DeploymentConfig assembles a grid Deployment; it predates DeploymentSpec
-// and is kept for the experiment harness and older tests.
-type DeploymentConfig struct {
-	// Width and Height give the mote grid; (1,1) is the lower-left node.
-	Width, Height int
-	// Seed drives all randomness.
-	Seed int64
-	// Radio selects the loss/latency model (zero value: radio.Lossy()).
-	Radio *radio.Params
-	// Node configures every mote; Base overrides for the base station
-	// (zero values select paper defaults, with a roomier base).
-	Node Config
-	Base *Config
-	// BaseLoc and GatewayLoc place the base station and its bridge link;
-	// defaults are (0,0) and (1,1) as in §4.
-	BaseLoc, GatewayLoc *topology.Location
-	// Topo overrides the connectivity model (nil: the grid plus the base
-	// link). Used by failure-injection tests.
-	Topo topology.Topology
-	// Field drives sensor readings (nil: all sensors read 0).
-	Field sensor.Field
-}
-
-// NewGridDeployment builds the paper's grid testbed. It is a thin wrapper
-// over NewDeployment with a grid layout.
-func NewGridDeployment(cfg DeploymentConfig) (*Deployment, error) {
-	if cfg.Width <= 0 || cfg.Height <= 0 {
-		return nil, fmt.Errorf("core: deployment needs positive grid dimensions")
-	}
-	layout := topology.GridLayout(cfg.Width, cfg.Height)
-	if cfg.GatewayLoc != nil {
-		layout.Gateway = *cfg.GatewayLoc
-	}
-	return NewDeployment(DeploymentSpec{
-		Layout:  layout,
-		Seed:    cfg.Seed,
-		Radio:   cfg.Radio,
-		Node:    cfg.Node,
-		Base:    cfg.Base,
-		BaseLoc: cfg.BaseLoc,
-		Topo:    cfg.Topo,
-		Field:   cfg.Field,
-	})
 }
 
 // NewDeployment builds a network from a layout: one mote per layout node,
@@ -342,15 +298,21 @@ func (d *Deployment) Start() {
 	}
 }
 
-// WarmUp starts the network and runs long enough for every acquaintance
-// list to fill (a bit over two beacon periods).
-func (d *Deployment) WarmUp() error {
-	d.Start()
+// WarmUpSpan is how long neighbor discovery takes to settle: two and a
+// half of the motes' beacon periods, long enough for every acquaintance
+// list to fill.
+func (d *Deployment) WarmUpSpan() time.Duration {
 	period := d.spec.Node.Network.BeaconEvery
 	if period <= 0 {
-		period = 2 * time.Second
+		period = network.DefaultBeaconEvery
 	}
-	return d.Sim.Run(d.Sim.Now() + 2*period + period/2)
+	return 2*period + period/2
+}
+
+// WarmUp starts the network and runs for WarmUpSpan.
+func (d *Deployment) WarmUp() error {
+	d.Start()
+	return d.Sim.Run(d.Sim.Now() + d.WarmUpSpan())
 }
 
 // Node returns the mote at loc, or nil.

@@ -14,8 +14,8 @@ import (
 // The paper's one-instruction-per-task execution model is a semantic
 // contract — slice-based context switches, reaction delivery at
 // instruction boundaries — not a mandate to pay one heap-scheduled event
-// per opcode. Under ExecAuto/ExecBurst the engine preserves the exact
-// observable schedule while collapsing the scheduler traffic two ways:
+// per opcode. Under ExecAuto the engine preserves the exact observable
+// schedule while collapsing the scheduler traffic two ways:
 //
 //   - Straight-line bursts: after an instruction completes with no
 //     effect, no pending firing, slice budget left, a compiled closure at
@@ -31,9 +31,13 @@ import (
 //     scheduled with ScheduleLocal, which keeps the seed's exact event
 //     identity but skips the event heap whenever ordering permits.
 //
-// Under ExecStep the seed behavior is preserved verbatim — one
-// interpreted instruction per heap event — as the oracle the determinism
-// suite diffs the fast modes against.
+// Code with no compiled closure at the PC — a program that fails
+// verification, or a dynamic jump that landed between instruction
+// boundaries — runs through the interpreter on the same local step chain.
+//
+// Under ExecStep, the only other mode, the seed behavior is preserved
+// verbatim — one interpreted instruction per heap event — as the oracle
+// the determinism suite diffs ExecAuto against.
 
 // progCache memoizes vm.Compile across the whole process. Compilation is
 // a pure function of the code bytes, so nodes on every shard share one

@@ -17,8 +17,8 @@ import (
 func quietDeployment(t *testing.T, w, h int) *Deployment {
 	t.Helper()
 	params := radio.ZeroLoss()
-	d, err := NewGridDeployment(DeploymentConfig{
-		Width: w, Height: h, Seed: 1, Radio: &params,
+	d, err := NewDeployment(DeploymentSpec{
+		Layout: topology.GridLayout(w, h), Seed: 1, Radio: &params,
 		Field: sensor.Constant(25),
 	})
 	if err != nil {

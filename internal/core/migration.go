@@ -712,7 +712,7 @@ func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
 		rec.state = AgentReady
 		n.enqueue(rec)
 	}
-	if n.cfg.Exec == ExecAuto {
+	if n.burst {
 		rec.prog = progCache.Get(a.Code)
 	}
 	n.agents[a.ID] = rec

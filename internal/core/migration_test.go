@@ -332,8 +332,8 @@ func TestMigrationDuplicateOnLostAcks(t *testing.T) {
 func deploymentWithTopo(t *testing.T, topo topology.Topology) *Deployment {
 	t.Helper()
 	params := radio.ZeroLoss()
-	d, err := NewGridDeployment(DeploymentConfig{
-		Width: 2, Height: 1, Seed: 3, Radio: &params,
+	d, err := NewDeployment(DeploymentSpec{
+		Layout: topology.GridLayout(2, 1), Seed: 3, Radio: &params,
 		Field: sensor.Constant(0), Topo: topo,
 	})
 	if err != nil {
@@ -468,8 +468,8 @@ func TestInjectAgent(t *testing.T) {
 func TestEndToEndMigrationAblation(t *testing.T) {
 	// The end-to-end variant works over a clean one-hop link...
 	params := radio.ZeroLoss()
-	d, err := NewGridDeployment(DeploymentConfig{
-		Width: 2, Height: 1, Seed: 9, Radio: &params,
+	d, err := NewDeployment(DeploymentSpec{
+		Layout: topology.GridLayout(2, 1), Seed: 9, Radio: &params,
 		Node: Config{EndToEndMigration: true},
 	})
 	if err != nil {

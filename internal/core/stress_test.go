@@ -16,7 +16,7 @@ import (
 // invariants: no slot or instruction-memory leaks, no stuck reservations,
 // no wedged engine, and every remaining agent in a coherent state.
 func TestSoakManyAgents(t *testing.T) {
-	d, err := NewGridDeployment(DeploymentConfig{Width: 4, Height: 4, Seed: 99})
+	d, err := NewDeployment(DeploymentSpec{Layout: topology.GridLayout(4, 4), Seed: 99})
 	if err != nil {
 		t.Fatal(err)
 	}

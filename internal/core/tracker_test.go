@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/agilla-go/agilla/internal/asm"
+	"github.com/agilla-go/agilla/internal/topology"
 )
 
 // TestTrackerIDReuse: a node's 8-bit agent counter wraps, so long
@@ -11,7 +12,7 @@ import (
 // record must start a fresh lifetime, not resurrect the dead agent's
 // stats.
 func TestTrackerIDReuse(t *testing.T) {
-	d, err := NewGridDeployment(DeploymentConfig{Width: 2, Height: 1, Seed: 1})
+	d, err := NewDeployment(DeploymentSpec{Layout: topology.GridLayout(2, 1), Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@ import (
 	"github.com/agilla-go/agilla/internal/stats"
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
+	"github.com/agilla-go/agilla/program"
 )
 
 // CaseStudyResult is the E8 fire detection/tracking scenario outcome (§5).
@@ -77,8 +78,11 @@ func playCaseStudy(ctx context.Context, nw *agilla.Network, m *agilla.Metrics) e
 	// Phase 1: deploy detectors everywhere. The sentinel samples every
 	// 2 s (16 ticks) so the compressed scenario stays short; the paper's
 	// listing uses 10-minute idle sleeps.
-	detector := agents.Spreader(agents.FireSentinelSrc(base, 16))
-	if _, err := nw.InjectCode(detector, topology.Loc(1, 1)); err != nil {
+	detector, err := program.FromBytes(agents.Spreader(agents.FireSentinelSrc(base, 16)))
+	if err != nil {
+		return err
+	}
+	if _, err := nw.Launch(detector, topology.Loc(1, 1)); err != nil {
 		return err
 	}
 	total := caseStudySize * caseStudySize
@@ -97,7 +101,11 @@ func playCaseStudy(ctx context.Context, nw *agilla.Network, m *agilla.Metrics) e
 	}
 
 	// Phase 2: one tracker waits at the base station.
-	if _, err := nw.InjectCode(agents.FireTracker(), base); err != nil {
+	tracker, err := program.FromBytes(agents.FireTracker())
+	if err != nil {
+		return err
+	}
+	if _, err := nw.Launch(tracker, base); err != nil {
 		return err
 	}
 	if err := nw.Run(2 * time.Second); err != nil {

@@ -68,8 +68,8 @@ func timeLocalOp(seed int64, op string, reps int) (time.Duration, int, error) {
 	// harness repeats the op inside a counted loop whose fixed overhead
 	// (loop control) is measured separately and subtracted.
 	params := radio.ZeroLoss()
-	d, err := core.NewGridDeployment(core.DeploymentConfig{
-		Width: 1, Height: 1, Seed: seed, Radio: &params,
+	d, err := core.NewDeployment(core.DeploymentSpec{
+		Layout: topology.GridLayout(1, 1), Seed: seed, Radio: &params,
 	})
 	if err != nil {
 		return 0, 0, err

@@ -183,15 +183,15 @@ func TestRinpExactlyOnceUnderReplyLoss(t *testing.T) {
 	}
 }
 
-// TestRemoteReadShim keeps the deprecated Network.RemoteRead delegating
-// to the client until it is removed.
+// TestRemoteReadShim reads one tuple back through the client's Rrdp, the
+// call the removed Network.RemoteRead forwarded to.
 func TestRemoteReadShim(t *testing.T) {
 	nw := reliableGrid(t, 2, 1)
 	if err := nw.Space(agilla.Loc(2, 1)).Out(agilla.T(agilla.Int(9))); err != nil {
 		t.Fatal(err)
 	}
-	tup, ok, err := nw.RemoteRead(agilla.Loc(2, 1), agilla.Tmpl(agilla.Int(9)))
+	tup, ok, err := nw.Remote().Rrdp(agilla.Loc(2, 1), agilla.Tmpl(agilla.Int(9)))
 	if err != nil || !ok || tup.Fields[0].A != 9 {
-		t.Fatalf("RemoteRead shim = %v, %v, %v", tup, ok, err)
+		t.Fatalf("Rrdp = %v, %v, %v", tup, ok, err)
 	}
 }

@@ -8,8 +8,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"github.com/agilla-go/agilla/program"
 )
 
 // AgentSpec is one agent a Scenario injects at start: a program and its
@@ -18,12 +16,8 @@ type AgentSpec struct {
 	// Name labels the agent in metrics and errors.
 	Name string
 	// Program is a verified program from the program package (builder,
-	// Parse, FromBytes, or Library). Alternatively Source is Agilla
-	// assembly and Code is raw bytecode, both verified at injection.
-	// Exactly one of the three must be set.
+	// Parse, FromBytes, or Library).
 	Program *Program
-	Source  string
-	Code    []byte
 	// At is the injection destination. The zero location injects at the
 	// base station itself.
 	At Location
@@ -233,22 +227,11 @@ func (s *Scenario) run(ctx context.Context, seed int64) (*Metrics, error) {
 
 	m := &Metrics{Seed: seed, Completed: true}
 	for i, spec := range s.Agents {
-		p := spec.Program
-		if p == nil {
-			if spec.Code != nil {
-				p, err = program.FromBytes(spec.Code)
-			} else {
-				p, err = program.Parse(spec.Source)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("scenario %q: agent %s: %w", s.Name, agentLabel(spec, i), err)
-			}
-		}
 		dest := spec.At
 		if dest.IsZero() {
 			dest = nw.Base().Loc()
 		}
-		if _, err := nw.Launch(p, dest); err != nil {
+		if _, err := nw.Launch(spec.Program, dest); err != nil {
 			return nil, fmt.Errorf("scenario %q: launch %s: %w", s.Name, agentLabel(spec, i), err)
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/agilla-go/agilla"
+	"github.com/agilla-go/agilla/program"
 )
 
 func TestSpaceHandleBasics(t *testing.T) {
@@ -75,7 +76,7 @@ func TestSpaceWatchDeliversMatches(t *testing.T) {
 
 	// The agent's out at (2,1) is a real insertion and must be seen;
 	// host-side insertions count too.
-	ag, err := nw.Inject(marker, agilla.Loc(2, 1))
+	ag, err := nw.Launch(program.MustParse(marker), agilla.Loc(2, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

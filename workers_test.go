@@ -71,7 +71,7 @@ func TestScenarioWorkersMetricsIdentical(t *testing.T) {
 			Name:     "workers-equivalence",
 			Topology: agilla.Grid(4, 4),
 			Agents: []agilla.AgentSpec{
-				{Name: "greet", Source: "pushn hi\nloc\npushc 2\nout\nhalt", At: agilla.Loc(4, 4)},
+				{Name: "greet", Program: program.MustParse("pushn hi\nloc\npushc 2\nout\nhalt"), At: agilla.Loc(4, 4)},
 			},
 			Duration: 15 * time.Second,
 			Workers:  workers,

@@ -53,9 +53,9 @@ func TestScenarioFaultDeterminism(t *testing.T) {
 				agilla.MoveAt(10*time.Second, agilla.Loc(4, 4), agilla.Loc(5, 4)),
 			},
 			Agents: []agilla.AgentSpec{{
-				Name:   "wanderer",
-				Source: roundTripSrc(agilla.Loc(4, 1)),
-				At:     agilla.Loc(1, 1),
+				Name:    "wanderer",
+				Program: program.MustParse(roundTripSrc(agilla.Loc(4, 1))),
+				At:      agilla.Loc(1, 1),
 			}},
 		}
 	}
