@@ -34,6 +34,10 @@ const saltReplica = 0x7265706c
 // is unaffected — a big resync just takes several rounds.
 const replicaDeltaCap = 16
 
+// replicaLinesCap sizes the stack scratch a digest is built in and
+// decoded into: the wire format's count byte admits at most 255 lines.
+const replicaLinesCap = 255
+
 // Replication configures the gossip CRDT layer. The zero value of each
 // field selects a default; attach to a deployment via
 // DeploymentSpec.Replication.
@@ -171,22 +175,18 @@ func (n *Node) replicaOnRemove(t tuplespace.Tuple) {
 	if r == nil || r.mute > 0 {
 		return
 	}
-	for _, loc := range n.ownReplicaLocs() {
-		if o, ok := r.set.FindLocal(loc, t); ok {
-			r.set.Tombstone(o)
-			r.dirty = true
-			return
-		}
+	o, ok := r.set.FindLocal(n.loc, t)
+	for i := 0; !ok && i < len(r.former); i++ {
+		o, ok = r.set.FindLocal(r.former[i], t)
+	}
+	if ok {
+		r.set.Tombstone(o)
+		r.dirty = true
 	}
 }
 
-// ownReplicaLocs returns every address whose origin dots belong to this
-// node: the current location plus any vacated by moves.
-func (n *Node) ownReplicaLocs() []topology.Location {
-	return append([]topology.Location{n.loc}, n.repl.former...)
-}
-
-// ownsReplicaOrigin reports whether dots stamped at loc are this node's.
+// ownsReplicaOrigin reports whether dots stamped at loc are this node's:
+// the current location plus any vacated by moves.
 func (n *Node) ownsReplicaOrigin(loc topology.Location) bool {
 	if loc == n.loc {
 		return true
@@ -265,7 +265,8 @@ func (n *Node) gossipTick() {
 	if len(nbrs) > 1 {
 		start = r.rng.Intn(len(nbrs))
 	}
-	payload := wire.ReplicaDigest{Lines: r.set.Digest()}.Encode()
+	var lines [replicaLinesCap]replica.Summary
+	payload := wire.ReplicaDigest{Lines: r.set.AppendDigest(lines[:0])}.Encode()
 	for i := 0; i < k; i++ {
 		n.net.SendDirect(nbrs[(start+i)%len(nbrs)].Loc, radio.KindReplicaDigest, payload)
 		n.stats.DigestsSent++
@@ -284,19 +285,24 @@ func (n *Node) recvReplicaDigest(f radio.Frame) {
 	if r == nil {
 		return
 	}
-	d, err := wire.DecodeReplicaDigest(f.Payload)
+	// Both scratch arrays live on this frame: a digest from a peer that
+	// agrees with us is answered, with silence, without allocating.
+	var lines [replicaLinesCap]replica.Summary
+	d, err := wire.DecodeReplicaDigestInto(lines[:0], f.Payload)
 	if err != nil {
 		return
 	}
-	if delta := r.set.DeltaFor(d.Lines, replicaDeltaCap); len(delta) > 0 {
+	var entries [replicaDeltaCap]replica.Entry
+	if delta := r.set.AppendDelta(entries[:0], d.Lines, replicaDeltaCap); len(delta) > 0 {
 		n.net.SendDirect(f.Src, radio.KindReplicaDelta, wire.ReplicaDelta{Entries: delta}.Encode())
 		if n.life != NodeUp {
 			return
 		}
 	}
 	if !d.Reply && r.set.NeedsFrom(d.Lines) {
+		// The peer's lines are done with; ours take their place.
 		n.net.SendDirect(f.Src, radio.KindReplicaDigest,
-			wire.ReplicaDigest{Reply: true, Lines: r.set.Digest()}.Encode())
+			wire.ReplicaDigest{Reply: true, Lines: r.set.AppendDigest(lines[:0])}.Encode())
 	}
 }
 
@@ -310,7 +316,8 @@ func (n *Node) recvReplicaDelta(f radio.Frame) {
 	if r == nil {
 		return
 	}
-	d, err := wire.DecodeReplicaDelta(f.Payload)
+	var entries [replicaDeltaCap]replica.Entry
+	d, err := wire.DecodeReplicaDeltaInto(entries[:0], f.Payload)
 	if err != nil {
 		return
 	}

@@ -4,8 +4,10 @@ import (
 	"testing"
 	"time"
 
+	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
+	"github.com/agilla-go/agilla/internal/wire"
 )
 
 // runQuiescenceWorkload runs a replicated grid with no churn: tuples are
@@ -114,5 +116,45 @@ func TestGossipQuiescenceRearms(t *testing.T) {
 	if after.TuplesReplicated <= settled.TuplesReplicated {
 		t.Errorf("late tuple did not replicate: %d entries before, %d after",
 			settled.TuplesReplicated, after.TuplesReplicated)
+	}
+}
+
+// TestKeepaliveDigestAllocatesNothing pins the cost of the common case: a
+// converged neighbor's keepalive digest equals the receiver's own, calls
+// for neither a delta nor a reply, and is handled on the stack.
+func TestKeepaliveDigestAllocatesNothing(t *testing.T) {
+	d, err := NewDeployment(DeploymentSpec{
+		Layout:      topology.GridLayout(3, 3),
+		Seed:        23,
+		Workers:     1,
+		Replication: &Replication{K: 2, Period: 500 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatalf("deployment: %v", err)
+	}
+	if err := d.WarmUp(); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	for i, loc := range d.Locations() {
+		if err := d.Node(loc).TSOut(tuplespace.T(tuplespace.Str("kv"), tuplespace.Int(int16(i)))); err != nil {
+			t.Fatalf("out at %v: %v", loc, err)
+		}
+	}
+	if err := d.Sim.Run(d.Sim.Now() + 15*time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	n := d.Node(topology.Loc(2, 2))
+	own := n.repl.set.Digest()
+	if len(own) != len(d.Locations()) {
+		t.Fatalf("store knows %d origins of %d: gossip never converged", len(own), len(d.Locations()))
+	}
+	f := radio.Frame{Src: topology.Loc(1, 2), Dst: n.loc, Kind: radio.KindReplicaDigest,
+		Payload: wire.ReplicaDigest{Lines: own}.Encode()}
+	sent := n.net.Stats()
+	if allocs := testing.AllocsPerRun(100, func() { n.recvReplicaDigest(f) }); allocs != 0 {
+		t.Errorf("receiving a digest equal to our own: %v allocations, want 0", allocs)
+	}
+	if n.net.Stats() != sent {
+		t.Errorf("an agreeing digest was answered: network stats %+v, were %+v", n.net.Stats(), sent)
 	}
 }

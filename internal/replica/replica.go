@@ -15,7 +15,7 @@
 package replica
 
 import (
-	"sort"
+	"slices"
 
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
@@ -54,30 +54,41 @@ type Summary struct {
 	RemHash uint32
 }
 
-// nodeState is the per-origin-node accumulator behind Digest.
-type nodeState struct {
-	remHash uint32
+// originRec is the per-origin-node record behind Digest: what this set
+// knows about one origin, kept current by Add and Tombstone.
+type originRec struct {
+	loc topology.Location
+	// frontier is the origin's contiguous knowledge frontier: the largest
+	// seq such that every seq from 1 up to it is present, live or
+	// tombstoned. Origins number their adds from 1, and deltas deliver
+	// adds in ascending order with only suffix truncation, so per-origin
+	// knowledge is always a prefix plus possibly scattered tombstones
+	// above it (which the removal hash advertises separately). It only
+	// ever advances, at insert time.
+	frontier uint16
+	remHash  uint32 // XOR of dotHash over the origin's tombstones
+	n        int32  // entries held for this origin, tombstones included
 }
 
 // Set is one node's replica store. Not safe for concurrent use; in the
 // simulation each set is confined to its node's scheduling context.
+//
+// Both slices are kept sorted by Add and Tombstone — entries by (origin
+// node (Y, X), sequence), origins by (Y, X), the deterministic order
+// every wire-visible product uses — so every ordered question is a
+// binary search or a range scan, and origins[i]'s entries are the n
+// consecutive ones after those of origins[:i].
 type Set struct {
 	max     int // live+tombstoned entry budget for adds (tombstones always admitted)
 	live    int
-	entries map[Origin]*Entry
-	nodes   map[topology.Location]*nodeState
+	entries []Entry
+	origins []originRec
 }
 
 // NewSet creates a store that accepts up to max entries via Add
 // (tombstones are always recorded, so the remove half of the set can
 // never be starved by the cap). max <= 0 means unbounded.
-func NewSet(max int) *Set {
-	return &Set{
-		max:     max,
-		entries: make(map[Origin]*Entry),
-		nodes:   make(map[topology.Location]*nodeState),
-	}
-}
+func NewSet(max int) *Set { return &Set{max: max} }
 
 // Len returns the number of entries, tombstones included.
 func (s *Set) Len() int { return len(s.entries) }
@@ -85,38 +96,89 @@ func (s *Set) Len() int { return len(s.entries) }
 // LiveCount returns the number of live (not tombstoned) entries.
 func (s *Set) LiveCount() int { return s.live }
 
-func (s *Set) node(loc topology.Location) *nodeState {
-	ns := s.nodes[loc]
-	if ns == nil {
-		ns = &nodeState{}
-		s.nodes[loc] = ns
+// locKey maps a location to an integer that orders as (Y, X).
+func locKey(l topology.Location) uint32 {
+	return uint32(uint16(l.Y)^0x8000)<<16 | uint32(uint16(l.X)^0x8000)
+}
+
+// find returns the index of o in entries, or the index it would be
+// inserted at. (Both searches are written out: through
+// slices.BinarySearchFunc and a comparison closure BenchmarkMerge takes
+// twice as long and churn-repl runs 10 % slower.)
+func (s *Set) find(o Origin) (int, bool) {
+	key := locKey(o.Node)
+	lo, hi := 0, len(s.entries)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		m := s.entries[mid].Origin
+		if k := locKey(m.Node); k < key || k == key && m.Seq < o.Seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return ns
+	return lo, lo < len(s.entries) && s.entries[lo].Origin == o
+}
+
+// findOrigin returns the index of loc's record in origins, or the index
+// it would be inserted at.
+func (s *Set) findOrigin(loc topology.Location) (int, bool) {
+	key := locKey(loc)
+	lo, hi := 0, len(s.origins)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if locKey(s.origins[mid].loc) < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo, lo < len(s.origins) && s.origins[lo].loc == loc
+}
+
+// insert places e at index i of entries (where find said it belongs),
+// advances its origin's frontier over every sequence the insertion made
+// contiguous, and returns the origin's record.
+func (s *Set) insert(i int, e Entry) *originRec {
+	if s.entries == nil && s.max > 0 {
+		s.entries = make([]Entry, 0, s.max)
+	}
+	s.entries = slices.Insert(s.entries, i, e)
+	j, ok := s.findOrigin(e.Origin.Node)
+	if !ok {
+		s.origins = slices.Insert(s.origins, j, originRec{loc: e.Origin.Node})
+	}
+	r := &s.origins[j]
+	r.n++
+	for ; i < len(s.entries) && s.entries[i].Origin == (Origin{Node: r.loc, Seq: r.frontier + 1}); i++ {
+		r.frontier++
+	}
+	return r
 }
 
 // Add inserts a live entry. It reports whether the set changed: false if
 // the origin is already known (live or tombstoned — a tombstone blocks
 // its add forever) or the budget is exhausted.
 func (s *Set) Add(o Origin, t tuplespace.Tuple) bool {
-	if _, ok := s.entries[o]; ok {
+	i, ok := s.find(o)
+	if ok || s.max > 0 && len(s.entries) >= s.max {
 		return false
 	}
-	if s.max > 0 && len(s.entries) >= s.max {
-		return false
-	}
-	s.entries[o] = &Entry{Origin: o, Tuple: t}
+	s.insert(i, Entry{Origin: o, Tuple: t})
 	s.live++
-	s.node(o.Node) // ensure the origin appears in digests
 	return true
 }
 
 // Tombstone marks the origin removed. It returns the tuple the entry held
 // if it was live, and reports whether the call changed state. An unknown
-// origin grows a bare tombstone (remove-before-add), which does not bump
-// the origin's AddMax — the summary must keep advertising the gap so the
-// surrounding adds still flow in.
+// origin grows a bare tombstone (remove-before-add), which advances the
+// origin's frontier only if it is the next contiguous sequence — above a
+// gap the summary must keep advertising the gap, so the surrounding adds
+// still flow in.
 func (s *Set) Tombstone(o Origin) (prior tuplespace.Tuple, wasLive, changed bool) {
-	if e, ok := s.entries[o]; ok {
+	var r *originRec
+	if i, ok := s.find(o); ok {
+		e := &s.entries[i]
 		if e.Removed {
 			return tuplespace.Tuple{}, false, false
 		}
@@ -124,21 +186,13 @@ func (s *Set) Tombstone(o Origin) (prior tuplespace.Tuple, wasLive, changed bool
 		e.Removed = true
 		e.Tuple = tuplespace.Tuple{}
 		s.live--
+		j, _ := s.findOrigin(o.Node)
+		r = &s.origins[j]
 	} else {
-		s.entries[o] = &Entry{Origin: o, Removed: true}
+		r = s.insert(i, Entry{Origin: o, Removed: true})
 	}
-	s.node(o.Node).remHash ^= dotHash(o)
+	r.remHash ^= dotHash(o)
 	return prior, wasLive, true
-}
-
-// Contains reports whether the origin is known, and whether it is
-// tombstoned.
-func (s *Set) Contains(o Origin) (removed, ok bool) {
-	e, ok := s.entries[o]
-	if !ok {
-		return false, false
-	}
-	return e.Removed, true
 }
 
 // Merge applies a batch of remote entries (a decoded delta), returning
@@ -158,79 +212,35 @@ func (s *Set) Merge(entries []Entry) (added, removed int) {
 	return added, removed
 }
 
-// sortedNodes returns the known origin nodes in (Y, X) order — the
-// deterministic iteration order every wire-visible product uses.
-func (s *Set) sortedNodes() []topology.Location {
-	out := make([]topology.Location, 0, len(s.nodes))
-	//lint:maprange collected locations are sorted (Y, X) below
-	for loc := range s.nodes {
-		out = append(out, loc)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Y != out[j].Y {
-			return out[i].Y < out[j].Y
-		}
-		return out[i].X < out[j].X
-	})
-	return out
-}
-
-// sortedOf returns this origin node's entries in ascending sequence
-// order.
-func (s *Set) sortedOf(node topology.Location) []*Entry {
-	var out []*Entry
-	//lint:maprange collected entries are sorted by sequence below
-	for o, e := range s.entries {
-		if o.Node == node {
-			out = append(out, e)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Origin.Seq < out[j].Origin.Seq })
-	return out
-}
-
-// frontier returns the origin's contiguous knowledge frontier: the
-// largest seq such that every seq from 1 up to it is present, live or
-// tombstoned. Origins number their adds from 1, and deltas deliver adds
-// in ascending order with only suffix truncation, so per-origin
-// knowledge is always a prefix plus possibly scattered tombstones above
-// it (which the removal hash advertises separately).
-func (s *Set) frontier(node topology.Location) uint16 {
-	f := uint16(0)
-	for _, e := range s.sortedOf(node) {
-		if e.Origin.Seq != f+1 {
-			break
-		}
-		f++
-	}
-	return f
-}
-
 // Digest summarizes the set for anti-entropy: one line per known origin
-// node, sorted by location. An empty set digests to nil — which is still
-// worth sending, since it invites peers to stream everything back (the
-// recovery path).
+// node, sorted by location. An empty set digests to an empty, non-nil
+// slice — which is still worth sending, since it invites peers to stream
+// everything back (the recovery path).
 func (s *Set) Digest() []Summary {
-	nodes := s.sortedNodes()
-	out := make([]Summary, 0, len(nodes))
-	for _, loc := range nodes {
-		out = append(out, Summary{Node: loc, AddMax: s.frontier(loc), RemHash: s.nodes[loc].remHash})
+	return s.AppendDigest(make([]Summary, 0, len(s.origins)))
+}
+
+// AppendDigest appends the digest lines to dst and returns the extended
+// slice, which shares dst's backing array whenever its capacity
+// suffices: one pass over the origin records, no allocation into a large
+// enough buffer.
+func (s *Set) AppendDigest(dst []Summary) []Summary {
+	for i := range s.origins {
+		r := &s.origins[i]
+		dst = append(dst, Summary{Node: r.loc, AddMax: r.frontier, RemHash: r.remHash})
 	}
-	return out
+	return dst
 }
 
 // NeedsFrom reports whether the peer's digest advertises state this set
 // lacks — if so, sending our own digest back will pull it.
 func (s *Set) NeedsFrom(peer []Summary) bool {
 	for _, l := range peer {
-		ns := s.nodes[l.Node]
-		if ns == nil {
-			if l.AddMax > 0 || l.RemHash != 0 {
-				return true
-			}
-			continue
+		var r originRec // zero when this set has never heard of the node
+		if i, ok := s.findOrigin(l.Node); ok {
+			r = s.origins[i]
 		}
-		if l.AddMax > s.frontier(l.Node) || l.RemHash != ns.remHash {
+		if l.AddMax > r.frontier || l.RemHash != r.remHash {
 			return true
 		}
 	}
@@ -245,41 +255,71 @@ func (s *Set) NeedsFrom(peer []Summary) bool {
 // suffix, the receiver's per-origin knowledge always stays a prefix —
 // the next digest round resumes exactly where the cap cut off.
 func (s *Set) DeltaFor(peer []Summary, limit int) []Entry {
-	ps := make(map[topology.Location]Summary, len(peer))
-	for _, l := range peer {
-		ps[l.Node] = l
+	return s.AppendDelta(nil, peer, limit)
+}
+
+// AppendDelta is DeltaFor appending to dst: it returns the extended
+// slice, which shares dst's backing array whenever its capacity
+// suffices. The entries' tuples share their field slices with the
+// store's, as DeltaFor's and Live's do.
+//
+// The work is one merge-walk of the origin records against the peer's
+// lines when those arrive sorted and free of duplicates, as Digest emits
+// them; for any other input each origin looks its line up by scanning,
+// the last line naming a node winning.
+func (s *Set) AppendDelta(dst []Entry, peer []Summary, limit int) []Entry {
+	sorted := true
+	for i := 1; i < len(peer) && sorted; i++ {
+		sorted = locKey(peer[i-1].Node) < locKey(peer[i].Node)
 	}
-	var out []Entry
-	for _, node := range s.sortedNodes() {
-		p := ps[node] // zero Summary when the peer has never heard of node
-		wantAdds := s.frontier(node) > p.AddMax
-		wantRems := s.nodes[node].remHash != p.RemHash
-		if !wantAdds && !wantRems {
+	limit += len(dst)
+	at, j := 0, 0
+	for i := range s.origins {
+		r := &s.origins[i]
+		run := s.entries[at : at+int(r.n)]
+		at += len(run)
+		var p Summary // zero when the peer has never heard of the node
+		if sorted {
+			for j < len(peer) && locKey(peer[j].Node) < locKey(r.loc) {
+				j++
+			}
+			if j < len(peer) && peer[j].Node == r.loc {
+				p = peer[j]
+			}
+		} else {
+			for k := len(peer) - 1; k >= 0; k-- {
+				if peer[k].Node == r.loc {
+					p = peer[k]
+					break
+				}
+			}
+		}
+		wantRems := r.remHash != p.RemHash
+		if r.frontier <= p.AddMax && !wantRems {
 			continue
 		}
-		for _, e := range s.sortedOf(node) {
-			if len(out) >= limit {
-				return out
+		for k := range run {
+			if len(dst) >= limit {
+				return dst
 			}
+			e := &run[k]
 			switch {
 			case e.Removed && wantRems:
-				out = append(out, Entry{Origin: e.Origin, Removed: true})
+				dst = append(dst, Entry{Origin: e.Origin, Removed: true})
 			case !e.Removed && e.Origin.Seq > p.AddMax:
-				out = append(out, *e)
+				dst = append(dst, *e)
 			}
 		}
 	}
-	return out
+	return dst
 }
 
 // Live returns the live entries in (origin node, sequence) order.
 func (s *Set) Live() []Entry {
-	var out []Entry
-	for _, node := range s.sortedNodes() {
-		for _, e := range s.sortedOf(node) {
-			if !e.Removed {
-				out = append(out, *e)
-			}
+	out := make([]Entry, 0, s.live)
+	for i := range s.entries {
+		if !s.entries[i].Removed {
+			out = append(out, s.entries[i])
 		}
 	}
 	return out
@@ -289,11 +329,9 @@ func (s *Set) Live() []Entry {
 // matches the template — the responder-side fallback behind remote
 // rrdp/rinp when the local arena has no match.
 func (s *Set) LiveMatch(p tuplespace.Template) (Entry, bool) {
-	for _, node := range s.sortedNodes() {
-		for _, e := range s.sortedOf(node) {
-			if !e.Removed && p.Matches(e.Tuple) {
-				return *e, true
-			}
+	for i := range s.entries {
+		if e := &s.entries[i]; !e.Removed && p.Matches(e.Tuple) {
+			return *e, true
 		}
 	}
 	return Entry{}, false
@@ -302,8 +340,9 @@ func (s *Set) LiveMatch(p tuplespace.Template) (Entry, bool) {
 // FindLocal returns the lowest-sequence live entry originated at node
 // whose tuple equals t — how a local Inp finds the entry to tombstone.
 func (s *Set) FindLocal(node topology.Location, t tuplespace.Tuple) (Origin, bool) {
-	for _, e := range s.sortedOf(node) {
-		if !e.Removed && e.Tuple.Equal(t) {
+	i, _ := s.find(Origin{Node: node})
+	for ; i < len(s.entries) && s.entries[i].Origin.Node == node; i++ {
+		if e := &s.entries[i]; !e.Removed && e.Tuple.Equal(t) {
 			return e.Origin, true
 		}
 	}

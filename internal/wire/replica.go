@@ -8,6 +8,7 @@ package wire
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/agilla-go/agilla/internal/replica"
 	"github.com/agilla-go/agilla/internal/tuplespace"
@@ -56,6 +57,13 @@ func (d ReplicaDigest) Encode() []byte {
 
 // DecodeReplicaDigest unpacks a digest payload.
 func DecodeReplicaDigest(b []byte) (ReplicaDigest, error) {
+	return DecodeReplicaDigestInto(nil, b)
+}
+
+// DecodeReplicaDigestInto is DecodeReplicaDigest appending the lines to
+// dst: the result's Lines share dst's backing array whenever its capacity
+// suffices, and are otherwise allocated once, sized from the count byte.
+func DecodeReplicaDigestInto(dst []replica.Summary, b []byte) (ReplicaDigest, error) {
 	if len(b) < 2 {
 		return ReplicaDigest{}, fmt.Errorf("%w: short digest", ErrBadMessage)
 	}
@@ -63,7 +71,7 @@ func DecodeReplicaDigest(b []byte) (ReplicaDigest, error) {
 	if len(b) < 2+n*replicaDigestLineSize {
 		return ReplicaDigest{}, fmt.Errorf("%w: digest truncated", ErrBadMessage)
 	}
-	d := ReplicaDigest{Reply: b[1]&replicaDigestFlagReply != 0}
+	d := ReplicaDigest{Reply: b[1]&replicaDigestFlagReply != 0, Lines: slices.Grow(dst, n)}
 	off := 2
 	for i := 0; i < n; i++ {
 		d.Lines = append(d.Lines, replica.Summary{
@@ -80,6 +88,9 @@ func DecodeReplicaDigest(b []byte) (ReplicaDigest, error) {
 // replicaEntryFlagRemoved marks a tombstone; tombstones carry no tuple.
 const replicaEntryFlagRemoved = 0x01
 
+// replicaEntryHeaderSize is loc(4) + seq(2) + flags(1).
+const replicaEntryHeaderSize = 7
+
 // ReplicaDelta carries the entries a peer's digest showed missing: live
 // entries with their tuples, tombstones as bare origins.
 type ReplicaDelta struct {
@@ -93,9 +104,15 @@ func (d ReplicaDelta) Encode() []byte {
 	if n > 255 {
 		n = 255
 	}
-	out := []byte{byte(n)}
+	size := 1 + n*replicaEntryHeaderSize
 	for _, e := range d.Entries[:n] {
-		var hdr [7]byte
+		if !e.Removed {
+			size += e.Tuple.EncodedSize()
+		}
+	}
+	out := append(make([]byte, 0, size), byte(n))
+	for _, e := range d.Entries[:n] {
+		var hdr [replicaEntryHeaderSize]byte
 		putLoc(hdr[0:], e.Origin.Node)
 		put16(hdr[4:], e.Origin.Seq)
 		if e.Removed {
@@ -111,21 +128,34 @@ func (d ReplicaDelta) Encode() []byte {
 
 // DecodeReplicaDelta unpacks a delta payload.
 func DecodeReplicaDelta(b []byte) (ReplicaDelta, error) {
+	return DecodeReplicaDeltaInto(nil, b)
+}
+
+// DecodeReplicaDeltaInto is DecodeReplicaDelta appending the entries to
+// dst: the result's Entries share dst's backing array whenever its
+// capacity suffices, and are otherwise allocated once, sized from the
+// count byte.
+func DecodeReplicaDeltaInto(dst []replica.Entry, b []byte) (ReplicaDelta, error) {
 	if len(b) < 1 {
 		return ReplicaDelta{}, fmt.Errorf("%w: short delta", ErrBadMessage)
 	}
 	n := int(b[0])
-	var d ReplicaDelta
+	// Checked before anything is sized from n: a lone count byte must not
+	// buy an allocation.
+	if len(b) < 1+n*replicaEntryHeaderSize {
+		return ReplicaDelta{}, fmt.Errorf("%w: delta truncated", ErrBadMessage)
+	}
+	d := ReplicaDelta{Entries: slices.Grow(dst, n)}
 	off := 1
 	for i := 0; i < n; i++ {
-		if len(b) < off+7 {
+		if len(b) < off+replicaEntryHeaderSize {
 			return ReplicaDelta{}, fmt.Errorf("%w: delta truncated", ErrBadMessage)
 		}
 		e := replica.Entry{
 			Origin:  replica.Origin{Node: getLoc(b[off:]), Seq: get16(b[off+4:])},
 			Removed: b[off+6]&replicaEntryFlagRemoved != 0,
 		}
-		off += 7
+		off += replicaEntryHeaderSize
 		if !e.Removed {
 			t, used, err := tuplespace.UnmarshalTuple(b[off:])
 			if err != nil {
