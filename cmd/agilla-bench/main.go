@@ -41,41 +41,30 @@
 //	          the tuple-survival and remote-lookup gains
 //	          under the identical schedule and seed.
 //	          Also opt-in, for the same reason as scale.
-//	vm        execution-backend comparison: the same
-//	          compute workload under the seed per-event
-//	          interpreter and the burst engine driving
-//	          compiled closures; asserts identical
-//	          instruction streams and hashes, reports the
-//	          wall-clock speedup; -json writes
-//	          BENCH_vm.json rows. Opt-in like scale.
-//	wire      transport throughput for the distributed
-//	          runtime: a fixed migration+gossip frame mix
-//	          through the in-memory loopback, localhost
-//	          UDP, and localhost TCP transports, with the
-//	          wire transports coalescing frames into
-//	          batches; -json writes BENCH_wire.json rows
-//	          (transport, frames, bytes, received, batches,
-//	          frames_per_batch, wall_secs, frames_per_sec,
-//	          bytes_per_sec). Opt-in like scale and churn.
-//	          tools/benchdiff compares two such snapshots
-//	          with a tolerance band for the wall-clock
-//	          columns.
 //
-// With -json PATH and a single JSON-capable experiment selected, PATH is
-// the output file. With both scale and churn selected, PATH is treated
-// as a directory and receives BENCH_scale.json and BENCH_churn.json —
-// the artifact names CI uploads to track the perf trajectory.
+// With -json PATH and one of scale or churn selected, PATH is the output
+// file. With both selected, PATH is treated as a directory and receives
+// BENCH_scale.json and BENCH_churn.json — the artifact names CI uploads
+// to track the perf trajectory. No other experiment writes JSON rows, so
+// -json without scale or churn is a usage error, as is any -exp name not
+// listed above.
+//
+// The wire path and the VM backends are timed by the bench module
+// instead: go run -C bench . -workload wire-flood|vm-compute.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"time"
 
@@ -83,28 +72,142 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "comma-separated experiments: fig9,fig10,fig11,fig12,fig5,memory,speed,casestudy,ensemble,mate,ablate,scale,churn,vm,wire,all")
-	trials := flag.Int("trials", 100, "trials per data point")
-	seed := flag.Int64("seed", 7, "simulation seed")
-	runs := flag.Int("runs", 8, "seeds for the ensemble experiment")
-	quick := flag.Bool("quick", false, "reduced trial counts for a fast pass")
-	workers := flag.Int("workers", 4, "max kernel parallelism the scale/churn experiments sweep up to")
-	jsonPath := flag.String("json", "", "write scale/churn/wire rows as JSON: a file when one such experiment is selected, a directory (BENCH_scale.json, BENCH_churn.json, BENCH_wire.json) when several are")
-	replication := flag.Bool("replication", false, "add gossip-replicated rows to the churn sweep, beside the baseline rows")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (go tool pprof)")
-	memProfile := flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// group is one experiment run, selected by any of its -exp names.
+// Opt-in groups benchmark the kernel rather than reproduce a figure, so
+// "-exp all" skips them: it keeps meaning "every figure and table".
+type group struct {
+	names []string
+	optIn bool
+	run   func() (fmt.Stringer, error)
+}
+
+// moved maps the experiments the bench module superseded to the workload
+// that now measures the same thing.
+var moved = map[string]string{"wire": "wire-flood", "vm": "vm-compute"}
+
+// run is main with its exit code returned rather than taken, so the
+// deferred profile writers fire on every path.
+func run(args []string, stdout, stderr io.Writer) int {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
+	defer stop()
+	// After the first Ctrl-C, unregister the handler so a second one
+	// kills the process the default way.
+	context.AfterFunc(ctx, stop)
+
+	var (
+		cfg      experiments.Config
+		runs     int
+		jsonPath string
+		want     = map[string]bool{}
+	)
+	// With scale and churn both selected, -json is a directory receiving
+	// the BENCH_*.json artifacts; with one, it is the output file.
+	type jsonResult interface {
+		fmt.Stringer
+		JSON() ([]byte, error)
+	}
+	writingJSON := func(name string, f func() (jsonResult, error)) func() (fmt.Stringer, error) {
+		return func() (fmt.Stringer, error) {
+			res, err := f()
+			if err != nil {
+				return nil, err
+			}
+			if jsonPath == "" {
+				return res, nil
+			}
+			path := jsonPath
+			if want["scale"] && want["churn"] {
+				if err := os.MkdirAll(jsonPath, 0o755); err != nil {
+					return nil, fmt.Errorf("json dir %s: %w", jsonPath, err)
+				}
+				path = filepath.Join(jsonPath, name)
+			}
+			data, err := res.JSON()
+			if err != nil {
+				return nil, err
+			}
+			if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+				return nil, fmt.Errorf("write %s: %w", path, err)
+			}
+			return res, nil
+		}
+	}
+	groups := []group{
+		{names: []string{"fig9", "fig10"}, run: func() (fmt.Stringer, error) { return experiments.Fig9and10(cfg) }},
+		{names: []string{"fig11"}, run: func() (fmt.Stringer, error) { return experiments.Fig11(cfg) }},
+		{names: []string{"fig12"}, run: func() (fmt.Stringer, error) { return experiments.Fig12(cfg) }},
+		{names: []string{"fig5"}, run: func() (fmt.Stringer, error) { return experiments.Fig5Sizes() }},
+		{names: []string{"memory"}, run: func() (fmt.Stringer, error) { return experiments.Memory(), nil }},
+		{names: []string{"speed"}, run: func() (fmt.Stringer, error) { return experiments.Speed(cfg) }},
+		{names: []string{"casestudy"}, run: func() (fmt.Stringer, error) { return experiments.CaseStudy(cfg) }},
+		{names: []string{"ensemble"}, run: func() (fmt.Stringer, error) { return experiments.CaseStudyEnsemble(ctx, cfg, runs) }},
+		{names: []string{"mate"}, run: func() (fmt.Stringer, error) { return experiments.MateCompare(cfg) }},
+		{names: []string{"ablate"}, run: func() (fmt.Stringer, error) { return experiments.AblationEndToEnd(cfg) }},
+		{names: []string{"ablate"}, run: func() (fmt.Stringer, error) { return experiments.AblationLossModel(cfg) }},
+		{names: []string{"ablate"}, run: func() (fmt.Stringer, error) { return experiments.AblationRetries(cfg) }},
+		{names: []string{"scale"}, optIn: true, run: writingJSON("BENCH_scale.json", func() (jsonResult, error) { return experiments.Scale(cfg) })},
+		{names: []string{"churn"}, optIn: true, run: writingJSON("BENCH_churn.json", func() (jsonResult, error) { return experiments.Churn(cfg) })},
+	}
+	var valid []string
+	for _, g := range groups {
+		for _, n := range g.names {
+			if !slices.Contains(valid, n) {
+				valid = append(valid, n)
+			}
+		}
+	}
+	valid = append(valid, "all")
+	validList := strings.Join(valid, ",")
+
+	fs := flag.NewFlagSet("agilla-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "comma-separated experiments: "+validList)
+	fs.IntVar(&cfg.Trials, "trials", 100, "trials per data point")
+	fs.Int64Var(&cfg.Seed, "seed", 7, "simulation seed")
+	fs.IntVar(&runs, "runs", 8, "seeds for the ensemble experiment")
+	fs.BoolVar(&cfg.Quick, "quick", false, "reduced trial counts for a fast pass")
+	fs.IntVar(&cfg.Workers, "workers", 4, "max kernel parallelism the scale/churn experiments sweep up to")
+	fs.StringVar(&jsonPath, "json", "", "write scale/churn rows as JSON (needs -exp scale and/or churn): a file when one of them is selected, a directory (BENCH_scale.json, BENCH_churn.json) when both are")
+	fs.BoolVar(&cfg.Replication, "replication", false, "add gossip-replicated rows to the churn sweep, beside the baseline rows")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (go tool pprof)")
+	memProfile := fs.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+
+	for _, name := range strings.Split(*exp, ",") {
+		name = strings.TrimSpace(name)
+		if workload, ok := moved[name]; ok {
+			fmt.Fprintf(stderr, "agilla-bench: -exp %s is measured by bench/ now: go run -C bench . -workload %s\n", name, workload)
+			return 2
+		}
+		if !slices.Contains(valid, name) {
+			fmt.Fprintf(stderr, "agilla-bench: unknown experiment %q (valid: %s)\n", name, validList)
+			return 2
+		}
+		want[name] = true
+	}
+	if jsonPath != "" && !want["scale"] && !want["churn"] {
+		fmt.Fprintln(stderr, "agilla-bench: -json needs -exp scale and/or churn: no other experiment writes JSON rows")
+		return 2
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "agilla-bench: cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "agilla-bench: cpuprofile: %v\n", err)
+			return 1
 		}
 		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "agilla-bench: cpuprofile: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "agilla-bench: cpuprofile: %v\n", err)
+			return 1
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -112,159 +215,42 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProfile)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "agilla-bench: memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "agilla-bench: memprofile: %v\n", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle: profile live objects, not garbage
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "agilla-bench: memprofile: %v\n", err)
+				fmt.Fprintf(stderr, "agilla-bench: memprofile: %v\n", err)
 			}
 		}()
 	}
 
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	// After the first Ctrl-C, unregister the handler so a second one
-	// kills the process the default way.
-	context.AfterFunc(ctx, stop)
-
-	cfg := experiments.Config{Trials: *trials, Seed: *seed, Quick: *quick, Workers: *workers, Replication: *replication}
-
-	want := map[string]bool{}
-	for _, name := range strings.Split(*exp, ",") {
-		want[strings.TrimSpace(name)] = true
-	}
-	all := want["all"]
-	ran := 0
-
-	section := func(names ...string) bool {
-		for _, n := range names {
-			if want[n] {
-				return true
-			}
-		}
-		return all
-	}
 	start := time.Now()
-
-	if section("fig9", "fig10") {
-		run(ctx, &ran, func() (fmt.Stringer, error) { return experiments.Fig9and10(cfg) })
-	}
-	if section("fig11") {
-		run(ctx, &ran, func() (fmt.Stringer, error) { return experiments.Fig11(cfg) })
-	}
-	if section("fig12") {
-		run(ctx, &ran, func() (fmt.Stringer, error) { return experiments.Fig12(cfg) })
-	}
-	if section("fig5") {
-		run(ctx, &ran, func() (fmt.Stringer, error) { return experiments.Fig5Sizes() })
-	}
-	if section("memory") {
-		run(ctx, &ran, func() (fmt.Stringer, error) { return experiments.Memory(), nil })
-	}
-	if section("speed") {
-		run(ctx, &ran, func() (fmt.Stringer, error) { return experiments.Speed(cfg) })
-	}
-	if section("casestudy") {
-		run(ctx, &ran, func() (fmt.Stringer, error) { return experiments.CaseStudy(cfg) })
-	}
-	if section("ensemble") {
-		run(ctx, &ran, func() (fmt.Stringer, error) { return experiments.CaseStudyEnsemble(ctx, cfg, *runs) })
-	}
-	if section("mate") {
-		run(ctx, &ran, func() (fmt.Stringer, error) { return experiments.MateCompare(cfg) })
-	}
-	if section("ablate") {
-		run(ctx, &ran, func() (fmt.Stringer, error) { return experiments.AblationEndToEnd(cfg) })
-		run(ctx, &ran, func() (fmt.Stringer, error) { return experiments.AblationLossModel(cfg) })
-		run(ctx, &ran, func() (fmt.Stringer, error) { return experiments.AblationRetries(cfg) })
-	}
-	// scale and churn benchmark the kernel rather than reproducing a
-	// figure, so they are opt-in: "-exp all" keeps meaning "every figure
-	// and table". With both selected, -json is a directory receiving the
-	// BENCH_*.json artifacts; with one, it is the output file.
-	jsonFile := func(name string) (string, error) {
-		if *jsonPath == "" {
-			return "", nil
+	ran := 0
+	for _, g := range groups {
+		selected := want["all"] && !g.optIn ||
+			slices.ContainsFunc(g.names, func(n string) bool { return want[n] })
+		if !selected {
+			continue
 		}
-		jsonable := 0
-		for _, n := range []string{"scale", "churn", "vm", "wire"} {
-			if want[n] {
-				jsonable++
-			}
+		// The experiments themselves are uninterruptible except for the
+		// ensemble, which polls the context internally.
+		if ctx.Err() != nil {
+			break
 		}
-		if jsonable < 2 {
-			return *jsonPath, nil
+		res, err := g.run()
+		if err != nil {
+			fmt.Fprintf(stderr, "agilla-bench: %v\n", err)
+			return 1
 		}
-		if err := os.MkdirAll(*jsonPath, 0o755); err != nil {
-			return "", fmt.Errorf("json dir %s: %w", *jsonPath, err)
-		}
-		return filepath.Join(*jsonPath, name), nil
+		fmt.Fprintln(stdout, res)
+		ran++
 	}
-	type jsonResult interface {
-		fmt.Stringer
-		JSON() ([]byte, error)
-	}
-	runJSON := func(name string, f func() (jsonResult, error)) {
-		run(ctx, &ran, func() (fmt.Stringer, error) {
-			res, err := f()
-			if err != nil {
-				return nil, err
-			}
-			path, err := jsonFile(name)
-			if err != nil {
-				return nil, err
-			}
-			if path != "" {
-				data, err := res.JSON()
-				if err != nil {
-					return nil, err
-				}
-				if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
-					return nil, fmt.Errorf("write %s: %w", path, err)
-				}
-			}
-			return res, nil
-		})
-	}
-	if want["scale"] {
-		runJSON("BENCH_scale.json", func() (jsonResult, error) { return experiments.Scale(cfg) })
-	}
-	if want["churn"] {
-		runJSON("BENCH_churn.json", func() (jsonResult, error) { return experiments.Churn(cfg) })
-	}
-	if want["vm"] {
-		runJSON("BENCH_vm.json", func() (jsonResult, error) { return experiments.VM(cfg) })
-	}
-	if want["wire"] {
-		runJSON("BENCH_wire.json", func() (jsonResult, error) { return experiments.Wire(cfg) })
-	}
-
 	if ctx.Err() != nil {
-		fmt.Fprintln(os.Stderr, "agilla-bench: interrupted")
-		os.Exit(130)
+		fmt.Fprintln(stderr, "agilla-bench: interrupted")
+		return 130
 	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "agilla-bench: no experiment matches %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
-	}
-	fmt.Printf("\n%d experiment group(s) in %.1fs (wall clock)\n", ran, time.Since(start).Seconds())
-}
-
-// run executes one experiment group unless the context was cancelled; the
-// experiments themselves are uninterruptible except for the ensemble,
-// which polls the context internally.
-func run(ctx context.Context, ran *int, f func() (fmt.Stringer, error)) {
-	if ctx.Err() != nil {
-		return
-	}
-	res, err := f()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "agilla-bench: %v\n", err)
-		os.Exit(1)
-	}
-	fmt.Println(res)
-	*ran++
+	fmt.Fprintf(stdout, "\n%d experiment group(s) in %.1fs (wall clock)\n", ran, time.Since(start).Seconds())
+	return 0
 }

@@ -84,3 +84,56 @@ func TestChurnDeterministicAcrossWorkers(t *testing.T) {
 		t.Fatalf("JSON rows = %d, want %d", len(back), len(res.Rows))
 	}
 }
+
+// TestScaleDeterministicAcrossWorkers is the scale sweep's half of the
+// same CI diff: per scenario, the deterministic columns agree at 1 and 2
+// workers, and every row keeps the burst engine's batching floor.
+func TestScaleDeterministicAcrossWorkers(t *testing.T) {
+	res, err := Scale(Config{Seed: 7, Quick: true, Trials: 1, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type det struct {
+		events, instr, frames uint64
+		hash                  string
+	}
+	base := map[string]det{}
+	workers := map[int]bool{}
+	for _, row := range res.Rows {
+		workers[row.Workers] = true
+		got := det{row.Events, row.Instr, row.Frames, row.Hash}
+		if want, seen := base[row.Scenario]; !seen {
+			base[row.Scenario] = got
+		} else if got != want {
+			t.Errorf("%s workers=%d diverged: got %+v, want %+v", row.Scenario, row.Workers, got, want)
+		}
+		// Below 2 instructions per dispatched event the absorption path
+		// has regressed to per-instruction scheduling.
+		if row.InstrPerEvent < 2 {
+			t.Errorf("%s workers=%d: %.2f instr/event, want >= 2", row.Scenario, row.Workers, row.InstrPerEvent)
+		}
+	}
+	if len(base) < 2 || !workers[1] || !workers[2] {
+		t.Fatalf("want >= 2 scenarios at workers 1 and 2, got rows %+v", res.Rows)
+	}
+
+	if s := res.String(); !strings.Contains(s, "grid 10x10") {
+		t.Errorf("String() missing scenario: %q", s)
+	}
+	data, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back []ScaleRow
+	if err := json.Unmarshal(data, &back); err != nil {
+		t.Fatalf("JSON round-trip: %v", err)
+	}
+	if len(back) != len(res.Rows) {
+		t.Fatalf("JSON rows = %d, want %d", len(back), len(res.Rows))
+	}
+	for i := range back {
+		if back[i] != res.Rows[i] {
+			t.Errorf("JSON row %d = %+v, want %+v", i, back[i], res.Rows[i])
+		}
+	}
+}
