@@ -59,10 +59,10 @@
 //     nw.Remote(), exposing the wire operations Rout/Rinp/Rrdp with
 //     deadlines derived from the node configuration, plus a network-wide
 //     Query that fans rrdp out across every mote.
-//   - Events — typed middleware events (agent arrivals and deaths,
-//     migrations, remote ops, tuple activity, reaction firings, node
-//     lifecycle) from nw.Events(filters...), replacing raw trace
-//     callbacks.
+//   - Events — one Event record per middleware occurrence (agent
+//     arrivals and deaths, migrations, remote ops, tuple activity,
+//     reaction firings, node lifecycle, replica syncs) from
+//     nw.Events(filters...); Event.Kind says which fields are set.
 //
 // The world itself is dynamic: nodes die, recover, move, and drain
 // batteries while the simulation runs — scripted with WorldEvent values

@@ -50,7 +50,7 @@ func TestCloseDrainsAndReleasesGoroutines(t *testing.T) {
 		nAll++
 	}
 	for e := range tuples {
-		if e.Kind() != agilla.EventTupleOut {
+		if e.Kind != agilla.EventTupleOut {
 			t.Fatalf("filtered channel leaked %v", e)
 		}
 		nTuples++

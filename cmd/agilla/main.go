@@ -271,9 +271,10 @@ func run(args []string) error {
 }
 
 // attachWatch subscribes to the middleware event stream and prints each
-// event as it happens. The returned func ends the subscription and waits
-// for the printer to drain, so watch lines never interleave with the
-// final network dump.
+// event as it happens — every kind but the per-frame ones (hop-level
+// migration and tuple-out). The returned func ends the subscription and
+// waits for the printer to drain, so watch lines never interleave with
+// the final network dump.
 func attachWatch(nw *agilla.Network) (finish func()) {
 	events := nw.Events(agilla.OfKind(
 		agilla.EventAgentArrived,
@@ -281,6 +282,10 @@ func attachWatch(nw *agilla.Network) (finish func()) {
 		agilla.EventAgentDied,
 		agilla.EventRemoteDone,
 		agilla.EventReactionFired,
+		agilla.EventNodeDied,
+		agilla.EventNodeRecovered,
+		agilla.EventNodeMoved,
+		agilla.EventEnergyExhausted,
 		agilla.EventReplicaSynced,
 		agilla.EventTupleRecovered,
 	))
@@ -288,7 +293,7 @@ func attachWatch(nw *agilla.Network) (finish func()) {
 	go func() {
 		defer close(done)
 		for e := range events {
-			fmt.Printf("%12v  %-17v  %v\n", e.When(), e.Kind(), e)
+			fmt.Printf("%12v  %-17v  %v\n", e.At, e.Kind, e)
 		}
 	}()
 	return func() {

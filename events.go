@@ -1,10 +1,9 @@
 package agilla
 
-// Typed middleware events. The deployment-wide Trace of the old API
-// exposed bare callbacks whose parameters were internal types external
-// callers could not even name; this file replaces it with public Event
-// variants and enums, delivered through channel subscriptions created by
-// Network.Events. Internally the events are adapted from the same core
+// Middleware events. Everything the engine reports — agent, migration,
+// tuple space, node and replica occurrences — reaches a host as one Event
+// record, delivered through channel subscriptions created by
+// Network.Events. Internally the records are filled from the same core
 // trace hooks the experiment harness uses.
 
 import (
@@ -17,392 +16,196 @@ import (
 )
 
 // MigKind identifies how an agent materialized on, or left, a node: the
-// four migration instructions of §2.2 plus base-station injection.
-type MigKind uint8
+// four migration instructions of §2.2 plus base-station injection. String
+// returns the assembly mnemonic ("smove", "wclone", "inject"); Strong
+// reports whether full state travels with the agent, Clone whether the
+// original keeps running.
+type MigKind = wire.MigKind
 
 // Migration kinds.
 const (
-	MigStrongMove  = MigKind(wire.MigStrongMove)
-	MigWeakMove    = MigKind(wire.MigWeakMove)
-	MigStrongClone = MigKind(wire.MigStrongClone)
-	MigWeakClone   = MigKind(wire.MigWeakClone)
-	MigInject      = MigKind(wire.MigInject)
+	MigStrongMove  = wire.MigStrongMove
+	MigWeakMove    = wire.MigWeakMove
+	MigStrongClone = wire.MigStrongClone
+	MigWeakClone   = wire.MigWeakClone
+	MigInject      = wire.MigInject
 )
-
-// String returns the assembly mnemonic ("smove", "wclone", "inject").
-func (k MigKind) String() string { return wire.MigKind(k).String() }
-
-// Strong reports whether full state travels with the agent.
-func (k MigKind) Strong() bool { return wire.MigKind(k).Strong() }
-
-// Clone reports whether the original keeps running.
-func (k MigKind) Clone() bool { return k == MigStrongClone || k == MigWeakClone }
 
 // RemoteKind identifies a remote tuple space operation (§2.2: only
 // probing operations are provided remotely, so an agent cannot block
-// forever on message loss).
-type RemoteKind uint8
+// forever on message loss). String returns the instruction mnemonic
+// ("rout", "rinp", "rrdp").
+type RemoteKind = vm.RemoteKind
 
 // Remote operation kinds.
 const (
-	RemoteOut = RemoteKind(vm.RemoteOut)
-	RemoteInp = RemoteKind(vm.RemoteInp)
-	RemoteRdp = RemoteKind(vm.RemoteRdp)
+	RemoteOut = vm.RemoteOut
+	RemoteInp = vm.RemoteInp
+	RemoteRdp = vm.RemoteRdp
 )
 
-// String returns the instruction mnemonic ("rout", "rinp", "rrdp").
-func (k RemoteKind) String() string { return vm.RemoteKind(k).String() }
-
-// EventKind discriminates Event variants; use it with OfKind to subscribe
-// to a subset of the stream.
+// EventKind says what an Event reports and so which of its fields are
+// set; use it with OfKind to subscribe to a subset of the stream.
 type EventKind uint8
 
-// Event kinds, one per variant.
+// Event kinds. Every event sets Kind, At and Node; each kind lists the
+// further fields it sets, and leaves the rest zero.
 const (
+	// EventAgentArrived: an agent materialized on Node — a completed
+	// injection, a completed move hop, or a clone instantiation. Sets
+	// AgentID, Mig (how it got here) and Peer (the node it came from).
 	EventAgentArrived EventKind = iota + 1
+	// EventAgentHalted: an agent voluntarily executed halt. Sets AgentID.
 	EventAgentHalted
+	// EventAgentDied: an agent died with an error. Sets AgentID and Err.
 	EventAgentDied
+	// EventMigrationStarted: a hop transfer began on the sending Node
+	// (once per hop of a multi-hop move). Sets AgentID, Mig and Peer (the
+	// final destination).
 	EventMigrationStarted
+	// EventMigrationDone: the sender-side conclusion of a hop transfer.
+	// Sets AgentID, Mig, Peer (the final destination) and OK (whether the
+	// receiver acknowledged the handoff; a failed hop resumes the agent
+	// on the sender with condition zero).
 	EventMigrationDone
+	// EventRemoteDone: an agent-initiated remote tuple space operation
+	// resolved on its initiator — a reply arrived, or the retransmission
+	// budget ran out. Sets AgentID, Op, Peer (the operation's target), OK
+	// (a timed-out or no-match operation clears the agent's condition
+	// code instead) and Elapsed (initiation to resolution, virtual time).
 	EventRemoteDone
+	// EventTupleOut: a tuple was inserted into Node's local space,
+	// whatever inserted it (an agent's out, a remote rout, a context
+	// tuple, or the host API). Sets Tuple.
 	EventTupleOut
+	// EventReactionFired: a tuple insertion triggered a reaction
+	// registered by an agent (§3.2 Tuple Space Manager). Sets AgentID
+	// (the reaction's owner) and Tuple (the insertion that matched).
 	EventReactionFired
+	// EventNodeDied: a mote went down — a scripted fault, the host API,
+	// or battery exhaustion. Sets Cause. Hosted agents report their own
+	// EventAgentDied, carrying ErrNodeDown, first.
 	EventNodeDied
+	// EventNodeRecovered: a dead mote finished its reboot and is back on
+	// the air with empty spaces, re-seeded context tuples, and a fresh
+	// battery. Sets nothing further.
 	EventNodeRecovered
+	// EventNodeMoved: a mote relocated, agents and tuples aboard. Node is
+	// its new address; sets Peer (the vacated location).
 	EventNodeMoved
+	// EventEnergyExhausted: a battery emptied; the EventNodeDied it
+	// causes follows immediately. Sets UsedJ, the emptied battery's drain
+	// in joules (the cells installed at death; a revived mote's earlier
+	// batteries are not included).
 	EventEnergyExhausted
+	// EventReplicaSynced: a gossip delta changed Node's replica store
+	// under WithReplication. Sets Peer (the delta's sender), Added
+	// (entries accepted) and Removed (live replicas evicted by
+	// tombstones). Quiet gossip rounds publish no event.
 	EventReplicaSynced
+	// EventTupleRecovered: a revived node re-inserted a tuple it had
+	// originated before crashing, streamed back out of a neighbor's
+	// replica store by anti-entropy gossip. Sets Tuple.
 	EventTupleRecovered
 )
 
+var eventKindNames = [...]string{
+	EventAgentArrived:     "agent-arrived",
+	EventAgentHalted:      "agent-halted",
+	EventAgentDied:        "agent-died",
+	EventMigrationStarted: "migration-started",
+	EventMigrationDone:    "migration-done",
+	EventRemoteDone:       "remote-done",
+	EventTupleOut:         "tuple-out",
+	EventReactionFired:    "reaction-fired",
+	EventNodeDied:         "node-died",
+	EventNodeRecovered:    "node-recovered",
+	EventNodeMoved:        "node-moved",
+	EventEnergyExhausted:  "energy-exhausted",
+	EventReplicaSynced:    "replica-synced",
+	EventTupleRecovered:   "tuple-recovered",
+}
+
 func (k EventKind) String() string {
-	switch k {
-	case EventAgentArrived:
-		return "agent-arrived"
-	case EventAgentHalted:
-		return "agent-halted"
-	case EventAgentDied:
-		return "agent-died"
-	case EventMigrationStarted:
-		return "migration-started"
-	case EventMigrationDone:
-		return "migration-done"
-	case EventRemoteDone:
-		return "remote-done"
-	case EventTupleOut:
-		return "tuple-out"
-	case EventReactionFired:
-		return "reaction-fired"
-	case EventNodeDied:
-		return "node-died"
-	case EventNodeRecovered:
-		return "node-recovered"
-	case EventNodeMoved:
-		return "node-moved"
-	case EventEnergyExhausted:
-		return "energy-exhausted"
-	case EventReplicaSynced:
-		return "replica-synced"
-	case EventTupleRecovered:
-		return "tuple-recovered"
-	default:
+	if k == 0 || int(k) >= len(eventKindNames) {
 		return fmt.Sprintf("event(%d)", uint8(k))
 	}
+	return eventKindNames[k]
 }
 
-// Event is one middleware occurrence somewhere in the network. The
-// concrete variants are AgentArrived, AgentHalted, AgentDied,
-// MigrationStarted, MigrationDone, RemoteDone, TupleOut, ReactionFired,
-// NodeDied, NodeRecovered, NodeMoved, EnergyExhausted, ReplicaSynced, and
-// TupleRecovered; type-switch to access variant fields:
+// Event is one middleware occurrence somewhere in the network. Kind says
+// what happened and which of the fields below it sets (see the EventKind
+// constants); the others are zero.
 //
 //	for e := range nw.Events(agilla.OfKind(agilla.EventAgentDied)) {
-//		d := e.(agilla.AgentDied)
-//		fmt.Println(d.AgentID, d.Err)
+//		fmt.Println(e.AgentID, e.Err)
 //	}
-//
-// The interface is sealed: only this package defines variants.
-type Event interface {
-	// Kind discriminates the variant.
-	Kind() EventKind
-	// When is the virtual time the event occurred.
-	When() time.Duration
-	// Where is the node the event occurred on.
-	Where() Location
-	// String renders the event readably for logs.
-	String() string
-
-	// agentID reports the agent the event concerns, if any; it also seals
-	// the interface.
-	agentID() (uint16, bool)
-}
-
-// AgentArrived reports an agent materializing on a node: a completed
-// injection, a completed move hop, or a clone instantiation.
-type AgentArrived struct {
-	At      time.Duration
-	Node    Location
-	AgentID uint16
-	// Mig is how the agent got here (inject, smove, wmove, sclone,
-	// wclone).
-	Mig MigKind
-	// From is the node the agent came from.
-	From Location
-}
-
-func (e AgentArrived) Kind() EventKind         { return EventAgentArrived }
-func (e AgentArrived) When() time.Duration     { return e.At }
-func (e AgentArrived) Where() Location         { return e.Node }
-func (e AgentArrived) agentID() (uint16, bool) { return e.AgentID, true }
-func (e AgentArrived) String() string {
-	return fmt.Sprintf("agent %d arrived at %v from %v (%v)", e.AgentID, e.Node, e.From, e.Mig)
-}
-
-// AgentHalted reports an agent voluntarily executing halt.
-type AgentHalted struct {
-	At      time.Duration
-	Node    Location
-	AgentID uint16
-}
-
-func (e AgentHalted) Kind() EventKind         { return EventAgentHalted }
-func (e AgentHalted) When() time.Duration     { return e.At }
-func (e AgentHalted) Where() Location         { return e.Node }
-func (e AgentHalted) agentID() (uint16, bool) { return e.AgentID, true }
-func (e AgentHalted) String() string {
-	return fmt.Sprintf("agent %d halted at %v", e.AgentID, e.Node)
-}
-
-// AgentDied reports an agent dying with an error.
-type AgentDied struct {
-	At      time.Duration
-	Node    Location
-	AgentID uint16
-	Err     error
-}
-
-func (e AgentDied) Kind() EventKind         { return EventAgentDied }
-func (e AgentDied) When() time.Duration     { return e.At }
-func (e AgentDied) Where() Location         { return e.Node }
-func (e AgentDied) agentID() (uint16, bool) { return e.AgentID, true }
-func (e AgentDied) String() string {
-	return fmt.Sprintf("agent %d died at %v: %v", e.AgentID, e.Node, e.Err)
-}
-
-// MigrationStarted reports a hop transfer beginning on the sending node
-// (once per hop of a multi-hop move).
-type MigrationStarted struct {
-	At      time.Duration
-	Node    Location
+type Event struct {
+	Kind EventKind
+	// At is the virtual time of the occurrence, Node where it occurred.
+	At   time.Duration
+	Node Location
+	// AgentID is the agent concerned; 0 for the kinds that concern none.
 	AgentID uint16
 	Mig     MigKind
-	Dest    Location
-}
-
-func (e MigrationStarted) Kind() EventKind         { return EventMigrationStarted }
-func (e MigrationStarted) When() time.Duration     { return e.At }
-func (e MigrationStarted) Where() Location         { return e.Node }
-func (e MigrationStarted) agentID() (uint16, bool) { return e.AgentID, true }
-func (e MigrationStarted) String() string {
-	return fmt.Sprintf("agent %d %v %v -> %v", e.AgentID, e.Mig, e.Node, e.Dest)
-}
-
-// MigrationDone reports the sender-side conclusion of a hop transfer.
-type MigrationDone struct {
-	At      time.Duration
-	Node    Location
-	AgentID uint16
-	Mig     MigKind
-	Dest    Location
-	// OK reports whether the receiver acknowledged the handoff; a failed
-	// hop resumes the agent on the sender with condition zero.
-	OK bool
-}
-
-func (e MigrationDone) Kind() EventKind         { return EventMigrationDone }
-func (e MigrationDone) When() time.Duration     { return e.At }
-func (e MigrationDone) Where() Location         { return e.Node }
-func (e MigrationDone) agentID() (uint16, bool) { return e.AgentID, true }
-func (e MigrationDone) String() string {
-	verdict := "ok"
-	if !e.OK {
-		verdict = "failed"
-	}
-	return fmt.Sprintf("agent %d %v %v -> %v %s", e.AgentID, e.Mig, e.Node, e.Dest, verdict)
-}
-
-// RemoteDone reports an agent-initiated remote tuple space operation
-// resolving on its initiator: a reply arrived, or the retransmission
-// budget ran out.
-type RemoteDone struct {
-	At      time.Duration
-	Node    Location
-	AgentID uint16
 	Op      RemoteKind
-	Dest    Location
-	// OK reports operation success; a timed-out or no-match operation
-	// clears the agent's condition code instead.
-	OK bool
-	// Elapsed is initiation to resolution in virtual time.
-	Elapsed time.Duration
-}
-
-func (e RemoteDone) Kind() EventKind         { return EventRemoteDone }
-func (e RemoteDone) When() time.Duration     { return e.At }
-func (e RemoteDone) Where() Location         { return e.Node }
-func (e RemoteDone) agentID() (uint16, bool) { return e.AgentID, true }
-func (e RemoteDone) String() string {
-	verdict := "ok"
-	if !e.OK {
-		verdict = "failed"
-	}
-	return fmt.Sprintf("agent %d %v %v -> %v %s in %v", e.AgentID, e.Op, e.Node, e.Dest, verdict, e.Elapsed)
-}
-
-// TupleOut reports a successful tuple insertion into a node's local
-// space, whatever inserted it (an agent's out, a remote rout, a context
-// tuple, or the host API).
-type TupleOut struct {
-	At    time.Duration
-	Node  Location
-	Tuple Tuple
-}
-
-func (e TupleOut) Kind() EventKind         { return EventTupleOut }
-func (e TupleOut) When() time.Duration     { return e.At }
-func (e TupleOut) Where() Location         { return e.Node }
-func (e TupleOut) agentID() (uint16, bool) { return 0, false }
-func (e TupleOut) String() string {
-	return fmt.Sprintf("tuple %v out at %v", e.Tuple, e.Node)
-}
-
-// ReactionFired reports a tuple insertion triggering a reaction
-// registered by an agent (§3.2 Tuple Space Manager).
-type ReactionFired struct {
-	At   time.Duration
-	Node Location
-	// AgentID owns the reaction that fired.
-	AgentID uint16
-	// Tuple is the inserted tuple that matched the reaction's template.
-	Tuple Tuple
-}
-
-func (e ReactionFired) Kind() EventKind         { return EventReactionFired }
-func (e ReactionFired) When() time.Duration     { return e.At }
-func (e ReactionFired) Where() Location         { return e.Node }
-func (e ReactionFired) agentID() (uint16, bool) { return e.AgentID, true }
-func (e ReactionFired) String() string {
-	return fmt.Sprintf("reaction of agent %d fired at %v on %v", e.AgentID, e.Node, e.Tuple)
-}
-
-// NodeDied reports a mote going down: a scripted fault, the host API, or
-// battery exhaustion (Cause distinguishes). Hosted agents report their
-// own AgentDied events, carrying ErrNodeDown, first.
-type NodeDied struct {
-	At    time.Duration
-	Node  Location
-	Cause DownCause
-}
-
-func (e NodeDied) Kind() EventKind         { return EventNodeDied }
-func (e NodeDied) When() time.Duration     { return e.At }
-func (e NodeDied) Where() Location         { return e.Node }
-func (e NodeDied) agentID() (uint16, bool) { return 0, false }
-func (e NodeDied) String() string {
-	return fmt.Sprintf("node %v died (%v)", e.Node, e.Cause)
-}
-
-// NodeRecovered reports a dead mote finishing its reboot: back on the
-// air with empty spaces, re-seeded context tuples, and a fresh battery.
-type NodeRecovered struct {
-	At   time.Duration
-	Node Location
-}
-
-func (e NodeRecovered) Kind() EventKind         { return EventNodeRecovered }
-func (e NodeRecovered) When() time.Duration     { return e.At }
-func (e NodeRecovered) Where() Location         { return e.Node }
-func (e NodeRecovered) agentID() (uint16, bool) { return 0, false }
-func (e NodeRecovered) String() string {
-	return fmt.Sprintf("node %v recovered", e.Node)
-}
-
-// NodeMoved reports a mote relocating from From to Node (its new
-// address), agents and tuples aboard.
-type NodeMoved struct {
-	At   time.Duration
-	Node Location // the new location
-	From Location // the vacated location
-}
-
-func (e NodeMoved) Kind() EventKind         { return EventNodeMoved }
-func (e NodeMoved) When() time.Duration     { return e.At }
-func (e NodeMoved) Where() Location         { return e.Node }
-func (e NodeMoved) agentID() (uint16, bool) { return 0, false }
-func (e NodeMoved) String() string {
-	return fmt.Sprintf("node moved %v -> %v", e.From, e.Node)
-}
-
-// EnergyExhausted reports a battery emptying; the NodeDied it causes
-// follows immediately.
-type EnergyExhausted struct {
-	At   time.Duration
-	Node Location
-	// UsedJ is the emptied battery's drain in joules (the cells
-	// installed at death; a revived mote's earlier batteries are not
-	// included).
-	UsedJ float64
-}
-
-func (e EnergyExhausted) Kind() EventKind         { return EventEnergyExhausted }
-func (e EnergyExhausted) When() time.Duration     { return e.At }
-func (e EnergyExhausted) Where() Location         { return e.Node }
-func (e EnergyExhausted) agentID() (uint16, bool) { return 0, false }
-func (e EnergyExhausted) String() string {
-	return fmt.Sprintf("node %v exhausted its battery (%.3g J)", e.Node, e.UsedJ)
-}
-
-// ReplicaSynced reports a gossip delta changing a node's replica store
-// under WithReplication: Added entries were accepted, Removed tombstones
-// evicted live replicas. Quiet gossip rounds (digest exchanges that find
-// nothing to ship) publish no event.
-type ReplicaSynced struct {
-	At   time.Duration
-	Node Location
-	// Peer is the node whose delta changed this store.
+	// Peer is the other location involved: where an agent came from or
+	// is headed, a remote operation's target, a moved mote's vacated
+	// address, a replica delta's sender.
 	Peer    Location
+	OK      bool
+	Elapsed time.Duration
+	Tuple   Tuple
+	Err     error
+	Cause   DownCause
+	UsedJ   float64
 	Added   int
 	Removed int
 }
 
-func (e ReplicaSynced) Kind() EventKind         { return EventReplicaSynced }
-func (e ReplicaSynced) When() time.Duration     { return e.At }
-func (e ReplicaSynced) Where() Location         { return e.Node }
-func (e ReplicaSynced) agentID() (uint16, bool) { return 0, false }
-func (e ReplicaSynced) String() string {
-	return fmt.Sprintf("node %v synced replica from %v (+%d -%d)", e.Node, e.Peer, e.Added, e.Removed)
-}
-
-// TupleRecovered reports a revived node re-inserting a tuple it had
-// originated before crashing, streamed back out of a neighbor's replica
-// store by anti-entropy gossip (WithReplication).
-type TupleRecovered struct {
-	At    time.Duration
-	Node  Location
-	Tuple Tuple
-}
-
-func (e TupleRecovered) Kind() EventKind         { return EventTupleRecovered }
-func (e TupleRecovered) When() time.Duration     { return e.At }
-func (e TupleRecovered) Where() Location         { return e.Node }
-func (e TupleRecovered) agentID() (uint16, bool) { return 0, false }
-func (e TupleRecovered) String() string {
-	return fmt.Sprintf("node %v recovered tuple %v", e.Node, e.Tuple)
+// String renders the event readably for logs.
+func (e Event) String() string {
+	verdict := "ok"
+	if !e.OK {
+		verdict = "failed"
+	}
+	switch e.Kind {
+	case EventAgentArrived:
+		return fmt.Sprintf("agent %d arrived at %v from %v (%v)", e.AgentID, e.Node, e.Peer, e.Mig)
+	case EventAgentHalted:
+		return fmt.Sprintf("agent %d halted at %v", e.AgentID, e.Node)
+	case EventAgentDied:
+		return fmt.Sprintf("agent %d died at %v: %v", e.AgentID, e.Node, e.Err)
+	case EventMigrationStarted:
+		return fmt.Sprintf("agent %d %v %v -> %v", e.AgentID, e.Mig, e.Node, e.Peer)
+	case EventMigrationDone:
+		return fmt.Sprintf("agent %d %v %v -> %v %s", e.AgentID, e.Mig, e.Node, e.Peer, verdict)
+	case EventRemoteDone:
+		return fmt.Sprintf("agent %d %v %v -> %v %s in %v", e.AgentID, e.Op, e.Node, e.Peer, verdict, e.Elapsed)
+	case EventTupleOut:
+		return fmt.Sprintf("tuple %v out at %v", e.Tuple, e.Node)
+	case EventReactionFired:
+		return fmt.Sprintf("reaction of agent %d fired at %v on %v", e.AgentID, e.Node, e.Tuple)
+	case EventNodeDied:
+		return fmt.Sprintf("node %v died (%v)", e.Node, e.Cause)
+	case EventNodeRecovered:
+		return fmt.Sprintf("node %v recovered", e.Node)
+	case EventNodeMoved:
+		return fmt.Sprintf("node moved %v -> %v", e.Peer, e.Node)
+	case EventEnergyExhausted:
+		return fmt.Sprintf("node %v exhausted its battery (%.3g J)", e.Node, e.UsedJ)
+	case EventReplicaSynced:
+		return fmt.Sprintf("node %v synced replica from %v (+%d -%d)", e.Node, e.Peer, e.Added, e.Removed)
+	case EventTupleRecovered:
+		return fmt.Sprintf("node %v recovered tuple %v", e.Node, e.Tuple)
+	default:
+		return fmt.Sprintf("%v at %v", e.Kind, e.Node)
+	}
 }
 
 // EventFilter selects a subset of the event stream; a subscription keeps
 // an event only if every filter passes. Combine the provided constructors
-// or write any predicate over the Event interface.
+// or write any predicate over Event's fields.
 type EventFilter func(Event) bool
 
 // OfKind keeps events of the given kinds.
@@ -411,7 +214,7 @@ func OfKind(kinds ...EventKind) EventFilter {
 	for _, k := range kinds {
 		set[k] = true
 	}
-	return func(e Event) bool { return set[e.Kind()] }
+	return func(e Event) bool { return set[e.Kind] }
 }
 
 // OnNode keeps events occurring on the given nodes.
@@ -420,27 +223,26 @@ func OnNode(locs ...Location) EventFilter {
 	for _, l := range locs {
 		set[l] = true
 	}
-	return func(e Event) bool { return set[e.Where()] }
+	return func(e Event) bool { return set[e.Node] }
 }
 
-// OfAgent keeps events concerning the given agents. Events with no agent
-// (TupleOut) never pass.
+// OfAgent keeps events concerning the given agents. Events of the seven
+// kinds that carry no agent (tuple-out, the four node kinds, replica-synced,
+// tuple-recovered) never pass.
 func OfAgent(ids ...uint16) EventFilter {
 	set := make(map[uint16]bool, len(ids))
 	for _, id := range ids {
 		set[id] = true
 	}
-	return func(e Event) bool {
-		id, ok := e.agentID()
-		return ok && set[id]
-	}
+	return func(e Event) bool { return e.AgentID != 0 && set[e.AgentID] }
 }
 
 // stream decouples the single-threaded simulation from channel consumers:
 // the simulation pushes into an unbounded queue without ever blocking,
 // and a pump goroutine forwards the queue to the subscriber's channel in
-// order. After close, queued items remain deliverable; the channel closes
-// once they are drained.
+// order, taking the whole queue at a time so nothing it has delivered
+// stays reachable. After close, queued items remain deliverable; the
+// channel closes once they are drained.
 type stream[T any] struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -480,15 +282,16 @@ func (s *stream[T]) pump() {
 		for len(s.queue) == 0 && !s.closed {
 			s.cond.Wait()
 		}
-		if len(s.queue) == 0 {
-			s.mu.Unlock()
+		batch := s.queue
+		s.queue = nil
+		s.mu.Unlock()
+		if len(batch) == 0 {
 			close(s.out)
 			return
 		}
-		v := s.queue[0]
-		s.queue = s.queue[1:]
-		s.mu.Unlock()
-		s.out <- v
+		for _, v := range batch {
+			s.out <- v
+		}
 	}
 }
 
@@ -538,7 +341,7 @@ type events struct {
 // Under WithWorkers(n > 1), events from different nodes executing
 // concurrently may interleave on the channel in nondeterministic order
 // (their At timestamps stay exact and each node's own events stay
-// ordered). Consumers needing a cross-node order should sort by When,
+// ordered). Consumers needing a cross-node order should sort by At,
 // or filter with OnNode; the simulation itself remains deterministic.
 //
 // The channel closes after Network.Close, once already-queued events
@@ -611,9 +414,9 @@ subs:
 	}
 }
 
-// installTaps adapts the deployment's internal trace hooks into typed
-// events, once. The Network owns its deployment's trace; nothing else
-// writes these hooks.
+// installTaps fills Events from the deployment's internal trace hooks,
+// once. The Network owns its deployment's trace; nothing else writes
+// these hooks.
 func (nw *Network) installTaps() {
 	if nw.ev.installed {
 		return
@@ -623,50 +426,53 @@ func (nw *Network) installTaps() {
 	// Stamp events with the reporting node's clock: under a parallel
 	// executor it is exact mid-run where the executor-wide clock is only
 	// barrier-accurate.
-	now := func(node Location) time.Duration { return nw.d.NowAt(node) }
-	tr.AgentArrived = func(node Location, id uint16, kind wire.MigKind, from Location) {
-		nw.publish(AgentArrived{At: now(node), Node: node, AgentID: id, Mig: MigKind(kind), From: from})
+	emit := func(kind EventKind, node Location, e Event) {
+		e.Kind, e.At, e.Node = kind, nw.d.NowAt(node), node
+		nw.publish(e)
+	}
+	tr.AgentArrived = func(node Location, id uint16, kind MigKind, from Location) {
+		emit(EventAgentArrived, node, Event{AgentID: id, Mig: kind, Peer: from})
 	}
 	tr.AgentHalted = func(node Location, id uint16) {
-		nw.publish(AgentHalted{At: now(node), Node: node, AgentID: id})
+		emit(EventAgentHalted, node, Event{AgentID: id})
 	}
 	tr.AgentDied = func(node Location, id uint16, err error) {
-		nw.publish(AgentDied{At: now(node), Node: node, AgentID: id, Err: err})
+		emit(EventAgentDied, node, Event{AgentID: id, Err: err})
 	}
-	tr.MigrationStarted = func(node Location, id uint16, kind wire.MigKind, dest Location) {
-		nw.publish(MigrationStarted{At: now(node), Node: node, AgentID: id, Mig: MigKind(kind), Dest: dest})
+	tr.MigrationStarted = func(node Location, id uint16, kind MigKind, dest Location) {
+		emit(EventMigrationStarted, node, Event{AgentID: id, Mig: kind, Peer: dest})
 	}
-	tr.MigrationDone = func(node Location, id uint16, kind wire.MigKind, dest Location, ok bool) {
-		nw.publish(MigrationDone{At: now(node), Node: node, AgentID: id, Mig: MigKind(kind), Dest: dest, OK: ok})
+	tr.MigrationDone = func(node Location, id uint16, kind MigKind, dest Location, ok bool) {
+		emit(EventMigrationDone, node, Event{AgentID: id, Mig: kind, Peer: dest, OK: ok})
 	}
-	tr.RemoteDone = func(node Location, id uint16, kind vm.RemoteKind, dest Location, ok bool, elapsed time.Duration) {
-		nw.publish(RemoteDone{At: now(node), Node: node, AgentID: id, Op: RemoteKind(kind), Dest: dest, OK: ok, Elapsed: elapsed})
+	tr.RemoteDone = func(node Location, id uint16, op RemoteKind, dest Location, ok bool, elapsed time.Duration) {
+		emit(EventRemoteDone, node, Event{AgentID: id, Op: op, Peer: dest, OK: ok, Elapsed: elapsed})
 	}
 	tr.TupleOut = func(node Location, t Tuple) {
-		nw.publish(TupleOut{At: now(node), Node: node, Tuple: t})
+		emit(EventTupleOut, node, Event{Tuple: t})
 	}
 	tr.ReactionFired = func(node Location, id uint16, t Tuple) {
-		nw.publish(ReactionFired{At: now(node), Node: node, AgentID: id, Tuple: t})
+		emit(EventReactionFired, node, Event{AgentID: id, Tuple: t})
 	}
 	tr.NodeDied = func(node Location, cause DownCause) {
-		nw.publish(NodeDied{At: now(node), Node: node, Cause: cause})
+		emit(EventNodeDied, node, Event{Cause: cause})
 		nw.closeWatchesAt(node)
 	}
 	tr.NodeRecovered = func(node Location) {
-		nw.publish(NodeRecovered{At: now(node), Node: node})
+		emit(EventNodeRecovered, node, Event{})
 	}
 	tr.NodeMoved = func(from, to Location) {
-		nw.publish(NodeMoved{At: now(to), Node: to, From: from})
+		emit(EventNodeMoved, to, Event{Peer: from})
 		nw.rehomeWatches(from, to)
 	}
 	tr.EnergyExhausted = func(node Location, usedJ float64) {
-		nw.publish(EnergyExhausted{At: now(node), Node: node, UsedJ: usedJ})
+		emit(EventEnergyExhausted, node, Event{UsedJ: usedJ})
 	}
 	tr.ReplicaSynced = func(node, peer Location, added, removed int) {
-		nw.publish(ReplicaSynced{At: now(node), Node: node, Peer: peer, Added: added, Removed: removed})
+		emit(EventReplicaSynced, node, Event{Peer: peer, Added: added, Removed: removed})
 	}
 	tr.TupleRecovered = func(node Location, t Tuple) {
-		nw.publish(TupleRecovered{At: now(node), Node: node, Tuple: t})
+		emit(EventTupleRecovered, node, Event{Tuple: t})
 	}
 }
 

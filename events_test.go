@@ -1,10 +1,11 @@
 package agilla_test
 
-// Tests for the typed event stream: subscription, filtering, variant
-// payloads, Close semantics, and the readable String forms of the public
+// Tests for the event stream: subscription, filtering, per-kind fields,
+// Close semantics, and the readable String forms of events and the public
 // enums.
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -39,32 +40,32 @@ func TestEventsObserveAgentLifecycle(t *testing.T) {
 	var arrived, started, migDone, halted, tupleOut int
 	var lastWhen time.Duration
 	for _, e := range events {
-		if e.When() < lastWhen {
-			t.Fatalf("events out of order: %v after %v", e.When(), lastWhen)
+		if e.At < lastWhen {
+			t.Fatalf("events out of order: %v after %v", e.At, lastWhen)
 		}
-		lastWhen = e.When()
-		switch ev := e.(type) {
-		case agilla.AgentArrived:
+		lastWhen = e.At
+		switch e.Kind {
+		case agilla.EventAgentArrived:
 			arrived++
-			if ev.AgentID != ag.ID() || ev.Mig != agilla.MigInject {
-				t.Errorf("arrival = %+v", ev)
+			if e.AgentID != ag.ID() || e.Mig != agilla.MigInject {
+				t.Errorf("arrival = %+v", e)
 			}
-			if ev.Node != agilla.Loc(3, 1) {
-				t.Errorf("arrived at %v, want (3,1)", ev.Node)
+			if e.Node != agilla.Loc(3, 1) {
+				t.Errorf("arrived at %v, want (3,1)", e.Node)
 			}
-		case agilla.MigrationStarted:
+		case agilla.EventMigrationStarted:
 			started++
-		case agilla.MigrationDone:
+		case agilla.EventMigrationDone:
 			migDone++
-			if !ev.OK {
-				t.Errorf("hop failed on a reliable radio: %v", ev)
+			if !e.OK {
+				t.Errorf("hop failed on a reliable radio: %v", e)
 			}
-		case agilla.AgentHalted:
+		case agilla.EventAgentHalted:
 			halted++
-			if ev.AgentID != ag.ID() || ev.Node != agilla.Loc(3, 1) {
-				t.Errorf("halt = %+v", ev)
+			if e.AgentID != ag.ID() || e.Node != agilla.Loc(3, 1) {
+				t.Errorf("halt = %+v", e)
 			}
-		case agilla.TupleOut:
+		case agilla.EventTupleOut:
 			tupleOut++
 		}
 	}
@@ -99,8 +100,8 @@ func TestEventFilters(t *testing.T) {
 	if len(events) != 1 {
 		t.Fatalf("filtered stream delivered %d events, want 1: %v", len(events), events)
 	}
-	out := events[0].(agilla.TupleOut)
-	if out.Node != far || out.Tuple.Fields[0].A != 2 {
+	out := events[0]
+	if out.Kind != agilla.EventTupleOut || out.Node != far || out.Tuple.Fields[0].A != 2 {
 		t.Fatalf("wrong event passed the filter: %v", out)
 	}
 }
@@ -164,8 +165,8 @@ func TestReactionFiredEvent(t *testing.T) {
 	if len(events) != 1 {
 		t.Fatalf("reaction events = %d, want 1: %v", len(events), events)
 	}
-	rf := events[0].(agilla.ReactionFired)
-	if rf.AgentID != ag.ID() || rf.Node != mote || rf.Tuple.Fields[0].S != "fir" {
+	rf := events[0]
+	if rf.Kind != agilla.EventReactionFired || rf.AgentID != ag.ID() || rf.Node != mote || rf.Tuple.Fields[0].S != "fir" {
 		t.Fatalf("reaction event = %+v", rf)
 	}
 }
@@ -188,20 +189,21 @@ func TestEventsAfterCloseAreDropped(t *testing.T) {
 }
 
 // TestEnumStrings pins the readable forms used by event logs and test
-// failures.
+// failures, and the predicates of the aliased migration enum.
 func TestEnumStrings(t *testing.T) {
 	cases := []struct {
 		got, want string
 	}{
 		{agilla.MigInject.String(), "inject"},
 		{agilla.MigStrongMove.String(), "smove"},
+		{agilla.MigWeakMove.String(), "wmove"},
+		{agilla.MigStrongClone.String(), "sclone"},
 		{agilla.MigWeakClone.String(), "wclone"},
 		{agilla.RemoteOut.String(), "rout"},
 		{agilla.RemoteInp.String(), "rinp"},
 		{agilla.RemoteRdp.String(), "rrdp"},
-		{agilla.EventReactionFired.String(), "reaction-fired"},
-		{agilla.EventReplicaSynced.String(), "replica-synced"},
-		{agilla.EventTupleRecovered.String(), "tuple-recovered"},
+		{agilla.EventKind(0).String(), "event(0)"},
+		{agilla.EventKind(15).String(), "event(15)"},
 		{agilla.AgentReady.String(), "ready"},
 		{agilla.AgentWaiting.String(), "waiting"},
 		{agilla.AgentDead.String(), "dead"},
@@ -213,29 +215,80 @@ func TestEnumStrings(t *testing.T) {
 			t.Errorf("String() = %q, want %q", c.got, c.want)
 		}
 	}
+	for _, c := range []struct {
+		k             agilla.MigKind
+		strong, clone bool
+	}{
+		{agilla.MigStrongMove, true, false},
+		{agilla.MigWeakMove, false, false},
+		{agilla.MigStrongClone, true, true},
+		{agilla.MigWeakClone, false, true},
+		{agilla.MigInject, true, false},
+	} {
+		if c.k.Strong() != c.strong || c.k.Clone() != c.clone {
+			t.Errorf("%v: Strong=%v Clone=%v, want %v %v", c.k, c.k.Strong(), c.k.Clone(), c.strong, c.clone)
+		}
+	}
 }
 
-// TestEventStringsReadable spot-checks the variant String forms.
+// TestEventStringsReadable pins the String form (and kind name) of every
+// event kind; -watch transcripts and the examples print exactly these.
 func TestEventStringsReadable(t *testing.T) {
-	e := agilla.MigrationDone{
-		At: time.Second, Node: agilla.Loc(1, 1), AgentID: 257,
-		Mig: agilla.MigStrongMove, Dest: agilla.Loc(2, 1), OK: true,
+	n, p := agilla.Loc(2, 1), agilla.Loc(1, 1)
+	tup := agilla.T(agilla.Str("sv"), agilla.Int(7))
+	cases := []struct {
+		e          agilla.Event
+		kind, want string
+	}{
+		{agilla.Event{Kind: agilla.EventAgentArrived, AgentID: 257, Mig: agilla.MigInject, Peer: p},
+			"agent-arrived", "agent 257 arrived at (2,1) from (1,1) (inject)"},
+		{agilla.Event{Kind: agilla.EventAgentHalted, AgentID: 257},
+			"agent-halted", "agent 257 halted at (2,1)"},
+		{agilla.Event{Kind: agilla.EventAgentDied, AgentID: 257, Err: errors.New("boom")},
+			"agent-died", "agent 257 died at (2,1): boom"},
+		{agilla.Event{Kind: agilla.EventAgentDied, AgentID: 257, Err: agilla.ErrNodeDown},
+			"agent-died", "agent 257 died at (2,1): core: node is down"},
+		{agilla.Event{Kind: agilla.EventMigrationStarted, AgentID: 257, Mig: agilla.MigWeakClone, Peer: p},
+			"migration-started", "agent 257 wclone (2,1) -> (1,1)"},
+		{agilla.Event{Kind: agilla.EventMigrationDone, AgentID: 257, Mig: agilla.MigStrongMove, Peer: p, OK: true},
+			"migration-done", "agent 257 smove (2,1) -> (1,1) ok"},
+		{agilla.Event{Kind: agilla.EventMigrationDone, AgentID: 257, Mig: agilla.MigStrongClone, Peer: p},
+			"migration-done", "agent 257 sclone (2,1) -> (1,1) failed"},
+		{agilla.Event{Kind: agilla.EventRemoteDone, AgentID: 257, Op: agilla.RemoteRdp, Peer: p, OK: true, Elapsed: 55 * time.Millisecond},
+			"remote-done", "agent 257 rrdp (2,1) -> (1,1) ok in 55ms"},
+		{agilla.Event{Kind: agilla.EventRemoteDone, AgentID: 257, Op: agilla.RemoteOut, Peer: p, Elapsed: 2 * time.Second},
+			"remote-done", "agent 257 rout (2,1) -> (1,1) failed in 2s"},
+		{agilla.Event{Kind: agilla.EventTupleOut, Tuple: tup},
+			"tuple-out", `tuple <"sv", 7> out at (2,1)`},
+		{agilla.Event{Kind: agilla.EventReactionFired, AgentID: 257, Tuple: tup},
+			"reaction-fired", `reaction of agent 257 fired at (2,1) on <"sv", 7>`},
+		{agilla.Event{Kind: agilla.EventNodeDied, Cause: agilla.CauseKilled},
+			"node-died", "node (2,1) died (killed)"},
+		{agilla.Event{Kind: agilla.EventNodeDied, Cause: agilla.CauseEnergy},
+			"node-died", "node (2,1) died (energy)"},
+		{agilla.Event{Kind: agilla.EventNodeRecovered},
+			"node-recovered", "node (2,1) recovered"},
+		{agilla.Event{Kind: agilla.EventNodeMoved, Peer: p},
+			"node-moved", "node moved (1,1) -> (2,1)"},
+		{agilla.Event{Kind: agilla.EventEnergyExhausted, UsedJ: 0.0200004},
+			"energy-exhausted", "node (2,1) exhausted its battery (0.02 J)"},
+		{agilla.Event{Kind: agilla.EventReplicaSynced, Peer: p, Added: 3, Removed: 1},
+			"replica-synced", "node (2,1) synced replica from (1,1) (+3 -1)"},
+		{agilla.Event{Kind: agilla.EventTupleRecovered, Tuple: tup},
+			"tuple-recovered", `node (2,1) recovered tuple <"sv", 7>`},
 	}
-	if got := e.String(); got != "agent 257 smove (1,1) -> (2,1) ok" {
-		t.Errorf("MigrationDone.String() = %q", got)
+	seen := map[agilla.EventKind]bool{}
+	for _, c := range cases {
+		c.e.At, c.e.Node = time.Second, n
+		seen[c.e.Kind] = true
+		if got := c.e.Kind.String(); got != c.kind {
+			t.Errorf("kind %d String() = %q, want %q", c.e.Kind, got, c.kind)
+		}
+		if got := c.e.String(); got != c.want {
+			t.Errorf("%v String() = %q, want %q", c.e.Kind, got, c.want)
+		}
 	}
-	h := agilla.AgentHalted{At: time.Second, Node: agilla.Loc(2, 1), AgentID: 257}
-	if got := h.String(); got != "agent 257 halted at (2,1)" {
-		t.Errorf("AgentHalted.String() = %q", got)
-	}
-	rs := agilla.ReplicaSynced{
-		At: time.Second, Node: agilla.Loc(2, 1), Peer: agilla.Loc(1, 1), Added: 3, Removed: 1,
-	}
-	if got := rs.String(); got != "node (2,1) synced replica from (1,1) (+3 -1)" {
-		t.Errorf("ReplicaSynced.String() = %q", got)
-	}
-	tr := agilla.TupleRecovered{At: time.Second, Node: agilla.Loc(2, 1), Tuple: agilla.T(agilla.Str("sv"))}
-	if got := tr.String(); got != `node (2,1) recovered tuple <"sv">` {
-		t.Errorf("TupleRecovered.String() = %q", got)
+	if len(seen) != 14 {
+		t.Errorf("table covers %d kinds, want all 14", len(seen))
 	}
 }

@@ -41,10 +41,8 @@ func (n *Node) InjectAgent(code []byte, dest topology.Location) (uint16, error) 
 	}
 	rec.state = AgentMigrating
 	snap := n.snapshotAgent(rec, wire.MigInject, dest)
-	if n.tracker != nil {
-		n.tracker.injected(n.sim.Now(), n.loc, id)
-	}
-	if n.trace != nil && n.trace.MigrationStarted != nil {
+	n.tracker.injected(n.sim.Now(), n.loc, id)
+	if n.trace.MigrationStarted != nil {
 		n.trace.MigrationStarted(n.loc, id, wire.MigInject, dest)
 	}
 	n.sim.Schedule(n.cfg.MigSendOverhead, func() {
@@ -220,22 +218,20 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 		baseCfg.RegistryMax = 128
 	}
 
-	base, err := NewNode(s.Context(sim.Key2D(baseLoc.X, baseLoc.Y)), medium, baseLoc, 0, nil, baseCfg, trace)
+	base, err := newNode(s.Context(sim.Key2D(baseLoc.X, baseLoc.Y)), medium, baseLoc, 0, nil, baseCfg, trace, d.tracker)
 	if err != nil {
 		return nil, fmt.Errorf("core: base station: %w", err)
 	}
-	base.tracker = d.tracker
 	d.Base = base
 	d.nodes[baseLoc] = base
 
 	idx := uint8(1)
 	for _, loc := range spec.Layout.Nodes {
 		board := sensor.NewBoard(loc, spec.Field, sensor.DefaultSensors()...)
-		n, err := NewNode(s.Context(sim.Key2D(loc.X, loc.Y)), medium, loc, idx, board, spec.Node, trace)
+		n, err := newNode(s.Context(sim.Key2D(loc.X, loc.Y)), medium, loc, idx, board, spec.Node, trace, d.tracker)
 		if err != nil {
 			return nil, fmt.Errorf("core: node %v: %w", loc, err)
 		}
-		n.tracker = d.tracker
 		if spec.Energy != nil {
 			n.SetEnergy(*spec.Energy)
 		}

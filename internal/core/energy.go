@@ -224,7 +224,7 @@ func (n *Node) charge(nj uint64) {
 // node).
 func (n *Node) exhaust() {
 	n.stats.EnergyDeaths++
-	if n.trace != nil && n.trace.EnergyExhausted != nil {
+	if n.trace.EnergyExhausted != nil {
 		n.trace.EnergyExhausted(n.loc, float64(n.bat.used)/1e9)
 	}
 	n.Crash(CauseEnergy)

@@ -122,7 +122,7 @@ func (n *Node) engineStep() {
 			return // a host call inside the instruction (sense) emptied the battery
 		}
 		n.stats.InstrExecuted++
-		if n.trace != nil && n.trace.InstrExecuted != nil {
+		if n.trace.InstrExecuted != nil {
 			n.trace.InstrExecuted(n.loc, rec.agent.ID, out.Op)
 		}
 		if n.bat != nil {
@@ -198,10 +198,8 @@ func (n *Node) applyEffect(rec *record, out *vm.Outcome) {
 	case vm.EffectHalt:
 		rec.state = AgentDead
 		n.stats.AgentsHalted++
-		if n.tracker != nil {
-			n.tracker.finish(n.sim.Now(), n.loc, rec.agent.ID, true, nil)
-		}
-		if n.trace != nil && n.trace.AgentHalted != nil {
+		n.tracker.finish(n.sim.Now(), n.loc, rec.agent.ID, true, nil)
+		if n.trace.AgentHalted != nil {
 			n.trace.AgentHalted(n.loc, rec.agent.ID)
 		}
 		n.reclaim(rec.agent.ID)
@@ -240,10 +238,8 @@ func (n *Node) applyEffect(rec *record, out *vm.Outcome) {
 func (n *Node) killAgent(rec *record, err error) {
 	rec.state = AgentDead
 	n.stats.AgentsDied++
-	if n.tracker != nil {
-		n.tracker.finish(n.sim.Now(), n.loc, rec.agent.ID, false, err)
-	}
-	if n.trace != nil && n.trace.AgentDied != nil {
+	n.tracker.finish(n.sim.Now(), n.loc, rec.agent.ID, false, err)
+	if n.trace.AgentDied != nil {
 		n.trace.AgentDied(n.loc, rec.agent.ID, err)
 	}
 	n.reclaim(rec.agent.ID)

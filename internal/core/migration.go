@@ -114,10 +114,8 @@ func (n *Node) startMigration(rec *record, out vm.Outcome) {
 	}
 	rec.state = AgentMigrating
 	snap := n.snapshotAgent(rec, kind, dest)
-	if n.tracker != nil {
-		n.tracker.migStarted(n.sim.Now(), n.loc, rec.agent.ID)
-	}
-	if n.trace != nil && n.trace.MigrationStarted != nil {
+	n.tracker.migStarted(n.sim.Now(), n.loc, rec.agent.ID)
+	if n.trace.MigrationStarted != nil {
 		n.trace.MigrationStarted(n.loc, rec.agent.ID, kind, dest)
 	}
 	// Packaging the agent costs CPU time before the first byte is sent.
@@ -144,9 +142,7 @@ func (n *Node) migrateToSelf(rec *record, kind wire.MigKind) {
 			n.resumeAgent(rec, 0)
 			return
 		}
-		if n.tracker != nil {
-			n.tracker.cloned(n.sim.Now(), n.loc, rec.agent.ID, clone.ID)
-		}
+		n.tracker.cloned(n.sim.Now(), n.loc, rec.agent.ID, clone.ID)
 		if kind.Strong() {
 			// The clone inherits the parent's registered reactions.
 			for _, r := range n.registry.ForAgent(rec.agent.ID) {
@@ -354,14 +350,14 @@ func (n *Node) recvMigrationAck(f radio.Frame) {
 func (n *Node) finishTransferOK(om *outMigration) {
 	n.clearOut(om)
 	n.stats.MigrationsOK++
-	isClone := om.snap.kind == wire.MigStrongClone || om.snap.kind == wire.MigWeakClone
+	isClone := om.snap.kind.Clone()
 	// Clone transfers travel under the parent's ID (the clone's ID is
 	// minted at the destination), so crediting these hops would inflate
 	// a stationary cloning agent's hop count.
-	if n.tracker != nil && !isClone {
+	if !isClone {
 		n.tracker.hopDone(n.sim.Now(), n.loc, om.key.agentID, true)
 	}
-	if n.trace != nil && n.trace.MigrationDone != nil {
+	if n.trace.MigrationDone != nil {
 		n.trace.MigrationDone(n.loc, om.key.agentID, om.snap.kind, om.snap.dest, true)
 	}
 	if om.origin && isClone {
@@ -380,10 +376,8 @@ func (n *Node) finishTransferOK(om *outMigration) {
 func (n *Node) failTransfer(om *outMigration) {
 	n.clearOut(om)
 	n.stats.MigrationsFail++
-	if n.tracker != nil {
-		n.tracker.hopDone(n.sim.Now(), n.loc, om.key.agentID, false)
-	}
-	if n.trace != nil && n.trace.MigrationDone != nil {
+	n.tracker.hopDone(n.sim.Now(), n.loc, om.key.agentID, false)
+	if n.trace.MigrationDone != nil {
 		n.trace.MigrationDone(n.loc, om.key.agentID, om.snap.kind, om.snap.dest, false)
 	}
 	n.resumeAgent(om.rec, 0)
@@ -628,7 +622,7 @@ func (n *Node) finalizeIn(im *inMigration) {
 
 	atDest := n.loc == st.Dest
 	id := st.AgentID
-	isClone := st.Kind == wire.MigStrongClone || st.Kind == wire.MigWeakClone
+	isClone := st.Kind.Clone()
 	if atDest && isClone {
 		// "A cloned agent is assigned a new ID" (§3.3).
 		id = n.NextAgentID()
@@ -676,7 +670,7 @@ func (n *Node) finalizeIn(im *inMigration) {
 		rec.state = AgentReady
 		a.Condition = 1
 		n.enqueue(rec)
-		if isClone && n.tracker != nil {
+		if isClone {
 			n.tracker.cloned(n.sim.Now(), n.loc, st.AgentID, id)
 		}
 		n.noteArrival(id, st.Kind, im.key.from)

@@ -104,7 +104,7 @@ func (rec *record) popFiring() firing {
 }
 
 // Node is one simulated mote running the Agilla middleware.
-// Construct with NewNode; not safe for concurrent use. Under a parallel
+// Constructed by NewDeployment; not safe for concurrent use. Under a parallel
 // executor the node is confined to its scheduling context's shard: its
 // engine, tuple space, registry, and protocol state are only ever touched
 // by events running there.
@@ -141,8 +141,8 @@ type Node struct {
 	served  map[servedKey]servedReply // responder-side reply cache
 	led     int16
 	stats   NodeStats
-	trace   *Trace
-	tracker *agentTracker // deployment-wide agent registry; nil for bare nodes
+	trace   *Trace        // the deployment's hook table; never nil
+	tracker *agentTracker // deployment-wide agent registry; never nil
 
 	life   LifeState // up / down / recovering (see world.go)
 	bat    *battery  // nil when the deployment has no energy model
@@ -151,12 +151,13 @@ type Node struct {
 	repl *replicaState // nil without replication (see replica.go)
 }
 
-// NewNode builds a mote at loc, attaches it to the medium, and seeds its
+// newNode builds a mote at loc, attaches it to the medium, and seeds its
 // tuple space with the pre-defined context tuples (§2.2). The board may be
-// nil for a sensorless node. The context must be the one keyed to loc
+// nil for a sensorless node; trace and tracker are the deployment's and
+// are used unguarded. The context must be the one keyed to loc
 // (sim.Key2D), the same context the medium registers on Attach, so the
 // node's timers and the radio's deliveries share one ordering identity.
-func NewNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, nodeIndex uint8, board *sensor.Board, cfg Config, trace *Trace) (*Node, error) {
+func newNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, nodeIndex uint8, board *sensor.Board, cfg Config, trace *Trace, tracker *agentTracker) (*Node, error) {
 	cfg = cfg.withDefaults()
 	n := &Node{
 		sim:       s,
@@ -175,6 +176,7 @@ func NewNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, nodeIndex 
 		remote:    make(map[uint16]*pendingRemote),
 		served:    make(map[servedKey]servedReply),
 		trace:     trace,
+		tracker:   tracker,
 	}
 	n.stepFn = n.engineStep
 	n.burst = cfg.Exec != ExecStep
@@ -276,9 +278,7 @@ func (n *Node) KillAgent(id uint16) bool {
 		return false
 	}
 	rec.state = AgentDead
-	if n.tracker != nil {
-		n.tracker.finish(n.sim.Now(), n.loc, id, false, nil)
-	}
+	n.tracker.finish(n.sim.Now(), n.loc, id, false, nil)
 	n.reclaim(id)
 	return true
 }
@@ -348,10 +348,8 @@ func (n *Node) reclaim(id uint16) {
 }
 
 func (n *Node) noteArrival(id uint16, kind wire.MigKind, from topology.Location) {
-	if n.tracker != nil {
-		n.tracker.arrived(n.sim.Now(), n.loc, id, kind)
-	}
-	if n.trace != nil && n.trace.AgentArrived != nil {
+	n.tracker.arrived(n.sim.Now(), n.loc, id, kind)
+	if n.trace.AgentArrived != nil {
 		n.trace.AgentArrived(n.loc, id, kind, from)
 	}
 }
@@ -359,7 +357,7 @@ func (n *Node) noteArrival(id uint16, kind wire.MigKind, from topology.Location)
 // onTupleInserted is the tuple space manager's insert hook: it wakes
 // blocked agents and fires matching reactions (§3.2).
 func (n *Node) onTupleInserted(t tuplespace.Tuple) {
-	if n.trace != nil && n.trace.TupleOut != nil {
+	if n.trace.TupleOut != nil {
 		n.trace.TupleOut(n.loc, t)
 	}
 	// Wake agents blocked on in/rd whose template matches; they re-run
@@ -382,7 +380,7 @@ func (n *Node) onTupleInserted(t tuplespace.Tuple) {
 		}
 		rec.pending = append(rec.pending, firing{pc: rxn.PC, tuple: t})
 		n.stats.ReactionsFired++
-		if n.trace != nil && n.trace.ReactionFired != nil {
+		if n.trace.ReactionFired != nil {
 			n.trace.ReactionFired(n.loc, rxn.AgentID, t)
 		}
 		if rec.state == AgentWaiting || rec.state == AgentBlocked {

@@ -113,7 +113,7 @@ func (n *Node) onRemoteTimeout(pr *pendingRemote) {
 		}
 		return
 	}
-	if n.trace != nil && n.trace.RemoteDone != nil {
+	if n.trace.RemoteDone != nil {
 		n.trace.RemoteDone(n.loc, pr.rec.agent.ID, pr.kind, pr.dest, false, n.sim.Now()-pr.started)
 	}
 	// "Only probing operations are provided to prevent an agent from
@@ -254,7 +254,7 @@ func (n *Node) settleRemote(pr *pendingRemote, reply wire.RemoteReply) {
 		}
 		return
 	}
-	if n.trace != nil && n.trace.RemoteDone != nil {
+	if n.trace.RemoteDone != nil {
 		n.trace.RemoteDone(n.loc, pr.rec.agent.ID, pr.kind, pr.dest, reply.OK, n.sim.Now()-pr.started)
 	}
 	cond := int16(0)

@@ -47,9 +47,6 @@ type Replication struct {
 	K int
 	// Period is the anti-entropy tick period (default 500ms).
 	Period time.Duration
-	// Groups is the affinity-group count for key-routed lookups
-	// (default 4). 1 disables group routing.
-	Groups int
 	// MaxEntries caps each mote's replica store, live entries plus
 	// tombstones (default 128); tombstones are always admitted.
 	MaxEntries int
@@ -68,9 +65,6 @@ func (r Replication) withDefaults() Replication {
 	}
 	if r.Period <= 0 {
 		r.Period = 500 * time.Millisecond
-	}
-	if r.Groups <= 0 {
-		r.Groups = 4
 	}
 	if r.MaxEntries <= 0 {
 		r.MaxEntries = 128
@@ -110,7 +104,7 @@ type replicaState struct {
 }
 
 // EnableReplication attaches the gossip CRDT layer to the node. Call after
-// NewNode and before Start; rng must be a dedicated deterministic stream
+// construction and before Start; rng must be a dedicated deterministic stream
 // (the deployment derives one per node from the seed). Context tuples
 // seeded before this call are deliberately untracked — they are per-node
 // state, not application data.
@@ -354,7 +348,7 @@ func (n *Node) recvReplicaDelta(f radio.Frame) {
 			})
 			if recovered {
 				n.stats.TuplesRecovered++
-				if n.trace != nil && n.trace.TupleRecovered != nil {
+				if n.trace.TupleRecovered != nil {
 					n.trace.TupleRecovered(n.loc, e.Tuple)
 				}
 			}
@@ -364,7 +358,7 @@ func (n *Node) recvReplicaDelta(f radio.Frame) {
 		// Merged state is news to every neighbor except the sender: wake
 		// the next gossip tick so the delta keeps propagating.
 		r.dirty = true
-		if n.trace != nil && n.trace.ReplicaSynced != nil {
+		if n.trace.ReplicaSynced != nil {
 			n.trace.ReplicaSynced(n.loc, f.Src, added, removed)
 		}
 	}

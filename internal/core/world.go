@@ -10,7 +10,6 @@ import (
 	"github.com/agilla-go/agilla/internal/sim"
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
-	"github.com/agilla-go/agilla/internal/wire"
 )
 
 // World dynamics: node churn (kill/revive), mobility, and the events that
@@ -123,10 +122,8 @@ func (n *Node) Crash(cause DownCause) bool {
 			rec.wake = nil
 		}
 		n.stats.AgentsDied++
-		if n.tracker != nil {
-			n.tracker.finish(n.sim.Now(), n.loc, id, false, ErrNodeDown)
-		}
-		if n.trace != nil && n.trace.AgentDied != nil {
+		n.tracker.finish(n.sim.Now(), n.loc, id, false, ErrNodeDown)
+		if n.trace.AgentDied != nil {
 			n.trace.AgentDied(n.loc, id, ErrNodeDown)
 		}
 	}
@@ -175,13 +172,11 @@ func (n *Node) Crash(cause DownCause) bool {
 		// nothing: the sender times out and fails over. Clone transfers
 		// travel under the parent's ID while the parent lives on at the
 		// origin, so only moves and injections die.
-		if im.finalizing && !(im.st.Kind == wire.MigStrongClone || im.st.Kind == wire.MigWeakClone) {
+		if im.finalizing && !im.st.Kind.Clone() {
 			id := im.key.agentID
 			n.stats.AgentsDied++
-			if n.tracker != nil {
-				n.tracker.finish(n.sim.Now(), n.loc, id, false, ErrNodeDown)
-			}
-			if n.trace != nil && n.trace.AgentDied != nil {
+			n.tracker.finish(n.sim.Now(), n.loc, id, false, ErrNodeDown)
+			if n.trace.AgentDied != nil {
 				n.trace.AgentDied(n.loc, id, ErrNodeDown)
 			}
 		}
@@ -211,7 +206,7 @@ func (n *Node) Crash(cause DownCause) bool {
 	n.registry = tuplespace.NewRegistry(n.cfg.RegistryBytes, n.cfg.RegistryMax)
 	n.instr = NewInstrMem(n.cfg.CodeBlocks)
 	n.led = 0
-	if n.trace != nil && n.trace.NodeDied != nil {
+	if n.trace.NodeDied != nil {
 		n.trace.NodeDied(n.loc, cause)
 	}
 	return true
@@ -240,7 +235,7 @@ func (n *Node) Recover() bool {
 		// Restarted gossip opens with a near-empty digest — the invitation
 		// for neighbors to stream this node's tuples back (TupleRecovered).
 		n.startGossip()
-		if n.trace != nil && n.trace.NodeRecovered != nil {
+		if n.trace.NodeRecovered != nil {
 			n.trace.NodeRecovered(n.loc)
 		}
 	})
@@ -267,10 +262,8 @@ func (n *Node) applyMove(to topology.Location) {
 	}
 	// Agents ride along: re-point their tracked records so handles
 	// resolve to the new address (Location/Host/Kill keep working).
-	if n.tracker != nil {
-		for _, id := range n.AgentIDs() {
-			n.tracker.rehome(n.sim.Now(), to, id)
-		}
+	for _, id := range n.AgentIDs() {
+		n.tracker.rehome(n.sim.Now(), to, id)
 	}
 	if n.life == NodeUp {
 		// Refresh the location context tuple (§2.2); the insertion runs
@@ -281,7 +274,7 @@ func (n *Node) applyMove(to topology.Location) {
 			_ = n.space.Out(tuplespace.T(tuplespace.Str("loc"), tuplespace.LocV(to)))
 		})
 	}
-	if n.trace != nil && n.trace.NodeMoved != nil {
+	if n.trace.NodeMoved != nil {
 		n.trace.NodeMoved(from, to)
 	}
 }

@@ -373,46 +373,3 @@ func dotHash(o Origin) uint32 {
 		byte(o.Node.Y), byte(uint16(o.Node.Y)>>8),
 		byte(o.Seq), byte(o.Seq>>8))
 }
-
-// --- affinity groups ----------------------------------------------------
-
-// KeyOf returns the tuple's placement key: the encoding of its first
-// field. ok is false for the empty tuple, which has no key and hashes
-// nowhere.
-func KeyOf(t tuplespace.Tuple) ([]byte, bool) {
-	if len(t.Fields) == 0 {
-		return nil, false
-	}
-	return t.Fields[0].Marshal(nil), true
-}
-
-// KeyOfTemplate returns the template's placement key, if its first field
-// is concrete. A leading wildcard (KindType) has no key — queries built
-// on it cannot be routed by group and fall back to fan-out.
-func KeyOfTemplate(p tuplespace.Template) ([]byte, bool) {
-	if len(p.Fields) == 0 || p.Fields[0].Kind == tuplespace.KindType {
-		return nil, false
-	}
-	return p.Fields[0].Marshal(nil), true
-}
-
-// GroupOfKey hashes a placement key to its affinity group in [0, groups).
-func GroupOfKey(key []byte, groups int) int {
-	if groups <= 1 {
-		return 0
-	}
-	return int(fnv32a(fnvOffset32, key...) % uint32(groups))
-}
-
-// GroupOfNode hashes a node location to the affinity group it belongs to.
-// Group routing asks a key's group members first: with gossip replication
-// any node can answer, so the group is a lookup bias (kelips-style O(1)
-// placement), not a storage partition.
-func GroupOfNode(loc topology.Location, groups int) int {
-	if groups <= 1 {
-		return 0
-	}
-	return int(fnv32a(fnvOffset32,
-		byte(loc.X), byte(uint16(loc.X)>>8),
-		byte(loc.Y), byte(uint16(loc.Y)>>8)) % uint32(groups))
-}

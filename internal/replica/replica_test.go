@@ -176,36 +176,6 @@ func TestFindLocalAndLiveMatch(t *testing.T) {
 	}
 }
 
-func TestAffinityGroups(t *testing.T) {
-	key, ok := KeyOf(tup(1))
-	if !ok {
-		t.Fatal("KeyOf rejected a keyed tuple")
-	}
-	if _, ok := KeyOf(tuplespace.T()); ok {
-		t.Fatal("KeyOf accepted the empty tuple")
-	}
-	// Template with a concrete first field routes; a leading wildcard
-	// cannot.
-	if _, ok := KeyOfTemplate(tuplespace.Tmpl(tuplespace.Str("k"), tuplespace.TypeV(tuplespace.TypeValue))); !ok {
-		t.Fatal("concrete-keyed template did not yield a key")
-	}
-	if _, ok := KeyOfTemplate(tuplespace.Tmpl(tuplespace.TypeV(tuplespace.TypeString))); ok {
-		t.Fatal("wildcard-keyed template yielded a key")
-	}
-	g := GroupOfKey(key, 4)
-	if g < 0 || g >= 4 {
-		t.Fatalf("group %d out of range", g)
-	}
-	// The tuple and the template matching it must land in the same group.
-	tkey, _ := KeyOfTemplate(tuplespace.Tmpl(tuplespace.Str("k"), tuplespace.Int(1)))
-	if GroupOfKey(tkey, 4) != g {
-		t.Fatal("tuple and matching template hash to different groups")
-	}
-	if GroupOfNode(topology.Loc(1, 1), 1) != 0 {
-		t.Fatal("single group must be group 0")
-	}
-}
-
 // --- differential oracle --------------------------------------------------
 
 // refSet is the store as it was before the ordered one: a map of entries,

@@ -138,6 +138,9 @@ func (k MigKind) Strong() bool {
 	return k == MigStrongMove || k == MigStrongClone || k == MigInject
 }
 
+// Clone reports whether the original keeps running.
+func (k MigKind) Clone() bool { return k == MigStrongClone || k == MigWeakClone }
+
 // StateMsg opens a migration. It is the first message of every transfer and
 // carries the register file plus the counts the receiver needs to know when
 // the transfer is complete. Encoded size is exactly StateMsgSize.

@@ -25,11 +25,10 @@ func ReliableRadio() RadioParams { return radio.ZeroLoss() }
 
 // Replication configures the gossip CRDT replication layer: each mote's
 // tuple space doubles as a replicated two-phase set synchronized to K
-// radio neighbors by anti-entropy gossip every Period, tuple keys hash to
-// one of Groups affinity groups for routed lookups, and MaxEntries caps
-// each mote's replica store. Zero fields select defaults (K=2, Period=
-// 500ms, Groups=4, MaxEntries=128). See WithReplication and the README's
-// "Replication" section.
+// radio neighbors by anti-entropy gossip every Period, and MaxEntries
+// caps each mote's replica store. Zero fields select defaults (K=2,
+// Period=500ms, MaxEntries=128, QuiescentEvery=8). See WithReplication
+// and the README's "Replication" section.
 type Replication = core.Replication
 
 // settings is the resolved configuration behind New.
@@ -79,7 +78,7 @@ func WithNodeConfig(cfg NodeConfig) Option {
 // WithEnergy gives every mote a battery under the given model: joule
 // costs per VM instruction, radio send/receive, and sensor sample, plus
 // idle drain. A mote whose battery empties dies exactly there
-// (EnergyExhausted then NodeDied events) and the network routes around
+// (EventEnergyExhausted then EventNodeDied) and the network routes around
 // it; ReviveAt/Revive boots it with fresh cells. The base station is
 // mains powered. Start from DefaultEnergyModel and adjust CapacityJ to
 // taste.
@@ -109,10 +108,10 @@ func WithAdmissionBudget(budgetJ float64) Option {
 // gossips its tuple-space replica to k radio neighbors each period, so a
 // tuple survives its node's death, a remote rrdp/rinp can be answered
 // from any mote's replica when the arena misses, and a recovered mote
-// gets its own tuples streamed back by its neighbors (TupleRecovered
+// gets its own tuples streamed back by its neighbors (EventTupleRecovered
 // events). Values of 0 select the defaults (k=2, period 500ms). Gossip
 // frames cost energy under WithEnergy like all other radio traffic.
-// For the remaining knobs (affinity Groups, MaxEntries) use
+// For the remaining knobs (MaxEntries, QuiescentEvery) use
 // WithReplicationConfig.
 func WithReplication(k int, period time.Duration) Option {
 	return WithReplicationConfig(Replication{K: k, Period: period})

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"github.com/agilla-go/agilla/internal/core"
-	"github.com/agilla-go/agilla/internal/replica"
 	"github.com/agilla-go/agilla/internal/tuplespace"
 	"github.com/agilla-go/agilla/internal/wire"
 )
@@ -120,44 +119,8 @@ type Match struct {
 // motes whose operation timed out, indistinguishable end to end from
 // no-match by design (§2.2) — simply contribute nothing. The error is
 // non-nil only if the simulation itself fails.
-//
-// Under WithReplication the fan-out is routed: the template's key hashes
-// to an affinity group, the motes of that group — where gossip
-// concentrates replicas of matching tuples — are probed first, and the
-// rest of the network is probed only if the group comes up empty. A keyed
-// lookup that the group answers therefore costs |group| operations
-// instead of |network|. Templates with no key (leading wildcard field)
-// fall back to the flat fan-out.
 func (rc *RemoteClient) Query(p Template) ([]Match, error) {
 	locs := rc.nw.Locations()
-	if cfg := rc.nw.Replication(); cfg != nil && cfg.Groups > 1 {
-		if key, ok := replica.KeyOfTemplate(p); ok {
-			g := replica.GroupOfKey(key, cfg.Groups)
-			group := make([]Location, 0, len(locs))
-			rest := make([]Location, 0, len(locs))
-			for _, loc := range locs {
-				if replica.GroupOfNode(loc, cfg.Groups) == g {
-					group = append(group, loc)
-				} else {
-					rest = append(rest, loc)
-				}
-			}
-			matches, err := rc.queryLocs(group, p)
-			if err != nil || len(matches) > 0 {
-				return matches, err
-			}
-			return rc.queryLocs(rest, p)
-		}
-	}
-	return rc.queryLocs(locs, p)
-}
-
-// queryLocs fans one rrdp out to the given motes and gathers replies in
-// the order given.
-func (rc *RemoteClient) queryLocs(locs []Location, p Template) ([]Match, error) {
-	if len(locs) == 0 {
-		return nil, nil
-	}
 	byLoc := make(map[Location]tuplespace.Tuple, len(locs))
 	remaining := len(locs)
 	for _, loc := range locs {

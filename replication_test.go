@@ -35,7 +35,7 @@ func TestReplicationSurvivesChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := nw.Replication()
-	if cfg == nil || cfg.K != 2 || cfg.Groups == 0 {
+	if cfg == nil || cfg.K != 2 || cfg.MaxEntries == 0 {
 		t.Fatalf("Replication() = %+v, want K=2 with defaults resolved", cfg)
 	}
 	if err := nw.WarmUp(); err != nil {
@@ -121,5 +121,53 @@ func TestReplicationSurvivesChurn(t *testing.T) {
 	}
 	if nw.Space(victim).Count(tomb) != 0 {
 		t.Error("tombstoned marker back in the revived origin's arena")
+	}
+}
+
+// TestQueryAnswersFromEveryReplica: gossip replicates a tuple to every
+// mote, and any mote answers a remote rrdp from its replica store — so
+// once gossip quiesces, Query's "at most one Match per mote" is exactly
+// one Match from each live mote, for a keyed template like any other.
+func TestQueryAnswersFromEveryReplica(t *testing.T) {
+	nw, err := agilla.New(
+		agilla.WithTopology(agilla.Grid(4, 4)),
+		agilla.WithReliableRadio(),
+		agilla.WithSeed(11),
+		agilla.WithReplication(2, 300*time.Millisecond),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nw.Close()
+	if err := nw.WarmUp(); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Space(agilla.Loc(2, 3)).Out(agilla.T(agilla.Str("kp"), agilla.Int(5))); err != nil {
+		t.Fatal(err)
+	}
+	if err := nw.Run(10 * time.Second); err != nil {
+		t.Fatal(err) // let gossip carry the add to every store
+	}
+	down := agilla.Loc(4, 4)
+	if err := nw.Kill(down); err != nil {
+		t.Fatal(err)
+	}
+	matches, err := nw.Remote().Query(agilla.Tmpl(agilla.Str("kp"), agilla.Int(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []agilla.Location
+	for _, loc := range nw.Locations() {
+		if loc != down {
+			want = append(want, loc)
+		}
+	}
+	if len(matches) != len(want) {
+		t.Fatalf("Query matched %d motes, want all %d live ones: %v", len(matches), len(want), matches)
+	}
+	for i, m := range matches {
+		if m.Node != want[i] {
+			t.Fatalf("match %d from %v, want %v (deployment order)", i, m.Node, want[i])
+		}
 	}
 }

@@ -1,7 +1,7 @@
-// Package analyzers implements the repository's determinism linters: go
-// vet-compatible static analysis passes that keep wall clocks, global
-// randomness, map iteration, ad-hoc goroutines, and lock-order
-// inversions out of the simulation kernel.
+// Package analyzers implements the repository's determinism linters:
+// static analysis passes that keep wall clocks, global randomness, map
+// iteration, ad-hoc goroutines, and lock-order inversions out of the
+// simulation kernel.
 //
 // The whole point of this codebase is that a deployment's behavior is a
 // pure function of its seed — the same seed replays the same run event
@@ -9,12 +9,12 @@
 // That property is easy to break with one innocuous line: a time.Now in
 // a timeout path, a package-level rand.Intn, a `for k := range m` whose
 // order leaks into an event timestamp. These passes make such lines a
-// build-time error for the packages executed inside the kernel
+// test-time error for the packages executed inside the kernel
 // (GatedPrefixes); host-side code, tools, and tests are not gated.
 //
-// The passes run through `go vet -vettool=$(which agilla-lint)` — the
-// cmd/agilla-lint binary speaks vet's unitchecker protocol — and through
-// the in-process Check entry point used by the package's own tests.
+// The passes run in-process, in `go test ./tools/analyzers`:
+// TestKernelPackagesClean typechecks each gated package from source and
+// hands it to Check, so a plain `go test ./...` fails on a finding.
 //
 // # Suppressing a finding
 //

@@ -17,9 +17,8 @@ const modulePath = "github.com/agilla-go/agilla"
 
 // repoImporter typechecks this repository's packages from source,
 // recursively, so the determinism rules can run over the real kernel in
-// `go test` without the export data `go vet` has. Std-lib imports
-// resolve from GOROOT source; module-internal imports map onto the repo
-// tree.
+// `go test`. Std-lib imports resolve from GOROOT source; module-internal
+// imports map onto the repo tree.
 type repoImporter struct {
 	fset *token.FileSet
 	root string
@@ -99,8 +98,8 @@ func repoRoot(t *testing.T) string {
 
 // The gated kernel packages must be clean under the determinism rules:
 // every remaining flagged site carries a justified //lint: suppression.
-// This is the same check CI runs through `go vet -vettool`, kept inside
-// `go test` so a plain test run catches regressions too.
+// This is the one place the rules run over the repository, so a plain
+// `go test ./...` is the gate.
 func TestKernelPackagesClean(t *testing.T) {
 	root := repoRoot(t)
 	fset := token.NewFileSet()

@@ -48,9 +48,9 @@ const (
 // EnergyModel configures per-mote batteries: joule costs per VM
 // instruction, radio transmission/reception, and sensor sample, plus a
 // continuous idle drain. A mote whose battery empties dies on the spot
-// (EnergyExhausted, then NodeDied) and the network routes around it. The
-// zero value disables the model; DefaultEnergyModel returns MICA2-
-// calibrated costs.
+// (EventEnergyExhausted, then EventNodeDied) and the network routes
+// around it. The zero value disables the model; DefaultEnergyModel
+// returns MICA2-calibrated costs.
 type EnergyModel = core.EnergyModel
 
 // DefaultEnergyModel returns joule costs calibrated to the MICA2 mote the

@@ -176,13 +176,13 @@ func TestWorldEventsOnStream(t *testing.T) {
 	if len(got) != 3 {
 		t.Fatalf("got %d lifecycle events, want 3: %v", len(got), got)
 	}
-	if d, ok := got[0].(agilla.NodeDied); !ok || d.Node != agilla.Loc(3, 1) || d.Cause != agilla.CauseKilled {
+	if d := got[0]; d.Kind != agilla.EventNodeDied || d.Node != agilla.Loc(3, 1) || d.Cause != agilla.CauseKilled {
 		t.Fatalf("event 0 = %v", got[0])
 	}
-	if r, ok := got[1].(agilla.NodeRecovered); !ok || r.Node != agilla.Loc(3, 1) {
+	if r := got[1]; r.Kind != agilla.EventNodeRecovered || r.Node != agilla.Loc(3, 1) {
 		t.Fatalf("event 1 = %v", got[1])
 	}
-	if mv, ok := got[2].(agilla.NodeMoved); !ok || mv.From != agilla.Loc(2, 1) || mv.Node != agilla.Loc(2, 2) {
+	if mv := got[2]; mv.Kind != agilla.EventNodeMoved || mv.Peer != agilla.Loc(2, 1) || mv.Node != agilla.Loc(2, 2) {
 		t.Fatalf("event 2 = %v", got[2])
 	}
 }
@@ -225,8 +225,7 @@ func TestEnergyModelPublic(t *testing.T) {
 	}
 	nw.Close()
 	n := 0
-	for e := range deaths {
-		ex := e.(agilla.EnergyExhausted)
+	for ex := range deaths {
 		if ex.UsedJ < m.CapacityJ {
 			t.Errorf("exhausted below capacity: %v", ex)
 		}
