@@ -48,7 +48,7 @@ func main() {
 	case len(args) > 0 && args[0] == "disasm":
 		err = runDisasm(args[1:])
 	case len(args) > 0 && args[0] == "vet":
-		err = runVet(args[1:])
+		err = runVet(args[1:], os.Stdout)
 	case len(args) > 0 && args[0] == "serve":
 		err = runServe(args[1:])
 	default:

@@ -3,6 +3,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -21,7 +22,7 @@ import (
 // findings, or — under -budget — cannot be certified within the given
 // per-burst joule budget. With -strict, warnings (dead code, unreachable
 // reactions, unbounded energy) also fail.
-func runVet(args []string) error {
+func runVet(args []string, stdout io.Writer) error {
 	flags := flag.NewFlagSet("agilla vet", flag.ExitOnError)
 	budget := flags.Float64("budget", 0, "reject programs whose per-burst energy bound exceeds this many joules (0 = no cap)")
 	strict := flags.Bool("strict", false, "treat warnings as failures")
@@ -98,7 +99,7 @@ func runVet(args []string) error {
 	failed := 0
 	for _, t := range targets {
 		if t.err != nil {
-			fmt.Printf("%s: FAIL\n    %v\n", t.name, t.err)
+			fmt.Fprintf(stdout, "%s: FAIL\n    %v\n", t.name, t.err)
 			failed++
 			continue
 		}
@@ -111,10 +112,10 @@ func runVet(args []string) error {
 			verdict = "FAIL"
 			failed++
 		}
-		fmt.Printf("%s: %s\n    %s\n", t.name, verdict,
+		fmt.Fprintf(stdout, "%s: %s\n    %s\n", t.name, verdict,
 			strings.ReplaceAll(rep.String(), "\n", "\n    "))
 		if *budget > 0 && !rep.EnergyUnbounded && rep.EnergyBoundJ() > *budget {
-			fmt.Printf("    over budget: %.3g J per burst > %.3g J\n", rep.EnergyBoundJ(), *budget)
+			fmt.Fprintf(stdout, "    over budget: %.3g J per burst > %.3g J\n", rep.EnergyBoundJ(), *budget)
 		}
 	}
 	if failed > 0 {

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"github.com/agilla-go/agilla/internal/vm"
 	"github.com/agilla-go/agilla/internal/wire"
 )
 
@@ -35,13 +34,13 @@ const (
 // probing operations are provided remotely, so an agent cannot block
 // forever on message loss). String returns the instruction mnemonic
 // ("rout", "rinp", "rrdp").
-type RemoteKind = vm.RemoteKind
+type RemoteKind = wire.RemoteOp
 
 // Remote operation kinds.
 const (
-	RemoteOut = vm.RemoteOut
-	RemoteInp = vm.RemoteInp
-	RemoteRdp = vm.RemoteRdp
+	RemoteOut = wire.OpRout
+	RemoteInp = wire.OpRinp
+	RemoteRdp = wire.OpRrdp
 )
 
 // EventKind says what an Event reports and so which of its fields are

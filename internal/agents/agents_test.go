@@ -5,6 +5,7 @@ import (
 
 	"github.com/agilla-go/agilla/internal/asm"
 	"github.com/agilla-go/agilla/internal/topology"
+	"github.com/agilla-go/agilla/internal/vm"
 )
 
 func TestAllAgentsAssemble(t *testing.T) {
@@ -24,8 +25,8 @@ func TestAllAgentsAssemble(t *testing.T) {
 			t.Errorf("%s: empty program", name)
 			continue
 		}
-		if n, err := asm.Validate(code); err != nil || n == 0 {
-			t.Errorf("%s: validate = %d, %v", name, n, err)
+		if rep, err := vm.Verify(code); err != nil || rep.Instructions == 0 {
+			t.Errorf("%s: verify = %d, %v", name, rep.Instructions, err)
 		}
 	}
 }
@@ -37,7 +38,7 @@ func TestOneHopOpAllOps(t *testing.T) {
 			t.Errorf("%s: %v", op, err)
 			continue
 		}
-		if _, err := asm.Validate(code); err != nil {
+		if _, err := vm.Verify(code); err != nil {
 			t.Errorf("%s: invalid code: %v", op, err)
 		}
 	}

@@ -79,39 +79,40 @@ type stmt struct {
 	addr int
 }
 
+// result is one assembled, verified program.
+type result struct {
+	code  []byte
+	rep   vm.VerifyReport
+	stmts []stmt // one per instruction, in program order
+}
+
 // Assemble compiles source text to bytecode and statically verifies the
 // result. Parse errors wrap ErrSyntax, verification findings wrap
 // ErrVerify; both carry the source line.
 func Assemble(src string) ([]byte, error) {
-	code, _, err := AssembleReport(src)
-	return code, err
+	res, err := assemble(src)
+	return res.code, err
 }
 
-// AssembleReport is Assemble returning the static verifier's report
-// alongside the bytecode, so callers (package program) need not verify
-// a second time.
-func AssembleReport(src string) ([]byte, vm.VerifyReport, error) {
-	code, rep, _, err := AssembleWithLines(src)
-	return code, rep, err
-}
-
-// AssembleWithLines is AssembleReport additionally returning a map from
-// each instruction's byte address to its 1-based source line, so callers
-// (program.Analyze, agilla vet) can position later analysis findings the
-// same way verification findings are positioned here.
+// AssembleWithLines is Assemble additionally returning the static
+// verifier's report (so package program need not verify a second time)
+// and a map from each instruction's byte address to its 1-based source
+// line, so callers (program.Analyze, agilla vet) can position later
+// analysis findings the same way verification findings are positioned
+// here.
 func AssembleWithLines(src string) ([]byte, vm.VerifyReport, map[int]int, error) {
-	code, rep, stmts, err := assemble(src)
+	res, err := assemble(src)
 	if err != nil {
 		return nil, vm.VerifyReport{}, nil, err
 	}
-	pcLines := make(map[int]int, len(stmts))
-	for _, st := range stmts {
+	pcLines := make(map[int]int, len(res.stmts))
+	for _, st := range res.stmts {
 		pcLines[st.addr] = st.line
 	}
-	return code, rep, pcLines, nil
+	return res.code, res.rep, pcLines, nil
 }
 
-func assemble(src string) ([]byte, vm.VerifyReport, []stmt, error) {
+func assemble(src string) (result, error) {
 	lines := strings.Split(src, "\n")
 	labels := make(map[string]int)
 	consts := make(map[string]int16)
@@ -133,11 +134,11 @@ func assemble(src string) ([]byte, vm.VerifyReport, []stmt, error) {
 		// .const NAME VALUE directive.
 		if fields[0] == ".const" {
 			if len(fields) != 3 {
-				return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: %q: want .const NAME VALUE", ln+1, ErrSyntax, strings.Join(fields, " "))
+				return result{}, fmt.Errorf("line %d: %w: %q: want .const NAME VALUE", ln+1, ErrSyntax, strings.Join(fields, " "))
 			}
 			v, err := parseInt(fields[2], -32768, 32767)
 			if err != nil {
-				return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w (.const %s)", ln+1, err, fields[1])
+				return result{}, fmt.Errorf("line %d: %w (.const %s)", ln+1, err, fields[1])
 			}
 			consts[fields[1]] = int16(v)
 			continue
@@ -157,7 +158,7 @@ func assemble(src string) ([]byte, vm.VerifyReport, []stmt, error) {
 				break
 			}
 			if _, dup := labels[name]; dup {
-				return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: duplicate label %q", ln+1, ErrSyntax, name)
+				return result{}, fmt.Errorf("line %d: %w: duplicate label %q", ln+1, ErrSyntax, name)
 			}
 			labels[name] = addr
 			fields = fields[1:]
@@ -167,14 +168,14 @@ func assemble(src string) ([]byte, vm.VerifyReport, []stmt, error) {
 		}
 		op, ok := vm.ByName(strings.ToLower(fields[0]))
 		if !ok {
-			return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: unknown instruction %q", ln+1, ErrSyntax, fields[0])
+			return result{}, fmt.Errorf("line %d: %w: unknown instruction %q", ln+1, ErrSyntax, fields[0])
 		}
 		info, _ := vm.Lookup(op)
 		st := stmt{line: ln + 1, op: op, info: info, args: fields[1:], addr: addr}
 		stmts = append(stmts, st)
-		addr += 1 + info.Operands
+		addr += info.Size()
 		if addr > 65535 {
-			return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: %q pushes the program past 65535 bytes", st.line, ErrSyntax, fields[0])
+			return result{}, fmt.Errorf("line %d: %w: %q pushes the program past 65535 bytes", st.line, ErrSyntax, fields[0])
 		}
 	}
 
@@ -198,7 +199,7 @@ func assemble(src string) ([]byte, vm.VerifyReport, []stmt, error) {
 	code := make([]byte, 0, addr)
 	for _, st := range stmts {
 		if err := checkArity(st); err != nil {
-			return nil, vm.VerifyReport{}, nil, err
+			return result{}, err
 		}
 		code = append(code, byte(st.op))
 		// Operand encoding is driven by the ISA metadata's operand kind;
@@ -211,28 +212,28 @@ func assemble(src string) ([]byte, vm.VerifyReport, []stmt, error) {
 		case vm.OperandU8: // pushc
 			v, err := resolve(st.args[0], st)
 			if err != nil {
-				return nil, vm.VerifyReport{}, nil, err
+				return result{}, err
 			}
 			if v < 0 || v > 255 {
-				return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: %s operand %q = %d out of [0,255]; use pushcl", st.line, ErrSyntax, st.info.Name, st.args[0], v)
+				return result{}, fmt.Errorf("line %d: %w: %s operand %q = %d out of [0,255]; use pushcl", st.line, ErrSyntax, st.info.Name, st.args[0], v)
 			}
 			code = append(code, byte(v))
 
 		case vm.OperandS16: // pushcl
 			v, err := resolve(st.args[0], st)
 			if err != nil {
-				return nil, vm.VerifyReport{}, nil, err
+				return result{}, err
 			}
 			code = append(code, byte(uint16(v)>>8), byte(uint16(v)))
 
 		case vm.OperandName3: // pushn
 			name := strings.Trim(st.args[0], `"`)
 			if len(name) == 0 || len(name) > tuplespace.MaxStringLen {
-				return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: pushn name %q must be 1-%d chars", st.line, ErrSyntax, st.args[0], tuplespace.MaxStringLen)
+				return result{}, fmt.Errorf("line %d: %w: pushn name %q must be 1-%d chars", st.line, ErrSyntax, st.args[0], tuplespace.MaxStringLen)
 			}
 			for i := 0; i < len(name); i++ {
 				if !vm.ValidNameByte(name[i]) {
-					return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: pushn name %q: %q is not a printable name character", st.line, ErrSyntax, name, name[i])
+					return result{}, fmt.Errorf("line %d: %w: pushn name %q: %q is not a printable name character", st.line, ErrSyntax, name, name[i])
 				}
 			}
 			var buf [3]byte
@@ -248,35 +249,35 @@ func assemble(src string) ([]byte, vm.VerifyReport, []stmt, error) {
 				var err error
 				v, err = resolve(tok, st)
 				if err != nil {
-					return nil, vm.VerifyReport{}, nil, err
+					return result{}, err
 				}
 			}
 			if v < 0 || v > 255 {
-				return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: pusht code %q = %d out of [0,255]", st.line, ErrSyntax, tok, v)
+				return result{}, fmt.Errorf("line %d: %w: pusht code %q = %d out of [0,255]", st.line, ErrSyntax, tok, v)
 			}
 			code = append(code, byte(v))
 
 		case vm.OperandSensor: // pushrt
 			v, err := resolve(st.args[0], st)
 			if err != nil {
-				return nil, vm.VerifyReport{}, nil, err
+				return result{}, err
 			}
 			if v < 0 || v > 255 {
-				return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: pushrt sensor %q = %d out of [0,255]", st.line, ErrSyntax, st.args[0], v)
+				return result{}, fmt.Errorf("line %d: %w: pushrt sensor %q = %d out of [0,255]", st.line, ErrSyntax, st.args[0], v)
 			}
 			code = append(code, byte(v))
 
 		case vm.OperandLoc: // pushloc
 			x, err := resolve(st.args[0], st)
 			if err != nil {
-				return nil, vm.VerifyReport{}, nil, err
+				return result{}, err
 			}
 			y, err := resolve(st.args[1], st)
 			if err != nil {
-				return nil, vm.VerifyReport{}, nil, err
+				return result{}, err
 			}
 			if x < -128 || x > 127 || y < -128 || y > 127 {
-				return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: pushloc coordinates %q %q out of [-128,127]", st.line, ErrSyntax, st.args[0], st.args[1])
+				return result{}, fmt.Errorf("line %d: %w: pushloc coordinates %q %q out of [-128,127]", st.line, ErrSyntax, st.args[0], st.args[1])
 			}
 			code = append(code, byte(int8(x)), byte(int8(y)))
 
@@ -287,27 +288,27 @@ func assemble(src string) ([]byte, vm.VerifyReport, []stmt, error) {
 			} else {
 				v, err := parseInt(st.args[0], -128, 127)
 				if err != nil {
-					return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: unknown jump target %q", st.line, ErrSyntax, st.args[0])
+					return result{}, fmt.Errorf("line %d: %w: unknown jump target %q", st.line, ErrSyntax, st.args[0])
 				}
 				off = v
 			}
 			if off < -128 || off > 127 {
-				return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: jump to %q spans %d bytes (max ±128); use pushcl+jumps", st.line, ErrSyntax, st.args[0], off)
+				return result{}, fmt.Errorf("line %d: %w: jump to %q spans %d bytes (max ±128); use pushcl+jumps", st.line, ErrSyntax, st.args[0], off)
 			}
 			code = append(code, byte(int8(off)))
 
 		case vm.OperandHeap: // getvar, setvar
 			v, err := resolve(st.args[0], st)
 			if err != nil {
-				return nil, vm.VerifyReport{}, nil, err
+				return result{}, err
 			}
 			if v < 0 || int(v) >= vm.HeapSlots {
-				return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: heap address %q = %d out of [0,%d)", st.line, ErrSyntax, st.args[0], v, vm.HeapSlots)
+				return result{}, fmt.Errorf("line %d: %w: heap address %q = %d out of [0,%d)", st.line, ErrSyntax, st.args[0], v, vm.HeapSlots)
 			}
 			code = append(code, byte(v))
 
 		default:
-			return nil, vm.VerifyReport{}, nil, fmt.Errorf("line %d: %w: internal: unhandled operand kind for %s", st.line, ErrSyntax, st.info.Name)
+			return result{}, fmt.Errorf("line %d: %w: internal: unhandled operand kind for %s", st.line, ErrSyntax, st.info.Name)
 		}
 	}
 
@@ -316,24 +317,15 @@ func assemble(src string) ([]byte, vm.VerifyReport, []stmt, error) {
 	if err != nil {
 		errs := make([]error, 0, len(rep.Errors))
 		for _, ve := range rep.Errors {
-			errs = append(errs, fmt.Errorf("line %d: %w: %s", lineOf(stmts, ve.PC), ErrVerify, ve.Msg))
+			line := 0 // an empty program has no statement to blame
+			if ve.Index < len(stmts) {
+				line = stmts[ve.Index].line
+			}
+			errs = append(errs, fmt.Errorf("line %d: %w: %s", line, ErrVerify, ve.Msg))
 		}
-		return nil, vm.VerifyReport{}, nil, errors.Join(errs...)
+		return result{}, errors.Join(errs...)
 	}
-	return code, rep, stmts, nil
-}
-
-// lineOf maps a byte address to the source line of the instruction
-// holding it.
-func lineOf(stmts []stmt, pc int) int {
-	line := 0
-	for _, st := range stmts {
-		if st.addr > pc {
-			break
-		}
-		line = st.line
-	}
-	return line
+	return result{code: code, rep: rep, stmts: stmts}, nil
 }
 
 func checkArity(st stmt) error {
@@ -410,47 +402,27 @@ func MustAssemble(src string) []byte {
 // line, with byte addresses. The output reassembles to the identical
 // bytecode (address markers are ignored by Assemble).
 func Disassemble(code []byte) (string, error) {
+	d, err := vm.Decode(code)
+	if err != nil {
+		return "", err
+	}
 	var sb strings.Builder
-	pc := 0
-	for pc < len(code) {
-		n, err := vm.Size(code, pc)
-		if err != nil {
-			return "", err
-		}
-		op := vm.Op(code[pc])
-		info, _ := vm.Lookup(op)
-		fmt.Fprintf(&sb, "%4d: %s", pc, info.Name)
-		operands := code[pc+1 : pc+n]
-		switch info.Kind {
+	for _, in := range d.Ins {
+		fmt.Fprintf(&sb, "%4d: %s", in.PC, in.Info.Name)
+		switch in.Info.Kind {
 		case vm.OperandU8, vm.OperandType, vm.OperandSensor, vm.OperandHeap:
-			fmt.Fprintf(&sb, " %d", operands[0])
+			fmt.Fprintf(&sb, " %d", in.Args[0])
 		case vm.OperandS16:
-			fmt.Fprintf(&sb, " %d", int16(uint16(operands[0])<<8|uint16(operands[1])))
+			v, _ := in.Imm()
+			fmt.Fprintf(&sb, " %d", v)
 		case vm.OperandName3:
-			name := strings.TrimRight(string(operands), "\x00")
-			fmt.Fprintf(&sb, " %s", name)
+			fmt.Fprintf(&sb, " %s", strings.TrimRight(string(in.Args), "\x00"))
 		case vm.OperandLoc:
-			fmt.Fprintf(&sb, " %d %d", int8(operands[0]), int8(operands[1]))
+			fmt.Fprintf(&sb, " %d %d", int8(in.Args[0]), int8(in.Args[1]))
 		case vm.OperandRel:
-			fmt.Fprintf(&sb, " %d", int8(operands[0]))
+			fmt.Fprintf(&sb, " %d", int8(in.Args[0]))
 		}
 		sb.WriteByte('\n')
-		pc += n
 	}
 	return sb.String(), nil
-}
-
-// Validate walks the bytecode verifying every instruction decodes; it
-// returns the instruction count. For full static checks use vm.Verify.
-func Validate(code []byte) (int, error) {
-	pc, n := 0, 0
-	for pc < len(code) {
-		sz, err := vm.Size(code, pc)
-		if err != nil {
-			return n, err
-		}
-		pc += sz
-		n++
-	}
-	return n, nil
 }

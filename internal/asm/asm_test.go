@@ -77,12 +77,12 @@ func TestFigure2FiretrackerAssembles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	n, err := Validate(code)
+	rep, err := vm.Verify(code)
 	if err != nil {
-		t.Fatalf("validate: %v", err)
+		t.Fatalf("verify: %v", err)
 	}
-	if n != 9 {
-		t.Errorf("instruction count = %d, want 9", n)
+	if rep.Instructions != 9 {
+		t.Errorf("instruction count = %d, want 9", rep.Instructions)
 	}
 }
 
@@ -129,8 +129,8 @@ func TestFigure13FiredetectorAssembles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	if n, err := Validate(code); err != nil || n != 14 {
-		t.Errorf("validate = %d, %v; want 14 instructions", n, err)
+	if rep, err := vm.Verify(code); err != nil || rep.Instructions != 14 {
+		t.Errorf("verify = %d, %v; want 14 instructions", rep.Instructions, err)
 	}
 }
 
@@ -271,16 +271,16 @@ func TestDisassembleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestValidateRejectsTruncated(t *testing.T) {
+func TestDisassembleRejectsTruncated(t *testing.T) {
 	code := []byte{byte(vm.OpPushcl), 1} // missing second operand byte
-	if _, err := Validate(code); err == nil {
-		t.Error("truncated operands must fail validation")
+	if _, err := Disassemble(code); err == nil {
+		t.Error("truncated operands must not disassemble")
 	}
 }
 
-func TestValidateRejectsUnknownOpcode(t *testing.T) {
-	if _, err := Validate([]byte{0xee}); err == nil {
-		t.Error("unknown opcode must fail validation")
+func TestDisassembleRejectsUnknownOpcode(t *testing.T) {
+	if _, err := Disassemble([]byte{0xee}); err == nil {
+		t.Error("unknown opcode must not disassemble")
 	}
 }
 
@@ -418,6 +418,7 @@ func TestVerifierErrorsCarryLine(t *testing.T) {
 		{"run off end", "pushc 1\npop", []string{"line 2", "off the end"}},
 		{"jump into operand", "pushc 1\npop\nrjump -2\nhalt", []string{"line 3", "inside an instruction"}},
 		{"bad reaction entry", "pusht VALUE\npushc 1\npushcl 99\nregrxn\nhalt", []string{"line 3", "reaction entry"}},
+		{"no instructions", "// only a comment\n", []string{"line 0", "empty program"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

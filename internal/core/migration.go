@@ -86,27 +86,10 @@ type inMigration struct {
 // CodeBlockSize re-exports the wire block size for readability here.
 const CodeBlockSize = wire.CodeBlockSize
 
-// migKindOf translates the VM's migration kinds to the wire encoding.
-func migKindOf(k vm.MigrateKind) wire.MigKind {
-	switch k {
-	case vm.StrongMove:
-		return wire.MigStrongMove
-	case vm.WeakMove:
-		return wire.MigWeakMove
-	case vm.StrongClone:
-		return wire.MigStrongClone
-	case vm.WeakClone:
-		return wire.MigWeakClone
-	default:
-		return 0
-	}
-}
-
 // startMigration handles EffectMigrate: the agent has popped its
 // destination and must now move or clone there.
 func (n *Node) startMigration(rec *record, out vm.Outcome) {
-	kind := migKindOf(out.Migrate)
-	dest := out.Dest
+	kind, dest := out.Migrate, out.Dest
 
 	if dest == n.loc {
 		n.migrateToSelf(rec, kind)

@@ -60,18 +60,9 @@ func (n *Node) startRemote(rec *record, out vm.Outcome) {
 		dest:    out.Dest,
 		started: n.sim.Now(),
 	}
-	var op wire.RemoteOp
-	switch out.Remote {
-	case vm.RemoteOut:
-		op = wire.OpRout
-	case vm.RemoteInp:
-		op = wire.OpRinp
-	case vm.RemoteRdp:
-		op = wire.OpRrdp
-	}
 	pr.req = wire.RemoteRequest{
 		ReqID:    pr.reqID,
-		Op:       op,
+		Op:       out.Remote,
 		ReplyTo:  n.loc,
 		Tuple:    out.Tuple,
 		Template: out.Template,

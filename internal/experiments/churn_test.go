@@ -58,6 +58,11 @@ func TestChurnDeterministicAcrossWorkers(t *testing.T) {
 	if on.TuplesRecovered == 0 {
 		t.Error("no tuple streamed back to a revived mote")
 	}
+	// Quiescent-store digest suppression must demonstrably elide gossip
+	// traffic and save energy against the same run with it disabled.
+	if on.DigestsSuppressed == 0 || on.SuppressionSavedJ <= 0 {
+		t.Errorf("digest suppression did nothing: %d suppressed, %.3f J saved", on.DigestsSuppressed, on.SuppressionSavedJ)
+	}
 	// The headline comparison: same seed, same schedule — replication
 	// must make dead motes' data measurably more available.
 	if on.RemoteOKRate <= off.RemoteOKRate {

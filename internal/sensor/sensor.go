@@ -38,41 +38,6 @@ func (c Constant) Sample(topology.Location, tuplespace.SensorType, time.Duration
 	return int16(c)
 }
 
-// MapField reads per-(location, sensor) values from a mutable table,
-// falling back to a default. Useful for scripted tests.
-type MapField struct {
-	Default int16
-	values  map[mapKey]int16
-}
-
-type mapKey struct {
-	loc topology.Location
-	s   tuplespace.SensorType
-}
-
-// NewMapField creates an empty table with the given default reading.
-func NewMapField(def int16) *MapField {
-	return &MapField{Default: def, values: make(map[mapKey]int16)}
-}
-
-// Set fixes the reading for one location and sensor.
-func (m *MapField) Set(loc topology.Location, s tuplespace.SensorType, v int16) {
-	m.values[mapKey{loc, s}] = v
-}
-
-// Clear removes an override.
-func (m *MapField) Clear(loc topology.Location, s tuplespace.SensorType) {
-	delete(m.values, mapKey{loc, s})
-}
-
-// Sample implements Field.
-func (m *MapField) Sample(loc topology.Location, s tuplespace.SensorType, _ time.Duration) int16 {
-	if v, ok := m.values[mapKey{loc, s}]; ok {
-		return v
-	}
-	return m.Default
-}
-
 // Board is the set of sensors one mote carries, bound to a field.
 type Board struct {
 	loc   topology.Location

@@ -26,26 +26,6 @@ func TestMissingSensor(t *testing.T) {
 	}
 }
 
-func TestMapFieldOverrides(t *testing.T) {
-	f := NewMapField(10)
-	f.Set(topology.Loc(2, 2), tuplespace.SensorTemperature, 300)
-
-	b1 := NewBoard(topology.Loc(2, 2), f, tuplespace.SensorTemperature)
-	b2 := NewBoard(topology.Loc(3, 3), f, tuplespace.SensorTemperature)
-
-	if v, _ := b1.Sense(tuplespace.SensorTemperature, 0); v != 300 {
-		t.Errorf("override not applied: %d", v)
-	}
-	if v, _ := b2.Sense(tuplespace.SensorTemperature, 0); v != 10 {
-		t.Errorf("default not applied: %d", v)
-	}
-
-	f.Clear(topology.Loc(2, 2), tuplespace.SensorTemperature)
-	if v, _ := b1.Sense(tuplespace.SensorTemperature, 0); v != 10 {
-		t.Errorf("clear not applied: %d", v)
-	}
-}
-
 func TestFieldFunc(t *testing.T) {
 	f := FieldFunc(func(loc topology.Location, s tuplespace.SensorType, now time.Duration) int16 {
 		return int16(now / time.Second)

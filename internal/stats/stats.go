@@ -142,46 +142,6 @@ func (r *Reliability) Rate() float64 {
 // Failures returns the failed-trial count.
 func (r *Reliability) Failures() int { return r.Trials - r.Successes }
 
-// Histogram counts observations into fixed-width buckets.
-type Histogram struct {
-	lo, width float64
-	counts    []int
-	under     int
-	over      int
-	n         int
-}
-
-// NewHistogram creates a histogram of nbuckets buckets of the given width
-// starting at lo.
-func NewHistogram(lo, width float64, nbuckets int) *Histogram {
-	if nbuckets <= 0 || width <= 0 {
-		panic("stats: NewHistogram requires positive width and bucket count")
-	}
-	return &Histogram{lo: lo, width: width, counts: make([]int, nbuckets)}
-}
-
-// Add records one observation.
-func (h *Histogram) Add(v float64) {
-	h.n++
-	switch {
-	case v < h.lo:
-		h.under++
-	case v >= h.lo+h.width*float64(len(h.counts)):
-		h.over++
-	default:
-		h.counts[int((v-h.lo)/h.width)]++
-	}
-}
-
-// N returns the observation count.
-func (h *Histogram) N() int { return h.n }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int { return h.counts[i] }
-
-// Outliers returns the counts below and above the bucketed range.
-func (h *Histogram) Outliers() (under, over int) { return h.under, h.over }
-
 // Table renders aligned fixed-width tables for the benchmark harness output.
 type Table struct {
 	header []string

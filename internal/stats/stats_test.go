@@ -107,32 +107,6 @@ func TestReliability(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(0, 10, 5) // [0,50) in 5 buckets
-	for _, v := range []float64{-1, 0, 5, 10, 49.9, 50, 100} {
-		h.Add(v)
-	}
-	if h.N() != 7 {
-		t.Errorf("N = %d", h.N())
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Errorf("outliers = %d,%d; want 1,2", under, over)
-	}
-	if h.Bucket(0) != 2 || h.Bucket(1) != 1 || h.Bucket(4) != 1 {
-		t.Errorf("buckets = %d,%d,..,%d", h.Bucket(0), h.Bucket(1), h.Bucket(4))
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("want panic for bad construction")
-		}
-	}()
-	NewHistogram(0, 0, 5)
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("Hops", "smove", "rout")
 	tb.AddRow(1, 0.995, 0.97)

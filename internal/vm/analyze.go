@@ -36,50 +36,10 @@ import (
 // joins of unequal depth or data-dependent tuple traffic. All findings
 // come from exact states or whole-program facts, so every reported
 // defect is guaranteed on some run, never a may-happen guess.
-
-// kmask is a bitmask over the kinds an abstract slot may hold.
-type kmask uint16
-
-const (
-	kNum     kmask = 1 << iota // KindValue
-	kStr                       // KindString
-	kLoc                       // KindLocation
-	kType                      // KindType
-	kReading                   // KindReading
-	kAgentID                   // KindAgentID
-	kInvalid                   // the zero Value of an unwritten heap slot
-)
-
-const (
-	kAny kmask = kNum | kStr | kLoc | kType | kReading | kAgentID | kInvalid
-	// kInt is what PopInt coerces: plain values, type codes, readings,
-	// and agent IDs.
-	kInt kmask = kNum | kType | kReading | kAgentID
-)
-
-func (m kmask) String() string {
-	names := []struct {
-		bit  kmask
-		name string
-	}{
-		{kNum, "value"}, {kStr, "string"}, {kLoc, "location"},
-		{kType, "type"}, {kReading, "reading"}, {kAgentID, "agent-id"},
-		{kInvalid, "invalid"},
-	}
-	s := ""
-	for _, n := range names {
-		if m&n.bit != 0 {
-			if s != "" {
-				s += "|"
-			}
-			s += n.name
-		}
-	}
-	if s == "" {
-		return "none"
-	}
-	return s
-}
+//
+// Nothing here knows an opcode's stack effect or successors on its own:
+// the transfer function and the checks walk the Decoded program and read
+// each instruction's ISA row (isa.go: pops, pushes, flow).
 
 // Severity classifies a finding.
 type Severity uint8
@@ -179,91 +139,6 @@ func (r *AnalysisReport) Err() error {
 	return errors.Join(errs...)
 }
 
-// ctlFacts are the statically visible control-flow facts shared by
-// Verify and Analyze. An idiom pair (a pushc/pushcl immediately feeding
-// jumps or regrxn) is trusted only when the consumer cannot be entered
-// except by falling through the push: a direct entry (a jump target on
-// the consumer itself) would let it pop a value other than the pushed
-// constant, so a targeted consumer is demoted to dynamic.
-type ctlFacts struct {
-	jumpTargets map[int]int // ins index of a trusted jumps -> target pc
-	rxnEntries  []int       // candidate reaction entry pcs, program order
-	rxnAt       map[int]int // ins index of a trusted regrxn -> entry pc
-	dynamic     bool        // a jumps with no trusted static target
-	dynamicPC   int
-	bypassed    bool // a regrxn whose entry is not statically certain
-	bypassPC    int
-}
-
-func controlFacts(ins []vinstr, codeLen int, boundary func(int) bool) ctlFacts {
-	f := ctlFacts{jumpTargets: map[int]int{}, rxnAt: map[int]int{}, dynamicPC: -1, bypassPC: -1}
-	imm := func(in vinstr) (int, bool) {
-		switch in.op {
-		case OpPushc:
-			return int(in.args[0]), true
-		case OpPushcl:
-			return int(int16(uint16(in.args[0])<<8 | uint16(in.args[1]))), true
-		}
-		return 0, false
-	}
-	// Directly enterable addresses: the program start, every relative
-	// jump target, and every candidate computed target.
-	direct := map[int]bool{0: true}
-	for i, in := range ins {
-		if in.info.Kind == OperandRel {
-			direct[in.pc+int(int8(in.args[0]))] = true
-		}
-		if v, ok := imm(in); ok && i+1 < len(ins) {
-			switch ins[i+1].op {
-			case OpJumps, OpRegrxn:
-				if v >= 0 && v < codeLen && boundary(v) {
-					direct[v] = true
-				}
-			}
-		}
-	}
-	for i, in := range ins {
-		v, ok := imm(in)
-		if !ok || i+1 >= len(ins) {
-			continue
-		}
-		c := ins[i+1]
-		valid := v >= 0 && v < codeLen && boundary(v)
-		switch c.op {
-		case OpJumps:
-			if valid && !direct[c.pc] {
-				f.jumpTargets[i+1] = v
-			}
-		case OpRegrxn:
-			if valid {
-				f.rxnEntries = append(f.rxnEntries, v)
-				if direct[c.pc] {
-					if !f.bypassed {
-						f.bypassed, f.bypassPC = true, c.pc
-					}
-				} else {
-					f.rxnAt[i+1] = v
-				}
-			}
-		}
-	}
-	for i, in := range ins {
-		switch in.op {
-		case OpJumps:
-			if _, ok := f.jumpTargets[i]; !ok && !f.dynamic {
-				f.dynamic, f.dynamicPC = true, in.pc
-			}
-		case OpRegrxn:
-			if _, ok := f.rxnAt[i]; !ok && !f.bypassed {
-				// A regrxn with no feeding push: the entry address comes
-				// off the stack and is not statically certain.
-				f.bypassed, f.bypassPC = true, in.pc
-			}
-		}
-	}
-	return f
-}
-
 // aslot is one abstract operand stack slot: the kinds it may hold and,
 // when a push recorded one, the exact constant (field counts, mostly).
 type aslot struct {
@@ -323,17 +198,6 @@ func (d *astate) join(s astate) bool {
 	return changed
 }
 
-// burst terminators: instructions that end a wakeful burst by yielding
-// the processor. A blocking in/rd is special-cased (its success edge
-// continues the burst; only a miss yields).
-func yields(op Op) bool {
-	switch op {
-	case OpSleep, OpWait, OpHalt, OpSmove, OpWmove, OpSclone, OpWclone, OpRout, OpRinp, OpRrdp:
-		return true
-	}
-	return false
-}
-
 // Analyze runs the dataflow analysis and energy bounding on a program,
 // using costs (typically DefaultEnergyCosts, or a deployment model's
 // VMCosts) for the energy figures. The returned error is non-nil iff
@@ -342,32 +206,19 @@ func yields(op Op) bool {
 func Analyze(code []byte, costs EnergyCosts) (AnalysisReport, error) {
 	var rep AnalysisReport
 	rep.UnboundedPC = -1
-	vrep, verr := Verify(code)
+	d, vrep := verify(code)
 	rep.VerifyReport = vrep
-	if verr != nil {
+	if verr := vrep.err(); verr != nil {
 		return rep, fmt.Errorf("analyze: %w", verr)
 	}
-
-	// Re-decode; cannot fail after Verify.
-	var ins []vinstr
-	index := make(map[int]int)
-	for pc := 0; pc < len(code); {
-		op := Op(code[pc])
-		info := infoTable[op]
-		index[pc] = len(ins)
-		ins = append(ins, vinstr{pc: pc, op: op, info: info, args: code[pc+1 : pc+1+info.Operands], next: pc + 1 + info.Operands})
-		pc += 1 + info.Operands
-	}
-	boundary := func(pc int) bool { _, ok := index[pc]; return ok }
-	facts := controlFacts(ins, len(code), boundary)
-	conservative := facts.dynamic || facts.bypassed
+	ins := d.Ins
+	conservative := d.dynamic || d.bypassed
 
 	// Kind fixpoint. heapMask is flow-insensitive: the union of every
 	// kind a reachable setvar stores to the slot (reads see that union
 	// plus kInvalid, since the write may not have happened yet).
 	states := make([]astate, len(ins))
 	var heapMask [HeapSlots]kmask
-	var heapWritten uint16
 	var work []int
 	enter := func(idx int, s astate) {
 		if states[idx].join(s) {
@@ -376,13 +227,13 @@ func Analyze(code []byte, costs EnergyCosts) (AnalysisReport, error) {
 	}
 	// getvarsOf re-enqueues readers of a slot when its mask widens.
 	getvarsOf := make([][]int, HeapSlots)
-	for i, in := range ins {
-		if in.op == OpGetvar && int(in.args[0]) < HeapSlots {
-			getvarsOf[in.args[0]] = append(getvarsOf[in.args[0]], i)
+	for i := range ins {
+		if in := &ins[i]; in.Op == OpGetvar {
+			getvarsOf[in.Args[0]] = append(getvarsOf[in.Args[0]], i)
 		}
 	}
-	writeHeap := func(slot int, m kmask) {
-		heapWritten |= 1 << slot
+	writeHeap := func(slot byte, m kmask) {
+		rep.HeapWritten |= 1 << slot
 		if heapMask[slot]|m != heapMask[slot] {
 			heapMask[slot] |= m
 			for _, gi := range getvarsOf[slot] {
@@ -391,15 +242,6 @@ func Analyze(code []byte, costs EnergyCosts) (AnalysisReport, error) {
 				}
 			}
 		}
-	}
-	readHeap := func(slot int) kmask {
-		if heapWritten&(1<<slot) == 0 {
-			// Never written anywhere: the read-before-write finding fires
-			// in the reporting pass; push kAny here so one defect does
-			// not cascade into spurious mismatches downstream.
-			return kAny
-		}
-		return heapMask[slot] | kInvalid
 	}
 
 	if conservative {
@@ -412,166 +254,82 @@ func Analyze(code []byte, costs EnergyCosts) (AnalysisReport, error) {
 
 	// step computes the out-state of one instruction from its in-state,
 	// or reports a guaranteed death (dead == true: no successor state).
+	// It only decides the out-state; reportChecks turns the same row
+	// facts into findings once the states are final.
 	step := func(idx int) (out astate, dead bool) {
-		in, s := ins[idx], states[idx]
-		info := in.info
-
+		in, s, info := &ins[idx], states[idx], ins[idx].Info
+		// interval is Verify's domain: all that is left once a slot's
+		// kind or a field count is unknown.
+		interval := func(lo, hi int) (astate, bool) {
+			lo, hi, under := stackInterval(info, lo, hi)
+			if under || lo > StackDepth {
+				return astate{}, true
+			}
+			if in.Op == OpSetvar {
+				writeHeap(in.Args[0], kAny)
+			}
+			return rangeState(lo, min(hi, StackDepth)), false
+		}
+		depth := len(s.stack)
 		if !s.exact {
-			// Verify's interval arithmetic.
-			popMin, popMax := info.StackInMin(), info.StackInMax()
-			pushMin, pushMax := info.StackOutMin(), info.StackOutMax()
-			if s.hi < popMin {
-				return astate{}, true
-			}
-			lo := max(0, s.lo-popMax) + pushMin
-			if lo > StackDepth {
-				return astate{}, true
-			}
-			hi := min(StackDepth, s.hi-popMin+pushMax)
-			if in.op == OpSetvar && int(in.args[0]) < HeapSlots {
-				writeHeap(int(in.args[0]), kAny)
-			}
-			return rangeState(lo, hi), false
+			return interval(s.lo, s.hi)
 		}
-
-		// Exact transfer. Work on a copy; any check that fails here is
-		// re-derived in the reporting pass — this function only decides
-		// the out-state.
-		st := append([]aslot(nil), s.stack...)
-		pop := func() (aslot, bool) {
-			if len(st) == 0 {
-				return aslot{}, false
-			}
-			v := st[len(st)-1]
+		if depth < info.StackInMin() {
+			return astate{}, true
+		}
+		// The fixed operands come off first (popped[0] is the deepest),
+		// then a VarIn instruction's count and, when the count is a
+		// known constant, that many fields.
+		popped := s.stack[depth-info.In:]
+		st := append([]aslot(nil), s.stack[:depth-info.In]...)
+		if info.VarIn {
+			cnt := st[len(st)-1]
 			st = st[:len(st)-1]
-			return v, true
-		}
-		push := func(v aslot) bool {
-			if len(st) >= StackDepth {
-				return false
-			}
-			st = append(st, v)
-			return true
-		}
-		// degrade falls back to interval arithmetic from the exact depth.
-		degrade := func() (astate, bool) {
-			popMin, popMax := info.StackInMin(), info.StackInMax()
-			pushMin, pushMax := info.StackOutMin(), info.StackOutMax()
-			d := len(s.stack)
-			if d < popMin {
-				return astate{}, true
-			}
-			lo := max(0, d-popMax) + pushMin
-			if lo > StackDepth {
-				return astate{}, true
-			}
-			if in.op == OpSetvar && int(in.args[0]) < HeapSlots {
-				writeHeap(int(in.args[0]), kAny)
-			}
-			return rangeState(lo, hi(d, popMin, pushMax)), false
-		}
-		ok := true
-		switch in.op {
-		case OpHalt, OpWait, OpRjump, OpRjumpc, OpNumnbrs:
-			if in.op == OpNumnbrs {
-				ok = push(slotOf(kNum))
-			}
-		case OpLoc, OpPushloc, OpRandnbr:
-			ok = push(slotOf(kLoc))
-		case OpAid:
-			ok = push(slotOf(kAgentID))
-		case OpRand:
-			ok = push(slotOf(kNum))
-		case OpPushc:
-			ok = push(aslot{mask: kNum, hasConst: true, c: int16(in.args[0])})
-		case OpPushcl:
-			ok = push(aslot{mask: kNum, hasConst: true, c: int16(uint16(in.args[0])<<8 | uint16(in.args[1]))})
-		case OpPushn:
-			ok = push(slotOf(kStr))
-		case OpPusht, OpPushrt:
-			ok = push(slotOf(kType))
-		case OpDup:
-			if v, got := pop(); !got {
-				ok = false
-			} else {
-				ok = push(v) && push(v)
-			}
-		case OpPop:
-			_, ok = pop()
-		case OpSwap:
-			x, got1 := pop()
-			y, got2 := pop()
-			ok = got1 && got2 && push(x) && push(y)
-		case OpAdd, OpSub, OpAnd, OpOr, OpEq, OpNeq, OpLt, OpGt:
-			_, g1 := pop()
-			_, g2 := pop()
-			ok = g1 && g2 && push(slotOf(kNum))
-		case OpCeq, OpCneq, OpClt, OpCgt:
-			_, g1 := pop()
-			_, g2 := pop()
-			ok = g1 && g2
-		case OpNot, OpInc:
-			_, g := pop()
-			ok = g && push(slotOf(kNum))
-		case OpSleep, OpPutled, OpJumps:
-			_, ok = pop()
-		case OpSense:
-			_, g := pop()
-			ok = g && push(slotOf(kReading))
-		case OpGetnbr:
-			_, g := pop()
-			ok = g && push(slotOf(kLoc))
-		case OpGetvar:
-			ok = push(slotOf(readHeap(int(in.args[0]))))
-		case OpSetvar:
-			v, g := pop()
-			if g {
-				writeHeap(int(in.args[0]), v.mask)
-			}
-			ok = g
-		case OpSmove, OpWmove, OpSclone, OpWclone:
-			_, ok = pop()
-		case OpOut, OpInp, OpRdp, OpIn, OpRd, OpTcount, OpDeregrxn, OpRegrxn, OpRout, OpRinp, OpRrdp:
-			// The tuple family: an optional leading pop (the destination
-			// for remote ops, the entry address for regrxn), then the
-			// field count, then — when the count is a known constant —
-			// that many fields.
-			switch in.op {
-			case OpRout, OpRinp, OpRrdp, OpRegrxn:
-				if _, g := pop(); !g {
-					return astate{}, true
-				}
-			}
-			cnt, g := pop()
-			if !g {
-				return astate{}, true
-			}
 			if !cnt.hasConst {
-				return degrade()
+				return interval(depth, depth)
 			}
 			n := int(cnt.c)
 			if n < 0 || n > len(st) {
 				return astate{}, true // PopFields dies on every path
 			}
 			st = st[:len(st)-n]
-			switch in.op {
-			case OpTcount:
-				ok = push(slotOf(kNum))
-			case OpInp, OpRdp:
-				// A hit pushes the matched fields and their count.
-				return rangeState(len(st), min(StackDepth, len(st)+StackDepth)), false
-			case OpIn, OpRd:
-				// The only successor state is a hit (a miss blocks and
-				// retries this instruction).
-				return rangeState(len(st)+1, min(StackDepth, len(st)+StackDepth)), false
-			case OpRinp, OpRrdp:
-				// The reply may push the matched fields and their count.
-				return rangeState(len(st), min(StackDepth, len(st)+StackDepth)), false
+			if info.VarOut {
+				// A hit (or the reply) pushes the matched fields and
+				// their count. For a blocking in/rd the hit is the only
+				// successor state: a miss retries the instruction.
+				lo := len(st)
+				if in.Op.blocksOnMiss() {
+					lo++
+				}
+				return rangeState(lo, StackDepth), false
 			}
-		default:
-			return degrade()
 		}
-		if !ok {
+		// The results: the row's kinds, except where they depend on data.
+		switch in.Op {
+		case OpDup:
+			st = append(st, popped[0], popped[0])
+		case OpSwap:
+			st = append(st, popped[1], popped[0])
+		case OpSetvar:
+			writeHeap(in.Args[0], popped[0].mask)
+		case OpGetvar:
+			// A slot never written anywhere gets the read-before-write
+			// finding in reportChecks; push kAny here so one defect does
+			// not cascade into spurious mismatches downstream.
+			m := kAny
+			if rep.HeapWritten&(1<<in.Args[0]) != 0 {
+				m = heapMask[in.Args[0]] | kInvalid
+			}
+			st = append(st, slotOf(m))
+		case OpPushc, OpPushcl:
+			c, _ := in.Imm()
+			st = append(st, aslot{mask: kNum, hasConst: true, c: int16(c)})
+		default:
+			for _, k := range info.pushes {
+				st = append(st, slotOf(k))
+			}
+		}
+		if len(st) > StackDepth {
 			return astate{}, true
 		}
 		return exactState(st), false
@@ -580,48 +338,28 @@ func Analyze(code []byte, costs EnergyCosts) (AnalysisReport, error) {
 	for len(work) > 0 {
 		idx := work[len(work)-1]
 		work = work[:len(work)-1]
-		in := ins[idx]
+		if in := &ins[idx]; in.Op == OpGetvar {
+			rep.HeapRead |= 1 << in.Args[0]
+		}
 		out, dead := step(idx)
 		if dead {
 			continue
 		}
-		if in.op == OpRegrxn {
-			if e, trusted := facts.rxnAt[idx]; trusted {
-				// A firing enters with the interrupted context's stack
-				// plus the matched tuple: depth unknown.
-				enter(index[e], rangeState(0, StackDepth))
-			}
+		if e, trusted := d.rxnAt[idx]; trusted {
+			// A firing enters with the interrupted context's stack
+			// plus the matched tuple: depth unknown.
+			enter(d.index[e], rangeState(0, StackDepth))
 		}
-		switch in.op {
-		case OpHalt, OpWait:
-			continue
-		case OpRjump:
-			if ti, tok := index[in.pc+int(int8(in.args[0]))]; tok {
-				enter(ti, out)
-			}
-			continue
-		case OpRjumpc:
-			if ti, tok := index[in.pc+int(int8(in.args[0]))]; tok {
-				enter(ti, out)
-			}
-		case OpJumps:
-			if target, tok := facts.jumpTargets[idx]; tok {
-				enter(index[target], out)
-			}
-			continue
-		}
-		if ni, nok := index[in.next]; nok {
-			enter(ni, out)
+		for _, next := range d.Succ(idx) {
+			enter(next, out)
 		}
 	}
-	rep.HeapWritten = heapWritten
 
-	// Reporting pass: re-derive every check against the fixpoint states.
-	addFinding := func(pc int, op Op, sev Severity, format string, args ...any) {
-		rep.Findings = append(rep.Findings, Finding{PC: pc, Op: op, Severity: sev, Msg: fmt.Sprintf(format, args...)})
+	addFinding := func(i int, sev Severity, format string, args ...any) {
+		rep.Findings = append(rep.Findings, Finding{PC: ins[i].PC, Op: ins[i].Op, Severity: sev, Msg: fmt.Sprintf(format, args...)})
 	}
 	if !conservative {
-		reportChecks(&rep, ins, states, heapWritten, func(slot int) kmask { return heapMask[slot] | kInvalid }, addFinding)
+		reportChecks(&rep, ins, states, addFinding)
 
 		// Dead code, coalesced into runs; unreachable reactions.
 		for i := 0; i < len(ins); i++ {
@@ -633,20 +371,19 @@ func Analyze(code []byte, costs EnergyCosts) (AnalysisReport, error) {
 				j++
 			}
 			for k := i; k <= j; k++ {
-				rep.UnreachablePCs = append(rep.UnreachablePCs, ins[k].pc)
+				rep.UnreachablePCs = append(rep.UnreachablePCs, ins[k].PC)
 			}
-			addFinding(ins[i].pc, ins[i].op, SevWarning, "unreachable code: pc %d..%d (%d instruction(s)) cannot execute on any path", ins[i].pc, ins[j].pc, j-i+1)
+			addFinding(i, SevWarning, "unreachable code: pc %d..%d (%d instruction(s)) cannot execute on any path", ins[i].PC, ins[j].PC, j-i+1)
 			i = j
 		}
 		for _, e := range rep.ReactionEntries {
-			if ei, ok := index[e]; ok && !states[ei].seen {
-				addFinding(e, ins[ei].op, SevWarning, "unreachable reaction: entry pc %d is never registered (its regrxn cannot execute)", e)
+			if ei := d.index[e]; !states[ei].seen {
+				addFinding(ei, SevWarning, "unreachable reaction: entry pc %d is never registered (its regrxn cannot execute)", e)
 			}
 		}
 	}
 
-	// Energy bounding over the burst graph.
-	analyzeEnergy(&rep, ins, index, states, facts, conservative, costs, len(code), addFinding)
+	analyzeEnergy(&rep, d, states, conservative, costs, addFinding)
 
 	sort.Slice(rep.Findings, func(i, j int) bool {
 		a, b := rep.Findings[i], rep.Findings[j]
@@ -658,115 +395,52 @@ func Analyze(code []byte, costs EnergyCosts) (AnalysisReport, error) {
 	return rep, rep.Err()
 }
 
-func hi(d, popMin, pushMax int) int { return min(StackDepth, d-popMin+pushMax) }
-
-// reportChecks re-derives the exact-state checks against the fixpoint
-// and records findings. Every check mirrors the interpreter's runtime
-// behavior (PopInt's coercions, PopLoc, PopFields, heap zero values), so
-// a SevError here is a death the interpreter is guaranteed to hit.
-func reportChecks(rep *AnalysisReport, ins []vinstr, states []astate, heapWritten uint16, readMask func(int) kmask, addFinding func(int, Op, Severity, string, ...any)) {
-	for idx, in := range ins {
-		s := states[idx]
+// reportChecks reads each reachable instruction's row against its exact
+// fixpoint state and records the findings. Every check mirrors the
+// interpreter's runtime behavior (PopInt's coercions, PopLoc, PopFields,
+// heap zero values), so a SevError here is a death the interpreter is
+// guaranteed to hit.
+func reportChecks(rep *AnalysisReport, ins []Instr, states []astate, addFinding func(int, Severity, string, ...any)) {
+	for idx := range ins {
+		in, s, info := &ins[idx], states[idx], ins[idx].Info
 		if !s.seen {
 			continue
 		}
-
 		// Whole-program heap fact: reads of never-written slots.
-		if in.op == OpGetvar {
-			slot := int(in.args[0])
-			rep.HeapRead |= 1 << slot
-			if heapWritten&(1<<slot) == 0 {
-				addFinding(in.pc, in.op, SevError, "heap slot %d is read here but no reachable setvar ever writes it (the zero value is invalid)", slot)
-			}
+		if in.Op == OpGetvar && rep.HeapWritten&(1<<in.Args[0]) == 0 {
+			addFinding(idx, SevError, "heap slot %d is read here but no reachable setvar ever writes it (the zero value is invalid)", in.Args[0])
 		}
 		if !s.exact {
 			continue
 		}
-
-		st := append([]aslot(nil), s.stack...)
-		depth := len(st)
-		underflow := func(need int) bool {
-			if len(st) < need {
-				addFinding(in.pc, in.op, SevError, "guaranteed stack underflow: %s needs %d value(s), every path reaches here with %d", in.info.Name, in.info.StackInMin(), depth)
-				return true
-			}
-			return false
+		depth := len(s.stack)
+		if depth < info.StackInMin() {
+			addFinding(idx, SevError, "guaranteed stack underflow: %s needs %d value(s), every path reaches here with %d", info.Name, info.StackInMin(), depth)
+			continue
 		}
-		want := func(fromTop int, m kmask, what string) {
-			v := st[len(st)-1-fromTop]
-			if v.mask&m == 0 {
-				addFinding(in.pc, in.op, SevError, "type mismatch: %s needs a %s %s but every path pushes a %s here", in.info.Name, m, what, v.mask)
+		want := func(fromTop int, o operand) {
+			if v := s.stack[depth-1-fromTop]; v.mask&o.mask == 0 {
+				addFinding(idx, SevError, "type mismatch: %s needs a %s %s but every path pushes a %s here", info.Name, o.mask, o.what, v.mask)
 			}
 		}
-		popN := func(n int) { st = st[:len(st)-n] }
-
-		switch in.op {
-		case OpAdd, OpSub, OpAnd, OpOr, OpEq, OpNeq, OpLt, OpGt, OpCeq, OpCneq, OpClt, OpCgt:
-			if underflow(2) {
-				continue
-			}
-			want(0, kInt, "integer")
-			want(1, kInt, "integer")
-		case OpNot, OpInc, OpSleep, OpPutled, OpJumps, OpSense, OpGetnbr:
-			if underflow(1) {
-				continue
-			}
-			want(0, kInt, "integer")
-		case OpDup:
-			if underflow(1) {
-				continue
-			}
-			if depth >= StackDepth {
-				addFinding(in.pc, in.op, SevError, "guaranteed stack overflow: dup on a full stack (%d/%d) on every path", depth, StackDepth)
-			}
-		case OpPop, OpSetvar:
-			if underflow(1) {
-				continue
-			}
-		case OpSwap:
-			if underflow(2) {
-				continue
-			}
-		case OpSmove, OpWmove, OpSclone, OpWclone:
-			if underflow(1) {
-				continue
-			}
-			want(0, kLoc, "destination")
-		case OpOut, OpInp, OpRdp, OpIn, OpRd, OpTcount, OpDeregrxn, OpRegrxn, OpRout, OpRinp, OpRrdp:
-			switch in.op {
-			case OpRout, OpRinp, OpRrdp:
-				if underflow(2) {
-					continue
-				}
-				want(0, kLoc, "destination")
-				want(1, kInt, "field count")
-				popN(1)
-			case OpRegrxn:
-				if underflow(2) {
-					continue
-				}
-				want(0, kInt, "entry address")
-				want(1, kInt, "field count")
-				popN(1)
-			default:
-				if underflow(1) {
-					continue
-				}
-				want(0, kInt, "field count")
-			}
-			cnt := st[len(st)-1]
-			popN(1)
-			if cnt.hasConst {
-				n := int(cnt.c)
+		for i, o := range info.pops {
+			want(i, o)
+		}
+		if info.VarIn {
+			want(info.In, countArg)
+			if cnt := s.stack[depth-1-info.In]; cnt.hasConst {
+				n, beneath := int(cnt.c), depth-1-info.In
 				if n < 0 {
-					addFinding(in.pc, in.op, SevError, "negative field count %d", n)
-				} else if n > len(st) {
-					addFinding(in.pc, in.op, SevError, "guaranteed stack underflow: field count %d with %d value(s) beneath it", n, len(st))
+					addFinding(idx, SevError, "negative field count %d", n)
+				} else if n > beneath {
+					addFinding(idx, SevError, "guaranteed stack underflow: field count %d with %d value(s) beneath it", n, beneath)
 				}
 			}
-		case OpLoc, OpAid, OpRand, OpNumnbrs, OpRandnbr, OpPushc, OpPushcl, OpPushn, OpPusht, OpPushrt, OpPushloc, OpGetvar:
-			if depth >= StackDepth {
-				addFinding(in.pc, in.op, SevError, "guaranteed stack overflow: %s pushes onto a full stack (%d/%d) on every path", in.info.Name, depth, StackDepth)
+		} else if depth-info.In+info.Out > StackDepth {
+			if in.Op == OpDup {
+				addFinding(idx, SevError, "guaranteed stack overflow: dup on a full stack (%d/%d) on every path", depth, StackDepth)
+			} else {
+				addFinding(idx, SevError, "guaranteed stack overflow: %s pushes onto a full stack (%d/%d) on every path", info.Name, depth, StackDepth)
 			}
 		}
 	}
@@ -776,50 +450,26 @@ func reportChecks(rep *AnalysisReport, ins []vinstr, states []astate, heapWritte
 // burst graph: the CFG with yielding instructions' outgoing edges cut
 // (their continuations become burst entries). A cycle that survives the
 // cuts is a busy loop that never yields — unbounded.
-func analyzeEnergy(rep *AnalysisReport, ins []vinstr, index map[int]int, states []astate, facts ctlFacts, conservative bool, costs EnergyCosts, codeLen int, addFinding func(int, Op, Severity, string, ...any)) {
+func analyzeEnergy(rep *AnalysisReport, d *Decoded, states []astate, conservative bool, costs EnergyCosts, addFinding func(int, Severity, string, ...any)) {
+	ins := d.Ins
 	if conservative {
 		rep.EnergyUnbounded = true
-		rep.UnboundedPC = facts.dynamicPC
+		rep.UnboundedPC = d.dynamicPC
 		why := "a jumps target is not statically visible"
 		if rep.UnboundedPC < 0 {
-			rep.UnboundedPC = facts.bypassPC
+			rep.UnboundedPC = d.bypassPC
 			why = "a reaction entry is not statically certain"
 		}
-		op := ins[0].op
-		if i, ok := index[rep.UnboundedPC]; ok {
-			op = ins[i].op
-		}
-		addFinding(rep.UnboundedPC, op, SevWarning, "energy bound unavailable: %s, so the control-flow graph is not static", why)
+		addFinding(d.index[rep.UnboundedPC], SevWarning, "energy bound unavailable: %s, so the control-flow graph is not static", why)
 		return
 	}
 
 	// Successor edges within a burst.
 	succ := func(idx int) []int {
-		in := ins[idx]
-		if yields(in.op) {
+		if ins[idx].Info.flow.yields() {
 			return nil
 		}
-		var out []int
-		switch in.op {
-		case OpRjump:
-			if ti, ok := index[in.pc+int(int8(in.args[0]))]; ok {
-				out = append(out, ti)
-			}
-			return out
-		case OpRjumpc:
-			if ti, ok := index[in.pc+int(int8(in.args[0]))]; ok {
-				out = append(out, ti)
-			}
-		case OpJumps:
-			if t, ok := facts.jumpTargets[idx]; ok {
-				out = append(out, index[t])
-			}
-			return out
-		}
-		if ni, ok := index[in.next]; ok {
-			out = append(out, ni)
-		}
-		return out
+		return d.Succ(idx)
 	}
 
 	// Burst entries: program start, reaction entries, yield
@@ -831,21 +481,20 @@ func analyzeEnergy(rep *AnalysisReport, ins []vinstr, index map[int]int, states 
 		}
 	}
 	addEntry(0)
-	for idx, e := range facts.rxnAt {
+	for idx, e := range d.rxnAt {
 		if states[idx].seen {
-			addEntry(index[e])
+			addEntry(d.index[e])
 		}
 	}
-	for idx, in := range ins {
-		if !states[idx].seen {
-			continue
-		}
-		switch in.op {
-		case OpSleep, OpSmove, OpWmove, OpSclone, OpWclone, OpRout, OpRinp, OpRrdp:
-			if ni, ok := index[in.next]; ok {
+	for idx := range ins {
+		in := &ins[idx]
+		switch {
+		case !states[idx].seen:
+		case in.Info.flow == flowYield:
+			if ni, ok := d.index[in.Next()]; ok {
 				addEntry(ni)
 			}
-		case OpIn, OpRd:
+		case in.Op.blocksOnMiss():
 			addEntry(idx)
 		}
 	}
@@ -883,9 +532,9 @@ func analyzeEnergy(rep *AnalysisReport, ins []vinstr, index map[int]int, states 
 				switch color[n] {
 				case grey:
 					rep.EnergyUnbounded = true
-					rep.UnboundedPC = ins[f.idx].pc
-					addFinding(ins[f.idx].pc, ins[f.idx].op, SevWarning,
-						"unbounded energy: the loop back to pc %d never yields (no sleep, wait, migration, remote op, or blocking read on the cycle)", ins[n].pc)
+					rep.UnboundedPC = ins[f.idx].PC
+					addFinding(f.idx, SevWarning,
+						"unbounded energy: the loop back to pc %d never yields (no sleep, wait, migration, remote op, or blocking read on the cycle)", ins[n].PC)
 					return
 				case white:
 					color[n] = grey
@@ -900,13 +549,13 @@ func analyzeEnergy(rep *AnalysisReport, ins []vinstr, index map[int]int, states 
 					best = cost[n]
 				}
 			}
-			cost[f.idx] = costs.OpCostNJ(ins[f.idx].op, codeLen) + best
+			cost[f.idx] = costs.OpCostNJ(ins[f.idx].Op, len(d.Code)) + best
 			color[f.idx] = black
 			stack = stack[:len(stack)-1]
 		}
 	}
 	for _, e := range entries {
-		rep.BurstEntries = append(rep.BurstEntries, ins[e].pc)
+		rep.BurstEntries = append(rep.BurstEntries, ins[e].PC)
 		if cost[e] > rep.EnergyBoundNJ {
 			rep.EnergyBoundNJ = cost[e]
 		}

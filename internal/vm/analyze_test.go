@@ -44,6 +44,20 @@ func TestAnalyzeCleanProgram(t *testing.T) {
 	}
 }
 
+func TestAnalyzeHeapReadUnderDynamicJumps(t *testing.T) {
+	// pushc 6; setvar 2; getvar 2; jumps; halt — the jumps target comes
+	// off the heap, so the analysis is conservative; the heap masks are
+	// whole-program facts and must be reported all the same.
+	prog := code(byte(OpPushc), 6, byte(OpSetvar), 2, byte(OpGetvar), 2, byte(OpJumps), byte(OpHalt))
+	rep := analyzeOK(t, prog)
+	if !rep.DynamicJumps {
+		t.Fatal("the jumps must be dynamic for this test to mean anything")
+	}
+	if rep.HeapWritten != 1<<2 || rep.HeapRead != 1<<2 {
+		t.Fatalf("heap masks = %b/%b, want slot 2 in both", rep.HeapWritten, rep.HeapRead)
+	}
+}
+
 func TestAnalyzeTypeMismatch(t *testing.T) {
 	// pushc 5; smove; halt — smove needs a location, every path pushes a
 	// number.

@@ -67,54 +67,32 @@ func (c *Compiled) RunLen(pc uint16) int {
 	return int(c.run[pc])
 }
 
-// planBreaker reports ops that always end a straight-line plan: they
-// unconditionally suspend the agent or transfer control away from the
-// fall-through successor.
-func planBreaker(op Op) bool {
-	switch op {
-	case OpHalt, OpSleep, OpWait,
-		OpSmove, OpWmove, OpSclone, OpWclone,
-		OpRout, OpRinp, OpRrdp,
-		OpJumps, OpRjump, OpRjumpc:
-		return true
-	}
-	return false
-}
-
 // Compile lowers verified code to closures. Code that fails verification
 // is not compiled — the engine keeps interpreting it (and the agent dies
 // at runtime exactly where the interpreter says it does).
 func Compile(code []byte) (*Compiled, error) {
-	if _, err := Verify(code); err != nil {
+	d, rep := verify(code)
+	if err := rep.err(); err != nil {
 		return nil, err
 	}
 	c := &Compiled{
 		steps: make([]StepFn, len(code)),
 		run:   make([]uint16, len(code)),
 	}
-	// Verify guarantees clean decoding, so this walk cannot fail.
-	var pcs []int
-	for pc := 0; pc < len(code); {
-		op := Op(code[pc])
-		info := infoTable[op]
-		c.steps[pc] = compileStep(op, info, pc, code)
-		pcs = append(pcs, pc)
-		pc += 1 + info.Operands
-	}
-	// Burst plans, built back to front: a non-breaking instruction
-	// extends the plan of its fall-through successor.
-	for i := len(pcs) - 1; i >= 0; i-- {
-		pc := pcs[i]
-		op := Op(code[pc])
-		if planBreaker(op) {
+	// Back to front, so a burst plan extends that of its fall-through
+	// successor. Every flow class but flowNext breaks a plan: the
+	// instruction unconditionally suspends the agent or may transfer
+	// control away.
+	for i := len(d.Ins) - 1; i >= 0; i-- {
+		in := &d.Ins[i]
+		c.steps[in.PC] = compileStep(in.Op, in.Info, in.PC, code)
+		if in.Info.flow != flowNext {
 			continue
 		}
-		n := uint16(1)
-		next := pc + 1 + infoTable[op].Operands
-		if next < len(code) {
-			n += c.run[next]
+		c.run[in.PC] = 1
+		if next := in.Next(); next < len(code) {
+			c.run[in.PC] += c.run[next]
 		}
-		c.run[pc] = n
 	}
 	return c, nil
 }

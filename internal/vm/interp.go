@@ -6,6 +6,7 @@ import (
 
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
+	"github.com/agilla-go/agilla/internal/wire"
 )
 
 // Host is the set of node services an instruction may touch synchronously:
@@ -65,62 +66,31 @@ const (
 	EffectError
 )
 
-// MigrateKind distinguishes the four migration instructions.
-type MigrateKind uint8
+// MigrateKind distinguishes the four migration instructions. It is the
+// kind the migration travels under on the wire, so the engine hands an
+// Outcome's kind to the codec without translating it.
+type MigrateKind = wire.MigKind
 
 // Migration kinds.
 const (
-	MigrateNone MigrateKind = iota
-	StrongMove
-	WeakMove
-	StrongClone
-	WeakClone
+	MigrateNone MigrateKind = 0
+	StrongMove              = wire.MigStrongMove
+	WeakMove                = wire.MigWeakMove
+	StrongClone             = wire.MigStrongClone
+	WeakClone               = wire.MigWeakClone
 )
 
-func (k MigrateKind) String() string {
-	switch k {
-	case StrongMove:
-		return "smove"
-	case WeakMove:
-		return "wmove"
-	case StrongClone:
-		return "sclone"
-	case WeakClone:
-		return "wclone"
-	default:
-		return "none"
-	}
-}
-
-// Strong reports whether the migration carries full state (§2.2).
-func (k MigrateKind) Strong() bool { return k == StrongMove || k == StrongClone }
-
-// Clone reports whether the original keeps running.
-func (k MigrateKind) Clone() bool { return k == StrongClone || k == WeakClone }
-
-// RemoteKind distinguishes the remote tuple space instructions.
-type RemoteKind uint8
+// RemoteKind distinguishes the remote tuple space instructions; like
+// MigrateKind it is the wire's own enumeration.
+type RemoteKind = wire.RemoteOp
 
 // Remote op kinds.
 const (
-	RemoteNone RemoteKind = iota
-	RemoteOut
-	RemoteInp
-	RemoteRdp
+	RemoteNone RemoteKind = 0
+	RemoteOut             = wire.OpRout
+	RemoteInp             = wire.OpRinp
+	RemoteRdp             = wire.OpRrdp
 )
-
-func (k RemoteKind) String() string {
-	switch k {
-	case RemoteOut:
-		return "rout"
-	case RemoteInp:
-		return "rinp"
-	case RemoteRdp:
-		return "rrdp"
-	default:
-		return "none"
-	}
-}
 
 // Outcome reports one instruction's execution to the engine.
 type Outcome struct {

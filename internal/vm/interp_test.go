@@ -653,9 +653,143 @@ func TestISATableConsistency(t *testing.T) {
 		if !ok || back != op {
 			t.Errorf("ByName(%q) = %v,%v", info.Name, back, ok)
 		}
+		checkRowAgainstStep(t, op, info)
 	}
 	if _, ok := ByName("nosuch"); ok {
 		t.Fatal("ByName accepted junk")
+	}
+}
+
+// valueOfKind builds a Value of the one kind bit names, reading as the
+// integer n where the kind coerces to one.
+func valueOfKind(bit kmask, n int16) ts.Value {
+	switch bit {
+	case kNum:
+		return ts.Int(n)
+	case kStr:
+		return ts.Str("abc")
+	case kLoc:
+		return ts.LocV(topology.Loc(1, 1))
+	case kType:
+		return ts.TypeV(ts.TypeCode(n))
+	case kReading:
+		return ts.Reading(ts.SensorTemperature, n)
+	case kAgentID:
+		return ts.AgentIDV(uint16(n))
+	}
+	return ts.Value{} // kInvalid
+}
+
+func kindBit(v ts.Value) kmask {
+	if v.Kind == ts.KindInvalid {
+		return kInvalid
+	}
+	return 1 << (v.Kind - 1)
+}
+
+// checkRowAgainstStep holds one ISA row's pops, pushes and flow columns
+// to what the interpreter does: the analyzer and the burst planner read
+// those columns instead of restating Step, so the columns must not lie.
+func checkRowAgainstStep(t *testing.T, op Op, info Info) {
+	// The instruction at pc 0, then halts to land on. Integer operands
+	// read as 2 (a jumps target and a reaction entry distinct from the
+	// fall-through address 1 when there are no operand bytes), relative
+	// jumps go to next+1, and a VarIn count is 1 over the field <1>,
+	// which the host's tuple space holds so probes and blocking reads hit.
+	next := uint16(info.Size())
+	prog := append([]byte{byte(op)}, make([]byte, info.Operands)...)
+	if info.Kind == OperandRel {
+		prog[1] = byte(next + 1)
+	}
+	prog = append(prog, byte(OpHalt), byte(OpHalt), byte(OpHalt))
+
+	// operands lists what the row says the instruction pops, top first.
+	operands := info.pops
+	if info.VarIn {
+		operands = append(append([]operand(nil), operands...), countArg)
+	}
+	// run executes the instruction with operand i (from the top) of kind
+	// bit and every other operand of the first kind its mask admits.
+	run := func(i int, bit kmask, cond int16) (*Agent, Outcome, int) {
+		a := NewAgent(1, prog)
+		a.Condition = cond
+		a.Heap[0] = ts.Int(7)
+		if info.VarIn {
+			_ = a.Push(ts.Int(1))
+		}
+		for j := len(operands) - 1; j >= 0; j-- {
+			b, n := operands[j].mask&-operands[j].mask, int16(2)
+			if j == i {
+				b = bit
+			}
+			if operands[j] == countArg {
+				n = 1
+			}
+			_ = a.Push(valueOfKind(b, n))
+		}
+		h := newMockHost()
+		_ = h.space.Out(ts.Tuple{Fields: []ts.Value{ts.Int(1)}})
+		before := a.StackDepthUsed()
+		return a, Step(a, h), before
+	}
+
+	for i, o := range operands {
+		for bit := kNum; bit <= kInvalid; bit <<= 1 {
+			_, out, _ := run(i, bit, 0)
+			mismatch := errors.Is(out.Err, ErrTypeMismatch)
+			if o.mask&bit != 0 && mismatch {
+				t.Errorf("%s: row admits a %v %s but Step rejects it: %v", info.Name, bit, o.what, out.Err)
+			}
+			if o.mask&bit == 0 && !mismatch {
+				t.Errorf("%s: row forbids a %v %s but Step took it (effect %v, err %v)", info.Name, bit, o.what, out.Effect, out.Err)
+			}
+		}
+	}
+
+	a, out, before := run(-1, 0, 1)
+	if out.Effect == EffectError {
+		t.Fatalf("%s: a stack built from the row died: %v", info.Name, out.Err)
+	}
+	if !info.VarOut {
+		popped := len(operands)
+		if info.VarIn {
+			popped++ // the one counted field
+		}
+		if got, want := a.StackDepthUsed(), before-popped+info.Out; got != want {
+			t.Errorf("%s: stack depth %d after, row says %d", info.Name, got, want)
+		}
+		for i, m := range info.pushes {
+			if v := a.stack[a.sp-info.Out+i]; kindBit(v)&m == 0 {
+				t.Errorf("%s: result %d is a %v, row says %v", info.Name, i, kindBit(v), m)
+			}
+		}
+	}
+	switch info.flow {
+	case flowNext:
+		if out.Effect != EffectNone || a.PC != next {
+			t.Errorf("%s: falls through, but effect %v pc %d (next %d)", info.Name, out.Effect, a.PC, next)
+		}
+	case flowBranch:
+		if out.Effect != EffectNone || a.PC != next+1 {
+			t.Errorf("%s: branch taken: effect %v pc %d, want pc %d", info.Name, out.Effect, a.PC, next+1)
+		}
+		if a, out, _ := run(-1, 0, 0); out.Effect != EffectNone || a.PC != next {
+			t.Errorf("%s: branch not taken: effect %v pc %d, want pc %d", info.Name, out.Effect, a.PC, next)
+		}
+	case flowJump:
+		for cond := int16(0); cond <= 1; cond++ {
+			if a, out, _ := run(-1, 0, cond); out.Effect != EffectNone || a.PC == next {
+				t.Errorf("%s: always jumps, but with condition %d effect %v pc %d", info.Name, cond, out.Effect, a.PC)
+			}
+		}
+	case flowYield:
+		if e := out.Effect; (e != EffectSleep && e != EffectMigrate && e != EffectRemote) || a.PC != next {
+			t.Errorf("%s: yields, but effect %v pc %d (next %d)", info.Name, e, a.PC, next)
+		}
+	case flowStop:
+		if e := out.Effect; e != EffectHalt && e != EffectWait {
+			t.Errorf("%s: stops, but effect %v", info.Name, e)
+		}
 	}
 }
 

@@ -146,10 +146,109 @@ func (k OperandKind) Bytes() int {
 	}
 }
 
-// Info describes one instruction's static properties: its mnemonic, the
-// kind (and hence size) of its immediate operand, its fixed stack arity,
-// and its modelled cost. This is the ISA metadata table behind the
-// assembler, the disassembler, the program builder, and Verify.
+// kmask is a set of the kinds an operand stack slot or heap variable may
+// hold: the vocabulary of the pops/pushes columns below and of the
+// analyzer's abstract state (analyze.go).
+type kmask uint16
+
+const (
+	kNum     kmask = 1 << iota // KindValue
+	kStr                       // KindString
+	kLoc                       // KindLocation
+	kType                      // KindType
+	kReading                   // KindReading
+	kAgentID                   // KindAgentID
+	kInvalid                   // the zero Value of an unwritten heap slot
+)
+
+const (
+	kAny kmask = kNum | kStr | kLoc | kType | kReading | kAgentID | kInvalid
+	// kInt is what PopInt coerces: plain values, type codes, readings,
+	// and agent IDs.
+	kInt kmask = kNum | kType | kReading | kAgentID
+)
+
+var kmaskNames = [...]string{"value", "string", "location", "type", "reading", "agent-id", "invalid"}
+
+func (m kmask) String() string {
+	s := ""
+	for i, name := range kmaskNames {
+		if m&(1<<i) != 0 {
+			if s != "" {
+				s += "|"
+			}
+			s += name
+		}
+	}
+	if s == "" {
+		return "none"
+	}
+	return s
+}
+
+// operand is one fixed stack operand an instruction pops: the kinds the
+// interpreter accepts there (PopInt's coercions, PopLoc, or anything)
+// and the role the analyzer names in a type-mismatch finding.
+type operand struct {
+	mask kmask
+	what string
+}
+
+var (
+	anyArg   = operand{kAny, "value"}
+	intArg   = operand{kInt, "integer"}
+	destArg  = operand{kLoc, "destination"}
+	entryArg = operand{kInt, "entry address"}
+	countArg = operand{kInt, "field count"} // what VarIn pops beneath the fixed operands
+)
+
+// flow classifies where control goes when an instruction completes.
+type flow uint8
+
+const (
+	// flowNext: continues at the next instruction (a blocking in/rd
+	// only on a hit; a miss retries it).
+	flowNext flow = iota
+	// flowBranch: jumps or continues (rjumpc).
+	flowBranch
+	// flowJump: always transfers control (rjump, jumps).
+	flowJump
+	// flowYield: suspends the agent, which later resumes at the next
+	// instruction (sleep, the migrations, the remote operations).
+	flowYield
+	// flowStop: no continuation (halt; wait, whose only way on is a
+	// reaction entry).
+	flowStop
+)
+
+// blocksOnMiss reports the two flowNext instructions that suspend the
+// agent instead of completing when no tuple matches, to be retried.
+func (op Op) blocksOnMiss() bool { return op == OpIn || op == OpRd }
+
+// falls reports whether the next instruction is a successor.
+func (f flow) falls() bool { return f != flowJump && f != flowStop }
+
+// yields reports whether the instruction ends a wakeful burst.
+func (f flow) yields() bool { return f == flowYield || f == flowStop }
+
+// Info is one row of the ISA table: everything static about an
+// instruction, stated once. Its columns and their readers:
+//
+//   - Name: the assembler, the disassembler, every diagnostic.
+//   - Kind (and Operands, derived): encoding in internal/asm and the
+//     program builder, decoding in Decode and Step.
+//   - pops, pushes (and In, Out, derived), VarIn, VarOut: the stack
+//     effect. Verify's depth intervals read the counts through
+//     stackInterval; Analyze's kind transfer and type checks read the
+//     kinds. A written-out case exists in Analyze only where the effect
+//     depends on data the row cannot hold (dup, swap, getvar/setvar, the
+//     pushc/pushcl constants, the tuple family's counted fields).
+//   - flow: Decode's successor edges (Decoded.Succ), Compile's burst
+//     plans, Analyze's burst cuts.
+//   - Cost: Step and compileStep (the modelled latency).
+//
+// The pops/pushes/flow columns are not trusted: TestISATableConsistency
+// checks each against what Step does.
 type Info struct {
 	Name string
 	// Kind classifies the immediate operand bytes.
@@ -158,14 +257,19 @@ type Info struct {
 	// (always Kind.Bytes(); kept as a field for convenience).
 	Operands int
 
-	// In and Out are the fixed number of stack slots the instruction
-	// pops and pushes. Variable-length tuple traffic is flagged
+	// pops lists the fixed stack operands, top of stack first; pushes
+	// the kinds of the fixed results, in push order. In and Out are
+	// their lengths. Variable-length tuple traffic is flagged
 	// separately: VarIn means the instruction additionally pops a field
 	// count plus that many fields (out, inp, rout, regrxn, ...); VarOut
 	// means it may push a matched tuple's fields plus their count (inp,
 	// rdp, in, rd, and the remote reads on reply delivery).
+	pops          []operand
+	pushes        []kmask
 	In, Out       int
 	VarIn, VarOut bool
+
+	flow flow
 
 	// Cost is the modelled local execution latency on the 8 MHz mote.
 	// Values are calibrated to Figure 12: ≈75 µs for plain pushes and
@@ -174,6 +278,9 @@ type Info struct {
 	// operations, with in > rd > non-blocking probes.
 	Cost time.Duration
 }
+
+// Size is the encoded size of the instruction in bytes.
+func (i Info) Size() int { return 1 + i.Operands }
 
 // StackInMin returns the fewest stack slots the instruction pops on any
 // execution (a VarIn instruction pops at least the field count).
@@ -184,93 +291,106 @@ func (i Info) StackInMin() int {
 	return i.In
 }
 
-// StackInMax returns the most stack slots the instruction can pop.
-func (i Info) StackInMax() int {
+// stackInterval is the one statement of how an instruction moves the
+// interval [lo, hi] of possible stack depths: it pops its fixed operands
+// (plus, if VarIn, the count and up to a stack's worth of fields) and
+// pushes its fixed results (plus, if VarOut, up to a stack's worth on a
+// hit). under means every path underflows. Otherwise the result is
+// unclamped: outLo above StackDepth is a guaranteed overflow, outHi above
+// it a possible one.
+func stackInterval(i Info, lo, hi int) (outLo, outHi int, under bool) {
+	popMin, popMax, pushMax := i.StackInMin(), i.StackInMin(), i.Out
 	if i.VarIn {
-		return i.In + 1 + StackDepth
+		popMax += StackDepth
 	}
-	return i.In
-}
-
-// StackOutMin returns the fewest stack slots the instruction pushes (a
-// VarOut instruction pushes nothing on a miss).
-func (i Info) StackOutMin() int { return i.Out }
-
-// StackOutMax returns the most stack slots the instruction can push.
-func (i Info) StackOutMax() int {
 	if i.VarOut {
-		return i.Out + StackDepth
+		pushMax += StackDepth
 	}
-	return i.Out
+	if hi < popMin {
+		return 0, 0, true
+	}
+	return max(0, lo-popMax) + i.Out, hi - popMin + pushMax, false
 }
 
 const us = time.Microsecond
 
+// The operand and result lists most rows share.
+var (
+	popInt   = []operand{intArg}
+	popInt2  = []operand{intArg, intArg}
+	popAny   = []operand{anyArg}
+	popDest  = []operand{destArg}
+	pushNum  = []kmask{kNum}
+	pushLoc  = []kmask{kLoc}
+	pushType = []kmask{kType}
+)
+
 var infoTable = map[Op]Info{
-	OpHalt:   {Name: "halt", Cost: 60 * us},
-	OpLoc:    {Name: "loc", Out: 1, Cost: 74 * us},
-	OpAid:    {Name: "aid", Out: 1, Cost: 72 * us},
-	OpRand:   {Name: "rand", Out: 1, Cost: 112 * us},
-	OpDup:    {Name: "dup", In: 1, Out: 2, Cost: 70 * us},
-	OpPop:    {Name: "pop", In: 1, Cost: 66 * us},
-	OpSwap:   {Name: "swap", In: 2, Out: 2, Cost: 72 * us},
-	OpAdd:    {Name: "add", In: 2, Out: 1, Cost: 78 * us},
-	OpSub:    {Name: "sub", In: 2, Out: 1, Cost: 78 * us},
-	OpAnd:    {Name: "and", In: 2, Out: 1, Cost: 75 * us},
-	OpOr:     {Name: "or", In: 2, Out: 1, Cost: 75 * us},
-	OpWait:   {Name: "wait", Cost: 80 * us},
-	OpNot:    {Name: "not", In: 1, Out: 1, Cost: 73 * us},
-	OpSleep:  {Name: "sleep", In: 1, Cost: 90 * us},
-	OpPutled: {Name: "putled", In: 1, Cost: 85 * us},
-	OpSense:  {Name: "sense", In: 1, Out: 1, Cost: 232 * us},
-	OpCeq:    {Name: "ceq", In: 2, Cost: 82 * us},
-	OpCneq:   {Name: "cneq", In: 2, Cost: 82 * us},
-	OpClt:    {Name: "clt", In: 2, Cost: 82 * us},
-	OpCgt:    {Name: "cgt", In: 2, Cost: 82 * us},
-	OpJumps:  {Name: "jumps", In: 1, Cost: 86 * us},
-	OpRjump:  {Name: "rjump", Kind: OperandRel, Cost: 84 * us},
-	OpRjumpc: {Name: "rjumpc", Kind: OperandRel, Cost: 85 * us},
-	OpGetvar: {Name: "getvar", Kind: OperandHeap, Out: 1, Cost: 96 * us},
-	OpSetvar: {Name: "setvar", Kind: OperandHeap, In: 1, Cost: 98 * us},
-	OpInc:    {Name: "inc", In: 1, Out: 1, Cost: 70 * us},
+	OpHalt:   {Name: "halt", flow: flowStop, Cost: 60 * us},
+	OpLoc:    {Name: "loc", pushes: pushLoc, Cost: 74 * us},
+	OpAid:    {Name: "aid", pushes: []kmask{kAgentID}, Cost: 72 * us},
+	OpRand:   {Name: "rand", pushes: pushNum, Cost: 112 * us},
+	OpDup:    {Name: "dup", pops: popAny, pushes: []kmask{kAny, kAny}, Cost: 70 * us},
+	OpPop:    {Name: "pop", pops: popAny, Cost: 66 * us},
+	OpSwap:   {Name: "swap", pops: []operand{anyArg, anyArg}, pushes: []kmask{kAny, kAny}, Cost: 72 * us},
+	OpAdd:    {Name: "add", pops: popInt2, pushes: pushNum, Cost: 78 * us},
+	OpSub:    {Name: "sub", pops: popInt2, pushes: pushNum, Cost: 78 * us},
+	OpAnd:    {Name: "and", pops: popInt2, pushes: pushNum, Cost: 75 * us},
+	OpOr:     {Name: "or", pops: popInt2, pushes: pushNum, Cost: 75 * us},
+	OpWait:   {Name: "wait", flow: flowStop, Cost: 80 * us},
+	OpNot:    {Name: "not", pops: popInt, pushes: pushNum, Cost: 73 * us},
+	OpSleep:  {Name: "sleep", pops: popInt, flow: flowYield, Cost: 90 * us},
+	OpPutled: {Name: "putled", pops: popInt, Cost: 85 * us},
+	OpSense:  {Name: "sense", pops: popInt, pushes: []kmask{kReading}, Cost: 232 * us},
+	OpCeq:    {Name: "ceq", pops: popInt2, Cost: 82 * us},
+	OpCneq:   {Name: "cneq", pops: popInt2, Cost: 82 * us},
+	OpClt:    {Name: "clt", pops: popInt2, Cost: 82 * us},
+	OpCgt:    {Name: "cgt", pops: popInt2, Cost: 82 * us},
+	OpJumps:  {Name: "jumps", pops: popInt, flow: flowJump, Cost: 86 * us},
+	OpRjump:  {Name: "rjump", Kind: OperandRel, flow: flowJump, Cost: 84 * us},
+	OpRjumpc: {Name: "rjumpc", Kind: OperandRel, flow: flowBranch, Cost: 85 * us},
+	OpGetvar: {Name: "getvar", Kind: OperandHeap, pushes: []kmask{kAny}, Cost: 96 * us},
+	OpSetvar: {Name: "setvar", Kind: OperandHeap, pops: popAny, Cost: 98 * us},
+	OpInc:    {Name: "inc", pops: popInt, pushes: pushNum, Cost: 70 * us},
 
-	OpSmove:  {Name: "smove", In: 1, Cost: 210 * us},
-	OpWmove:  {Name: "wmove", In: 1, Cost: 205 * us},
-	OpSclone: {Name: "sclone", In: 1, Cost: 212 * us},
-	OpWclone: {Name: "wclone", In: 1, Cost: 206 * us},
+	OpSmove:  {Name: "smove", pops: popDest, flow: flowYield, Cost: 210 * us},
+	OpWmove:  {Name: "wmove", pops: popDest, flow: flowYield, Cost: 205 * us},
+	OpSclone: {Name: "sclone", pops: popDest, flow: flowYield, Cost: 212 * us},
+	OpWclone: {Name: "wclone", pops: popDest, flow: flowYield, Cost: 206 * us},
 
-	OpGetnbr:  {Name: "getnbr", In: 1, Out: 1, Cost: 155 * us},
-	OpNumnbrs: {Name: "numnbrs", Out: 1, Cost: 78 * us},
-	OpRandnbr: {Name: "randnbr", Out: 1, Cost: 148 * us},
+	OpGetnbr:  {Name: "getnbr", pops: popInt, pushes: pushLoc, Cost: 155 * us},
+	OpNumnbrs: {Name: "numnbrs", pushes: pushNum, Cost: 78 * us},
+	OpRandnbr: {Name: "randnbr", pushes: pushLoc, Cost: 148 * us},
 
-	OpEq:  {Name: "eq", In: 2, Out: 1, Cost: 81 * us},
-	OpNeq: {Name: "neq", In: 2, Out: 1, Cost: 81 * us},
-	OpLt:  {Name: "lt", In: 2, Out: 1, Cost: 81 * us},
-	OpGt:  {Name: "gt", In: 2, Out: 1, Cost: 81 * us},
+	OpEq:  {Name: "eq", pops: popInt2, pushes: pushNum, Cost: 81 * us},
+	OpNeq: {Name: "neq", pops: popInt2, pushes: pushNum, Cost: 81 * us},
+	OpLt:  {Name: "lt", pops: popInt2, pushes: pushNum, Cost: 81 * us},
+	OpGt:  {Name: "gt", pops: popInt2, pushes: pushNum, Cost: 81 * us},
 
-	OpPushc:   {Name: "pushc", Kind: OperandU8, Out: 1, Cost: 76 * us},
-	OpPushcl:  {Name: "pushcl", Kind: OperandS16, Out: 1, Cost: 141 * us},
-	OpPushn:   {Name: "pushn", Kind: OperandName3, Out: 1, Cost: 152 * us},
-	OpPusht:   {Name: "pusht", Kind: OperandType, Out: 1, Cost: 136 * us},
-	OpPushrt:  {Name: "pushrt", Kind: OperandSensor, Out: 1, Cost: 132 * us},
-	OpPushloc: {Name: "pushloc", Kind: OperandLoc, Out: 1, Cost: 158 * us},
+	OpPushc:   {Name: "pushc", Kind: OperandU8, pushes: pushNum, Cost: 76 * us},
+	OpPushcl:  {Name: "pushcl", Kind: OperandS16, pushes: pushNum, Cost: 141 * us},
+	OpPushn:   {Name: "pushn", Kind: OperandName3, pushes: []kmask{kStr}, Cost: 152 * us},
+	OpPusht:   {Name: "pusht", Kind: OperandType, pushes: pushType, Cost: 136 * us},
+	OpPushrt:  {Name: "pushrt", Kind: OperandSensor, pushes: pushType, Cost: 132 * us},
+	OpPushloc: {Name: "pushloc", Kind: OperandLoc, pushes: pushLoc, Cost: 158 * us},
 
-	OpTcount:   {Name: "tcount", VarIn: true, Out: 1, Cost: 312 * us},
+	OpTcount:   {Name: "tcount", VarIn: true, pushes: pushNum, Cost: 312 * us},
 	OpOut:      {Name: "out", VarIn: true, Cost: 286 * us},
 	OpInp:      {Name: "inp", VarIn: true, VarOut: true, Cost: 271 * us},
 	OpRdp:      {Name: "rdp", VarIn: true, VarOut: true, Cost: 263 * us},
 	OpIn:       {Name: "in", VarIn: true, VarOut: true, Cost: 301 * us},
 	OpRd:       {Name: "rd", VarIn: true, VarOut: true, Cost: 291 * us},
-	OpRout:     {Name: "rout", In: 1, VarIn: true, Cost: 250 * us},
-	OpRinp:     {Name: "rinp", In: 1, VarIn: true, VarOut: true, Cost: 252 * us},
-	OpRrdp:     {Name: "rrdp", In: 1, VarIn: true, VarOut: true, Cost: 251 * us},
-	OpRegrxn:   {Name: "regrxn", In: 1, VarIn: true, Cost: 181 * us},
+	OpRout:     {Name: "rout", pops: popDest, VarIn: true, flow: flowYield, Cost: 250 * us},
+	OpRinp:     {Name: "rinp", pops: popDest, VarIn: true, VarOut: true, flow: flowYield, Cost: 252 * us},
+	OpRrdp:     {Name: "rrdp", pops: popDest, VarIn: true, VarOut: true, flow: flowYield, Cost: 251 * us},
+	OpRegrxn:   {Name: "regrxn", pops: []operand{entryArg}, VarIn: true, Cost: 181 * us},
 	OpDeregrxn: {Name: "deregrxn", VarIn: true, Cost: 173 * us},
 }
 
 func init() {
 	for op, info := range infoTable {
 		info.Operands = info.Kind.Bytes()
+		info.In, info.Out = len(info.pops), len(info.pushes)
 		infoTable[op] = info
 	}
 }
@@ -315,10 +435,10 @@ func Size(code []byte, pc int) (int, error) {
 	if !ok {
 		return 0, fmt.Errorf("vm: unknown opcode 0x%02x at pc %d", code[pc], pc)
 	}
-	if pc+1+info.Operands > len(code) {
+	if pc+info.Size() > len(code) {
 		return 0, fmt.Errorf("vm: truncated operands for %s at pc %d", info.Name, pc)
 	}
-	return 1 + info.Operands, nil
+	return info.Size(), nil
 }
 
 func (op Op) String() string {

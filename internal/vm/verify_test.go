@@ -1,7 +1,10 @@
 package vm
 
 import (
+	"encoding/hex"
 	"errors"
+	"fmt"
+	"os"
 	"strings"
 	"testing"
 )
@@ -12,11 +15,8 @@ func TestVerifyMetadataConsistent(t *testing.T) {
 		if info.Operands != info.Kind.Bytes() {
 			t.Errorf("%s: Operands=%d but Kind.Bytes()=%d", info.Name, info.Operands, info.Kind.Bytes())
 		}
-		if info.In < 0 || info.Out < 0 {
-			t.Errorf("%s: negative stack arity", info.Name)
-		}
-		if info.StackInMin() > info.StackInMax() || info.StackOutMin() > info.StackOutMax() {
-			t.Errorf("%s: inverted stack bounds", info.Name)
+		if info.In != len(info.pops) || info.Out != len(info.pushes) {
+			t.Errorf("%s: In/Out = %d/%d but the row lists %d pops, %d pushes", info.Name, info.In, info.Out, len(info.pops), len(info.pushes))
 		}
 	}
 }
@@ -215,5 +215,45 @@ func TestVerifyLoopFixpointTerminates(t *testing.T) {
 	}
 	if !rep.MayOverflow {
 		t.Error("leaking loop should report MayOverflow")
+	}
+}
+
+// TestSuccMatchesRetiredWalkers pins Decoded.Succ, the one statement of
+// the CFG successor rule, to the successor sets the three hand-written
+// walkers it replaced produced (Verify's fixpoint, Analyze's kind
+// fixpoint, and — between yield points — analyzeEnergy's succ; they
+// agreed with each other on every program here). testdata/succ.golden
+// was generated at commit bda3bbd from verbatim copies of those rules,
+// over every program.Library() agent, every examples/agents/*.agilla,
+// and every decodable program the vm package's tests, fuzz seeds
+// included, hand to Verify, Analyze or Compile. Each line is the
+// program in hex, then pc>successor-pcs for each instruction in order.
+func TestSuccMatchesRetiredWalkers(t *testing.T) {
+	golden, err := os.ReadFile("testdata/succ.golden")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(golden)), "\n") {
+		fields := strings.Fields(line)
+		prog, err := hex.DecodeString(fields[0])
+		if err != nil {
+			t.Fatalf("bad golden line %q: %v", line, err)
+		}
+		d, err := Decode(prog)
+		if err != nil {
+			t.Errorf("%s: %v", fields[0], err)
+			continue
+		}
+		var got []string
+		for i, in := range d.Ins {
+			var pcs []string
+			for _, j := range d.Succ(i) {
+				pcs = append(pcs, fmt.Sprint(d.Ins[j].PC))
+			}
+			got = append(got, fmt.Sprintf("%d>%s", in.PC, strings.Join(pcs, ",")))
+		}
+		if g, w := strings.Join(got, " "), strings.Join(fields[1:], " "); g != w {
+			t.Errorf("%s:\n got %s\nwant %s", fields[0], g, w)
+		}
 	}
 }

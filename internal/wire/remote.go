@@ -9,7 +9,8 @@ import (
 
 // RemoteOp identifies a remote tuple space operation (§2.2: rout, rinp,
 // rrdp — only probing operations are provided remotely so an agent cannot
-// block forever on message loss).
+// block forever on message loss). vm.RemoteKind and agilla.RemoteKind
+// alias it.
 type RemoteOp uint8
 
 // Remote operations.

@@ -101,11 +101,12 @@ func getLoc(src []byte) topology.Location {
 	return topology.Location{X: int16(get16(src[0:])), Y: int16(get16(src[2:]))}
 }
 
-// MigKind is the migration operation carried in a state message.
+// MigKind is the migration operation carried in a state message. This is
+// the repo's one migration-kind enumeration: vm.MigrateKind (what the four
+// instructions request) and agilla.MigKind (what events report) alias it.
 type MigKind uint8
 
-// Migration kinds on the wire (mirrors vm.MigrateKind; redeclared here so
-// wire does not depend on vm).
+// Migration kinds.
 const (
 	MigStrongMove  MigKind = 1
 	MigWeakMove    MigKind = 2

@@ -7,7 +7,6 @@ import (
 	"github.com/agilla-go/agilla/internal/core"
 	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/internal/transport"
-	"github.com/agilla-go/agilla/program"
 )
 
 // RadioParams configures the radio latency/loss model. LossyRadio returns
@@ -204,16 +203,7 @@ func New(opts ...Option) (*Network, error) {
 		if s.energy != nil {
 			model = *s.energy
 		}
-		c := model.VMCosts()
-		nw.admission = &admission{
-			budgetJ: *s.admission,
-			costs: program.EnergyCosts{
-				InstrNJ:    c.InstrNJ,
-				SendNJ:     c.SendNJ,
-				SendByteNJ: c.SendByteNJ,
-				SenseNJ:    c.SenseNJ,
-			},
-		}
+		nw.admission = &admission{budgetJ: *s.admission, costs: model.VMCosts()}
 	}
 	return nw, nil
 }

@@ -25,24 +25,17 @@ import (
 var ErrAnalyze = errors.New("program: analysis failed")
 
 // Severity classifies a finding.
-type Severity uint8
+type Severity = vm.Severity
 
 // Severities.
 const (
 	// SevWarning marks suspicious but survivable programs: dead code,
 	// unreachable reactions, an unbounded energy draw.
-	SevWarning Severity = iota
+	SevWarning = vm.SevWarning
 	// SevError marks guaranteed runtime deaths or reads of never-written
 	// state.
-	SevError
+	SevError = vm.SevError
 )
-
-func (s Severity) String() string {
-	if s == SevError {
-		return "error"
-	}
-	return "warning"
-}
 
 // Finding is one analysis result, positioned by the authoring surface:
 // source line for parsed programs, build step for built ones, program
@@ -63,25 +56,13 @@ func (f Finding) String() string {
 }
 
 // EnergyCosts configures the per-instruction energy figures Analyze
-// folds over the control-flow graph, in integer nanojoules. The zero
-// value selects the MICA2 calibration the deployment energy model
-// defaults to (agilla.WithEnergy's DefaultEnergyModel).
-type EnergyCosts struct {
-	// InstrNJ is charged per executed instruction; SenseNJ per sensor
-	// sample; SendNJ per transmitted frame plus SendByteNJ per payload
-	// byte (migrations carry the code; remote operations a template).
-	InstrNJ    uint64
-	SendNJ     uint64
-	SendByteNJ uint64
-	SenseNJ    uint64
-}
-
-func (c EnergyCosts) vm() vm.EnergyCosts {
-	if c == (EnergyCosts{}) {
-		return vm.DefaultEnergyCosts()
-	}
-	return vm.EnergyCosts{InstrNJ: c.InstrNJ, SendNJ: c.SendNJ, SendByteNJ: c.SendByteNJ, SenseNJ: c.SenseNJ}
-}
+// folds over the control-flow graph, in integer nanojoules: InstrNJ per
+// executed instruction, SenseNJ per sensor sample, SendNJ per
+// transmitted frame plus SendByteNJ per payload byte (migrations carry
+// the code; remote operations a template). The zero value selects the
+// MICA2 calibration the deployment energy model defaults to
+// (agilla.WithEnergy's DefaultEnergyModel).
+type EnergyCosts = vm.EnergyCosts
 
 // AnalysisReport is the result of analyzing one program.
 type AnalysisReport struct {
@@ -175,7 +156,10 @@ func Analyze(p *Program) AnalysisReport {
 func AnalyzeWithCosts(p *Program, costs EnergyCosts) AnalysisReport {
 	// The program already passed Verify, so the analysis cannot fail at
 	// the verification layer; error findings are carried in the report.
-	vrep, _ := vm.Analyze(p.code, costs.vm())
+	if costs == (EnergyCosts{}) {
+		costs = vm.DefaultEnergyCosts()
+	}
+	vrep, _ := vm.Analyze(p.code, costs)
 
 	rep := AnalysisReport{
 		EnergyBoundNJ:   vrep.EnergyBoundNJ,
@@ -194,7 +178,7 @@ func AnalyzeWithCosts(p *Program, costs EnergyCosts) AnalysisReport {
 			PC:       f.PC,
 			Pos:      p.pos(f.PC),
 			Op:       f.Op.String(),
-			Severity: Severity(f.Severity),
+			Severity: f.Severity,
 			Msg:      f.Msg,
 		})
 	}

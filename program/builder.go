@@ -477,7 +477,7 @@ func (b *Builder) Build() (*Program, error) {
 	addr := make([]int, len(b.ins)+1)
 	for i, in := range b.ins {
 		info, _ := vm.Lookup(in.op)
-		addr[i+1] = addr[i] + 1 + info.Operands
+		addr[i+1] = addr[i] + info.Size()
 	}
 	size := addr[len(b.ins)]
 
@@ -520,13 +520,7 @@ func (b *Builder) Build() (*Program, error) {
 	rep, err := vm.Verify(code)
 	if err != nil {
 		for _, ve := range rep.Errors {
-			idx := 0
-			for i := range b.ins {
-				if addr[i] <= ve.PC {
-					idx = i
-				}
-			}
-			errs = append(errs, fmt.Errorf("%s: %s", b.pos(idx), ve.Msg))
+			errs = append(errs, fmt.Errorf("%s: %s", b.pos(ve.Index), ve.Msg))
 		}
 		return nil, fmt.Errorf("%w: %w", ErrVerify, errors.Join(errs...))
 	}
