@@ -162,6 +162,9 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *runFor < 0 {
+		return fmt.Errorf("-run: negative duration %v", *runFor)
+	}
 
 	var top agilla.Topology
 	switch *topo {

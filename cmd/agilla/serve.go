@@ -162,6 +162,14 @@ func runServe(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// The status loop steps virtual time by -status, so only a positive
+	// one ever advances; checked before anything opens a socket.
+	if *status <= 0 {
+		return fmt.Errorf("-status: must be positive, got %v", *status)
+	}
+	if *runFor < 0 {
+		return fmt.Errorf("-run: negative duration %v (0 serves forever)", *runFor)
+	}
 	if len(peers) == 0 {
 		return fmt.Errorf("serve needs at least one -peer")
 	}

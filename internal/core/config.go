@@ -44,7 +44,7 @@ const (
 // instantiation work a migration performs on an 8 MHz ATmega128L, and are
 // tuned so one-hop smove lands near the paper's ≈225 ms and one-hop remote
 // tuple space ops near ≈55 ms (Figures 10 and 11). The rationale is
-// documented in EXPERIMENTS.md.
+// documented in README.md ("Reproducing the paper", Calibration).
 const (
 	// DefaultMigSendOverhead models snapshotting the agent and packing
 	// messages before the first byte leaves the sender.

@@ -106,10 +106,9 @@ type DeploymentSpec struct {
 	Seed int64
 	// Radio selects the loss/latency model (nil: radio.Lossy()).
 	Radio *radio.Params
-	// Node configures every mote; Base overrides for the base station
-	// (zero values select paper defaults, with a roomier base).
+	// Node configures every mote and, with roomier limits, the base
+	// station (zero values select paper defaults).
 	Node Config
-	Base *Config
 	// BaseLoc places the base station; default (0,0) as in §4.
 	BaseLoc *topology.Location
 	// Topo, when non-nil, replaces the whole medium topology (layout
@@ -206,17 +205,13 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 		tracker: newAgentTracker(),
 	}
 
+	// The base station is a laptop: effectively unconstrained.
 	baseCfg := spec.Node
-	if spec.Base != nil {
-		baseCfg = *spec.Base
-	} else {
-		// The base station is a laptop: effectively unconstrained.
-		baseCfg.MaxAgents = 64
-		baseCfg.CodeBlocks = 512
-		baseCfg.ArenaBytes = 16 * 1024
-		baseCfg.RegistryBytes = 8 * 1024
-		baseCfg.RegistryMax = 128
-	}
+	baseCfg.MaxAgents = 64
+	baseCfg.CodeBlocks = 512
+	baseCfg.ArenaBytes = 16 * 1024
+	baseCfg.RegistryBytes = 8 * 1024
+	baseCfg.RegistryMax = 128
 
 	base, err := newNode(s.Context(sim.Key2D(baseLoc.X, baseLoc.Y)), medium, baseLoc, 0, nil, baseCfg, trace, d.tracker)
 	if err != nil {

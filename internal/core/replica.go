@@ -114,9 +114,6 @@ func (n *Node) EnableReplication(cfg Replication, rng *rand.Rand) {
 	n.hookReplica()
 }
 
-// ReplicationEnabled reports whether the node gossips replicas.
-func (n *Node) ReplicationEnabled() bool { return n.repl != nil }
-
 // ReplicaLive returns the node's live replica entries (tests and the churn
 // harness inspect survival through this). Nil without replication.
 func (n *Node) ReplicaLive() []replica.Entry {

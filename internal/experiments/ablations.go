@@ -31,10 +31,10 @@ type AblationResult struct {
 // the end-to-end variant the authors tried first and abandoned (§3.2: "We
 // tried using end-to-end communication ... unacceptably prone to
 // failure"), sweeping channel loss with a realistic multi-message agent.
-// See EXPERIMENTS.md for the reading: the patient end-to-end sender
-// collapses as loss rises; the naive one (hop-by-hop's 0.1s timer reused)
-// "succeeds" only by flooding duplicate copies at several times the
-// traffic.
+// See README.md (Calibration) for the reading: the patient end-to-end
+// sender collapses as loss rises; the naive one (hop-by-hop's 0.1s timer
+// reused) "succeeds" only by flooding duplicate copies at several times
+// the traffic.
 func AblationEndToEnd(cfg Config) (*AblationResult, error) {
 	cfg = cfg.withDefaults()
 	res := &AblationResult{Title: "hop-by-hop vs end-to-end migration under rising loss (fat-agent smove)"}

@@ -134,7 +134,8 @@ func ZeroLoss() Params {
 }
 
 // Lossy returns the calibrated testbed model used to regenerate the
-// paper's figures. Calibration rationale is recorded in EXPERIMENTS.md.
+// paper's figures. Calibration rationale is recorded in README.md
+// ("Reproducing the paper", Calibration).
 func Lossy() Params {
 	return Params{
 		BitrateBps:    38400,
@@ -267,9 +268,6 @@ func NewMedium(ex sim.Executor, topo topology.Topology, params Params) *Medium {
 	return m
 }
 
-// Params returns the medium's configured parameters.
-func (m *Medium) Params() Params { return m.params }
-
 // Stats returns a snapshot of the medium counters, summed across shards.
 func (m *Medium) Stats() Stats {
 	var t Stats
@@ -341,23 +339,6 @@ func (m *Medium) Move(from, to topology.Location) error {
 	}
 	m.version++
 	return nil
-}
-
-// Version returns the medium's topology version: the number of structural
-// mutations (attaches, moves) applied so far.
-func (m *Medium) Version() uint64 { return m.version }
-
-// Locations returns all attached node locations (iteration order is not
-// deterministic; callers must sort if order matters).
-func (m *Medium) Locations() []topology.Location {
-	out := make([]topology.Location, 0, len(m.att))
-	//lint:maprange documented as unordered; callers sort when order matters
-	for l, a := range m.att {
-		if a.r != nil {
-			out = append(out, l)
-		}
-	}
-	return out
 }
 
 // ctxOf returns the scheduling context keyed to loc, registering one on

@@ -1,9 +1,7 @@
 package sim
 
 import (
-	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -22,7 +20,7 @@ import (
 // granularity: RunUntil evaluates its predicate at window barriers rather
 // than after every event, so predicate-bounded runs may execute up to one
 // window past the instant the predicate first became true. Time-bounded
-// runs (Run, RunUntilIdle) are exact.
+// runs (Run) are exact.
 //
 // Construct with NewParallel. The host may only touch simulation state
 // between Run calls; hooks that fire during events (traces, medium taps)
@@ -45,8 +43,7 @@ type Parallel struct {
 	worldExec uint64
 	worldLast time.Duration
 
-	now     time.Duration
-	stopped atomic.Bool
+	now time.Duration
 }
 
 // NewParallel returns a sharded executor with the given number of shards.
@@ -78,9 +75,6 @@ func (p *Parallel) Seed() int64 { return p.tab.seed }
 // Shards returns the number of execution shards.
 func (p *Parallel) Shards() int { return len(p.shards) }
 
-// Window returns the conservative lookahead window.
-func (p *Parallel) Window() time.Duration { return p.window }
-
 // Now returns the current virtual time (the last barrier position).
 func (p *Parallel) Now() time.Duration { return p.now }
 
@@ -100,9 +94,6 @@ func (p *Parallel) Context(key ContextKey) *Ctx {
 		return p.shards[si]
 	})
 }
-
-// Stop makes the current Run call return ErrStopped at the next barrier.
-func (p *Parallel) Stop() { p.stopped.Store(true) }
 
 // Executed returns the number of events fired so far (world events
 // included). Call it from the host between runs (worker counters are
@@ -179,22 +170,20 @@ func (p *Parallel) peekWorld() *Event {
 // at the same instant, node events the callback spawned for that instant
 // are drained first: their context keys sort below WorldKey, so the
 // sequential executor runs them before the next world event, and the
-// schedules must agree. Returns ErrStopped when stopped mid-drain.
-func (p *Parallel) runWorld(at time.Duration) error {
+// schedules must agree.
+func (p *Parallel) runWorld(at time.Duration) {
 	p.settle(at)
 	for {
 		w := p.peekWorld()
 		if w == nil || w.at != at {
-			return nil
+			return
 		}
 		p.worldQ.pop()
 		p.worldLast = at
 		p.worldExec++
 		w.fn()
 		if p.anyDue(at, true) {
-			if err := p.syncTo(at); err != nil {
-				return err
-			}
+			p.syncTo(at)
 		}
 	}
 }
@@ -214,20 +203,18 @@ func (p *Parallel) anyDue(end time.Duration, closed bool) bool {
 // syncTo drives every shard to time end inclusive, looping until no
 // cross-shard arrival at or before end remains unexecuted. Afterwards the
 // whole deployment sits exactly at end — the precondition for running a
-// world event there. It returns ErrStopped when stopped.
-func (p *Parallel) syncTo(end time.Duration) error {
+// world event there.
+func (p *Parallel) syncTo(end time.Duration) {
 	for {
-		if err := p.finishWindow(end, true); err != nil {
-			return err
-		}
+		p.runWindow(end, true)
 		if !p.anyDue(end, true) {
-			return nil
+			return
 		}
 	}
 }
 
 // earliest merges all mailboxes and returns the earliest pending event
-// time, or false when everything is idle.
+// time, or false when every shard is idle.
 func (p *Parallel) earliest() (time.Duration, bool) {
 	var t0 time.Duration
 	found := false
@@ -240,20 +227,11 @@ func (p *Parallel) earliest() (time.Duration, bool) {
 	return t0, found
 }
 
-// windowChunk bounds how many events one shard executes between barriers.
-// Real windows hold a few hundred events, so the cap costs nothing in the
-// steady state; it exists so a runaway zero-delay schedule still returns
-// control to the barrier, where Stop and event budgets are checked.
-const windowChunk = 4096
-
-// runWindow executes one barrier-to-barrier chunk of a window: every
-// shard runs up to windowChunk of its events scheduled before end (at
-// exactly end too when closed) on its own goroutine. Shards with nothing
-// due are skipped entirely. It reports whether every shard finished the
-// window; a false return means the same window must be driven again.
-func (p *Parallel) runWindow(end time.Duration, closed bool) bool {
+// runWindow executes one window barrier to barrier: every shard runs its
+// events scheduled before end (at exactly end too when closed) on its own
+// goroutine. Shards with nothing due are skipped entirely.
+func (p *Parallel) runWindow(end time.Duration, closed bool) {
 	var wg sync.WaitGroup
-	var unfinished atomic.Bool
 	for _, sh := range p.shards {
 		sh.drain()
 		if !sh.due(end, closed) {
@@ -263,33 +241,15 @@ func (p *Parallel) runWindow(end time.Duration, closed bool) bool {
 		//lint:gospawn this IS the executor's worker pool; workers join at the window barrier below
 		go func(sh *shard) {
 			defer wg.Done()
-			if !sh.runTo(end, closed, windowChunk) {
-				unfinished.Store(true)
-			}
+			sh.runTo(end, closed)
 		}(sh)
 	}
 	wg.Wait()
-	return !unfinished.Load()
-}
-
-// finishWindow drives one window to completion, re-entering after each
-// budget-capped chunk so Stop stays responsive even against zero-delay
-// self-perpetuating schedules. It returns ErrStopped when stopped.
-func (p *Parallel) finishWindow(end time.Duration, closed bool) error {
-	for {
-		if p.runWindow(end, closed) {
-			return nil
-		}
-		if p.stopped.Load() {
-			return ErrStopped
-		}
-	}
 }
 
 // settle ends a run: the global clock lands on t and every shard clock
 // agrees with it, exactly as the sequential executor leaves its single
-// clock. t may sit below the internal window cursor — the cursor is an
-// implementation artifact, not observed time.
+// clock.
 func (p *Parallel) settle(t time.Duration) {
 	p.now = t
 	for _, sh := range p.shards {
@@ -297,209 +257,74 @@ func (p *Parallel) settle(t time.Duration) {
 	}
 }
 
-// rest returns the clock position for a run that drained the queue or was
-// stopped: the last executed event (node or world), like the sequential
-// executor — but never before the clock position the run began at.
-func (p *Parallel) rest(begin time.Duration) time.Duration {
-	t := begin
+// park settles a run that has nothing left to execute at or before until.
+// With events still queued beyond it the clock lands on until; fully idle,
+// it rests at the last executed event (node or world), as the sequential
+// executor does — but never before begin, the position the run started at.
+func (p *Parallel) park(begin, until time.Duration) {
+	if _, ok := p.earliest(); ok || p.peekWorld() != nil {
+		p.settle(until)
+		return
+	}
+	t := max(begin, p.worldLast)
 	for _, sh := range p.shards {
-		if sh.lastAt > t {
-			t = sh.lastAt
-		}
+		t = max(t, sh.lastAt)
 	}
-	if p.worldLast > t {
-		t = p.worldLast
-	}
-	return t
+	p.settle(t)
 }
 
 // Run executes events until the queue is empty or the virtual clock would
-// pass the until mark. Events at exactly until still run. It returns
-// ErrStopped if Stop was called.
+// pass the until mark. Events at exactly until still run. The error is
+// always nil.
 func (p *Parallel) Run(until time.Duration) error {
-	_, err := p.runLoop(until, nil)
-	return err
+	p.runLoop(until, nil)
+	return nil
 }
 
-// runLoop is the window loop shared by Run and RunUntil: march
-// lookahead-width windows up to until, then run one closed pass for
-// events at exactly until (cross-shard arrivals at until were merged by
-// the barrier in between). Windows are clipped at world-event times: the
-// deployment is synced exactly to the event's timestamp, the world
-// callback runs alone on the driver goroutine, and windowing resumes —
-// which is what makes cross-shard world mutations replay the sequential
-// schedule. When pred is non-nil it is evaluated at every window barrier
-// and ends the run once true.
-func (p *Parallel) runLoop(until time.Duration, pred func() bool) (bool, error) {
-	p.stopped.Store(false)
+// runLoop is the window loop behind Run and RunUntil: march
+// lookahead-width windows, each anchored at the earliest pending event,
+// up to until, then run one closed pass for events at exactly until
+// (cross-shard arrivals at until were merged by the barrier in between).
+// Windows are clipped at world-event times: the deployment is synced
+// exactly to the event's timestamp, the world callback runs alone on the
+// driver goroutine, and windowing resumes — which is what makes
+// cross-shard world mutations replay the sequential schedule. When pred is
+// non-nil it is evaluated at every barrier and ends the run once true. A
+// horizon already in the past is the current instant: the clock never
+// moves back.
+func (p *Parallel) runLoop(until time.Duration, pred func() bool) bool {
+	until = max(until, p.now)
 	begin := p.now
 	for {
-		if p.stopped.Load() {
-			p.settle(p.rest(begin))
-			return false, ErrStopped
-		}
 		t0, ok := p.earliest()
 		w := p.peekWorld()
 		worldDue := w != nil && w.at <= until
-		if !ok && !worldDue {
-			if w == nil {
-				// Fully idle: rest at the last executed event, as the
-				// sequential executor does.
-				p.settle(p.rest(begin))
-				return false, nil
-			}
-			p.settle(until) // world events remain beyond until
-			return false, nil
-		}
-		if ok && t0 > until && !worldDue {
-			p.settle(until)
-			return false, nil
-		}
-		// A world event with no node event before it: nothing to sync.
-		if worldDue && (!ok || w.at < t0) {
-			if err := p.runWorld(w.at); err != nil {
-				p.settle(p.rest(begin))
-				return false, err
-			}
-			p.now = w.at
-			if pred != nil && pred() {
-				p.settle(w.at)
-				return true, nil
-			}
-			continue
-		}
-		// Anchor the window at the earliest pending event, NOT at the
-		// cursor: after a dirty stop (Stop or a budget error escaping
-		// mid-window) stale events below the cursor may remain, and a
-		// window anchored above them would execute them without lookahead
-		// protection. Anchored at t0, every send from this window arrives
-		// at or beyond t0+window — sound even for stale events, and the
-		// replay (clock regressing to the stale event) matches what the
-		// sequential executor does on resume. On clean paths t0 never
-		// trails the cursor, so this is the ordinary window start.
 		end := t0 + p.window
-		if worldDue && w.at <= end {
+		switch {
+		case !worldDue && (!ok || t0 > until):
+			p.park(begin, until)
+			return false
+		case worldDue && (!ok || w.at <= end):
 			// Clip at the world event: bring every shard exactly to its
 			// timestamp (node events at that instant sort before it), run
-			// it with all workers parked, resume windowing.
-			if err := p.syncTo(w.at); err != nil {
-				p.settle(p.rest(begin))
-				return false, err
-			}
-			if err := p.runWorld(w.at); err != nil {
-				p.settle(p.rest(begin))
-				return false, err
-			}
-			p.now = w.at
-			if pred != nil && pred() {
-				p.settle(w.at)
-				return true, nil
-			}
-			continue
-		}
-		if end < until {
-			if err := p.finishWindow(end, false); err != nil {
-				p.settle(p.rest(begin))
-				return false, err
-			}
+			// it with all workers parked (which settles the clock there),
+			// resume windowing.
+			p.syncTo(w.at)
+			p.runWorld(w.at)
+		case end < until:
+			p.runWindow(end, false)
 			p.now = end
-			if pred != nil && pred() {
-				p.settle(end)
-				return true, nil
-			}
-			continue
+		default:
+			// Final stretch: everything at or before until, arrivals at
+			// exactly until included.
+			p.syncTo(until)
+			p.park(begin, until)
+			return pred != nil && pred()
 		}
-		// Final stretch: everything at or before until, arrivals at
-		// exactly until included.
-		if err := p.syncTo(until); err != nil {
-			p.settle(p.rest(begin))
-			return false, err
+		if pred != nil && pred() {
+			p.settle(p.now)
+			return true
 		}
-		if p.stopped.Load() {
-			p.settle(p.rest(begin))
-			return false, ErrStopped
-		}
-		p.now = until
-		// A pred evaluated at an earlier barrier may have scheduled more
-		// world events at or before until; loop back for them.
-		if w := p.peekWorld(); w != nil && w.at <= until {
-			continue
-		}
-		if p.Pending() == 0 {
-			// The queue drained inside the final stretch: rest at the last
-			// executed event, as the sequential executor does.
-			p.settle(p.rest(begin))
-		} else {
-			p.settle(until)
-		}
-		return pred != nil && pred(), nil
-	}
-}
-
-// RunUntilIdle executes events until none remain. maxEvents guards against
-// runaway schedules; 0 means no limit. The budget is checked at window
-// barriers, so a runaway run may overshoot it by up to one window.
-func (p *Parallel) RunUntilIdle(maxEvents uint64) error {
-	p.stopped.Store(false)
-	begin := p.now
-	start := p.Executed()
-	overBudget := func() bool { return maxEvents > 0 && p.Executed()-start >= maxEvents }
-	for {
-		if p.stopped.Load() {
-			p.settle(p.rest(begin))
-			return ErrStopped
-		}
-		t0, ok := p.earliest()
-		w := p.peekWorld()
-		if !ok && w == nil {
-			p.settle(p.rest(begin))
-			return nil
-		}
-		if !ok || (w != nil && w.at < t0) {
-			// A world event with no node event before it.
-			if err := p.runWorld(w.at); err != nil {
-				p.settle(p.rest(begin))
-				return err
-			}
-			p.now = w.at
-			if overBudget() {
-				p.settle(p.rest(begin))
-				return fmt.Errorf("sim: exceeded %d events without going idle", maxEvents)
-			}
-			continue
-		}
-		// Anchored at the earliest pending event for the same dirty-stop
-		// soundness reason as runLoop. Clipped at the next world event,
-		// which runs at the barrier once every shard sits exactly on it.
-		end, closed, world := t0+p.window, false, false
-		if w != nil && w.at <= t0+p.window {
-			end, closed, world = w.at, true, true
-		}
-		for {
-			done := p.runWindow(end, closed)
-			if overBudget() {
-				p.settle(p.rest(begin))
-				return fmt.Errorf("sim: exceeded %d events without going idle", maxEvents)
-			}
-			if p.stopped.Load() {
-				p.settle(p.rest(begin))
-				return ErrStopped
-			}
-			if done && (!closed || !p.anyDue(end, true)) {
-				break
-			}
-		}
-		if world {
-			if err := p.runWorld(end); err != nil {
-				p.settle(p.rest(begin))
-				return err
-			}
-			if overBudget() {
-				p.settle(p.rest(begin))
-				return fmt.Errorf("sim: exceeded %d events without going idle", maxEvents)
-			}
-		}
-		p.now = end
 	}
 }
 
@@ -507,12 +332,9 @@ func (p *Parallel) RunUntilIdle(maxEvents uint64) error {
 // the clock passes limit, reporting whether pred became true. Unlike the
 // sequential executor, pred is evaluated at window barriers (from the
 // calling goroutine), so the run may execute up to one lookahead window of
-// events past the instant pred first became true.
+// events past the instant pred first became true. The error is always nil.
 func (p *Parallel) RunUntil(pred func() bool, limit time.Duration) (bool, error) {
-	if pred() {
-		return true, nil
-	}
-	return p.runLoop(limit, pred)
+	return pred() || p.runLoop(limit, pred), nil
 }
 
 var _ Executor = (*Parallel)(nil)

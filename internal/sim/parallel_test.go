@@ -19,6 +19,12 @@ type harness struct {
 
 const testWindow = 10 * time.Millisecond
 
+// byColumn spreads Key2D contexts over shards by their x coordinate. (The
+// raw key modulo a power of two would not: Key2D(x, y) is x<<16 + y + 1.)
+func byColumn(shards int) func(ContextKey) int {
+	return func(k ContextKey) int { return int(uint64(k)>>16) % shards }
+}
+
 func (h *harness) record(at time.Duration, key ContextKey, step int) {
 	h.mu.Lock()
 	h.trace = append(h.trace, fmt.Sprintf("%d/%d/%d", at, key, step))
@@ -72,6 +78,27 @@ func perEntity(trace []string) map[string][]string {
 	return out
 }
 
+// sameSchedule fails the test unless both traces hold the same events in
+// the same order for every entity.
+func sameSchedule(t *testing.T, label string, wantTrace, gotTrace []string) {
+	t.Helper()
+	want, got := perEntity(wantTrace), perEntity(gotTrace)
+	if len(want) != len(got) {
+		t.Fatalf("%s: %d entities traced, want %d", label, len(got), len(want))
+	}
+	for k, w := range want {
+		g := got[k]
+		if len(g) != len(w) {
+			t.Fatalf("%s entity %s: %d events, want %d", label, k, len(g), len(w))
+		}
+		for i := range w {
+			if g[i] != w[i] {
+				t.Fatalf("%s entity %s event %d: got %s want %s", label, k, i, g[i], w[i])
+			}
+		}
+	}
+}
+
 func TestParallelMatchesSequentialSchedule(t *testing.T) {
 	const nEnt = 12
 	const until = 2 * time.Second
@@ -80,25 +107,9 @@ func TestParallelMatchesSequentialSchedule(t *testing.T) {
 		t.Fatal("sequential harness executed nothing")
 	}
 	for _, shards := range []int{2, 3, 4, 8} {
-		par := NewParallel(7, shards, testWindow, func(k ContextKey) int {
-			return int(uint64(k) % uint64(shards))
-		})
+		par := NewParallel(7, shards, testWindow, byColumn(shards))
 		parTrace := (&harness{}).run(t, par, nEnt, until)
-		want, got := perEntity(seqTrace), perEntity(parTrace)
-		if len(want) != len(got) {
-			t.Fatalf("shards=%d: %d entities traced, want %d", shards, len(got), len(want))
-		}
-		for k, w := range want {
-			g := got[k]
-			if len(g) != len(w) {
-				t.Fatalf("shards=%d entity %s: %d events, want %d", shards, k, len(g), len(w))
-			}
-			for i := range w {
-				if g[i] != w[i] {
-					t.Fatalf("shards=%d entity %s event %d: got %s want %s", shards, k, i, g[i], w[i])
-				}
-			}
-		}
+		sameSchedule(t, fmt.Sprintf("shards=%d", shards), seqTrace, parTrace)
 		if par.Executed() != New(7).Executed()+uint64(len(seqTrace)) && par.Executed() == 0 {
 			t.Fatalf("shards=%d executed nothing", shards)
 		}
@@ -156,7 +167,7 @@ func TestParallelCrossShardArrivalAtUntil(t *testing.T) {
 
 func TestParallelRunUntilIdleAndClockRest(t *testing.T) {
 	// When the queue drains, both executors leave the clock at the last
-	// executed event.
+	// executed event, however far the horizon lies beyond it.
 	for _, mk := range []func() Executor{
 		func() Executor { return New(1) },
 		func() Executor {
@@ -167,7 +178,7 @@ func TestParallelRunUntilIdleAndClockRest(t *testing.T) {
 		c := ex.Context(Key2D(1, 1))
 		c.Schedule(30*time.Millisecond, func() {})
 		c.Schedule(70*time.Millisecond, func() {})
-		if err := ex.RunUntilIdle(0); err != nil {
+		if err := ex.Run(time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		if ex.Now() != 70*time.Millisecond {
@@ -176,17 +187,6 @@ func TestParallelRunUntilIdleAndClockRest(t *testing.T) {
 		if ex.Pending() != 0 {
 			t.Fatalf("pending = %d", ex.Pending())
 		}
-	}
-}
-
-func TestParallelRunUntilIdleBudget(t *testing.T) {
-	p := NewParallel(1, 2, testWindow, nil)
-	c := p.Context(Key2D(1, 1))
-	var loop func()
-	loop = func() { c.Schedule(time.Millisecond, loop) }
-	c.Schedule(0, loop)
-	if err := p.RunUntilIdle(100); err == nil {
-		t.Fatal("runaway schedule not caught")
 	}
 }
 
@@ -203,23 +203,6 @@ func TestParallelRunUntilPredicateAtBarrier(t *testing.T) {
 	// window past it.
 	if p.Now() < 25*time.Millisecond || p.Now() > 25*time.Millisecond+2*testWindow {
 		t.Fatalf("Now() = %v", p.Now())
-	}
-}
-
-func TestParallelStop(t *testing.T) {
-	p := NewParallel(5, 2, testWindow, nil)
-	c := p.Context(Key2D(1, 1))
-	var loop func()
-	loop = func() {
-		if c.Now() >= 100*time.Millisecond {
-			p.Stop()
-			return
-		}
-		c.Schedule(time.Millisecond, loop)
-	}
-	c.Schedule(0, loop)
-	if err := p.Run(time.Hour); err != ErrStopped {
-		t.Fatalf("Run = %v, want ErrStopped", err)
 	}
 }
 
@@ -240,9 +223,7 @@ func TestParallelCrossShardBelowWindowPanics(t *testing.T) {
 func TestParallelBarrierStress(t *testing.T) {
 	const nEnt = 32
 	const shards = 8
-	p := NewParallel(11, shards, testWindow, func(k ContextKey) int {
-		return int(uint64(k) % shards)
-	})
+	p := NewParallel(11, shards, testWindow, byColumn(shards))
 	ctxs := make([]*Ctx, nEnt)
 	for i := range ctxs {
 		ctxs[i] = p.Context(Key2D(int16(i+1), 2))
@@ -309,105 +290,134 @@ func TestParallelRunDrainedQueueRestsAtLastEvent(t *testing.T) {
 	}
 }
 
-func TestParallelRunawayZeroDelaySchedule(t *testing.T) {
-	// A zero-delay self-perpetuating event must trip the RunUntilIdle
-	// budget instead of spinning forever inside one window, exactly as
-	// the sequential executor does.
-	for _, mk := range []func() Executor{
-		func() Executor { return New(1) },
-		func() Executor {
-			return NewParallel(1, 2, testWindow, func(k ContextKey) int { return int(uint64(k) % 2) })
-		},
-	} {
-		ex := mk()
+// bothExecutors returns a fresh sequential and a fresh two-shard executor.
+func bothExecutors(seed int64) []Executor {
+	return []Executor{New(seed), NewParallel(seed, 2, testWindow, byColumn(2))}
+}
+
+func TestRunNeverMovesClockBack(t *testing.T) {
+	// A horizon already in the past is the current instant: with a later
+	// event pending, neither Run nor RunUntil may set the clock — or what
+	// a context sees of it — back to the stale mark.
+	for _, ex := range bothExecutors(1) {
 		c := ex.Context(Key2D(1, 1))
-		var loop func()
-		loop = func() { c.Post(loop) }
-		c.Post(loop)
-		if err := ex.RunUntilIdle(10_000); err == nil || err == ErrStopped {
-			t.Fatalf("runaway zero-delay schedule returned %v, want budget error", err)
+		c.Schedule(5*time.Second, func() {})
+		c.Schedule(9*time.Second, func() {})
+		if err := ex.Run(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if err := ex.Run(2 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if ex.Now() != 5*time.Second || c.Now() != 5*time.Second {
+			t.Fatalf("%T: Run(2s) after Run(5s) left Now()=%v, context at %v", ex, ex.Now(), c.Now())
+		}
+		if ok, err := ex.RunUntil(func() bool { return false }, -time.Second); ok || err != nil {
+			t.Fatalf("%T: RunUntil = %v, %v", ex, ok, err)
+		}
+		if ex.Now() != 5*time.Second || c.Now() != 5*time.Second {
+			t.Fatalf("%T: RunUntil(-1s) left Now()=%v, context at %v", ex, ex.Now(), c.Now())
+		}
+		if ex.Pending() != 1 {
+			t.Fatalf("%T: pending = %d, want the 9s event still queued", ex, ex.Pending())
 		}
 	}
 }
 
-func TestParallelStopEscapesRunawayWindow(t *testing.T) {
-	// Stop called from inside a zero-delay loop must end Run even though
-	// the window itself can never complete.
-	p := NewParallel(1, 2, testWindow, nil)
-	c := p.Context(Key2D(1, 1))
-	n := 0
-	var loop func()
-	loop = func() {
-		n++
-		if n == 50_000 {
-			p.Stop()
-		}
-		c.Post(loop)
-	}
-	c.Post(loop)
-	if err := p.Run(time.Second); err != ErrStopped {
-		t.Fatalf("Run = %v, want ErrStopped", err)
-	}
-}
+// TestSlicedRunsMatchOneRun drives the kernel the way its hosts do — the
+// benchmark, Scenario and `agilla serve` all reach a horizon through many
+// short Run calls — and checks that is indistinguishable from one Run:
+// same per-entity schedule, same Executed, same resting clock, with a
+// world event, a cross-shard arrival and an absorbed local step chain each
+// landing exactly on a slice boundary.
+func TestSlicedRunsMatchOneRun(t *testing.T) {
+	const nEnt = 6
+	const T = time.Second
+	// Uneven slices: an empty one at 0, a repeated mark, one a nanosecond
+	// off a round instant, and two past the point the queue drains.
+	slices := []time.Duration{0, 37 * time.Millisecond, 100 * time.Millisecond, 100 * time.Millisecond,
+		250*time.Millisecond + 1, 300 * time.Millisecond, 613 * time.Millisecond, 950 * time.Millisecond, T}
 
-func TestParallelResumeAfterDirtyStopMatchesSequential(t *testing.T) {
-	// Stop escaping mid-window (via a budget-capped chunk) leaves stale
-	// events below the resting clock. Resuming must replay them exactly
-	// like the sequential executor: the first window re-anchors at the
-	// earliest pending event, preserving lookahead soundness.
-	build := func(ex Executor) (*harness, func() []string) {
+	drive := func(ex Executor, marks []time.Duration) []string {
 		h := &harness{}
-		a := ex.Context(Key2D(1, 1))
-		b := ex.Context(Key2D(1, 2))
-		n := 0
-		var spin func()
-		spin = func() {
-			n++
-			h.record(a.Now(), a.Key(), n)
-			if n == 6000 { // past one windowChunk, mid-window
-				ex.Stop()
-				return
-			}
-			if n < 9000 {
-				a.Post(spin)
+		ctxs := make([]*Ctx, nEnt)
+		for i := range ctxs {
+			ctxs[i] = ex.Context(Key2D(int16(i+1), 1))
+		}
+		gen := 0 // written by world events only, read by node events
+		var tick func(i, step int) func()
+		tick = func(i, step int) func() {
+			return func() {
+				c := ctxs[i]
+				h.record(c.Now(), c.Key(), step)
+				if step == 100 {
+					return // the queue drains well before T
+				}
+				d := time.Duration(1+gen+c.Rand().Intn(8)) * time.Millisecond
+				c.Schedule(d, tick(i, step+1))
+				c.ScheduleLocal(d/2, func() { h.record(c.Now(), c.Key(), 1000+step) })
+				if c.Rand().Intn(3) == 0 {
+					j := c.Rand().Intn(nEnt)
+					c.Send(ctxs[j], testWindow+time.Duration(c.Rand().Intn(5))*time.Millisecond, func() {
+						h.record(ctxs[j].Now(), ctxs[j].Key(), -step)
+					})
+				}
 			}
 		}
-		a.Schedule(0, spin)
-		// b's event sits later in the same window, with a cross-shard send
-		// whose arrival order against a's post-resume events is the
-		// determinism probe.
-		b.Schedule(5*time.Millisecond, func() {
-			h.record(b.Now(), b.Key(), -1)
-			b.Send(a, testWindow, func() { h.record(a.Now(), a.Key(), -2) })
+		for i := range ctxs {
+			ctxs[i].Schedule(time.Duration(i)*time.Millisecond, tick(i, 1))
+		}
+		// On slice boundaries: world events at 100ms and 300ms (the first
+		// schedules the second), a cross-shard arrival at exactly 613ms,
+		// and a local step chain from 249ms that crosses the 250ms+1 mark.
+		ex.ScheduleWorldAt(100*time.Millisecond, func() {
+			gen++
+			h.record(ex.Now(), RootKey, gen)
+			ex.ScheduleWorldAt(300*time.Millisecond, func() {
+				gen++
+				h.record(ex.Now(), RootKey, gen)
+			})
 		})
-		return h, func() []string { return h.trace }
-	}
-
-	run := func(ex Executor) []string {
-		_, trace := build(ex)
-		if err := ex.Run(time.Second); err != ErrStopped {
-			t.Fatalf("first Run = %v, want ErrStopped", err)
+		a, b := ctxs[0], ctxs[1]
+		if ex.Shards() > 1 && a.Shard() == b.Shard() {
+			t.Fatal("test needs the boundary send to cross shards")
 		}
-		if err := ex.Run(time.Second); err != nil { // resume
-			t.Fatalf("resume Run = %v", err)
-		}
-		return trace()
-	}
-
-	want := perEntity(run(New(9)))
-	got := perEntity(run(NewParallel(9, 2, testWindow, func(k ContextKey) int { return int(uint64(k) % 2) })))
-	if len(got) != len(want) {
-		t.Fatalf("entity count %d, want %d", len(got), len(want))
-	}
-	for k, w := range want {
-		g := got[k]
-		if len(g) != len(w) {
-			t.Fatalf("entity %s: %d events, want %d", k, len(g), len(w))
-		}
-		for i := range w {
-			if g[i] != w[i] {
-				t.Fatalf("entity %s event %d: got %s want %s", k, i, g[i], w[i])
+		a.Schedule(613*time.Millisecond-testWindow, func() {
+			a.Send(b, testWindow, func() { h.record(b.Now(), b.Key(), -9999) })
+		})
+		var chain func(n int) func()
+		chain = func(n int) func() {
+			return func() {
+				h.record(b.Now(), b.Key(), 2000+n)
+				if n < 8 {
+					b.ScheduleLocal(500*time.Microsecond, chain(n+1))
+				}
 			}
 		}
+		b.Schedule(249*time.Millisecond, chain(0))
+
+		for _, until := range marks {
+			if err := ex.Run(until); err != nil {
+				t.Fatal(err)
+			}
+			if ex.Pending() > 0 && ex.Now() != until {
+				t.Fatalf("%T: Run(%v) with events pending left Now()=%v", ex, until, ex.Now())
+			}
+		}
+		h.record(ex.Now(), RootKey, int(ex.Executed()))
+		return h.trace
+	}
+
+	whole := drive(New(21), []time.Duration{T})
+	if rest := perEntity(whole)["0"]; len(rest) != 3 {
+		t.Fatalf("world lane traced %v, want two world events and the final line", rest)
+	}
+	for i, mk := range []func() Executor{
+		func() Executor { return New(21) },
+		func() Executor { return NewParallel(21, 2, testWindow, byColumn(2)) },
+		func() Executor { return NewParallel(21, 3, testWindow, byColumn(3)) },
+	} {
+		sameSchedule(t, fmt.Sprintf("executor %d, one run", i), whole, drive(mk(), []time.Duration{T}))
+		sameSchedule(t, fmt.Sprintf("executor %d, sliced", i), whole, drive(mk(), slices))
 	}
 }

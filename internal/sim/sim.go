@@ -20,7 +20,10 @@
 //     the default: one queue, one clock, events strictly in key order.
 //     Parallel partitions contexts into shards that execute concurrently
 //     inside conservative time windows (see parallel.go); for the same
-//     seed it produces the identical per-node schedule.
+//     seed it produces the identical per-node schedule. A run is bounded
+//     one way — by a time (Run) or a predicate with a time limit
+//     (RunUntil) — and the clock never moves back; hosts that must cancel
+//     run in slices, which yields the same schedule as one long run.
 //
 // Running the same scenario with the same seed reproduces the exact same
 // schedule under either executor, which is what lets the benchmark harness
@@ -28,16 +31,11 @@
 package sim
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
 	"time"
 )
-
-// ErrStopped is returned by Run variants when the simulation was stopped
-// explicitly before reaching its goal condition.
-var ErrStopped = errors.New("sim: stopped")
 
 // ContextKey identifies a scheduling context. Keys order events that fire
 // at the same instant, so they must be assigned deterministically (e.g.
@@ -120,15 +118,19 @@ type Executor interface {
 	// created during setup, not mid-run.
 	Context(key ContextKey) *Ctx
 	// Run executes events until the queue is empty or the virtual clock
-	// would pass until. Events at exactly until still run.
+	// would pass until. Events at exactly until still run. A drained
+	// queue leaves the clock at the last executed event; otherwise it
+	// lands on until. An until already in the past runs the current
+	// instant only — the clock never moves back. Run and RunUntil are the
+	// only ways to bound a run: there is no stop flag, so callers that
+	// need to cancel run in slices or poll from the predicate. The error
+	// is always nil; bench/ and every host compile against the signature.
 	Run(until time.Duration) error
-	// RunUntilIdle executes events until none remain. maxEvents guards
-	// against runaway schedules; 0 means no limit.
-	RunUntilIdle(maxEvents uint64) error
 	// RunUntil executes events until pred returns true, the queue
-	// empties, or the clock passes limit, reporting whether pred became
-	// true. Sequential checks pred after every event; Parallel checks at
-	// window barriers (see parallel.go).
+	// empties, or the clock passes limit (clamped to now like Run's
+	// until), reporting whether pred became true. Sequential checks pred
+	// after every event; Parallel checks at window barriers (see
+	// parallel.go). The error is always nil.
 	RunUntil(pred func() bool, limit time.Duration) (bool, error)
 	// ScheduleWorldAt schedules a world event: a callback that may mutate
 	// state shared across scheduling contexts (the radio's attachment
@@ -143,8 +145,6 @@ type Executor interface {
 	// both executors. Call it from the host between runs or from a world
 	// event itself, never from a node event.
 	ScheduleWorldAt(at time.Duration, fn func()) *Event
-	// Stop makes the current Run call return ErrStopped.
-	Stop()
 	// Executed returns the number of events that have fired so far,
 	// locally absorbed steps included (see Ctx.ScheduleLocal) — the
 	// logical event count, identical across executors and to a run
@@ -183,9 +183,6 @@ func (e *Event) Cancel() {
 
 // Cancelled reports whether Cancel was called on the event.
 func (e *Event) Cancelled() bool { return e != nil && e.cancel }
-
-// At returns the virtual time the event is scheduled to fire.
-func (e *Event) At() time.Duration { return e.at }
 
 // eventQueue is a hand-rolled 4-ary min-heap ordered by (at, src, seq).
 // Heap maintenance dominates the scheduler on large deployments, and a
@@ -326,10 +323,6 @@ func removeDue(s *[]time.Duration, t time.Duration) {
 	}
 }
 
-// track registers a queued event's action time with its target's due
-// list; untrack removes it when the event leaves the queue (dispatched
-// or discarded after cancellation). Called only from the goroutine that
-// owns the shard's queue.
 // get pops a recycled Event or allocates one. Only events whose pointer
 // never escapes the kernel (Send deliveries, flushed local steps) are
 // pooled: Schedule and ScheduleWorldAt hand their *Event to the caller
@@ -356,6 +349,10 @@ func (sh *shard) put(e *Event) {
 	sh.free = append(sh.free, e)
 }
 
+// track registers a queued event's action time with its target's due
+// list; untrack removes it when the event leaves the queue (dispatched
+// or discarded after cancellation). Called only from the goroutine that
+// owns the shard's queue.
 func (sh *shard) track(e *Event) {
 	switch {
 	case e.src == WorldKey:
@@ -552,7 +549,7 @@ func (sh *shard) runLocal(at time.Duration) {
 
 // maxLocalSteps bounds how many deferred steps one dispatch absorbs, so
 // a self-perpetuating chain against an otherwise idle queue still
-// returns to the driver loop where stop flags and budgets are checked.
+// returns to the driver loop, where RunUntilIdle checks its event budget.
 const maxLocalSteps = 4096
 
 // drainLocal runs deferred local steps in (time, key, sequence) order
@@ -596,25 +593,17 @@ func (sh *shard) dispatch(e *Event) {
 
 // runTo executes events scheduled before end — at exactly end too when
 // closed — advancing the shard clock event by event and leaving it at the
-// last executed event. At most budget events run per call (0: unlimited);
-// it reports whether the window completed. The cap is what lets the
-// caller re-check stop flags and event budgets against zero-delay
-// self-perpetuating schedules that would otherwise never reach a window
-// boundary.
-func (sh *shard) runTo(end time.Duration, closed bool, budget uint64) bool {
+// last executed event. The whole span up to end is admitted as the local
+// run-ahead horizon.
+func (sh *shard) runTo(end time.Duration, closed bool) {
 	sh.limit, sh.limitClosed = end, closed
-	var n uint64
 	for {
 		e := sh.peek()
 		if e == nil || e.at > end || (!closed && e.at == end) {
-			return true
-		}
-		if budget > 0 && n >= budget {
-			return false
+			return
 		}
 		sh.queue.pop()
 		sh.untrack(e)
-		n++
 		sh.dispatch(e)
 	}
 }
@@ -785,7 +774,6 @@ type Sim struct {
 	sh       *shard
 	root     *Ctx
 	worldSeq uint64
-	stopped  bool
 }
 
 // New returns a sequential executor whose randomness derives from seed.
@@ -859,9 +847,6 @@ func (s *Sim) SetLookahead(d time.Duration) {
 	s.sh.win = d
 }
 
-// Stop makes the currently running Run call return after the current event.
-func (s *Sim) Stop() { s.stopped = true }
-
 // maxHorizon is the run horizon for runs bounded only by queue
 // exhaustion: absorb as far ahead as the queue itself allows.
 const maxHorizon = time.Duration(1<<63 - 1)
@@ -881,34 +866,22 @@ func (s *Sim) Step() bool {
 }
 
 // Run executes events until the queue is empty or the virtual clock would
-// pass the until mark. Events at exactly until still run. It returns
-// ErrStopped if Stop was called. The whole span up to until is admitted
-// as the local run-ahead horizon.
+// pass the until mark (clamped to now: the clock never moves back). Events
+// at exactly until still run. The error is always nil.
 func (s *Sim) Run(until time.Duration) error {
-	s.stopped = false
-	s.sh.limit, s.sh.limitClosed = until, true
-	for {
-		if s.stopped {
-			return ErrStopped
-		}
-		e := s.sh.peek()
-		if e == nil {
-			return nil
-		}
-		if e.at > until {
-			s.sh.now = until
-			return nil
-		}
-		s.sh.queue.pop()
-		s.sh.untrack(e)
-		s.sh.dispatch(e)
+	until = max(until, s.sh.now)
+	s.sh.runTo(until, true)
+	if s.sh.peek() != nil {
+		s.sh.now = until
 	}
+	return nil
 }
 
-// RunUntilIdle executes events until none remain. maxEvents guards against
-// runaway schedules (self-perpetuating beacons); 0 means no limit.
+// RunUntilIdle executes events until none remain. It is the drain helper
+// of tests that hold the concrete Sim, not part of Executor. maxEvents
+// guards against runaway schedules (self-perpetuating beacons); 0 means
+// no limit.
 func (s *Sim) RunUntilIdle(maxEvents uint64) error {
-	s.stopped = false
 	s.sh.limit, s.sh.limitClosed = maxHorizon, true
 	start := s.sh.executed
 	for {
@@ -917,9 +890,6 @@ func (s *Sim) RunUntilIdle(maxEvents uint64) error {
 			return nil
 		}
 		s.sh.dispatch(e)
-		if s.stopped {
-			return ErrStopped
-		}
 		if maxEvents > 0 && s.sh.executed-start >= maxEvents {
 			return fmt.Errorf("sim: exceeded %d events without going idle", maxEvents)
 		}
@@ -927,17 +897,11 @@ func (s *Sim) RunUntilIdle(maxEvents uint64) error {
 }
 
 // RunUntil executes events until pred returns true (checked after every
-// event), the queue empties, or the clock passes limit.
-// It reports whether pred became true.
+// event), the queue empties, or the clock passes limit (clamped to now).
+// It reports whether pred became true. The error is always nil.
 func (s *Sim) RunUntil(pred func() bool, limit time.Duration) (bool, error) {
-	s.stopped = false
-	if pred() {
-		return true, nil
-	}
-	for {
-		if s.stopped {
-			return false, ErrStopped
-		}
+	limit = max(limit, s.sh.now)
+	for !pred() {
 		e := s.sh.peek()
 		if e == nil {
 			return false, nil
@@ -947,10 +911,8 @@ func (s *Sim) RunUntil(pred func() bool, limit time.Duration) (bool, error) {
 			return false, nil
 		}
 		s.Step()
-		if pred() {
-			return true, nil
-		}
 	}
+	return true, nil
 }
 
 // Pending returns the number of live (non-cancelled) queued events.

@@ -107,19 +107,6 @@ func TestRunStopsAtLimit(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	s := New(1)
-	fired := 0
-	s.Schedule(time.Millisecond, func() { fired++; s.Stop() })
-	s.Schedule(2*time.Millisecond, func() { fired++ })
-	if err := s.Run(time.Second); err != ErrStopped {
-		t.Fatalf("err = %v, want ErrStopped", err)
-	}
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-}
-
 func TestRunUntilPredicate(t *testing.T) {
 	s := New(1)
 	n := 0

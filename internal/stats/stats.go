@@ -110,12 +110,6 @@ func (s *Series) Percentile(p float64) float64 {
 // Median returns the 50th percentile.
 func (s *Series) Median() float64 { return s.Percentile(50) }
 
-// Values returns a copy of the observations (sorted if Percentile was
-// called).
-func (s *Series) Values() []float64 {
-	return append([]float64(nil), s.values...)
-}
-
 // Reliability counts successes over trials, as in Figure 9.
 // The zero value is ready to use.
 type Reliability struct {

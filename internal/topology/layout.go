@@ -23,15 +23,10 @@ type Layout struct {
 	// Gateway is the mote bridged to the base station (the MIB510 link of
 	// §3.1). It must be one of Nodes.
 	Gateway Location
-	// Version counts structural mutations (node moves). A freshly built
-	// layout is version 0; every MoveNode increments it, so consumers
-	// holding derived state (fan-out caches, partition maps) can detect
-	// staleness cheaply.
-	Version uint64
 }
 
-// MoveNode relocates the node at from to to, bumping Version. The Nodes
-// slice is copied on write so previously returned snapshots stay intact.
+// MoveNode relocates the node at from to to. The Nodes slice is copied
+// on write so previously returned snapshots stay intact.
 // It reports whether a node sat at from; a move onto an occupied location
 // or onto from itself is refused.
 //
@@ -63,7 +58,6 @@ func (l *Layout) MoveNode(from, to Location) bool {
 	if l.Gateway == from {
 		l.Gateway = to
 	}
-	l.Version++
 	return true
 }
 
