@@ -141,23 +141,113 @@ func looksLikeSource(data []byte) bool {
 	return true
 }
 
+// deployFlags are the flags run and serve share: what field to build.
+type deployFlags struct {
+	topo                       *string
+	width, height, nodes, side *int
+	rng                        *float64
+	seed                       *int64
+	lossy, repl                *bool
+}
+
+// addDeployFlags registers the deployment flags; note qualifies the two
+// every process of a split field must agree on.
+func addDeployFlags(fs *flag.FlagSet, note string) deployFlags {
+	return deployFlags{
+		topo:   fs.String("topo", "grid", "topology: grid, line, ring, disk"+note),
+		width:  fs.Int("width", 5, "grid width"),
+		height: fs.Int("height", 5, "grid height"),
+		nodes:  fs.Int("nodes", 12, "node count for line/ring/disk topologies"),
+		side:   fs.Int("side", 8, "region side for the disk topology"),
+		rng:    fs.Float64("range", 2.5, "radio range for the disk topology"),
+		seed:   fs.Int64("seed", 1, "simulation seed"+note),
+		lossy:  fs.Bool("lossy", true, "use the calibrated lossy radio"),
+		repl:   fs.Bool("replication", false, "replicate tuple spaces by anti-entropy gossip"),
+	}
+}
+
+// options turns the parsed flags into the deployment's options.
+func (d deployFlags) options() ([]agilla.Option, error) {
+	var top agilla.Topology
+	switch *d.topo {
+	case "grid":
+		top = agilla.Grid(*d.width, *d.height)
+	case "line":
+		top = agilla.Line(*d.nodes)
+	case "ring":
+		top = agilla.Ring(*d.nodes)
+	case "disk":
+		top = agilla.RandomDisk(*d.nodes, *d.side, *d.rng)
+	default:
+		return nil, fmt.Errorf("-topo: unknown topology %q (want grid, line, ring, disk)", *d.topo)
+	}
+	opts := []agilla.Option{agilla.WithTopology(top), agilla.WithSeed(*d.seed)}
+	if !*d.lossy {
+		opts = append(opts, agilla.WithReliableRadio())
+	}
+	if *d.repl {
+		opts = append(opts, agilla.WithReplication(0, 0)) // defaults: k=2, 500ms
+	}
+	return opts, nil
+}
+
+// injectFile parses the agent program in path and launches it toward
+// the node -at names, announcing it under name.
+func injectFile(nw *agilla.Network, path, name, at string) (*agilla.Agent, error) {
+	src, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	p, err := program.Parse(string(src))
+	if err != nil {
+		return nil, err
+	}
+	dest, err := parseLoc(at)
+	if err != nil {
+		return nil, fmt.Errorf("-at: %w", err)
+	}
+	ag, err := nw.Launch(p, dest)
+	if err != nil {
+		return nil, err
+	}
+	fmt.Printf("injected agent %d (%v) toward %v\n", ag.ID(), p.WithName(name), dest)
+	return ag, nil
+}
+
+// dumpState prints every node in locs that hosts an agent or holds more
+// than its context tuples; leds adds each node's LED value.
+func dumpState(nw *agilla.Network, title string, locs []agilla.Location, leds bool) {
+	fmt.Printf("\n=== %s state at t=%v ===\n", title, nw.Now())
+	for _, loc := range locs {
+		node := nw.Node(loc)
+		if node == nil {
+			continue
+		}
+		agentIDs := node.AgentIDs()
+		tuples := nw.Space(loc).All()
+		if len(agentIDs) == 0 && len(tuples) <= 4 {
+			continue // quiet node: just context tuples
+		}
+		fmt.Printf("%v  agents=%v", loc, agentIDs)
+		if leds {
+			fmt.Printf(" led=%d", node.LED())
+		}
+		fmt.Println()
+		for _, tup := range tuples {
+			fmt.Printf("      %v\n", tup)
+		}
+	}
+}
+
 func run(args []string) error {
 	fs := flag.NewFlagSet("agilla", flag.ExitOnError)
+	deploy := addDeployFlags(fs, "")
 	var (
 		inject = fs.String("inject", "", "agent program file to inject")
 		at     = fs.String("at", "1,1", "destination node, e.g. 3,3")
-		topo   = fs.String("topo", "grid", "topology: grid, line, ring, disk")
-		width  = fs.Int("width", 5, "grid width")
-		height = fs.Int("height", 5, "grid height")
-		nodes  = fs.Int("nodes", 12, "node count for line/ring/disk topologies")
-		side   = fs.Int("side", 8, "region side for the disk topology")
-		rng    = fs.Float64("range", 2.5, "radio range for the disk topology")
-		seed   = fs.Int64("seed", 1, "simulation seed")
 		runFor = fs.Duration("run", 30*time.Second, "virtual time to run after injecting")
-		lossy  = fs.Bool("lossy", true, "use the calibrated lossy radio")
 		watch  = fs.Bool("watch", false, "print middleware events as they happen")
 		fireAt = fs.String("fire", "", "ignite a fire at this node, e.g. 4,4")
-		repl   = fs.Bool("replication", false, "replicate tuple spaces by anti-entropy gossip")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -166,29 +256,13 @@ func run(args []string) error {
 		return fmt.Errorf("-run: negative duration %v", *runFor)
 	}
 
-	var top agilla.Topology
-	switch *topo {
-	case "grid":
-		top = agilla.Grid(*width, *height)
-	case "line":
-		top = agilla.Line(*nodes)
-	case "ring":
-		top = agilla.Ring(*nodes)
-	case "disk":
-		top = agilla.RandomDisk(*nodes, *side, *rng)
-	default:
-		return fmt.Errorf("-topo: unknown topology %q (want grid, line, ring, disk)", *topo)
-	}
-	opts := []agilla.Option{agilla.WithTopology(top), agilla.WithSeed(*seed)}
-	if !*lossy {
-		opts = append(opts, agilla.WithReliableRadio())
-	}
-	if *repl {
-		opts = append(opts, agilla.WithReplication(0, 0)) // defaults: k=2, 500ms
+	opts, err := deploy.options()
+	if err != nil {
+		return err
 	}
 	var fire *agilla.Fire
 	if *fireAt != "" {
-		fire = agilla.NewFire(30*time.Second, *width, *height)
+		fire = agilla.NewFire(30*time.Second, *deploy.width, *deploy.height)
 		opts = append(opts, agilla.WithField(fire))
 	}
 	nw, err := agilla.New(opts...)
@@ -207,8 +281,8 @@ func run(args []string) error {
 		finishWatch = attachWatch(nw)
 	}
 
-	fmt.Printf("warming up %s (seed %d)...\n", nw.Topology(), *seed)
-	if *topo != "grid" {
+	fmt.Printf("warming up %s (seed %d)...\n", nw.Topology(), *deploy.seed)
+	if *deploy.topo != "grid" {
 		// Non-grid mote placement isn't guessable; print it so the user
 		// knows what -at accepts.
 		fmt.Printf("motes: %v\n", nw.Locations())
@@ -227,24 +301,10 @@ func run(args []string) error {
 	}
 
 	if *inject != "" {
-		src, err := os.ReadFile(*inject)
+		ag, err := injectFile(nw, *inject, *inject, *at)
 		if err != nil {
 			return err
 		}
-		p, err := program.Parse(string(src))
-		if err != nil {
-			return err
-		}
-		p = p.WithName(*inject)
-		dest, err := parseLoc(*at)
-		if err != nil {
-			return fmt.Errorf("-at: %w", err)
-		}
-		ag, err := nw.Launch(p, dest)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("injected agent %d (%v) toward %v\n", ag.ID(), p, dest)
 		defer func() { fmt.Printf("final agent state: %v\n", ag) }()
 	}
 
@@ -253,22 +313,7 @@ func run(args []string) error {
 	}
 	finishWatch()
 
-	fmt.Printf("\n=== network state at t=%v ===\n", nw.Now())
-	for _, loc := range append([]agilla.Location{agilla.Loc(0, 0)}, nw.Locations()...) {
-		node := nw.Node(loc)
-		if node == nil {
-			continue
-		}
-		agentIDs := node.AgentIDs()
-		tuples := nw.Space(loc).All()
-		if len(agentIDs) == 0 && len(tuples) <= 4 {
-			continue // quiet node: just context tuples
-		}
-		fmt.Printf("%v  agents=%v led=%d\n", loc, agentIDs, node.LED())
-		for _, tup := range tuples {
-			fmt.Printf("      %v\n", tup)
-		}
-	}
+	dumpState(nw, "network", append([]agilla.Location{agilla.Loc(0, 0)}, nw.Locations()...), true)
 	fmt.Printf("total live agents: %d\n", nw.TotalAgents())
 	return nil
 }
@@ -310,13 +355,20 @@ func parseLoc(s string) (agilla.Location, error) {
 	if len(parts) != 2 {
 		return agilla.Location{}, fmt.Errorf("want x,y — got %q", s)
 	}
-	x, err := strconv.Atoi(strings.TrimSpace(parts[0]))
+	x, err := parseCoord(parts[0])
 	if err != nil {
 		return agilla.Location{}, err
 	}
-	y, err := strconv.Atoi(strings.TrimSpace(parts[1]))
+	y, err := parseCoord(parts[1])
 	if err != nil {
 		return agilla.Location{}, err
 	}
 	return agilla.Loc(int16(x), int16(y)), nil
+}
+
+// parseCoord parses one location coordinate, refusing what int16 — the
+// width of a Location field — cannot hold, so callers' casts never wrap.
+func parseCoord(s string) (int, error) {
+	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 16)
+	return int(v), err
 }

@@ -14,7 +14,7 @@ package main
 //	agilla serve -listen udp:127.0.0.1:7001 \
 //	    -peer udp:127.0.0.1:7002=4-6,1-4+100,100 \
 //	    -topo grid -width 6 -height 4 -seed 11 \
-//	    -inject examples/agents/ping.agilla -at 6,4
+//	    -inject examples/agents/blink.agilla -at 6,4
 //
 //	agilla serve -listen udp:127.0.0.1:7002 \
 //	    -peer udp:127.0.0.1:7001=1-3,1-4+0,0 \
@@ -30,13 +30,10 @@ package main
 import (
 	"flag"
 	"fmt"
-	"os"
-	"strconv"
 	"strings"
 	"time"
 
 	"github.com/agilla-go/agilla"
-	"github.com/agilla-go/agilla/program"
 )
 
 // peerFlag accumulates repeated -peer specs.
@@ -87,13 +84,13 @@ func parsePeer(s string) (agilla.BridgePeer, error) {
 // parseSpan parses "4" or "4-6" into an inclusive span.
 func parseSpan(s string) (lo, hi int, err error) {
 	a, b, ranged := strings.Cut(strings.TrimSpace(s), "-")
-	if lo, err = strconv.Atoi(strings.TrimSpace(a)); err != nil {
+	if lo, err = parseCoord(a); err != nil {
 		return 0, 0, err
 	}
 	if !ranged {
 		return lo, lo, nil
 	}
-	if hi, err = strconv.Atoi(strings.TrimSpace(b)); err != nil {
+	if hi, err = parseCoord(b); err != nil {
 		return 0, 0, err
 	}
 	if hi < lo {
@@ -139,17 +136,9 @@ func wireSummary(peers map[string]agilla.TransportPeerStats) string {
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("agilla serve", flag.ExitOnError)
 	var peers peerFlag
+	deploy := addDeployFlags(fs, " (identical in every process)")
 	var (
 		listen  = fs.String("listen", "udp:127.0.0.1:7001", "this process's transport address (udp:host:port, tcp:host:port, or loop:name)")
-		topo    = fs.String("topo", "grid", "topology: grid, line, ring, disk (identical in every process)")
-		width   = fs.Int("width", 5, "grid width")
-		height  = fs.Int("height", 5, "grid height")
-		nodes   = fs.Int("nodes", 12, "node count for line/ring/disk topologies")
-		side    = fs.Int("side", 8, "region side for the disk topology")
-		rng     = fs.Float64("range", 2.5, "radio range for the disk topology")
-		seed    = fs.Int64("seed", 1, "simulation seed (identical in every process)")
-		lossy   = fs.Bool("lossy", true, "use the calibrated lossy radio")
-		repl    = fs.Bool("replication", false, "replicate tuple spaces by anti-entropy gossip")
 		base    = fs.String("base", "", "relocate this process's base station, e.g. 100,100 (required when a peer owns 0,0)")
 		quantum = fs.Duration("quantum", 0, "virtual time between border pumps (default 5ms)")
 		runFor  = fs.Duration("run", 0, "virtual time to serve before dumping state (0 = forever)")
@@ -174,18 +163,9 @@ func runServe(args []string) error {
 		return fmt.Errorf("serve needs at least one -peer")
 	}
 
-	var top agilla.Topology
-	switch *topo {
-	case "grid":
-		top = agilla.Grid(*width, *height)
-	case "line":
-		top = agilla.Line(*nodes)
-	case "ring":
-		top = agilla.Ring(*nodes)
-	case "disk":
-		top = agilla.RandomDisk(*nodes, *side, *rng)
-	default:
-		return fmt.Errorf("-topo: unknown topology %q (want grid, line, ring, disk)", *topo)
+	opts, err := deploy.options()
+	if err != nil {
+		return err
 	}
 	cfg := agilla.BridgeConfig{Listen: *listen, Peers: peers, Quantum: *quantum}
 	if *base != "" {
@@ -195,24 +175,13 @@ func runServe(args []string) error {
 		}
 		cfg.BaseLoc = &loc
 	}
-	opts := []agilla.Option{
-		agilla.WithTopology(top),
-		agilla.WithSeed(*seed),
-		agilla.WithTransportBridge(cfg),
-	}
-	if !*lossy {
-		opts = append(opts, agilla.WithReliableRadio())
-	}
-	if *repl {
-		opts = append(opts, agilla.WithReplication(0, 0))
-	}
-	nw, err := agilla.New(opts...)
+	nw, err := agilla.New(append(opts, agilla.WithTransportBridge(cfg))...)
 	if err != nil {
 		return err
 	}
 	br := nw.Bridge()
 	fmt.Printf("serving %d motes of %s (seed %d) on %s, %d peer(s)\n",
-		len(nw.Locations()), nw.Topology(), *seed, br.LocalAddr(), len(peers))
+		len(nw.Locations()), nw.Topology(), *deploy.seed, br.LocalAddr(), len(peers))
 	fmt.Printf("local motes: %v\n", nw.Locations())
 
 	finishWatch := func() {}
@@ -227,23 +196,10 @@ func runServe(args []string) error {
 	}
 
 	if *inject != "" {
-		src, err := os.ReadFile(*inject)
-		if err != nil {
+		// serve has always announced the bare program summary, unnamed.
+		if _, err := injectFile(nw, *inject, "", *at); err != nil {
 			return err
 		}
-		p, err := program.Parse(string(src))
-		if err != nil {
-			return err
-		}
-		dest, err := parseLoc(*at)
-		if err != nil {
-			return fmt.Errorf("-at: %w", err)
-		}
-		ag, err := nw.Launch(p.WithName(*inject), dest)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("injected agent %d (%v) toward %v\n", ag.ID(), p, dest)
 	}
 
 	for elapsed := time.Duration(0); *runFor <= 0 || elapsed < *runFor; {
@@ -259,21 +215,6 @@ func runServe(args []string) error {
 			nw.Now(), nw.TotalAgents(), br.Stats(), wireSummary(br.TransportStats()))
 	}
 
-	fmt.Printf("\n=== local state at t=%v ===\n", nw.Now())
-	for _, loc := range nw.Locations() {
-		node := nw.Node(loc)
-		if node == nil {
-			continue
-		}
-		agentIDs := node.AgentIDs()
-		tuples := nw.Space(loc).All()
-		if len(agentIDs) == 0 && len(tuples) <= 4 {
-			continue
-		}
-		fmt.Printf("%v  agents=%v\n", loc, agentIDs)
-		for _, tup := range tuples {
-			fmt.Printf("      %v\n", tup)
-		}
-	}
+	dumpState(nw, "local", nw.Locations(), false)
 	return br.Close()
 }

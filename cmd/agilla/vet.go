@@ -56,14 +56,9 @@ func runVet(args []string, stdout io.Writer) error {
 		targets = append(targets, target{name: path, prog: p, err: err})
 	}
 
-	library := make(map[string]*program.Program)
-	for _, e := range program.Library() {
-		library[e.Name] = e.Program
-	}
-
 	for _, arg := range flags.Args() {
-		if p, ok := library[arg]; ok {
-			targets = append(targets, target{name: "library:" + arg, prog: p})
+		if e, ok := program.Get(arg); ok {
+			targets = append(targets, target{name: "library:" + arg, prog: e.Program})
 			continue
 		}
 		info, err := os.Stat(arg)

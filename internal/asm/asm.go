@@ -19,12 +19,18 @@
 // for sensor and field types (TEMPERATURE, PHOTO, SOUND, SMOKE, VALUE,
 // STRING, LOCATION, TYPE, READING, AGENTID, ANY).
 //
-// Every assembled program is additionally checked by the shared static
-// verifier (internal/vm.Verify): jump targets must land on instruction
-// boundaries, heap indices must be in range, and the worst-case stack
-// analysis must not prove a guaranteed underflow or overflow. Verifier
-// findings are reported with the source line of the offending
-// instruction and wrap ErrVerify.
+// The package is one assembler with two front-ends. The text parser here
+// and program.Builder each only append statements — an opcode, operands
+// that are a value or a symbol, the labels bound to it — to a List;
+// List.Link is the single back-end that lays out addresses, resolves
+// labels, .const and builtin symbols, range-checks and encodes every
+// operand kind, and runs the shared static verifier (internal/vm.Verify:
+// jump targets on instruction boundaries, heap indices in range, no
+// guaranteed stack underflow or overflow). Link reports every defect by
+// statement index with one message body; each front-end adds only its
+// position style and sentinel — here "line N" with ErrSyntax for a
+// malformed statement and ErrVerify for a verifier finding, in package
+// program "step N (op) after label L" with program.ErrVerify.
 package asm
 
 import (
@@ -46,81 +52,267 @@ var ErrSyntax = errors.New("asm: syntax error")
 var ErrVerify = errors.New("asm: program verification failed")
 
 // Builtin symbol values usable as immediate operands.
-var builtins = map[string]int16{
+var builtins = map[string]int{
 	// Sensor type codes (for pushc + sense, and pushrt).
-	"TEMPERATURE": int16(tuplespace.SensorTemperature),
-	"PHOTO":       int16(tuplespace.SensorPhoto),
-	"SOUND":       int16(tuplespace.SensorSound),
-	"SMOKE":       int16(tuplespace.SensorSmoke),
+	"TEMPERATURE": int(tuplespace.SensorTemperature),
+	"PHOTO":       int(tuplespace.SensorPhoto),
+	"SOUND":       int(tuplespace.SensorSound),
+	"SMOKE":       int(tuplespace.SensorSmoke),
 	// Field type codes (for pusht).
-	"ANY":      int16(tuplespace.TypeAny),
-	"VALUE":    int16(tuplespace.TypeValue),
-	"STRING":   int16(tuplespace.TypeString),
-	"LOCATION": int16(tuplespace.TypeLocation),
-	"READING":  int16(tuplespace.TypeReading),
-	"AGENTID":  int16(tuplespace.TypeAgentID),
+	"ANY":      int(tuplespace.TypeAny),
+	"VALUE":    int(tuplespace.TypeValue),
+	"STRING":   int(tuplespace.TypeString),
+	"LOCATION": int(tuplespace.TypeLocation),
+	"READING":  int(tuplespace.TypeReading),
+	"AGENTID":  int(tuplespace.TypeAgentID),
 }
 
 // pushtSpecial lets `pusht TEMPERATURE` mean "readings of the temperature
 // sensor" rather than the raw sensor code, as the FIRETRACKER agent
 // expects.
-var pushtSpecial = map[string]int16{
-	"TEMPERATURE": int16(tuplespace.TypeOfSensor(tuplespace.SensorTemperature)),
-	"PHOTO":       int16(tuplespace.TypeOfSensor(tuplespace.SensorPhoto)),
-	"SOUND":       int16(tuplespace.TypeOfSensor(tuplespace.SensorSound)),
-	"SMOKE":       int16(tuplespace.TypeOfSensor(tuplespace.SensorSmoke)),
+var pushtSpecial = map[string]int{
+	"TEMPERATURE": int(tuplespace.TypeOfSensor(tuplespace.SensorTemperature)),
+	"PHOTO":       int(tuplespace.TypeOfSensor(tuplespace.SensorPhoto)),
+	"SOUND":       int(tuplespace.TypeOfSensor(tuplespace.SensorSound)),
+	"SMOKE":       int(tuplespace.TypeOfSensor(tuplespace.SensorSmoke)),
 }
 
-type stmt struct {
-	line int
-	op   vm.Op
-	info vm.Info
-	args []string
-	addr int
+// Operand is one instruction operand: a literal Val, or a Sym the link
+// step resolves (a label, a .const, a builtin; for pushn, the name).
+type Operand interface{ fmt.Stringer }
+
+// Val is a literal integer operand.
+type Val int
+
+// Sym is a symbolic operand.
+type Sym string
+
+func (v Val) String() string { return strconv.Itoa(int(v)) }
+func (s Sym) String() string { return string(s) }
+
+// Stmt is one instruction before layout.
+type Stmt struct {
+	Op     vm.Op
+	Args   []Operand
+	Labels []string // labels naming this instruction's address
+	Line   int      // 1-based source line; 0 when built
 }
 
-// result is one assembled, verified program.
-type result struct {
-	code  []byte
-	rep   vm.VerifyReport
-	stmts []stmt // one per instruction, in program order
+// List is a program as either front-end states it: the text parser and
+// program.Builder both append to one, and Link is the only code that
+// turns one into bytes.
+type List struct {
+	Stmts []Stmt
+
+	consts map[string]int // .const definitions
+	// pending labels name the next statement — at Link, the end of the
+	// program — and endLine is the source line of the last of them.
+	pending []string
+	endLine int
+}
+
+// Label binds name to the address of the next statement added.
+func (l *List) Label(name string, line int) {
+	l.pending = append(l.pending, name)
+	l.endLine = line
+}
+
+// Add appends one instruction, bound to the labels pending since the last.
+func (l *List) Add(op vm.Op, line int, args ...Operand) {
+	l.Stmts = append(l.Stmts, Stmt{Op: op, Args: args, Labels: l.pending, Line: line})
+	l.pending = nil
+}
+
+// Diag is one defect Link found, positioned by statement index
+// (len(Stmts) for a label bound past the last instruction). Verify marks
+// a static-verifier finding on a program that did link.
+type Diag struct {
+	Index  int
+	Msg    string
+	Verify bool
+}
+
+// Linked is a List laid out, resolved, encoded and verified.
+type Linked struct {
+	Code   []byte
+	Report vm.VerifyReport
+	Stmts  []Stmt // one per instruction, in program order
+	PCs    []int  // PCs[i] is the byte address of Stmts[i]; ascending
+}
+
+// maxCode is the largest program the wire format's 16-bit code length
+// can carry.
+const maxCode = 65535
+
+// immediates states each integer operand kind once: what its value is
+// called, its range, how a message prints that range, and the way out.
+var immediates = map[vm.OperandKind]struct {
+	what   string
+	lo, hi int
+	rng    string
+	hint   string
+}{
+	vm.OperandU8:     {"value", 0, 255, "[0,255]", "; use pushcl"},
+	vm.OperandS16:    {"value", -32768, 32767, "[-32768,32767]", ""},
+	vm.OperandType:   {"type code", 0, 255, "[0,255]", ""},
+	vm.OperandSensor: {"sensor", 0, 255, "[0,255]", ""},
+	vm.OperandLoc:    {"coordinate", -128, 127, "[-128,127]", ""},
+	vm.OperandRel:    {"jump offset", -128, 127, "[-128,127]", "; use pushcl+jumps (PushAddr + Jumps)"},
+	vm.OperandHeap:   {"heap index", 0, vm.HeapSlots - 1, fmt.Sprintf("[0,%d)", vm.HeapSlots), ""},
+}
+
+// Link is the assembler's one back-end: it lays out addresses, binds
+// labels, resolves symbols (labels, then .const, then builtins),
+// range-checks and encodes every operand, and runs vm.Verify. Every
+// defect is reported, in statement order; a program with any yields no
+// code, and verifier findings are only sought once the rest is clean.
+func (l *List) Link() (Linked, []Diag) {
+	var diags []Diag
+	fail := func(i int, format string, args ...any) {
+		diags = append(diags, Diag{Index: i, Msg: fmt.Sprintf(format, args...)})
+	}
+
+	pcs := make([]int, len(l.Stmts)+1)
+	labels := make(map[string]int)
+	bind := func(i int, names []string) {
+		for _, name := range names {
+			if _, dup := labels[name]; dup {
+				fail(i, "duplicate label %q", name)
+			}
+			labels[name] = pcs[i]
+		}
+	}
+	for i, st := range l.Stmts {
+		bind(i, st.Labels)
+		info, _ := vm.Lookup(st.Op)
+		if pcs[i+1] = pcs[i] + info.Size(); pcs[i+1] > maxCode {
+			fail(i, "%s pushes the program past %d bytes", info.Name, maxCode)
+			return Linked{}, diags
+		}
+	}
+	bind(len(l.Stmts), l.pending)
+
+	// resolve yields the integer an operand of stmt i encodes: a relative
+	// jump names a label and encodes its distance, every other kind takes
+	// the symbol's value.
+	resolve := func(i int, kind vm.OperandKind, o Operand) (int, bool) {
+		if v, ok := o.(Val); ok {
+			return int(v), true
+		}
+		name := o.String()
+		if kind == vm.OperandRel {
+			target, ok := labels[name]
+			if !ok {
+				fail(i, "unresolved label %q", name)
+			}
+			return target - pcs[i], ok
+		}
+		if v, ok := pushtSpecial[name]; ok && kind == vm.OperandType {
+			return v, true
+		}
+		for _, table := range []map[string]int{labels, l.consts, builtins} {
+			if v, ok := table[name]; ok {
+				return v, true
+			}
+		}
+		fail(i, "cannot resolve operand %q", name)
+		return 0, false
+	}
+
+	code := make([]byte, 0, pcs[len(l.Stmts)])
+	for i, st := range l.Stmts {
+		info, _ := vm.Lookup(st.Op)
+		code = append(code, byte(st.Op))
+		want := 1
+		switch info.Kind {
+		case vm.OperandNone:
+			want = 0
+		case vm.OperandLoc:
+			want = 2
+		}
+		if len(st.Args) != want {
+			fail(i, "%s takes %d operand(s), got %d", info.Name, want, len(st.Args))
+			continue
+		}
+		if info.Kind == vm.OperandName3 {
+			name := st.Args[0].String()
+			if len(name) == 0 || len(name) > tuplespace.MaxStringLen {
+				fail(i, "pushn name %q must be 1-%d chars", name, tuplespace.MaxStringLen)
+			}
+			for j := 0; j < len(name); j++ {
+				if !vm.ValidNameByte(name[j]) {
+					fail(i, "pushn name %q: %q is not a printable name character", name, name[j])
+					break
+				}
+			}
+			var buf [3]byte
+			copy(buf[:], name)
+			code = append(code, buf[:]...)
+			continue
+		}
+		imm := immediates[info.Kind]
+		for _, o := range st.Args {
+			v, ok := resolve(i, info.Kind, o)
+			if ok && (v < imm.lo || v > imm.hi) {
+				fail(i, "%s operand %q: %s %d out of %s%s", info.Name, o, imm.what, v, imm.rng, imm.hint)
+			}
+			if info.Kind == vm.OperandS16 {
+				code = append(code, byte(v>>8))
+			}
+			code = append(code, byte(v))
+		}
+	}
+	if len(diags) > 0 {
+		return Linked{}, diags
+	}
+
+	rep, err := vm.Verify(code)
+	if err != nil {
+		for _, ve := range rep.Errors {
+			diags = append(diags, Diag{Index: ve.Index, Msg: ve.Msg, Verify: true})
+		}
+		return Linked{}, diags
+	}
+	return Linked{Code: code, Report: rep, Stmts: l.Stmts, PCs: pcs[:len(l.Stmts)]}, nil
 }
 
 // Assemble compiles source text to bytecode and statically verifies the
 // result. Parse errors wrap ErrSyntax, verification findings wrap
 // ErrVerify; both carry the source line.
 func Assemble(src string) ([]byte, error) {
-	res, err := assemble(src)
-	return res.code, err
+	u, err := AssembleSource(src)
+	return u.Code, err
 }
 
-// AssembleWithLines is Assemble additionally returning the static
+// AssembleSource is Assemble returning the whole linked unit: the
 // verifier's report (so package program need not verify a second time)
-// and a map from each instruction's byte address to its 1-based source
-// line, so callers (program.Analyze, agilla vet) can position later
-// analysis findings the same way verification findings are positioned
-// here.
-func AssembleWithLines(src string) ([]byte, vm.VerifyReport, map[int]int, error) {
-	res, err := assemble(src)
+// and each instruction's statement and byte address, so callers
+// (program.Analyze, agilla vet) can position later analysis findings by
+// source line the way link errors are positioned here.
+func AssembleSource(src string) (Linked, error) {
+	l, err := parse(src)
 	if err != nil {
-		return nil, vm.VerifyReport{}, nil, err
+		return Linked{}, err
 	}
-	pcLines := make(map[int]int, len(res.stmts))
-	for _, st := range res.stmts {
-		pcLines[st.addr] = st.line
+	u, diags := l.Link()
+	errs := make([]error, len(diags))
+	for i, d := range diags {
+		line, sentinel := l.endLine, ErrSyntax
+		if d.Index < len(l.Stmts) {
+			line = l.Stmts[d.Index].Line
+		}
+		if d.Verify {
+			sentinel = ErrVerify
+		}
+		errs[i] = fmt.Errorf("line %d: %w: %s", line, sentinel, d.Msg)
 	}
-	return res.code, res.rep, pcLines, nil
+	return u, errors.Join(errs...)
 }
 
-func assemble(src string) (result, error) {
-	lines := strings.Split(src, "\n")
-	labels := make(map[string]int)
-	consts := make(map[string]int16)
-	var stmts []stmt
-	addr := 0
-
-	for ln, raw := range lines {
-		line := raw
+// parse is the text front-end: a tokenizer producing the statement list.
+func parse(src string) (*List, error) {
+	l := &List{consts: make(map[string]int)}
+	for ln, line := range strings.Split(src, "\n") {
 		if i := strings.Index(line, "//"); i >= 0 {
 			line = line[:i]
 		}
@@ -134,13 +326,13 @@ func assemble(src string) (result, error) {
 		// .const NAME VALUE directive.
 		if fields[0] == ".const" {
 			if len(fields) != 3 {
-				return result{}, fmt.Errorf("line %d: %w: %q: want .const NAME VALUE", ln+1, ErrSyntax, strings.Join(fields, " "))
+				return nil, fmt.Errorf("line %d: %w: %q: want .const NAME VALUE", ln+1, ErrSyntax, strings.Join(fields, " "))
 			}
-			v, err := parseInt(fields[2], -32768, 32767)
+			v, err := strconv.Atoi(fields[2]) // Link range-checks it where used
 			if err != nil {
-				return result{}, fmt.Errorf("line %d: %w (.const %s)", ln+1, err, fields[1])
+				return nil, fmt.Errorf("line %d: %w: %q is not an integer (.const %s)", ln+1, ErrSyntax, fields[2], fields[1])
 			}
-			consts[fields[1]] = int16(v)
+			l.consts[fields[1]] = v
 			continue
 		}
 		// A leading address marker ("12:") from disassembler output is
@@ -157,10 +349,7 @@ func assemble(src string) (result, error) {
 			if !isLabel(name) {
 				break
 			}
-			if _, dup := labels[name]; dup {
-				return result{}, fmt.Errorf("line %d: %w: duplicate label %q", ln+1, ErrSyntax, name)
-			}
-			labels[name] = addr
+			l.Label(name, ln+1)
 			fields = fields[1:]
 		}
 		if len(fields) == 0 {
@@ -168,189 +357,21 @@ func assemble(src string) (result, error) {
 		}
 		op, ok := vm.ByName(strings.ToLower(fields[0]))
 		if !ok {
-			return result{}, fmt.Errorf("line %d: %w: unknown instruction %q", ln+1, ErrSyntax, fields[0])
+			return nil, fmt.Errorf("line %d: %w: unknown instruction %q", ln+1, ErrSyntax, fields[0])
 		}
-		info, _ := vm.Lookup(op)
-		st := stmt{line: ln + 1, op: op, info: info, args: fields[1:], addr: addr}
-		stmts = append(stmts, st)
-		addr += info.Size()
-		if addr > 65535 {
-			return result{}, fmt.Errorf("line %d: %w: %q pushes the program past 65535 bytes", st.line, ErrSyntax, fields[0])
-		}
-	}
-
-	resolve := func(tok string, st stmt) (int16, error) {
-		if v, ok := labels[tok]; ok {
-			return int16(v), nil
-		}
-		if v, ok := consts[tok]; ok {
-			return v, nil
-		}
-		if v, ok := builtins[tok]; ok {
-			return v, nil
-		}
-		v, err := parseInt(tok, -32768, 32767)
-		if err != nil {
-			return 0, fmt.Errorf("line %d: %w: cannot resolve operand %q", st.line, ErrSyntax, tok)
-		}
-		return int16(v), nil
-	}
-
-	code := make([]byte, 0, addr)
-	for _, st := range stmts {
-		if err := checkArity(st); err != nil {
-			return result{}, err
-		}
-		code = append(code, byte(st.op))
-		// Operand encoding is driven by the ISA metadata's operand kind;
-		// only pushc and pusht need instruction-specific handling (the
-		// sensor-name convenience mappings).
-		switch st.info.Kind {
-		case vm.OperandNone:
-			// no operand bytes
-
-		case vm.OperandU8: // pushc
-			v, err := resolve(st.args[0], st)
-			if err != nil {
-				return result{}, err
-			}
-			if v < 0 || v > 255 {
-				return result{}, fmt.Errorf("line %d: %w: %s operand %q = %d out of [0,255]; use pushcl", st.line, ErrSyntax, st.info.Name, st.args[0], v)
-			}
-			code = append(code, byte(v))
-
-		case vm.OperandS16: // pushcl
-			v, err := resolve(st.args[0], st)
-			if err != nil {
-				return result{}, err
-			}
-			code = append(code, byte(uint16(v)>>8), byte(uint16(v)))
-
-		case vm.OperandName3: // pushn
-			name := strings.Trim(st.args[0], `"`)
-			if len(name) == 0 || len(name) > tuplespace.MaxStringLen {
-				return result{}, fmt.Errorf("line %d: %w: pushn name %q must be 1-%d chars", st.line, ErrSyntax, st.args[0], tuplespace.MaxStringLen)
-			}
-			for i := 0; i < len(name); i++ {
-				if !vm.ValidNameByte(name[i]) {
-					return result{}, fmt.Errorf("line %d: %w: pushn name %q: %q is not a printable name character", st.line, ErrSyntax, name, name[i])
-				}
-			}
-			var buf [3]byte
-			copy(buf[:], name)
-			code = append(code, buf[:]...)
-
-		case vm.OperandType: // pusht
-			tok := st.args[0]
-			var v int16
-			if sv, ok := pushtSpecial[tok]; ok {
-				v = sv
+		args := make([]Operand, len(fields)-1)
+		for i, tok := range fields[1:] {
+			if v, err := strconv.Atoi(tok); op == vm.OpPushn {
+				args[i] = Sym(strings.Trim(tok, `"`))
+			} else if err == nil {
+				args[i] = Val(v)
 			} else {
-				var err error
-				v, err = resolve(tok, st)
-				if err != nil {
-					return result{}, err
-				}
+				args[i] = Sym(tok)
 			}
-			if v < 0 || v > 255 {
-				return result{}, fmt.Errorf("line %d: %w: pusht code %q = %d out of [0,255]", st.line, ErrSyntax, tok, v)
-			}
-			code = append(code, byte(v))
-
-		case vm.OperandSensor: // pushrt
-			v, err := resolve(st.args[0], st)
-			if err != nil {
-				return result{}, err
-			}
-			if v < 0 || v > 255 {
-				return result{}, fmt.Errorf("line %d: %w: pushrt sensor %q = %d out of [0,255]", st.line, ErrSyntax, st.args[0], v)
-			}
-			code = append(code, byte(v))
-
-		case vm.OperandLoc: // pushloc
-			x, err := resolve(st.args[0], st)
-			if err != nil {
-				return result{}, err
-			}
-			y, err := resolve(st.args[1], st)
-			if err != nil {
-				return result{}, err
-			}
-			if x < -128 || x > 127 || y < -128 || y > 127 {
-				return result{}, fmt.Errorf("line %d: %w: pushloc coordinates %q %q out of [-128,127]", st.line, ErrSyntax, st.args[0], st.args[1])
-			}
-			code = append(code, byte(int8(x)), byte(int8(y)))
-
-		case vm.OperandRel: // rjump, rjumpc
-			var off int
-			if target, ok := labels[st.args[0]]; ok {
-				off = target - st.addr
-			} else {
-				v, err := parseInt(st.args[0], -128, 127)
-				if err != nil {
-					return result{}, fmt.Errorf("line %d: %w: unknown jump target %q", st.line, ErrSyntax, st.args[0])
-				}
-				off = v
-			}
-			if off < -128 || off > 127 {
-				return result{}, fmt.Errorf("line %d: %w: jump to %q spans %d bytes (max ±128); use pushcl+jumps", st.line, ErrSyntax, st.args[0], off)
-			}
-			code = append(code, byte(int8(off)))
-
-		case vm.OperandHeap: // getvar, setvar
-			v, err := resolve(st.args[0], st)
-			if err != nil {
-				return result{}, err
-			}
-			if v < 0 || int(v) >= vm.HeapSlots {
-				return result{}, fmt.Errorf("line %d: %w: heap address %q = %d out of [0,%d)", st.line, ErrSyntax, st.args[0], v, vm.HeapSlots)
-			}
-			code = append(code, byte(v))
-
-		default:
-			return result{}, fmt.Errorf("line %d: %w: internal: unhandled operand kind for %s", st.line, ErrSyntax, st.info.Name)
 		}
+		l.Add(op, ln+1, args...)
 	}
-
-	// Static verification with findings mapped back to source lines.
-	rep, err := vm.Verify(code)
-	if err != nil {
-		errs := make([]error, 0, len(rep.Errors))
-		for _, ve := range rep.Errors {
-			line := 0 // an empty program has no statement to blame
-			if ve.Index < len(stmts) {
-				line = stmts[ve.Index].line
-			}
-			errs = append(errs, fmt.Errorf("line %d: %w: %s", line, ErrVerify, ve.Msg))
-		}
-		return result{}, errors.Join(errs...)
-	}
-	return result{code: code, rep: rep, stmts: stmts}, nil
-}
-
-func checkArity(st stmt) error {
-	want := 1
-	switch st.info.Kind {
-	case vm.OperandNone:
-		want = 0
-	case vm.OperandLoc:
-		want = 2
-	}
-	if len(st.args) != want {
-		return fmt.Errorf("line %d: %w: %s takes %d operand(s), got %d", st.line, ErrSyntax, st.info.Name, want, len(st.args))
-	}
-	return nil
-}
-
-func parseInt(s string, lo, hi int) (int, error) {
-	v, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("%w: %q is not an integer", ErrSyntax, s)
-	}
-	if v < lo || v > hi {
-		return 0, fmt.Errorf("%w: %q = %d out of [%d,%d]", ErrSyntax, s, v, lo, hi)
-	}
-	return v, nil
+	return l, nil
 }
 
 func isLabel(s string) bool {

@@ -387,6 +387,10 @@ func TestErrorsCarryLineAndToken(t *testing.T) {
 		{"unknown jump target", "rjump 9999\nhalt", []string{"line 1", `"9999"`}},
 		{"pushrt range", "pushrt 300\npop\nhalt", []string{"line 1", `"300"`}},
 		{"pusht range", "pusht 300\npop\nhalt", []string{"line 1", `"300"`}},
+		// A label past byte 32767 does not fit pushcl; it used to wrap negative.
+		{"far label", "pushcl FAR\njumps\n" + strings.Repeat("pushcl 1\npop\n", 11000) + "FAR halt", []string{"line 1", `"FAR"`, "value 44004 out of [-32768,32767]"}},
+		{"trailing duplicate label", "A halt\n\nA", []string{"line 3", `duplicate label "A"`}},
+		{"every error", "pushc 300\nsetvar 12\nhalt", []string{"line 1", "line 2", "heap index 12"}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

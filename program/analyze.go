@@ -37,18 +37,13 @@ const (
 	SevError = vm.SevError
 )
 
-// Finding is one analysis result, positioned by the authoring surface:
+// Finding is one analysis result (its byte address, instruction,
+// severity and message) plus Pos, its position on the authoring surface:
 // source line for parsed programs, build step for built ones, program
 // counter for byte-loaded ones.
 type Finding struct {
-	// PC is the byte address of the offending instruction; Pos the
-	// human-readable position; Op the instruction's mnemonic.
-	PC  int
+	vm.Finding
 	Pos string
-	Op  string
-	// Severity and Msg describe the defect.
-	Severity Severity
-	Msg      string
 }
 
 func (f Finding) String() string {
@@ -64,49 +59,19 @@ func (f Finding) String() string {
 // (agilla.WithEnergy's DefaultEnergyModel).
 type EnergyCosts = vm.EnergyCosts
 
-// AnalysisReport is the result of analyzing one program.
+// AnalysisReport is the result of analyzing one program: the analyzer's
+// own report — EnergyBoundNJ and EnergyBoundJ (the worst case any single
+// wakeful burst can draw, valid unless EnergyUnbounded), BurstEntries,
+// the HeapWritten/HeapRead slot masks, the verifier's MaxStackDepth and
+// MayOverflow, HasErrors — with its findings and the cause of an
+// unbounded draw positioned on the authoring surface.
 type AnalysisReport struct {
-	// Findings holds every dataflow finding, most severe first, then by
-	// position.
+	vm.AnalysisReport
+	// Findings are the analyzer's findings, each with its Pos, most
+	// severe first, then by address.
 	Findings []Finding
-
-	// EnergyBoundNJ is the worst-case energy, in nanojoules, any single
-	// wakeful burst (the instructions run between two yield points:
-	// sleep, wait, migration, a remote operation, or a blocking read)
-	// can draw. Valid when EnergyUnbounded is false.
-	EnergyBoundNJ uint64
-	// EnergyUnbounded reports that no finite per-burst bound exists —
-	// some loop never yields, or dynamic control flow defeats the
-	// analysis; UnboundedPos locates the cause.
-	EnergyUnbounded bool
-	UnboundedPos    string
-
-	// BurstEntries lists the byte addresses where a wakeful burst can
-	// begin: program start, reaction entries, yield continuations, and
-	// blocking-read retry points.
-	BurstEntries []int
-
-	// HeapWritten and HeapRead are bitmasks of the heap slots some
-	// reachable instruction writes / reads.
-	HeapWritten, HeapRead uint16
-
-	// MaxStackDepth and MayOverflow restate the verifier's stack
-	// analysis for one-stop admission decisions.
-	MaxStackDepth int
-	MayOverflow   bool
-}
-
-// EnergyBoundJ is the per-burst bound in joules.
-func (r AnalysisReport) EnergyBoundJ() float64 { return float64(r.EnergyBoundNJ) / 1e9 }
-
-// HasErrors reports whether any SevError finding exists.
-func (r AnalysisReport) HasErrors() bool {
-	for _, f := range r.Findings {
-		if f.Severity == SevError {
-			return true
-		}
-	}
-	return false
+	// UnboundedPos locates the cause when EnergyUnbounded is set.
+	UnboundedPos string
 }
 
 // Err joins the SevError findings, wrapped in ErrAnalyze; nil if the
@@ -159,28 +124,14 @@ func AnalyzeWithCosts(p *Program, costs EnergyCosts) AnalysisReport {
 	if costs == (EnergyCosts{}) {
 		costs = vm.DefaultEnergyCosts()
 	}
-	vrep, _ := vm.Analyze(p.code, costs)
+	vrep, _ := vm.Analyze(p.unit.Code, costs)
 
-	rep := AnalysisReport{
-		EnergyBoundNJ:   vrep.EnergyBoundNJ,
-		EnergyUnbounded: vrep.EnergyUnbounded,
-		BurstEntries:    vrep.BurstEntries,
-		HeapWritten:     vrep.HeapWritten,
-		HeapRead:        vrep.HeapRead,
-		MaxStackDepth:   vrep.MaxStackDepth,
-		MayOverflow:     vrep.MayOverflow,
-	}
+	rep := AnalysisReport{AnalysisReport: vrep}
 	if vrep.EnergyUnbounded {
 		rep.UnboundedPos = p.pos(vrep.UnboundedPC)
 	}
 	for _, f := range vrep.Findings {
-		rep.Findings = append(rep.Findings, Finding{
-			PC:       f.PC,
-			Pos:      p.pos(f.PC),
-			Op:       f.Op.String(),
-			Severity: f.Severity,
-			Msg:      f.Msg,
-		})
+		rep.Findings = append(rep.Findings, Finding{Finding: f, Pos: p.pos(f.PC)})
 	}
 	sort.SliceStable(rep.Findings, func(i, j int) bool {
 		a, b := rep.Findings[i], rep.Findings[j]

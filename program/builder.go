@@ -3,7 +3,9 @@ package program
 import (
 	"errors"
 	"fmt"
+	"slices"
 
+	"github.com/agilla-go/agilla/internal/asm"
 	"github.com/agilla-go/agilla/internal/tuplespace"
 	"github.com/agilla-go/agilla/internal/vm"
 )
@@ -42,83 +44,52 @@ const (
 // React) that expand to the same label-and-jump patterns the paper's
 // listings use.
 //
-// Errors (bad immediates, duplicate labels, unresolved jump targets,
-// verifier findings) are collected and reported by Build, each positioned
-// by build step and nearest label.
+// Builder is the typed front-end of the one assembler in internal/asm:
+// every method appends a statement to the same list the text parser
+// produces, and Build links it. Errors (bad immediates, duplicate
+// labels, unresolved jump targets, verifier findings) therefore read as
+// they do for assembly source, each positioned by build step and nearest
+// label instead of by line.
 type Builder struct {
-	name    string
-	ins     []bins
-	labels  map[string]int // label -> index of the instruction it precedes
-	pending []string
-	errs    []error
-	auto    int
-}
-
-type refKind uint8
-
-const (
-	refNone refKind = iota
-	refRel          // one signed offset byte, relative to this instruction
-	refAbs          // two-byte absolute code address (PushAddr)
-)
-
-type bins struct {
-	op      vm.Op
-	args    [3]byte
-	ref     string
-	refKind refKind
-	labels  []string // labels bound to this instruction
+	name string
+	list asm.List
+	errs []error // misuse of the Builder API itself, found before linking
+	auto int
 }
 
 // New starts an empty program. The optional name is carried into the
 // built Program for diagnostics.
 func New(name ...string) *Builder {
-	b := &Builder{labels: make(map[string]int)}
+	b := &Builder{}
 	if len(name) > 0 {
 		b.name = name[0]
 	}
 	return b
 }
 
-// pos renders the position of instruction index i (or of the next
-// instruction to be appended when i == len(b.ins)) for error messages.
-func (b *Builder) pos(i int) string {
+// stepPos renders the position of statement i (or of the next one to be
+// appended when i == len(stmts)) for error messages.
+func stepPos(stmts []asm.Stmt, i int) string {
 	at := fmt.Sprintf("step %d", i+1)
-	if i < len(b.ins) {
-		info, _ := vm.Lookup(b.ins[i].op)
-		at += fmt.Sprintf(" (%s)", info.Name)
+	if i < len(stmts) {
+		at += fmt.Sprintf(" (%s)", stmts[i].Op)
 	}
-	for j := min(i, len(b.ins)-1); j >= 0; j-- {
-		if n := len(b.ins[j].labels); n > 0 {
-			return fmt.Sprintf("%s after label %q", at, b.ins[j].labels[n-1])
+	for j := min(i, len(stmts)-1); j >= 0; j-- {
+		if n := len(stmts[j].Labels); n > 0 {
+			return fmt.Sprintf("%s after label %q", at, stmts[j].Labels[n-1])
 		}
 	}
 	return at
 }
 
 func (b *Builder) failf(format string, args ...any) *Builder {
-	b.errs = append(b.errs, fmt.Errorf("%s: %s", b.pos(len(b.ins)), fmt.Sprintf(format, args...)))
+	at := stepPos(b.list.Stmts, len(b.list.Stmts))
+	b.errs = append(b.errs, fmt.Errorf("%s: %s", at, fmt.Sprintf(format, args...)))
 	return b
 }
 
-func (b *Builder) emit(op vm.Op, args ...byte) *Builder {
-	in := bins{op: op}
-	copy(in.args[:], args)
-	if len(b.pending) > 0 {
-		in.labels = b.pending
-		for _, l := range b.pending {
-			b.labels[l] = len(b.ins)
-		}
-		b.pending = nil
-	}
-	b.ins = append(b.ins, in)
-	return b
-}
-
-func (b *Builder) emitRef(op vm.Op, ref string, kind refKind) *Builder {
-	b.emit(op)
-	b.ins[len(b.ins)-1].ref = ref
-	b.ins[len(b.ins)-1].refKind = kind
+func (b *Builder) emit(op vm.Op, args ...asm.Operand) *Builder {
+	b.list.Add(op, 0, args...)
 	return b
 }
 
@@ -129,15 +100,7 @@ func (b *Builder) Label(name string) *Builder {
 	if name == "" {
 		return b.failf("empty label name")
 	}
-	if _, dup := b.labels[name]; dup {
-		return b.failf("duplicate label %q", name)
-	}
-	for _, p := range b.pending {
-		if p == name {
-			return b.failf("duplicate label %q", name)
-		}
-	}
-	b.pending = append(b.pending, name)
+	b.list.Label(name, 0)
 	return b
 }
 
@@ -240,10 +203,10 @@ func (b *Builder) Sense(sensor ...SensorType) *Builder {
 
 // Jump unconditionally jumps to a label (rjump; targets within ±128
 // bytes — use PushAddr + Jumps for longer hops).
-func (b *Builder) Jump(label string) *Builder { return b.emitRef(vm.OpRjump, label, refRel) }
+func (b *Builder) Jump(label string) *Builder { return b.emit(vm.OpRjump, asm.Sym(label)) }
 
 // JumpC jumps to a label if the condition register is set (rjumpc).
-func (b *Builder) JumpC(label string) *Builder { return b.emitRef(vm.OpRjumpc, label, refRel) }
+func (b *Builder) JumpC(label string) *Builder { return b.emit(vm.OpRjumpc, asm.Sym(label)) }
 
 // Jumps pops an absolute code address and jumps to it.
 func (b *Builder) Jumps() *Builder { return b.emit(vm.OpJumps) }
@@ -251,20 +214,10 @@ func (b *Builder) Jumps() *Builder { return b.emit(vm.OpJumps) }
 // --- heap ---
 
 // GetVar pushes heap variable i (0 ≤ i < 12).
-func (b *Builder) GetVar(i int) *Builder {
-	if i < 0 || i >= vm.HeapSlots {
-		return b.failf("heap index %d out of [0,%d)", i, vm.HeapSlots)
-	}
-	return b.emit(vm.OpGetvar, byte(i))
-}
+func (b *Builder) GetVar(i int) *Builder { return b.emit(vm.OpGetvar, asm.Val(i)) }
 
 // SetVar pops the top of stack into heap variable i (0 ≤ i < 12).
-func (b *Builder) SetVar(i int) *Builder {
-	if i < 0 || i >= vm.HeapSlots {
-		return b.failf("heap index %d out of [0,%d)", i, vm.HeapSlots)
-	}
-	return b.emit(vm.OpSetvar, byte(i))
-}
+func (b *Builder) SetVar(i int) *Builder { return b.emit(vm.OpSetvar, asm.Val(i)) }
 
 // --- migration ---
 
@@ -303,67 +256,30 @@ func (b *Builder) Randnbr() *Builder { return b.emit(vm.OpRandnbr) }
 // --- push instructions ---
 
 // PushC pushes a small constant (pushc; one unsigned immediate byte).
-func (b *Builder) PushC(v int) *Builder {
-	if v < 0 || v > 255 {
-		return b.failf("PushC value %d out of [0,255]; use PushCL", v)
-	}
-	return b.emit(vm.OpPushc, byte(v))
-}
+func (b *Builder) PushC(v int) *Builder { return b.emit(vm.OpPushc, asm.Val(v)) }
 
 // PushCL pushes a full 16-bit signed constant (pushcl).
-func (b *Builder) PushCL(v int) *Builder {
-	if v < -32768 || v > 32767 {
-		return b.failf("PushCL value %d out of int16 range", v)
-	}
-	return b.emit(vm.OpPushcl, byte(uint16(int16(v))>>8), byte(uint16(int16(v))))
-}
+func (b *Builder) PushCL(v int) *Builder { return b.emit(vm.OpPushcl, asm.Val(v)) }
 
 // PushAddr pushes the absolute code address of a label (a pushcl whose
 // immediate is resolved at Build). Feed it to Regrxn or Jumps.
-func (b *Builder) PushAddr(label string) *Builder { return b.emitRef(vm.OpPushcl, label, refAbs) }
+func (b *Builder) PushAddr(label string) *Builder { return b.emit(vm.OpPushcl, asm.Sym(label)) }
 
 // PushN pushes a short string name of 1-3 printable characters (pushn).
 // Whitespace, quotes, ';', and '/' are rejected so every program's
 // disassembly reassembles unchanged.
-func (b *Builder) PushN(name string) *Builder {
-	if len(name) == 0 || len(name) > tuplespace.MaxStringLen {
-		return b.failf("PushN name %q must be 1-%d chars", name, tuplespace.MaxStringLen)
-	}
-	for i := 0; i < len(name); i++ {
-		if !vm.ValidNameByte(name[i]) {
-			return b.failf("PushN name %q: %q is not a printable name character", name, name[i])
-		}
-	}
-	var buf [3]byte
-	copy(buf[:], name)
-	return b.emit(vm.OpPushn, buf[0], buf[1], buf[2])
-}
+func (b *Builder) PushN(name string) *Builder { return b.emit(vm.OpPushn, asm.Sym(name)) }
 
 // PushT pushes a type wildcard for template matching (pusht).
-func (b *Builder) PushT(t TypeCode) *Builder {
-	if t < 0 || t > 255 {
-		return b.failf("PushT code %d out of [0,255]", t)
-	}
-	return b.emit(vm.OpPusht, byte(t))
-}
+func (b *Builder) PushT(t TypeCode) *Builder { return b.emit(vm.OpPusht, asm.Val(t)) }
 
 // PushRT pushes the reading-type wildcard for a sensor (pushrt):
 // PushRT(SensorTemperature) matches any temperature reading.
-func (b *Builder) PushRT(s SensorType) *Builder {
-	if s < 0 || s > 255 {
-		return b.failf("PushRT sensor %d out of [0,255]", s)
-	}
-	return b.emit(vm.OpPushrt, byte(s))
-}
+func (b *Builder) PushRT(s SensorType) *Builder { return b.emit(vm.OpPushrt, asm.Val(s)) }
 
 // PushLoc pushes a location built from immediate coordinates (pushloc;
 // each must fit a signed byte).
-func (b *Builder) PushLoc(x, y int) *Builder {
-	if x < -128 || x > 127 || y < -128 || y > 127 {
-		return b.failf("PushLoc coordinates (%d,%d) out of [-128,127]", x, y)
-	}
-	return b.emit(vm.OpPushloc, byte(int8(x)), byte(int8(y)))
-}
+func (b *Builder) PushLoc(x, y int) *Builder { return b.emit(vm.OpPushloc, asm.Val(x), asm.Val(y)) }
 
 // PushLocV pushes a Location value (pushloc).
 func (b *Builder) PushLocV(l Location) *Builder { return b.PushLoc(int(l.X), int(l.Y)) }
@@ -459,76 +375,19 @@ func (b *Builder) Deregrxn(fields ...Value) *Builder { return b.pushFields(field
 
 // --- assembly ---
 
-// Build resolves labels, assembles the bytecode, and runs the shared
-// static verifier. Every collected error is reported, positioned by
-// build step and nearest label.
+// Build links the program — the same layout, label resolution, operand
+// checks and static verification assembly source gets — and reports
+// every error, positioned by build step and nearest label.
 func (b *Builder) Build() (*Program, error) {
-	errs := append([]error(nil), b.errs...)
-	for _, l := range b.pending {
-		if _, dup := b.labels[l]; !dup {
-			b.labels[l] = len(b.ins) // trailing label: points past the end
-		}
-	}
-	if len(b.ins) == 0 && len(errs) == 0 {
-		errs = append(errs, errors.New("empty program"))
-	}
-
-	// Lay out addresses.
-	addr := make([]int, len(b.ins)+1)
-	for i, in := range b.ins {
-		info, _ := vm.Lookup(in.op)
-		addr[i+1] = addr[i] + info.Size()
-	}
-	size := addr[len(b.ins)]
-
-	// Resolve label references and emit bytes.
-	code := make([]byte, 0, size)
-	for i, in := range b.ins {
-		info, _ := vm.Lookup(in.op)
-		args := in.args
-		if in.refKind != refNone {
-			target, ok := b.labels[in.ref]
-			if !ok {
-				errs = append(errs, fmt.Errorf("%s: unresolved label %q", b.pos(i), in.ref))
-				target = i // keep assembling so later errors still surface
-			}
-			switch in.refKind {
-			case refRel:
-				off := addr[target] - addr[i]
-				if off < -128 || off > 127 {
-					errs = append(errs, fmt.Errorf("%s: jump to %q spans %d bytes (max ±128); use PushAddr + Jumps", b.pos(i), in.ref, off))
-					off = 0
-				}
-				args[0] = byte(int8(off))
-			case refAbs:
-				a := addr[target]
-				if a > 32767 {
-					errs = append(errs, fmt.Errorf("%s: address of %q (%d) exceeds the pushcl range", b.pos(i), in.ref, a))
-					a = 0
-				}
-				args[0], args[1] = byte(uint16(a)>>8), byte(uint16(a))
-			}
-		}
-		code = append(code, byte(in.op))
-		code = append(code, args[:info.Operands]...)
+	unit, diags := b.list.Link()
+	errs := slices.Clip(b.errs) // appending must not reach into the builder
+	for _, d := range diags {
+		errs = append(errs, fmt.Errorf("%s: %s", stepPos(b.list.Stmts, d.Index), d.Msg))
 	}
 	if len(errs) > 0 {
 		return nil, fmt.Errorf("%w: %w", ErrVerify, errors.Join(errs...))
 	}
-
-	// Shared static verification, findings positioned by build step.
-	rep, err := vm.Verify(code)
-	if err != nil {
-		for _, ve := range rep.Errors {
-			errs = append(errs, fmt.Errorf("%s: %s", b.pos(ve.Index), ve.Msg))
-		}
-		return nil, fmt.Errorf("%w: %w", ErrVerify, errors.Join(errs...))
-	}
-	where := make(map[int]string, len(b.ins))
-	for i := range b.ins {
-		where[addr[i]] = b.pos(i)
-	}
-	return &Program{name: b.name, code: code, report: rep, where: where}, nil
+	return &Program{name: b.name, unit: unit}, nil
 }
 
 // MustBuild is Build, panicking on error; for hard-coded programs.

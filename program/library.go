@@ -1,6 +1,9 @@
 package program
 
 import (
+	"slices"
+	"sync"
+
 	"github.com/agilla-go/agilla/internal/agents"
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
@@ -52,7 +55,11 @@ type Entry struct {
 // sampling period). For other parameters call the constructors —
 // SmoveRoundTrip, RoutAgent, FireDetector, FireTracker, FireSentinel,
 // Blink — directly.
-func Library() []Entry {
+func Library() []Entry { return slices.Clone(library()) }
+
+// library assembles and builds the entries on first use, once: programs
+// are immutable, so every caller can share them.
+var library = sync.OnceValue(func() []Entry {
 	target := topology.Loc(5, 1)
 	base := topology.Loc(0, 0)
 	return []Entry{
@@ -98,11 +105,11 @@ func Library() []Entry {
 			Program:     FireSentinel(base, 16),
 		},
 	}
-}
+})
 
 // Get returns the library entry with the given name.
 func Get(name string) (Entry, bool) {
-	for _, e := range Library() {
+	for _, e := range library() {
 		if e.Name == name {
 			return e, true
 		}

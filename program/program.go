@@ -14,10 +14,13 @@
 //   - FromBytes adopts raw bytecode (a received migration payload, a file
 //     written by `agilla asm`).
 //
-// Every form runs the shared static verifier (internal/vm.Verify): label
-// resolution, jump-target bounds, heap-index ranges, and a worst-case
-// stack-depth analysis, with source positions (line, label, or builder
-// step) in every error. A Program that exists has passed verification.
+// New and Parse are two front-ends of the one assembler in internal/asm
+// (asm.List.Link lays out, resolves, range-checks and encodes), so a
+// defect reads the same through both; every form runs the shared static
+// verifier (internal/vm.Verify): jump-target bounds, heap-index ranges,
+// and a worst-case stack-depth analysis. Every error carries a position
+// in its form's style — source line, builder step and nearest label, or
+// program counter. A Program that exists has passed verification.
 //
 // Library returns the paper's canonical agents (Figures 2, 8, 13) as
 // ready-made entries, each built with the Builder and byte-identical to
@@ -27,6 +30,7 @@ package program
 import (
 	"errors"
 	"fmt"
+	"sort"
 
 	"github.com/agilla-go/agilla/internal/asm"
 	"github.com/agilla-go/agilla/internal/topology"
@@ -51,38 +55,37 @@ var ErrVerify = errors.New("program: verification failed")
 // useful; obtain one from a Builder, Parse, FromBytes, or Library.
 type Program struct {
 	name   string
-	code   []byte
 	source string
-	report vm.VerifyReport
-	// where maps instruction byte addresses to human positions ("line
-	// 12" for parsed programs, "step 3 (out) after label L" for built
-	// ones), so Analyze findings point at the authoring surface the way
-	// verification errors do.
-	where map[int]string
+	// unit is the linked program: the bytes, the verifier's report, and
+	// — for parsed and built programs — the statement behind each
+	// instruction, the one table positions are rendered from.
+	unit asm.Linked
 }
 
-// pos renders the authoring position of the instruction at pc, falling
-// back to the raw program counter for byte-loaded programs.
+// pos renders the authoring position of the instruction at pc the way
+// its front-end positions link errors ("line 12" for parsed programs,
+// "step 3 (out) after label L" for built ones), falling back to the raw
+// program counter for byte-loaded programs.
 func (p *Program) pos(pc int) string {
-	if s, ok := p.where[pc]; ok {
-		return s
+	i := sort.SearchInts(p.unit.PCs, pc)
+	switch {
+	case i == len(p.unit.PCs) || p.unit.PCs[i] != pc:
+		return fmt.Sprintf("pc=%d", pc)
+	case p.source != "":
+		return fmt.Sprintf("line %d", p.unit.Stmts[i].Line)
 	}
-	return fmt.Sprintf("pc=%d", pc)
+	return stepPos(p.unit.Stmts, i)
 }
 
 // Parse assembles Agilla assembly source (the dialect of the paper's
 // Figures 2, 8, and 13) and verifies it. Errors carry the source line
 // and offending token.
 func Parse(src string) (*Program, error) {
-	code, rep, pcLines, err := asm.AssembleWithLines(src)
+	unit, err := asm.AssembleSource(src)
 	if err != nil {
 		return nil, err
 	}
-	where := make(map[int]string, len(pcLines))
-	for pc, line := range pcLines {
-		where[pc] = fmt.Sprintf("line %d", line)
-	}
-	return &Program{code: code, source: src, report: rep, where: where}, nil
+	return &Program{source: src, unit: unit}, nil
 }
 
 // MustParse is Parse, panicking on error; for hard-coded programs.
@@ -101,7 +104,7 @@ func FromBytes(code []byte) (*Program, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrVerify, err)
 	}
-	return &Program{code: append([]byte(nil), code...), report: rep}, nil
+	return &Program{unit: asm.Linked{Code: append([]byte(nil), code...), Report: rep}}, nil
 }
 
 // Disassemble renders bytecode as assembly text without constructing a
@@ -120,18 +123,18 @@ func (p *Program) Name() string { return p.name }
 
 // Bytes returns a copy of the program's bytecode — the exact bytes a
 // migrating agent carries.
-func (p *Program) Bytes() []byte { return append([]byte(nil), p.code...) }
+func (p *Program) Bytes() []byte { return append([]byte(nil), p.unit.Code...) }
 
 // Len returns the encoded size in bytes (what counts against a mote's
 // instruction memory).
-func (p *Program) Len() int { return len(p.code) }
+func (p *Program) Len() int { return len(p.unit.Code) }
 
 // Instructions returns the instruction count.
-func (p *Program) Instructions() int { return p.report.Instructions }
+func (p *Program) Instructions() int { return p.unit.Report.Instructions }
 
 // MaxStackDepth returns the verifier's worst-case operand stack depth
 // bound (capped at the architectural limit).
-func (p *Program) MaxStackDepth() int { return p.report.MaxStackDepth }
+func (p *Program) MaxStackDepth() int { return p.unit.Report.MaxStackDepth }
 
 // Source returns the assembly source the program was parsed from, or ""
 // for built or byte-loaded programs (use Disassemble for a listing).
@@ -140,7 +143,7 @@ func (p *Program) Source() string { return p.source }
 // Disassemble renders the program as assembly text, one instruction per
 // line with byte addresses; the text reassembles to identical bytes.
 func (p *Program) Disassemble() string {
-	text, err := asm.Disassemble(p.code)
+	text, err := asm.Disassemble(p.unit.Code)
 	if err != nil {
 		// Unreachable: a Program's bytes decoded during verification.
 		return fmt.Sprintf("// disassembly failed: %v", err)
@@ -154,5 +157,5 @@ func (p *Program) String() string {
 		name = "program"
 	}
 	return fmt.Sprintf("%s (%d bytes, %d instructions, stack ≤%d)",
-		name, len(p.code), p.report.Instructions, p.report.MaxStackDepth)
+		name, len(p.unit.Code), p.unit.Report.Instructions, p.unit.Report.MaxStackDepth)
 }

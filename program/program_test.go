@@ -162,7 +162,7 @@ func TestBuilderJumpTooFar(t *testing.T) {
 		b.PushC(1).Pop()
 	}
 	_, err := b.Jump("TOP").Build()
-	if err == nil || !strings.Contains(err.Error(), "use PushAddr + Jumps") {
+	if err == nil || !strings.Contains(err.Error(), "use pushcl+jumps (PushAddr + Jumps)") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -190,7 +190,7 @@ func TestBuilderCollectsMultipleErrors(t *testing.T) {
 	if err == nil {
 		t.Fatal("want error")
 	}
-	if !strings.Contains(err.Error(), "PushC value 300") || !strings.Contains(err.Error(), "heap index 99") {
+	if !strings.Contains(err.Error(), "value 300 out of [0,255]") || !strings.Contains(err.Error(), "heap index 99") {
 		t.Errorf("not all errors reported: %v", err)
 	}
 }
