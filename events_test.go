@@ -166,7 +166,7 @@ func TestReactionFiredEvent(t *testing.T) {
 		t.Fatalf("reaction events = %d, want 1: %v", len(events), events)
 	}
 	rf := events[0]
-	if rf.Kind != agilla.EventReactionFired || rf.AgentID != ag.ID() || rf.Node != mote || rf.Tuple.Fields[0].S != "fir" {
+	if rf.Kind != agilla.EventReactionFired || rf.AgentID != ag.ID() || rf.Node != mote || rf.Tuple.Fields[0].Name() != "fir" {
 		t.Fatalf("reaction event = %+v", rf)
 	}
 }

@@ -395,8 +395,8 @@ func TestRunRingCapacityStable(t *testing.T) {
 			r.PopHead()
 		}
 	}
-	if r.Cap() != 8 {
-		t.Fatalf("ring capacity grew to %d across generations, want stable 8", r.Cap())
+	if r.Cap() != 4 {
+		t.Fatalf("ring capacity grew to %d across generations, want the 4 inline slots", r.Cap())
 	}
 
 	// Vacated slots must be nil so dead records are collectable.

@@ -159,5 +159,6 @@ func (c Config) withDefaults() Config {
 	if c.BootDelay <= 0 {
 		c.BootDelay = DefaultBootDelay
 	}
+	c.Network = c.Network.WithDefaults()
 	return c
 }

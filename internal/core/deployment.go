@@ -74,9 +74,7 @@ func (n *Node) RemoteOp(op wire.RemoteOp, dest topology.Location, t tuplespace.T
 		req:     req,
 		started: n.sim.Now(),
 	}
-	n.remote[pr.reqID] = pr
-	n.stats.RemoteInitiated++
-	n.sendRemote(pr)
+	n.awaitRemote(pr)
 }
 
 // Deployment is a full Agilla network: motes placed by a Layout, the
@@ -205,15 +203,21 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 		tracker: newAgentTracker(),
 	}
 
-	// The base station is a laptop: effectively unconstrained.
-	baseCfg := spec.Node
-	baseCfg.MaxAgents = 64
-	baseCfg.CodeBlocks = 512
-	baseCfg.ArenaBytes = 16 * 1024
-	baseCfg.RegistryBytes = 8 * 1024
-	baseCfg.RegistryMax = 128
+	// One environment per shard for the motes (separately allocated: their
+	// scratch is written per instruction by different workers), and one
+	// for the base station, a laptop: effectively unconstrained.
+	envs := make([]*shardEnv, s.Shards())
+	for i := range envs {
+		envs[i] = &shardEnv{cfg: spec.Node.withDefaults(), trace: trace, tracker: d.tracker}
+	}
+	baseEnv := *envs[0]
+	baseEnv.cfg.MaxAgents = 64
+	baseEnv.cfg.CodeBlocks = 512
+	baseEnv.cfg.ArenaBytes = 16 * 1024
+	baseEnv.cfg.RegistryBytes = 8 * 1024
+	baseEnv.cfg.RegistryMax = 128
 
-	base, err := newNode(s.Context(sim.Key2D(baseLoc.X, baseLoc.Y)), medium, baseLoc, 0, nil, baseCfg, trace, d.tracker)
+	base, err := newNode(s.Context(sim.Key2D(baseLoc.X, baseLoc.Y)), medium, baseLoc, 0, nil, &baseEnv)
 	if err != nil {
 		return nil, fmt.Errorf("core: base station: %w", err)
 	}
@@ -223,7 +227,8 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 	idx := uint8(1)
 	for _, loc := range spec.Layout.Nodes {
 		board := sensor.NewBoard(loc, spec.Field, sensor.DefaultSensors()...)
-		n, err := newNode(s.Context(sim.Key2D(loc.X, loc.Y)), medium, loc, idx, board, spec.Node, trace, d.tracker)
+		ctx := s.Context(sim.Key2D(loc.X, loc.Y))
+		n, err := newNode(ctx, medium, loc, idx, board, envs[ctx.Shard()])
 		if err != nil {
 			return nil, fmt.Errorf("core: node %v: %w", loc, err)
 		}

@@ -113,6 +113,7 @@ type battery struct {
 	checkEvery time.Duration
 
 	mark time.Duration // idle drain accrued up to this instant
+	gen  int           // invalidates stale battery tick chains
 }
 
 func newBattery(m EnergyModel, now time.Duration) *battery {
@@ -237,11 +238,11 @@ func (n *Node) startBatteryTick() {
 	if n.bat == nil || n.bat.idlePerSec == 0 {
 		return
 	}
-	n.batGen++
-	gen := n.batGen
+	n.bat.gen++
+	gen := n.bat.gen
 	var tick func()
 	tick = func() {
-		if n.life != NodeUp || gen != n.batGen {
+		if n.life != NodeUp || gen != n.bat.gen {
 			return
 		}
 		n.bat.accrue(n.sim.Now())
@@ -255,7 +256,11 @@ func (n *Node) startBatteryTick() {
 }
 
 // stopBatteryTick invalidates the running tick chain.
-func (n *Node) stopBatteryTick() { n.batGen++ }
+func (n *Node) stopBatteryTick() {
+	if n.bat != nil {
+		n.bat.gen++
+	}
+}
 
 // EnergyUsedJ sums drained energy across all motes over the whole run —
 // batteries emptied in previous lives included, so the figure is

@@ -115,7 +115,7 @@ func (n *Node) engineStep() {
 		}
 	}
 
-	out := &n.stepOut // node-owned scratch: engine steps never nest
+	out := &n.stepOut // the shard's scratch: engine steps never nest or overlap on one shard
 	n.stepInstr(rec, out)
 	for {
 		if n.life != NodeUp {
@@ -209,7 +209,7 @@ func (n *Node) applyEffect(rec *record, out *vm.Outcome) {
 
 	case vm.EffectSleep:
 		rec.state = AgentSleeping
-		rec.wake = n.sim.Schedule(out.Sleep, rec.wakeFn)
+		rec.wake.Reset(out.Sleep)
 
 	case vm.EffectWait:
 		// Resumes when a reaction fires (onTupleInserted). An agent with

@@ -17,20 +17,46 @@ var ErrNoInstrMem = errors.New("core: out of instruction memory")
 // code. "We found that 22 byte blocks are a good compromise between
 // internal fragmentation and undue forward pointer overhead."
 //
-// The zero value is not usable; construct with NewInstrMem.
+// The zero value is not usable; construct with NewInstrMem or Init.
 type InstrMem struct {
 	totalBlocks int
 	usedBlocks  int
-	byAgent     map[uint16]int
+	// byAgent is what each agent holds, in ascending ID order: at most
+	// MaxAgents entries, so a search is a few comparisons.
+	byAgent []codeAlloc
+}
+
+// codeAlloc is one agent's share of instruction memory.
+type codeAlloc struct {
+	agentID uint16
+	blocks  uint16
 }
 
 // NewInstrMem creates an allocator with the given block budget;
 // non-positive selects the paper's 20-block default.
 func NewInstrMem(blocks int) *InstrMem {
+	m := new(InstrMem)
+	m.Init(blocks)
+	return m
+}
+
+// Init makes m an empty allocator with the given block budget, for owners
+// that hold an InstrMem by value; it also serves to wipe one.
+func (m *InstrMem) Init(blocks int) {
 	if blocks <= 0 {
 		blocks = DefaultCodeBlocks
 	}
-	return &InstrMem{totalBlocks: blocks, byAgent: make(map[uint16]int)}
+	*m = InstrMem{totalBlocks: blocks}
+}
+
+// index returns the position of agentID's allocation, or where it would
+// be inserted.
+func (m *InstrMem) index(agentID uint16) (int, bool) {
+	i := 0
+	for i < len(m.byAgent) && m.byAgent[i].agentID < agentID {
+		i++
+	}
+	return i, i < len(m.byAgent) && m.byAgent[i].agentID == agentID
 }
 
 // BlocksFor returns how many 22-byte blocks a program of n bytes needs.
@@ -56,14 +82,17 @@ func (m *InstrMem) CapBytes() int { return m.totalBlocks * wire.CodeBlockSize }
 // Alloc charges the blocks for an agent's code. Allocating twice for the
 // same agent is a programming error and fails.
 func (m *InstrMem) Alloc(agentID uint16, codeLen int) error {
-	if _, dup := m.byAgent[agentID]; dup {
+	i, dup := m.index(agentID)
+	if dup {
 		return fmt.Errorf("core: instruction memory already allocated for agent %d", agentID)
 	}
 	need := BlocksFor(codeLen)
 	if m.usedBlocks+need > m.totalBlocks {
 		return fmt.Errorf("%w: need %d blocks, %d free", ErrNoInstrMem, need, m.FreeBlocks())
 	}
-	m.byAgent[agentID] = need
+	m.byAgent = append(m.byAgent, codeAlloc{})
+	copy(m.byAgent[i+1:], m.byAgent[i:])
+	m.byAgent[i] = codeAlloc{agentID: agentID, blocks: uint16(need)}
 	m.usedBlocks += need
 	return nil
 }
@@ -75,11 +104,16 @@ func (m *InstrMem) CanAlloc(codeLen int) bool {
 
 // Free releases an agent's blocks. Freeing an unknown agent is a no-op.
 func (m *InstrMem) Free(agentID uint16) {
-	if n, ok := m.byAgent[agentID]; ok {
-		m.usedBlocks -= n
-		delete(m.byAgent, agentID)
+	if i, ok := m.index(agentID); ok {
+		m.usedBlocks -= int(m.byAgent[i].blocks)
+		m.byAgent = append(m.byAgent[:i], m.byAgent[i+1:]...)
 	}
 }
 
 // BlocksOf returns the blocks charged to an agent.
-func (m *InstrMem) BlocksOf(agentID uint16) int { return m.byAgent[agentID] }
+func (m *InstrMem) BlocksOf(agentID uint16) int {
+	if i, ok := m.index(agentID); ok {
+		return int(m.byAgent[i].blocks)
+	}
+	return 0
+}

@@ -63,8 +63,8 @@ type outMigration struct {
 	metas   []msgMeta
 	acked   int
 	retries int
-	timer   *sim.Event
-	origin  bool // false when relaying an agent passing through
+	timer   sim.Timer // retransmission timer, bound to onAckTimeout in beginTransfer
+	origin  bool      // false when relaying an agent passing through
 }
 
 // inMigration is the agent receiver's per-transfer state. The sender to
@@ -78,7 +78,7 @@ type inMigration struct {
 	heapSeen   map[uint8]bool
 	stack      map[uint8][]tuplespace.Value
 	rxns       map[uint8]tuplespace.Reaction
-	stall      *sim.Event
+	stall      sim.Timer // receiver stall abort, bound to abortIn in recvState
 	finalizing bool
 	e2e        bool
 }
@@ -176,6 +176,7 @@ func (n *Node) beginTransfer(rec *record, snap snapshot, origin bool) {
 		snap:   snap,
 		origin: origin,
 	}
+	om.timer.Init(n.sim, func() { n.onAckTimeout(om) })
 	hop, ok := n.net.NextHop(snap.dest)
 	if !ok {
 		n.failTransfer(om)
@@ -183,7 +184,7 @@ func (n *Node) beginTransfer(rec *record, snap snapshot, origin bool) {
 	}
 	om.nextHop = hop
 	om.msgs, om.metas = n.encodeSnapshot(om)
-	n.out[om.key] = om
+	put(&n.out, om.key, om)
 	n.stats.MigrationsOut++
 	n.sendCurrent(om)
 }
@@ -258,11 +259,11 @@ func (n *Node) sendCurrent(om *outMigration) {
 				n.net.SendDirect(hop, radio.KindMigrate, env.Encode())
 			}
 		}
-		om.timer = n.sim.Schedule(n.cfg.AckTimeout*10, func() { n.onAckTimeout(om) })
+		om.timer.Reset(n.cfg.AckTimeout * 10)
 		return
 	}
 	n.net.SendDirect(om.nextHop, radio.KindMigrate, om.msgs[om.acked])
-	om.timer = n.sim.Schedule(n.cfg.AckTimeout, func() { n.onAckTimeout(om) })
+	om.timer.Reset(n.cfg.AckTimeout)
 }
 
 func (n *Node) onAckTimeout(om *outMigration) {
@@ -316,10 +317,7 @@ func (n *Node) recvMigrationAck(f radio.Frame) {
 	if ack.Of != want.typ || ack.Index != want.idx {
 		return // stale ack for an already-confirmed message
 	}
-	if om.timer != nil {
-		om.timer.Cancel()
-		om.timer = nil
-	}
+	om.timer.Stop()
 	om.acked++
 	om.retries = 0
 	if om.acked == len(om.msgs) {
@@ -367,10 +365,7 @@ func (n *Node) failTransfer(om *outMigration) {
 }
 
 func (n *Node) clearOut(om *outMigration) {
-	if om.timer != nil {
-		om.timer.Cancel()
-		om.timer = nil
-	}
+	om.timer.Stop()
 	delete(n.out, om.key)
 }
 
@@ -487,7 +482,7 @@ func (n *Node) recvState(st wire.StateMsg, from topology.Location, e2e bool) {
 	if len(n.agents)+n.reserve >= n.cfg.MaxAgents || !n.instr.CanAlloc(int(st.CodeLen)) {
 		return
 	}
-	if _, hosted := n.agents[st.AgentID]; hosted && (st.Kind == wire.MigStrongMove || st.Kind == wire.MigWeakMove || st.Kind == wire.MigInject) {
+	if n.hosted(st.AgentID) != nil && (st.Kind == wire.MigStrongMove || st.Kind == wire.MigWeakMove || st.Kind == wire.MigInject) {
 		return // an agent with this identity already lives here
 	}
 	n.reserve++
@@ -500,8 +495,9 @@ func (n *Node) recvState(st wire.StateMsg, from topology.Location, e2e bool) {
 		rxns:     make(map[uint8]tuplespace.Reaction),
 		e2e:      e2e,
 	}
+	im.stall.Init(n.sim, func() { n.abortIn(im) })
 	im.haveState = true
-	n.in[key] = im
+	put(&n.in, key, im)
 	n.touchIn(im, wire.MsgState, 0)
 }
 
@@ -526,14 +522,10 @@ func (n *Node) touchIn(im *inMigration, t wire.MsgType, idx uint8) {
 	if im.finalizing {
 		return
 	}
-	if im.stall != nil {
-		im.stall.Cancel()
-	}
-	im.stall = n.sim.Schedule(n.cfg.ReceiverStall, func() { n.abortIn(im) })
+	im.stall.Reset(n.cfg.ReceiverStall)
 	if n.inComplete(im) {
 		im.finalizing = true
-		im.stall.Cancel()
-		im.stall = nil
+		im.stall.Stop()
 		// Reassembling and installing the agent costs CPU time.
 		n.sim.Schedule(n.cfg.MigRecvOverhead, func() { n.finalizeIn(im) })
 	}
@@ -610,7 +602,7 @@ func (n *Node) finalizeIn(im *inMigration) {
 		// "A cloned agent is assigned a new ID" (§3.3).
 		id = n.NextAgentID()
 	}
-	if _, hosted := n.agents[id]; hosted {
+	if n.hosted(id) != nil {
 		return // duplicate arrival of an agent that already lives here
 	}
 
@@ -681,18 +673,19 @@ func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
 		return nil, err
 	}
 	rec := &record{agent: a, state: AgentMigrating, arrivedAt: n.sim.Now()}
-	rec.wakeFn = func() {
-		if rec.state != AgentSleeping {
-			return
+	rec.wake.Init(n.sim, func() {
+		if rec.state == AgentSleeping {
+			rec.state = AgentReady
+			n.enqueue(rec)
 		}
-		rec.wake = nil
-		rec.state = AgentReady
-		n.enqueue(rec)
-	}
+	})
 	if n.burst {
 		rec.prog = progCache.Get(a.Code)
 	}
-	n.agents[a.ID] = rec
+	i, _ := n.agentIndex(a.ID) // instr.Alloc above refused an ID already hosted
+	n.agents = append(n.agents, nil)
+	copy(n.agents[i+1:], n.agents[i:])
+	n.agents[i] = rec
 	n.stats.AgentsHosted++
 	n.replicaMuted(func() {
 		_ = n.space.Out(tuplespace.T(tuplespace.Str("agt"), tuplespace.AgentIDV(a.ID)))
@@ -705,7 +698,7 @@ func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
 // collected after a grace period.
 func (n *Node) rememberDone(key inKey) {
 	now := n.sim.Now()
-	n.done[key] = now
+	put(&n.done, key, now)
 	const grace = 3 * time.Second
 	//lint:maprange each entry is tested and deleted independently
 	for k, t := range n.done {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/network"
@@ -82,8 +81,7 @@ type record struct {
 
 	sliceUsed int
 	queued    bool
-	wake      *sim.Event // sleep timer
-	wakeFn    func()     // the sleep-expiry continuation, bound once at admit
+	wake      sim.Timer // sleep timer, bound to the sleep-expiry continuation at admit
 
 	arrivedAt time.Duration
 }
@@ -108,88 +106,117 @@ func (rec *record) popFiring() firing {
 // executor the node is confined to its scheduling context's shard: its
 // engine, tuple space, registry, and protocol state are only ever touched
 // by events running there.
+//
+// A mote is one object on the host: the network stack, tuple space,
+// reaction registry, instruction manager and run queue are held by value,
+// so a wake-up finds them beside the fields that led to them. What every
+// mote of a shard can share (the configuration, the hook table, the
+// tracker, the engine's scratch) is pointed at, and what a mote has not
+// used yet — protocol session tables, its agents' records — is not
+// allocated.
 type Node struct {
-	sim    *sim.Ctx
-	cfg    Config
-	loc    topology.Location
-	medium *radio.Medium
+	*shardEnv // cfg, trace, tracker, stepOut
+	sim       *sim.Ctx
+	loc       topology.Location
 
-	net      *network.Stack
-	space    *tuplespace.Space
-	registry *tuplespace.Registry
-	instr    *InstrMem
-	board    *sensor.Board
-
-	agents  map[uint16]*record
-	runq    runRing
-	busy    bool       // an engine step is scheduled
-	burst   bool       // batch straight-line instruction runs (Exec != ExecStep)
-	stepFn  func()     // engineStep as a value: one instruction per event makes a fresh method closure per step measurable
-	stepOut vm.Outcome // engineStep's scratch outcome; steps never nest, so one per node suffices
+	life  LifeState // up / down / recovering (see world.go)
+	busy  bool      // an engine step is scheduled
+	burst bool      // batch straight-line instruction runs (Exec != ExecStep)
 
 	nodeIndex  uint8 // high byte of locally assigned agent IDs
 	agentCount uint8 // low byte counter
+	migSeq     uint16
+	reqSeq     uint16
+	led        int16
+	reserve    int // agent slots held by inbound migrations
 
-	migSeq  uint16
-	out     map[migKey]*outMigration
-	in      map[inKey]*inMigration
-	done    map[inKey]time.Duration // recently finalized, for duplicate acks
-	reserve int                     // agent slots held by inbound migrations
+	bat   *battery      // nil when the deployment has no energy model
+	repl  *replicaState // nil without replication (see replica.go)
+	board *sensor.Board
 
-	reqSeq  uint16
-	remote  map[uint16]*pendingRemote
-	served  map[servedKey]servedReply // responder-side reply cache
-	led     int16
-	stats   NodeStats
+	net      network.Stack
+	space    tuplespace.Space
+	registry tuplespace.Registry
+	instr    InstrMem
+
+	// agents holds the hosted agents' records in ascending ID order: the
+	// paper bounds it to MaxAgents (4), so a search is a few comparisons
+	// and iterating is already deterministic.
+	agents []*record
+	runq   runRing
+	stepFn func() // engineStep as a value: one instruction per event makes a fresh method closure per step measurable
+
+	// Protocol session tables, each created at its first insert (see put;
+	// reads, deletes and clears of a nil map are no-ops).
+	out    map[migKey]*outMigration
+	in     map[inKey]*inMigration
+	done   map[inKey]time.Duration // recently finalized, for duplicate acks
+	remote map[uint16]*pendingRemote
+	served map[servedKey]servedReply // responder-side reply cache
+
+	stats NodeStats
+}
+
+// put stores v under k in one of a node's protocol session tables,
+// creating the table at its first entry — the one way anything gets into
+// them.
+func put[K comparable, V any](table *map[K]V, k K, v V) {
+	if *table == nil {
+		*table = make(map[K]V)
+	}
+	(*table)[k] = v
+}
+
+// shardEnv is what the nodes of one deployment that run on one executor
+// shard share instead of each owning a copy. Events of one shard never
+// overlap and engine steps never nest, so one scratch outcome serves them
+// all; shards run concurrently, so each gets its own.
+type shardEnv struct {
+	cfg     Config        // defaults applied; never written after construction
 	trace   *Trace        // the deployment's hook table; never nil
 	tracker *agentTracker // deployment-wide agent registry; never nil
-
-	life   LifeState // up / down / recovering (see world.go)
-	bat    *battery  // nil when the deployment has no energy model
-	batGen int       // invalidates stale battery tick chains
-
-	repl *replicaState // nil without replication (see replica.go)
+	stepOut vm.Outcome    // engineStep's scratch outcome
 }
 
 // newNode builds a mote at loc, attaches it to the medium, and seeds its
 // tuple space with the pre-defined context tuples (§2.2). The board may be
-// nil for a sensorless node; trace and tracker are the deployment's and
-// are used unguarded. The context must be the one keyed to loc
-// (sim.Key2D), the same context the medium registers on Attach, so the
-// node's timers and the radio's deliveries share one ordering identity.
-func newNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, nodeIndex uint8, board *sensor.Board, cfg Config, trace *Trace, tracker *agentTracker) (*Node, error) {
-	cfg = cfg.withDefaults()
+// nil for a sensorless node; env is the one of the shard s runs on. The
+// context must be the one keyed to loc (sim.Key2D), the same context the
+// medium registers on Attach, so the node's timers and the radio's
+// deliveries share one ordering identity.
+func newNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, nodeIndex uint8, board *sensor.Board, env *shardEnv) (*Node, error) {
 	n := &Node{
+		shardEnv:  env,
 		sim:       s,
-		cfg:       cfg,
 		loc:       loc,
-		medium:    medium,
-		space:     tuplespace.NewSpace(cfg.ArenaBytes),
-		registry:  tuplespace.NewRegistry(cfg.RegistryBytes, cfg.RegistryMax),
-		instr:     NewInstrMem(cfg.CodeBlocks),
 		board:     board,
-		agents:    make(map[uint16]*record),
 		nodeIndex: nodeIndex,
-		out:       make(map[migKey]*outMigration),
-		in:        make(map[inKey]*inMigration),
-		done:      make(map[inKey]time.Duration),
-		remote:    make(map[uint16]*pendingRemote),
-		served:    make(map[servedKey]servedReply),
-		trace:     trace,
-		tracker:   tracker,
 	}
+	n.resetRAM()
 	n.stepFn = n.engineStep
-	n.burst = cfg.Exec != ExecStep
-	n.net = network.NewStack(s, medium, loc, cfg.Network)
+	n.burst = n.cfg.Exec != ExecStep
+	n.net.Init(s, medium, loc, &env.cfg.Network)
 	n.net.NumAgents = func() int { return len(n.agents) }
 	n.net.DeliverDirect = n.handleDirect
 	n.net.DeliverRouted = n.handleRouted
 	if err := medium.Attach(loc, n); err != nil {
 		return nil, err
 	}
-	n.space.OnInsert(n.onTupleInserted)
 	n.seedContextTuples()
 	return n, nil
+}
+
+// resetRAM makes the tuple space, reaction registry and instruction memory
+// empty at their configured budgets — a mote's RAM at power-on — and
+// re-hooks the space's observers.
+func (n *Node) resetRAM() {
+	n.space.Init(n.cfg.ArenaBytes)
+	n.space.OnInsert(n.onTupleInserted)
+	if n.repl != nil {
+		n.hookReplica()
+	}
+	n.registry.Init(n.cfg.RegistryBytes, n.cfg.RegistryMax)
+	n.instr.Init(n.cfg.CodeBlocks)
 }
 
 // Start begins beaconing (and, with an energy model, the idle-drain
@@ -219,16 +246,16 @@ func (n *Node) Now() time.Duration { return n.sim.Now() }
 func (n *Node) Config() Config { return n.cfg }
 
 // Space returns the local tuple space (for inspection and tests).
-func (n *Node) Space() *tuplespace.Space { return n.space }
+func (n *Node) Space() *tuplespace.Space { return &n.space }
 
 // Registry returns the reaction registry.
-func (n *Node) Registry() *tuplespace.Registry { return n.registry }
+func (n *Node) Registry() *tuplespace.Registry { return &n.registry }
 
 // InstrMem returns the instruction manager.
-func (n *Node) InstrMem() *InstrMem { return n.instr }
+func (n *Node) InstrMem() *InstrMem { return &n.instr }
 
 // Net returns the network stack.
-func (n *Node) Net() *network.Stack { return n.net }
+func (n *Node) Net() *network.Stack { return &n.net }
 
 // Stats returns a snapshot of the node counters.
 func (n *Node) Stats() NodeStats { return n.stats }
@@ -241,19 +268,35 @@ func (n *Node) NumAgents() int { return len(n.agents) }
 
 // AgentIDs returns the live agent IDs in ascending order.
 func (n *Node) AgentIDs() []uint16 {
-	out := make([]uint16, 0, len(n.agents))
-	//lint:maprange collected IDs are sorted below
-	for id := range n.agents {
-		out = append(out, id)
+	out := make([]uint16, len(n.agents))
+	for i, rec := range n.agents {
+		out[i] = rec.agent.ID
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
+}
+
+// agentIndex returns the position of agent id in n.agents, or where it
+// would be inserted.
+func (n *Node) agentIndex(id uint16) (int, bool) {
+	i := 0
+	for i < len(n.agents) && n.agents[i].agent.ID < id {
+		i++
+	}
+	return i, i < len(n.agents) && n.agents[i].agent.ID == id
+}
+
+// hosted returns the record of agent id, or nil.
+func (n *Node) hosted(id uint16) *record {
+	if i, ok := n.agentIndex(id); ok {
+		return n.agents[i]
+	}
+	return nil
 }
 
 // AgentInfo reports an agent's state, or false if unknown.
 func (n *Node) AgentInfo(id uint16) (AgentState, bool) {
-	rec, ok := n.agents[id]
-	if !ok {
+	rec := n.hosted(id)
+	if rec == nil {
 		return 0, false
 	}
 	return rec.state, true
@@ -262,8 +305,8 @@ func (n *Node) AgentInfo(id uint16) (AgentState, bool) {
 // Agent returns the VM state of a hosted agent (tests and the CLI inspect
 // through this).
 func (n *Node) Agent(id uint16) (*vm.Agent, bool) {
-	rec, ok := n.agents[id]
-	if !ok {
+	rec := n.hosted(id)
+	if rec == nil {
 		return nil, false
 	}
 	return rec.agent, true
@@ -273,8 +316,8 @@ func (n *Node) Agent(id uint16) (*vm.Agent, bool) {
 // application, §2.2: "old agents can die"). It reports whether the agent
 // was present.
 func (n *Node) KillAgent(id uint16) bool {
-	rec, ok := n.agents[id]
-	if !ok {
+	rec := n.hosted(id)
+	if rec == nil {
 		return false
 	}
 	rec.state = AgentDead
@@ -330,21 +373,21 @@ func (n *Node) CreateAgent(code []byte) (uint16, error) {
 
 // reclaim removes an agent and frees everything it held.
 func (n *Node) reclaim(id uint16) {
-	rec, ok := n.agents[id]
+	i, ok := n.agentIndex(id)
 	if !ok {
 		return
 	}
+	rec := n.agents[i]
 	rec.state = AgentDead
-	if rec.wake != nil {
-		rec.wake.Cancel()
-		rec.wake = nil
-	}
+	rec.wake.Stop()
 	n.instr.Free(id)
 	n.registry.RemoveAgent(id)
 	n.replicaMuted(func() {
 		n.space.Inp(tuplespace.Tmpl(tuplespace.Str("agt"), tuplespace.AgentIDV(id)))
 	})
-	delete(n.agents, id)
+	copy(n.agents[i:], n.agents[i+1:])
+	n.agents[len(n.agents)-1] = nil
+	n.agents = n.agents[:len(n.agents)-1]
 }
 
 func (n *Node) noteArrival(id uint16, kind wire.MigKind, from topology.Location) {
@@ -362,10 +405,8 @@ func (n *Node) onTupleInserted(t tuplespace.Tuple) {
 	}
 	// Wake agents blocked on in/rd whose template matches; they re-run
 	// the blocking instruction ("the agents in this queue are notified
-	// and can re-check for a match", §3.4). Iterate in ID order so the
-	// wake sequence is deterministic.
-	for _, id := range n.AgentIDs() {
-		rec := n.agents[id]
+	// and can re-check for a match", §3.4), in ID order.
+	for _, rec := range n.agents {
 		if rec.state == AgentBlocked && rec.blockTmpl.Matches(t) {
 			rec.state = AgentReady
 			n.enqueue(rec)
@@ -374,8 +415,8 @@ func (n *Node) onTupleInserted(t tuplespace.Tuple) {
 	// Fire reactions: queue the jump on each owning agent; waiting agents
 	// resume immediately (§3.2 Tuple Space Manager).
 	for _, rxn := range n.registry.Matching(t) {
-		rec, ok := n.agents[rxn.AgentID]
-		if !ok || rec.state == AgentDead {
+		rec := n.hosted(rxn.AgentID)
+		if rec == nil || rec.state == AgentDead {
 			continue
 		}
 		rec.pending = append(rec.pending, firing{pc: rxn.PC, tuple: t})

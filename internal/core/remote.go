@@ -44,7 +44,7 @@ type pendingRemote struct {
 	dest     topology.Location
 	req      wire.RemoteRequest
 	attempts int
-	timer    *sim.Event
+	timer    sim.Timer // retransmission timeout, bound to onRemoteTimeout by awaitRemote
 	started  time.Duration
 }
 
@@ -67,17 +67,22 @@ func (n *Node) startRemote(rec *record, out vm.Outcome) {
 		Tuple:    out.Tuple,
 		Template: out.Template,
 	}
-	n.remote[pr.reqID] = pr
-	n.stats.RemoteInitiated++
-
 	// A remote operation on the local node short-circuits to the local
-	// tuple space without touching the radio.
+	// tuple space without touching the radio or the pending table.
 	if out.Dest == n.loc {
-		reply := n.performRemote(pr.req)
-		delete(n.remote, pr.reqID)
-		n.settleRemote(pr, reply)
+		n.stats.RemoteInitiated++
+		n.settleRemote(pr, n.performRemote(pr.req))
 		return
 	}
+	n.awaitRemote(pr)
+}
+
+// awaitRemote enters pr in the pending table, binds its timeout and sends
+// the first attempt.
+func (n *Node) awaitRemote(pr *pendingRemote) {
+	put(&n.remote, pr.reqID, pr)
+	n.stats.RemoteInitiated++
+	pr.timer.Init(n.sim, func() { n.onRemoteTimeout(pr) })
 	n.sendRemote(pr)
 }
 
@@ -85,7 +90,7 @@ func (n *Node) sendRemote(pr *pendingRemote) {
 	pr.attempts++
 	// Losses at any hop silently eat the request; only the timer saves us.
 	_ = n.net.SendRouted(pr.dest, radio.KindRemoteTS, pr.req.Encode())
-	pr.timer = n.sim.Schedule(n.cfg.RemoteTimeout, func() { n.onRemoteTimeout(pr) })
+	pr.timer.Reset(n.cfg.RemoteTimeout)
 }
 
 func (n *Node) onRemoteTimeout(pr *pendingRemote) {
@@ -169,7 +174,7 @@ const servedGraceFloor = 30 * time.Second
 func (n *Node) rememberServed(key servedKey, sr servedReply) {
 	now := n.sim.Now()
 	sr.at = now
-	n.served[key] = sr
+	put(&n.served, key, sr)
 	grace := max(2*RemoteOpBudget(n.cfg), servedGraceFloor)
 	//lint:maprange each entry is tested and deleted independently
 	for k, s := range n.served {
@@ -223,10 +228,7 @@ func (n *Node) recvRemoteReply(env wire.Envelope) {
 		return // duplicate or late reply
 	}
 	delete(n.remote, pr.reqID)
-	if pr.timer != nil {
-		pr.timer.Cancel()
-		pr.timer = nil
-	}
+	pr.timer.Stop()
 	n.settleRemote(pr, reply)
 }
 

@@ -304,7 +304,7 @@ func TestBaseStationRemoteOpAPI(t *testing.T) {
 	if got == nil || !got.OK {
 		t.Fatalf("tool rrdp failed: %+v", got)
 	}
-	if len(got.Tuple.Fields) != 1 || got.Tuple.Fields[0].S != "abc" {
+	if len(got.Tuple.Fields) != 1 || got.Tuple.Fields[0].Name() != "abc" {
 		t.Errorf("tool rrdp tuple = %v", got.Tuple)
 	}
 }

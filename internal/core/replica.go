@@ -93,7 +93,7 @@ type replicaState struct {
 	// tracking and recovery must keep recognizing them as ours.
 	former []topology.Location
 
-	gen  int // invalidates stale gossip tick chains, like batGen
+	gen  int // invalidates stale gossip tick chains, like battery.gen
 	mute int // >0: space hooks ignore inserts/removals (bookkeeping ops)
 
 	// dirty marks the store as changed since the last transmitted digest;

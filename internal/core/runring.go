@@ -8,25 +8,29 @@ package core
 // an append. The ring reuses its slots forever: steady-state enqueue,
 // dequeue, and rotate are pointer moves with no allocation, and capacity
 // stays bounded by the high-water mark of simultaneously runnable agents
-// (itself bounded by Config.MaxAgents).
+// (itself bounded by Config.MaxAgents). The first four slots — the paper's
+// default MaxAgents — live inside the ring, and so inside the Node that
+// holds it by value; only a roomier node (the base station) ever moves to
+// a heap buffer.
 type runRing struct {
-	buf  []*record // len(buf) is always a power of two
-	head int
-	n    int
+	buf   []*record // len(buf) is always a power of two; slots[:] until it outgrows them
+	head  int32
+	n     int32
+	slots [4]*record // a power of two, like every buf
 }
 
 // Len returns the number of queued records.
-func (r *runRing) Len() int { return r.n }
+func (r *runRing) Len() int { return int(r.n) }
 
 // Head returns the queue head without removing it.
 func (r *runRing) Head() *record { return r.buf[r.head] }
 
 // Push appends rec at the tail.
 func (r *runRing) Push(rec *record) {
-	if r.n == len(r.buf) {
+	if int(r.n) == len(r.buf) {
 		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = rec
+	r.buf[r.slot(r.n)] = rec
 	r.n++
 }
 
@@ -35,7 +39,7 @@ func (r *runRing) Push(rec *record) {
 func (r *runRing) PopHead() *record {
 	rec := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.head = r.slot(1)
 	r.n--
 	return rec
 }
@@ -48,19 +52,19 @@ func (r *runRing) Rotate() {
 	}
 	rec := r.buf[r.head]
 	r.buf[r.head] = nil
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.buf[(r.head+r.n-1)&(len(r.buf)-1)] = rec
+	r.head = r.slot(1)
+	r.buf[r.slot(r.n-1)] = rec
 }
 
 // Tail returns the most recently queued record.
 func (r *runRing) Tail() *record {
-	return r.buf[(r.head+r.n-1)&(len(r.buf)-1)]
+	return r.buf[r.slot(r.n-1)]
 }
 
 // Clear empties the ring and releases every held record (node crash).
 func (r *runRing) Clear() {
-	for i := 0; i < r.n; i++ {
-		r.buf[(r.head+i)&(len(r.buf)-1)] = nil
+	for i := int32(0); i < r.n; i++ {
+		r.buf[r.slot(i)] = nil
 	}
 	r.head, r.n = 0, 0
 }
@@ -68,14 +72,18 @@ func (r *runRing) Clear() {
 // Cap exposes the backing capacity for the leak-regression test.
 func (r *runRing) Cap() int { return len(r.buf) }
 
+// slot returns the buffer index i places past the head.
+func (r *runRing) slot(i int32) int32 { return (r.head + i) & int32(len(r.buf)-1) }
+
 func (r *runRing) grow() {
-	newCap := 8
-	if len(r.buf) > 0 {
-		newCap = len(r.buf) * 2
+	if r.buf == nil {
+		r.buf = r.slots[:]
+		return
 	}
-	buf := make([]*record, newCap)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+	buf := make([]*record, len(r.buf)*2)
+	for i := int32(0); i < r.n; i++ {
+		buf[i] = r.buf[r.slot(i)]
 	}
+	clear(r.slots[:]) // a ring on the heap must not pin records through its old slots
 	r.buf, r.head = buf, 0
 }

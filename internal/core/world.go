@@ -114,13 +114,10 @@ func (n *Node) Crash(cause DownCause) bool {
 		n.bat.accrue(n.sim.Now())
 	}
 	// Hosted agents die with the node.
-	for _, id := range n.AgentIDs() {
-		rec := n.agents[id]
+	for _, rec := range n.agents {
+		id := rec.agent.ID
 		rec.state = AgentDead
-		if rec.wake != nil {
-			rec.wake.Cancel()
-			rec.wake = nil
-		}
+		rec.wake.Stop()
 		n.stats.AgentsDied++
 		n.tracker.finish(n.sim.Now(), n.loc, id, false, ErrNodeDown)
 		if n.trace.AgentDied != nil {
@@ -128,14 +125,13 @@ func (n *Node) Crash(cause DownCause) bool {
 		}
 	}
 	clear(n.agents)
+	n.agents = n.agents[:0]
 	n.runq.Clear()
 	// Volatile protocol sessions vanish with the RAM; peers time out and
 	// run their failure paths.
 	//lint:maprange independent timer cancellations; no cross-entry effects
 	for _, om := range n.out {
-		if om.timer != nil {
-			om.timer.Cancel()
-		}
+		om.timer.Stop()
 	}
 	clear(n.out)
 	// Iterate inbound sessions in a deterministic order: the per-agent
@@ -161,9 +157,7 @@ func (n *Node) Crash(cause DownCause) bool {
 	})
 	for _, k := range inKeys {
 		im := n.in[k]
-		if im.stall != nil {
-			im.stall.Cancel()
-		}
+		im.stall.Stop()
 		// A fully-received transfer awaiting finalizeIn is special: the
 		// sender has been acked and has (or is about to have) released
 		// its copy, so the agent exists only in this mote's reassembly
@@ -185,26 +179,20 @@ func (n *Node) Crash(cause DownCause) bool {
 	clear(n.done)
 	//lint:maprange independent timer cancellations; no cross-entry effects
 	for _, pr := range n.remote {
-		if pr.timer != nil {
-			pr.timer.Cancel()
-		}
+		pr.timer.Stop()
 	}
 	clear(n.remote)
 	clear(n.served)
 	n.reserve = 0
 	// The tuple space, registry, and instruction memory are rebuilt empty.
-	n.space = tuplespace.NewSpace(n.cfg.ArenaBytes)
-	n.space.OnInsert(n.onTupleInserted)
+	n.resetRAM()
 	if n.repl != nil {
 		// The replica store is RAM like everything else: lost with the
 		// crash, re-seeded from neighbors after Recover. Only the origin
 		// sequence counter survives (see replicaState.seq).
 		n.stopGossip()
 		n.repl.set = replica.NewSet(n.repl.cfg.MaxEntries)
-		n.hookReplica()
 	}
-	n.registry = tuplespace.NewRegistry(n.cfg.RegistryBytes, n.cfg.RegistryMax)
-	n.instr = NewInstrMem(n.cfg.CodeBlocks)
 	n.led = 0
 	if n.trace.NodeDied != nil {
 		n.trace.NodeDied(n.loc, cause)
@@ -262,8 +250,8 @@ func (n *Node) applyMove(to topology.Location) {
 	}
 	// Agents ride along: re-point their tracked records so handles
 	// resolve to the new address (Location/Host/Kill keep working).
-	for _, id := range n.AgentIDs() {
-		n.tracker.rehome(n.sim.Now(), to, id)
+	for _, rec := range n.agents {
+		n.tracker.rehome(n.sim.Now(), to, rec.agent.ID)
 	}
 	if n.life == NodeUp {
 		// Refresh the location context tuple (§2.2); the insertion runs

@@ -8,7 +8,6 @@ package network
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/radio"
@@ -26,78 +25,82 @@ type Neighbor struct {
 
 // AcquaintanceList is the continuously-updated one-hop neighbor table
 // (§2.2: "The one-hop neighbor information is stored in an acquaintance
-// list and is continuously updated by Agilla").
+// list and is continuously updated by Agilla"). The paper bounds it to a
+// mote's radio degree — a dozen entries — so it is one slice held in
+// (Y,X) order: a beacon from a known neighbor, getnbr, and routing are
+// searches and index operations that allocate nothing.
 //
 // The zero value is not usable; construct with NewAcquaintanceList.
 type AcquaintanceList struct {
 	expireAfter time.Duration
-	entries     map[topology.Location]*Neighbor
+	entries     []Neighbor // (Y,X)-ordered by Loc
 }
 
 // NewAcquaintanceList creates a list whose entries expire when no beacon is
 // heard for expireAfter.
 func NewAcquaintanceList(expireAfter time.Duration) *AcquaintanceList {
-	return &AcquaintanceList{
-		expireAfter: expireAfter,
-		entries:     make(map[topology.Location]*Neighbor),
+	return &AcquaintanceList{expireAfter: expireAfter}
+}
+
+// search returns the index of loc's entry, or where it would be inserted.
+func (a *AcquaintanceList) search(loc topology.Location) (int, bool) {
+	lo, hi := 0, len(a.entries)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if l := a.entries[mid].Loc; l.Y < loc.Y || (l.Y == loc.Y && l.X < loc.X) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
+	return lo, lo < len(a.entries) && a.entries[lo].Loc == loc
 }
 
 // Update records a beacon heard from loc at virtual time now.
 func (a *AcquaintanceList) Update(loc topology.Location, now time.Duration, numAgents uint8) {
-	if e, ok := a.entries[loc]; ok {
-		e.LastHeard = now
-		e.NumAgents = numAgents
-		return
+	i, ok := a.search(loc)
+	if !ok {
+		a.entries = append(a.entries, Neighbor{})
+		copy(a.entries[i+1:], a.entries[i:])
 	}
-	a.entries[loc] = &Neighbor{Loc: loc, LastHeard: now, NumAgents: numAgents}
+	a.entries[i] = Neighbor{Loc: loc, LastHeard: now, NumAgents: numAgents}
 }
 
 // Expire drops entries not heard from since now-expireAfter.
 func (a *AcquaintanceList) Expire(now time.Duration) {
-	for loc, e := range a.entries {
-		if now-e.LastHeard > a.expireAfter {
-			delete(a.entries, loc)
+	kept := a.entries[:0]
+	for _, e := range a.entries {
+		if now-e.LastHeard <= a.expireAfter {
+			kept = append(kept, e)
 		}
 	}
+	a.entries = kept
 }
 
 // Len returns the number of live neighbors.
 func (a *AcquaintanceList) Len() int { return len(a.entries) }
 
 // Neighbors returns the live entries sorted by location (Y then X), so that
-// getnbr indices are deterministic.
-func (a *AcquaintanceList) Neighbors() []Neighbor {
-	out := make([]Neighbor, 0, len(a.entries))
-	for _, e := range a.entries {
-		out = append(out, *e)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Loc.Y != out[j].Loc.Y {
-			return out[i].Loc.Y < out[j].Loc.Y
-		}
-		return out[i].Loc.X < out[j].Loc.X
-	})
-	return out
-}
+// getnbr indices are deterministic. The slice is the list's own: read it,
+// and do not hold it across an Update or Expire.
+func (a *AcquaintanceList) Neighbors() []Neighbor { return a.entries }
 
 // At returns the i-th neighbor in Neighbors() order.
 func (a *AcquaintanceList) At(i int) (Neighbor, bool) {
-	ns := a.Neighbors()
-	if i < 0 || i >= len(ns) {
+	if i < 0 || i >= len(a.entries) {
 		return Neighbor{}, false
 	}
-	return ns[i], true
+	return a.entries[i], true
 }
 
 // Contains reports whether loc is a live neighbor.
 func (a *AcquaintanceList) Contains(loc topology.Location) bool {
-	_, ok := a.entries[loc]
+	_, ok := a.search(loc)
 	return ok
 }
 
 // Clear drops every entry (the mote rebooted; its RAM is empty).
-func (a *AcquaintanceList) Clear() { clear(a.entries) }
+func (a *AcquaintanceList) Clear() { a.entries = a.entries[:0] }
 
 // Config tunes the stack. Zero fields select defaults.
 type Config struct {
@@ -116,7 +119,8 @@ const (
 	DefaultTTL         = 16
 )
 
-func (c Config) withDefaults() Config {
+// WithDefaults returns c with every zero field replaced by its default.
+func (c Config) WithDefaults() Config {
 	if c.BeaconEvery <= 0 {
 		c.BeaconEvery = DefaultBeaconEvery
 	}
@@ -144,14 +148,14 @@ type Stats struct {
 // list, and greedy forwarding. Upper layers (internal/core) receive
 // non-routing traffic through the handlers below.
 //
-// Construct with NewStack; not safe for concurrent use (the simulation is
-// single-threaded).
+// Construct with NewStack, or Init one held by value; not safe for
+// concurrent use (the simulation is single-threaded).
 type Stack struct {
 	sim    *sim.Ctx
 	medium *radio.Medium
 	self   topology.Location
-	cfg    Config
-	acq    *AcquaintanceList
+	cfg    *Config // defaults applied; shared by every stack of a deployment
+	acq    AcquaintanceList
 	stats  Stats
 
 	started bool
@@ -179,14 +183,17 @@ type Stack struct {
 // be the node's own scheduling context: beacon timers run on it and the
 // randomized beacon offset draws from its stream.
 func NewStack(s *sim.Ctx, medium *radio.Medium, self topology.Location, cfg Config) *Stack {
-	cfg = cfg.withDefaults()
-	return &Stack{
-		sim:    s,
-		medium: medium,
-		self:   self,
-		cfg:    cfg,
-		acq:    NewAcquaintanceList(cfg.ExpireAfter),
-	}
+	cfg = cfg.WithDefaults()
+	st := new(Stack)
+	st.Init(s, medium, self, &cfg)
+	return st
+}
+
+// Init is NewStack for a Stack its owner holds by value. cfg must already
+// have its defaults applied (Config.WithDefaults) and must not change
+// afterwards; many stacks may share one.
+func (st *Stack) Init(s *sim.Ctx, medium *radio.Medium, self topology.Location, cfg *Config) {
+	*st = Stack{sim: s, medium: medium, self: self, cfg: cfg, acq: AcquaintanceList{expireAfter: cfg.ExpireAfter}}
 }
 
 // Self returns this node's location.
@@ -199,7 +206,7 @@ func (st *Stack) Self() topology.Location { return st.self }
 func (st *Stack) SetSelf(loc topology.Location) { st.self = loc }
 
 // Acquaintances returns the neighbor table.
-func (st *Stack) Acquaintances() *AcquaintanceList { return st.acq }
+func (st *Stack) Acquaintances() *AcquaintanceList { return &st.acq }
 
 // Stats returns a snapshot of the stack counters.
 func (st *Stack) Stats() Stats { return st.stats }
@@ -362,7 +369,7 @@ func (st *Stack) NextHop(dst topology.Location) (topology.Location, bool) {
 	best := topology.Location{}
 	bestDist := self
 	found := false
-	for _, n := range st.acq.Neighbors() {
+	for _, n := range st.acq.entries {
 		if d := n.Loc.Dist(dst); d < bestDist {
 			best, bestDist, found = n.Loc, d, true
 		}

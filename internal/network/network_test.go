@@ -295,8 +295,58 @@ func TestStopHaltsBeacons(t *testing.T) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{}.withDefaults()
+	c := Config{}.WithDefaults()
 	if c.BeaconEvery != DefaultBeaconEvery || c.ExpireAfter != DefaultExpireAfter || c.TTL != DefaultTTL {
 		t.Errorf("defaults not applied: %+v", c)
+	}
+}
+
+// TestAcquaintanceListIsAnOrderedSlice: entries arrive in any order, read
+// back in (Y,X) order, expire without disturbing it — and the operations
+// the VM and the router perform per instruction and per frame (a beacon
+// from a known neighbor, getnbr, the greedy next hop) allocate nothing.
+func TestAcquaintanceListIsAnOrderedSlice(t *testing.T) {
+	s := sim.New(1)
+	m := radio.NewMedium(s, topology.Grid{Diag: true}, radio.ZeroLoss())
+	st := NewStack(s.Context(sim.Key2D(5, 5)), m, topology.Loc(5, 5), Config{ExpireAfter: time.Second})
+	a := st.Acquaintances()
+	in := []topology.Location{{X: 6, Y: 6}, {X: 4, Y: 4}, {X: 6, Y: 4}, {X: 5, Y: 6}, {X: 4, Y: 5}, {X: 6, Y: 5}, {X: 5, Y: 4}, {X: 4, Y: 6}}
+	for i, l := range in {
+		a.Update(l, time.Duration(i)*100*time.Millisecond, uint8(i))
+	}
+	want := []topology.Location{{X: 4, Y: 4}, {X: 5, Y: 4}, {X: 6, Y: 4}, {X: 4, Y: 5}, {X: 6, Y: 5}, {X: 4, Y: 6}, {X: 5, Y: 6}, {X: 6, Y: 6}}
+	for i, w := range want {
+		if n, ok := a.At(i); !ok || n.Loc != w {
+			t.Fatalf("At(%d) = %v,%v; want %v", i, n.Loc, ok, w)
+		}
+	}
+	a.Update(topology.Loc(6, 6), 5*time.Second, 9) // a known neighbor: refreshed in place
+	if n, _ := a.At(7); a.Len() != 8 || n.NumAgents != 9 || n.LastHeard != 5*time.Second {
+		t.Fatalf("refresh of a known neighbor: len=%d entry=%+v", a.Len(), n)
+	}
+	if !a.Contains(topology.Loc(4, 5)) || a.Contains(topology.Loc(5, 5)) {
+		t.Fatal("Contains disagrees with the entries")
+	}
+
+	var sink topology.Location
+	if avg := testing.AllocsPerRun(100, func() {
+		a.Update(topology.Loc(5, 6), 6*time.Second, 1)
+		n, _ := a.At(3)
+		hop, _ := st.NextHop(topology.Loc(9, 9))
+		sink = n.Loc
+		sink = hop
+	}); avg != 0 {
+		t.Errorf("Update of a known neighbor + At + NextHop allocate %.1f objects, want 0", avg)
+	}
+	_ = sink
+
+	a.Expire(5900 * time.Millisecond) // everything but the two refreshed entries is over a second old
+	if a.Len() != 2 {
+		t.Fatalf("after Expire: %d entries, want 2", a.Len())
+	}
+	first, _ := a.At(0)
+	second, _ := a.At(1)
+	if first.Loc != topology.Loc(5, 6) || second.Loc != topology.Loc(6, 6) {
+		t.Fatalf("survivors out of order: %v, %v", first.Loc, second.Loc)
 	}
 }

@@ -27,14 +27,14 @@
 // executor replay the sequential schedule exactly. All per-frame
 // randomness (loss sampling, processing jitter) draws from a stream owned
 // by the directed link, so the values never depend on what other links
-// transmitted in between. Link state, statistics, and the per-source
-// neighbor cache are held in per-shard arenas: every send executes on the
+// transmitted in between. Statistics and the per-source fan-out records —
+// each neighbour's resolved receiver and the link's channel state, by
+// value — are held in per-shard arenas: every send executes on the
 // sending node's shard, so the arenas are touched without locks.
 package radio
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"time"
 
@@ -170,18 +170,6 @@ func (p Params) randomized() bool {
 	return p.ProcJitter > 0 || p.LossGood > 0 || (p.LossBad > 0 && p.PGoodBad > 0)
 }
 
-type link struct {
-	from, to topology.Location
-}
-
-// linkState is the per-directed-link channel state: the Gilbert–Elliott
-// chain position and the link's private random stream, from which both
-// loss sampling and processing jitter draw.
-type linkState struct {
-	bad bool
-	rng *rand.Rand
-}
-
 // saltLink namespaces per-link streams within the seed's stream space.
 const saltLink = 0x6c696e6b // "link"
 
@@ -204,22 +192,98 @@ type attachment struct {
 	ctx *sim.Ctx
 }
 
+// link is one directed link out of a fan-out's source: who is at the far
+// end and the link's channel state — the Gilbert–Elliott chain position
+// and the private random stream both loss sampling and processing jitter
+// draw from — by value, so a delivery finds everything it needs in one
+// record and hashes nothing.
+type link struct {
+	to topology.Location
+	// bcast: the far end is in the source's broadcast fan-out as of the
+	// record's epoch. Links kept only for their channel state (the far end
+	// moved out of range, or a unicast found a link the topology grew
+	// without telling the medium) are not.
+	bcast bool
+	// used: the link has carried a frame on a randomized medium, so rng is
+	// seeded and the link counts in Stats.Links.
+	used bool
+	bad  bool        // Gilbert–Elliott state
+	a    *attachment // the attachment at to as of the epoch; nil when there is none
+	rng  sim.Rand    // seeded at first use from the root seed and the endpoint coordinates alone
+}
+
+// fanout is everything the medium keeps about sends from one source
+// location: its links in (Y,X) order of their far end. epoch is the medium
+// version the broadcast membership and the attachments were resolved
+// against; topology mutations (attach, move) bump the medium version
+// instead of touching any record, and each record re-resolves itself on its
+// source's next send — the incremental invalidation that lets world events
+// stay O(1) in the deployment size. Re-resolving never drops a used link:
+// its chain position and stream outlive any number of rebuilds, exactly as
+// if the state were keyed by the link's coordinates. Detached/dead
+// receivers need no invalidation at all: delivery skips them.
+type fanout struct {
+	epoch uint64
+	links []link
+}
+
+// pos returns the index of the link to to in the (Y,X) order, or where it
+// would be inserted.
+func (fo *fanout) pos(to topology.Location) int {
+	return sort.Search(len(fo.links), func(i int) bool { return !locLess(fo.links[i].to, to) })
+}
+
+// find returns the link to to, or nil.
+func (fo *fanout) find(to topology.Location) *link {
+	if i := fo.pos(to); i < len(fo.links) && fo.links[i].to == to {
+		return &fo.links[i]
+	}
+	return nil
+}
+
+// insert adds l in (Y,X) order and returns its slot.
+func (fo *fanout) insert(l link) *link {
+	i := fo.pos(l.to)
+	fo.links = append(fo.links, link{})
+	copy(fo.links[i+1:], fo.links[i:])
+	fo.links[i] = l
+	return &fo.links[i]
+}
+
+func locLess(a, b topology.Location) bool {
+	if a.Y != b.Y {
+		return a.Y < b.Y
+	}
+	return a.X < b.X
+}
+
+// delivery is one frame in flight: the receiver resolved at send time, the
+// frame, and run bound once as the event callback, so a delivery costs the
+// kernel's pooled event and this pooled record instead of a closure. It is
+// taken from the sending shard's free list and returned to the receiving
+// shard's; each list is only ever touched by its owning worker.
+type delivery struct {
+	r    Receiver
+	f    Frame
+	home *mediumShard // the receiving shard's arena
+	fire func()
+}
+
+func (d *delivery) run() {
+	r, f := d.r, d.f
+	d.r, d.f.Payload = nil, nil // drop the references for the GC
+	d.home.free = append(d.home.free, d)
+	r.ReceiveFrame(f)
+}
+
 // mediumShard is the slice of medium state owned by one executor shard.
 // Every field is only touched by sends whose source node lives on the
-// shard, so no locking is needed even under the parallel executor.
+// shard (free also by the deliveries that end there), so no locking is
+// needed even under the parallel executor.
 type mediumShard struct {
 	stats Stats
-	links map[link]*linkState
-	// nbrs caches, per source, the connected attached locations in (Y,X)
-	// order — the broadcast fan-out list. epoch is the medium version the
-	// cache was built against: topology mutations (attach, move) bump the
-	// medium version instead of touching every shard's cache, and each
-	// shard drops its own cache lazily on the next send — the incremental
-	// invalidation that lets world events stay O(1) in the shard count.
-	// Detached/dead receivers need no invalidation at all: delivery skips
-	// them.
-	nbrs  map[topology.Location][]topology.Location
-	epoch uint64
+	fan   map[topology.Location]*fanout // by source location
+	free  []*delivery
 }
 
 // Medium is the shared channel. Construct with NewMedium. Attach and
@@ -235,7 +299,7 @@ type Medium struct {
 	// version counts topology mutations (attaches, moves). It is written
 	// only while no event is executing — at construction, between runs,
 	// or from a world event at an executor barrier — and read by sends to
-	// validate per-shard fan-out caches.
+	// validate the per-source fan-out records.
 	version uint64
 
 	// Trace, when non-nil, observes every send attempt outcome. Used by
@@ -262,8 +326,7 @@ func NewMedium(ex sim.Executor, topo topology.Topology, params Params) *Medium {
 		sh:     make([]mediumShard, ex.Shards()),
 	}
 	for i := range m.sh {
-		m.sh[i].links = make(map[link]*linkState)
-		m.sh[i].nbrs = make(map[topology.Location][]topology.Location)
+		m.sh[i].fan = make(map[topology.Location]*fanout)
 	}
 	return m
 }
@@ -278,7 +341,7 @@ func (m *Medium) Stats() Stats {
 		t.Dropped += s.Dropped
 		t.NoRoute += s.NoRoute
 		t.Bytes += s.Bytes
-		t.Links += uint64(len(m.sh[i].links))
+		t.Links += s.Links
 	}
 	return t
 }
@@ -294,15 +357,15 @@ func (m *Medium) Attach(loc topology.Location, r Receiver) error {
 		return nil
 	}
 	m.att[loc] = &attachment{r: r, ctx: m.ex.Context(sim.Key2D(loc.X, loc.Y))}
-	// A brand-new location invalidates every cached fan-out list that
-	// should now include it; bumping the version makes each shard drop
-	// its cache lazily.
+	// A brand-new location invalidates every fan-out that should now
+	// include it; bumping the version makes each source re-resolve its own
+	// lazily.
 	m.version++
 	return nil
 }
 
-// Detach removes the receiver at loc (a dead mote). Cached fan-out lists
-// stay valid: delivery skips vacated locations.
+// Detach removes the receiver at loc (a dead mote). Fan-outs stay valid:
+// delivery skips vacated locations.
 func (m *Medium) Detach(loc topology.Location) {
 	if a, ok := m.att[loc]; ok {
 		a.r = nil
@@ -314,8 +377,7 @@ func (m *Medium) Detach(loc topology.Location) {
 // scheduling context (the node's ordering identity is its birth location),
 // the medium's topology is rekeyed when it is Movable (explicit link
 // sets; geometric topologies re-derive connectivity from the new
-// coordinates), and the version bump invalidates every shard's fan-out
-// cache lazily.
+// coordinates), and the version bump invalidates every fan-out lazily.
 //
 // Like Attach, Move may only be called while no ordinary event is
 // executing: from the host between runs, or from a world event
@@ -350,59 +412,58 @@ func (m *Medium) ctxOf(loc topology.Location) *sim.Ctx {
 	return m.ex.Context(sim.Key2D(loc.X, loc.Y))
 }
 
-// neighbors returns the broadcast fan-out list for src: every ever-attached
-// location connected to it, in (Y,X) order. The list is computed once per
-// source on the source's shard and reused for every subsequent broadcast
-// — re-sorting the whole attachment table per beacon was the medium's
-// hottest path.
-func (m *Medium) neighbors(src topology.Location, sh *mediumShard) []topology.Location {
-	if sh.epoch != m.version {
-		clear(sh.nbrs)
-		sh.epoch = m.version
+// fanoutOf returns the fan-out record for sends from src, building it on
+// the source's first send and re-resolving it after a topology mutation.
+// The broadcast membership — every ever-attached location connected to
+// src — is computed once per source and medium version on the source's
+// shard and reused for every subsequent send; re-sorting the whole
+// attachment table per beacon was the medium's hottest path.
+func (m *Medium) fanoutOf(src topology.Location, sh *mediumShard) *fanout {
+	fo := sh.fan[src]
+	if fo == nil {
+		fo = &fanout{}
+		sh.fan[src] = fo
+	} else if fo.epoch == m.version {
+		return fo
 	}
-	if nb, ok := sh.nbrs[src]; ok {
-		return nb
+	fo.epoch = m.version
+	// Keep what must outlive the rebuild — the links that have carried a
+	// frame — and resolve the membership afresh around them.
+	kept := fo.links[:0]
+	for _, l := range fo.links {
+		if l.used {
+			l.bcast, l.a = false, m.att[l.to]
+			kept = append(kept, l)
+		}
 	}
-	nb := make([]topology.Location, 0, 8)
+	fo.links = kept
 	collect := func(loc topology.Location) {
-		if loc != src && m.topo.Connected(src, loc) {
-			if _, ok := m.att[loc]; ok {
-				nb = append(nb, loc)
-			}
+		if loc == src || !m.topo.Connected(src, loc) {
+			return
+		}
+		a, ok := m.att[loc]
+		if !ok {
+			return
+		}
+		// Enumerators may emit a candidate twice (e.g. a gateway's base
+		// link and its geometric link); the second visit finds the first.
+		if l := fo.find(loc); l != nil {
+			l.bcast = true
+		} else {
+			fo.insert(link{to: loc, bcast: true, a: a})
 		}
 	}
 	// Topologies that can enumerate their own candidate neighbors keep
 	// this O(degree); otherwise scan every ever-attached location —
 	// correct for any topology but quadratic across a large deployment's
 	// first broadcasts.
-	enumerated := false
-	if en, ok := m.topo.(topology.NeighborEnumerator); ok {
-		enumerated = en.EnumerateNeighbors(src, collect)
-	}
-	if !enumerated {
-		nb = nb[:0]
-		//lint:maprange collected neighbors are sorted (Y, X) below
+	if en, ok := m.topo.(topology.NeighborEnumerator); !ok || !en.EnumerateNeighbors(src, collect) {
+		//lint:maprange links are inserted in (Y, X) order whatever order they are visited in
 		for loc := range m.att {
 			collect(loc)
 		}
 	}
-	sort.Slice(nb, func(i, j int) bool {
-		if nb[i].Y != nb[j].Y {
-			return nb[i].Y < nb[j].Y
-		}
-		return nb[i].X < nb[j].X
-	})
-	// Enumerators may emit a candidate twice (e.g. a gateway's base link
-	// and its geometric link); collapse duplicates after the sort.
-	for i := 1; i < len(nb); {
-		if nb[i] == nb[i-1] {
-			nb = append(nb[:i], nb[i+1:]...)
-		} else {
-			i++
-		}
-	}
-	sh.nbrs[src] = nb
-	return nb
+	return fo
 }
 
 // Send transmits a frame. Unicast frames are delivered to the destination
@@ -414,6 +475,7 @@ func (m *Medium) Send(f Frame) {
 	sh := &m.sh[src.Shard()]
 	sh.stats.Sent++
 	sh.stats.Bytes += uint64(len(f.Payload))
+	fo := m.fanoutOf(f.Src, sh)
 	if f.IsBroadcast() {
 		if len(f.Payload) > 0 {
 			// One defensive copy per broadcast, shared read-only by every
@@ -423,61 +485,87 @@ func (m *Medium) Send(f Frame) {
 		}
 		// Deliver in sorted location order: map iteration order would
 		// leak nondeterminism into the loss sampling and event sequence.
-		for _, loc := range m.neighbors(f.Src, sh) {
-			a := m.att[loc]
-			if a == nil || a.r == nil {
-				continue
+		for i := range fo.links {
+			if l := &fo.links[i]; l.bcast && l.a != nil && l.a.r != nil {
+				m.deliver(f, l, src, sh, true)
 			}
-			m.deliver(f, loc, a, src, sh, true)
 		}
 		return
 	}
-	a, ok := m.att[f.Dst]
-	if !ok || a.r == nil || !m.topo.Connected(f.Src, f.Dst) {
+	// The topology is asked on every unicast — it is the authority, and a
+	// failure-injecting one may sever a link between two sends — but the
+	// receiver and the link state come from the fan-out; only a link the
+	// record has not met (no such neighbour, or connectivity that grew
+	// without a version bump) falls back to the attachment table.
+	l := fo.find(f.Dst)
+	var a *attachment
+	if l != nil {
+		a = l.a
+	} else {
+		a = m.att[f.Dst]
+	}
+	if a == nil || a.r == nil || !m.topo.Connected(f.Src, f.Dst) {
 		sh.stats.NoRoute++
 		if m.Trace != nil {
 			m.Trace(f, f.Dst, false)
 		}
 		return
 	}
-	m.deliver(f, f.Dst, a, src, sh, false)
+	if l == nil {
+		l = fo.insert(link{to: f.Dst, a: a})
+	}
+	m.deliver(f, l, src, sh, false)
 }
 
-// deliver offers one frame to one receiver. copied says whether the
-// payload was already snapshotted (broadcast copies once up front so all
-// receivers share it); unicast frames snapshot only on actual delivery,
-// so dropped frames cost no allocation.
-func (m *Medium) deliver(f Frame, to topology.Location, a *attachment, src *sim.Ctx, sh *mediumShard, copied bool) {
-	if m.Drop != nil && m.Drop(f, to) {
+// deliver offers one frame to the receiver at the far end of l. copied says
+// whether the payload was already snapshotted (broadcast copies once up
+// front so all receivers share it); unicast frames snapshot only on actual
+// delivery, so dropped frames cost no allocation.
+func (m *Medium) deliver(f Frame, l *link, src *sim.Ctx, sh *mediumShard, copied bool) {
+	if m.Drop != nil && m.Drop(f, l.to) {
 		if m.Trace != nil {
-			m.Trace(f, to, false)
+			m.Trace(f, l.to, false)
 		}
 		sh.stats.Dropped++
 		return
 	}
 	delay := m.params.FrameDelay(len(f.Payload))
 	if m.random {
-		st := sh.linkState(m, f.Src, to)
-		if m.sampleLoss(st) {
+		if !l.used {
+			l.used = true
+			l.rng = sim.NewRand(m.ex.Seed(), saltLink,
+				uint64(sim.Key2D(f.Src.X, f.Src.Y)), uint64(sim.Key2D(l.to.X, l.to.Y)))
+			sh.stats.Links++
+		}
+		if m.sampleLoss(l) {
 			if m.Trace != nil {
-				m.Trace(f, to, false)
+				m.Trace(f, l.to, false)
 			}
 			sh.stats.Dropped++
 			return
 		}
 		if m.params.ProcJitter > 0 {
-			delay += time.Duration(st.rng.Int63n(int64(m.params.ProcJitter)))
+			delay += time.Duration(l.rng.Int63n(int64(m.params.ProcJitter)))
 		}
 	}
 	if m.Trace != nil {
-		m.Trace(f, to, true)
+		m.Trace(f, l.to, true)
 	}
 	sh.stats.Delivered++
 	if !copied && len(f.Payload) > 0 {
 		f.Payload = append([]byte(nil), f.Payload...) // defensive copy across the air
 	}
-	node := a.r
-	src.Send(a.ctx, delay, func() { node.ReceiveFrame(f) })
+	var d *delivery
+	if n := len(sh.free) - 1; n >= 0 {
+		d = sh.free[n]
+		sh.free[n] = nil
+		sh.free = sh.free[:n]
+	} else {
+		d = new(delivery)
+		d.fire = d.run
+	}
+	d.r, d.f, d.home = l.a.r, f, &m.sh[l.a.ctx.Shard()]
+	src.Send(l.a.ctx, delay, d.fire)
 }
 
 // Inject delivers a frame directly to the attachment at f.Dst with no
@@ -509,38 +597,24 @@ func (m *Medium) Inject(f Frame) bool {
 	return true
 }
 
-// linkState returns the channel state for one directed link, allocating it
-// lazily in the sending shard's arena on first use. The link's random
-// stream derives from the root seed and the endpoint coordinates alone.
-func (sh *mediumShard) linkState(m *Medium, from, to topology.Location) *linkState {
-	l := link{from: from, to: to}
-	st, ok := sh.links[l]
-	if !ok {
-		st = &linkState{rng: sim.Stream(m.ex.Seed(), saltLink,
-			uint64(sim.Key2D(from.X, from.Y)), uint64(sim.Key2D(to.X, to.Y)))}
-		sh.links[l] = st
-	}
-	return st
-}
-
 // sampleLoss runs one step of the link's Gilbert–Elliott chain and reports
 // whether the frame is lost.
-func (m *Medium) sampleLoss(st *linkState) bool {
+func (m *Medium) sampleLoss(l *link) bool {
 	var pLoss float64
-	if st.bad {
+	if l.bad {
 		pLoss = m.params.LossBad
 	} else {
 		pLoss = m.params.LossGood
 	}
-	lost := pLoss > 0 && st.rng.Float64() < pLoss
+	lost := pLoss > 0 && l.rng.Float64() < pLoss
 	// State transition after the frame.
-	if st.bad {
-		if m.params.PBadGood > 0 && st.rng.Float64() < m.params.PBadGood {
-			st.bad = false
+	if l.bad {
+		if m.params.PBadGood > 0 && l.rng.Float64() < m.params.PBadGood {
+			l.bad = false
 		}
 	} else {
-		if m.params.PGoodBad > 0 && st.rng.Float64() < m.params.PGoodBad {
-			st.bad = true
+		if m.params.PGoodBad > 0 && l.rng.Float64() < m.params.PGoodBad {
+			l.bad = true
 		}
 	}
 	return lost

@@ -344,3 +344,192 @@ func TestLinkStateLazyAllocationAndStats(t *testing.T) {
 		t.Fatalf("lossy medium tracks %d links, want 2 (one per used directed link)", got)
 	}
 }
+
+// TestLinkGeneratorMatchesStream holds the by-value link generator to the
+// *rand.Rand it replaced: for 100 links, the first 10k loss and jitter
+// draws are bit for bit what sim.Stream over the same salts returns.
+func TestLinkGeneratorMatchesStream(t *testing.T) {
+	jitter := int64(Lossy().ProcJitter)
+	for i := 0; i < 100; i++ {
+		seed := int64(7 + i%3)
+		from, to := topology.Loc(int16(i), int16(2*i)), topology.Loc(int16(i+1), int16(-i))
+		salts := []uint64{saltLink, uint64(sim.Key2D(from.X, from.Y)), uint64(sim.Key2D(to.X, to.Y))}
+		want := sim.Stream(seed, salts...)
+		got := sim.NewRand(seed, salts...)
+		for n := 0; n < 10_000; n++ {
+			if n%3 == 2 {
+				if g, w := got.Int63n(jitter), want.Int63n(jitter); g != w {
+					t.Fatalf("link %d draw %d: Int63n = %d, Stream's %d", i, n, g, w)
+				}
+			} else if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("link %d draw %d: Float64 = %v, Stream's %v", i, n, g, w)
+			}
+		}
+	}
+}
+
+// lossPattern sends n frames over (1,1)->(2,1) and returns which were
+// delivered (the channel's decision, taken at Send).
+func lossPattern(m *Medium, n int) []bool {
+	var out []bool
+	m.Trace = func(_ Frame, _ topology.Location, delivered bool) { out = append(out, delivered) }
+	for i := 0; i < n; i++ {
+		m.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(2, 1)})
+	}
+	m.Trace = nil
+	return out
+}
+
+// TestLinkStateOutlivesFanoutRebuild: a version bump (a new location
+// attaches, a bystander moves, even the link's far end moves away and
+// back) may rebuild the source's fan-out but never resets a link's chain
+// or its stream position.
+func TestLinkStateOutlivesFanoutRebuild(t *testing.T) {
+	p := Lossy()
+	p.LossGood, p.PGoodBad, p.PBadGood = 0.3, 0.2, 0.3 // a busy chain: every draw matters
+	const n, m = 400, 400
+	_, control, _ := newTestMedium(t, p)
+	want := append(lossPattern(control, n), lossPattern(control, m)...)
+
+	mutations := map[string]func(*Medium){
+		"attach a new location": func(md *Medium) {
+			if err := md.Attach(topology.Loc(1, 0), &captureNode{}); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"move a bystander": func(md *Medium) {
+			if err := md.Move(topology.Loc(3, 3), topology.Loc(9, 9)); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"move the far end away and back": func(md *Medium) {
+			if err := md.Move(topology.Loc(2, 1), topology.Loc(8, 8)); err != nil {
+				t.Fatal(err)
+			}
+			md.Send(Frame{Src: topology.Loc(1, 1), Dst: Broadcast}) // rebuild while it is gone
+			if err := md.Move(topology.Loc(8, 8), topology.Loc(2, 1)); err != nil {
+				t.Fatal(err)
+			}
+		},
+	}
+	for name, mutate := range mutations {
+		_, md, _ := newTestMedium(t, p)
+		got := lossPattern(md, n)
+		before := md.Stats().Links
+		mutate(md)
+		got = append(got, lossPattern(md, m)...)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: frame %d delivered=%v, want %v: the link's channel state was reset", name, i, got[i], want[i])
+			}
+		}
+		if after := md.Stats().Links; after < before {
+			t.Fatalf("%s: Links fell from %d to %d", name, before, after)
+		}
+	}
+}
+
+// TestLinksCountLinksThatCarriedAFrame: Stats().Links is in the
+// benchmark's state hash, so it must keep counting a link at its first
+// frame — not when a fan-out happens to list it.
+func TestLinksCountLinksThatCarriedAFrame(t *testing.T) {
+	s, m, _ := newTestMedium(t, Lossy())
+	m.Send(Frame{Src: topology.Loc(2, 2), Dst: topology.Loc(2, 3)})
+	if got := m.Stats().Links; got != 1 {
+		t.Fatalf("after one unicast from a source with four neighbours: Links = %d, want 1", got)
+	}
+	m.Send(Frame{Src: topology.Loc(2, 2), Dst: Broadcast})
+	m.Send(Frame{Src: topology.Loc(2, 2), Dst: Broadcast})
+	if got := m.Stats().Links; got != 4 {
+		t.Fatalf("after a broadcast: Links = %d, want 4", got)
+	}
+	m.Send(Frame{Src: topology.Loc(2, 2), Dst: topology.Loc(3, 3)}) // not connected: no link
+	m.Detach(topology.Loc(1, 1))
+	m.Send(Frame{Src: topology.Loc(1, 2), Dst: topology.Loc(1, 1)}) // nobody there: no link
+	if got := m.Stats().Links; got != 4 {
+		t.Fatalf("frames that found no route grew Links to %d", got)
+	}
+	if err := s.RunUntilIdle(0); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestUnicastFindsItsLinkInTheFanout: on a degree-40 random-disk source a
+// unicast finds receiver and channel state by searching the source's own
+// ordered fan-out — no link is ever added by the fallback path, and a
+// send→deliver cycle allocates nothing.
+func TestUnicastFindsItsLinkInTheFanout(t *testing.T) {
+	const degree = 40
+	s := sim.New(3)
+	src := topology.Loc(100, 100)
+	m := NewMedium(s, topology.Disk{Range: 10}, Lossy())
+	if err := m.Attach(src, &captureNode{}); err != nil {
+		t.Fatal(err)
+	}
+	rng := sim.Stream(3)
+	nodes := make(map[topology.Location]*captureNode)
+	for len(nodes) < degree {
+		l := topology.Loc(int16(93+rng.Intn(15)), int16(93+rng.Intn(15)))
+		if l == src || nodes[l] != nil || src.Dist(l) > 10 {
+			continue
+		}
+		nodes[l] = &captureNode{}
+		if err := m.Attach(l, nodes[l]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := m.Attach(topology.Loc(300, 300), &captureNode{}); err != nil { // out of range
+		t.Fatal(err)
+	}
+	m.Send(Frame{Src: src, Dst: Broadcast})
+	fo := m.sh[0].fan[src]
+	if len(fo.links) != degree {
+		t.Fatalf("fan-out lists %d links, want %d", len(fo.links), degree)
+	}
+	const rounds = 50 // enough that loss leaves every node some frames
+	for r := 0; r < rounds; r++ {
+		for l := range nodes {
+			m.Send(Frame{Src: src, Dst: l, Kind: KindRemoteTS})
+		}
+	}
+	if err := s.RunUntilIdle(0); err != nil {
+		t.Fatal(err)
+	}
+	for l, n := range nodes {
+		uni := 0
+		for _, f := range n.got {
+			if f.Kind == KindRemoteTS {
+				if f.Dst != l {
+					t.Fatalf("%v received a unicast addressed to %v", l, f.Dst)
+				}
+				uni++
+			}
+		}
+		if uni == 0 || uni > rounds {
+			t.Fatalf("%v received %d of %d unicasts", l, uni, rounds)
+		}
+		n.got = nil
+	}
+	if len(fo.links) != degree || m.Stats().Links != degree {
+		t.Fatalf("after unicasts: %d links listed, %d counted, want %d and %d: a unicast missed the fan-out",
+			len(fo.links), m.Stats().Links, degree, degree)
+	}
+	for i := 1; i < len(fo.links); i++ {
+		if !locLess(fo.links[i-1].to, fo.links[i].to) {
+			t.Fatalf("fan-out out of (Y,X) order at %d: %v then %v", i, fo.links[i-1].to, fo.links[i].to)
+		}
+	}
+	dst := fo.links[degree/2].to
+	sink := nodes[dst]
+	cycle := func() {
+		m.Send(Frame{Src: src, Dst: dst})
+		if err := s.RunUntilIdle(0); err != nil {
+			t.Fatal(err)
+		}
+		sink.got = sink.got[:0]
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(200, cycle); avg != 0 {
+		t.Fatalf("unicast send→deliver allocates %.1f objects, want 0", avg)
+	}
+}

@@ -33,13 +33,13 @@ type Parallel struct {
 	shardOf func(ContextKey) int
 
 	// The world lane: events that mutate cross-shard state. They are kept
-	// out of the shard queues and executed on the driver goroutine at
-	// window barriers, with every shard synced exactly to the event's
-	// timestamp — see ScheduleWorldAt. worldQ is a heap ordered by
-	// (at, seq) (every entry carries WorldKey, so the shared eventQueue
-	// ordering reduces to exactly that).
-	worldQ    eventQueue
-	worldSeq  uint64
+	// out of the worker shards' queues and executed on the driver goroutine
+	// at window barriers, with every shard synced exactly to the event's
+	// timestamp — see ScheduleWorldAt. world is the lane's sentinel context
+	// (see scheduleWorld); its shard is one no worker runs, lending the
+	// lane its queue, stale-entry skipping and live count (every entry
+	// carries WorldKey, so the heap orders them by (at, schedule order)).
+	world     Ctx
 	worldExec uint64
 	worldLast time.Duration
 
@@ -62,6 +62,7 @@ func NewParallel(seed int64, shards int, window time.Duration, shardOf func(Cont
 		window:  window,
 		shards:  make([]*shard, shards),
 		shardOf: shardOf,
+		world:   Ctx{key: WorldKey, shard: &shard{}},
 	}
 	for i := range p.shards {
 		p.shards[i] = &shard{idx: i, win: window}
@@ -122,14 +123,9 @@ func (p *Parallel) Dispatched() uint64 {
 // Pending returns the number of live queued events across all shards,
 // mailboxes, and the world lane.
 func (p *Parallel) Pending() int {
-	n := 0
+	n := p.world.shard.pending()
 	for _, sh := range p.shards {
 		n += sh.pending()
-	}
-	for _, e := range p.worldQ {
-		if !e.cancel {
-			n++
-		}
 	}
 	return n
 }
@@ -139,27 +135,12 @@ func (p *Parallel) Pending() int {
 // world event, never from an ordinary event: the world queue is not
 // synchronized against workers.
 func (p *Parallel) ScheduleWorldAt(at time.Duration, fn func()) *Event {
-	if at < p.now {
-		at = p.now
-	}
-	e := &Event{at: at, src: WorldKey, seq: p.worldSeq, fn: fn}
-	p.worldSeq++
-	p.worldQ.push(e)
-	return e
+	return scheduleWorld(&p.world, max(at, p.now), fn)
 }
 
 // peekWorld returns the earliest live world event, discarding cancelled
 // ones.
-func (p *Parallel) peekWorld() *Event {
-	for len(p.worldQ) > 0 {
-		if p.worldQ[0].cancel {
-			p.worldQ.pop()
-			continue
-		}
-		return p.worldQ[0]
-	}
-	return nil
-}
+func (p *Parallel) peekWorld() *entry { return p.world.shard.peek() }
 
 // runWorld executes every world event scheduled for exactly time at, in
 // schedule order, including ones those events themselves add for at. The
@@ -178,10 +159,10 @@ func (p *Parallel) runWorld(at time.Duration) {
 		if w == nil || w.at != at {
 			return
 		}
-		p.worldQ.pop()
+		fn := p.world.shard.popHead().ev.fn
 		p.worldLast = at
 		p.worldExec++
-		w.fn()
+		fn()
 		if p.anyDue(at, true) {
 			p.syncTo(at)
 		}
@@ -297,20 +278,23 @@ func (p *Parallel) runLoop(until time.Duration, pred func() bool) bool {
 	begin := p.now
 	for {
 		t0, ok := p.earliest()
-		w := p.peekWorld()
-		worldDue := w != nil && w.at <= until
+		var wat time.Duration
+		worldDue := false
+		if w := p.peekWorld(); w != nil && w.at <= until {
+			wat, worldDue = w.at, true
+		}
 		end := t0 + p.window
 		switch {
 		case !worldDue && (!ok || t0 > until):
 			p.park(begin, until)
 			return false
-		case worldDue && (!ok || w.at <= end):
+		case worldDue && (!ok || wat <= end):
 			// Clip at the world event: bring every shard exactly to its
 			// timestamp (node events at that instant sort before it), run
 			// it with all workers parked (which settles the clock there),
 			// resume windowing.
-			p.syncTo(w.at)
-			p.runWorld(w.at)
+			p.syncTo(wat)
+			p.runWorld(wat)
 		case end < until:
 			p.runWindow(end, false)
 			p.now = end

@@ -43,12 +43,12 @@ func (h *harness) run(t *testing.T, ex Executor, nEnt int, until time.Duration) 
 			c := ctxs[i]
 			h.record(c.Now(), c.Key(), step)
 			// Entity-local pseudo-random behavior from its own stream.
-			d := time.Duration(1+c.Rand().Intn(8)) * time.Millisecond
+			d := time.Duration(1+c.Rand().Int63n(8)) * time.Millisecond
 			c.Schedule(d, tick(i, step+1))
-			if c.Rand().Intn(3) == 0 {
+			if c.Rand().Int63n(3) == 0 {
 				// Cross-entity transmission with >= window latency.
-				j := c.Rand().Intn(nEnt)
-				lat := testWindow + time.Duration(c.Rand().Intn(5))*time.Millisecond
+				j := int(c.Rand().Int63n(int64(nEnt)))
+				lat := testWindow + time.Duration(c.Rand().Int63n(5))*time.Millisecond
 				c.Send(ctxs[j], lat, func() {
 					h.record(ctxs[j].Now(), ctxs[j].Key(), -step)
 				})
@@ -234,9 +234,9 @@ func TestParallelBarrierStress(t *testing.T) {
 		return func() {
 			counts[i]++
 			c := ctxs[i]
-			c.Schedule(time.Duration(1+c.Rand().Intn(3))*time.Millisecond, tick(i))
+			c.Schedule(time.Duration(1+c.Rand().Int63n(3))*time.Millisecond, tick(i))
 			// Blast every other entity once in a while.
-			if c.Rand().Intn(4) == 0 {
+			if c.Rand().Int63n(4) == 0 {
 				for j := range ctxs {
 					if j == i {
 						continue
@@ -353,12 +353,12 @@ func TestSlicedRunsMatchOneRun(t *testing.T) {
 				if step == 100 {
 					return // the queue drains well before T
 				}
-				d := time.Duration(1+gen+c.Rand().Intn(8)) * time.Millisecond
+				d := time.Duration(1+int64(gen)+c.Rand().Int63n(8)) * time.Millisecond
 				c.Schedule(d, tick(i, step+1))
 				c.ScheduleLocal(d/2, func() { h.record(c.Now(), c.Key(), 1000+step) })
-				if c.Rand().Intn(3) == 0 {
-					j := c.Rand().Intn(nEnt)
-					c.Send(ctxs[j], testWindow+time.Duration(c.Rand().Intn(5))*time.Millisecond, func() {
+				if c.Rand().Int63n(3) == 0 {
+					j := int(c.Rand().Int63n(int64(nEnt)))
+					c.Send(ctxs[j], testWindow+time.Duration(c.Rand().Int63n(5))*time.Millisecond, func() {
 						h.record(ctxs[j].Now(), ctxs[j].Key(), -step)
 					})
 				}

@@ -28,6 +28,31 @@
 // Running the same scenario with the same seed reproduces the exact same
 // schedule under either executor, which is what lets the benchmark harness
 // regenerate the paper's figures reproducibly.
+//
+// # Handles: who may stop what
+//
+// A queued event is a 32-byte heap entry — its (time, key, sequence)
+// identity by value plus a pointer to the Event that holds the callback —
+// and there are exactly three ways to own that Event:
+//
+//   - Nobody outside the kernel. Schedule, Post, Send and ScheduleLocal
+//     return nothing, so their events cannot be cancelled and their Event
+//     comes from, and goes back to, the shard's free list the moment the
+//     callback returns. Recycling is safe precisely because no pointer to
+//     a pooled Event ever leaves this package: there is no stale handle
+//     that could stop an unrelated later event.
+//   - A Timer, embedded by value in the state it times (an agent's sleep,
+//     a retransmission, a stall abort). Its owner may Reset and Stop it
+//     from events on the timer's own context's shard, any number of
+//     times; arming allocates nothing. A Timer is never pooled.
+//   - The caller of ScheduleWorldAt, who gets the *Event and may Cancel it
+//     from the host between runs or from a world event. Never pooled.
+//
+// Stopping, cancelling or re-arming never removes anything from the
+// middle of the heap: the old entry stays queued, stale, and is skipped
+// when it surfaces — an entry is live only while its Event is live and
+// still carries the entry's sequence number. Pending counts live entries
+// only, and is kept as a counter, not found by a walk.
 package sim
 
 import (
@@ -78,27 +103,61 @@ func splitmix64(x uint64) uint64 {
 // per node and per radio link, and the default math/rand source would pay
 // a 607-word seeding pass for each (a quarter of a large run's CPU time).
 func Stream(seed int64, salts ...uint64) *rand.Rand {
+	r := NewRand(seed, salts...)
+	return rand.New(&r)
+}
+
+// Rand is the splitmix64 generator behind Stream, for owners that hold
+// one stream per small record (every context has one, and the medium one
+// per directed radio link) and cannot afford Stream's two heap objects
+// each: eight bytes by value, constant-time to seed, 2^64 period. Float64
+// and Int63n return, bit for bit, what the *rand.Rand Stream builds over
+// the same salts returns; the radio tests hold them to it.
+type Rand struct{ state uint64 }
+
+// NewRand seeds a generator exactly as Stream(seed, salts...) does.
+func NewRand(seed int64, salts ...uint64) Rand {
 	h := splitmix64(uint64(seed))
 	for _, s := range salts {
 		h = splitmix64(h ^ s)
 	}
-	return rand.New(&splitSource{state: h})
+	return Rand{state: h}
 }
 
-// splitSource is a splitmix64-backed rand.Source64: constant-time to
-// seed, 2^64 period, and statistically solid for channel and scheduling
-// noise.
-type splitSource struct{ state uint64 }
-
-func (s *splitSource) Uint64() uint64 {
-	out := splitmix64(s.state) // finalize(state + golden), the helper's own increment
-	s.state += 0x9e3779b97f4a7c15
+// Uint64 implements rand.Source64.
+func (r *Rand) Uint64() uint64 {
+	out := splitmix64(r.state) // finalize(state + golden), the helper's own increment
+	r.state += 0x9e3779b97f4a7c15
 	return out
 }
 
-func (s *splitSource) Int63() int64 { return int64(s.Uint64() >> 1) }
+// Int63 implements rand.Source.
+func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
 
-func (s *splitSource) Seed(seed int64) { s.state = splitmix64(uint64(seed)) }
+// Seed implements rand.Source.
+func (r *Rand) Seed(seed int64) { r.state = splitmix64(uint64(seed)) }
+
+// Float64 is rand.Rand.Float64 over this source: a value in [0, 1).
+func (r *Rand) Float64() float64 {
+	for {
+		if f := float64(r.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
+}
+
+// Int63n is rand.Rand.Int63n over this source: a value in [0, n), n > 0.
+func (r *Rand) Int63n(n int64) int64 {
+	if n&(n-1) == 0 { // n is a power of two: mask
+		return r.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := r.Int63()
+	for v > max {
+		v = r.Int63()
+	}
+	return v % n
+}
 
 // saltCtx namespaces per-context streams within the seed's stream space.
 const saltCtx = 0x637478 // "ctx"
@@ -159,54 +218,113 @@ type Executor interface {
 	Pending() int
 }
 
-// Event is a scheduled callback. It is returned by Schedule so callers can
-// cancel pending timers (for example retransmission timers that are no
-// longer needed once an acknowledgment arrives). Cancel an event only from
-// the context (shard) that scheduled it.
+// Event is what a queued heap entry points at: the callback and the
+// context it acts on. Three kinds of owner hold one (see the package
+// comment's handle contract): the shard free list (Schedule, Send and
+// flushed local steps — nobody else ever sees the pointer, so it is
+// recycled the moment its callback returns), a Timer embedded by value in
+// the state it times, and the caller of ScheduleWorldAt.
 type Event struct {
-	at     time.Duration
-	src    ContextKey
+	dst *Ctx // the context the event acts on (the world lane's sentinel for world events)
+	fn  func()
+	// seq is the arming the event is live for: a heap entry is live only
+	// while its event is live and carries this sequence number, so
+	// stopping or re-arming leaves the old entry in the heap as a stale
+	// one that pop skips — nothing is ever removed from the middle.
 	seq    uint64
-	dst    *Ctx // the context the event acts on (nil: world/harness scope)
+	live   bool
 	pooled bool // recycled through the shard free list after dispatch
-	fn     func()
-	cancel bool
 }
 
-// Cancel prevents the event from firing. Cancelling an event that already
-// fired or was already cancelled is a no-op.
+// Cancel prevents a world event from firing. Cancelling an event that
+// already fired or was already cancelled is a no-op. Call it from where
+// ScheduleWorldAt may be called: the host between runs, or a world event.
 func (e *Event) Cancel() {
 	if e != nil {
-		e.cancel = true
+		e.stop()
 	}
 }
 
-// Cancelled reports whether Cancel was called on the event.
-func (e *Event) Cancelled() bool { return e != nil && e.cancel }
+// stop makes the event's queued entry, if it has one, stale.
+func (e *Event) stop() {
+	if e.live {
+		e.live = false
+		e.dst.shard.live--
+	}
+}
+
+// Timer is a re-armable event held by value in the state it times (an
+// agent's sleep, a migration's retransmission, a remote operation's
+// timeout): arming it allocates nothing, and the heap entry points into
+// the owner, so the wake-up touches no separate event object. Bind it once
+// with Init, then Reset and Stop it freely from events on its context's
+// shard. The owner must not move while the timer is armed; a timer whose
+// owner was dropped while armed is kept alive by its heap entry and fires
+// (or is skipped, if stopped) like any other.
+type Timer struct{ ev Event }
+
+// Init binds the timer to the context whose clock and ordering identity
+// it schedules with, and to its callback. Call it once, before Reset.
+func (t *Timer) Init(c *Ctx, fn func()) { t.ev.dst, t.ev.fn = c, fn }
+
+// Reset arms the timer to fire after delay d (negative: zero), replacing
+// any earlier arming: a timer fires once, at its last deadline. It takes
+// the ordering identity Schedule would — the next sequence number of its
+// context — so timing something with a Timer or with Schedule yields the
+// same schedule.
+func (t *Timer) Reset(d time.Duration) {
+	t.ev.stop()
+	if d < 0 {
+		d = 0
+	}
+	c := t.ev.dst
+	sh := c.shard
+	t.ev.seq, t.ev.live = c.seq, true
+	sh.push(entry{at: sh.now + d, src: c.key, seq: c.seq, ev: &t.ev})
+	c.seq++
+}
+
+// Stop disarms the timer. Stopping a timer that is not armed (never
+// armed, already fired, already stopped, or never bound) is a no-op.
+func (t *Timer) Stop() { t.ev.stop() }
+
+// entry is one heap slot: the (time, context key, sequence) ordering
+// identity by value, so a comparison dereferences nothing, and the event
+// to run.
+type entry struct {
+	at  time.Duration
+	src ContextKey
+	seq uint64
+	ev  *Event
+}
+
+// stale reports whether the entry's event was stopped, cancelled or
+// re-armed after the entry was queued.
+func (e *entry) stale() bool { return !e.ev.live || e.ev.seq != e.seq }
+
+func (e *entry) before(o *entry) bool {
+	if e.at != o.at {
+		return e.at < o.at
+	}
+	if e.src != o.src {
+		return e.src < o.src
+	}
+	return e.seq < o.seq
+}
 
 // eventQueue is a hand-rolled 4-ary min-heap ordered by (at, src, seq).
 // Heap maintenance dominates the scheduler on large deployments, and a
 // 4-way tree halves the sift depth of container/heap's binary layout
-// while keeping children of a node on one cache line.
-type eventQueue []*Event
+// while keeping the four children of a node on two cache lines.
+type eventQueue []entry
 
-func eventLess(a, b *Event) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.src != b.src {
-		return a.src < b.src
-	}
-	return a.seq < b.seq
-}
-
-func (q *eventQueue) push(e *Event) {
+func (q *eventQueue) push(e entry) {
 	d := append(*q, e)
 	*q = d
 	i := len(d) - 1
 	for i > 0 {
 		p := (i - 1) / 4
-		if !eventLess(d[i], d[p]) {
+		if !d[i].before(&d[p]) {
 			break
 		}
 		d[i], d[p] = d[p], d[i]
@@ -214,12 +332,12 @@ func (q *eventQueue) push(e *Event) {
 	}
 }
 
-func (q *eventQueue) pop() *Event {
+func (q *eventQueue) pop() entry {
 	d := *q
 	top := d[0]
 	n := len(d) - 1
 	d[0] = d[n]
-	d[n] = nil
+	d[n] = entry{}
 	d = d[:n]
 	*q = d
 	// Sift the promoted tail element down to its place.
@@ -235,11 +353,11 @@ func (q *eventQueue) pop() *Event {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			if eventLess(d[j], d[m]) {
+			if d[j].before(&d[m]) {
 				m = j
 			}
 		}
-		if !eventLess(d[m], d[i]) {
+		if !d[m].before(&d[i]) {
 			break
 		}
 		d[i], d[m] = d[m], d[i]
@@ -250,7 +368,8 @@ func (q *eventQueue) pop() *Event {
 
 // shard is one execution lane: a queue, a clock, and a mailbox for events
 // scheduled into it from other shards. The sequential executor has exactly
-// one; Parallel has one per worker.
+// one; Parallel has one per worker, plus one that only lends its queue to
+// the world lane.
 type shard struct {
 	idx      int
 	win      time.Duration // conservative cross-shard lookahead; 0 when single-shard
@@ -258,6 +377,7 @@ type shard struct {
 	lastAt   time.Duration // timestamp of the last executed event
 	executed uint64
 	queue    eventQueue
+	live     int      // queued entries that are not stale: Pending without a walk
 	free     []*Event // recycled pooled events (see get/put)
 
 	// Local run-ahead state (see Ctx.ScheduleLocal). limit/limitClosed
@@ -273,17 +393,17 @@ type shard struct {
 	localQ      localQueue
 
 	// Due-time tracking for the relaxed absorption rule (see localOK).
-	// Every queued heap event registers the time it acts on its target:
-	// node-context events in the target Ctx's own due list, root/harness
-	// events in gdue, world events in wdue. A context may then run ahead
-	// of other contexts' events — their influence needs at least the
-	// lookahead window to reach it — but never past its own next due
-	// event, a root event, or a world event's instant.
+	// Every queued heap entry, stale ones included, registers the time it
+	// acts on its target: node-context events in the target Ctx's own due
+	// list, root/harness events in gdue, world events in wdue. A context
+	// may then run ahead of other contexts' events — their influence needs
+	// at least the lookahead window to reach it — but never past its own
+	// next due event, a root event, or a world event's instant.
 	gdue []time.Duration // root/harness events: may touch any context
-	wdue []time.Duration // world events (sequential executor only)
+	wdue []time.Duration // world events
 
 	mu    sync.Mutex
-	inbox []*Event // cross-shard arrivals, merged into queue at barriers
+	inbox []entry // cross-shard arrivals, merged into queue at barriers
 }
 
 // insertDue adds t to a sorted due list; removeDue drops one entry equal
@@ -323,56 +443,59 @@ func removeDue(s *[]time.Duration, t time.Duration) {
 	}
 }
 
-// get pops a recycled Event or allocates one. Only events whose pointer
-// never escapes the kernel (Send deliveries, flushed local steps) are
-// pooled: Schedule and ScheduleWorldAt hand their *Event to the caller
-// as a cancellation handle, so those must stay garbage-collected — a
-// recycled handle could cancel an unrelated future event.
-func (sh *shard) get() *Event {
+// get pops a recycled Event or allocates one, marked live for sequence
+// seq. Pooling is safe because nothing outside the kernel ever holds the
+// pointer: Schedule, Post and Send return no handle, and whoever needs to
+// cancel holds a Timer or a world event, neither of which is pooled.
+func (sh *shard) get(dst *Ctx, seq uint64, fn func()) *Event {
+	var e *Event
 	if n := len(sh.free) - 1; n >= 0 {
-		e := sh.free[n]
+		e = sh.free[n]
 		sh.free[n] = nil
 		sh.free = sh.free[:n]
-		return e
+	} else {
+		e = new(Event)
 	}
-	return &Event{}
+	*e = Event{dst: dst, fn: fn, seq: seq, live: true, pooled: true}
+	return e
 }
 
-// put recycles a pooled event after it left the queue for good. Cross-
-// shard sends are allocated on the sender's free list and released to
-// the receiver's; each list is only ever touched by its owning worker.
+// put recycles a pooled event after its callback returned. Cross-shard
+// sends are allocated on the sender's free list and released to the
+// receiver's; each list is only ever touched by its owning worker.
 func (sh *shard) put(e *Event) {
-	if !e.pooled {
-		return
-	}
 	*e = Event{} // drop the closure and dst references for the GC
 	sh.free = append(sh.free, e)
 }
 
-// track registers a queued event's action time with its target's due
-// list; untrack removes it when the event leaves the queue (dispatched
-// or discarded after cancellation). Called only from the goroutine that
-// owns the shard's queue.
-func (sh *shard) track(e *Event) {
+// push queues a live entry: into the heap, the live count, and its
+// target's due list. Called only from the goroutine that owns the shard's
+// queue.
+func (sh *shard) push(e entry) {
+	sh.queue.push(e)
+	sh.live++
+	insertDue(sh.dueOf(&e), e.at)
+}
+
+// dueOf returns the due list an entry's action time is registered in.
+func (sh *shard) dueOf(e *entry) *[]time.Duration {
 	switch {
 	case e.src == WorldKey:
-		insertDue(&sh.wdue, e.at)
-	case e.dst == nil || e.dst.key == RootKey:
-		insertDue(&sh.gdue, e.at)
+		return &sh.wdue
+	case e.ev.dst.key == RootKey:
+		return &sh.gdue
 	default:
-		insertDue(&e.dst.due, e.at)
+		return &e.ev.dst.due
 	}
 }
 
-func (sh *shard) untrack(e *Event) {
-	switch {
-	case e.src == WorldKey:
-		removeDue(&sh.wdue, e.at)
-	case e.dst == nil || e.dst.key == RootKey:
-		removeDue(&sh.gdue, e.at)
-	default:
-		removeDue(&e.dst.due, e.at)
-	}
+// take removes the head entry from the heap and from its target's due
+// list; the caller settles the live count (a stale head was uncounted
+// when it went stale).
+func (sh *shard) take() entry {
+	e := sh.queue.pop()
+	removeDue(sh.dueOf(&e), e.at)
+	return e
 }
 
 // localEvent is a deferred step in the local run-ahead lane: the same
@@ -451,36 +574,31 @@ func (sh *shard) drain() {
 	sh.inbox = nil
 	sh.mu.Unlock()
 	for _, e := range in {
-		sh.queue.push(e)
-		sh.track(e)
+		sh.push(e)
 	}
 }
 
-// peek returns the next live event without removing it, discarding
-// cancelled ones.
-func (sh *shard) peek() *Event {
+// peek returns the next live entry without removing it, discarding stale
+// ones. The pointer is into the heap: use it before the next push or pop.
+func (sh *shard) peek() *entry {
 	for len(sh.queue) > 0 {
-		if sh.queue[0].cancel {
-			e := sh.queue.pop()
-			sh.untrack(e)
-			sh.put(e)
-			continue
+		if e := &sh.queue[0]; !e.stale() {
+			return e
 		}
-		return sh.queue[0]
+		sh.take()
 	}
 	return nil
 }
 
-// pop removes and returns the next live event, or nil. The event is
-// untracked from its target's due list before it runs, so the target's
-// own run-ahead is not blocked by the event currently dispatching.
-func (sh *shard) pop() *Event {
-	e := sh.peek()
-	if e == nil {
-		return nil
-	}
-	sh.queue.pop()
-	sh.untrack(e)
+// popHead removes and returns the head entry, which peek just found live.
+// The entry is out of its target's due list before it runs, so the
+// target's own run-ahead is not blocked by the event currently
+// dispatching, and its event is no longer live, so a timer's callback may
+// re-arm it.
+func (sh *shard) popHead() entry {
+	e := sh.take()
+	sh.live--
+	e.ev.live = false
 	return e
 }
 
@@ -568,27 +686,26 @@ func (sh *shard) drainLocal() {
 	}
 	for len(sh.localQ) > 0 {
 		le := sh.localQ.pop()
-		e := sh.get()
-		*e = Event{at: le.at, src: le.src, seq: le.seq, dst: le.c, fn: le.fn, pooled: true}
-		sh.queue.push(e)
-		sh.track(e)
+		sh.push(entry{at: le.at, src: le.src, seq: le.seq, ev: sh.get(le.c, le.seq, le.fn)})
 	}
 }
 
-// dispatch runs one popped heap event and then absorbs the local steps
+// dispatch runs one popped heap entry and then absorbs the local steps
 // it (or they, transitively) deferred. The local lane is always empty
 // between dispatches.
-func (sh *shard) dispatch(e *Event) {
+func (sh *shard) dispatch(e entry) {
 	sh.dispatching = true
 	sh.now = e.at
 	sh.lastAt = e.at
 	sh.executed++
-	e.fn()
+	e.ev.fn()
 	if len(sh.localQ) > 0 {
 		sh.drainLocal()
 	}
 	sh.dispatching = false
-	sh.put(e)
+	if e.ev.pooled {
+		sh.put(e.ev)
+	}
 }
 
 // runTo executes events scheduled before end — at exactly end too when
@@ -602,24 +719,15 @@ func (sh *shard) runTo(end time.Duration, closed bool) {
 		if e == nil || e.at > end || (!closed && e.at == end) {
 			return
 		}
-		sh.queue.pop()
-		sh.untrack(e)
-		sh.dispatch(e)
+		sh.dispatch(sh.popHead())
 	}
 }
 
 // pending counts live queued events plus inbox arrivals.
 func (sh *shard) pending() int {
-	n := 0
-	for _, e := range sh.queue {
-		if !e.cancel {
-			n++
-		}
-	}
 	sh.mu.Lock()
-	n += len(sh.inbox)
-	sh.mu.Unlock()
-	return n
+	defer sh.mu.Unlock()
+	return sh.live + len(sh.inbox)
 }
 
 // Ctx is one entity's scheduling context: its clock view, its event
@@ -630,7 +738,7 @@ type Ctx struct {
 	key   ContextKey
 	shard *shard
 	seq   uint64
-	rng   *rand.Rand
+	rng   Rand
 	due   []time.Duration // sorted times of this context's queued heap events
 }
 
@@ -646,26 +754,26 @@ func (c *Ctx) Now() time.Duration { return c.shard.now }
 // Rand returns the context's private random stream. All stochastic models
 // tied to this entity must use it so runs are reproducible from the seed
 // alone, independent of event interleaving across entities.
-func (c *Ctx) Rand() *rand.Rand { return c.rng }
+func (c *Ctx) Rand() *Rand { return &c.rng }
 
 // Schedule arranges for fn to run after delay d of virtual time on this
 // context's shard. A negative delay is treated as zero. Events scheduled
-// for the same instant by the same context fire in scheduling order.
-func (c *Ctx) Schedule(d time.Duration, fn func()) *Event {
+// for the same instant by the same context fire in scheduling order. It
+// returns no handle — the event is recycled once fn returns — so what must
+// be stoppable is timed with a Timer instead.
+func (c *Ctx) Schedule(d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e := &Event{at: c.shard.now + d, src: c.key, seq: c.seq, dst: c, fn: fn}
+	sh := c.shard
+	sh.push(entry{at: sh.now + d, src: c.key, seq: c.seq, ev: sh.get(c, c.seq, fn)})
 	c.seq++
-	c.shard.queue.push(e)
-	c.shard.track(e)
-	return e
 }
 
 // Post schedules fn to run at the current instant, after all events this
 // context already queued for this instant. It models posting a TinyOS
 // task.
-func (c *Ctx) Post(fn func()) *Event { return c.Schedule(0, fn) }
+func (c *Ctx) Post(fn func()) { c.Schedule(0, fn) }
 
 // ScheduleLocal is Schedule for an entity's own step chain: the event
 // carries the identical (time, key, sequence) identity, but instead of
@@ -719,16 +827,15 @@ func (c *Ctx) Send(to *Ctx, d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	e := c.shard.get()
-	*e = Event{at: c.shard.now + d, src: c.key, seq: c.seq, dst: to, fn: fn, pooled: true}
+	sh := c.shard
+	e := entry{at: sh.now + d, src: c.key, seq: c.seq, ev: sh.get(to, c.seq, fn)}
 	c.seq++
-	if to.shard == c.shard {
-		c.shard.queue.push(e)
-		c.shard.track(e)
+	if to.shard == sh {
+		sh.push(e)
 		return
 	}
-	if d < c.shard.win {
-		panic(fmt.Sprintf("sim: cross-shard send with delay %v below the %v lookahead window", d, c.shard.win))
+	if d < sh.win {
+		panic(fmt.Sprintf("sim: cross-shard send with delay %v below the %v lookahead window", d, sh.win))
 	}
 	to.shard.mu.Lock()
 	to.shard.inbox = append(to.shard.inbox, e)
@@ -757,7 +864,7 @@ func (t *ctxTable) context(key ContextKey, shardFor func(ContextKey) *shard) *Ct
 	if c, ok := t.ctxs[key]; ok {
 		return c
 	}
-	c := &Ctx{key: key, shard: shardFor(key), rng: Stream(t.seed, saltCtx, uint64(key))}
+	c := &Ctx{key: key, shard: shardFor(key), rng: NewRand(t.seed, saltCtx, uint64(key))}
 	t.ctxs[key] = c
 	return c
 }
@@ -770,15 +877,16 @@ func (t *ctxTable) context(key ContextKey, shardFor func(ContextKey) *shard) *Ct
 // The zero value is not usable; construct with New. Not safe for
 // concurrent use.
 type Sim struct {
-	tab      ctxTable
-	sh       *shard
-	root     *Ctx
-	worldSeq uint64
+	tab   ctxTable
+	sh    *shard
+	root  *Ctx
+	world Ctx // the world lane's sentinel context (see scheduleWorld)
 }
 
 // New returns a sequential executor whose randomness derives from seed.
 func New(seed int64) *Sim {
-	s := &Sim{tab: newCtxTable(seed), sh: &shard{}}
+	sh := &shard{}
+	s := &Sim{tab: newCtxTable(seed), sh: sh, world: Ctx{key: WorldKey, shard: sh}}
 	s.root = s.Context(RootKey)
 	return s
 }
@@ -799,7 +907,7 @@ func (s *Sim) Now() time.Duration { return s.sh.now }
 
 // Rand returns the root context's random stream. Entity-tied randomness
 // should use the entity context's Rand instead.
-func (s *Sim) Rand() *rand.Rand { return s.root.rng }
+func (s *Sim) Rand() *Rand { return &s.root.rng }
 
 // Executed returns the number of events that have fired so far, locally
 // absorbed steps included.
@@ -810,23 +918,29 @@ func (s *Sim) Executed() uint64 { return s.sh.executed }
 func (s *Sim) Dispatched() uint64 { return s.sh.executed - s.sh.local }
 
 // Schedule arranges for fn to run after delay d on the root context.
-func (s *Sim) Schedule(d time.Duration, fn func()) *Event { return s.root.Schedule(d, fn) }
+func (s *Sim) Schedule(d time.Duration, fn func()) { s.root.Schedule(d, fn) }
 
 // Post schedules fn at the current instant on the root context.
-func (s *Sim) Post(fn func()) *Event { return s.root.Post(fn) }
+func (s *Sim) Post(fn func()) { s.root.Post(fn) }
 
 // ScheduleWorldAt schedules a world event at absolute time at (clamped to
 // now). In the sequential executor a world event is an ordinary queue
 // entry whose WorldKey identity sorts it after every node event at the
 // same instant.
 func (s *Sim) ScheduleWorldAt(at time.Duration, fn func()) *Event {
-	if at < s.sh.now {
-		at = s.sh.now
-	}
-	e := &Event{at: at, src: WorldKey, seq: s.worldSeq, fn: fn}
-	s.worldSeq++
-	s.sh.queue.push(e)
-	s.sh.track(e)
+	return scheduleWorld(&s.world, max(at, s.sh.now), fn)
+}
+
+// scheduleWorld queues a world event at absolute time at on the lane whose
+// sentinel context is w: a context no entity owns, keyed WorldKey, that
+// numbers the lane's events in schedule order and names the shard whose
+// queue holds them — the sequential executor's one shard, or a shard of
+// Parallel's own that no worker runs. The event is the caller's handle
+// and is never pooled.
+func scheduleWorld(w *Ctx, at time.Duration, fn func()) *Event {
+	e := &Event{dst: w, fn: fn, seq: w.seq, live: true}
+	w.shard.push(entry{at: at, src: WorldKey, seq: w.seq, ev: e})
+	w.seq++
 	return e
 }
 
@@ -856,10 +970,10 @@ const maxHorizon = time.Duration(1<<63 - 1)
 // same-instant local absorption, so its granularity stays close to one
 // event per call.
 func (s *Sim) Step() bool {
-	e := s.sh.pop()
-	if e == nil {
+	if s.sh.peek() == nil {
 		return false
 	}
+	e := s.sh.popHead()
 	s.sh.limit, s.sh.limitClosed = e.at, true
 	s.sh.dispatch(e)
 	return true
@@ -884,16 +998,13 @@ func (s *Sim) Run(until time.Duration) error {
 func (s *Sim) RunUntilIdle(maxEvents uint64) error {
 	s.sh.limit, s.sh.limitClosed = maxHorizon, true
 	start := s.sh.executed
-	for {
-		e := s.sh.pop()
-		if e == nil {
-			return nil
-		}
-		s.sh.dispatch(e)
+	for s.sh.peek() != nil {
+		s.sh.dispatch(s.sh.popHead())
 		if maxEvents > 0 && s.sh.executed-start >= maxEvents {
 			return fmt.Errorf("sim: exceeded %d events without going idle", maxEvents)
 		}
 	}
+	return nil
 }
 
 // RunUntil executes events until pred returns true (checked after every
@@ -915,7 +1026,8 @@ func (s *Sim) RunUntil(pred func() bool, limit time.Duration) (bool, error) {
 	return true, nil
 }
 
-// Pending returns the number of live (non-cancelled) queued events.
+// Pending returns the number of live queued events: a count the kernel
+// keeps at every push, pop, stop and cancel, not a walk of the heap.
 func (s *Sim) Pending() int { return s.sh.pending() }
 
 var _ Executor = (*Sim)(nil)

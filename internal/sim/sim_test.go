@@ -62,28 +62,36 @@ func TestPostRunsAfterQueuedThisInstant(t *testing.T) {
 func TestCancel(t *testing.T) {
 	s := New(1)
 	fired := false
-	e := s.Schedule(time.Second, func() { fired = true })
-	e.Cancel()
+	var tm Timer
+	tm.Init(s.Context(RootKey), func() { fired = true })
+	tm.Reset(time.Second)
+	tm.Stop()
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d after Stop, want 0", s.Pending())
+	}
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
-		t.Fatal("cancelled event fired")
-	}
-	if !e.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
+		t.Fatal("stopped timer fired")
 	}
 }
 
 func TestCancelIsIdempotent(t *testing.T) {
 	s := New(1)
-	e := s.Schedule(time.Second, func() {})
+	var tm, unbound Timer
+	tm.Init(s.Context(RootKey), func() {})
+	tm.Reset(time.Second)
+	tm.Stop()
+	tm.Stop()
+	unbound.Stop() // must not panic
+	e := s.ScheduleWorldAt(time.Second, func() {})
 	e.Cancel()
 	e.Cancel()
 	var nilEvent *Event
 	nilEvent.Cancel() // must not panic
-	if nilEvent.Cancelled() {
-		t.Fatal("nil event reports cancelled")
+	if s.Pending() != 0 {
+		t.Fatalf("Pending = %d, want 0: a repeated Stop or Cancel must not count twice", s.Pending())
 	}
 }
 
@@ -163,7 +171,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 		tick = func() {
 			out = append(out, int64(s.Now()), s.Rand().Int63n(1000))
 			if len(out) < 40 {
-				s.Schedule(time.Duration(1+s.Rand().Intn(5))*time.Millisecond, tick)
+				s.Schedule(time.Duration(1+s.Rand().Int63n(5))*time.Millisecond, tick)
 			}
 		}
 		s.Post(tick)

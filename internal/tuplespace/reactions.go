@@ -34,7 +34,7 @@ type Reaction struct {
 func (r Reaction) EncodedSize() int { return reactionOverheadBytes + r.Template.EncodedSize() }
 
 // Registry stores registered reactions within a byte and entry budget.
-// The zero Registry is not usable; construct with NewRegistry.
+// The zero Registry is not usable; construct with NewRegistry or Init.
 type Registry struct {
 	entries  []Reaction
 	used     int
@@ -45,13 +45,22 @@ type Registry struct {
 // NewRegistry creates a registry; non-positive arguments select the
 // paper's defaults.
 func NewRegistry(capBytes, maxEntries int) *Registry {
+	g := new(Registry)
+	g.Init(capBytes, maxEntries)
+	return g
+}
+
+// Init makes g an empty registry with the given budgets (non-positive:
+// the paper's defaults), for owners that hold a Registry by value; it also
+// serves to wipe one.
+func (g *Registry) Init(capBytes, maxEntries int) {
 	if capBytes <= 0 {
 		capBytes = DefaultRegistryBytes
 	}
 	if maxEntries <= 0 {
 		maxEntries = DefaultRegistryMax
 	}
-	return &Registry{capBytes: capBytes, maxN: maxEntries}
+	*g = Registry{capBytes: capBytes, maxN: maxEntries}
 }
 
 // Len returns the number of registered reactions.

@@ -13,15 +13,18 @@ const DefaultArenaBytes = 600
 var ErrSpaceFull = errors.New("tuplespace: arena full")
 
 // Space is one node's local tuple space. Tuples are serialized into a
-// fixed linear arena; removing a tuple shifts all following tuples forward,
-// exactly as the paper describes ("the 600-bytes are allocated linearly.
-// When a tuple is removed, all following tuples are shifted forward").
+// linear arena of a fixed budget; removing a tuple shifts all following
+// tuples forward, exactly as the paper describes ("the 600-bytes are
+// allocated linearly. When a tuple is removed, all following tuples are
+// shifted forward"). The budget is a number, not a reservation: the
+// simulator's arena grows as tuples arrive, so a mote holding its three
+// context tuples costs the host 64 bytes, not 600.
 //
-// The zero Space is not usable; construct with NewSpace.
+// The zero Space is not usable; construct with NewSpace or Init.
 type Space struct {
-	arena []byte // serialized tuples, back to back
-	used  int
-	count int
+	arena  []byte // serialized tuples, back to back; all of it is live
+	budget int
+	count  int
 
 	// onInsert observers (the tuple space manager wires the reaction
 	// registry and blocked-agent wakeups here; host-side watches come
@@ -42,10 +45,21 @@ type insertObserver struct {
 // NewSpace creates a space with the given arena budget; budget <= 0 uses
 // DefaultArenaBytes.
 func NewSpace(budget int) *Space {
+	s := new(Space)
+	s.Init(budget)
+	return s
+}
+
+// Init makes s an empty space with the given arena budget (<= 0:
+// DefaultArenaBytes) and no observers, for owners that hold a Space by
+// value; it also serves to wipe one (a crashed mote's RAM). Observer ids
+// keep counting across a wipe, so an unregister func handed out before it
+// can never remove an observer registered after.
+func (s *Space) Init(budget int) {
 	if budget <= 0 {
 		budget = DefaultArenaBytes
 	}
-	return &Space{arena: make([]byte, 0, budget)}
+	*s = Space{budget: budget, obsSeq: s.obsSeq}
 }
 
 // OnInsert registers an observer called after each successful Out, in
@@ -86,10 +100,10 @@ func (s *Space) OnRemove(fn func(Tuple)) (remove func()) {
 }
 
 // UsedBytes returns the number of arena bytes holding live tuples.
-func (s *Space) UsedBytes() int { return s.used }
+func (s *Space) UsedBytes() int { return len(s.arena) }
 
 // CapBytes returns the arena budget.
-func (s *Space) CapBytes() int { return cap(s.arena) }
+func (s *Space) CapBytes() int { return s.budget }
 
 // TupleCount returns the number of stored tuples.
 func (s *Space) TupleCount() int { return s.count }
@@ -102,11 +116,10 @@ func (s *Space) Out(t Tuple) error {
 	if sz > MaxTupleBytes {
 		return fmt.Errorf("%w (%d bytes)", ErrTupleTooBig, sz)
 	}
-	if s.used+sz > cap(s.arena) {
-		return fmt.Errorf("%w: %d used of %d, need %d", ErrSpaceFull, s.used, cap(s.arena), sz)
+	if len(s.arena)+sz > s.budget {
+		return fmt.Errorf("%w: %d used of %d, need %d", ErrSpaceFull, len(s.arena), s.budget, sz)
 	}
 	s.arena = t.Marshal(s.arena)
-	s.used += sz
 	s.count++
 	for _, o := range s.onInsert {
 		o.fn(t)
@@ -129,9 +142,7 @@ func (s *Space) Inp(p Template) (Tuple, bool) {
 	}
 	sz := t.EncodedSize()
 	// Shift all following tuples forward (§3.2).
-	copy(s.arena[off:], s.arena[off+sz:])
-	s.arena = s.arena[:s.used-sz]
-	s.used -= sz
+	s.arena = append(s.arena[:off], s.arena[off+sz:]...)
 	s.count--
 	for _, o := range s.onRemove {
 		o.fn(t)
@@ -198,7 +209,7 @@ func (s *Space) find(p Template) (Tuple, int, bool) {
 // (the unit tests assert it never happens).
 func (s *Space) walk(fn func(t Tuple, off int) bool) {
 	off := 0
-	for off < s.used {
+	for off < len(s.arena) {
 		t, n, err := UnmarshalTuple(s.arena[off:])
 		if err != nil {
 			return

@@ -102,17 +102,24 @@ const MaxStringLen = 3
 
 // Value is one typed datum: a tuple field or a VM stack/heap slot.
 // The zero Value has KindInvalid and is what empty heap slots hold.
+//
+// It is eight pointer-free bytes — the mote's own slot is four — so an
+// agent's 28 stack and heap slots are 224 bytes the collector never scans,
+// and two values are equal exactly when they are == (build them with the
+// constructors below, which keep unused bytes zero).
 type Value struct {
 	Kind Kind
+	// name holds the bytes of a KindString's name, zero-padded; its length
+	// is in A.
+	name [MaxStringLen]byte
 	// A holds the integer payload: the value itself (KindValue), the X
 	// coordinate (KindLocation), the type code (KindType), the sensor
-	// type (KindReading), or the agent id (KindAgentID).
+	// type (KindReading), the agent id (KindAgentID), or the name's length
+	// (KindString).
 	A int16
 	// B holds the Y coordinate (KindLocation) or the sensed value
 	// (KindReading).
 	B int16
-	// S holds the name for KindString.
-	S string
 }
 
 // Int constructs an integer value.
@@ -120,11 +127,23 @@ func Int(v int16) Value { return Value{Kind: KindValue, A: v} }
 
 // Str constructs a string value, truncating to MaxStringLen.
 func Str(s string) Value {
-	if len(s) > MaxStringLen {
-		s = s[:MaxStringLen]
-	}
-	return Value{Kind: KindString, S: s}
+	v := Value{Kind: KindString}
+	v.A = int16(copy(v.name[:], s))
+	return v
 }
+
+// Name returns the name a KindString value carries ("" for other kinds).
+func (v Value) Name() string {
+	if v.Kind != KindString {
+		return ""
+	}
+	return string(v.name[:v.nameLen()])
+}
+
+// nameLen is the length of a KindString's name: A, held to the range the
+// constructors produce (A is exported, so a hand-built Value may carry
+// anything).
+func (v Value) nameLen() int { return min(max(int(v.A), 0), MaxStringLen) }
 
 // LocV constructs a location value.
 func LocV(l topology.Location) Value { return Value{Kind: KindLocation, A: l.X, B: l.Y} }
@@ -142,9 +161,7 @@ func AgentIDV(id uint16) Value { return Value{Kind: KindAgentID, A: int16(id)} }
 func (v Value) Loc() topology.Location { return topology.Location{X: v.A, Y: v.B} }
 
 // Equal reports structural equality.
-func (v Value) Equal(o Value) bool {
-	return v.Kind == o.Kind && v.A == o.A && v.B == o.B && v.S == o.S
-}
+func (v Value) Equal(o Value) bool { return v == o }
 
 // EncodedSize returns the wire size of the value in bytes: a 1-byte tag
 // plus the kind-specific payload.
@@ -153,7 +170,7 @@ func (v Value) EncodedSize() int {
 	case KindValue, KindAgentID:
 		return 3
 	case KindString:
-		return 2 + len(v.S)
+		return 2 + v.nameLen()
 	case KindLocation:
 		return 5
 	case KindType:
@@ -171,7 +188,7 @@ func (v Value) String() string {
 	case KindValue:
 		return fmt.Sprintf("%d", v.A)
 	case KindString:
-		return fmt.Sprintf("%q", v.S)
+		return fmt.Sprintf("%q", v.Name())
 	case KindLocation:
 		return v.Loc().String()
 	case KindType:
@@ -214,8 +231,9 @@ func (v Value) Marshal(dst []byte) []byte {
 	case KindValue, KindAgentID, KindType:
 		dst = append(dst, byte(uint16(v.A)>>8), byte(uint16(v.A)))
 	case KindString:
-		dst = append(dst, byte(len(v.S)))
-		dst = append(dst, v.S...)
+		n := v.nameLen()
+		dst = append(dst, byte(n))
+		dst = append(dst, v.name[:n]...)
 	case KindLocation, KindReading:
 		dst = append(dst, byte(uint16(v.A)>>8), byte(uint16(v.A)), byte(uint16(v.B)>>8), byte(uint16(v.B)))
 	}
@@ -246,7 +264,9 @@ func UnmarshalValue(b []byte) (Value, int, error) {
 		if n > MaxStringLen || len(b) < 2+n {
 			return Value{}, 0, ErrBadEncoding
 		}
-		return Value{Kind: k, S: string(b[2 : 2+n])}, 2 + n, nil
+		v := Value{Kind: k, A: int16(n)}
+		copy(v.name[:], b[2:2+n])
+		return v, 2 + n, nil
 	case KindLocation, KindReading:
 		if len(b) < 5 {
 			return Value{}, 0, ErrBadEncoding

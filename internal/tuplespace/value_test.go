@@ -21,7 +21,7 @@ func (Value) Generate(r *rand.Rand, _ int) reflect.Value {
 		for i := range b {
 			b[i] = byte('a' + r.Intn(26))
 		}
-		v.S = string(b)
+		v = Str(string(b))
 	case KindLocation, KindReading:
 		v.A = int16(r.Intn(1 << 16))
 		v.B = int16(r.Intn(1 << 16))
@@ -38,8 +38,8 @@ func TestValueConstructors(t *testing.T) {
 		want Value
 	}{
 		{"int", Int(-5), Value{Kind: KindValue, A: -5}},
-		{"str", Str("fir"), Value{Kind: KindString, S: "fir"}},
-		{"str-truncates", Str("fires"), Value{Kind: KindString, S: "fir"}},
+		{"str", Str("fir"), Value{Kind: KindString, name: [3]byte{'f', 'i', 'r'}, A: 3}},
+		{"str-truncates", Str("fires"), Value{Kind: KindString, name: [3]byte{'f', 'i', 'r'}, A: 3}},
 		{"loc", LocV(topology.Loc(2, 3)), Value{Kind: KindLocation, A: 2, B: 3}},
 		{"type", TypeV(TypeLocation), Value{Kind: KindType, A: 3}},
 		{"reading", Reading(SensorTemperature, 250), Value{Kind: KindReading, A: 1, B: 250}},

@@ -201,7 +201,12 @@ func TestHeapUsed(t *testing.T) {
 
 // Property: push then pop returns the same value and restores depth.
 func TestStackRoundTripProperty(t *testing.T) {
-	f := func(v ts.Value) bool {
+	f := func(kind uint8, x, y int16, name string) bool {
+		// testing/quick cannot fill Value's unexported name bytes itself.
+		v := ts.Value{Kind: ts.Kind(kind), A: x, B: y}
+		if v.Kind == ts.KindString {
+			v = ts.Str(name)
+		}
 		a := NewAgent(1, nil)
 		before := a.StackDepthUsed()
 		if err := a.Push(v); err != nil {

@@ -135,15 +135,15 @@ func TestPushn(t *testing.T) {
 	a := NewAgent(1, code(byte(OpPushn), 'f', 'i', 'r', byte(OpHalt)))
 	run(t, a, newMockHost(), 5)
 	v, _ := a.Pop()
-	if v.Kind != ts.KindString || v.S != "fir" {
+	if v.Kind != ts.KindString || v.Name() != "fir" {
 		t.Fatalf("pushn = %v", v)
 	}
 	// Short names pad with NUL which must strip.
 	a = NewAgent(1, code(byte(OpPushn), 'o', 'k', 0, byte(OpHalt)))
 	run(t, a, newMockHost(), 5)
 	v, _ = a.Pop()
-	if v.S != "ok" {
-		t.Fatalf("pushn short = %q", v.S)
+	if v.Name() != "ok" {
+		t.Fatalf("pushn short = %q", v.Name())
 	}
 }
 
@@ -388,7 +388,7 @@ func TestOutInpRdpLocal(t *testing.T) {
 		t.Fatal("rdp did not match")
 	}
 	fields, err := a.PopFields()
-	if err != nil || len(fields) != 2 || fields[0].S != "fir" {
+	if err != nil || len(fields) != 2 || fields[0].Name() != "fir" {
 		t.Fatalf("rdp result = %v, %v", fields, err)
 	}
 	if h.space.TupleCount() != 1 {

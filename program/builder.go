@@ -295,7 +295,7 @@ func (b *Builder) Push(v Value) *Builder {
 		}
 		return b.PushCL(int(v.A))
 	case tuplespace.KindString:
-		return b.PushN(v.S)
+		return b.PushN(v.Name())
 	case tuplespace.KindType:
 		return b.PushT(TypeCode(v.A))
 	case tuplespace.KindLocation:

@@ -48,7 +48,7 @@ func TestRemoteClientRoundTrips(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("Rrdp = %v, %v, %v", tup, ok, err)
 	}
-	if tup.Fields[1].S != "ab" {
+	if tup.Fields[1].Name() != "ab" {
 		t.Fatalf("Rrdp tuple = %v", tup)
 	}
 	if got := nw.Space(dest).Count(tmpl); got != 1 {
@@ -131,7 +131,7 @@ func TestRemoteClientQueryPartialMatches(t *testing.T) {
 		t.Fatalf("Query order = %v, %v", matches[0].Node, matches[1].Node)
 	}
 	for _, m := range matches {
-		if m.Tuple.Fields[0].S != "hkr" {
+		if m.Tuple.Fields[0].Name() != "hkr" {
 			t.Fatalf("match tuple = %v", m.Tuple)
 		}
 	}

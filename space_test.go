@@ -28,7 +28,7 @@ func TestSpaceHandleBasics(t *testing.T) {
 	if !ok || got.Fields[0].A != 5 {
 		t.Errorf("Rdp = %v, %v", got, ok)
 	}
-	if got, ok := sp.Inp(agilla.Tmpl(agilla.Int(5), agilla.Str("ab"))); !ok || got.Fields[1].S != "ab" {
+	if got, ok := sp.Inp(agilla.Tmpl(agilla.Int(5), agilla.Str("ab"))); !ok || got.Fields[1].Name() != "ab" {
 		t.Errorf("Inp = %v, %v", got, ok)
 	}
 	if _, ok := sp.Rdp(agilla.Tmpl(agilla.Int(5), agilla.Str("ab"))); ok {
@@ -36,7 +36,7 @@ func TestSpaceHandleBasics(t *testing.T) {
 	}
 	// All returns the context tuples too; the first is <"loc",(2,1)>.
 	all := sp.All()
-	if len(all) == 0 || all[0].Fields[0].S != "loc" {
+	if len(all) == 0 || all[0].Fields[0].Name() != "loc" {
 		t.Errorf("All = %v", all)
 	}
 }
