@@ -61,10 +61,10 @@ func runInstr(tb testing.TB, d *Deployment, target uint64) uint64 {
 // and heap growth are real work — so this asserts the amortized rate:
 // fewer than one allocation per hundred executed instructions, which is
 // only reachable when the per-instruction path (step dispatch, outcome,
-// run-queue, local scheduling) allocates nothing.
+// run-queue, in-place chaining) allocates nothing.
 func TestEngineBurstPathLowAlloc(t *testing.T) {
 	d := benchEngineDeployment(t, ExecAuto, 2)
-	// Warm the steady state: queues, local lane, and ring at capacity.
+	// Warm the steady state: queues, due lists, and ring at capacity.
 	before := runInstr(t, d, 20_000)
 
 	var m0, m1 runtime.MemStats

@@ -11,16 +11,15 @@ import (
 	"github.com/agilla-go/agilla/internal/vm"
 )
 
-// The burst engine's contract is that ExecAuto is a pure optimization:
-// every middleware observable — trace hooks, per-node
+// The in-place step chain's contract is that ExecAuto is a pure
+// optimization: every middleware observable — trace hooks, per-node
 // counters, medium statistics, the logical event count, and the exact
 // per-instruction schedule — must be byte-identical to the ExecStep seed
 // interpreter (one heap event per instruction). These tests diff
-// ExecAuto against the ExecStep oracle on the full determinism
-// workloads and on targeted burst-boundary scenarios: a reaction firing
-// delivered mid-straight-line-run, energy exhaustion on the k-th
-// instruction of a burst, Slice exhaustion inside a burst, and agent
-// death mid-burst.
+// ExecAuto against the ExecStep oracle on the full determinism workloads
+// and on targeted boundary scenarios inside one dispatch: a reaction
+// firing delivered mid-run, energy exhaustion on the k-th instruction,
+// Slice exhaustion across a jump, and agent death mid-run.
 
 // withExec returns a DeploymentSpec option that pins the node execution
 // mode.
@@ -97,7 +96,7 @@ func TestExecModesMatchSeedTrace(t *testing.T) {
 	})
 	t.Run("interpreter-fallback", func(t *testing.T) {
 		// Neither agent has a compiled closure where it runs, so ExecAuto
-		// must carry both through vm.Step on the burst engine's step chain.
+		// must carry both through vm.Step on the engine's in-place step chain.
 		if _, err := vm.Verify(unverifiableLoop); err == nil {
 			t.Fatal("unverifiableLoop passes vm.Verify — it would be compiled")
 		}
@@ -331,9 +330,11 @@ func TestBurstBoundaryEnergyExhaustion(t *testing.T) {
 }
 
 // TestBurstBoundarySliceExhaustion pins the round-robin rotation: two
-// straight-line loops on one mote with the default Slice must interleave
-// in exactly the seed's pattern — the per-instruction trace captures
-// every context switch.
+// loops on one mote with the default Slice must interleave in exactly the
+// seed's pattern — the per-instruction trace captures every context
+// switch. Each loop body ends in a jump and is five instructions long, so
+// slices end at every position in it; with fewer dispatches than slices,
+// one dispatch must span both a rotation and a jump.
 func TestBurstBoundarySliceExhaustion(t *testing.T) {
 	spec := DeploymentSpec{Layout: topology.GridLayout(1, 1), Seed: 17}
 	oracle, auto := runBoundaryScenario(t, spec, time.Second, func(t *testing.T, d *Deployment) {
@@ -348,8 +349,9 @@ func TestBurstBoundarySliceExhaustion(t *testing.T) {
 	if oracle.stats.InstrExecuted < 2*uint64(DefaultSlice) {
 		t.Fatalf("too few instructions to exhaust a slice: %+v", oracle.stats)
 	}
-	if auto.dispatched >= auto.exec.Events {
-		t.Errorf("auto mode absorbed no events: dispatched %d of %d", auto.dispatched, auto.exec.Events)
+	if slices := oracle.stats.InstrExecuted / uint64(DefaultSlice); auto.dispatched >= slices {
+		t.Errorf("auto mode dispatched %d events for %d slices: no dispatch spans a rotation and a jump",
+			auto.dispatched, slices)
 	}
 }
 

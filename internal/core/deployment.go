@@ -181,9 +181,9 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 		workers = 1
 		seq := sim.New(spec.Seed)
 		if window > 0 {
-			// The same frame-delay contract lets the sequential kernel's
-			// local run-ahead lane absorb instruction bursts past other
-			// motes' lock-step schedules (see Sim.SetLookahead).
+			// The same frame-delay contract lets the sequential kernel
+			// run an engine's step chain in place past other motes'
+			// lock-step schedules (see Sim.SetLookahead).
 			seq.SetLookahead(window)
 		}
 		s = seq

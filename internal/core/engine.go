@@ -14,26 +14,20 @@ import (
 // The paper's one-instruction-per-task execution model is a semantic
 // contract — slice-based context switches, reaction delivery at
 // instruction boundaries — not a mandate to pay one heap-scheduled event
-// per opcode. Under ExecAuto the engine preserves the exact observable
-// schedule while collapsing the scheduler traffic two ways:
-//
-//   - Straight-line bursts: after an instruction completes with no
-//     effect, no pending firing, slice budget left, a compiled closure at
-//     the next PC, and no other event due before the instruction's own
-//     completion time (sim.Ctx.LocalOK), the engine advances the shard
-//     clock in place (RunLocal) and executes the next instruction inside
-//     the same sim event. Every per-instruction observable — stats, trace
-//     hooks, energy accrual, and mid-instruction wakeups — fires at the
-//     identical virtual time and in the identical order as the seed
-//     one-event-per-instruction engine.
-//   - Local step chains: boundaries the in-place loop cannot absorb
-//     (slice rotations, reaction deliveries, effect handling) are
-//     scheduled with ScheduleLocal, which keeps the seed's exact event
-//     identity but skips the event heap whenever ordering permits.
+// per opcode. The engine's step is one instruction: reaction delivery,
+// the instruction, its charge, its effect, the slice rotation. Under
+// ExecAuto the step that follows runs in place, inside the same sim
+// event, whenever the kernel admits its time (sim.Ctx.RunLocal: nothing
+// else in the simulation is due first, within the lookahead rule), and is
+// scheduled otherwise. One chain thus spans jumps, slice rotations and
+// effects alike, and every per-instruction observable — stats, trace
+// hooks, energy accrual, mid-instruction wakeups — fires at the identical
+// virtual time and in the identical order as the seed
+// one-event-per-instruction engine.
 //
 // Code with no compiled closure at the PC — a program that fails
 // verification, or a dynamic jump that landed between instruction
-// boundaries — runs through the interpreter on the same local step chain.
+// boundaries — runs through the interpreter on the same step chain.
 //
 // Under ExecStep, the only other mode, the seed behavior is preserved
 // verbatim — one interpreted instruction per heap event — as the oracle
@@ -67,11 +61,7 @@ func (n *Node) pump() {
 		return
 	}
 	n.busy = true
-	if n.burst {
-		n.sim.ScheduleLocal(0, n.stepFn)
-	} else {
-		n.sim.Post(n.stepFn)
-	}
+	n.sim.Post(n.stepFn)
 }
 
 // stepInstr executes one instruction of rec: the compiled closure when
@@ -87,37 +77,35 @@ func (n *Node) stepInstr(rec *record, out *vm.Outcome) {
 	*out = vm.Step(rec.agent, n)
 }
 
-// engineStep runs the agent at the head of the run queue: one instruction
-// under ExecStep, a maximal absorbable straight-line burst otherwise,
-// then reschedules itself after the (last) instruction's latency.
+// engineStep runs the agent at the head of the run queue one instruction
+// at a time. After each, the next step runs in place when the kernel
+// admits its time (never under ExecStep) and is scheduled after the
+// instruction's latency otherwise.
 func (n *Node) engineStep() {
 	n.busy = false
-	if n.life != NodeUp {
-		return
-	}
-	// Skip agents that stopped being runnable while queued.
-	for n.runq.Len() > 0 && n.runq.Head().state != AgentReady {
-		n.dequeueHead()
-	}
-	if n.runq.Len() == 0 {
-		return
-	}
-	rec := n.runq.Head()
-
-	// Deliver one pending reaction firing at the instruction boundary:
-	// save the PC on the stack so the agent can resume, push the matched
-	// tuple, and jump to the reaction's code (§3.3).
-	if rec.pendingCount() > 0 {
-		if err := n.deliverFiring(rec, rec.popFiring()); err != nil {
-			n.killAgent(rec, err)
-			n.pump()
+	out := &n.stepOut // the shard's scratch: engine steps never nest or overlap on one shard
+	for n.life == NodeUp {
+		// Skip agents that stopped being runnable while queued.
+		for n.runq.Len() > 0 && n.runq.Head().state != AgentReady {
+			n.dequeueHead()
+		}
+		if n.runq.Len() == 0 {
 			return
 		}
-	}
+		rec := n.runq.Head()
 
-	out := &n.stepOut // the shard's scratch: engine steps never nest or overlap on one shard
-	n.stepInstr(rec, out)
-	for {
+		// Deliver one pending reaction firing at the instruction boundary:
+		// save the PC on the stack so the agent can resume, push the
+		// matched tuple, and jump to the reaction's code (§3.3).
+		if rec.pendingCount() > 0 {
+			if err := n.deliverFiring(rec, rec.popFiring()); err != nil {
+				n.killAgent(rec, err)
+				n.pump()
+				return
+			}
+		}
+
+		n.stepInstr(rec, out)
 		if n.life != NodeUp {
 			return // a host call inside the instruction (sense) emptied the battery
 		}
@@ -131,45 +119,33 @@ func (n *Node) engineStep() {
 				return // this instruction emptied the battery; its effect is lost
 			}
 		}
-		if !n.burst || out.Effect != vm.EffectNone || rec.prog == nil ||
-			rec.sliceUsed+1 >= n.cfg.Slice || rec.pendingCount() > 0 ||
-			rec.prog.RunLen(rec.agent.PC) == 0 {
-			break
-		}
-		// The next instruction of this straight-line run would execute at
-		// now+Cost; absorb it into this event only if nothing else in the
-		// simulation is due first (otherwise the boundary goes through the
-		// scheduler and ordering is resolved there, exactly as seeded).
-		at := n.sim.Now() + out.Cost
-		if !n.sim.LocalOK(at) {
-			break
-		}
-		rec.sliceUsed++
-		n.sim.RunLocal(at)
-		n.stepInstr(rec, out)
-	}
+		n.applyEffect(rec, out)
 
-	n.applyEffect(rec, out)
-
-	// Context switch policy: rotate when the slice is exhausted or the
-	// agent stopped being runnable ("if an agent executes a long-running
-	// instruction ... the engine immediately switches context", §3.2).
-	if rec.state == AgentReady {
-		rec.sliceUsed++
-		if rec.sliceUsed >= n.cfg.Slice {
-			n.runq.Rotate()
-			n.runq.Tail().sliceUsed = 0
+		// Context switch policy: rotate when the slice is exhausted or the
+		// agent stopped being runnable ("if an agent executes a
+		// long-running instruction ... the engine immediately switches
+		// context", §3.2).
+		if rec.state == AgentReady {
+			rec.sliceUsed++
+			if rec.sliceUsed >= n.cfg.Slice {
+				n.runq.Rotate()
+				n.runq.Tail().sliceUsed = 0
+			}
+		} else if n.runq.Len() > 0 && n.runq.Head() == rec {
+			n.dequeueHead()
 		}
-	} else if n.runq.Len() > 0 && n.runq.Head() == rec {
-		n.dequeueHead()
-	}
 
-	if n.runq.Len() > 0 || rec.state == AgentReady {
-		n.busy = true
-		if n.burst {
-			n.sim.ScheduleLocal(out.Cost, n.stepFn)
-		} else {
+		if n.runq.Len() == 0 && rec.state != AgentReady {
+			return
+		}
+		// The next step is due at now+Cost: run it in place only if
+		// nothing else in the simulation is due first (otherwise it goes
+		// through the scheduler and ordering is resolved there, exactly
+		// as seeded).
+		if !n.burst || !n.sim.RunLocal(n.sim.Now()+out.Cost) {
+			n.busy = true
 			n.sim.Schedule(out.Cost, n.stepFn)
+			return
 		}
 	}
 }

@@ -121,7 +121,7 @@ type Node struct {
 
 	life  LifeState // up / down / recovering (see world.go)
 	busy  bool      // an engine step is scheduled
-	burst bool      // batch straight-line instruction runs (Exec != ExecStep)
+	burst bool      // run engine steps in place when admitted (Exec != ExecStep)
 
 	nodeIndex  uint8 // high byte of locally assigned agent IDs
 	agentCount uint8 // low byte counter

@@ -92,7 +92,7 @@ func TestChurnDeterministicAcrossWorkers(t *testing.T) {
 
 // TestScaleDeterministicAcrossWorkers is the scale sweep's half of the
 // same CI diff: per scenario, the deterministic columns agree at 1 and 2
-// workers, and every row keeps the burst engine's batching floor.
+// workers, and every row keeps the in-place step chain's batching floor.
 func TestScaleDeterministicAcrossWorkers(t *testing.T) {
 	res, err := Scale(Config{Seed: 7, Quick: true, Trials: 1, Workers: 2})
 	if err != nil {
@@ -112,7 +112,7 @@ func TestScaleDeterministicAcrossWorkers(t *testing.T) {
 		} else if got != want {
 			t.Errorf("%s workers=%d diverged: got %+v, want %+v", row.Scenario, row.Workers, got, want)
 		}
-		// Below 2 instructions per dispatched event the absorption path
+		// Below 2 instructions per dispatched event the in-place chain
 		// has regressed to per-instruction scheduling.
 		if row.InstrPerEvent < 2 {
 			t.Errorf("%s workers=%d: %.2f instr/event, want >= 2", row.Scenario, row.Workers, row.InstrPerEvent)

@@ -28,8 +28,8 @@ import (
 // (Scenario, Nodes, Events, Instr, Frames, Hash, VirtualSecs) are
 // identical for every worker count at the same seed; the wall-clock
 // fields are the benchmark. Dispatched counts events actually popped
-// from scheduler heaps: Events-Dispatched is the scheduler traffic the
-// burst engine absorbed, so Dispatched (and the InstrPerEvent ratio)
+// from scheduler heaps: Events-Dispatched is the steps the engine ran in
+// place, so Dispatched (and the InstrPerEvent ratio)
 // legitimately varies with workers and must stay out of the cross-worker
 // determinism diff.
 type ScaleRow struct {
@@ -113,7 +113,7 @@ func Scale(cfg Config) (*ScaleResult, error) {
 	}
 	if !cfg.Quick {
 		// The 1000x1000 headline: a million motes, feasible only because
-		// the burst engine executes straight-line runs without per-
+		// the engine chains instructions in place without per-
 		// instruction heap events. One run, at the full worker count,
 		// over a shortened virtual window.
 		row, err := scaleBest(1000, cfg.Workers, time.Second, cfg.Seed, cfg.Trials)

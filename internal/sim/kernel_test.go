@@ -12,13 +12,13 @@ import (
 // The kernel order oracle. One seeded script drives both the real kernel
 // and a model that keeps every queued event in a plain slice and finds the
 // next one with sort.SliceStable over (at, src, seq). What an event does
-// when it fires — schedule, defer a local step, send to another context,
-// re-arm or stop a timer; a world event also reaches into any context and
-// schedules or cancels other world events — is a pure function of the
-// event's id, so the two runs can only agree if the kernel fires exactly
-// the oracle's events in exactly the oracle's order: a stopped timer
-// never, a re-armed one once at its last deadline, nothing from a
-// recycled Event.
+// when it fires — schedule, continue its own step chain in place or
+// through the heap, send to another context, re-arm or stop a timer; a
+// world event also reaches into any context and schedules or cancels
+// other world events — is a pure function of the event's id, so the two
+// runs can only agree if the kernel fires exactly the oracle's events in
+// exactly the oracle's order: a stopped timer never, a re-armed one once
+// at its last deadline, nothing from a recycled Event.
 
 const (
 	oracleCtxs   = 6
@@ -32,7 +32,7 @@ const (
 // and by the model.
 type sched interface {
 	schedule(ctx int, d time.Duration, id uint64)
-	scheduleLocal(ctx int, d time.Duration, id uint64)
+	stepLocal(ctx int, d time.Duration, id uint64) // a tail: nothing follows it
 	send(from, to int, d time.Duration, id uint64)
 	timerReset(ctx, k int, d time.Duration, id uint64)
 	timerStop(ctx, k int)
@@ -71,7 +71,8 @@ func act(s sched, seed int64, ctx int, id uint64, depth int) {
 		case 0, 1:
 			s.schedule(ctx, ms(12), child)
 		case 2:
-			s.scheduleLocal(ctx, ms(4), child)
+			s.stepLocal(ctx, ms(4), child)
+			return
 		case 3, 4:
 			s.send(ctx, r.Intn(oracleCtxs), oracleWindow+ms(10), child)
 		case 5, 6:
@@ -124,9 +125,9 @@ func (m *model) push(ctx, dst int, d time.Duration, id uint64) *bool {
 	return dead
 }
 
-func (m *model) schedule(ctx int, d time.Duration, id uint64)      { m.push(ctx, ctx, d, id) }
-func (m *model) scheduleLocal(ctx int, d time.Duration, id uint64) { m.push(ctx, ctx, d, id) }
-func (m *model) send(from, to int, d time.Duration, id uint64)     { m.push(from, to, d, id) }
+func (m *model) schedule(ctx int, d time.Duration, id uint64)  { m.push(ctx, ctx, d, id) }
+func (m *model) stepLocal(ctx int, d time.Duration, id uint64) { m.push(ctx, ctx, d, id) }
+func (m *model) send(from, to int, d time.Duration, id uint64) { m.push(from, to, d, id) }
 
 func (m *model) timerReset(ctx, k int, d time.Duration, id uint64) {
 	m.timerStop(ctx, k)
@@ -234,8 +235,21 @@ func (h *kernelRig) schedule(ctx int, d time.Duration, id uint64) {
 	h.ctxs[ctx].Schedule(d, func() { h.fire(ctx, id) })
 }
 
-func (h *kernelRig) scheduleLocal(ctx int, d time.Duration, id uint64) {
-	h.ctxs[ctx].ScheduleLocal(d, func() { h.fire(ctx, id) })
+// stepLocal runs the child in place when the kernel admits it and
+// schedules it otherwise: to the model, both are one more queued event.
+func (h *kernelRig) stepLocal(ctx int, d time.Duration, id uint64) {
+	stepLocal(h.ctxs[ctx], d, func() { h.fire(ctx, id) })
+}
+
+// stepLocal continues c's step chain with fn after d the way the engine
+// does from its tail: in place when RunLocal admits the step's time,
+// through the heap otherwise.
+func stepLocal(c *Ctx, d time.Duration, fn func()) {
+	if c.RunLocal(c.Now() + d) {
+		fn()
+		return
+	}
+	c.Schedule(d, fn)
 }
 
 func (h *kernelRig) send(from, to int, d time.Duration, id uint64) {
@@ -311,6 +325,7 @@ func TestKernelOrderOracle(t *testing.T) {
 		}},
 	}
 	for _, su := range setups {
+		var inPlace uint64 // steps the setup ran in place, over every seed
 		for seed := int64(1); seed <= 12; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", su.name, seed), func(t *testing.T) {
 				m := &model{seed: seed}
@@ -344,8 +359,48 @@ func TestKernelOrderOracle(t *testing.T) {
 				if got, want := ex.Executed(), uint64(len(m.order)); got != want {
 					t.Fatalf("Executed() = %d, oracle fired %d", got, want)
 				}
+				inPlace += ex.Executed() - ex.Dispatched()
 			})
 		}
+		if inPlace == 0 {
+			t.Errorf("%s: no step ran in place over 12 seeds — the oracle does not cover RunLocal", su.name)
+		}
+	}
+}
+
+// TestRunLocalBoundsAChain pins the runaway bound: a context that keeps
+// chaining itself in place against an otherwise empty queue is refused
+// after maxLocalSteps steps, so the dispatch returns to the driver loop
+// and RunUntilIdle's event budget still trips. The chain's own loop is
+// capped, so a missing bound fails the test instead of hanging it.
+func TestRunLocalBoundsAChain(t *testing.T) {
+	s := New(1)
+	c := s.Context(Key2D(1, 1))
+	var runs []int // steps run in place per dispatch
+	var step func()
+	step = func() {
+		for n := 0; n <= 2*maxLocalSteps; n++ {
+			if !c.RunLocal(c.Now() + time.Microsecond) {
+				runs = append(runs, n)
+				c.Schedule(time.Microsecond, step)
+				return
+			}
+		}
+		runs = append(runs, -1) // never refused: leave the queue empty
+	}
+	c.Schedule(0, step)
+	budget := uint64(3 * maxLocalSteps)
+	err := s.RunUntilIdle(budget)
+	if err == nil {
+		t.Fatalf("RunUntilIdle(%d) went idle; steps run in place per dispatch: %v", budget, runs)
+	}
+	for _, n := range runs {
+		if n != maxLocalSteps {
+			t.Fatalf("steps run in place per dispatch = %v, want %d each", runs, maxLocalSteps)
+		}
+	}
+	if got, want := s.Dispatched(), uint64(len(runs)); got != want {
+		t.Fatalf("Dispatched() = %d, want one per chain segment (%d)", got, want)
 	}
 }
 

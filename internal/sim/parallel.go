@@ -108,8 +108,8 @@ func (p *Parallel) Executed() uint64 {
 }
 
 // Dispatched returns the number of events popped from shard heaps (world
-// events included) — Executed minus locally absorbed steps. It varies
-// with the shard count: each shard's run-ahead horizon is bounded by its
+// events included) — Executed minus the steps run in place. It varies
+// with the shard count: each shard's in-place horizon is bounded by its
 // own queue and window, so more shards batch differently (the schedule
 // itself stays identical).
 func (p *Parallel) Dispatched() uint64 {

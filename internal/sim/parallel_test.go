@@ -328,7 +328,7 @@ func TestRunNeverMovesClockBack(t *testing.T) {
 // benchmark, Scenario and `agilla serve` all reach a horizon through many
 // short Run calls — and checks that is indistinguishable from one Run:
 // same per-entity schedule, same Executed, same resting clock, with a
-// world event, a cross-shard arrival and an absorbed local step chain each
+// world event, a cross-shard arrival and a step chain run in place each
 // landing exactly on a slice boundary.
 func TestSlicedRunsMatchOneRun(t *testing.T) {
 	const nEnt = 6
@@ -355,13 +355,13 @@ func TestSlicedRunsMatchOneRun(t *testing.T) {
 				}
 				d := time.Duration(1+int64(gen)+c.Rand().Int63n(8)) * time.Millisecond
 				c.Schedule(d, tick(i, step+1))
-				c.ScheduleLocal(d/2, func() { h.record(c.Now(), c.Key(), 1000+step) })
 				if c.Rand().Int63n(3) == 0 {
 					j := int(c.Rand().Int63n(int64(nEnt)))
 					c.Send(ctxs[j], testWindow+time.Duration(c.Rand().Int63n(5))*time.Millisecond, func() {
 						h.record(ctxs[j].Now(), ctxs[j].Key(), -step)
 					})
 				}
+				stepLocal(c, d/2, func() { h.record(c.Now(), c.Key(), 1000+step) })
 			}
 		}
 		for i := range ctxs {
@@ -390,7 +390,7 @@ func TestSlicedRunsMatchOneRun(t *testing.T) {
 			return func() {
 				h.record(b.Now(), b.Key(), 2000+n)
 				if n < 8 {
-					b.ScheduleLocal(500*time.Microsecond, chain(n+1))
+					stepLocal(b, 500*time.Microsecond, chain(n+1))
 				}
 			}
 		}
@@ -403,6 +403,9 @@ func TestSlicedRunsMatchOneRun(t *testing.T) {
 			if ex.Pending() > 0 && ex.Now() != until {
 				t.Fatalf("%T: Run(%v) with events pending left Now()=%v", ex, until, ex.Now())
 			}
+		}
+		if ex.Dispatched() >= ex.Executed() {
+			t.Errorf("%T over %v: no step ran in place (dispatched %d of %d)", ex, marks, ex.Dispatched(), ex.Executed())
 		}
 		h.record(ex.Now(), RootKey, int(ex.Executed()))
 		return h.trace

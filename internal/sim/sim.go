@@ -35,10 +35,10 @@
 // identity by value plus a pointer to the Event that holds the callback —
 // and there are exactly three ways to own that Event:
 //
-//   - Nobody outside the kernel. Schedule, Post, Send and ScheduleLocal
-//     return nothing, so their events cannot be cancelled and their Event
-//     comes from, and goes back to, the shard's free list the moment the
-//     callback returns. Recycling is safe precisely because no pointer to
+//   - Nobody outside the kernel. Schedule, Post and Send return nothing,
+//     so their events cannot be cancelled and their Event comes from, and
+//     goes back to, the shard's free list the moment the callback
+//     returns. Recycling is safe precisely because no pointer to
 //     a pooled Event ever leaves this package: there is no stale handle
 //     that could stop an unrelated later event.
 //   - A Timer, embedded by value in the state it times (an agent's sleep,
@@ -53,6 +53,11 @@
 // when it surfaces — an entry is live only while its Event is live and
 // still carries the entry's sequence number. Pending counts live entries
 // only, and is kept as a counter, not found by a walk.
+//
+// A step that is never queued at all needs no owner: an entity continuing
+// its own step chain from a tail position asks Ctx.RunLocal whether the
+// next step may run in place, inside the current dispatch, and schedules
+// it only when the answer is no.
 package sim
 
 import (
@@ -204,15 +209,14 @@ type Executor interface {
 	// both executors. Call it from the host between runs or from a world
 	// event itself, never from a node event.
 	ScheduleWorldAt(at time.Duration, fn func()) *Event
-	// Executed returns the number of events that have fired so far,
-	// locally absorbed steps included (see Ctx.ScheduleLocal) — the
-	// logical event count, identical across executors and to a run
-	// without local absorption.
+	// Executed returns the number of events that have fired so far, steps
+	// run in place included (see Ctx.RunLocal) — the logical event count,
+	// identical across executors and to a run that schedules every step.
 	Executed() uint64
 	// Dispatched returns the number of events actually popped from the
-	// heap: Executed minus the steps absorbed into an earlier dispatch.
-	// The gap is the scheduler work instruction batching saved; unlike
-	// Executed it legitimately varies with shard count.
+	// heap: Executed minus the steps run in place inside an earlier
+	// dispatch. The gap is the scheduler work the in-place step chain
+	// saved; unlike Executed it legitimately varies with shard count.
 	Dispatched() uint64
 	// Pending returns the number of live queued events.
 	Pending() int
@@ -220,10 +224,10 @@ type Executor interface {
 
 // Event is what a queued heap entry points at: the callback and the
 // context it acts on. Three kinds of owner hold one (see the package
-// comment's handle contract): the shard free list (Schedule, Send and
-// flushed local steps — nobody else ever sees the pointer, so it is
-// recycled the moment its callback returns), a Timer embedded by value in
-// the state it times, and the caller of ScheduleWorldAt.
+// comment's handle contract): the shard free list (Schedule, Post and Send
+// — nobody else ever sees the pointer, so it is recycled the moment its
+// callback returns), a Timer embedded by value in the state it times, and
+// the caller of ScheduleWorldAt.
 type Event struct {
 	dst *Ctx // the context the event acts on (the world lane's sentinel for world events)
 	fn  func()
@@ -380,19 +384,20 @@ type shard struct {
 	live     int      // queued entries that are not stale: Pending without a walk
 	free     []*Event // recycled pooled events (see get/put)
 
-	// Local run-ahead state (see Ctx.ScheduleLocal). limit/limitClosed
-	// is the horizon the current run admits — events at or before it are
-	// known to be safe to execute, because the caller is driving this
-	// shard that far with no interleaving from outside. dispatching is
-	// true while the shard is inside dispatch; local counts the events
-	// absorbed into an earlier dispatch instead of popped from the heap.
+	// In-place step state (see Ctx.RunLocal). limit/limitClosed is the
+	// horizon the current run admits — events at or before it are known
+	// to be safe to execute, because the caller is driving this shard
+	// that far with no interleaving from outside. dispatching is true
+	// while the shard is inside dispatch; chain counts the steps the
+	// current dispatch ran in place, local all steps ever run in place
+	// instead of popped from the heap.
 	limit       time.Duration
 	limitClosed bool
 	dispatching bool
+	chain       int
 	local       uint64
-	localQ      localQueue
 
-	// Due-time tracking for the relaxed absorption rule (see localOK).
+	// Due-time tracking for the relaxed admission rule (see localOK).
 	// Every queued heap entry, stale ones included, registers the time it
 	// acts on its target: node-context events in the target Ctx's own due
 	// list, root/harness events in gdue, world events in wdue. A context
@@ -498,75 +503,7 @@ func (sh *shard) take() entry {
 	return e
 }
 
-// localEvent is a deferred step in the local run-ahead lane: the same
-// (time, context key, sequence) identity a heap Event would carry, so
-// absorbing it locally or flushing it to the heap yields the exact same
-// schedule.
-type localEvent struct {
-	at  time.Duration
-	src ContextKey
-	seq uint64
-	c   *Ctx // the context the step belongs to (always its scheduler)
-	fn  func()
-}
-
-// localQueue is a slice-backed min-heap of localEvents ordered exactly
-// like eventQueue: (time, context key, sequence). It is kept separate
-// from container/heap so pushes and pops of value entries stay
-// allocation-free.
-type localQueue []localEvent
-
-func (q localQueue) less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	if q[i].src != q[j].src {
-		return q[i].src < q[j].src
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *localQueue) push(e localEvent) {
-	*q = append(*q, e)
-	s := *q
-	i := len(s) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !s.less(i, p) {
-			break
-		}
-		s[i], s[p] = s[p], s[i]
-		i = p
-	}
-}
-
-func (q *localQueue) pop() localEvent {
-	s := *q
-	head := s[0]
-	n := len(s) - 1
-	s[0] = s[n]
-	s[n] = localEvent{}
-	s = s[:n]
-	*q = s
-	i := 0
-	for {
-		l, r, m := 2*i+1, 2*i+2, i
-		if l < n && s.less(l, m) {
-			m = l
-		}
-		if r < n && s.less(r, m) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		s[i], s[m] = s[m], s[i]
-		i = m
-	}
-	return head
-}
-
-// drain merges the inbox into the local queue. Called only while no worker
+// drain merges the inbox into the shard's queue. Called only while no worker
 // is executing the shard.
 func (sh *shard) drain() {
 	sh.mu.Lock()
@@ -592,7 +529,7 @@ func (sh *shard) peek() *entry {
 
 // popHead removes and returns the head entry, which peek just found live.
 // The entry is out of its target's due list before it runs, so the
-// target's own run-ahead is not blocked by the event currently
+// target's own in-place steps are not blocked by the event currently
 // dispatching, and its event is no longer live, so a timer's callback may
 // re-arm it.
 func (sh *shard) popHead() entry {
@@ -615,10 +552,11 @@ func (sh *shard) due(end time.Duration, closed bool) bool {
 	return e.at < end
 }
 
-// localOK reports whether a local step of context c at time at may run
+// localOK reports whether a step of context c at time at may run in place
 // inside the current dispatch without observable reordering. The shard
-// must be mid-dispatch and at must fall inside the admitted horizon.
-// Ordering is then protected per scope:
+// must be mid-dispatch, with fewer than maxLocalSteps steps already run in
+// place, and at must fall inside the admitted horizon. Ordering is then
+// protected per scope:
 //
 //   - c's own lane is exact: the step must come strictly before c's next
 //     queued heap event (a frame delivery, its sleep timer, ...).
@@ -632,11 +570,10 @@ func (sh *shard) due(end time.Duration, closed bool) bool {
 //     head.at+win. With no lookahead declared (win 0) this degrades to
 //     the strict head rule.
 //
-// Flushed local entries keep their (time, key, sequence) identity, so
-// absorbing a step or replaying it through the heap yields the same
-// per-context schedule either way.
+// A refused step is scheduled instead, so running it in place or through
+// the heap yields the same per-context schedule either way.
 func (sh *shard) localOK(c *Ctx, at time.Duration) bool {
-	if !sh.dispatching {
+	if !sh.dispatching || sh.chain >= maxLocalSteps {
 		return false
 	}
 	if at > sh.limit || (!sh.limitClosed && at == sh.limit) {
@@ -655,53 +592,19 @@ func (sh *shard) localOK(c *Ctx, at time.Duration) bool {
 	return e == nil || at < e.at+sh.win
 }
 
-// runLocal advances the shard clock to a locally absorbed step and
-// counts it exactly like a dispatched event, so Executed is identical
-// whether a step was absorbed or popped from the heap.
-func (sh *shard) runLocal(at time.Duration) {
-	sh.now = at
-	sh.lastAt = at
-	sh.executed++
-	sh.local++
-}
-
-// maxLocalSteps bounds how many deferred steps one dispatch absorbs, so
-// a self-perpetuating chain against an otherwise idle queue still
-// returns to the driver loop, where RunUntilIdle checks its event budget.
+// maxLocalSteps bounds how many steps one dispatch runs in place, so a
+// self-perpetuating chain against an otherwise idle queue still returns
+// to the driver loop, where RunUntilIdle checks its event budget.
 const maxLocalSteps = 4096
 
-// drainLocal runs deferred local steps in (time, key, sequence) order
-// while the horizon admits them, then flushes the remainder into the
-// heap with their identities preserved. Steps may defer further steps;
-// the loop keeps going until the horizon closes or the lane empties.
-func (sh *shard) drainLocal() {
-	for n := 0; len(sh.localQ) > 0 && n < maxLocalSteps; n++ {
-		le := sh.localQ[0]
-		if !sh.localOK(le.c, le.at) {
-			break
-		}
-		sh.localQ.pop()
-		sh.runLocal(le.at)
-		le.fn()
-	}
-	for len(sh.localQ) > 0 {
-		le := sh.localQ.pop()
-		sh.push(entry{at: le.at, src: le.src, seq: le.seq, ev: sh.get(le.c, le.seq, le.fn)})
-	}
-}
-
-// dispatch runs one popped heap entry and then absorbs the local steps
-// it (or they, transitively) deferred. The local lane is always empty
-// between dispatches.
+// dispatch runs one popped heap entry, together with every step its
+// callback chains in place (see Ctx.RunLocal).
 func (sh *shard) dispatch(e entry) {
-	sh.dispatching = true
+	sh.dispatching, sh.chain = true, 0
 	sh.now = e.at
 	sh.lastAt = e.at
 	sh.executed++
 	e.ev.fn()
-	if len(sh.localQ) > 0 {
-		sh.drainLocal()
-	}
 	sh.dispatching = false
 	if e.ev.pooled {
 		sh.put(e.ev)
@@ -710,8 +613,8 @@ func (sh *shard) dispatch(e entry) {
 
 // runTo executes events scheduled before end — at exactly end too when
 // closed — advancing the shard clock event by event and leaving it at the
-// last executed event. The whole span up to end is admitted as the local
-// run-ahead horizon.
+// last executed event. The whole span up to end is admitted as the
+// horizon steps may run in place up to.
 func (sh *shard) runTo(end time.Duration, closed bool) {
 	sh.limit, sh.limitClosed = end, closed
 	for {
@@ -775,47 +678,29 @@ func (c *Ctx) Schedule(d time.Duration, fn func()) {
 // task.
 func (c *Ctx) Post(fn func()) { c.Schedule(0, fn) }
 
-// ScheduleLocal is Schedule for an entity's own step chain: the event
-// carries the identical (time, key, sequence) identity, but instead of
-// going through the heap it may be absorbed into the current dispatch —
-// run back to back with the triggering event — whenever its time falls
-// inside the run's admitted horizon and strictly before the next queued
-// heap event. Otherwise it is flushed to the heap unchanged, so the
-// observable schedule is byte-identical either way; only the number of
-// heap round trips (Dispatched) changes. Called outside a dispatch it
-// degrades to Schedule. Local events cannot be cancelled: use it only
-// for chains that check their own validity when they fire (the engine's
-// step chain does).
-func (c *Ctx) ScheduleLocal(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
+// RunLocal lets an entity run the next step of its own chain in place.
+// When an event of this context at time at (not before Now) could fire
+// right now without observable reordering — inside the dispatch's
+// horizon, with no queued event due first that could affect or observe
+// it (see shard.localOK) — RunLocal advances the clock to at, counts the
+// step exactly as a fired event, and reports true: the caller then runs
+// the step inline. Otherwise it changes nothing and reports false, and
+// the caller schedules the step instead. Either way the observable
+// schedule is the same; only the number of heap round trips (Dispatched)
+// differs. Call it only from a tail position: nothing the current event
+// still does may follow the step.
+func (c *Ctx) RunLocal(at time.Duration) bool {
 	sh := c.shard
-	if !sh.dispatching {
-		c.Schedule(d, fn)
-		return
-	}
-	sh.localQ.push(localEvent{at: sh.now + d, src: c.key, seq: c.seq, c: c, fn: fn})
-	c.seq++
-}
-
-// LocalOK reports whether a hypothetical event of this context at time
-// at could run immediately without reordering: inside the dispatch
-// horizon, before the next heap event, and before every deferred local
-// step. Engines use it to run provably uninterruptible straight-line
-// work in place without even materializing the intermediate steps.
-func (c *Ctx) LocalOK(at time.Duration) bool {
-	sh := c.shard
-	if len(sh.localQ) > 0 && at >= sh.localQ[0].at {
+	if !sh.localOK(c, at) {
 		return false
 	}
-	return sh.localOK(c, at)
+	sh.now = at
+	sh.lastAt = at
+	sh.executed++
+	sh.local++
+	sh.chain++
+	return true
 }
-
-// RunLocal advances the clock to at and accounts one locally absorbed
-// step, exactly as if an event had fired there. Call only when LocalOK
-// just returned true for at.
-func (c *Ctx) RunLocal(at time.Duration) { c.shard.runLocal(at) }
 
 // Send schedules fn to run after delay d on the receiver context's shard,
 // ordered by this (sending) context's identity. It is the one cross-shard
@@ -909,12 +794,12 @@ func (s *Sim) Now() time.Duration { return s.sh.now }
 // should use the entity context's Rand instead.
 func (s *Sim) Rand() *Rand { return &s.root.rng }
 
-// Executed returns the number of events that have fired so far, locally
-// absorbed steps included.
+// Executed returns the number of events that have fired so far, steps
+// run in place included.
 func (s *Sim) Executed() uint64 { return s.sh.executed }
 
 // Dispatched returns the number of events popped from the heap —
-// Executed minus the steps absorbed into an earlier dispatch.
+// Executed minus the steps run in place inside an earlier dispatch.
 func (s *Sim) Dispatched() uint64 { return s.sh.executed - s.sh.local }
 
 // Schedule arranges for fn to run after delay d on the root context.
@@ -948,9 +833,9 @@ func scheduleWorld(w *Ctx, at time.Duration, fn func()) *Event {
 // event of one context schedules onto, or otherwise affects, another
 // context in less than d of virtual time (for a radio deployment, the
 // minimum frame delay — exactly the window NewParallel takes). Declaring
-// it lets the local run-ahead lane absorb a context's step chains past
-// other contexts' queued events inside that horizon, which is what turns
-// instruction bursts into single events on multi-node deployments where
+// it lets a context run its step chain in place (Ctx.RunLocal) past other
+// contexts' queued events inside that horizon, which is what turns
+// instruction runs into single dispatches on multi-node deployments where
 // lock-step schedules leave no strictly-earlier gap. Zero (the default)
 // disables the relaxation. The caller owns the contract's truth; root
 // and world events are exempt from it and never run ahead of.
@@ -962,13 +847,13 @@ func (s *Sim) SetLookahead(d time.Duration) {
 }
 
 // maxHorizon is the run horizon for runs bounded only by queue
-// exhaustion: absorb as far ahead as the queue itself allows.
+// exhaustion: run steps in place as far ahead as the queue itself allows.
 const maxHorizon = time.Duration(1<<63 - 1)
 
 // Step fires the next pending event, advancing the clock to its timestamp.
-// It returns false when the queue is empty. Single-stepping admits only
-// same-instant local absorption, so its granularity stays close to one
-// event per call.
+// It returns false when the queue is empty. Single-stepping admits
+// in-place steps at the same instant only, so its granularity stays close
+// to one event per call.
 func (s *Sim) Step() bool {
 	if s.sh.peek() == nil {
 		return false

@@ -33,18 +33,11 @@ type StepFn func(a *Agent, h Host, out *Outcome)
 // returns nil and the engine falls back to Step, reproducing the exact
 // misaligned-decode behavior.
 //
-// run is the burst-plan table: run[pc] is the length of the maximal
-// straight-line run starting at pc — consecutive instructions that fall
-// through to the next boundary and never transfer control or suspend
-// unconditionally. Blocking in/rd stay inside plans: the engine re-checks
-// the Outcome's effect at every boundary, so a run simply ends early when
-// one blocks. Plan breakers are halt, sleep, wait, every migration and
-// remote op, and all jumps (even static ones — the engine's deferred
-// step lane still batches across them, only the in-place fast path
-// breaks).
+// Whether the next instruction runs inside the same sim event is the
+// engine's decision, made at every boundary from the Outcome's effect and
+// the kernel's admission rule, so a jump is a boundary like any other.
 type Compiled struct {
 	steps []StepFn
-	run   []uint16
 }
 
 // StepAt returns the compiled closure for the instruction at pc, or nil
@@ -57,16 +50,6 @@ func (c *Compiled) StepAt(pc uint16) StepFn {
 	return c.steps[pc]
 }
 
-// RunLen returns the burst-plan length at pc: how many consecutive
-// instructions starting there provably fall through. 0 means pc is not a
-// boundary or starts with a plan breaker.
-func (c *Compiled) RunLen(pc uint16) int {
-	if int(pc) >= len(c.run) {
-		return 0
-	}
-	return int(c.run[pc])
-}
-
 // Compile lowers verified code to closures. Code that fails verification
 // is not compiled — the engine keeps interpreting it (and the agent dies
 // at runtime exactly where the interpreter says it does).
@@ -75,24 +58,9 @@ func Compile(code []byte) (*Compiled, error) {
 	if err := rep.err(); err != nil {
 		return nil, err
 	}
-	c := &Compiled{
-		steps: make([]StepFn, len(code)),
-		run:   make([]uint16, len(code)),
-	}
-	// Back to front, so a burst plan extends that of its fall-through
-	// successor. Every flow class but flowNext breaks a plan: the
-	// instruction unconditionally suspends the agent or may transfer
-	// control away.
-	for i := len(d.Ins) - 1; i >= 0; i-- {
-		in := &d.Ins[i]
+	c := &Compiled{steps: make([]StepFn, len(code))}
+	for _, in := range d.Ins {
 		c.steps[in.PC] = compileStep(in.Op, in.Info, in.PC, code)
-		if in.Info.flow != flowNext {
-			continue
-		}
-		c.run[in.PC] = 1
-		if next := in.Next(); next < len(code) {
-			c.run[in.PC] += c.run[next]
-		}
 	}
 	return c, nil
 }

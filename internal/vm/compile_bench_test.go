@@ -5,8 +5,8 @@ import (
 )
 
 // The hot instruction loop `pushc 1; pushc 2; add; pop; rjump -6`: five
-// straight-line instructions, no host effects, stack balanced — the
-// shape the burst engine absorbs into single events.
+// instructions, no host effects, stack balanced — the shape the engine's
+// in-place step chain runs inside single events.
 func benchLoopCode() []byte {
 	return code(
 		byte(OpPushc), 1,
@@ -49,7 +49,7 @@ func TestCompiledStepZeroAlloc(t *testing.T) {
 }
 
 // TestInterpretedStepZeroAlloc pins the interpreter on the same loop:
-// the burst engine falls back to Step between compiled boundaries, so
+// the engine falls back to Step between compiled boundaries, so
 // that path must stay allocation-free too.
 func TestInterpretedStepZeroAlloc(t *testing.T) {
 	a, h := benchAgent(benchLoopCode())

@@ -360,17 +360,12 @@ func TestCompileRejectsUnverifiable(t *testing.T) {
 }
 
 func TestBurstPlans(t *testing.T) {
-	// Straight line: every instruction extends the run of its successor;
-	// halt terminates it.
+	// Every instruction boundary has a closure; operand bytes and PCs past
+	// the end have none.
 	prog := code(byte(OpPushc), 1, byte(OpPushc), 2, byte(OpAdd), byte(OpHalt))
 	c, err := Compile(prog)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for pc, want := range map[uint16]int{0: 3, 2: 2, 4: 1, 5: 0, 1: 0, 3: 0, 99: 0} {
-		if got := c.RunLen(pc); got != want {
-			t.Errorf("RunLen(%d) = %d, want %d", pc, got, want)
-		}
 	}
 	if c.StepAt(1) != nil {
 		t.Error("StepAt(1) inside pushc operands should be nil")
@@ -378,25 +373,8 @@ func TestBurstPlans(t *testing.T) {
 	if c.StepAt(0) == nil || c.StepAt(5) == nil {
 		t.Error("StepAt at instruction boundaries should be non-nil")
 	}
-
-	// Blocking in stays inside a plan (the engine re-checks the effect at
-	// every boundary); migration and jumps break plans.
-	prog = code(byte(OpPusht), byte(ts.TypeValue), byte(OpPushc), 1, byte(OpIn), byte(OpHalt))
-	if c, err = Compile(prog); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.RunLen(0); got != 3 {
-		t.Errorf("RunLen over in = %d, want 3", got)
-	}
-	prog = code(byte(OpPushloc), 1, 1, byte(OpSmove), byte(OpHalt))
-	if c, err = Compile(prog); err != nil {
-		t.Fatal(err)
-	}
-	if got := c.RunLen(0); got != 1 {
-		t.Errorf("RunLen up to smove = %d, want 1", got)
-	}
-	if got := c.RunLen(3); got != 0 {
-		t.Errorf("RunLen at smove = %d, want 0", got)
+	if c.StepAt(99) != nil {
+		t.Error("StepAt past the end should be nil")
 	}
 }
 

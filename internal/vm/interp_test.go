@@ -688,8 +688,8 @@ func kindBit(v ts.Value) kmask {
 }
 
 // checkRowAgainstStep holds one ISA row's pops, pushes and flow columns
-// to what the interpreter does: the analyzer and the burst planner read
-// those columns instead of restating Step, so the columns must not lie.
+// to what the interpreter does: the verifier and the analyzer read those
+// columns instead of restating Step, so the columns must not lie.
 func checkRowAgainstStep(t *testing.T, op Op, info Info) {
 	// The instruction at pc 0, then halts to land on. Integer operands
 	// read as 2 (a jumps target and a reaction entry distinct from the

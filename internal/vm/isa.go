@@ -243,8 +243,8 @@ func (f flow) yields() bool { return f == flowYield || f == flowStop }
 //     kinds. A written-out case exists in Analyze only where the effect
 //     depends on data the row cannot hold (dup, swap, getvar/setvar, the
 //     pushc/pushcl constants, the tuple family's counted fields).
-//   - flow: Decode's successor edges (Decoded.Succ), Compile's burst
-//     plans, Analyze's burst cuts.
+//   - flow: Decode's successor edges (Decoded.Succ), Analyze's burst
+//     cuts.
 //   - Cost: Step and compileStep (the modelled latency).
 //
 // The pops/pushes/flow columns are not trusted: TestISATableConsistency
