@@ -39,15 +39,12 @@ func (n *Node) InjectAgent(code []byte, dest topology.Location) (uint16, error) 
 	if err != nil {
 		return 0, err
 	}
-	rec.state = AgentMigrating
-	snap := n.snapshotAgent(rec, wire.MigInject, dest)
+	om := n.packAgent(rec, wire.MigInject, dest, true)
 	n.tracker.injected(n.sim.Now(), n.loc, id)
 	if n.trace.MigrationStarted != nil {
 		n.trace.MigrationStarted(n.loc, id, wire.MigInject, dest)
 	}
-	n.sim.Schedule(n.cfg.MigSendOverhead, func() {
-		n.beginTransfer(rec, snap, true)
-	})
+	om.timer.Reset(n.cfg.MigSendOverhead)
 	return id, nil
 }
 

@@ -185,6 +185,16 @@ func (n *Node) applyEffect(rec *record, out *vm.Outcome) {
 
 	case vm.EffectSleep:
 		rec.state = AgentSleeping
+		if !rec.wake.Bound() {
+			// Bound at the first sleep, so admitting an agent costs its
+			// record alone.
+			rec.wake.Init(n.sim, func() {
+				if rec.state == AgentSleeping {
+					rec.state = AgentReady
+					n.enqueue(rec)
+				}
+			})
+		}
 		rec.wake.Reset(out.Sleep)
 
 	case vm.EffectWait:

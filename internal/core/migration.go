@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/radio"
@@ -35,56 +36,181 @@ type inKey struct {
 	from topology.Location
 }
 
-// snapshot is everything that travels with an agent.
-type snapshot struct {
-	kind  wire.MigKind
-	dest  topology.Location // final destination
-	pc    uint16
-	cond  int16
-	code  []byte
-	heap  []wire.HeapEntry
-	stack []tuplespace.Value
-	rxns  []tuplespace.Reaction
-}
+// A hop allocates nothing but the agent that arrives. The transfer
+// records on both sides come from their shard's free lists and hold the
+// agent in fixed slots: the sender encodes the Figure 5 sequence into one
+// reused buffer, and the receiver writes each fragment straight into the
+// slot it fills. Each record's timer is bound once, when the record is
+// first made, and carries every delay the record waits out — the
+// packaging and reassembly overheads as well as the protocol timeouts —
+// with the same ordering identity a scheduled closure would take.
 
-// msgMeta identifies one migration message for ack matching.
+// msgMeta identifies one migration message for ack matching and locates
+// it in the sender's buffer.
 type msgMeta struct {
 	typ wire.MsgType
 	idx uint8
+	end uint16 // offset just past the message in outMigration.buf
 }
 
-// outMigration is the agent sender's per-transfer state.
+// outMigration is the agent sender's per-transfer state. The agent is
+// encoded when it is packed; the transfer is numbered when it begins.
 type outMigration struct {
+	n       *Node // the sending node
 	key     migKey
 	rec     *record
-	snap    snapshot
+	kind    wire.MigKind
+	dest    topology.Location // final destination
 	nextHop topology.Location
-	msgs    [][]byte
-	metas   []msgMeta
+	buf     []byte    // the encoded Figure 5 sequence, back to back
+	metas   []msgMeta // one per message in buf
 	acked   int
 	retries int
-	timer   sim.Timer // retransmission timer, bound to onAckTimeout in beginTransfer
-	origin  bool      // false when relaying an agent passing through
+	// timer first times the packaging overhead, then (once started) the
+	// ack timeouts.
+	timer   sim.Timer
+	started bool
+	origin  bool // false when relaying an agent passing through
 }
+
+// msg returns the i-th encoded message.
+func (om *outMigration) msg(i int) []byte {
+	lo := uint16(0)
+	if i > 0 {
+		lo = om.metas[i-1].end
+	}
+	return om.buf[lo:om.metas[i].end]
+}
+
+func (om *outMigration) clock() *sim.Timer { return &om.timer }
 
 // inMigration is the agent receiver's per-transfer state. The sender to
 // ack (previous hop, or the origin in end-to-end mode) is key.from.
 type inMigration struct {
-	key        inKey
-	st         wire.StateMsg
-	haveState  bool
-	code       map[uint8][CodeBlockSize]byte
-	heap       []wire.HeapEntry
-	heapSeen   map[uint8]bool
-	stack      map[uint8][]tuplespace.Value
-	rxns       map[uint8]tuplespace.Reaction
-	stall      sim.Timer // receiver stall abort, bound to abortIn in recvState
+	n     *Node // the receiving node
+	key   inKey
+	st    wire.StateMsg
+	code  []byte // NCode blocks, written in place; becomes the agent's Code
+	heap  [vm.HeapSlots]tuplespace.Value
+	stack [vm.StackDepth]tuplespace.Value
+	rxns  []tuplespace.Reaction // by index; NRxn of them
+	// got marks the data fragments received, one bit each (see fragBit),
+	// and have counts them by type: code, heap, stack, reaction.
+	got  [5]uint64
+	have [4]uint8
+	// stall is the receiver stall abort and, once the transfer is
+	// complete, the reassembly overhead before finalizeIn.
+	stall      sim.Timer
 	finalizing bool
 	e2e        bool
 }
 
+func (im *inMigration) clock() *sim.Timer { return &im.stall }
+
+// fragBit numbers fragment idx of data message type t in inMigration.got:
+// code blocks (at most 255) from bit 0, then at most 4 heap, 4 stack and
+// 15 reaction messages.
+func fragBit(t wire.MsgType, idx uint8) int {
+	return [...]int{wire.MsgCode: 0, wire.MsgHeap: 256, wire.MsgStack: 260, wire.MsgReaction: 264}[t] + int(idx)
+}
+
+// mark records fragment idx of type t received, reporting whether it was
+// the first copy.
+func (im *inMigration) mark(t wire.MsgType, idx uint8) bool {
+	b := fragBit(t, idx)
+	w, bit := b/64, uint64(1)<<(b%64)
+	if im.got[w]&bit != 0 {
+		return false
+	}
+	im.got[w] |= bit
+	im.have[t-wire.MsgCode]++
+	return true
+}
+
+// want returns how many messages of type t the state header announced.
+func (im *inMigration) want(t wire.MsgType) uint8 {
+	switch t {
+	case wire.MsgCode:
+		return im.st.NCode
+	case wire.MsgHeap:
+		return im.st.NHeap
+	case wire.MsgStack:
+		return im.st.NStack
+	default:
+		return im.st.NRxn
+	}
+}
+
 // CodeBlockSize re-exports the wire block size for readability here.
 const CodeBlockSize = wire.CodeBlockSize
+
+// reuse takes from a free list the longest-released record whose timer can
+// run on c (see sim.Timer.Rebind), or returns nil. The list is kept in
+// release order: the stale timer entries a transfer leaves behind drain
+// within its longest timeout, so the oldest record is almost always free
+// to move, and the scan rarely looks past it.
+func reuse[T interface{ clock() *sim.Timer }](free *[]T, c *sim.Ctx) (r T) {
+	l := *free
+	for i, cand := range l {
+		if cand.clock().Rebind(c) {
+			copy(l[i:], l[i+1:])
+			var zero T
+			l[len(l)-1] = zero
+			*free = l[:len(l)-1]
+			return cand
+		}
+	}
+	return r
+}
+
+// newOut takes an outbound record from the shard's free list, or makes
+// one and binds its timer.
+func (n *Node) newOut() *outMigration {
+	om := reuse(&n.outFree, n.sim)
+	if om == nil {
+		om = new(outMigration)
+		om.timer.Init(n.sim, func() { om.n.onOutTimer(om) })
+	}
+	om.n = n
+	return om
+}
+
+// releaseOut stops om's timer and returns it, wiped, to the free list.
+func (n *Node) releaseOut(om *outMigration) {
+	om.timer.Stop()
+	*om = outMigration{
+		timer: om.timer, // same address: queued entries still point at it
+		buf:   om.buf[:0],
+		metas: om.metas[:0],
+	}
+	n.outFree = append(n.outFree, om)
+}
+
+// newIn takes an inbound record from the shard's free list, or makes one
+// and binds its timer.
+func (n *Node) newIn() *inMigration {
+	im := reuse(&n.inFree, n.sim)
+	if im == nil {
+		im = new(inMigration)
+		im.stall.Init(n.sim, func() { im.n.onStall(im) })
+	}
+	im.n = n
+	return im
+}
+
+// releaseIn stops im's timer and returns it, wiped, to the free list. The
+// code buffer keeps its bytes: a transfer completes only once every block
+// has been written over them.
+func (n *Node) releaseIn(im *inMigration) {
+	im.stall.Stop()
+	clear(im.rxns)
+	*im = inMigration{
+		stall: im.stall, // same address: queued entries still point at it
+		code:  im.code[:0],
+		rxns:  im.rxns[:0],
+	}
+	n.inFree = append(n.inFree, im)
+}
 
 // startMigration handles EffectMigrate: the agent has popped its
 // destination and must now move or clone there.
@@ -95,16 +221,13 @@ func (n *Node) startMigration(rec *record, out vm.Outcome) {
 		n.migrateToSelf(rec, kind)
 		return
 	}
-	rec.state = AgentMigrating
-	snap := n.snapshotAgent(rec, kind, dest)
+	om := n.packAgent(rec, kind, dest, true)
 	n.tracker.migStarted(n.sim.Now(), n.loc, rec.agent.ID)
 	if n.trace.MigrationStarted != nil {
 		n.trace.MigrationStarted(n.loc, rec.agent.ID, kind, dest)
 	}
 	// Packaging the agent costs CPU time before the first byte is sent.
-	n.sim.Schedule(n.cfg.MigSendOverhead, func() {
-		n.beginTransfer(rec, snap, true)
-	})
+	om.timer.Reset(n.cfg.MigSendOverhead)
 }
 
 // migrateToSelf implements the degenerate migration to the current node.
@@ -128,7 +251,7 @@ func (n *Node) migrateToSelf(rec *record, kind wire.MigKind) {
 		n.tracker.cloned(n.sim.Now(), n.loc, rec.agent.ID, clone.ID)
 		if kind.Strong() {
 			// The clone inherits the parent's registered reactions.
-			for _, r := range n.registry.ForAgent(rec.agent.ID) {
+			for _, r := range n.registry.AppendForAgent(nil, rec.agent.ID) {
 				r.AgentID = clone.ID
 				_ = n.registry.Register(r)
 			}
@@ -141,128 +264,141 @@ func (n *Node) migrateToSelf(rec *record, kind wire.MigKind) {
 	}
 }
 
-// snapshotAgent captures the migrating state per Figure 5. Weak operations
-// carry only code (§2.2: "In a weak operation, only the code is
-// transferred").
-func (n *Node) snapshotAgent(rec *record, kind wire.MigKind, dest topology.Location) snapshot {
-	a := rec.agent
-	snap := snapshot{
-		kind: kind,
-		dest: dest,
-		code: append([]byte(nil), a.Code...),
-	}
-	if kind.Strong() {
-		snap.pc = a.PC
-		snap.cond = a.Condition
-		for _, i := range a.HeapUsed() {
-			snap.heap = append(snap.heap, wire.HeapEntry{Addr: uint8(i), Value: a.Heap[i]})
-		}
-		snap.stack = a.StackSlice()
-		snap.rxns = n.registry.ForAgent(a.ID)
-	}
-	return snap
+// packAgent suspends rec for a transfer to dest and takes the outbound
+// record that carries it, encoded. The caller reports the departure and
+// then arms the packaging delay on om.timer.
+func (n *Node) packAgent(rec *record, kind wire.MigKind, dest topology.Location, origin bool) *outMigration {
+	rec.state = AgentMigrating
+	om := n.newOut()
+	om.rec, om.kind, om.dest, om.origin = rec, kind, dest, origin
+	n.encodeAgent(om, rec.agent)
+	return om
 }
 
-// beginTransfer resolves the next hop and starts sending. origin marks
-// transfers initiated by a local agent (vs. relays).
-func (n *Node) beginTransfer(rec *record, snap snapshot, origin bool) {
-	if rec.state != AgentMigrating {
-		return // agent was reclaimed meanwhile
+// encodeAgent renders a's Figure 5 message sequence into om.buf, with
+// sequence number zero until beginTransfer numbers the transfer. Weak
+// operations carry only code (§2.2: "In a weak operation, only the code is
+// transferred").
+func (n *Node) encodeAgent(om *outMigration, a *vm.Agent) {
+	var (
+		pc    uint16
+		cond  int16
+		heap  [vm.HeapSlots]wire.HeapEntry
+		nHeap int
+		stack []tuplespace.Value
+	)
+	rxns := n.rxnBuf[:0]
+	if om.kind.Strong() {
+		pc, cond = a.PC, a.Condition
+		for i, v := range a.Heap {
+			if v.Kind != tuplespace.KindInvalid {
+				heap[nHeap] = wire.HeapEntry{Addr: uint8(i), Value: v}
+				nHeap++
+			}
+		}
+		stack = a.StackSlice()
+		rxns = n.registry.AppendForAgent(rxns, a.ID)
 	}
+	id := a.ID
+	nCode := BlocksFor(len(a.Code))
+	nHeapMsgs := (nHeap + wire.HeapVarsPerMsg - 1) / wire.HeapVarsPerMsg
+	nStackMsgs := (len(stack) + wire.StackVarsPerMsg - 1) / wire.StackVarsPerMsg
+	b := om.buf[:0]
+	om.metas = om.metas[:0]
+	done := func(t wire.MsgType, i int) {
+		om.metas = append(om.metas, msgMeta{typ: t, idx: uint8(i), end: uint16(len(b))})
+	}
+
+	b = wire.StateMsg{
+		AgentID: id, Kind: om.kind, Dest: om.dest,
+		PC: pc, CodeLen: uint16(len(a.Code)), Cond: cond,
+		SP: uint8(len(stack)), NCode: uint8(nCode), NHeap: uint8(nHeapMsgs),
+		NRxn: uint8(len(rxns)), NStack: uint8(nStackMsgs),
+	}.Append(b)
+	done(wire.MsgState, 0)
+	for i := 0; i < nCode; i++ {
+		cm := wire.CodeMsg{AgentID: id, Index: uint8(i)}
+		copy(cm.Block[:], a.Code[i*CodeBlockSize:])
+		b = cm.Append(b)
+		done(wire.MsgCode, i)
+	}
+	// Unencodable fragments are dropped; the invariants on heap values,
+	// stack values and reaction templates prevent them.
+	var err error
+	for i := 0; i < nHeapMsgs; i++ {
+		lo := i * wire.HeapVarsPerMsg
+		hi := min(lo+wire.HeapVarsPerMsg, nHeap)
+		if b, err = (wire.HeapMsg{AgentID: id, Index: uint8(i), Entries: heap[lo:hi]}).Append(b); err == nil {
+			done(wire.MsgHeap, i)
+		}
+	}
+	for i := 0; i < nStackMsgs; i++ {
+		lo := i * wire.StackVarsPerMsg
+		hi := min(lo+wire.StackVarsPerMsg, len(stack))
+		if b, err = (wire.StackMsg{AgentID: id, Index: uint8(i), Values: stack[lo:hi]}).Append(b); err == nil {
+			done(wire.MsgStack, i)
+		}
+	}
+	for i, r := range rxns {
+		if b, err = (wire.ReactionMsg{AgentID: id, Index: uint8(i), PC: r.PC, Template: r.Template}).Append(b); err == nil {
+			done(wire.MsgReaction, i)
+		}
+	}
+	om.buf = b
+	clear(rxns)
+	n.rxnBuf = rxns[:0]
+}
+
+// onOutTimer is om's timer: the end of the packaging delay, then each ack
+// timeout.
+func (n *Node) onOutTimer(om *outMigration) {
+	if !om.started {
+		n.beginTransfer(om)
+		return
+	}
+	n.onAckTimeout(om)
+}
+
+// beginTransfer resolves the next hop and starts sending.
+func (n *Node) beginTransfer(om *outMigration) {
+	if om.rec.state != AgentMigrating {
+		n.releaseOut(om) // agent was reclaimed meanwhile
+		return
+	}
+	om.started = true
 	n.migSeq++
-	om := &outMigration{
-		key:    migKey{agentID: rec.agent.ID, seq: n.migSeq},
-		rec:    rec,
-		snap:   snap,
-		origin: origin,
-	}
-	om.timer.Init(n.sim, func() { n.onAckTimeout(om) })
-	hop, ok := n.net.NextHop(snap.dest)
+	om.key = migKey{agentID: om.rec.agent.ID, seq: n.migSeq}
+	hop, ok := n.net.NextHop(om.dest)
 	if !ok {
 		n.failTransfer(om)
 		return
 	}
 	om.nextHop = hop
-	om.msgs, om.metas = n.encodeSnapshot(om)
+	for i := range om.metas {
+		wire.SetSeq(om.msg(i), om.key.seq)
+	}
 	put(&n.out, om.key, om)
 	n.stats.MigrationsOut++
 	n.sendCurrent(om)
 }
 
-// encodeSnapshot renders the Figure 5 message sequence.
-func (n *Node) encodeSnapshot(om *outMigration) ([][]byte, []msgMeta) {
-	var msgs [][]byte
-	var metas []msgMeta
-	s := om.snap
-	id, seq := om.key.agentID, om.key.seq
-
-	nCode := BlocksFor(len(s.code))
-	nHeap := (len(s.heap) + wire.HeapVarsPerMsg - 1) / wire.HeapVarsPerMsg
-	nStack := (len(s.stack) + wire.StackVarsPerMsg - 1) / wire.StackVarsPerMsg
-	nRxn := len(s.rxns)
-
-	st := wire.StateMsg{
-		AgentID: id, Seq: seq, Kind: s.kind, Dest: s.dest,
-		PC: s.pc, CodeLen: uint16(len(s.code)), Cond: s.cond,
-		SP: uint8(len(s.stack)), NCode: uint8(nCode), NHeap: uint8(nHeap),
-		NRxn: uint8(nRxn), NStack: uint8(nStack),
-	}
-	msgs = append(msgs, st.Encode())
-	metas = append(metas, msgMeta{wire.MsgState, 0})
-
-	for i := 0; i < nCode; i++ {
-		cm := wire.CodeMsg{AgentID: id, Seq: seq, Index: uint8(i)}
-		copy(cm.Block[:], s.code[i*CodeBlockSize:])
-		msgs = append(msgs, cm.Encode())
-		metas = append(metas, msgMeta{wire.MsgCode, uint8(i)})
-	}
-	for i := 0; i < nHeap; i++ {
-		lo := i * wire.HeapVarsPerMsg
-		hi := min(lo+wire.HeapVarsPerMsg, len(s.heap))
-		b, err := (wire.HeapMsg{AgentID: id, Seq: seq, Index: uint8(i), Entries: s.heap[lo:hi]}).Encode()
-		if err != nil {
-			continue // unencodable entries are dropped; invariants prevent this
-		}
-		msgs = append(msgs, b)
-		metas = append(metas, msgMeta{wire.MsgHeap, uint8(i)})
-	}
-	for i := 0; i < nStack; i++ {
-		lo := i * wire.StackVarsPerMsg
-		hi := min(lo+wire.StackVarsPerMsg, len(s.stack))
-		b, err := (wire.StackMsg{AgentID: id, Seq: seq, Index: uint8(i), Values: s.stack[lo:hi]}).Encode()
-		if err != nil {
-			continue
-		}
-		msgs = append(msgs, b)
-		metas = append(metas, msgMeta{wire.MsgStack, uint8(i)})
-	}
-	for i, r := range s.rxns {
-		b, err := (wire.ReactionMsg{AgentID: id, Seq: seq, Index: uint8(i), PC: r.PC, Template: r.Template}).Encode()
-		if err != nil {
-			continue
-		}
-		msgs = append(msgs, b)
-		metas = append(metas, msgMeta{wire.MsgReaction, uint8(i)})
-	}
-	return msgs, metas
-}
-
 // sendCurrent transmits the next unacknowledged message and arms the
 // retransmission timer. In end-to-end mode all messages go out back to
 // back, routed to the final destination, and a single completion ack is
-// awaited.
+// awaited. The radio copies what it delivers, so om.buf is free to reuse
+// once the transfer ends.
 func (n *Node) sendCurrent(om *outMigration) {
 	if n.cfg.EndToEndMigration {
-		for _, m := range om.msgs {
-			env := wire.Envelope{Src: n.loc, Dst: om.snap.dest, TTL: 32, Kind: uint8(radio.KindMigrate), Body: m}
-			if hop, ok := n.net.NextHop(om.snap.dest); ok {
+		for i := range om.metas {
+			env := wire.Envelope{Src: n.loc, Dst: om.dest, TTL: 32, Kind: uint8(radio.KindMigrate), Body: om.msg(i)}
+			if hop, ok := n.net.NextHop(om.dest); ok {
 				n.net.SendDirect(hop, radio.KindMigrate, env.Encode())
 			}
 		}
 		om.timer.Reset(n.cfg.AckTimeout * 10)
 		return
 	}
-	n.net.SendDirect(om.nextHop, radio.KindMigrate, om.msgs[om.acked])
+	n.net.SendDirect(om.nextHop, radio.KindMigrate, om.msg(om.acked))
 	om.timer.Reset(n.cfg.AckTimeout)
 }
 
@@ -320,7 +456,7 @@ func (n *Node) recvMigrationAck(f radio.Frame) {
 	om.timer.Stop()
 	om.acked++
 	om.retries = 0
-	if om.acked == len(om.msgs) {
+	if om.acked == len(om.metas) {
 		n.finishTransferOK(om)
 		return
 	}
@@ -331,7 +467,7 @@ func (n *Node) recvMigrationAck(f radio.Frame) {
 func (n *Node) finishTransferOK(om *outMigration) {
 	n.clearOut(om)
 	n.stats.MigrationsOK++
-	isClone := om.snap.kind.Clone()
+	isClone := om.kind.Clone()
 	// Clone transfers travel under the parent's ID (the clone's ID is
 	// minted at the destination), so crediting these hops would inflate
 	// a stationary cloning agent's hop count.
@@ -339,15 +475,24 @@ func (n *Node) finishTransferOK(om *outMigration) {
 		n.tracker.hopDone(n.sim.Now(), n.loc, om.key.agentID, true)
 	}
 	if n.trace.MigrationDone != nil {
-		n.trace.MigrationDone(n.loc, om.key.agentID, om.snap.kind, om.snap.dest, true)
+		n.trace.MigrationDone(n.loc, om.key.agentID, om.kind, om.dest, true)
 	}
-	if om.origin && isClone {
+	rec, origin := om.rec, om.origin
+	n.releaseOut(om)
+	if origin && isClone {
 		// The original keeps running with the condition set (§2.2).
-		n.resumeAgent(om.rec, 1)
+		n.resumeAgent(rec, 1)
 		return
 	}
-	// Moves, injections, and relayed agents leave this node entirely.
-	n.reclaim(om.rec.agent.ID)
+	// Moves, injections, and relayed agents leave this node entirely. A
+	// relayed agent lived only inside this file — admitted migrating by
+	// finalizeIn, never run, never enqueued — so its record and agent go
+	// back to the free lists.
+	relayed := !origin && n.hosted(rec.agent.ID) == rec
+	n.reclaim(rec.agent.ID)
+	if relayed {
+		n.recycle(rec)
+	}
 }
 
 // failTransfer implements the paper's failure semantics: "If the sender
@@ -359,9 +504,11 @@ func (n *Node) failTransfer(om *outMigration) {
 	n.stats.MigrationsFail++
 	n.tracker.hopDone(n.sim.Now(), n.loc, om.key.agentID, false)
 	if n.trace.MigrationDone != nil {
-		n.trace.MigrationDone(n.loc, om.key.agentID, om.snap.kind, om.snap.dest, false)
+		n.trace.MigrationDone(n.loc, om.key.agentID, om.kind, om.dest, false)
 	}
-	n.resumeAgent(om.rec, 0)
+	rec := om.rec
+	n.releaseOut(om)
+	n.resumeAgent(rec, 0)
 }
 
 func (n *Node) clearOut(om *outMigration) {
@@ -399,6 +546,8 @@ func (n *Node) recvMigrationData(f radio.Frame) {
 	n.acceptMigrationMsg(payload, from, e2e)
 }
 
+// acceptMigrationMsg files one migration message into its transfer. Data
+// fragments are written straight into the slots they fill.
 func (n *Node) acceptMigrationMsg(payload []byte, from topology.Location, e2e bool) {
 	t, err := wire.Type(payload)
 	if err != nil {
@@ -406,75 +555,83 @@ func (n *Node) acceptMigrationMsg(payload []byte, from topology.Location, e2e bo
 	}
 	switch t {
 	case wire.MsgState:
-		st, err := wire.DecodeState(payload)
-		if err != nil {
-			return
+		if st, err := wire.DecodeState(payload); err == nil {
+			n.recvState(st, from, e2e)
 		}
-		n.recvState(st, from, e2e)
 	case wire.MsgCode:
 		m, err := wire.DecodeCode(payload)
-		if err != nil {
-			return
+		if im, _ := n.fragment(err, m.AgentID, m.Seq, from, t, m.Index); im != nil {
+			copy(im.code[int(m.Index)*CodeBlockSize:], m.Block[:])
+			n.touchIn(im, t, m.Index)
 		}
-		key := inKey{migKey{m.AgentID, m.Seq}, from}
-		im := n.liveIn(key, wire.MsgCode, m.Index)
-		if im == nil {
-			return
-		}
-		im.code[m.Index] = m.Block
-		n.touchIn(im, wire.MsgCode, m.Index)
 	case wire.MsgHeap:
-		m, err := wire.DecodeHeap(payload)
-		if err != nil {
-			return
+		var buf [wire.HeapVarsPerMsg]wire.HeapEntry
+		m, err := wire.DecodeHeapInto(buf[:0], payload)
+		if im, fresh := n.fragment(err, m.AgentID, m.Seq, from, t, m.Index); im != nil {
+			for _, e := range m.Entries {
+				if int(e.Addr) < vm.HeapSlots && fresh {
+					im.heap[e.Addr] = e.Value // the first copy only, as sent
+				}
+			}
+			n.touchIn(im, t, m.Index)
 		}
-		key := inKey{migKey{m.AgentID, m.Seq}, from}
-		im := n.liveIn(key, wire.MsgHeap, m.Index)
-		if im == nil {
-			return
-		}
-		if !im.heapSeen[m.Index] {
-			im.heapSeen[m.Index] = true
-			im.heap = append(im.heap, m.Entries...)
-		}
-		n.touchIn(im, wire.MsgHeap, m.Index)
 	case wire.MsgStack:
-		m, err := wire.DecodeStack(payload)
-		if err != nil {
-			return
+		var buf [wire.StackVarsPerMsg]tuplespace.Value
+		m, err := wire.DecodeStackInto(buf[:0], payload)
+		if im, _ := n.fragment(err, m.AgentID, m.Seq, from, t, m.Index); im != nil {
+			copy(im.stack[int(m.Index)*wire.StackVarsPerMsg:], m.Values)
+			n.touchIn(im, t, m.Index)
 		}
-		key := inKey{migKey{m.AgentID, m.Seq}, from}
-		im := n.liveIn(key, wire.MsgStack, m.Index)
-		if im == nil {
-			return
-		}
-		im.stack[m.Index] = m.Values
-		n.touchIn(im, wire.MsgStack, m.Index)
 	case wire.MsgReaction:
 		m, err := wire.DecodeReaction(payload)
-		if err != nil {
-			return
+		if im, _ := n.fragment(err, m.AgentID, m.Seq, from, t, m.Index); im != nil {
+			im.rxns[m.Index] = tuplespace.Reaction{AgentID: m.AgentID, Template: m.Template, PC: m.PC}
+			n.touchIn(im, t, m.Index)
 		}
-		key := inKey{migKey{m.AgentID, m.Seq}, from}
-		im := n.liveIn(key, wire.MsgReaction, m.Index)
-		if im == nil {
-			return
-		}
-		im.rxns[m.Index] = tuplespace.Reaction{AgentID: m.AgentID, Template: m.Template, PC: m.PC}
-		n.touchIn(im, wire.MsgReaction, m.Index)
 	}
+}
+
+// fragment finds the open transfer a decoded data fragment belongs to and
+// marks the fragment received, reporting whether it is the first copy. It
+// returns nil for an undecodable fragment, for one with no open transfer
+// (re-acking it if its transfer already finished), and for one whose
+// index the state header does not announce: dropped unacked, it can never
+// complete a transfer.
+func (n *Node) fragment(err error, id, seq uint16, from topology.Location, t wire.MsgType, idx uint8) (im *inMigration, fresh bool) {
+	if err != nil {
+		return nil, false
+	}
+	key := inKey{migKey{id, seq}, from}
+	if im = n.liveIn(key, t, idx); im == nil || idx >= im.want(t) {
+		return nil, false
+	}
+	return im, im.mark(t, idx)
+}
+
+// consistent reports whether a state header describes a transfer the
+// receiver can reassemble into fixed slots: exactly the code blocks
+// CodeLen needs, a stack that fits and exactly the stack messages that
+// cover it, and no more heap messages than the heap has slots for.
+func consistent(st wire.StateMsg) bool {
+	return int(st.NCode) == BlocksFor(int(st.CodeLen)) &&
+		int(st.SP) <= vm.StackDepth &&
+		int(st.NStack) == (int(st.SP)+wire.StackVarsPerMsg-1)/wire.StackVarsPerMsg &&
+		int(st.NHeap) <= (vm.HeapSlots+wire.HeapVarsPerMsg-1)/wire.HeapVarsPerMsg
 }
 
 // recvState opens (or re-acks) an inbound transfer.
 func (n *Node) recvState(st wire.StateMsg, from topology.Location, e2e bool) {
 	key := inKey{migKey{st.AgentID, st.Seq}, from}
-	if _, finished := n.done[key]; finished {
+	if n.done.has(key) {
 		n.ackIn(from, key, wire.MsgState, 0, e2e)
 		return
 	}
 	if im, ok := n.in[key]; ok {
 		n.touchIn(im, wire.MsgState, 0)
 		return
+	}
+	if !consistent(st) {
+		return // a malformed header; the sender times out and fails over
 	}
 	// Admission control: an agent slot plus instruction memory must be
 	// available before the transfer is accepted. A refused transfer is
@@ -486,17 +643,10 @@ func (n *Node) recvState(st wire.StateMsg, from topology.Location, e2e bool) {
 		return // an agent with this identity already lives here
 	}
 	n.reserve++
-	im := &inMigration{
-		key:      key,
-		st:       st,
-		code:     make(map[uint8][CodeBlockSize]byte),
-		heapSeen: make(map[uint8]bool),
-		stack:    make(map[uint8][]tuplespace.Value),
-		rxns:     make(map[uint8]tuplespace.Reaction),
-		e2e:      e2e,
-	}
-	im.stall.Init(n.sim, func() { n.abortIn(im) })
-	im.haveState = true
+	im := n.newIn()
+	im.key, im.st, im.e2e = key, st, e2e
+	im.code = slices.Grow(im.code[:0], int(st.NCode)*CodeBlockSize)[:int(st.NCode)*CodeBlockSize]
+	im.rxns = slices.Grow(im.rxns[:0], int(st.NRxn))[:st.NRxn]
 	put(&n.in, key, im)
 	n.touchIn(im, wire.MsgState, 0)
 }
@@ -507,7 +657,7 @@ func (n *Node) liveIn(key inKey, t wire.MsgType, idx uint8) *inMigration {
 	if im, ok := n.in[key]; ok {
 		return im
 	}
-	if _, finished := n.done[key]; finished {
+	if n.done.has(key) {
 		n.ackIn(key.from, key, t, idx, n.cfg.EndToEndMigration)
 	}
 	return nil
@@ -524,10 +674,9 @@ func (n *Node) touchIn(im *inMigration, t wire.MsgType, idx uint8) {
 	}
 	im.stall.Reset(n.cfg.ReceiverStall)
 	if n.inComplete(im) {
-		im.finalizing = true
-		im.stall.Stop()
 		// Reassembling and installing the agent costs CPU time.
-		n.sim.Schedule(n.cfg.MigRecvOverhead, func() { n.finalizeIn(im) })
+		im.finalizing = true
+		im.stall.Reset(n.cfg.MigRecvOverhead)
 	}
 }
 
@@ -543,39 +692,43 @@ func (n *Node) ackIn(to topology.Location, key inKey, t wire.MsgType, idx uint8,
 		}
 		return
 	}
-	n.net.SendDirect(to, radio.KindMigrateCtl, ack.Encode())
+	// The radio copies what it delivers, so one shard scratch serves.
+	n.ackBuf = ack.Append(n.ackBuf[:0])
+	n.net.SendDirect(to, radio.KindMigrateCtl, n.ackBuf)
 }
 
 func (n *Node) inComplete(im *inMigration) bool {
-	if !im.haveState {
-		return false
+	for t := wire.MsgCode; t <= wire.MsgReaction; t++ {
+		if im.have[t-wire.MsgCode] < im.want(t) {
+			return false
+		}
 	}
-	if len(im.code) < int(im.st.NCode) {
-		return false
+	return true
+}
+
+// onStall is im's timer: the stall abort while fragments are awaited, the
+// end of the reassembly overhead once they are all in.
+func (n *Node) onStall(im *inMigration) {
+	if im.finalizing {
+		n.finalizeIn(im)
+		return
 	}
-	if len(im.heapSeen) < int(im.st.NHeap) {
-		return false
-	}
-	if len(im.stack) < int(im.st.NStack) {
-		return false
-	}
-	return len(im.rxns) >= int(im.st.NRxn)
+	n.abortIn(im)
 }
 
 // abortIn implements the receiver stall abort (§3.2).
 func (n *Node) abortIn(im *inMigration) {
-	if n.in[im.key] != im || im.finalizing {
-		return
-	}
 	delete(n.in, im.key)
 	n.reserve--
+	n.releaseIn(im)
 }
 
 // finalizeIn instantiates the transferred agent, either to run here (final
 // destination) or to be relayed onward.
 func (n *Node) finalizeIn(im *inMigration) {
+	defer n.releaseIn(im)
 	if n.in[im.key] != im {
-		return
+		return // the node crashed during the reassembly delay
 	}
 	delete(n.in, im.key)
 	n.reserve--
@@ -586,15 +739,6 @@ func (n *Node) finalizeIn(im *inMigration) {
 	}
 
 	st := im.st
-	code := make([]byte, 0, int(st.CodeLen))
-	for i := uint8(0); i < st.NCode; i++ {
-		block := im.code[i]
-		code = append(code, block[:]...)
-	}
-	if len(code) > int(st.CodeLen) {
-		code = code[:st.CodeLen]
-	}
-
 	atDest := n.loc == st.Dest
 	id := st.AgentID
 	isClone := st.Kind.Clone()
@@ -606,33 +750,28 @@ func (n *Node) finalizeIn(im *inMigration) {
 		return // duplicate arrival of an agent that already lives here
 	}
 
-	a := vm.NewAgent(id, code)
+	// The code buffer becomes the agent's; a recycled agent's old buffer
+	// goes back to im for the next transfer.
+	a := n.newAgent()
+	code := im.code[:st.CodeLen]
+	im.code = a.Code[:0]
+	*a = vm.Agent{ID: id, Code: code}
 	if st.Kind.Strong() {
 		a.PC = st.PC
 		a.Condition = st.Cond
-		var stack []tuplespace.Value
-		for i := uint8(0); i < st.NStack; i++ {
-			stack = append(stack, im.stack[i]...)
-		}
-		if err := a.SetStack(stack); err != nil {
-			return // corrupt transfer; drop
-		}
-		for _, e := range im.heap {
-			if int(e.Addr) < vm.HeapSlots {
-				a.Heap[e.Addr] = e.Value
-			}
-		}
+		_ = a.SetStack(im.stack[:st.SP]) // consistent bounds SP by the stack depth
+		a.Heap = im.heap
 	}
 
 	rec, err := n.admitRecord(a)
 	if err != nil {
+		n.agentFree = append(n.agentFree, a)
 		return // capacity vanished despite the reservation; drop
 	}
 	// Restore the agent's reactions (§3.2: "When an agent arrives, it
 	// automatically restores all of the agent's reactions").
 	if st.Kind.Strong() {
-		for i := uint8(0); i < st.NRxn; i++ {
-			r := im.rxns[i]
+		for _, r := range im.rxns {
 			r.AgentID = id
 			_ = n.registry.Register(r)
 		}
@@ -652,15 +791,43 @@ func (n *Node) finalizeIn(im *inMigration) {
 		return
 	}
 	// Relay: keep the agent suspended and continue toward the final
-	// destination. If forwarding fails the agent becomes resident here
-	// with condition zero (duplicate-tolerant semantics).
-	rec.state = AgentMigrating
-	snap := n.snapshotAgent(rec, st.Kind, st.Dest)
-	// Preserve in-flight register state for strong transfers.
-	snap.pc, snap.cond = st.PC, st.Cond
-	n.sim.Schedule(n.cfg.MigSendOverhead, func() {
-		n.beginTransfer(rec, snap, false)
-	})
+	// destination, its in-flight registers as they arrived. If forwarding
+	// fails the agent becomes resident here with condition zero
+	// (duplicate-tolerant semantics).
+	n.packAgent(rec, st.Kind, st.Dest, false).timer.Reset(n.cfg.MigSendOverhead)
+}
+
+// newAgent takes a recycled agent from the shard's free list, or makes
+// one.
+func (n *Node) newAgent() *vm.Agent {
+	if a := pop(&n.agentFree); a != nil {
+		return a
+	}
+	return new(vm.Agent)
+}
+
+// pop removes and returns the last entry of a free list, or nil.
+func pop[T any](free *[]*T) *T {
+	l := *free
+	if len(l) == 0 {
+		return nil
+	}
+	v := l[len(l)-1]
+	l[len(l)-1] = nil
+	*free = l[:len(l)-1]
+	return v
+}
+
+// recycle returns a relayed agent's reclaimed record and agent, wiped, to
+// the shard's free lists. The agent keeps its code buffer's capacity for
+// a later transfer; the record's sleep timer was never bound, because the
+// agent never ran here.
+func (n *Node) recycle(rec *record) {
+	a := rec.agent
+	*a = vm.Agent{Code: a.Code[:0]}
+	*rec = record{}
+	n.agentFree = append(n.agentFree, a)
+	n.recFree = append(n.recFree, rec)
 }
 
 // admitRecord installs an agent without enqueueing it; callers decide when
@@ -672,13 +839,11 @@ func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
 	if err := n.instr.Alloc(a.ID, len(a.Code)); err != nil {
 		return nil, err
 	}
-	rec := &record{agent: a, state: AgentMigrating, arrivedAt: n.sim.Now()}
-	rec.wake.Init(n.sim, func() {
-		if rec.state == AgentSleeping {
-			rec.state = AgentReady
-			n.enqueue(rec)
-		}
-	})
+	rec := pop(&n.recFree)
+	if rec == nil {
+		rec = new(record)
+	}
+	rec.agent, rec.state, rec.arrivedAt = a, AgentMigrating, n.sim.Now()
 	if n.burst {
 		rec.prog = progCache.Get(a.Code)
 	}
@@ -688,22 +853,60 @@ func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
 	n.agents[i] = rec
 	n.stats.AgentsHosted++
 	n.replicaMuted(func() {
-		_ = n.space.Out(tuplespace.T(tuplespace.Str("agt"), tuplespace.AgentIDV(a.ID)))
+		_ = n.space.Out(n.presence(a.ID))
 	})
 	return rec, nil
 }
 
-// rememberDone records a finalized transfer so retransmitted stragglers
-// are re-acked instead of reopening the transfer. Entries are garbage
-// collected after a grace period.
-func (n *Node) rememberDone(key inKey) {
-	now := n.sim.Now()
-	put(&n.done, key, now)
-	const grace = 3 * time.Second
-	//lint:maprange each entry is tested and deleted independently
-	for k, t := range n.done {
-		if now-t > grace {
-			delete(n.done, k)
+// presence returns the <"agt", id> tuple that announces a hosted agent.
+// Tuples are immutable once built, so the shard builds each agent's once
+// and every node it visits stores the same one.
+func (n *Node) presence(id uint16) tuplespace.Tuple {
+	t, ok := n.agt[id]
+	if !ok {
+		t = tuplespace.T(tuplespace.Str("agt"), tuplespace.AgentIDV(id))
+		put(&n.agt, id, t)
+	}
+	return t
+}
+
+// doneLog holds a node's recently finalized inbound transfers, oldest
+// first, so retransmitted stragglers are re-acked instead of reopening the
+// transfer. A node's clock only moves forward, so entries are appended in
+// time order and expire from the front.
+type doneLog []doneEntry
+
+type doneEntry struct {
+	key inKey
+	at  time.Duration
+}
+
+// has reports whether key was finalized within the grace period (or
+// after it, if no finalize has expired it yet).
+func (l *doneLog) has(key inKey) bool {
+	if l == nil {
+		return false
+	}
+	for _, e := range *l {
+		if e.key == key {
+			return true
 		}
 	}
+	return false
+}
+
+// rememberDone records a finalized transfer and expires entries older
+// than the grace period.
+func (n *Node) rememberDone(key inKey) {
+	const grace = 3 * time.Second
+	now := n.sim.Now()
+	if n.done == nil {
+		n.done = new(doneLog)
+	}
+	l := *n.done
+	i := 0
+	for i < len(l) && now-l[i].at > grace {
+		i++
+	}
+	*n.done = append(l[:copy(l, l[i:])], doneEntry{key: key, at: now})
 }

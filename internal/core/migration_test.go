@@ -1,14 +1,18 @@
 package core
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/asm"
+	"github.com/agilla-go/agilla/internal/network"
 	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/internal/sensor"
+	"github.com/agilla-go/agilla/internal/sim"
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
+	"github.com/agilla-go/agilla/internal/vm"
 	"github.com/agilla-go/agilla/internal/wire"
 )
 
@@ -489,5 +493,359 @@ func TestEndToEndMigrationAblation(t *testing.T) {
 	runFor(t, d, 5*time.Second)
 	if !hasMarker(dst, 42) {
 		t.Error("end-to-end migration failed on a clean link")
+	}
+}
+
+// TestFragmentIndexesBoundTheTransfer: a transfer completes only when
+// every fragment its state header announces has arrived. A fragment whose
+// index the header does not announce is dropped, so it can neither stand
+// in for a missing block nor leave the agent with a zeroed one, and a
+// header whose counts do not describe its own agent opens no transfer.
+func TestFragmentIndexesBoundTheTransfer(t *testing.T) {
+	code := asm.MustAssemble(`
+		pushc 1
+		pushc 2
+		pushc 3
+		pushc 4
+		pushc 5
+		pushc 6
+		pushc 7
+		pushc 8
+		pushc 9
+		pushc 10
+		pushc 11
+		pushc 12
+		wait
+	`)
+	if BlocksFor(len(code)) != 2 {
+		t.Fatalf("test program spans %d blocks, want 2", BlocksFor(len(code)))
+	}
+	from, at := topology.Loc(1, 1), topology.Loc(2, 1)
+	const id = 0x0107
+	header := wire.StateMsg{AgentID: id, Seq: 1, Kind: wire.MigStrongMove, Dest: at,
+		CodeLen: uint16(len(code)), SP: 2, NCode: 2, NStack: 1}
+	block := func(i uint8) []byte {
+		m := wire.CodeMsg{AgentID: id, Seq: 1, Index: i}
+		copy(m.Block[:], code[min(int(i)*CodeBlockSize, len(code)):])
+		return m.Append(nil)
+	}
+	stack := func(i uint8) []byte {
+		b, err := wire.StackMsg{AgentID: id, Seq: 1, Index: i,
+			Values: []tuplespace.Value{tuplespace.Int(40), tuplespace.Int(41)}}.Append(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	with := func(edit func(*wire.StateMsg)) []byte {
+		st := header
+		edit(&st)
+		return st.Append(nil)
+	}
+
+	for _, tc := range []struct {
+		name   string
+		frames [][]byte
+		open   bool // a transfer is open after the frames
+	}{
+		{"code index past NCode", [][]byte{header.Append(nil), block(0), block(7), stack(0)}, true},
+		{"stack index past NStack", [][]byte{header.Append(nil), block(0), block(1), stack(3)}, true},
+		{"fewer blocks than CodeLen needs", [][]byte{with(func(st *wire.StateMsg) { st.NCode = 1 })}, false},
+		{"stack messages short of SP", [][]byte{with(func(st *wire.StateMsg) { st.SP = 5 })}, false},
+		{"SP beyond the stack", [][]byte{with(func(st *wire.StateMsg) { st.SP, st.NStack = 17, 5 })}, false},
+		{"more heap messages than slots", [][]byte{with(func(st *wire.StateMsg) { st.NHeap = 4 })}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := quietDeployment(t, 2, 1)
+			if err := d.WarmUp(); err != nil {
+				t.Fatal(err)
+			}
+			n := d.Node(at)
+			for _, p := range tc.frames {
+				n.ReceiveFrame(radio.Frame{Src: from, Dst: at, Kind: radio.KindMigrate, Payload: p})
+			}
+			if got := len(n.in) == 1; got != tc.open {
+				t.Fatalf("transfer open = %v, want %v", got, tc.open)
+			}
+			for _, im := range n.in {
+				if im.finalizing {
+					t.Fatal("an unannounced fragment completed the transfer")
+				}
+			}
+			runFor(t, d, time.Second)
+			if h := n.Stats().AgentsHosted; h != 0 {
+				t.Fatalf("%d agents installed from an incomplete or malformed transfer", h)
+			}
+			if len(n.in) != 0 || n.reserve != 0 {
+				t.Fatalf("transfer not released: %d open, %d reserved", len(n.in), n.reserve)
+			}
+		})
+	}
+
+	// The announced fragments alone complete it, with every block intact.
+	d := quietDeployment(t, 2, 1)
+	if err := d.WarmUp(); err != nil {
+		t.Fatal(err)
+	}
+	n := d.Node(at)
+	for _, p := range [][]byte{header.Append(nil), block(0), block(7), stack(3), block(1), stack(0)} {
+		n.ReceiveFrame(radio.Frame{Src: from, Dst: at, Kind: radio.KindMigrate, Payload: p})
+	}
+	runFor(t, d, time.Second)
+	a, ok := n.Agent(id)
+	if !ok {
+		t.Fatal("complete transfer did not install the agent")
+	}
+	if string(a.Code) != string(code) {
+		t.Fatalf("code = %x, want %x", a.Code, code)
+	}
+}
+
+// TestPooledRecordsAreSafeToReuse: an inbound record comes back wiped from
+// a stalled transfer, and the next transfer that takes it sees none of the
+// last one's blocks, stack slots or reaction bits. A record is moved to
+// another mote only once no entry of its timer is queued; on its own mote
+// it is reused at once, and the stale entry its last transfer left behind
+// never fires into the new one.
+func TestPooledRecordsAreSafeToReuse(t *testing.T) {
+	d := quietDeployment(t, 3, 1)
+	if err := d.WarmUp(); err != nil {
+		t.Fatal(err)
+	}
+	from, at, other := topology.Loc(1, 1), topology.Loc(2, 1), topology.Loc(3, 1)
+	n := d.Node(at)
+	code := asm.MustAssemble(strings.Repeat("pushc 1\npop\n", 8) + "wait")
+	const id = 0x0109
+	send := func(to *Node, p []byte) {
+		to.ReceiveFrame(radio.Frame{Src: from, Dst: to.Loc(), Kind: radio.KindMigrate, Payload: p})
+	}
+	// A strong move of the program above with a five-slot stack (two stack
+	// messages) and one reaction: nine fragments after the header.
+	frames := func(seq uint16, dest topology.Location) (header []byte, blocks, stack [2][]byte, rxn []byte) {
+		header = wire.StateMsg{AgentID: id, Seq: seq, Kind: wire.MigStrongMove, Dest: dest,
+			CodeLen: uint16(len(code)), SP: 5, NCode: 2, NStack: 2, NRxn: 1}.Append(nil)
+		for i := range blocks {
+			m := wire.CodeMsg{AgentID: id, Seq: seq, Index: uint8(i)}
+			copy(m.Block[:], code[i*CodeBlockSize:])
+			blocks[i] = m.Append(nil)
+		}
+		for i, vs := range [][]tuplespace.Value{
+			{tuplespace.Int(1), tuplespace.Int(2), tuplespace.Int(3), tuplespace.Int(4)},
+			{tuplespace.Int(5)},
+		} {
+			b, err := wire.StackMsg{AgentID: id, Seq: seq, Index: uint8(i), Values: vs}.Append(nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stack[i] = b
+		}
+		rxn, err := wire.ReactionMsg{AgentID: id, Seq: seq, PC: 4,
+			Template: tuplespace.Tmpl(tuplespace.TypeV(tuplespace.TypeValue))}.Append(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return header, blocks, stack, rxn
+	}
+	inOpen := func() *inMigration {
+		t.Helper()
+		if len(n.in) != 1 {
+			t.Fatalf("%d transfers open, want 1", len(n.in))
+		}
+		for _, im := range n.in {
+			return im
+		}
+		return nil
+	}
+
+	// Transfer 1 delivers block 0, stack message 0 and the reaction, then
+	// stalls and is aborted.
+	h, blocks, stack, rxn := frames(1, at)
+	send(n, h)
+	first := inOpen()
+	send(n, blocks[0])
+	send(n, stack[0])
+	send(n, rxn)
+	runFor(t, d, time.Second)
+	if len(n.in) != 0 || len(n.inFree) != 1 || n.inFree[0] != first {
+		t.Fatalf("stalled record not released: %d open, free list %v", len(n.in), n.inFree)
+	}
+	if first.got != [5]uint64{} || first.have != [4]uint8{} || first.heap != [vm.HeapSlots]tuplespace.Value{} ||
+		first.stack != [vm.StackDepth]tuplespace.Value{} || len(first.rxns) != 0 || first.n != nil {
+		t.Fatalf("released record not wiped: got %x have %v heap %v stack %v rxns %v", first.got, first.have, first.heap, first.stack, first.rxns)
+	}
+
+	// Transfer 2 takes the same record and gets only the fragments transfer
+	// 1 missed: a stale bit would complete it.
+	h, blocks, stack, rxn = frames(2, at)
+	send(n, h)
+	if inOpen() != first {
+		t.Fatal("the next transfer did not reuse the released record")
+	}
+	send(n, blocks[1])
+	send(n, stack[1])
+	if first.finalizing {
+		t.Fatal("fragments of the aborted transfer counted toward the next one")
+	}
+	send(n, blocks[0])
+	send(n, stack[0])
+	send(n, rxn)
+	if !first.finalizing {
+		t.Fatal("transfer incomplete after every fragment arrived")
+	}
+	// Finalizing re-armed the timer for the reassembly delay, so the stall
+	// deadline armed just before it is a stale entry, due in 0.25 s. The
+	// kernel drops a stale entry early once it reaches the head of the
+	// heap; an earlier harness event keeps this one queued.
+	d.Sim.Context(sim.RootKey).Schedule(200*time.Millisecond, func() {})
+	runFor(t, d, 100*time.Millisecond)
+	a, ok := n.Agent(id)
+	if !ok || string(a.Code) != string(code) || a.StackDepthUsed() != 5 || n.Registry().Len() != 1 {
+		t.Fatalf("agent = %+v (hosted %v), %d reactions", a, ok, n.Registry().Len())
+	}
+	if !n.KillAgent(id) {
+		t.Fatal("agent gone before it was killed")
+	}
+
+	// Another mote cannot take the record while that stale entry is queued.
+	h, _, _, _ = frames(3, other)
+	send(d.Node(other), h)
+	if len(n.inFree) != 1 || n.inFree[0] != first {
+		t.Fatal("record with a queued timer entry moved to another mote")
+	}
+	// Its own mote can: transfer 4 reuses it before the stale entry is due,
+	// and stays open past that instant until its own stall deadline.
+	h, blocks, _, _ = frames(4, at)
+	send(n, h)
+	if inOpen() != first {
+		t.Fatal("the record was not reused on its own mote")
+	}
+	send(n, blocks[0])
+	runFor(t, d, 200*time.Millisecond) // past the stale deadline, short of the new one
+	if inOpen() != first || first.finalizing {
+		t.Fatal("a stale timer entry fired into the transfer that reused the record")
+	}
+	runFor(t, d, 100*time.Millisecond)
+	if len(n.in) != 0 {
+		t.Fatal("reused transfer did not stall out at its own deadline")
+	}
+}
+
+// hopRig drives one mote of a quiet 3×1 line through strong-move hops
+// from (1,1), fragment by fragment, with every frame it sends dropped
+// before the radio copies it: what is counted is the mote's own work.
+type hopRig struct {
+	t        *testing.T
+	d        *Deployment
+	n        *Node
+	from, to topology.Location // previous hop; the agent's destination
+	code     []byte
+	seq      uint16
+	buf      []byte
+}
+
+const hopAgent = 0x0203
+
+func newHopRig(t *testing.T, dest topology.Location) *hopRig {
+	params := radio.ZeroLoss()
+	d, err := NewDeployment(DeploymentSpec{
+		Layout: topology.GridLayout(3, 1), Seed: 5, Radio: &params, Field: sensor.Constant(0),
+		// One beacon round for the warm-up, then silence.
+		Node: Config{Network: network.Config{BeaconEvery: time.Hour, ExpireAfter: 10 * time.Hour}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WarmUp(); err != nil {
+		t.Fatal(err)
+	}
+	d.Medium.Drop = func(radio.Frame, topology.Location) bool { return true }
+	return &hopRig{
+		t: t, d: d, n: d.Node(topology.Loc(2, 1)), from: topology.Loc(1, 1), to: dest,
+		// Two code blocks; on arrival the agent restores a five-slot stack
+		// and a heap variable, then halts.
+		code: asm.MustAssemble(strings.Repeat("pushc 1\npop\n", 8) + "halt"),
+		buf:  make([]byte, 0, 64),
+	}
+}
+
+func (r *hopRig) deliver(kind radio.FrameKind, src topology.Location, p []byte) {
+	r.n.ReceiveFrame(radio.Frame{Src: src, Dst: r.n.Loc(), Kind: kind, Payload: p})
+}
+
+// hop delivers one transfer, lets the mote finalize it and, when it is a
+// relay, acknowledges every message it forwards.
+func (r *hopRig) hop() {
+	r.seq++
+	id, seq := uint16(hopAgent), r.seq
+	r.buf = wire.StateMsg{AgentID: id, Seq: seq, Kind: wire.MigStrongMove, Dest: r.to,
+		CodeLen: uint16(len(r.code)), SP: 5, NCode: 2, NHeap: 1, NStack: 2}.Append(r.buf[:0])
+	r.deliver(radio.KindMigrate, r.from, r.buf)
+	for i := uint8(0); i < 2; i++ {
+		m := wire.CodeMsg{AgentID: id, Seq: seq, Index: i}
+		copy(m.Block[:], r.code[int(i)*CodeBlockSize:])
+		r.buf = m.Append(r.buf[:0])
+		r.deliver(radio.KindMigrate, r.from, r.buf)
+	}
+	heap := [1]wire.HeapEntry{{Addr: 3, Value: tuplespace.Int(77)}}
+	r.buf, _ = wire.HeapMsg{AgentID: id, Seq: seq, Entries: heap[:]}.Append(r.buf[:0])
+	r.deliver(radio.KindMigrate, r.from, r.buf)
+	stack := [5]tuplespace.Value{tuplespace.Int(1), tuplespace.Int(2), tuplespace.Int(3), tuplespace.Int(4), tuplespace.Int(5)}
+	for i := uint8(0); i < 2; i++ {
+		r.buf, _ = wire.StackMsg{AgentID: id, Seq: seq, Index: i, Values: stack[4*i : min(4*i+4, 5)]}.Append(r.buf[:0])
+		r.deliver(radio.KindMigrate, r.from, r.buf)
+	}
+	cfg := r.n.Config()
+	if err := r.d.Sim.Run(r.d.Sim.Now() + cfg.MigRecvOverhead + cfg.MigSendOverhead); err != nil {
+		r.t.Fatal(err)
+	}
+	for _, om := range r.n.out {
+		for om.started && r.n.out[om.key] == om {
+			want := om.metas[om.acked]
+			r.buf = wire.AckMsg{AgentID: id, Seq: om.key.seq, Of: want.typ, Index: want.idx}.Append(r.buf[:0])
+			r.deliver(radio.KindMigrateCtl, r.to, r.buf)
+		}
+	}
+}
+
+// TestHopAllocatesOnlyTheAgent pins a warm strong-move hop's allocations
+// at the mote it crosses: none at a relay, whose record and agent are
+// recycled, and at the destination only what stays there — the agent,
+// its record and its code.
+func TestHopAllocatesOnlyTheAgent(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		name string
+		dest topology.Location
+		most float64
+	}{
+		{"relay", topology.Loc(3, 1), 0},
+		{"destination", topology.Loc(2, 1), 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newHopRig(t, tc.dest)
+			// Warm past the 3 s duplicate-suppression window, so the done
+			// log has reached its steady length.
+			for i := 0; i < 40; i++ {
+				r.hop()
+			}
+			before := r.n.Stats()
+			got := testing.AllocsPerRun(50, r.hop)
+			t.Logf("%s hop: %.0f allocations", tc.name, got)
+			after := r.n.Stats()
+			if hosted := after.AgentsHosted - before.AgentsHosted; hosted != 51 {
+				t.Fatalf("%d agents arrived in 51 hops", hosted)
+			}
+			if tc.dest != r.n.Loc() && after.MigrationsOK-before.MigrationsOK != 51 {
+				t.Fatalf("%d of 51 relays completed", after.MigrationsOK-before.MigrationsOK)
+			}
+			if got > tc.most {
+				t.Fatalf("a %s hop allocates %.0f objects, want <= %.0f", tc.name, got, tc.most)
+			}
+			if r.n.NumAgents() != 0 || len(r.n.in) != 0 || len(r.n.out) != 0 {
+				t.Fatalf("hop left state behind: %d agents, %d in, %d out", r.n.NumAgents(), len(r.n.in), len(r.n.out))
+			}
+		})
 	}
 }

@@ -150,16 +150,16 @@ type Node struct {
 	// reads, deletes and clears of a nil map are no-ops).
 	out    map[migKey]*outMigration
 	in     map[inKey]*inMigration
-	done   map[inKey]time.Duration // recently finalized, for duplicate acks
+	done   *doneLog // recently finalized, for duplicate acks
 	remote map[uint16]*pendingRemote
 	served map[servedKey]servedReply // responder-side reply cache
 
 	stats NodeStats
 }
 
-// put stores v under k in one of a node's protocol session tables,
-// creating the table at its first entry — the one way anything gets into
-// them.
+// put stores v under k in one of a node's protocol session tables (or the
+// shard's presence tuples), creating the table at its first entry — the
+// one way anything gets into them.
 func put[K comparable, V any](table *map[K]V, k K, v V) {
 	if *table == nil {
 		*table = make(map[K]V)
@@ -170,12 +170,24 @@ func put[K comparable, V any](table *map[K]V, k K, v V) {
 // shardEnv is what the nodes of one deployment that run on one executor
 // shard share instead of each owning a copy. Events of one shard never
 // overlap and engine steps never nest, so one scratch outcome serves them
-// all; shards run concurrently, so each gets its own.
+// all; shards run concurrently, so each gets its own. The free lists of
+// migration state live here too, so a mote that has never moved an agent
+// pays nothing for them.
 type shardEnv struct {
 	cfg     Config        // defaults applied; never written after construction
 	trace   *Trace        // the deployment's hook table; never nil
 	tracker *agentTracker // deployment-wide agent registry; never nil
 	stepOut vm.Outcome    // engineStep's scratch outcome
+
+	// Released transfer records, and the records and agents of relayed
+	// agents (see migration.go).
+	outFree   []*outMigration
+	inFree    []*inMigration
+	recFree   []*record
+	agentFree []*vm.Agent
+	agt       map[uint16]tuplespace.Tuple // presence tuples by agent ID
+	ackBuf    []byte                      // ackIn's encoding scratch
+	rxnBuf    []tuplespace.Reaction       // encodeAgent's scratch
 }
 
 // newNode builds a mote at loc, attaches it to the medium, and seeds its
@@ -303,7 +315,8 @@ func (n *Node) AgentInfo(id uint16) (AgentState, bool) {
 }
 
 // Agent returns the VM state of a hosted agent (tests and the CLI inspect
-// through this).
+// through this). The pointer is the agent's while it is hosted here: the
+// agent of a relayed transfer is recycled once it has left.
 func (n *Node) Agent(id uint16) (*vm.Agent, bool) {
 	rec := n.hosted(id)
 	if rec == nil {
@@ -383,7 +396,7 @@ func (n *Node) reclaim(id uint16) {
 	n.instr.Free(id)
 	n.registry.RemoveAgent(id)
 	n.replicaMuted(func() {
-		n.space.Inp(tuplespace.Tmpl(tuplespace.Str("agt"), tuplespace.AgentIDV(id)))
+		n.space.Drop(tuplespace.Tmpl(tuplespace.Str("agt"), tuplespace.AgentIDV(id)))
 	})
 	copy(n.agents[i:], n.agents[i+1:])
 	n.agents[len(n.agents)-1] = nil

@@ -129,9 +129,9 @@ func (n *Node) Crash(cause DownCause) bool {
 	n.runq.Clear()
 	// Volatile protocol sessions vanish with the RAM; peers time out and
 	// run their failure paths.
-	//lint:maprange independent timer cancellations; no cross-entry effects
+	//lint:maprange independent releases; no cross-entry effects
 	for _, om := range n.out {
-		om.timer.Stop()
+		n.releaseOut(om)
 	}
 	clear(n.out)
 	// Iterate inbound sessions in a deterministic order: the per-agent
@@ -157,16 +157,21 @@ func (n *Node) Crash(cause DownCause) bool {
 	})
 	for _, k := range inKeys {
 		im := n.in[k]
-		im.stall.Stop()
+		if !im.finalizing {
+			n.releaseIn(im)
+			continue
+		}
 		// A fully-received transfer awaiting finalizeIn is special: the
 		// sender has been acked and has (or is about to have) released
 		// its copy, so the agent exists only in this mote's reassembly
 		// buffer — it dies here, and its record must say so or handles
-		// would report AgentMigrating forever. Incomplete transfers need
-		// nothing: the sender times out and fails over. Clone transfers
-		// travel under the parent's ID while the parent lives on at the
-		// origin, so only moves and injections die.
-		if im.finalizing && !im.st.Kind.Clone() {
+		// would report AgentMigrating forever. Incomplete transfers,
+		// released above, need nothing more: the sender times out and
+		// fails over. Clone transfers travel under the parent's ID while
+		// the parent lives on at the origin, so only moves and injections
+		// die. The timer still fires finalizeIn, which finds the transfer
+		// gone and releases it.
+		if !im.st.Kind.Clone() {
 			id := im.key.agentID
 			n.stats.AgentsDied++
 			n.tracker.finish(n.sim.Now(), n.loc, id, false, ErrNodeDown)
@@ -176,7 +181,7 @@ func (n *Node) Crash(cause DownCause) bool {
 		}
 	}
 	clear(n.in)
-	clear(n.done)
+	n.done = nil
 	//lint:maprange independent timer cancellations; no cross-entry effects
 	for _, pr := range n.remote {
 		pr.timer.Stop()

@@ -34,25 +34,25 @@ func Fig5Sizes() (*Fig5Result, error) {
 		{Addr: 1, Value: tuplespace.Int(2)},
 		{Addr: 2, Value: tuplespace.Int(3)},
 		{Addr: 3, Value: tuplespace.Int(4)},
-	}}).Encode()
+	}}).Append(nil)
 	if err != nil {
 		return nil, err
 	}
 	stack, err := (wire.StackMsg{Values: []tuplespace.Value{
 		tuplespace.Int(1), tuplespace.Int(2), tuplespace.Int(3), tuplespace.Int(4),
-	}}).Encode()
+	}}).Append(nil)
 	if err != nil {
 		return nil, err
 	}
 	rxn, err := (wire.ReactionMsg{PC: 6, Template: tuplespace.Tmpl(
 		tuplespace.Str("fir"), tuplespace.TypeV(tuplespace.TypeLocation),
-	)}).Encode()
+	)}).Append(nil)
 	if err != nil {
 		return nil, err
 	}
 	return &Fig5Result{Rows: []Fig5Row{
-		{"State", len(wire.StateMsg{}.Encode()), "program counter, code size, condition code, stack pointer"},
-		{"Code", len(wire.CodeMsg{}.Encode()), "one instruction block"},
+		{"State", len(wire.StateMsg{}.Append(nil)), "program counter, code size, condition code, stack pointer"},
+		{"Code", len(wire.CodeMsg{}.Append(nil)), "one instruction block"},
 		{"Heap", len(heap), "four variables and their addresses"},
 		{"Stack", len(stack), "four variables"},
 		{"Reaction", len(rxn), "one reaction"},

@@ -434,6 +434,53 @@ func TestTimerFiresOnceAtLastDeadline(t *testing.T) {
 	}
 }
 
+// TestTimerRebindWaitsForItsEntries pins the rule that lets an owner
+// recycle a timer across contexts: Rebind refuses while any entry of the
+// timer is queued, stale ones included, and a moved timer fires once, at
+// its new deadline.
+func TestTimerRebindWaitsForItsEntries(t *testing.T) {
+	s := New(1)
+	a, b := s.Context(Key2D(1, 1)), s.Context(Key2D(2, 1))
+	var fired []time.Duration
+	var tm Timer
+	if tm.Bound() {
+		t.Fatal("a zero timer reports bound")
+	}
+	tm.Init(a, func() { fired = append(fired, s.Now()) })
+	if !tm.Bound() || !tm.Rebind(a) {
+		t.Fatal("a bound timer cannot stay on its own context")
+	}
+	// Leave a stale entry due at 30ms behind a live harness event at 20ms,
+	// which keeps it queued: the kernel drops a stale entry as soon as it
+	// reaches the head of the heap.
+	tm.Reset(30 * time.Millisecond)
+	tm.Stop()
+	s.Context(RootKey).Schedule(20*time.Millisecond, func() {})
+	if tm.Rebind(b) {
+		t.Fatal("rebound with a stale entry still queued")
+	}
+	if err := s.Run(10 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if tm.Rebind(b) {
+		t.Fatal("rebound before the stale entry was popped")
+	}
+	if err := s.Run(25 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if !tm.Rebind(b) {
+		t.Fatal("an idle timer refused to move")
+	}
+	// The drained queue left the clock at 20ms.
+	tm.Reset(5 * time.Millisecond)
+	if err := s.RunUntilIdle(0); err != nil {
+		t.Fatal(err)
+	}
+	if len(fired) != 1 || fired[0] != 25*time.Millisecond {
+		t.Fatalf("fired at %v, want once at 25ms", fired)
+	}
+}
+
 // TestKernelSteadyStateAllocatesNothing pins the two cycles the footprint
 // work made allocation-free: a timer re-armed and fired, and a Send
 // delivered through the pooled event.

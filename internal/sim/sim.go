@@ -44,7 +44,9 @@
 //   - A Timer, embedded by value in the state it times (an agent's sleep,
 //     a retransmission, a stall abort). Its owner may Reset and Stop it
 //     from events on the timer's own context's shard, any number of
-//     times; arming allocates nothing. A Timer is never pooled.
+//     times; arming allocates nothing. The kernel never pools a Timer; an
+//     owner that recycles the state it is embedded in moves it to another
+//     context only through Rebind, which waits out its queued entries.
 //   - The caller of ScheduleWorldAt, who gets the *Event and may Cancel it
 //     from the host between runs or from a world event. Never pooled.
 //
@@ -235,7 +237,10 @@ type Event struct {
 	// while its event is live and carries this sequence number, so
 	// stopping or re-arming leaves the old entry in the heap as a stale
 	// one that pop skips — nothing is ever removed from the middle.
-	seq    uint64
+	seq uint64
+	// queued counts the heap entries, live or stale, that point at the
+	// event; a Timer may change context only while it is zero.
+	queued uint32
 	live   bool
 	pooled bool // recycled through the shard free list after dispatch
 }
@@ -270,6 +275,28 @@ type Timer struct{ ev Event }
 // Init binds the timer to the context whose clock and ordering identity
 // it schedules with, and to its callback. Call it once, before Reset.
 func (t *Timer) Init(c *Ctx, fn func()) { t.ev.dst, t.ev.fn = c, fn }
+
+// Bound reports whether Init has been called, for owners that bind the
+// callback on first use.
+func (t *Timer) Bound() bool { return t.ev.fn != nil }
+
+// Rebind moves a stopped timer to context c, keeping its callback, for an
+// owner recycled from one context to another (a pooled protocol record).
+// It reports true when the timer is already on c or was moved, and false,
+// changing nothing, while an entry of the timer is still queued: a stale
+// entry's due-list slot belongs to the old context, and a sequence number
+// drawn from c could make it look live again. The same context is always
+// safe, since its sequence numbers only grow.
+func (t *Timer) Rebind(c *Ctx) bool {
+	if t.ev.dst == c {
+		return true
+	}
+	if t.ev.queued > 0 {
+		return false
+	}
+	t.ev.dst = c
+	return true
+}
 
 // Reset arms the timer to fire after delay d (negative: zero), replacing
 // any earlier arming: a timer fires once, at its last deadline. It takes
@@ -477,6 +504,7 @@ func (sh *shard) put(e *Event) {
 // target's due list. Called only from the goroutine that owns the shard's
 // queue.
 func (sh *shard) push(e entry) {
+	e.ev.queued++
 	sh.queue.push(e)
 	sh.live++
 	insertDue(sh.dueOf(&e), e.at)
@@ -500,6 +528,7 @@ func (sh *shard) dueOf(e *entry) *[]time.Duration {
 func (sh *shard) take() entry {
 	e := sh.queue.pop()
 	removeDue(sh.dueOf(&e), e.at)
+	e.ev.queued--
 	return e
 }
 

@@ -102,33 +102,33 @@ func (g *Registry) Deregister(agentID uint16, p Template) bool {
 	return false
 }
 
-// RemoveAgent removes and returns all reactions registered by the agent.
-// The migration protocol uses this to package an agent's reactions so they
-// travel with it (§3.2).
-func (g *Registry) RemoveAgent(agentID uint16) []Reaction {
-	var removed []Reaction
+// RemoveAgent removes all reactions registered by the agent (it died or
+// left the node) and returns how many there were.
+func (g *Registry) RemoveAgent(agentID uint16) int {
 	kept := g.entries[:0]
 	for _, e := range g.entries {
 		if e.AgentID == agentID {
-			removed = append(removed, e)
 			g.used -= e.EncodedSize()
 		} else {
 			kept = append(kept, e)
 		}
 	}
+	removed := len(g.entries) - len(kept)
+	clear(g.entries[len(kept):])
 	g.entries = kept
 	return removed
 }
 
-// ForAgent returns copies of the agent's registered reactions.
-func (g *Registry) ForAgent(agentID uint16) []Reaction {
-	var out []Reaction
+// AppendForAgent appends copies of the agent's registered reactions to dst
+// and returns the extended slice. The migration packager uses it to
+// collect the reactions that travel with an agent (§3.2).
+func (g *Registry) AppendForAgent(dst []Reaction, agentID uint16) []Reaction {
 	for _, e := range g.entries {
 		if e.AgentID == agentID {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
 	}
-	return out
+	return dst
 }
 
 // Matching returns all reactions whose template matches the tuple, in

@@ -105,7 +105,7 @@ func TestDeregisterOnlyMatchingAgent(t *testing.T) {
 	if !g.Deregister(2, fireReaction(2, 20).Template) {
 		t.Fatal("failed to deregister agent 2")
 	}
-	if g.Len() != 1 || g.ForAgent(1) == nil {
+	if g.Len() != 1 || g.AppendForAgent(nil, 1) == nil {
 		t.Fatal("agent 1's reaction lost")
 	}
 }
@@ -121,14 +121,13 @@ func TestRemoveAgent(t *testing.T) {
 	if err := g.Register(fireReaction(8, 50)); err != nil {
 		t.Fatal(err)
 	}
-	removed := g.RemoveAgent(7)
-	if len(removed) != 3 {
-		t.Fatalf("removed %d, want 3", len(removed))
+	if removed := g.RemoveAgent(7); removed != 3 {
+		t.Fatalf("removed %d, want 3", removed)
 	}
 	if g.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", g.Len())
 	}
-	if len(g.ForAgent(7)) != 0 {
+	if len(g.AppendForAgent(nil, 7)) != 0 {
 		t.Fatal("agent 7 reactions remain")
 	}
 	// Budget must be recycled so the freed room is reusable.

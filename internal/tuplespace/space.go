@@ -130,46 +130,61 @@ func (s *Space) Out(t Tuple) error {
 // Rdp returns a copy of the first tuple matching the template without
 // removing it. The boolean reports whether a match was found.
 func (s *Space) Rdp(p Template) (Tuple, bool) {
-	t, _, ok := s.find(p)
-	return t, ok
+	off, _, ok := s.find(p, 0)
+	if !ok {
+		return Tuple{}, false
+	}
+	return s.at(off), true
 }
 
 // Inp removes and returns the first tuple matching the template.
 func (s *Space) Inp(p Template) (Tuple, bool) {
-	t, off, ok := s.find(p)
+	off, sz, ok := s.find(p, 0)
 	if !ok {
 		return Tuple{}, false
 	}
-	sz := t.EncodedSize()
-	// Shift all following tuples forward (§3.2).
-	s.arena = append(s.arena[:off], s.arena[off+sz:]...)
-	s.count--
-	for _, o := range s.onRemove {
-		o.fn(t)
-	}
+	t := s.at(off)
+	s.cut(off, sz, t)
 	return t, true
+}
+
+// Drop removes the first tuple matching the template, as Inp does, for
+// callers that do not want it back: the tuple is copied out only when a
+// remove observer needs it.
+func (s *Space) Drop(p Template) bool {
+	off, sz, ok := s.find(p, 0)
+	if !ok {
+		return false
+	}
+	var t Tuple
+	if len(s.onRemove) > 0 {
+		t = s.at(off)
+	}
+	s.cut(off, sz, t)
+	return true
 }
 
 // Count returns the number of tuples matching the template (the tcount
 // instruction).
 func (s *Space) Count(p Template) int {
 	n := 0
-	s.walk(func(t Tuple, _ int) bool {
-		if p.Matches(t) {
-			n++
-		}
-		return true
-	})
+	for off, sz, ok := s.find(p, 0); ok; off, sz, ok = s.find(p, off+sz) {
+		n++
+	}
 	return n
 }
 
 // All returns copies of every stored tuple in insertion order.
 func (s *Space) All() []Tuple {
 	var out []Tuple
-	s.walk(func(t Tuple, _ int) bool {
+	for off := 0; off < len(s.arena); {
+		t, n, err := UnmarshalTuple(s.arena[off:])
+		if err != nil {
+			break // a corrupt arena is a programming error the unit tests rule out
+		}
 		out = append(out, t)
-		return true
-	})
+		off += n
+	}
 	return out
 }
 
@@ -177,46 +192,46 @@ func (s *Space) All() []Tuple {
 // were removed.
 func (s *Space) RemoveAll(p Template) int {
 	n := 0
-	for {
-		if _, ok := s.Inp(p); !ok {
-			return n
-		}
+	for s.Drop(p) {
 		n++
 	}
+	return n
 }
 
-// find scans the arena for the first match, returning the decoded tuple
-// and its byte offset.
-func (s *Space) find(p Template) (Tuple, int, bool) {
-	var (
-		found Tuple
-		at    int
-		ok    bool
-	)
-	s.walk(func(t Tuple, off int) bool {
-		if p.Matches(t) {
-			found, at, ok = t, off, true
-			return false
+// find returns the arena offset and encoded size of the first tuple at or
+// after offset from that matches p. Each stored tuple is decoded into a
+// scratch array on the stack for the match, so a lookup allocates nothing;
+// only the tuple a caller takes away is copied out (see at). A decode
+// failure means the arena is corrupt, which is a programming error; find
+// then reports no match (the unit tests assert it never happens).
+func (s *Space) find(p Template, from int) (off, size int, ok bool) {
+	var scratch [MaxTupleBytes]Value
+	for off = from; off < len(s.arena); off += size {
+		var fields []Value
+		var err error
+		if fields, size, err = appendFields(scratch[:0], s.arena[off:]); err != nil {
+			return 0, 0, false
 		}
-		return true
-	})
-	return found, at, ok
+		if p.Matches(Tuple{Fields: fields}) {
+			return off, size, true
+		}
+	}
+	return 0, 0, false
 }
 
-// walk decodes tuples in arena order, calling fn with each tuple and its
-// offset until fn returns false. A decode failure means the arena is
-// corrupt, which is a programming error; walk stops silently in that case
-// (the unit tests assert it never happens).
-func (s *Space) walk(fn func(t Tuple, off int) bool) {
-	off := 0
-	for off < len(s.arena) {
-		t, n, err := UnmarshalTuple(s.arena[off:])
-		if err != nil {
-			return
-		}
-		if !fn(t, off) {
-			return
-		}
-		off += n
+// at decodes a fresh copy of the tuple stored at arena offset off, which
+// find returned.
+func (s *Space) at(off int) Tuple {
+	t, _, _ := UnmarshalTuple(s.arena[off:])
+	return t
+}
+
+// cut removes the size bytes at off that encode t, shifting all following
+// tuples forward (§3.2), and tells the remove observers.
+func (s *Space) cut(off, size int, t Tuple) {
+	s.arena = append(s.arena[:off], s.arena[off+size:]...)
+	s.count--
+	for _, o := range s.onRemove {
+		o.fn(t)
 	}
 }

@@ -295,3 +295,44 @@ func TestArenaInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLookupAllocatesOnlyWhatItReturns pins the allocation-free lookup:
+// tuples are matched in a scratch array on the stack, so a miss, a count
+// and a Drop allocate nothing and a hit allocates only the tuple it hands
+// back.
+func TestLookupAllocatesOnlyWhatItReturns(t *testing.T) {
+	s := NewSpace(0)
+	for i := int16(0); i < 10; i++ {
+		if err := s.Out(T(Str("tmp"), Int(i), LocV(topology.Loc(i, 1)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	miss := Tmpl(Str("tmp"), Int(99), TypeV(TypeLocation))
+	hit := Tmpl(Str("tmp"), Int(9), TypeV(TypeLocation))
+	all := Tmpl(Str("tmp"), TypeV(TypeValue), TypeV(TypeLocation))
+	for _, tc := range []struct {
+		name string
+		op   func()
+		want float64
+	}{
+		{"Rdp miss", func() { s.Rdp(miss) }, 0},
+		{"Rdp hit", func() { s.Rdp(hit) }, 1},
+		{"Inp miss", func() { s.Inp(miss) }, 0},
+		{"Count", func() {
+			if s.Count(all) != 10 {
+				t.Fatal("Count lost tuples")
+			}
+		}, 0},
+		{"Out then Drop", func() {
+			_ = s.Out(T(Str("tmp"), Int(99), LocV(topology.Loc(0, 0))))
+			s.Drop(miss)
+		}, 1}, // the tuple Out is handed
+	} {
+		if got := testing.AllocsPerRun(100, tc.op); got != tc.want {
+			t.Errorf("%s: %.0f allocations, want %.0f", tc.name, got, tc.want)
+		}
+	}
+	if s.TupleCount() != 10 {
+		t.Fatalf("TupleCount = %d after the pins, want 10", s.TupleCount())
+	}
+}

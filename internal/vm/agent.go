@@ -80,11 +80,10 @@ func (a *Agent) Clone(newID uint16) *Agent {
 // StackDepthUsed returns the number of live stack entries.
 func (a *Agent) StackDepthUsed() int { return a.sp }
 
-// StackSlice returns a copy of the live stack, bottom first. Used by the
-// migration packager.
-func (a *Agent) StackSlice() []tuplespace.Value {
-	return append([]tuplespace.Value(nil), a.stack[:a.sp]...)
-}
+// StackSlice returns the live stack, bottom first. It is a view of the
+// agent's own slots, valid until the agent next runs; the migration
+// packager copies it out.
+func (a *Agent) StackSlice() []tuplespace.Value { return a.stack[:a.sp] }
 
 // SetStack replaces the stack contents, bottom first. Used by the
 // migration unpacker.
@@ -97,17 +96,6 @@ func (a *Agent) SetStack(vs []tuplespace.Value) error {
 		a.stack[i] = tuplespace.Value{}
 	}
 	return nil
-}
-
-// HeapUsed returns the indices of non-empty heap slots.
-func (a *Agent) HeapUsed() []int {
-	var out []int
-	for i, v := range a.Heap {
-		if v.Kind != tuplespace.KindInvalid {
-			out = append(out, i)
-		}
-	}
-	return out
 }
 
 // Push pushes v, failing on overflow.

@@ -186,19 +186,6 @@ func TestSetStack(t *testing.T) {
 	}
 }
 
-func TestHeapUsed(t *testing.T) {
-	a := NewAgent(1, nil)
-	if got := a.HeapUsed(); len(got) != 0 {
-		t.Fatalf("HeapUsed = %v", got)
-	}
-	a.Heap[2] = ts.Int(1)
-	a.Heap[7] = ts.Str("x")
-	got := a.HeapUsed()
-	if len(got) != 2 || got[0] != 2 || got[1] != 7 {
-		t.Fatalf("HeapUsed = %v", got)
-	}
-}
-
 // Property: push then pop returns the same value and restores depth.
 func TestStackRoundTripProperty(t *testing.T) {
 	f := func(kind uint8, x, y int16, name string) bool {

@@ -79,18 +79,21 @@ type Cache struct {
 func NewCache() *Cache { return &Cache{m: make(map[string]*Compiled)} }
 
 // Get returns the compiled form of code, compiling on first sight, or nil
-// when the code does not verify.
+// when the code does not verify. The compiled closures read their operands
+// from the bytes they were compiled from, so a miss compiles the cache's
+// own copy: the caller's buffer may be recycled for another agent's code.
 func (cc *Cache) Get(code []byte) *Compiled {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
 	if c, ok := cc.m[string(code)]; ok {
 		return c
 	}
-	c, err := Compile(code)
+	key := string(code)
+	c, err := Compile([]byte(key))
 	if err != nil {
 		c = nil
 	}
-	cc.m[string(code)] = c
+	cc.m[key] = c
 	return c
 }
 

@@ -506,7 +506,7 @@ func TestRegrxnDeregrxn(t *testing.T) {
 	if a.Condition != 1 || h.registry.Len() != 1 {
 		t.Fatalf("regrxn failed: cond=%d len=%d", a.Condition, h.registry.Len())
 	}
-	rs := h.registry.ForAgent(1)
+	rs := h.registry.AppendForAgent(nil, 1)
 	if rs[0].PC != 7 {
 		t.Fatalf("reaction pc = %d", rs[0].PC)
 	}

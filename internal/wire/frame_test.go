@@ -22,7 +22,7 @@ func kindPayloads(t *testing.T) map[uint8][]byte {
 	t.Helper()
 	heap, err := (HeapMsg{AgentID: 9, Seq: 2, Index: 0, Entries: []HeapEntry{
 		{Addr: 3, Value: tuplespace.Int(41)},
-	}}).Encode()
+	}}).Append(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,9 +223,9 @@ func fuzzDecode(t *testing.T, b []byte) {
 				case MsgCode:
 					_, _ = DecodeCode(fr.Payload)
 				case MsgHeap:
-					_, _ = DecodeHeap(fr.Payload)
+					_, _ = DecodeHeapInto(nil, fr.Payload)
 				case MsgStack:
-					_, _ = DecodeStack(fr.Payload)
+					_, _ = DecodeStackInto(nil, fr.Payload)
 				case MsgReaction:
 					_, _ = DecodeReaction(fr.Payload)
 				case MsgAck:

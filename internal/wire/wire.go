@@ -83,6 +83,22 @@ func (t MsgType) String() string {
 // ErrBadMessage is wrapped by all decode errors in this package.
 var ErrBadMessage = errors.New("wire: bad message")
 
+// grow extends dst by n zero bytes, returning the extended slice and the
+// n new bytes: the fixed-size message the caller fills in.
+func grow(dst []byte, n int) (all, msg []byte) {
+	all = append(dst, make([]byte, n)...)
+	return all, all[len(dst):]
+}
+
+// pad zero-fills the message that starts at dst[start:] to its fixed
+// size, or reports the overflow of a message that outgrew it.
+func pad(dst []byte, start, size int, what string) ([]byte, error) {
+	if len(dst)-start > size {
+		return dst[:start], fmt.Errorf("%w: %s overflows %d bytes", ErrBadMessage, what, size)
+	}
+	return append(dst, make([]byte, size-(len(dst)-start))...), nil
+}
+
 func put16(dst []byte, v uint16) {
 	dst[0] = byte(v >> 8)
 	dst[1] = byte(v)
@@ -100,6 +116,11 @@ func putLoc(dst []byte, l topology.Location) {
 func getLoc(src []byte) topology.Location {
 	return topology.Location{X: int16(get16(src[0:])), Y: int16(get16(src[2:]))}
 }
+
+// SetSeq rewrites the migration sequence number in the common header of an
+// encoded migration message, for a sender that encodes a transfer before
+// it numbers it.
+func SetSeq(msg []byte, seq uint16) { put16(msg[3:], seq) }
 
 // MigKind is the migration operation carried in a state message. This is
 // the repo's one migration-kind enumeration: vm.MigrateKind (what the four
@@ -161,8 +182,11 @@ type StateMsg struct {
 }
 
 // Encode renders the message at its fixed Figure 5 size.
-func (m StateMsg) Encode() []byte {
-	b := make([]byte, StateMsgSize)
+func (m StateMsg) Encode() []byte { return m.Append(nil) }
+
+// Append appends the encoding of m to dst.
+func (m StateMsg) Append(dst []byte) []byte {
+	dst, b := grow(dst, StateMsgSize)
 	b[0] = byte(MsgState)
 	put16(b[1:], m.AgentID)
 	put16(b[3:], m.Seq)
@@ -175,7 +199,7 @@ func (m StateMsg) Encode() []byte {
 	b[17] = m.NCode
 	b[18] = m.NHeap<<4 | m.NRxn&0x0f
 	b[19] = m.NStack
-	return b
+	return dst
 }
 
 // DecodeState parses a state message.
@@ -209,14 +233,17 @@ type CodeMsg struct {
 }
 
 // Encode renders the message.
-func (m CodeMsg) Encode() []byte {
-	b := make([]byte, CodeMsgSize)
+func (m CodeMsg) Encode() []byte { return m.Append(nil) }
+
+// Append appends the encoding of m to dst.
+func (m CodeMsg) Append(dst []byte) []byte {
+	dst, b := grow(dst, CodeMsgSize)
 	b[0] = byte(MsgCode)
 	put16(b[1:], m.AgentID)
 	put16(b[3:], m.Seq)
 	b[5] = m.Index
 	copy(b[6:], m.Block[:])
-	return b
+	return dst
 }
 
 // DecodeCode parses a code message.
@@ -244,33 +271,33 @@ type HeapMsg struct {
 	Entries []HeapEntry
 }
 
-// Encode renders the message. It fails if the entries do not fit.
-func (m HeapMsg) Encode() ([]byte, error) {
+// Append appends the encoding of m to dst. It fails, leaving dst as it
+// was, if the entries do not fit.
+func (m HeapMsg) Append(dst []byte) ([]byte, error) {
 	if len(m.Entries) > HeapVarsPerMsg {
-		return nil, fmt.Errorf("%w: %d heap entries (max %d)", ErrBadMessage, len(m.Entries), HeapVarsPerMsg)
+		return dst, fmt.Errorf("%w: %d heap entries (max %d)", ErrBadMessage, len(m.Entries), HeapVarsPerMsg)
 	}
-	b := make([]byte, 7, HeapMsgSize)
+	start := len(dst)
+	dst, b := grow(dst, 7)
 	b[0] = byte(MsgHeap)
 	put16(b[1:], m.AgentID)
 	put16(b[3:], m.Seq)
 	b[5] = m.Index
 	b[6] = byte(len(m.Entries))
 	for _, e := range m.Entries {
-		b = append(b, e.Addr)
-		b = e.Value.Marshal(b)
+		dst = append(dst, e.Addr)
+		dst = e.Value.Marshal(dst)
 	}
-	if len(b) > HeapMsgSize {
-		return nil, fmt.Errorf("%w: heap message overflows %d bytes", ErrBadMessage, HeapMsgSize)
-	}
-	return b[:HeapMsgSize:HeapMsgSize], nil // pad with zeros to the fixed size
+	return pad(dst, start, HeapMsgSize, "heap message")
 }
 
-// DecodeHeap parses a heap message.
-func DecodeHeap(b []byte) (HeapMsg, error) {
+// DecodeHeapInto parses a heap message, appending its entries to dst: with
+// room for HeapVarsPerMsg entries it allocates nothing.
+func DecodeHeapInto(dst []HeapEntry, b []byte) (HeapMsg, error) {
 	if len(b) < HeapMsgSize || MsgType(b[0]) != MsgHeap {
 		return HeapMsg{}, fmt.Errorf("%w: not a heap message", ErrBadMessage)
 	}
-	m := HeapMsg{AgentID: get16(b[1:]), Seq: get16(b[3:]), Index: b[5]}
+	m := HeapMsg{AgentID: get16(b[1:]), Seq: get16(b[3:]), Index: b[5], Entries: dst}
 	n := int(b[6])
 	if n > HeapVarsPerMsg {
 		return HeapMsg{}, fmt.Errorf("%w: heap entry count %d", ErrBadMessage, n)
@@ -301,32 +328,32 @@ type StackMsg struct {
 	Values  []tuplespace.Value
 }
 
-// Encode renders the message. It fails if the values do not fit.
-func (m StackMsg) Encode() ([]byte, error) {
+// Append appends the encoding of m to dst. It fails, leaving dst as it
+// was, if the values do not fit.
+func (m StackMsg) Append(dst []byte) ([]byte, error) {
 	if len(m.Values) > StackVarsPerMsg {
-		return nil, fmt.Errorf("%w: %d stack values (max %d)", ErrBadMessage, len(m.Values), StackVarsPerMsg)
+		return dst, fmt.Errorf("%w: %d stack values (max %d)", ErrBadMessage, len(m.Values), StackVarsPerMsg)
 	}
-	b := make([]byte, 7, StackMsgSize)
+	start := len(dst)
+	dst, b := grow(dst, 7)
 	b[0] = byte(MsgStack)
 	put16(b[1:], m.AgentID)
 	put16(b[3:], m.Seq)
 	b[5] = m.Index
 	b[6] = byte(len(m.Values))
 	for _, v := range m.Values {
-		b = v.Marshal(b)
+		dst = v.Marshal(dst)
 	}
-	if len(b) > StackMsgSize {
-		return nil, fmt.Errorf("%w: stack message overflows %d bytes", ErrBadMessage, StackMsgSize)
-	}
-	return b[:StackMsgSize:StackMsgSize], nil
+	return pad(dst, start, StackMsgSize, "stack message")
 }
 
-// DecodeStack parses a stack message.
-func DecodeStack(b []byte) (StackMsg, error) {
+// DecodeStackInto parses a stack message, appending its values to dst:
+// with room for StackVarsPerMsg values it allocates nothing.
+func DecodeStackInto(dst []tuplespace.Value, b []byte) (StackMsg, error) {
 	if len(b) < StackMsgSize || MsgType(b[0]) != MsgStack {
 		return StackMsg{}, fmt.Errorf("%w: not a stack message", ErrBadMessage)
 	}
-	m := StackMsg{AgentID: get16(b[1:]), Seq: get16(b[3:]), Index: b[5]}
+	m := StackMsg{AgentID: get16(b[1:]), Seq: get16(b[3:]), Index: b[5], Values: dst}
 	n := int(b[6])
 	if n > StackVarsPerMsg {
 		return StackMsg{}, fmt.Errorf("%w: stack value count %d", ErrBadMessage, n)
@@ -353,19 +380,18 @@ type ReactionMsg struct {
 	Template tuplespace.Template
 }
 
-// Encode renders the message. It fails if the template does not fit.
-func (m ReactionMsg) Encode() ([]byte, error) {
-	b := make([]byte, 8, ReactionMsgSize)
+// Append appends the encoding of m to dst. It fails, leaving dst as it
+// was, if the template does not fit.
+func (m ReactionMsg) Append(dst []byte) ([]byte, error) {
+	start := len(dst)
+	dst, b := grow(dst, 8)
 	b[0] = byte(MsgReaction)
 	put16(b[1:], m.AgentID)
 	put16(b[3:], m.Seq)
 	b[5] = m.Index
 	put16(b[6:], m.PC)
-	b = m.Template.Marshal(b)
-	if len(b) > ReactionMsgSize {
-		return nil, fmt.Errorf("%w: reaction template overflows %d bytes", ErrBadMessage, ReactionMsgSize)
-	}
-	return b[:ReactionMsgSize:ReactionMsgSize], nil
+	dst = m.Template.Marshal(dst)
+	return pad(dst, start, ReactionMsgSize, "reaction template")
 }
 
 // DecodeReaction parses a reaction message.
@@ -395,14 +421,17 @@ type AckMsg struct {
 }
 
 // Encode renders the ack.
-func (m AckMsg) Encode() []byte {
-	b := make([]byte, AckMsgSize)
+func (m AckMsg) Encode() []byte { return m.Append(nil) }
+
+// Append appends the encoding of m to dst.
+func (m AckMsg) Append(dst []byte) []byte {
+	dst, b := grow(dst, AckMsgSize)
 	b[0] = byte(MsgAck)
 	put16(b[1:], m.AgentID)
 	put16(b[3:], m.Seq)
 	b[5] = byte(m.Of)
 	b[6] = m.Index
-	return b
+	return dst
 }
 
 // DecodeAck parses an ack.

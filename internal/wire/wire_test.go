@@ -32,7 +32,7 @@ func TestFigure5Sizes(t *testing.T) {
 		{Addr: 3, Value: tuplespace.Int(7)},
 		{Addr: 5, Value: tuplespace.Str("abc")},
 		{Addr: 11, Value: tuplespace.Reading(tuplespace.SensorTemperature, 99)},
-	}}).Encode()
+	}}).Append(nil)
 	if err != nil {
 		t.Fatalf("heap encode: %v", err)
 	}
@@ -42,7 +42,7 @@ func TestFigure5Sizes(t *testing.T) {
 
 	sb, err := (StackMsg{Values: []tuplespace.Value{
 		tuplespace.Int(1), tuplespace.Int(2), tuplespace.LocV(topology.Loc(5, 1)), tuplespace.Str("fir"),
-	}}).Encode()
+	}}).Append(nil)
 	if err != nil {
 		t.Fatalf("stack encode: %v", err)
 	}
@@ -52,7 +52,7 @@ func TestFigure5Sizes(t *testing.T) {
 
 	rb, err := (ReactionMsg{PC: 7, Template: tuplespace.Tmpl(
 		tuplespace.Str("fir"), tuplespace.TypeV(tuplespace.TypeLocation),
-	)}).Encode()
+	)}).Append(nil)
 	if err != nil {
 		t.Fatalf("reaction encode: %v", err)
 	}
@@ -128,11 +128,11 @@ func TestHeapRoundTripQuick(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m.Entries = append(m.Entries, HeapEntry{Addr: uint8(r.Intn(12)), Value: randomValue(r)})
 		}
-		b, err := m.Encode()
+		b, err := m.Append(nil)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", m, err)
 		}
-		got, err := DecodeHeap(b)
+		got, err := DecodeHeapInto(nil, b)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -150,11 +150,11 @@ func TestStackRoundTripQuick(t *testing.T) {
 		for i := 0; i < n; i++ {
 			m.Values = append(m.Values, randomValue(r))
 		}
-		b, err := m.Encode()
+		b, err := m.Append(nil)
 		if err != nil {
 			t.Fatalf("encode %+v: %v", m, err)
 		}
-		got, err := DecodeStack(b)
+		got, err := DecodeStackInto(nil, b)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -169,7 +169,7 @@ func TestReactionRoundTrip(t *testing.T) {
 		tuplespace.Str("fir"),
 		tuplespace.TypeV(tuplespace.TypeLocation),
 	)}
-	b, err := m.Encode()
+	b, err := m.Append(nil)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestReactionOverflow(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		fields = append(fields, tuplespace.LocV(topology.Loc(int16(i), int16(i))))
 	}
-	_, err := (ReactionMsg{Template: tuplespace.Template{Fields: fields}}).Encode()
+	_, err := (ReactionMsg{Template: tuplespace.Template{Fields: fields}}).Append(nil)
 	if err == nil {
 		t.Fatal("want overflow error for oversized reaction template")
 	}
@@ -317,9 +317,9 @@ func TestDecodeErrors(t *testing.T) {
 		{"state short", func(b []byte) error { _, err := DecodeState(b); return err }, []byte{byte(MsgState), 1}},
 		{"state wrong type", func(b []byte) error { _, err := DecodeState(b); return err }, make([]byte, 20)},
 		{"code short", func(b []byte) error { _, err := DecodeCode(b); return err }, []byte{byte(MsgCode)}},
-		{"heap bad count", func(b []byte) error { _, err := DecodeHeap(b); return err },
+		{"heap bad count", func(b []byte) error { _, err := DecodeHeapInto(nil, b); return err },
 			append([]byte{byte(MsgHeap), 0, 0, 0, 0, 0, 9}, make([]byte, 25)...)},
-		{"stack bad value", func(b []byte) error { _, err := DecodeStack(b); return err },
+		{"stack bad value", func(b []byte) error { _, err := DecodeStackInto(nil, b); return err },
 			append([]byte{byte(MsgStack), 0, 0, 0, 0, 0, 1, 99}, make([]byte, 22)...)},
 		{"reaction short", func(b []byte) error { _, err := DecodeReaction(b); return err }, []byte{byte(MsgReaction)}},
 		{"ack short", func(b []byte) error { _, err := DecodeAck(b); return err }, []byte{byte(MsgAck), 1, 2}},
