@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the -h golden in testdata")
 
 // bench drives run the way main does and returns what it wrote.
 func bench(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -15,6 +18,34 @@ func bench(t *testing.T, args ...string) (code int, stdout, stderr string) {
 	var out, errOut bytes.Buffer
 	code = run(args, &out, &errOut)
 	return code, out.String(), errOut.String()
+}
+
+// TestHelpGolden pins the -h text, so a flag change shows up as a
+// reviewed golden diff. Regenerate with
+//
+//	go test -run TestHelpGolden -update ./cmd/agilla-bench
+func TestHelpGolden(t *testing.T) {
+	const golden = "testdata/help.golden"
+	code, stdout, stderr := bench(t, "-h")
+	if code != 0 || stdout != "" {
+		t.Fatalf("-h: exit %d, stdout %q; want 0 and the usage on stderr only", code, stdout)
+	}
+	if *update {
+		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, []byte(stderr), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stderr != string(want) {
+		t.Errorf("%s differs\n--- got ---\n%s--- want ---\n%s", golden, stderr, want)
+	}
 }
 
 func TestRunRejectsBadSelection(t *testing.T) {

@@ -1,18 +1,71 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
 
+var update = flag.Bool("update", false, "rewrite the -h goldens in testdata")
+
+// TestHelpGolden pins the -h text of agilla and agilla serve, so a flag
+// change shows up as a reviewed golden diff. Regenerate with
+//
+//	go test -run TestHelpGolden -update ./cmd/agilla
+func TestHelpGolden(t *testing.T) {
+	for _, tc := range []struct {
+		cmd    func([]string, io.Writer) error
+		golden string
+	}{
+		{run, "testdata/help.golden"},
+		{runServe, "testdata/serve-help.golden"},
+	} {
+		var got bytes.Buffer
+		if err := tc.cmd([]string{"-h"}, &got); !errors.Is(err, flag.ErrHelp) {
+			t.Fatalf("%s: -h returned %v, want flag.ErrHelp (exit 0)", tc.golden, err)
+		}
+		if *update {
+			if err := os.WriteFile(tc.golden, got.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(tc.golden)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want) {
+			t.Errorf("%s differs\n--- got ---\n%s--- want ---\n%s", tc.golden, got.Bytes(), want)
+		}
+	}
+}
+
+// TestUnknownFlagIsUsageError: a bad flag is reported with the usage
+// text and ends as a usageError, which main turns into exit status 2.
+func TestUnknownFlagIsUsageError(t *testing.T) {
+	for _, cmd := range []func([]string, io.Writer) error{run, runServe} {
+		var out bytes.Buffer
+		var usage usageError
+		if err := cmd([]string{"-nope"}, &out); !errors.As(err, &usage) {
+			t.Errorf("unknown flag: error %v, want a usageError", err)
+		}
+		if !strings.Contains(out.String(), "-nope") || !strings.Contains(out.String(), "Usage of") {
+			t.Errorf("unknown flag: output %q lacks the error and the usage text", out.String())
+		}
+	}
+}
+
 // TestRejectsSpansThatCannotAdvance: a non-positive -status would print
 // status lines forever at one instant, and a negative -run asks the clock
 // to move back. Both commands must refuse before building a network.
 func TestRejectsSpansThatCannotAdvance(t *testing.T) {
 	for _, tc := range []struct {
-		cmd  func([]string) error
+		cmd  func([]string, io.Writer) error
 		args []string
 		flag string
 	}{
@@ -21,7 +74,7 @@ func TestRejectsSpansThatCannotAdvance(t *testing.T) {
 		{runServe, []string{"-status", "0"}, "-status"},
 		{runServe, []string{"-status", "-1s"}, "-status"},
 	} {
-		err := tc.cmd(tc.args)
+		err := tc.cmd(tc.args, io.Discard)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+":") {
 			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.flag)
 		}
@@ -50,7 +103,7 @@ func TestRejectsCoordinatesOutsideInt16(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
-		cmd  func([]string) error
+		cmd  func([]string, io.Writer) error
 		args []string
 		flag string
 	}{
@@ -58,7 +111,7 @@ func TestRejectsCoordinatesOutsideInt16(t *testing.T) {
 		{run, []string{"-fire", "4,70000", "-run", "0s"}, "-fire"},
 		{runServe, []string{"-peer", "loop:b=9,9", "-base", "100,65536"}, "-base"},
 	} {
-		err := tc.cmd(tc.args)
+		err := tc.cmd(tc.args, io.Discard)
 		if err == nil || !strings.HasPrefix(err.Error(), tc.flag+":") {
 			t.Errorf("%v: error %v, want one naming %s", tc.args, err, tc.flag)
 		}

@@ -27,8 +27,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -50,14 +52,36 @@ func main() {
 	case len(args) > 0 && args[0] == "vet":
 		err = runVet(args[1:], os.Stdout)
 	case len(args) > 0 && args[0] == "serve":
-		err = runServe(args[1:])
+		err = runServe(args[1:], os.Stderr)
 	default:
-		err = run(args)
+		err = run(args, os.Stderr)
 	}
-	if err != nil {
+	var usage usageError
+	switch {
+	case errors.Is(err, flag.ErrHelp):
+		os.Exit(0)
+	case errors.As(err, &usage):
+		os.Exit(2)
+	case err != nil:
 		fmt.Fprintf(os.Stderr, "agilla: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// usageError is a bad command line, already reported with the usage
+// text; main exits 2 on it, as flag.ExitOnError would.
+type usageError struct{ error }
+
+// parseFlags parses args into fs, writing the usage text and flag errors
+// to stderr. Where flag.ExitOnError would exit, it returns flag.ErrHelp
+// for -h and a usageError for a bad flag, so the text can be tested.
+func parseFlags(fs *flag.FlagSet, args []string, stderr io.Writer) error {
+	fs.SetOutput(stderr)
+	err := fs.Parse(args)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		return usageError{err}
+	}
+	return err
 }
 
 // runAsm assembles and verifies a source file, printing the verifier's
@@ -239,8 +263,8 @@ func dumpState(nw *agilla.Network, title string, locs []agilla.Location, leds bo
 	}
 }
 
-func run(args []string) error {
-	fs := flag.NewFlagSet("agilla", flag.ExitOnError)
+func run(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("agilla", flag.ContinueOnError)
 	deploy := addDeployFlags(fs, "")
 	var (
 		inject = fs.String("inject", "", "agent program file to inject")
@@ -249,7 +273,7 @@ func run(args []string) error {
 		watch  = fs.Bool("watch", false, "print middleware events as they happen")
 		fireAt = fs.String("fire", "", "ignite a fire at this node, e.g. 4,4")
 	)
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 	if *runFor < 0 {

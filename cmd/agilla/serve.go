@@ -30,6 +30,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"strings"
 	"time"
 
@@ -133,8 +134,8 @@ func wireSummary(peers map[string]agilla.TransportPeerStats) string {
 	return s
 }
 
-func runServe(args []string) error {
-	fs := flag.NewFlagSet("agilla serve", flag.ExitOnError)
+func runServe(args []string, stderr io.Writer) error {
+	fs := flag.NewFlagSet("agilla serve", flag.ContinueOnError)
 	var peers peerFlag
 	deploy := addDeployFlags(fs, " (identical in every process)")
 	var (
@@ -148,7 +149,7 @@ func runServe(args []string) error {
 		watch   = fs.Bool("watch", false, "print middleware events as they happen")
 	)
 	fs.Var(&peers, "peer", "peer process: addr=locranges, e.g. udp:host:7002=4-6,1-4+100,100 (repeatable)")
-	if err := fs.Parse(args); err != nil {
+	if err := parseFlags(fs, args, stderr); err != nil {
 		return err
 	}
 	// The status loop steps virtual time by -status, so only a positive
