@@ -91,16 +91,6 @@ func (a *Agent) Err() error { return a.Info().Err }
 // in flight or after it died.
 func (a *Agent) Host() *Node { return a.nw.d.FindAgent(a.id) }
 
-// Kill forcibly reclaims the agent wherever it currently runs, reporting
-// whether a live copy was found.
-func (a *Agent) Kill() bool {
-	n := a.nw.d.FindAgent(a.id)
-	if n == nil {
-		return false
-	}
-	return n.KillAgent(a.id)
-}
-
 // Wait advances the simulation until pred(a) is true or limit of virtual
 // time elapses, reporting whether pred became true. The predicate is
 // checked after every simulation event, so transitions cannot be missed:

@@ -62,14 +62,22 @@ func TestNewRejectsInvalidTopology(t *testing.T) {
 		agilla.Grid(0, 5),
 		agilla.Line(0),
 		agilla.Ring(2),
-		agilla.RandomDisk(20, 4, 2.5),        // more motes than cells
-		agilla.RandomDisk(20, 1, 2.5),        // degenerate region
-		agilla.RandomDisk(8, 8, 0),           // zero radio range
-		agilla.Custom(1.5, agilla.Loc(0, 0)), // node on the base station
+		agilla.RandomDisk(20, 4, 2.5),                         // more motes than cells
+		agilla.RandomDisk(20, 1, 2.5),                         // degenerate region
+		agilla.RandomDisk(8, 8, 0),                            // zero radio range
+		agilla.Custom(1.5, agilla.Loc(0, 0)),                  // node on the base station
+		agilla.Custom(0, agilla.Loc(1, 1), agilla.Loc(2, 1)),  // zero radio range
+		agilla.Custom(-1, agilla.Loc(1, 1), agilla.Loc(2, 1)), // negative radio range
 	} {
 		if _, err := agilla.New(agilla.WithTopology(top)); err == nil {
 			t.Errorf("topology %v must fail New", top)
 		}
+	}
+	// Two motes out of each other's range: a partitioned field, refused
+	// whichever topology built it.
+	apart := agilla.Custom(1.5, agilla.Loc(1, 1), agilla.Loc(9, 9))
+	if _, err := agilla.New(agilla.WithTopology(apart)); !errors.Is(err, agilla.ErrDisconnected) {
+		t.Errorf("partitioned custom topology: New = %v, want ErrDisconnected", err)
 	}
 }
 
@@ -328,11 +336,9 @@ func TestRemoteReadHonorsNodeConfig(t *testing.T) {
 // courierScenario is a small deterministic scenario used by the runner
 // tests: an agent stamps the far corner of a reliable 3×3 grid.
 func courierScenario() *agilla.Scenario {
-	reliable := agilla.ReliableRadio()
 	return &agilla.Scenario{
 		Name:     "courier",
-		Topology: agilla.Grid(3, 3),
-		Radio:    &reliable,
+		Options:  []agilla.Option{agilla.WithTopology(agilla.Grid(3, 3)), agilla.WithReliableRadio()},
 		Agents:   []agilla.AgentSpec{{Name: "courier", Program: program.MustParse(marker), At: agilla.Loc(3, 3)}},
 		Duration: 2 * time.Minute,
 		Until: func(nw *agilla.Network) bool {
@@ -398,13 +404,91 @@ func TestRunManyCancellation(t *testing.T) {
 	}
 }
 
-func TestScenarioOnRandomDisk(t *testing.T) {
-	reliable := agilla.ReliableRadio()
+// TestScenarioSeedOverridesOptions: each run's seed wins over a WithSeed
+// in Options, so a sweep never repeats one placement.
+func TestScenarioSeedOverridesOptions(t *testing.T) {
+	disk := agilla.WithTopology(agilla.RandomDisk(12, 6, 2.5))
+	placement := func(seed int64) []agilla.Location {
+		nw, err := agilla.New(disk, agilla.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return nw.Locations()
+	}
+	var got []agilla.Location
 	sc := &agilla.Scenario{
-		Name:     "disk-sweep",
-		Topology: agilla.RandomDisk(12, 6, 2.5),
-		Radio:    &reliable,
-		Play:     playFarthestCourier,
+		Options:    []agilla.Option{disk, agilla.WithSeed(99)},
+		SkipWarmup: true,
+		Duration:   time.Millisecond,
+		Collect:    func(nw *agilla.Network, _ *agilla.Metrics) { got = nw.Locations() },
+	}
+	if _, err := sc.Run(11); err != nil {
+		t.Fatal(err)
+	}
+	if want, options := placement(11), placement(99); !reflect.DeepEqual(got, want) || reflect.DeepEqual(got, options) {
+		t.Fatalf("run at seed 11 placed %v; seed 11 places %v, the options' seed 99 %v", got, want, options)
+	}
+}
+
+// TestScenarioFieldForOverridesOptions: the per-run field replaces a
+// WithField in Options.
+func TestScenarioFieldForOverridesOptions(t *testing.T) {
+	shared, perRun := agilla.NewFire(time.Second, 3, 3), agilla.NewFire(time.Second, 3, 3)
+	var got agilla.Field
+	sc := &agilla.Scenario{
+		Options:    []agilla.Option{agilla.WithTopology(agilla.Grid(3, 3)), agilla.WithField(shared)},
+		FieldFor:   func(int64) agilla.Field { return perRun },
+		SkipWarmup: true,
+		Duration:   time.Millisecond,
+		Collect:    func(nw *agilla.Network, _ *agilla.Metrics) { got = nw.Field() },
+	}
+	if _, err := sc.Run(1); err != nil {
+		t.Fatal(err)
+	}
+	if got != agilla.Field(perRun) {
+		t.Fatal("the run's field is not FieldFor's")
+	}
+}
+
+// TestRunManyWithOptions: options that give every run its own kernel
+// workers, batteries and replica gossip still yield per-seed metrics
+// identical to serial runs. Run under -race it also shows the runs share
+// nothing the options carry.
+func TestRunManyWithOptions(t *testing.T) {
+	energy := agilla.DefaultEnergyModel()
+	energy.CapacityJ = 50
+	sc := courierScenario()
+	sc.Until, sc.Duration = nil, 10*time.Second // long enough to gossip the stamp
+	sc.Options = append(sc.Options,
+		agilla.WithEnergy(energy),
+		agilla.WithReplication(agilla.Replication{}),
+		agilla.WithWorkers(2),
+	)
+	seeds := []int64{1, 2, 3, 4}
+	parallel, err := sc.RunMany(context.Background(), seeds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, seed := range seeds {
+		serial, err := sc.Run(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(serial, parallel[i]) {
+			t.Errorf("seed %d: parallel %v != serial %v", seed, parallel[i], serial)
+		}
+		if serial.EnergyUsedJ == 0 || serial.TuplesReplicated == 0 {
+			t.Errorf("seed %d: options not applied: energy %g J, %d tuples replicated",
+				seed, serial.EnergyUsedJ, serial.TuplesReplicated)
+		}
+	}
+}
+
+func TestScenarioOnRandomDisk(t *testing.T) {
+	sc := &agilla.Scenario{
+		Name:    "disk-sweep",
+		Options: []agilla.Option{agilla.WithTopology(agilla.RandomDisk(12, 6, 2.5)), agilla.WithReliableRadio()},
+		Play:    playFarthestCourier,
 	}
 	m, err := sc.Run(11)
 	if err != nil {

@@ -157,9 +157,9 @@ func BenchmarkAblationEndToEnd(b *testing.B) {
 // instead of Manhattan steps.
 func BenchmarkRandomDiskMigration(b *testing.B) {
 	sc := &agilla.Scenario{
-		Name:     "disk-migration",
-		Topology: agilla.RandomDisk(16, 8, 2.5),
-		Play:     playFarthestCourier,
+		Name:    "disk-migration",
+		Options: []agilla.Option{agilla.WithTopology(agilla.RandomDisk(16, 8, 2.5))},
+		Play:    playFarthestCourier,
 	}
 	delivered := 0
 	for i := 0; i < b.N; i++ {

@@ -130,8 +130,9 @@ func planBridge(layout topology.Layout, cfg *BridgeConfig) (topology.Layout, map
 	return layout, peers, baseLoc, nil
 }
 
-// Bridge is the public handle on a bridged network's border: pump it,
-// read its counters, close it. Obtain from Network.Bridge.
+// Bridge is the public handle on a bridged network's border: read its
+// counters, close it. Run, RunUntil, WarmUp and the RemoteClient pump it
+// every quantum. Obtain from Network.Bridge.
 type Bridge struct {
 	nw *Network
 }
@@ -152,12 +153,6 @@ func (nw *Network) Bridge() *Bridge {
 	return &Bridge{nw: nw}
 }
 
-// Pump drains frames received from peers into the local radio medium and
-// returns how many were injected. Run, RunUntil, WarmUp, and the
-// RemoteClient already pump every quantum; call Pump directly only when
-// driving the simulation through lower-level entry points.
-func (b *Bridge) Pump() int { return b.nw.bridge.Pump() }
-
 // Stats snapshots the border counters.
 func (b *Bridge) Stats() BridgeStats { return b.nw.bridge.Stats() }
 
@@ -175,9 +170,6 @@ func (b *Bridge) TransportStats() map[string]TransportPeerStats {
 // LocalAddr returns the transport address this process listens on (with
 // the kernel-chosen port resolved when the configured one was 0).
 func (b *Bridge) LocalAddr() string { return string(b.nw.bridge.Transport().LocalAddr()) }
-
-// Owns reports whether loc is served by a peer through this bridge.
-func (b *Bridge) Owns(loc Location) bool { return b.nw.bridge.Owns(loc) }
 
 // Close detaches the border and closes the transport. The simulation
 // keeps running locally; frames to peer-owned locations are dropped once

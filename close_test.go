@@ -113,10 +113,8 @@ func TestWatchClosesOnNodeDeath(t *testing.T) {
 	if err := nw.Space(victim).Out(agilla.T(agilla.Str("png"))); err != nil {
 		t.Fatal(err)
 	}
-	if err := nw.Kill(victim); err != nil {
-		t.Fatal(err)
-	}
-	// Kill schedules the crash on the virtual clock; advance past it.
+	// The kill is scheduled on the virtual clock; advance past it.
+	nw.Script(agilla.KillAt(nw.Now(), victim))
 	if err := nw.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -133,9 +131,7 @@ func TestWatchClosesOnNodeDeath(t *testing.T) {
 
 	// A revival boots a fresh space; the old watch stays closed and a
 	// re-Watch observes the new incarnation.
-	if err := nw.Revive(victim); err != nil {
-		t.Fatal(err)
-	}
+	nw.Script(agilla.ReviveAt(nw.Now(), victim))
 	if err := nw.Run(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +177,9 @@ func TestWatchClosesOnNodeDeath(t *testing.T) {
 }
 
 // TestDiskConnectivityCheck is the regression for disconnected
-// random-disk deployments: they must fail fast with a typed error, be
-// probeable via Connected, and be recoverable via FindConnectedSeed —
-// never silently stall a scenario.
+// random-disk deployments: they must fail fast with a typed error, and
+// probing seeds with Connected must find one New accepts — never
+// silently stall a scenario.
 func TestDiskConnectivityCheck(t *testing.T) {
 	// A marginal density (roughly half of all placements partition even
 	// after the sampler's internal redraws): some seed will partition it.
@@ -211,18 +207,22 @@ func TestDiskConnectivityCheck(t *testing.T) {
 	}
 
 	// A scenario over it fails fast for the same reason.
-	s := &agilla.Scenario{Name: "partitioned", Topology: sparse, Duration: time.Second}
+	s := &agilla.Scenario{Name: "partitioned", Options: []agilla.Option{agilla.WithTopology(sparse)}, Duration: time.Second}
 	if _, err := s.Run(badSeed); !errors.Is(err, agilla.ErrDisconnected) {
 		t.Fatalf("Scenario.Run: %v, want ErrDisconnected", err)
 	}
 
-	// The seeded retry finds a connected placement nearby...
-	good, ok := sparse.FindConnectedSeed(badSeed, 256)
-	if !ok {
-		t.Fatal("FindConnectedSeed found nothing in 256 tries")
+	// Probing the following seeds finds a connected placement nearby...
+	good := badSeed + 1
+	for ; good < badSeed+256; good++ {
+		if connected, err := sparse.Connected(good); err != nil {
+			t.Fatal(err)
+		} else if connected {
+			break
+		}
 	}
-	if connected, err := sparse.Connected(good); err != nil || !connected {
-		t.Fatalf("Connected(%d) = %v, %v after FindConnectedSeed", good, connected, err)
+	if good == badSeed+256 {
+		t.Fatal("no connected seed in 255 tries")
 	}
 	// ...and that placement actually deploys.
 	if _, err := agilla.New(agilla.WithTopology(sparse), agilla.WithSeed(good)); err != nil {

@@ -210,7 +210,7 @@ func (d deployFlags) options() ([]agilla.Option, error) {
 		opts = append(opts, agilla.WithReliableRadio())
 	}
 	if *d.repl {
-		opts = append(opts, agilla.WithReplication(0, 0)) // defaults: k=2, 500ms
+		opts = append(opts, agilla.WithReplication(agilla.Replication{})) // defaults: k=2, 500ms
 	}
 	return opts, nil
 }

@@ -81,8 +81,8 @@ const (
 	// registered by an agent (§3.2 Tuple Space Manager). Sets AgentID
 	// (the reaction's owner) and Tuple (the insertion that matched).
 	EventReactionFired
-	// EventNodeDied: a mote went down — a scripted fault, the host API,
-	// or battery exhaustion. Sets Cause. Hosted agents report their own
+	// EventNodeDied: a mote went down — a scripted fault, churn, or
+	// battery exhaustion. Sets Cause. Hosted agents report their own
 	// EventAgentDied, carrying ErrNodeDown, first.
 	EventNodeDied
 	// EventNodeRecovered: a dead mote finished its reboot and is back on

@@ -56,8 +56,8 @@ const caseStudySize = 5
 //     swarms the perimeter.
 func CaseStudyScenario() *agilla.Scenario {
 	return &agilla.Scenario{
-		Name:     "casestudy",
-		Topology: agilla.Grid(caseStudySize, caseStudySize),
+		Name:    "casestudy",
+		Options: []agilla.Option{agilla.WithTopology(agilla.Grid(caseStudySize, caseStudySize))},
 		FieldFor: func(int64) agilla.Field {
 			bounds := firesim.GridBounds(caseStudySize, caseStudySize)
 			return firesim.New(40*time.Second, &bounds)

@@ -93,25 +93,37 @@ func (l Layout) Validate(base Location) error {
 
 // IsConnected reports whether every node can reach every other node over
 // Links (ignoring the base station bridge). Disconnected layouts are legal
-// but usually a configuration mistake for scenario work.
+// but usually a configuration mistake for scenario work. Links that
+// enumerate their neighbors (NeighborEnumerator) make the search
+// O(nodes × degree) instead of O(nodes²), so New can afford it on every
+// grid it builds.
 func (l Layout) IsConnected() bool {
 	if len(l.Nodes) == 0 {
 		return false
 	}
-	reached := map[Location]bool{l.Nodes[0]: true}
-	frontier := []Location{l.Nodes[0]}
-	for len(frontier) > 0 {
-		cur := frontier[0]
-		frontier = frontier[1:]
-		for _, next := range l.Nodes {
-			if reached[next] || !l.Links.Connected(cur, next) {
-				continue
-			}
-			reached[next] = true
+	unseen := make(map[Location]bool, len(l.Nodes))
+	for _, loc := range l.Nodes {
+		unseen[loc] = true
+	}
+	cur := l.Nodes[0]
+	delete(unseen, cur)
+	frontier := []Location{cur}
+	reach := func(next Location) {
+		if unseen[next] && l.Links.Connected(cur, next) {
+			delete(unseen, next)
 			frontier = append(frontier, next)
 		}
 	}
-	return len(reached) == len(l.Nodes)
+	en, _ := l.Links.(NeighborEnumerator)
+	for len(frontier) > 0 && len(unseen) > 0 {
+		cur, frontier = frontier[len(frontier)-1], frontier[:len(frontier)-1]
+		if en == nil || !en.EnumerateNeighbors(cur, reach) {
+			for _, next := range l.Nodes {
+				reach(next)
+			}
+		}
+	}
+	return len(unseen) == 0
 }
 
 // Bounds returns the inclusive bounding box of the layout's nodes.

@@ -2,25 +2,16 @@ package agilla
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/agilla-go/agilla/internal/core"
 	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/internal/transport"
 )
 
-// RadioParams configures the radio latency/loss model. LossyRadio returns
-// the calibrated testbed model, ReliableRadio a zero-loss variant.
+// RadioParams configures the radio latency/loss model. The default is the
+// calibrated lossy CC1000 model that regenerates the paper's Figures
+// 9-11; WithReliableRadio selects its zero-loss variant.
 type RadioParams = radio.Params
-
-// LossyRadio returns the calibrated lossy CC1000 model that regenerates
-// the paper's Figures 9-11. It is the default.
-func LossyRadio() RadioParams { return radio.Lossy() }
-
-// ReliableRadio returns a zero-loss channel with CC1000 timing; useful
-// for tests and latency measurements that should not be confounded by
-// loss.
-func ReliableRadio() RadioParams { return radio.ZeroLoss() }
 
 // Replication configures the gossip CRDT replication layer: each mote's
 // tuple space doubles as a replicated two-phase set synchronized to K
@@ -61,8 +52,10 @@ func WithRadio(p RadioParams) Option {
 	return func(s *settings) { cp := p; s.radio = &cp }
 }
 
-// WithReliableRadio is shorthand for WithRadio(ReliableRadio()).
-func WithReliableRadio() Option { return WithRadio(ReliableRadio()) }
+// WithReliableRadio selects a zero-loss channel with CC1000 timing; useful
+// for tests and latency measurements that should not be confounded by
+// loss.
+func WithReliableRadio() Option { return WithRadio(radio.ZeroLoss()) }
 
 // WithField drives sensor readings over space and time (default:
 // everything reads 0).
@@ -78,7 +71,7 @@ func WithNodeConfig(cfg NodeConfig) Option {
 // costs per VM instruction, radio send/receive, and sensor sample, plus
 // idle drain. A mote whose battery empties dies exactly there
 // (EventEnergyExhausted then EventNodeDied) and the network routes around
-// it; ReviveAt/Revive boots it with fresh cells. The base station is
+// it; ReviveAt boots it with fresh cells. The base station is
 // mains powered. Start from DefaultEnergyModel and adjust CapacityJ to
 // taste.
 func WithEnergy(m EnergyModel) Option {
@@ -108,16 +101,10 @@ func WithAdmissionBudget(budgetJ float64) Option {
 // tuple survives its node's death, a remote rrdp/rinp can be answered
 // from any mote's replica when the arena misses, and a recovered mote
 // gets its own tuples streamed back by its neighbors (EventTupleRecovered
-// events). Values of 0 select the defaults (k=2, period 500ms). Gossip
-// frames cost energy under WithEnergy like all other radio traffic.
-// For the remaining knobs (MaxEntries, QuiescentEvery) use
-// WithReplicationConfig.
-func WithReplication(k int, period time.Duration) Option {
-	return WithReplicationConfig(Replication{K: k, Period: period})
-}
-
-// WithReplicationConfig is WithReplication with every knob exposed.
-func WithReplicationConfig(r Replication) Option {
+// events). Zero fields of r select the defaults (see Replication), so
+// Replication{} gossips to k=2 neighbors every 500ms. Gossip frames cost
+// energy under WithEnergy like all other radio traffic.
+func WithReplication(r Replication) Option {
 	return func(s *settings) { cp := r; s.replication = &cp }
 }
 
@@ -149,12 +136,19 @@ func New(opts ...Option) (*Network, error) {
 	}
 	if s.topo.realize == nil {
 		// No topology given, or the zero Topology: both mean "the
-		// default testbed", mirroring Scenario.Topology's zero value.
+		// default testbed".
 		s.topo = defaultTopology()
 	}
 	layout, err := s.topo.realize(s.seed)
 	if err != nil {
 		return nil, fmt.Errorf("agilla: %w", err)
+	}
+	// Check the whole shared field, before a bridge prunes it to this
+	// process's share. An empty layout is left to the deployment's own
+	// "no nodes" error.
+	if len(layout.Nodes) > 0 && !layout.IsConnected() {
+		return nil, fmt.Errorf("%w: %v leaves some motes unreachable; raise the radio range or density, or probe seeds with Topology.Connected",
+			ErrDisconnected, s.topo)
 	}
 	spec := core.DeploymentSpec{
 		Layout:      layout,

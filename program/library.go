@@ -52,9 +52,8 @@ type Entry struct {
 // Library returns the paper's canonical agents, instantiated with their
 // default parameters (the Figure 8 benchmark target (5,1), alerts
 // notified to the base station at (0,0), the Figure 13 ten-minute
-// sampling period). For other parameters call the constructors —
-// SmoveRoundTrip, RoutAgent, FireDetector, FireTracker, FireSentinel,
-// Blink — directly.
+// sampling period). For other parameters, edit an entry's Source and
+// Parse it, or build the agent with New.
 func Library() []Entry { return slices.Clone(library()) }
 
 // library assembles and builds the entries on first use, once: programs
@@ -67,42 +66,42 @@ var library = sync.OnceValue(func() []Entry {
 			Name:        "blink",
 			Description: "quickstart greeter: light the LEDs, drop <\"hi\", location>, halt",
 			Source:      agents.BlinkSrc(),
-			Program:     Blink(),
+			Program:     blink(),
 		},
 		{
 			Name:        "smove-roundtrip",
 			Figure:      "Figure 8",
 			Description: "strong-move to the target mote and back home, then halt",
 			Source:      agents.SmoveRoundTripSrc(target, base),
-			Program:     SmoveRoundTrip(target, base),
+			Program:     smoveRoundTrip(target, base),
 		},
 		{
 			Name:        "rout",
 			Figure:      "Figure 8",
 			Description: "place the tuple <1> in the target mote's tuple space remotely",
 			Source:      agents.RoutSrc(target),
-			Program:     RoutAgent(target),
+			Program:     routAgent(target),
 		},
 		{
 			Name:        "fire-detector",
 			Figure:      "Figure 13",
 			Description: "sample the temperature every 10 minutes; past 200, rout a fire alert and halt",
 			Source:      agents.FireDetectorSrc(base, 4800),
-			Program:     FireDetector(base, 4800),
+			Program:     fireDetector(base, 4800),
 		},
 		{
 			Name:        "fire-tracker",
 			Figure:      "Figure 2",
 			Description: "wait for a fire alert, clone to the fire, and keep a tracker on every hot neighbor",
 			Source:      agents.FireTrackerSrc(),
-			Program:     FireTracker(),
+			Program:     fireTracker(),
 		},
 		{
 			Name:        "fire-sentinel",
 			Figure:      "§5",
 			Description: "looping fire-detector: keep re-alerting every period while the fire burns",
 			Source:      agents.FireSentinelSrc(base, 16),
-			Program:     FireSentinel(base, 16),
+			Program:     fireSentinel(base, 16),
 		},
 	}
 })
@@ -117,9 +116,9 @@ func Get(name string) (Entry, bool) {
 	return Entry{}, false
 }
 
-// Blink is the quickstart agent: flash the LEDs and leave a greeting
+// blink is the quickstart agent: flash the LEDs and leave a greeting
 // tuple <"hi", location>.
-func Blink() *Program {
+func blink() *Program {
 	return New("blink").
 		PushC(7).Putled().
 		PushN("hi").Loc().PushC(2).Out().
@@ -127,10 +126,10 @@ func Blink() *Program {
 		MustBuild()
 }
 
-// SmoveRoundTrip is Figure 8's smove benchmark agent generalized to any
+// smoveRoundTrip is Figure 8's smove benchmark agent generalized to any
 // target: strong-move to target, strong-move back home, halt. Panics if
 // a coordinate does not fit pushloc's signed-byte range.
-func SmoveRoundTrip(target, home Location) *Program {
+func smoveRoundTrip(target, home Location) *Program {
 	return New("smove-roundtrip").
 		PushLocV(target).Smove().
 		PushLocV(home).Smove().
@@ -138,19 +137,19 @@ func SmoveRoundTrip(target, home Location) *Program {
 		MustBuild()
 }
 
-// RoutAgent is Figure 8's rout benchmark agent: place the tuple <1> in
+// routAgent is Figure 8's rout benchmark agent: place the tuple <1> in
 // the target node's tuple space over the air, then halt.
-func RoutAgent(target Location) *Program {
+func routAgent(target Location) *Program {
 	return New("rout").
 		RoutTo(target, Int(1)).
 		Halt().
 		MustBuild()
 }
 
-// FireDetector is Figure 13: sample the temperature every sleepTicks
+// fireDetector is Figure 13: sample the temperature every sleepTicks
 // (1/8 s units); past the threshold of 200, rout a <"fir", location>
 // alert to notify and halt. Panics if sleepTicks exceeds int16.
-func FireDetector(notify Location, sleepTicks int) *Program {
+func fireDetector(notify Location, sleepTicks int) *Program {
 	return New("fire-detector").
 		Label("BEGIN").
 		Sense(SensorTemperature).
@@ -165,12 +164,12 @@ func FireDetector(notify Location, sleepTicks int) *Program {
 		MustBuild()
 }
 
-// FireTracker is the FIRETRACKER agent: the Figure 2 prologue (React on
+// fireTracker is the FIRETRACKER agent: the Figure 2 prologue (React on
 // <"fir", location>) followed by the tracking body — every copy marks
 // its presence, scans its neighbors, and strong-clones onto any hot
 // neighbor that lacks a tracker, re-scanning every 2 s. Heap variables
 // 10 and 11 are used by the body.
-func FireTracker() *Program {
+func fireTracker() *Program {
 	return New("fire-tracker").
 		React(Tmpl(Str("fir"), TypeV(TypeLocation)), func(b *Builder) {
 			b.Pop(). // field count pushed by the firing
@@ -203,11 +202,11 @@ func FireTracker() *Program {
 		MustBuild()
 }
 
-// FireSentinel is the case study's looping variant of Figure 13: where
+// fireSentinel is the case study's looping variant of Figure 13: where
 // the paper's listing halts after one alert, the sentinel keeps
 // monitoring, re-alerting every 4×sleepTicks while the fire burns.
 // Panics if a sleep period exceeds int16.
-func FireSentinel(notify Location, sleepTicks int) *Program {
+func fireSentinel(notify Location, sleepTicks int) *Program {
 	return New("fire-sentinel").
 		Label("BEGIN").
 		Sense(SensorTemperature).

@@ -29,7 +29,7 @@ func TestReplicationSurvivesChurn(t *testing.T) {
 		agilla.WithTopology(agilla.Grid(4, 4)),
 		agilla.WithReliableRadio(),
 		agilla.WithSeed(11),
-		agilla.WithReplication(2, 300*time.Millisecond),
+		agilla.WithReplication(agilla.Replication{K: 2, Period: 300 * time.Millisecond}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +69,7 @@ func TestReplicationSurvivesChurn(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if err := nw.Kill(victim); err != nil {
-		t.Fatal(err)
-	}
+	nw.Script(agilla.KillAt(nw.Now(), victim))
 	if err := nw.Run(2 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -93,9 +91,7 @@ func TestReplicationSurvivesChurn(t *testing.T) {
 		t.Fatalf("tombstoned marker readable at %d motes while victim is down", n)
 	}
 
-	if err := nw.Revive(victim); err != nil {
-		t.Fatal(err)
-	}
+	nw.Script(agilla.ReviveAt(nw.Now(), victim))
 	if err := nw.Run(6 * time.Second); err != nil {
 		t.Fatal(err) // boot + anti-entropy back-fill
 	}
@@ -133,7 +129,7 @@ func TestQueryAnswersFromEveryReplica(t *testing.T) {
 		agilla.WithTopology(agilla.Grid(4, 4)),
 		agilla.WithReliableRadio(),
 		agilla.WithSeed(11),
-		agilla.WithReplication(2, 300*time.Millisecond),
+		agilla.WithReplication(agilla.Replication{K: 2, Period: 300 * time.Millisecond}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -149,9 +145,7 @@ func TestQueryAnswersFromEveryReplica(t *testing.T) {
 		t.Fatal(err) // let gossip carry the add to every store
 	}
 	down := agilla.Loc(4, 4)
-	if err := nw.Kill(down); err != nil {
-		t.Fatal(err)
-	}
+	nw.Script(agilla.KillAt(nw.Now(), down))
 	matches, err := nw.Remote().Query(agilla.Tmpl(agilla.Str("kp"), agilla.Int(5)))
 	if err != nil {
 		t.Fatal(err)

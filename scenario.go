@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -23,8 +24,8 @@ type AgentSpec struct {
 	At Location
 }
 
-// Scenario is a declarative experiment: a topology, an environment, a set
-// of agent programs, and a stopping condition. One deployed network
+// Scenario is a declarative experiment: a deployment, an environment, a
+// set of agent programs, and a stopping condition. One deployed network
 // serving many applications is the paper's whole pitch (§2.2); a Scenario
 // makes each such workload a value that can be run, swept over seeds, and
 // compared — instead of a hand-rolled main function per experiment.
@@ -34,34 +35,18 @@ type AgentSpec struct {
 type Scenario struct {
 	// Name labels the scenario in output.
 	Name string
-	// Topology is the deployment layout (zero value: the paper's 5×5
-	// grid).
-	Topology Topology
-	// Radio overrides the radio model (nil: calibrated lossy CC1000).
-	Radio *RadioParams
-	// Field drives sensor readings. For stateful fields that must not be
-	// shared across concurrent runs (e.g. *Fire), set FieldFor instead.
-	Field Field
-	// FieldFor builds a per-run field from the run's seed. It takes
-	// precedence over Field.
+	// Options configure every run's deployment exactly as they configure
+	// New (WithTopology, WithReliableRadio, WithEnergy, ...). Each run
+	// appends WithSeed with its own seed, which overrides any WithSeed
+	// here. Two notes:
+	//   - WithWorkers multiplies with RunMany's across-seed parallelism,
+	//     so large values suit single deep runs, not wide sweeps.
+	//   - The options are shared by concurrent runs, so a stateful field
+	//     such as *Fire belongs in FieldFor, not in a WithField here.
+	Options []Option
+	// FieldFor builds a per-run field from the run's seed. It overrides a
+	// WithField in Options.
 	FieldFor func(seed int64) Field
-	// NodeConfig overrides per-mote budgets and timers (nil: paper
-	// defaults).
-	NodeConfig *NodeConfig
-	// Workers runs each deployment's simulation kernel on this many
-	// parallel workers (see WithWorkers); 0 or 1 keeps the sequential
-	// kernel. Metrics are identical either way for time-bounded runs;
-	// Until-bounded runs may advance up to one lookahead window further
-	// under parallel execution. Workers multiplies with RunMany's
-	// across-seed parallelism, so large values suit single deep runs, not
-	// wide sweeps.
-	Workers int
-	// Energy gives every mote a battery under the given model (see
-	// WithEnergy); nil disables energy accounting.
-	Energy *EnergyModel
-	// Replication turns on the gossip CRDT replication layer (see
-	// WithReplication); nil disables it.
-	Replication *Replication
 	// Faults is a declarative world script: kills, revivals, and moves
 	// applied at absolute virtual times (warm-up time counts; the
 	// paper-default warm-up ends at 5s). Events that resolve to nothing
@@ -121,7 +106,8 @@ type Metrics struct {
 	EnergyUsedJ float64
 	// Replication census: TuplesReplicated counts replica entries
 	// accepted from gossip deltas network-wide, TuplesRecovered tuples
-	// streamed back onto revived originators (both 0 without Replication).
+	// streamed back onto revived originators (both 0 without
+	// WithReplication).
 	TuplesReplicated, TuplesRecovered uint64
 	// Values holds scenario-specific measurements from Play/Collect.
 	Values map[string]float64
@@ -165,31 +151,9 @@ func (s *Scenario) run(ctx context.Context, seed int64) (*Metrics, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err // don't pay deployment build + warm-up post-cancel
 	}
-	opts := []Option{WithSeed(seed)}
-	if s.Topology.realize != nil {
-		opts = append(opts, WithTopology(s.Topology))
-	}
-	if s.Radio != nil {
-		opts = append(opts, WithRadio(*s.Radio))
-	}
-	field := s.Field
+	opts := append(slices.Clone(s.Options), WithSeed(seed))
 	if s.FieldFor != nil {
-		field = s.FieldFor(seed)
-	}
-	if field != nil {
-		opts = append(opts, WithField(field))
-	}
-	if s.NodeConfig != nil {
-		opts = append(opts, WithNodeConfig(*s.NodeConfig))
-	}
-	if s.Energy != nil {
-		opts = append(opts, WithEnergy(*s.Energy))
-	}
-	if s.Replication != nil {
-		opts = append(opts, WithReplicationConfig(*s.Replication))
-	}
-	if s.Workers > 1 {
-		opts = append(opts, WithWorkers(s.Workers))
+		opts = append(opts, WithField(s.FieldFor(seed)))
 	}
 	nw, err := New(opts...)
 	if err != nil {

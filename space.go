@@ -30,9 +30,6 @@ func (nw *Network) Space(loc Location) Space { return Space{nw: nw, loc: loc} }
 // Loc returns the node location this handle addresses.
 func (sp Space) Loc() Location { return sp.loc }
 
-// Exists reports whether a node lives at the handle's location.
-func (sp Space) Exists() bool { return sp.nw.d.Node(sp.loc) != nil }
-
 // Out inserts a tuple. It fails with ErrNoSuchNode if no node lives
 // here, and otherwise if the tuple is oversized or the node's arena is
 // full (the insertion is atomic: all or nothing, §3.2).
@@ -95,7 +92,7 @@ func (sp Space) All() []Tuple {
 // contract as Events).
 //
 // A watch observes one incarnation of the node's space: if the node dies
-// (churn, energy exhaustion, Kill), its volatile space is destroyed and
+// (a scripted kill, churn, energy exhaustion), its volatile space is destroyed and
 // the watch terminates — already-queued tuples remain readable, then the
 // channel closes, so ranging over a watch ends at whichever comes first
 // of node death and Network.Close. Re-Watch after a revival to observe

@@ -14,8 +14,8 @@ import (
 func TestSpaceHandleBasics(t *testing.T) {
 	nw := reliableGrid(t, 2, 1)
 	sp := nw.Space(agilla.Loc(2, 1))
-	if !sp.Exists() || sp.Loc() != agilla.Loc(2, 1) {
-		t.Fatalf("handle wrong: exists=%v loc=%v", sp.Exists(), sp.Loc())
+	if nw.Node(sp.Loc()) == nil || sp.Loc() != agilla.Loc(2, 1) {
+		t.Fatalf("handle wrong: loc=%v", sp.Loc())
 	}
 
 	if err := sp.Out(agilla.T(agilla.Int(5), agilla.Str("ab"))); err != nil {
@@ -44,7 +44,7 @@ func TestSpaceHandleBasics(t *testing.T) {
 func TestSpaceHandleMissingNode(t *testing.T) {
 	nw := reliableGrid(t, 2, 1)
 	sp := nw.Space(agilla.Loc(9, 9))
-	if sp.Exists() {
+	if nw.Node(sp.Loc()) != nil {
 		t.Fatal("no node lives at (9,9)")
 	}
 	if err := sp.Out(agilla.T(agilla.Int(1))); err == nil {

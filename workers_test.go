@@ -68,13 +68,12 @@ func TestWithWorkersMatchesSequential(t *testing.T) {
 func TestScenarioWorkersMetricsIdentical(t *testing.T) {
 	mk := func(workers int) *agilla.Scenario {
 		return &agilla.Scenario{
-			Name:     "workers-equivalence",
-			Topology: agilla.Grid(4, 4),
+			Name:    "workers-equivalence",
+			Options: []agilla.Option{agilla.WithTopology(agilla.Grid(4, 4)), agilla.WithWorkers(workers)},
 			Agents: []agilla.AgentSpec{
 				{Name: "greet", Program: program.MustParse("pushn hi\nloc\npushc 2\nout\nhalt"), At: agilla.Loc(4, 4)},
 			},
 			Duration: 15 * time.Second,
-			Workers:  workers,
 		}
 	}
 	want, err := mk(1).Run(31)

@@ -6,11 +6,11 @@ package agilla
 // die, recover, relocate, and drain batteries while the simulation runs,
 // deterministically under both the sequential and the sharded kernel.
 //
-// Three entry points:
+// Two entry points:
 //
-//   - Immediate: nw.Kill / nw.Revive / nw.Move between runs.
 //   - Scripted: WorldEvent values (KillAt, ReviveAt, MoveAt) passed to
-//     nw.Script or Scenario.Faults.
+//     nw.Script or Scenario.Faults. An event at nw.Now() fires at the
+//     next instant: nw.Script(KillAt(nw.Now(), loc)) kills loc now.
 //   - Stochastic: a seeded ChurnProcess on Scenario, expanded into a
 //     deterministic kill/revive schedule from the run's seed.
 
@@ -33,7 +33,7 @@ type NodeLife = core.LifeState
 const (
 	NodeUp         = core.NodeUp         // beaconing and executing agents
 	NodeDown       = core.NodeDown       // dead: radio off, volatile state lost
-	NodeRecovering = core.NodeRecovering // booting after Revive
+	NodeRecovering = core.NodeRecovering // booting after a revival
 )
 
 // DownCause says why a node died.
@@ -41,7 +41,7 @@ type DownCause = core.DownCause
 
 // Down causes.
 const (
-	CauseKilled = core.CauseKilled // scripted fault or host API
+	CauseKilled = core.CauseKilled // scripted fault or churn
 	CauseEnergy = core.CauseEnergy // battery exhausted
 )
 
@@ -161,35 +161,6 @@ func (nw *Network) Script(events ...WorldEvent) {
 			nw.d.RejectWorld()
 		}
 	}
-}
-
-// Kill takes the mote at loc down at the next instant. It returns
-// ErrNoSuchNode for an empty location; killing the base station or an
-// already-down mote is a no-op counted in WorldStats.Rejected.
-func (nw *Network) Kill(loc Location) error {
-	if nw.d.Node(loc) == nil {
-		return fmt.Errorf("%w at %v", ErrNoSuchNode, loc)
-	}
-	nw.d.KillAt(nw.d.Sim.Now(), loc)
-	return nil
-}
-
-// Revive boots the dead mote at loc at the next instant.
-func (nw *Network) Revive(loc Location) error {
-	if nw.d.Node(loc) == nil {
-		return fmt.Errorf("%w at %v", ErrNoSuchNode, loc)
-	}
-	nw.d.ReviveAt(nw.d.Sim.Now(), loc)
-	return nil
-}
-
-// Move relocates the mote at from to to at the next instant.
-func (nw *Network) Move(from, to Location) error {
-	if nw.d.Node(from) == nil {
-		return fmt.Errorf("%w at %v", ErrNoSuchNode, from)
-	}
-	nw.d.MoveAt(nw.d.Sim.Now(), from, to)
-	return nil
 }
 
 // Life reports the lifecycle state of the node at loc; ok is false when

@@ -15,8 +15,7 @@ import (
 func TestScenarioFaultScript(t *testing.T) {
 	s := &agilla.Scenario{
 		Name:     "faults",
-		Topology: agilla.Grid(3, 3),
-		Radio:    ptr(agilla.ReliableRadio()),
+		Options:  []agilla.Option{agilla.WithTopology(agilla.Grid(3, 3)), agilla.WithReliableRadio()},
 		Duration: 30 * time.Second,
 		Faults: []agilla.WorldEvent{
 			agilla.KillAt(8*time.Second, agilla.Loc(2, 2)),
@@ -41,9 +40,8 @@ func TestScenarioFaultDeterminism(t *testing.T) {
 	build := func(workers int) *agilla.Scenario {
 		return &agilla.Scenario{
 			Name:     "churny",
-			Topology: agilla.Grid(4, 4),
+			Options:  []agilla.Option{agilla.WithTopology(agilla.Grid(4, 4)), agilla.WithWorkers(workers)},
 			Duration: 25 * time.Second,
-			Workers:  workers,
 			Churn: &agilla.ChurnProcess{
 				MeanUp:   12 * time.Second,
 				MeanDown: 4 * time.Second,
@@ -235,8 +233,6 @@ func TestEnergyModelPublic(t *testing.T) {
 		t.Fatalf("energy deaths = %d, want 2", n)
 	}
 }
-
-func ptr[T any](v T) *T { return &v }
 
 // roundTripSrc is a minimal there-and-back agent in Agilla assembly.
 func roundTripSrc(far agilla.Location) string {
