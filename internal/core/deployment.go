@@ -203,9 +203,10 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 	// One environment per shard for the motes (separately allocated: their
 	// scratch is written per instruction by different workers), and one
 	// for the base station, a laptop: effectively unconstrained.
+	nodeCfg := spec.Node.withDefaults()
 	envs := make([]*shardEnv, s.Shards())
 	for i := range envs {
-		envs[i] = &shardEnv{cfg: spec.Node.withDefaults(), trace: trace, tracker: d.tracker}
+		envs[i] = &shardEnv{cfg: nodeCfg, trace: trace, tracker: d.tracker, net: network.Shard{Config: nodeCfg.Network}}
 	}
 	baseEnv := *envs[0]
 	baseEnv.cfg.MaxAgents = 64

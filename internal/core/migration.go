@@ -385,14 +385,15 @@ func (n *Node) beginTransfer(om *outMigration) {
 // sendCurrent transmits the next unacknowledged message and arms the
 // retransmission timer. In end-to-end mode all messages go out back to
 // back, routed to the final destination, and a single completion ack is
-// awaited. The radio copies what it delivers, so om.buf is free to reuse
-// once the transfer ends.
+// awaited. The medium copies a payload before Send returns, so om.buf is
+// free to reuse once the transfer ends.
 func (n *Node) sendCurrent(om *outMigration) {
 	if n.cfg.EndToEndMigration {
 		for i := range om.metas {
-			env := wire.Envelope{Src: n.loc, Dst: om.dest, TTL: 32, Kind: uint8(radio.KindMigrate), Body: om.msg(i)}
 			if hop, ok := n.net.NextHop(om.dest); ok {
-				n.net.SendDirect(hop, radio.KindMigrate, env.Encode())
+				env := wire.Envelope{Src: n.loc, Dst: om.dest, TTL: 32, Kind: uint8(radio.KindMigrate), Body: om.msg(i)}
+				n.tx = env.Append(n.tx[:0])
+				n.net.SendDirect(hop, radio.KindMigrate, n.tx)
 			}
 		}
 		om.timer.Reset(n.cfg.AckTimeout * 10)
@@ -427,7 +428,8 @@ func (n *Node) recvMigrationAck(f radio.Frame) {
 			if env.TTL > 0 {
 				env.TTL--
 				if hop, ok := n.net.NextHop(env.Dst); ok {
-					n.net.SendDirect(hop, radio.KindMigrateCtl, env.Encode())
+					n.tx = env.Append(n.tx[:0])
+					n.net.SendDirect(hop, radio.KindMigrateCtl, n.tx)
 				}
 			}
 			return
@@ -534,7 +536,8 @@ func (n *Node) recvMigrationData(f radio.Frame) {
 			if env.TTL > 0 {
 				env.TTL--
 				if hop, ok := n.net.NextHop(env.Dst); ok {
-					n.net.SendDirect(hop, radio.KindMigrate, env.Encode())
+					n.tx = env.Append(n.tx[:0])
+					n.net.SendDirect(hop, radio.KindMigrate, n.tx)
 				}
 			}
 			return
@@ -686,15 +689,17 @@ func (n *Node) ackIn(to topology.Location, key inKey, t wire.MsgType, idx uint8,
 	ack := wire.AckMsg{AgentID: key.agentID, Seq: key.seq, Of: t, Index: idx}
 	if e2e {
 		ack.Of, ack.Index = wire.MsgState, 0xff
-		env := wire.Envelope{Src: n.loc, Dst: to, TTL: 32, Kind: uint8(radio.KindMigrateCtl), Body: ack.Encode()}
 		if hop, ok := n.net.NextHop(to); ok {
-			n.net.SendDirect(hop, radio.KindMigrateCtl, env.Encode())
+			// A bodiless envelope encodes its header alone; the ack follows
+			// as its body.
+			env := wire.Envelope{Src: n.loc, Dst: to, TTL: 32, Kind: uint8(radio.KindMigrateCtl)}
+			n.tx = ack.Append(env.Append(n.tx[:0]))
+			n.net.SendDirect(hop, radio.KindMigrateCtl, n.tx)
 		}
 		return
 	}
-	// The radio copies what it delivers, so one shard scratch serves.
-	n.ackBuf = ack.Append(n.ackBuf[:0])
-	n.net.SendDirect(to, radio.KindMigrateCtl, n.ackBuf)
+	n.tx = ack.Append(n.tx[:0])
+	n.net.SendDirect(to, radio.KindMigrateCtl, n.tx)
 }
 
 func (n *Node) inComplete(im *inMigration) bool {

@@ -186,8 +186,20 @@ type shardEnv struct {
 	recFree   []*record
 	agentFree []*vm.Agent
 	agt       map[uint16]tuplespace.Tuple // presence tuples by agent ID
-	ackBuf    []byte                      // ackIn's encoding scratch
 	rxnBuf    []tuplespace.Reaction       // encodeAgent's scratch
+
+	// deltaFields is recvReplicaDelta's decode scratch for the fields of
+	// a delta's tuples (on the stack it would escape through the entries).
+	deltaFields [replicaDeltaCap * tuplespace.MaxTupleBytes]tuplespace.Value
+
+	// tx is the scratch every frame the shard's motes send is encoded
+	// into: acks, envelopes, remote requests and replies, digests and
+	// deltas. net holds the network stacks' configuration and their own
+	// scratch, kept apart so that an envelope is never encoded into the
+	// buffer holding its body. The medium copies a payload before Send
+	// returns, so each is free again once the send call is.
+	tx  []byte
+	net network.Shard
 }
 
 // newNode builds a mote at loc, attaches it to the medium, and seeds its
@@ -207,7 +219,7 @@ func newNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, nodeIndex 
 	n.resetRAM()
 	n.stepFn = n.engineStep
 	n.burst = n.cfg.Exec != ExecStep
-	n.net.Init(s, medium, loc, &env.cfg.Network)
+	n.net.Init(s, medium, loc, &env.net)
 	n.net.NumAgents = func() int { return len(n.agents) }
 	n.net.DeliverDirect = n.handleDirect
 	n.net.DeliverRouted = n.handleRouted

@@ -89,7 +89,8 @@ func (n *Node) awaitRemote(pr *pendingRemote) {
 func (n *Node) sendRemote(pr *pendingRemote) {
 	pr.attempts++
 	// Losses at any hop silently eat the request; only the timer saves us.
-	_ = n.net.SendRouted(pr.dest, radio.KindRemoteTS, pr.req.Encode())
+	n.tx = pr.req.Append(n.tx[:0])
+	_ = n.net.SendRouted(pr.dest, radio.KindRemoteTS, n.tx)
 	pr.timer.Reset(n.cfg.RemoteTimeout)
 }
 
@@ -155,7 +156,8 @@ func (n *Node) serveRemoteRequest(env wire.Envelope) {
 	// (Re-)stamping on every hit keeps an entry alive for as long as its
 	// initiator is still retransmitting, whatever timers it runs.
 	n.rememberServed(key, sr)
-	_ = n.net.SendRouted(req.ReplyTo, radio.KindRemoteTSR, sr.reply.Encode())
+	n.tx = sr.reply.Append(n.tx[:0])
+	_ = n.net.SendRouted(req.ReplyTo, radio.KindRemoteTSR, n.tx)
 }
 
 // servedGraceFloor is the minimum idle time before a cached reply may be

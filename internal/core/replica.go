@@ -257,9 +257,9 @@ func (n *Node) gossipTick() {
 		start = r.rng.Intn(len(nbrs))
 	}
 	var lines [replicaLinesCap]replica.Summary
-	payload := wire.ReplicaDigest{Lines: r.set.AppendDigest(lines[:0])}.Encode()
+	n.tx = wire.ReplicaDigest{Lines: r.set.AppendDigest(lines[:0])}.Append(n.tx[:0])
 	for i := 0; i < k; i++ {
-		n.net.SendDirect(nbrs[(start+i)%len(nbrs)].Loc, radio.KindReplicaDigest, payload)
+		n.net.SendDirect(nbrs[(start+i)%len(nbrs)].Loc, radio.KindReplicaDigest, n.tx)
 		n.stats.DigestsSent++
 		if n.life != NodeUp {
 			return // the transmit charge emptied the battery
@@ -285,15 +285,16 @@ func (n *Node) recvReplicaDigest(f radio.Frame) {
 	}
 	var entries [replicaDeltaCap]replica.Entry
 	if delta := r.set.AppendDelta(entries[:0], d.Lines, replicaDeltaCap); len(delta) > 0 {
-		n.net.SendDirect(f.Src, radio.KindReplicaDelta, wire.ReplicaDelta{Entries: delta}.Encode())
+		n.tx = wire.ReplicaDelta{Entries: delta}.Append(n.tx[:0])
+		n.net.SendDirect(f.Src, radio.KindReplicaDelta, n.tx)
 		if n.life != NodeUp {
 			return
 		}
 	}
 	if !d.Reply && r.set.NeedsFrom(d.Lines) {
 		// The peer's lines are done with; ours take their place.
-		n.net.SendDirect(f.Src, radio.KindReplicaDigest,
-			wire.ReplicaDigest{Reply: true, Lines: r.set.AppendDigest(lines[:0])}.Encode())
+		n.tx = wire.ReplicaDigest{Reply: true, Lines: r.set.AppendDigest(lines[:0])}.Append(n.tx[:0])
+		n.net.SendDirect(f.Src, radio.KindReplicaDigest, n.tx)
 	}
 }
 
@@ -307,8 +308,10 @@ func (n *Node) recvReplicaDelta(f radio.Frame) {
 	if r == nil {
 		return
 	}
+	// The entries decode into stack scratch and their tuples' fields into
+	// the shard's; the store gets a copy of each tuple it takes.
 	var entries [replicaDeltaCap]replica.Entry
-	d, err := wire.DecodeReplicaDeltaInto(entries[:0], f.Payload)
+	d, err := wire.DecodeReplicaDeltaInto(entries[:0], n.deltaFields[:0], f.Payload)
 	if err != nil {
 		return
 	}
@@ -330,23 +333,26 @@ func (n *Node) recvReplicaDelta(f radio.Frame) {
 			}
 			continue
 		}
-		if !r.set.Add(e.Origin, e.Tuple) {
+		if !r.set.Admits(e.Origin) {
 			continue
 		}
+		t := tuplespace.Tuple{Fields: make([]tuplespace.Value, len(e.Tuple.Fields))}
+		copy(t.Fields, e.Tuple.Fields)
+		r.set.Add(e.Origin, t)
 		added++
 		n.stats.TuplesReplicated++
 		if n.ownsReplicaOrigin(e.Origin.Node) {
 			recovered := false
 			n.replicaMuted(func() {
-				exact := tuplespace.Template{Fields: e.Tuple.Fields}
+				exact := tuplespace.Template{Fields: t.Fields}
 				if _, ok := n.space.Rdp(exact); !ok {
-					recovered = n.space.Out(e.Tuple) == nil
+					recovered = n.space.Out(t) == nil
 				}
 			})
 			if recovered {
 				n.stats.TuplesRecovered++
 				if n.trace.TupleRecovered != nil {
-					n.trace.TupleRecovered(n.loc, e.Tuple)
+					n.trace.TupleRecovered(n.loc, t)
 				}
 			}
 		}

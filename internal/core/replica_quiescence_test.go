@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/agilla-go/agilla/internal/network"
 	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
@@ -156,5 +157,58 @@ func TestKeepaliveDigestAllocatesNothing(t *testing.T) {
 	}
 	if n.net.Stats() != sent {
 		t.Errorf("an agreeing digest was answered: network stats %+v, were %+v", n.net.Stats(), sent)
+	}
+}
+
+// TestGossipRoundAllocatesNothing pins a warm anti-entropy round end to
+// end: a digest reaches a mote, which answers with a delta encoded into
+// its shard's scratch; the radio carries the delta in a pooled delivery;
+// and the peer decodes it into stack scratch and merges an entry it
+// already holds.
+func TestGossipRoundAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	params := radio.ZeroLoss()
+	d, err := NewDeployment(DeploymentSpec{
+		Layout: topology.GridLayout(2, 1), Seed: 23, Workers: 1, Radio: &params,
+		// No beacon or gossip tick fires during the pinned rounds.
+		Node:        Config{Network: network.Config{BeaconEvery: time.Hour, ExpireAfter: 10 * time.Hour}},
+		Replication: &Replication{Period: time.Hour},
+	})
+	if err != nil {
+		t.Fatalf("deployment: %v", err)
+	}
+	if err := d.WarmUp(); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	a, b := d.Node(topology.Loc(1, 1)), d.Node(topology.Loc(2, 1))
+	if err := a.TSOut(tuplespace.T(tuplespace.Str("gv"), tuplespace.Int(7))); err != nil {
+		t.Fatalf("out: %v", err)
+	}
+	// An empty reply digest from b: a answers with everything it holds and
+	// expects no digest back.
+	digest := radio.Frame{Src: b.Loc(), Dst: a.Loc(), Kind: radio.KindReplicaDigest,
+		Payload: wire.ReplicaDigest{Reply: true}.Encode()}
+	round := func() {
+		a.ReceiveFrame(digest)
+		if err := d.Sim.Run(d.Sim.Now() + 100*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	round() // b learns the tuple: the one merge that stores
+	if got := b.Stats().TuplesReplicated; got != 1 {
+		t.Fatalf("b replicated %d tuples after the first round, want 1", got)
+	}
+	delivered := d.Medium.Stats().Delivered
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Errorf("a gossip round merging a known entry allocates %.1f objects, want 0", avg)
+	}
+	// AllocsPerRun makes one warm-up call of its own: 101 rounds in all.
+	if got := d.Medium.Stats().Delivered - delivered; got != 101 {
+		t.Fatalf("%d deltas delivered in 101 rounds", got)
+	}
+	if got := b.Stats().TuplesReplicated; got != 1 {
+		t.Fatalf("b replicated %d tuples after the rounds, want still 1", got)
 	}
 }

@@ -144,6 +144,17 @@ type Stats struct {
 	DirectFrames uint64 // one-hop frames sent on behalf of upper layers
 }
 
+// Shard is what the stacks of one executor shard share: their
+// configuration, and the scratch every beacon and every originated or
+// relayed envelope is encoded into. Events of one shard never overlap and
+// the medium copies a payload before Send returns, so one buffer serves
+// every stack of the shard; stacks on different shards must not share a
+// Shard.
+type Shard struct {
+	Config // defaults applied; never written once a stack uses it
+	tx     []byte
+}
+
 // Stack is one node's network layer. It owns beaconing, the acquaintance
 // list, and greedy forwarding. Upper layers (internal/core) receive
 // non-routing traffic through the handlers below.
@@ -154,7 +165,7 @@ type Stack struct {
 	sim    *sim.Ctx
 	medium *radio.Medium
 	self   topology.Location
-	cfg    *Config // defaults applied; shared by every stack of a deployment
+	shard  *Shard // configuration and transmit scratch, shared by the stacks of one executor shard
 	acq    AcquaintanceList
 	stats  Stats
 
@@ -164,10 +175,12 @@ type Stack struct {
 	tickFn  func() // beaconTick as a value, allocated once per Start
 
 	// DeliverRouted receives envelope payloads whose final destination is
-	// this node (remote tuple space requests and replies).
+	// this node (remote tuple space requests and replies). env.Body is
+	// valid only during the call, like a received payload (radio.Receiver).
 	DeliverRouted func(kind radio.FrameKind, env wire.Envelope)
 	// DeliverDirect receives non-beacon, non-routed frames (migration data
-	// and control, which run their own hop-by-hop protocol).
+	// and control, which run their own hop-by-hop protocol). f.Payload is
+	// valid only during the call.
 	DeliverDirect func(f radio.Frame)
 	// NumAgents supplies the beacon's co-located agent count.
 	NumAgents func() int
@@ -183,17 +196,16 @@ type Stack struct {
 // be the node's own scheduling context: beacon timers run on it and the
 // randomized beacon offset draws from its stream.
 func NewStack(s *sim.Ctx, medium *radio.Medium, self topology.Location, cfg Config) *Stack {
-	cfg = cfg.WithDefaults()
 	st := new(Stack)
-	st.Init(s, medium, self, &cfg)
+	st.Init(s, medium, self, &Shard{Config: cfg.WithDefaults()})
 	return st
 }
 
-// Init is NewStack for a Stack its owner holds by value. cfg must already
-// have its defaults applied (Config.WithDefaults) and must not change
-// afterwards; many stacks may share one.
-func (st *Stack) Init(s *sim.Ctx, medium *radio.Medium, self topology.Location, cfg *Config) {
-	*st = Stack{sim: s, medium: medium, self: self, cfg: cfg, acq: AcquaintanceList{expireAfter: cfg.ExpireAfter}}
+// Init is NewStack for a Stack its owner holds by value, on the executor
+// shard sh serves. sh's Config must already have its defaults applied
+// (Config.WithDefaults) and must not change afterwards.
+func (st *Stack) Init(s *sim.Ctx, medium *radio.Medium, self topology.Location, sh *Shard) {
+	*st = Stack{sim: s, medium: medium, self: self, shard: sh, acq: AcquaintanceList{expireAfter: sh.ExpireAfter}}
 }
 
 // Self returns this node's location.
@@ -227,7 +239,7 @@ func (st *Stack) Start() {
 	st.gen++
 	gen := st.gen
 	st.tickFn = func() { st.beaconTick(gen) }
-	offset := time.Duration(st.sim.Rand().Int63n(int64(st.cfg.BeaconEvery)))
+	offset := time.Duration(st.sim.Rand().Int63n(int64(st.shard.BeaconEvery)))
 	st.sim.Schedule(offset, st.tickFn)
 }
 
@@ -240,7 +252,7 @@ func (st *Stack) beaconTick(gen int) {
 	}
 	st.SendBeacon()
 	st.acq.Expire(st.sim.Now())
-	st.sim.Schedule(st.cfg.BeaconEvery, st.tickFn)
+	st.sim.Schedule(st.shard.BeaconEvery, st.tickFn)
 }
 
 // transmit offers one frame to the medium, charging the energy model
@@ -267,12 +279,9 @@ func (st *Stack) SendBeacon() {
 	if n > 255 {
 		n = 255
 	}
-	if st.transmit(radio.Frame{
-		Src:     st.self,
-		Dst:     radio.Broadcast,
-		Kind:    radio.KindBeacon,
-		Payload: wire.Beacon{NumAgents: uint8(n)}.Encode(),
-	}) {
+	sh := st.shard
+	sh.tx = wire.Beacon{NumAgents: uint8(n)}.Append(sh.tx[:0])
+	if st.transmit(radio.Frame{Src: st.self, Dst: radio.Broadcast, Kind: radio.KindBeacon, Payload: sh.tx}) {
 		st.stats.BeaconsSent++
 	}
 }
@@ -301,7 +310,9 @@ func (st *Stack) HandleFrame(f radio.Frame) {
 }
 
 // SendDirect transmits a one-hop frame to a direct neighbor. The migration
-// protocol uses this and supplies its own acknowledgments.
+// protocol uses this and supplies its own acknowledgments. The medium
+// copies payload before SendDirect returns, so the caller may reuse it at
+// once.
 func (st *Stack) SendDirect(to topology.Location, kind radio.FrameKind, payload []byte) {
 	if st.transmit(radio.Frame{Src: st.self, Dst: to, Kind: kind, Payload: payload}) {
 		st.stats.DirectFrames++
@@ -313,9 +324,11 @@ var ErrNoRoute = fmt.Errorf("network: no neighbor closer to destination")
 
 // SendRouted originates an envelope toward dst using greedy geographic
 // forwarding. If dst is this node the payload is delivered locally (via
-// DeliverRouted) without touching the radio.
+// DeliverRouted) without touching the radio. The envelope is encoded into
+// the shard's scratch, never into body, so the caller may reuse body once
+// SendRouted returns.
 func (st *Stack) SendRouted(dst topology.Location, kind radio.FrameKind, body []byte) error {
-	env := wire.Envelope{Src: st.self, Dst: dst, TTL: st.cfg.TTL, Kind: uint8(kind), Body: body}
+	env := wire.Envelope{Src: st.self, Dst: dst, TTL: st.shard.TTL, Kind: uint8(kind), Body: body}
 	st.stats.Originated++
 	if dst == st.self {
 		st.stats.DeliveredUp++
@@ -352,7 +365,9 @@ func (st *Stack) forward(kind radio.FrameKind, env wire.Envelope) error {
 		st.stats.RouteStalls++
 		return fmt.Errorf("%w: %v -> %v", ErrNoRoute, st.self, env.Dst)
 	}
-	if !st.transmit(radio.Frame{Src: st.self, Dst: hop, Kind: kind, Payload: env.Encode()}) {
+	sh := st.shard
+	sh.tx = env.Append(sh.tx[:0])
+	if !st.transmit(radio.Frame{Src: st.self, Dst: hop, Kind: kind, Payload: sh.tx}) {
 		return fmt.Errorf("network: transmitter browned out forwarding %v -> %v", st.self, env.Dst)
 	}
 	return nil

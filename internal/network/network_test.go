@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -122,7 +123,7 @@ func TestGreedyRouteDelivers(t *testing.T) {
 	dst := topology.Loc(5, 5)
 	stacks[dst].DeliverRouted = func(kind radio.FrameKind, env wire.Envelope) {
 		deliveredAt = env.Dst
-		deliveredBody = env.Body
+		deliveredBody = bytes.Clone(env.Body)
 	}
 	src := stacks[topology.Loc(1, 1)]
 	if err := src.SendRouted(dst, radio.KindRemoteTS, []byte{7, 7}); err != nil {
@@ -348,5 +349,67 @@ func TestAcquaintanceListIsAnOrderedSlice(t *testing.T) {
 	second, _ := a.At(1)
 	if first.Loc != topology.Loc(5, 6) || second.Loc != topology.Loc(6, 6) {
 		t.Fatalf("survivors out of order: %v, %v", first.Loc, second.Loc)
+	}
+}
+
+// TestBeaconSendReceiveAllocatesNothing: on a warm medium a beacon's send
+// → receive allocates nothing. It is encoded into the shard's scratch,
+// copied once into a pooled delivery, and refreshes a known acquaintance
+// in place.
+func TestBeaconSendReceiveAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s, _, stacks := testNet(t, 2, 1, Config{})
+	a, b := stacks[topology.Loc(1, 1)], stacks[topology.Loc(2, 1)]
+	a.NumAgents = func() int { return 2 }
+	cycle := func() {
+		a.SendBeacon()
+		if err := s.RunUntilIdle(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("beacon send→receive allocates %.1f objects, want 0", avg)
+	}
+	if ns := b.Acquaintances().Neighbors(); len(ns) != 1 || ns[0].Loc != a.Self() || ns[0].NumAgents != 2 {
+		t.Fatalf("receiver's acquaintances = %+v, want %v with 2 agents", ns, a.Self())
+	}
+}
+
+// TestRelayForwardAllocatesNothing: a warm routed envelope that crosses a
+// relay allocates nothing end to end. The origin and the relay encode it
+// into their shard's scratch, and each hop's delivery owns its copy.
+func TestRelayForwardAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	s, _, stacks := testNet(t, 3, 1, Config{})
+	src, relay, dst := stacks[topology.Loc(1, 1)], stacks[topology.Loc(2, 1)], stacks[topology.Loc(3, 1)]
+	src.Acquaintances().Update(relay.Self(), 0, 0)
+	relay.Acquaintances().Update(dst.Self(), 0, 0)
+	delivered := 0
+	dst.DeliverRouted = func(_ radio.FrameKind, env wire.Envelope) {
+		if bytes.Equal(env.Body, []byte{7, 7}) {
+			delivered++
+		}
+	}
+	body := []byte{7, 7}
+	cycle := func() {
+		if err := src.SendRouted(dst.Self(), radio.KindRemoteTS, body); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.RunUntilIdle(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("a relayed envelope allocates %.1f objects, want 0", avg)
+	}
+	// AllocsPerRun makes one warm-up call of its own: 102 sends in all.
+	if fwd := relay.Stats().Forwarded; delivered != 102 || fwd != 102 {
+		t.Fatalf("%d envelopes delivered and %d forwarded in 102 sends", delivered, fwd)
 	}
 }

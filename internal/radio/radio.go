@@ -95,8 +95,14 @@ type Frame struct {
 func (f Frame) IsBroadcast() bool { return f.Dst == Broadcast }
 
 // Receiver is implemented by anything attached to the medium (motes and the
-// base station bridge). A received frame's payload is shared between the
-// medium and every receiver of the same broadcast: treat it as read-only.
+// base station bridge).
+//
+// A received payload is valid only during ReceiveFrame: it is the buffer
+// of the medium's pooled delivery record, which carries another frame as
+// soon as the call returns. A receiver copies whatever it keeps. In
+// race-detector builds the medium overwrites each payload with a poison
+// byte once ReceiveFrame returns, so a retained alias fails `go test
+// -race` instead of silently reading a later frame.
 type Receiver interface {
 	ReceiveFrame(f Frame)
 }
@@ -259,9 +265,13 @@ func locLess(a, b topology.Location) bool {
 
 // delivery is one frame in flight: the receiver resolved at send time, the
 // frame, and run bound once as the event callback, so a delivery costs the
-// kernel's pooled event and this pooled record instead of a closure. It is
-// taken from the sending shard's free list and returned to the receiving
-// shard's; each list is only ever touched by its owning worker.
+// kernel's pooled event and this pooled record instead of a closure. The
+// record owns its payload bytes: load copies the sender's payload into the
+// capacity the record kept from earlier frames — the only copy a frame
+// costs — and the receiver reads them in place. It is taken from the
+// sending shard's free list and returned to the receiving shard's once
+// ReceiveFrame has returned; each list is only ever touched by its owning
+// worker.
 type delivery struct {
 	r    Receiver
 	f    Frame
@@ -269,11 +279,40 @@ type delivery struct {
 	fire func()
 }
 
+// take returns a delivery from sh's free list, or a new one.
+func (sh *mediumShard) take() *delivery {
+	n := len(sh.free) - 1
+	if n < 0 {
+		d := new(delivery)
+		d.fire = d.run
+		return d
+	}
+	d := sh.free[n]
+	sh.free[n] = nil
+	sh.free = sh.free[:n]
+	return d
+}
+
+// load readies d to hand f to r on the shard home, copying f's payload
+// into d's own buffer.
+func (d *delivery) load(r Receiver, f Frame, home *mediumShard) {
+	f.Payload = append(d.f.Payload[:0], f.Payload...)
+	d.r, d.f, d.home = r, f, home
+}
+
+// poisonByte is what every payload byte reads as once its ReceiveFrame
+// has returned, in builds that set poisonPayloads.
+const poisonByte = 0xA5
+
 func (d *delivery) run() {
-	r, f := d.r, d.f
-	d.r, d.f.Payload = nil, nil // drop the references for the GC
+	d.r.ReceiveFrame(d.f)
+	if poisonPayloads {
+		for i := range d.f.Payload {
+			d.f.Payload[i] = poisonByte
+		}
+	}
+	d.r = nil // drop the receiver for the GC; the payload buffer serves the next frame
 	d.home.free = append(d.home.free, d)
-	r.ReceiveFrame(f)
 }
 
 // mediumShard is the slice of medium state owned by one executor shard.
@@ -470,6 +509,11 @@ func (m *Medium) fanoutOf(src topology.Location, sh *mediumShard) *fanout {
 // node if it is attached and connected to the source; broadcast frames are
 // offered to every connected node. Loss is sampled per receiving link.
 // Delivery happens after the modelled frame delay.
+//
+// Each delivery copies the payload into a buffer of its own before Send
+// returns, so the sender may reuse its buffer as soon as Send returns;
+// Trace and Drop see the sender's bytes, during Send. A receiver gets the
+// delivery's copy under the rule on Receiver.
 func (m *Medium) Send(f Frame) {
 	src := m.ctxOf(f.Src)
 	sh := &m.sh[src.Shard()]
@@ -477,17 +521,11 @@ func (m *Medium) Send(f Frame) {
 	sh.stats.Bytes += uint64(len(f.Payload))
 	fo := m.fanoutOf(f.Src, sh)
 	if f.IsBroadcast() {
-		if len(f.Payload) > 0 {
-			// One defensive copy per broadcast, shared read-only by every
-			// receiver; per-receiver copies made beacons O(n²) in payload
-			// traffic.
-			f.Payload = append([]byte(nil), f.Payload...)
-		}
 		// Deliver in sorted location order: map iteration order would
 		// leak nondeterminism into the loss sampling and event sequence.
 		for i := range fo.links {
 			if l := &fo.links[i]; l.bcast && l.a != nil && l.a.r != nil {
-				m.deliver(f, l, src, sh, true)
+				m.deliver(f, l, src, sh)
 			}
 		}
 		return
@@ -514,14 +552,13 @@ func (m *Medium) Send(f Frame) {
 	if l == nil {
 		l = fo.insert(link{to: f.Dst, a: a})
 	}
-	m.deliver(f, l, src, sh, false)
+	m.deliver(f, l, src, sh)
 }
 
-// deliver offers one frame to the receiver at the far end of l. copied says
-// whether the payload was already snapshotted (broadcast copies once up
-// front so all receivers share it); unicast frames snapshot only on actual
-// delivery, so dropped frames cost no allocation.
-func (m *Medium) deliver(f Frame, l *link, src *sim.Ctx, sh *mediumShard, copied bool) {
+// deliver offers one frame to the receiver at the far end of l. The
+// payload is copied only on actual delivery, into the pooled record that
+// carries it, so a lost frame costs no copy.
+func (m *Medium) deliver(f Frame, l *link, src *sim.Ctx, sh *mediumShard) {
 	if m.Drop != nil && m.Drop(f, l.to) {
 		if m.Trace != nil {
 			m.Trace(f, l.to, false)
@@ -552,19 +589,8 @@ func (m *Medium) deliver(f Frame, l *link, src *sim.Ctx, sh *mediumShard, copied
 		m.Trace(f, l.to, true)
 	}
 	sh.stats.Delivered++
-	if !copied && len(f.Payload) > 0 {
-		f.Payload = append([]byte(nil), f.Payload...) // defensive copy across the air
-	}
-	var d *delivery
-	if n := len(sh.free) - 1; n >= 0 {
-		d = sh.free[n]
-		sh.free[n] = nil
-		sh.free = sh.free[:n]
-	} else {
-		d = new(delivery)
-		d.fire = d.run
-	}
-	d.r, d.f, d.home = l.a.r, f, &m.sh[l.a.ctx.Shard()]
+	d := sh.take()
+	d.load(l.a.r, f, &m.sh[l.a.ctx.Shard()])
 	src.Send(l.a.ctx, delay, d.fire)
 }
 
@@ -579,7 +605,11 @@ func (m *Medium) deliver(f Frame, l *link, src *sim.Ctx, sh *mediumShard, copied
 // Like Attach, Inject may only be called while no ordinary event is
 // executing: the bridge pump runs on the host between runs. It returns
 // false when no live receiver is attached at f.Dst (the peer's map is
-// stale or the node died); the frame is counted as dropped.
+// stale or the node died); the frame is counted as NoRoute.
+//
+// As with Send, the frame travels in a pooled delivery, here the
+// receiving shard's, which copies the payload before Inject returns; the
+// receiver sees it under the rule on Receiver.
 func (m *Medium) Inject(f Frame) bool {
 	if f.IsBroadcast() {
 		return false
@@ -592,8 +622,9 @@ func (m *Medium) Inject(f Frame) bool {
 		return false
 	}
 	sh.stats.Delivered++
-	node := a.r
-	a.ctx.Post(func() { node.ReceiveFrame(f) })
+	d := sh.take()
+	d.load(a.r, f, sh)
+	a.ctx.Post(d.fire)
 	return true
 }
 

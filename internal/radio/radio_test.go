@@ -1,6 +1,7 @@
 package radio
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -8,11 +9,21 @@ import (
 	"github.com/agilla-go/agilla/internal/topology"
 )
 
+// captureNode records every frame it hears, copying each payload as the
+// rule on Receiver requires.
 type captureNode struct {
 	got []Frame
 }
 
-func (c *captureNode) ReceiveFrame(f Frame) { c.got = append(c.got, f) }
+func (c *captureNode) ReceiveFrame(f Frame) {
+	f.Payload = bytes.Clone(f.Payload)
+	c.got = append(c.got, f)
+}
+
+// receiverFunc adapts a function to Receiver.
+type receiverFunc func(Frame)
+
+func (r receiverFunc) ReceiveFrame(f Frame) { r(f) }
 
 func newTestMedium(t *testing.T, params Params) (*sim.Sim, *Medium, map[topology.Location]*captureNode) {
 	t.Helper()
@@ -290,13 +301,15 @@ func TestBroadcastNeighborCacheFollowsAttachDetach(t *testing.T) {
 	}
 }
 
+// TestBroadcastSharesOnePayloadCopy: a broadcast's payload is copied into
+// each receiver's pooled delivery and nowhere else. A sender's mutation
+// after Send never reaches a delivered frame, and on a warm medium a
+// broadcast to four receivers allocates nothing.
 func TestBroadcastSharesOnePayloadCopy(t *testing.T) {
 	s, m, nodes := newTestMedium(t, ZeroLoss())
 	buf := []byte{1, 2, 3, 4}
 	m.Send(Frame{Src: topology.Loc(2, 2), Dst: Broadcast, Kind: KindBeacon, Payload: buf})
-	// Mutating the sender's buffer after Send must not corrupt deliveries:
-	// the medium snapshots the payload once per send.
-	buf[0] = 99
+	buf[0] = 99 // the sender may reuse its buffer as soon as Send returns
 	if err := s.RunUntilIdle(0); err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +325,34 @@ func TestBroadcastSharesOnePayloadCopy(t *testing.T) {
 			t.Fatal("sender mutation leaked into a delivered frame")
 		}
 	}
-	// All receivers share the same backing array (one copy per send).
-	for _, f := range frames[1:] {
-		if &f.Payload[0] != &frames[0].Payload[0] {
-			t.Fatal("receivers got distinct payload copies; want one shared copy per send")
+
+	// Receivers that keep nothing: the sum of the first bytes they hear
+	// shows that each read the sender's bytes as of its Send.
+	s2 := sim.New(1)
+	m2 := NewMedium(s2, topology.Grid{}, ZeroLoss())
+	heard, want := 0, 0
+	for _, loc := range topology.GridLocations(3, 3) {
+		if err := m2.Attach(loc, receiverFunc(func(f Frame) { heard += int(f.Payload[0]) })); err != nil {
+			t.Fatal(err)
 		}
+	}
+	var v byte
+	cycle := func() {
+		v++
+		buf[0] = v
+		want += 4 * int(v)
+		m2.Send(Frame{Src: topology.Loc(2, 2), Dst: Broadcast, Kind: KindBeacon, Payload: buf})
+		buf[0] = 0
+		if err := s2.RunUntilIdle(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("a warm broadcast to four receivers allocates %.1f objects, want 0", avg)
+	}
+	if heard != want {
+		t.Fatalf("receivers read %d, want %d: a delivery did not carry the payload as sent", heard, want)
 	}
 }
 

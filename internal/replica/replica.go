@@ -169,6 +169,14 @@ func (s *Set) Add(o Origin, t tuplespace.Tuple) bool {
 	return true
 }
 
+// Admits reports whether Add would insert an entry for o: o is unknown,
+// live or tombstoned, and the budget has room. A caller whose tuple lives
+// in scratch checks it before copying the tuple out for Add.
+func (s *Set) Admits(o Origin) bool {
+	_, known := s.find(o)
+	return !known && !(s.max > 0 && len(s.entries) >= s.max)
+}
+
 // Tombstone marks the origin removed. It returns the tuple the entry held
 // if it was live, and reports whether the call changed state. An unknown
 // origin grows a bare tombstone (remove-before-add), which advances the

@@ -87,6 +87,7 @@ type endpoint struct {
 	inbox ring
 	stats map[Addr]*PeerStats
 	out   map[Addr]*coalescer
+	cos   []*coalescer   // out's values in dial order; append-only until shut
 	done  chan struct{}  // closed by shut; stops the sender goroutines
 	wg    sync.WaitGroup // reader and sender goroutines, waited on by Close
 }
@@ -133,6 +134,7 @@ func (e *endpoint) dial(addr Addr, send func(co *coalescer, st *PeerStats)) erro
 	// the coalescer lock-order note).
 	co := newCoalescer(func(frames int) { e.count(&st.Dropped, frames) })
 	e.out[addr] = co
+	e.cos = append(e.cos, co)
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
@@ -171,10 +173,7 @@ func (e *endpoint) Send(addr Addr, f wire.Frame) error {
 // sender goroutines.
 func (e *endpoint) Flush() {
 	e.mu.Lock()
-	cos := make([]*coalescer, 0, len(e.out))
-	for _, co := range e.out {
-		cos = append(cos, co)
-	}
+	cos := e.cos // append-only: the coalescers this header covers never change
 	e.mu.Unlock()
 	for _, co := range cos {
 		co.flush()
@@ -269,6 +268,7 @@ func (e *endpoint) shut() bool {
 	e.live = false
 	out := e.out
 	e.out = make(map[Addr]*coalescer)
+	e.cos = nil
 	e.inbox = ring{}
 	close(e.done)
 	e.mu.Unlock()

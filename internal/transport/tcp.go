@@ -202,7 +202,7 @@ func (t *TCP) Dial(addr Addr) error {
 
 // connect opens the outbound connection and introduces this endpoint
 // with a hello record.
-func (t *TCP) connect(hp string) (net.Conn, error) {
+func (t *TCP) connect(hp string, w *recordWriter) (net.Conn, error) {
 	conn, err := net.DialTimeout("tcp", hp, tcpDialTimeout)
 	if err != nil {
 		return nil, err
@@ -215,20 +215,28 @@ func (t *TCP) connect(hp string) (net.Conn, error) {
 		_ = tc.SetReadBuffer(4 << 20)
 	}
 	hello := append(append([]byte(nil), tcpHelloMagic...), []byte(t.LocalAddr())...)
-	if err := writeRecord(conn, hello); err != nil {
+	if err := w.write(conn, hello); err != nil {
 		conn.Close()
 		return nil, err
 	}
 	return conn, nil
 }
 
-// writeRecord writes one length-prefixed record as a single vectored
-// write (one syscall for prefix plus body).
-func writeRecord(conn net.Conn, b []byte) error {
-	var lenBuf [tcpFraming]byte
-	binary.BigEndian.PutUint32(lenBuf[:], uint32(len(b)))
-	bufs := net.Buffers{lenBuf[:], b}
-	_, err := bufs.WriteTo(conn)
+// recordWriter writes length-prefixed records, each as a single vectored
+// write (one syscall for prefix plus body). A sender keeps one for its
+// whole life, so writing a record allocates nothing.
+type recordWriter struct {
+	prefix [tcpFraming]byte
+	vec    [2][]byte
+	bufs   net.Buffers
+}
+
+func (w *recordWriter) write(conn net.Conn, b []byte) error {
+	binary.BigEndian.PutUint32(w.prefix[:], uint32(len(b)))
+	w.vec = [2][]byte{w.prefix[:], b}
+	w.bufs = w.vec[:]
+	_, err := w.bufs.WriteTo(conn)
+	w.vec[1] = nil // do not pin the record's pooled buffer
 	return err
 }
 
@@ -237,6 +245,7 @@ func writeRecord(conn net.Conn, b []byte) error {
 func (t *TCP) sendLoop(hp string, co *coalescer, st *PeerStats) {
 	var conn net.Conn
 	var lastDial time.Time
+	w := new(recordWriter)
 	defer func() {
 		if conn != nil {
 			conn.Close()
@@ -256,14 +265,14 @@ func (t *TCP) sendLoop(hp string, co *coalescer, st *PeerStats) {
 					continue
 				}
 				lastDial = time.Now()
-				c, err := t.connect(hp)
+				c, err := t.connect(hp, w)
 				if err != nil {
 					t.wrote(st, ob, tcpFraming, err)
 					continue
 				}
 				conn = c
 			}
-			err := writeRecord(conn, ob.bytes)
+			err := w.write(conn, ob.bytes)
 			closed := t.wrote(st, ob, tcpFraming, err)
 			if err != nil {
 				conn.Close()

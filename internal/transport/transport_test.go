@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -613,7 +614,10 @@ func TestBatchingLinger(t *testing.T) {
 // capture is a Receiver recording every frame it hears.
 type capture struct{ got []radio.Frame }
 
-func (c *capture) ReceiveFrame(f radio.Frame) { c.got = append(c.got, f) }
+func (c *capture) ReceiveFrame(f radio.Frame) {
+	f.Payload = bytes.Clone(f.Payload) // a received payload is valid only during the call
+	c.got = append(c.got, f)
+}
 
 // bridgeHalf is one process of a split 2x1 field for the unit test:
 // a 1-mote medium plus the bridge standing in for the other mote.

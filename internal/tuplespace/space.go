@@ -209,7 +209,7 @@ func (s *Space) find(p Template, from int) (off, size int, ok bool) {
 	for off = from; off < len(s.arena); off += size {
 		var fields []Value
 		var err error
-		if fields, size, err = appendFields(scratch[:0], s.arena[off:]); err != nil {
+		if fields, size, err = AppendFields(scratch[:0], s.arena[off:]); err != nil {
 			return 0, 0, false
 		}
 		if p.Matches(Tuple{Fields: fields}) {

@@ -44,18 +44,18 @@ func UnmarshalTuple(b []byte) (Tuple, int, error) {
 	if len(b) == 0 {
 		return Tuple{}, 0, ErrBadEncoding
 	}
-	fields, n, err := appendFields(make([]Value, 0, b[0]), b)
+	fields, n, err := AppendFields(make([]Value, 0, b[0]), b)
 	if err != nil {
 		return Tuple{}, 0, err
 	}
 	return Tuple{Fields: fields}, n, nil
 }
 
-// appendFields decodes the fields of the tuple encoded at the start of b
+// AppendFields decodes the fields of the tuple encoded at the start of b
 // onto dst, returning the extended slice and the bytes consumed. A dst
 // with room for every field — a tuple within MaxTupleBytes has fewer than
 // MaxTupleBytes of them — makes it allocation-free.
-func appendFields(dst []Value, b []byte) ([]Value, int, error) {
+func AppendFields(dst []Value, b []byte) ([]Value, int, error) {
 	if len(b) == 0 {
 		return dst, 0, ErrBadEncoding
 	}

@@ -48,16 +48,19 @@ type RemoteRequest struct {
 }
 
 // Encode renders the request.
-func (r RemoteRequest) Encode() []byte {
-	b := make([]byte, 8, 8+tuplespace.MaxTupleBytes+1)
+func (r RemoteRequest) Encode() []byte { return r.Append(nil) }
+
+// Append appends the encoding of r to dst.
+func (r RemoteRequest) Append(dst []byte) []byte {
+	dst, b := grow(dst, 8)
 	b[0] = byte(r.Op)
 	put16(b[1:], r.ReqID)
 	putLoc(b[3:], r.ReplyTo)
-	b[7] = 0 // reserved
+	// b[7] is reserved.
 	if r.Op == OpRout {
-		return r.Tuple.Marshal(b)
+		return r.Tuple.Marshal(dst)
 	}
-	return r.Template.Marshal(b)
+	return r.Template.Marshal(dst)
 }
 
 // DecodeRemoteRequest parses a request.
@@ -96,26 +99,31 @@ type RemoteReply struct {
 }
 
 // Encode renders the reply.
-func (r RemoteReply) Encode() []byte {
-	b := make([]byte, 4, 4+tuplespace.MaxTupleBytes+1)
+func (r RemoteReply) Encode() []byte { return r.Append(nil) }
+
+// Append appends the encoding of r to dst. Only a successful reply
+// carries a tuple.
+func (r RemoteReply) Append(dst []byte) []byte {
+	dst, b := grow(dst, 4)
 	b[0] = 1 // format version
 	put16(b[1:], r.ReqID)
 	if r.OK {
 		b[3] = 1
+		if len(r.Tuple.Fields) > 0 {
+			return r.Tuple.Marshal(dst)
+		}
 	}
-	if r.OK && len(r.Tuple.Fields) > 0 {
-		return r.Tuple.Marshal(b)
-	}
-	return b
+	return dst
 }
 
-// DecodeRemoteReply parses a reply.
+// DecodeRemoteReply parses a reply. Only a successful reply carries a
+// tuple: bytes past the header of a failed one are ignored.
 func DecodeRemoteReply(b []byte) (RemoteReply, error) {
 	if len(b) < 4 || b[0] != 1 {
 		return RemoteReply{}, fmt.Errorf("%w: bad remote reply", ErrBadMessage)
 	}
 	r := RemoteReply{ReqID: get16(b[1:]), OK: b[3] == 1}
-	if len(b) > 4 {
+	if r.OK && len(b) > 4 {
 		t, _, err := tuplespace.UnmarshalTuple(b[4:])
 		if err != nil {
 			return RemoteReply{}, fmt.Errorf("%w: remote reply tuple: %v", ErrBadMessage, err)
@@ -133,9 +141,10 @@ type Beacon struct {
 }
 
 // Encode renders the beacon.
-func (b Beacon) Encode() []byte {
-	return []byte{1, b.NumAgents, 0}
-}
+func (b Beacon) Encode() []byte { return b.Append(nil) }
+
+// Append appends the encoding of b to dst.
+func (b Beacon) Append(dst []byte) []byte { return append(dst, 1, b.NumAgents, 0) }
 
 // DecodeBeacon parses a beacon.
 func DecodeBeacon(p []byte) (Beacon, error) {
@@ -160,16 +169,21 @@ type Envelope struct {
 }
 
 // Encode renders the envelope.
-func (e Envelope) Encode() []byte {
-	b := make([]byte, EnvelopeOverhead, EnvelopeOverhead+len(e.Body))
+func (e Envelope) Encode() []byte { return e.Append(nil) }
+
+// Append appends the encoding of e to dst: the header, then Body.
+func (e Envelope) Append(dst []byte) []byte {
+	dst, b := grow(dst, EnvelopeOverhead)
 	putLoc(b[0:], e.Src)
 	putLoc(b[4:], e.Dst)
 	b[8] = e.TTL
 	b[9] = e.Kind
-	return append(b, e.Body...)
+	return append(dst, e.Body...)
 }
 
-// DecodeEnvelope parses an envelope.
+// DecodeEnvelope parses an envelope. Body aliases b: a relay re-encodes
+// it, and a receiver of a radio frame copies whatever it keeps (see
+// radio.Receiver).
 func DecodeEnvelope(b []byte) (Envelope, error) {
 	if len(b) < EnvelopeOverhead {
 		return Envelope{}, fmt.Errorf("%w: short envelope", ErrBadMessage)
@@ -179,6 +193,6 @@ func DecodeEnvelope(b []byte) (Envelope, error) {
 		Dst:  getLoc(b[4:]),
 		TTL:  b[8],
 		Kind: b[9],
-		Body: append([]byte(nil), b[EnvelopeOverhead:]...),
+		Body: b[EnvelopeOverhead:],
 	}, nil
 }

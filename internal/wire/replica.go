@@ -30,14 +30,14 @@ type ReplicaDigest struct {
 	Lines []replica.Summary
 }
 
-// Encode packs the digest. Line counts above 255 cannot be represented;
-// callers keep deployments far below that.
-func (d ReplicaDigest) Encode() []byte {
-	n := len(d.Lines)
-	if n > 255 {
-		n = 255
-	}
-	out := make([]byte, 2+n*replicaDigestLineSize)
+// Encode packs the digest.
+func (d ReplicaDigest) Encode() []byte { return d.Append(nil) }
+
+// Append appends the packed digest to dst. Line counts above 255 cannot
+// be represented; callers keep deployments far below that.
+func (d ReplicaDigest) Append(dst []byte) []byte {
+	n := min(len(d.Lines), 255)
+	dst, out := grow(dst, 2+n*replicaDigestLineSize)
 	out[0] = byte(n)
 	if d.Reply {
 		out[1] = replicaDigestFlagReply
@@ -52,7 +52,7 @@ func (d ReplicaDigest) Encode() []byte {
 		out[off+9] = byte(l.RemHash)
 		off += replicaDigestLineSize
 	}
-	return out
+	return dst
 }
 
 // DecodeReplicaDigest unpacks a digest payload.
@@ -97,45 +97,40 @@ type ReplicaDelta struct {
 	Entries []replica.Entry
 }
 
-// Encode packs the delta. Entry counts above 255 cannot be represented;
-// the gossip engine caps deltas far below that per frame.
-func (d ReplicaDelta) Encode() []byte {
-	n := len(d.Entries)
-	if n > 255 {
-		n = 255
-	}
-	size := 1 + n*replicaEntryHeaderSize
+// Encode packs the delta.
+func (d ReplicaDelta) Encode() []byte { return d.Append(nil) }
+
+// Append appends the packed delta to dst. Entry counts above 255 cannot
+// be represented; the gossip engine caps deltas far below that per frame.
+func (d ReplicaDelta) Append(dst []byte) []byte {
+	n := min(len(d.Entries), 255)
+	dst = append(dst, byte(n))
 	for _, e := range d.Entries[:n] {
-		if !e.Removed {
-			size += e.Tuple.EncodedSize()
-		}
-	}
-	out := append(make([]byte, 0, size), byte(n))
-	for _, e := range d.Entries[:n] {
-		var hdr [replicaEntryHeaderSize]byte
+		var hdr []byte
+		dst, hdr = grow(dst, replicaEntryHeaderSize)
 		putLoc(hdr[0:], e.Origin.Node)
 		put16(hdr[4:], e.Origin.Seq)
 		if e.Removed {
 			hdr[6] = replicaEntryFlagRemoved
-		}
-		out = append(out, hdr[:]...)
-		if !e.Removed {
-			out = e.Tuple.Marshal(out)
+		} else {
+			dst = e.Tuple.Marshal(dst)
 		}
 	}
-	return out
+	return dst
 }
 
 // DecodeReplicaDelta unpacks a delta payload.
 func DecodeReplicaDelta(b []byte) (ReplicaDelta, error) {
-	return DecodeReplicaDeltaInto(nil, b)
+	return DecodeReplicaDeltaInto(nil, nil, b)
 }
 
 // DecodeReplicaDeltaInto is DecodeReplicaDelta appending the entries to
-// dst: the result's Entries share dst's backing array whenever its
+// dst and their tuples' fields to fields: with room in both it allocates
+// nothing. The result's Entries share dst's backing array whenever its
 // capacity suffices, and are otherwise allocated once, sized from the
-// count byte.
-func DecodeReplicaDeltaInto(dst []replica.Entry, b []byte) (ReplicaDelta, error) {
+// count byte. Each tuple is a capacity-capped window of fields, so a
+// caller that keeps one past the scratch's life copies it.
+func DecodeReplicaDeltaInto(dst []replica.Entry, fields []tuplespace.Value, b []byte) (ReplicaDelta, error) {
 	if len(b) < 1 {
 		return ReplicaDelta{}, fmt.Errorf("%w: short delta", ErrBadMessage)
 	}
@@ -157,11 +152,13 @@ func DecodeReplicaDeltaInto(dst []replica.Entry, b []byte) (ReplicaDelta, error)
 		}
 		off += replicaEntryHeaderSize
 		if !e.Removed {
-			t, used, err := tuplespace.UnmarshalTuple(b[off:])
-			if err != nil {
+			start := len(fields)
+			var used int
+			var err error
+			if fields, used, err = tuplespace.AppendFields(fields, b[off:]); err != nil {
 				return ReplicaDelta{}, fmt.Errorf("%w: delta entry %d: %v", ErrBadMessage, i, err)
 			}
-			e.Tuple = t
+			e.Tuple = tuplespace.Tuple{Fields: fields[start:len(fields):len(fields)]}
 			off += used
 		}
 		d.Entries = append(d.Entries, e)

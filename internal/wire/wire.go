@@ -297,6 +297,7 @@ func DecodeHeapInto(dst []HeapEntry, b []byte) (HeapMsg, error) {
 	if len(b) < HeapMsgSize || MsgType(b[0]) != MsgHeap {
 		return HeapMsg{}, fmt.Errorf("%w: not a heap message", ErrBadMessage)
 	}
+	b = b[:HeapMsgSize] // bytes past the fixed size are not part of the message
 	m := HeapMsg{AgentID: get16(b[1:]), Seq: get16(b[3:]), Index: b[5], Entries: dst}
 	n := int(b[6])
 	if n > HeapVarsPerMsg {
@@ -353,6 +354,7 @@ func DecodeStackInto(dst []tuplespace.Value, b []byte) (StackMsg, error) {
 	if len(b) < StackMsgSize || MsgType(b[0]) != MsgStack {
 		return StackMsg{}, fmt.Errorf("%w: not a stack message", ErrBadMessage)
 	}
+	b = b[:StackMsgSize] // bytes past the fixed size are not part of the message
 	m := StackMsg{AgentID: get16(b[1:]), Seq: get16(b[3:]), Index: b[5], Values: dst}
 	n := int(b[6])
 	if n > StackVarsPerMsg {
@@ -399,6 +401,7 @@ func DecodeReaction(b []byte) (ReactionMsg, error) {
 	if len(b) < ReactionMsgSize || MsgType(b[0]) != MsgReaction {
 		return ReactionMsg{}, fmt.Errorf("%w: not a reaction message", ErrBadMessage)
 	}
+	b = b[:ReactionMsgSize] // bytes past the fixed size are not part of the message
 	m := ReactionMsg{AgentID: get16(b[1:]), Seq: get16(b[3:]), Index: b[5], PC: get16(b[6:])}
 	p, _, err := tuplespace.UnmarshalTemplate(b[8:])
 	if err != nil {

@@ -3,6 +3,7 @@ package analyzers
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -60,6 +61,14 @@ func (ri *repoImporter) load(path string, info *types.Info) (*types.Package, []*
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Honour build constraints, as the compiler does: a package may
+		// declare one name in a //go:build race file and its negation.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			if err != nil {
+				return nil, nil, err
+			}
 			continue
 		}
 		f, err := parser.ParseFile(ri.fset, filepath.Join(dir, name), nil, parser.ParseComments)
