@@ -354,11 +354,12 @@ func (st *Stack) routeOrDeliver(kind radio.FrameKind, env wire.Envelope) {
 	}
 	env.TTL--
 	st.stats.Forwarded++
-	if err := st.forward(kind, env); err != nil {
-		st.stats.RouteStalls++
-	}
+	_ = st.forward(kind, env) // a relay has nobody to report to; forward counts a stall itself
 }
 
+// forward hands env to the next hop. It counts a RouteStall only when no
+// neighbour is closer to the destination: a transmitter that browns out
+// keying the radio has lost the frame, not stalled the route.
 func (st *Stack) forward(kind radio.FrameKind, env wire.Envelope) error {
 	hop, ok := st.NextHop(env.Dst)
 	if !ok {

@@ -168,6 +168,26 @@ func TestRouteStallsWithoutProgress(t *testing.T) {
 	}
 }
 
+// TestRelayCountsOneRouteStall: a relayed envelope with no neighbour closer
+// to its destination counts one RouteStall, and a relay that browns out
+// forwarding counts none.
+func TestRelayCountsOneRouteStall(t *testing.T) {
+	_, _, stacks := testNet(t, 2, 1, Config{})
+	relay := stacks[topology.Loc(2, 1)]
+	env := wire.Envelope{Src: topology.Loc(1, 1), Dst: topology.Loc(9, 1), TTL: 4, Kind: uint8(radio.KindRemoteTS)}
+	f := radio.Frame{Src: topology.Loc(1, 1), Dst: relay.Self(), Kind: radio.KindRemoteTS, Payload: env.Encode()}
+	relay.HandleFrame(f) // no acquaintances: no next hop
+	if st := relay.Stats(); st.Forwarded != 1 || st.RouteStalls != 1 {
+		t.Fatalf("stalled relay: Forwarded=%d RouteStalls=%d, want 1 and 1", st.Forwarded, st.RouteStalls)
+	}
+	relay.Acquaintances().Update(topology.Loc(3, 1), 0, 0) // closer to (9,1)
+	relay.OnSend = func(int) { relay.Stop() }              // keying the radio browns the relay out
+	relay.HandleFrame(f)
+	if st := relay.Stats(); st.Forwarded != 2 || st.RouteStalls != 1 {
+		t.Fatalf("browned-out relay: Forwarded=%d RouteStalls=%d, want 2 and 1", st.Forwarded, st.RouteStalls)
+	}
+}
+
 func TestRouteHopCountMatchesManhattan(t *testing.T) {
 	// Property: on a fully-discovered 4-connected grid, greedy routing
 	// uses exactly the Manhattan distance in hops.
