@@ -163,7 +163,7 @@ func TestKeepaliveDigestAllocatesNothing(t *testing.T) {
 // TestGossipRoundAllocatesNothing pins a warm anti-entropy round end to
 // end: a digest reaches a mote, which answers with a delta encoded into
 // its shard's scratch; the radio carries the delta in a pooled delivery;
-// and the peer decodes it into stack scratch and merges an entry it
+// and the peer decodes it into scratch and merges an entry it
 // already holds.
 func TestGossipRoundAllocatesNothing(t *testing.T) {
 	if raceEnabled {
