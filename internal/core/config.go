@@ -65,9 +65,9 @@ type ExecMode uint8
 
 // Execution modes.
 const (
-	// ExecAuto (the default): the in-place step chain plus the
-	// compiled-closure backend, with the interpreter as the fallback
-	// wherever no compiled closure sits at the PC.
+	// ExecAuto (the default): the in-place step chain running
+	// pre-decoded instructions (vm.Compile), with the interpreter as the
+	// fallback wherever no compiled step sits at the PC.
 	ExecAuto ExecMode = iota
 	// ExecStep: the seed engine — one interpreted instruction per
 	// scheduled sim event. The oracle ExecAuto is diffed against.

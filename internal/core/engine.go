@@ -25,9 +25,11 @@ import (
 // virtual time and in the identical order as the seed
 // one-event-per-instruction engine.
 //
-// Code with no compiled closure at the PC — a program that fails
+// An instruction runs pre-decoded when its program verified (vm.Compile)
+// and through the interpreter otherwise — a program that fails
 // verification, or a dynamic jump that landed between instruction
-// boundaries — runs through the interpreter on the same step chain.
+// boundaries — on the same step chain. Both run the VM's one set of
+// instruction semantics.
 //
 // Under ExecStep, the only other mode, the seed behavior is preserved
 // verbatim — one interpreted instruction per heap event — as the oracle
@@ -64,9 +66,9 @@ func (n *Node) pump() {
 	n.sim.Post(n.stepFn)
 }
 
-// stepInstr executes one instruction of rec: the compiled closure when
-// the PC sits on a compiled boundary, the interpreter otherwise (no
-// compiled program, or a dynamic jump landed between boundaries).
+// stepInstr executes one instruction of rec: the compiled step when the
+// PC sits on a compiled boundary, the interpreter otherwise (no compiled
+// program, or a dynamic jump landed between boundaries).
 func (n *Node) stepInstr(rec *record, out *vm.Outcome) {
 	if rec.prog != nil {
 		if fn := rec.prog.StepAt(rec.agent.PC); fn != nil {

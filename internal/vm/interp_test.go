@@ -2,6 +2,7 @@ package vm
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -612,6 +613,34 @@ func TestUnknownOpcodeDies(t *testing.T) {
 	out := Step(a, newMockHost())
 	if out.Effect != EffectError || !errors.Is(out.Err, ErrUnknownOpcode) {
 		t.Fatalf("got %v / %v", out.Effect, out.Err)
+	}
+}
+
+// TestSemanticsCoverISA holds the ISA table and the two dispatchers of
+// the one set of semantics in step: every defined opcode has an entry in
+// the table Compile binds and a case in Step's switch, and every
+// undefined byte dies under Step with the unknown-opcode message.
+func TestSemanticsCoverISA(t *testing.T) {
+	for b := 0; b < 256; b++ {
+		op := Op(b)
+		info, defined := Lookup(op)
+		if !defined {
+			if semanticsTable[op] != nil {
+				t.Errorf("0x%02x: undefined opcode has semantics", b)
+			}
+			want := fmt.Sprintf("vm: unknown opcode: 0x%02x at pc=0", b)
+			if out := Step(NewAgent(1, code(byte(b))), newMockHost()); out.Effect != EffectError || out.Err == nil || out.Err.Error() != want {
+				t.Errorf("0x%02x: Step = %v / %v, want death with %q", b, out.Effect, out.Err, want)
+			}
+			continue
+		}
+		if semanticsTable[op] == nil {
+			t.Errorf("%s: no semantics for Compile to bind", info.Name)
+		}
+		prog := append(append([]byte{byte(op)}, make([]byte, info.Operands)...), byte(OpHalt))
+		if out := Step(NewAgent(1, prog), newMockHost()); errors.Is(out.Err, ErrUnknownOpcode) {
+			t.Errorf("%s: no case in Step's dispatch: %v", info.Name, out.Err)
+		}
 	}
 }
 

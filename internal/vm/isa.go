@@ -10,6 +10,11 @@
 // remote tuple space operations) do not complete inside Step; they return
 // an Outcome describing the effect, and the Agilla engine (internal/core)
 // carries it out.
+//
+// Each instruction's state transition is written once (interp.go). Step
+// decodes the instruction at the PC and runs it; Compile decodes a
+// verified program once and binds every instruction to the same
+// transition, so the compiled path skips only the per-step decode.
 package vm
 
 import (
@@ -236,7 +241,7 @@ func (f flow) yields() bool { return f == flowYield || f == flowStop }
 //
 //   - Name: the assembler, the disassembler, every diagnostic.
 //   - Kind (and Operands, derived): encoding in internal/asm and the
-//     program builder, decoding in Decode and Step.
+//     program builder, decoding in Decode and decode.
 //   - pops, pushes (and In, Out, derived), VarIn, VarOut: the stack
 //     effect. Verify's depth intervals read the counts through
 //     stackInterval; Analyze's kind transfer and type checks read the
@@ -245,7 +250,7 @@ func (f flow) yields() bool { return f == flowYield || f == flowStop }
 //     pushc/pushcl constants, the tuple family's counted fields).
 //   - flow: Decode's successor edges (Decoded.Succ), Analyze's burst
 //     cuts.
-//   - Cost: Step and compileStep (the modelled latency).
+//   - Cost: decode, for Step and Compile (the modelled latency).
 //
 // The pops/pushes/flow columns are not trusted: TestISATableConsistency
 // checks each against what Step does.
@@ -325,7 +330,9 @@ var (
 	pushType = []kmask{kType}
 )
 
-var infoTable = map[Op]Info{
+// infoTable is indexed by opcode; a row with no Name is an undefined
+// opcode.
+var infoTable = [256]Info{
 	OpHalt:   {Name: "halt", flow: flowStop, Cost: 60 * us},
 	OpLoc:    {Name: "loc", pushes: pushLoc, Cost: 74 * us},
 	OpAid:    {Name: "aid", pushes: []kmask{kAgentID}, Cost: 72 * us},
@@ -388,25 +395,24 @@ var infoTable = map[Op]Info{
 }
 
 func init() {
-	for op, info := range infoTable {
+	for op := range infoTable {
+		info := &infoTable[op]
 		info.Operands = info.Kind.Bytes()
 		info.In, info.Out = len(info.pops), len(info.pushes)
-		infoTable[op] = info
 	}
 }
 
 var nameToOp = func() map[string]Op {
-	m := make(map[string]Op, len(infoTable))
-	for op, info := range infoTable {
-		m[info.Name] = op
+	m := make(map[string]Op)
+	for _, op := range Ops() {
+		m[infoTable[op].Name] = op
 	}
 	return m
 }()
 
 // Lookup returns the instruction metadata for op.
 func Lookup(op Op) (Info, bool) {
-	info, ok := infoTable[op]
-	return info, ok
+	return infoTable[op], infoTable[op].Name != ""
 }
 
 // ByName returns the opcode for a mnemonic.
@@ -415,12 +421,14 @@ func ByName(name string) (Op, bool) {
 	return op, ok
 }
 
-// Ops returns all defined opcodes (useful for exhaustive tests and the
-// Figure 12 sweep). Order is unspecified.
+// Ops returns all defined opcodes in ascending order (useful for
+// exhaustive tests and the Figure 12 sweep).
 func Ops() []Op {
-	out := make([]Op, 0, len(infoTable))
+	var out []Op
 	for op := range infoTable {
-		out = append(out, op)
+		if infoTable[op].Name != "" {
+			out = append(out, Op(op))
+		}
 	}
 	return out
 }
@@ -431,8 +439,8 @@ func Size(code []byte, pc int) (int, error) {
 	if pc >= len(code) {
 		return 0, fmt.Errorf("vm: pc %d out of range (code %d bytes)", pc, len(code))
 	}
-	info, ok := infoTable[Op(code[pc])]
-	if !ok {
+	info := &infoTable[code[pc]]
+	if info.Name == "" {
 		return 0, fmt.Errorf("vm: unknown opcode 0x%02x at pc %d", code[pc], pc)
 	}
 	if pc+info.Size() > len(code) {
@@ -442,8 +450,8 @@ func Size(code []byte, pc int) (int, error) {
 }
 
 func (op Op) String() string {
-	if info, ok := infoTable[op]; ok {
-		return info.Name
+	if name := infoTable[op].Name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("op(0x%02x)", byte(op))
 }

@@ -118,8 +118,9 @@ func (in *Instr) rel() int { return in.PC + int(int8(in.Args[0])) }
 // Decoded is a program decoded once: the instruction list, the map from
 // byte address to instruction, the statically visible control-flow facts,
 // and the successor edges they imply. Verify, Analyze, Compile and the
-// disassembler all walk this value; nothing else decodes bytecode or
-// derives successors (the interpreter's per-step fetch aside).
+// disassembler all walk this value; nothing else splits bytecode into
+// instructions or derives successors (decode, which reads one instruction
+// for execution, aside).
 type Decoded struct {
 	Code []byte
 	Ins  []Instr
@@ -151,15 +152,15 @@ func Decode(code []byte) (*Decoded, error) {
 	d := &Decoded{Code: code, index: make(map[int]int)}
 	for pc := 0; pc < len(code); {
 		op := Op(code[pc])
-		info, ok := infoTable[op]
-		if !ok {
+		info := &infoTable[op]
+		if info.Name == "" {
 			return nil, &VerifyError{PC: pc, Index: len(d.Ins), Op: op, Msg: fmt.Sprintf("unknown opcode 0x%02x", byte(op))}
 		}
 		if pc+info.Size() > len(code) {
 			return nil, &VerifyError{PC: pc, Index: len(d.Ins), Op: op, Msg: fmt.Sprintf("truncated operands: %s needs %d byte(s), %d left", info.Name, info.Operands, len(code)-pc-1)}
 		}
 		d.index[pc] = len(d.Ins)
-		d.Ins = append(d.Ins, Instr{PC: pc, Op: op, Info: info, Args: code[pc+1 : pc+info.Size()]})
+		d.Ins = append(d.Ins, Instr{PC: pc, Op: op, Info: *info, Args: code[pc+1 : pc+info.Size()]})
 		pc += info.Size()
 	}
 	d.findControlFacts()
