@@ -44,8 +44,8 @@
 // different geometry. The zero-argument New() builds the paper's testbed.
 // For whole experiments (topology + field + agents + metrics, swept over
 // seeds in parallel) see Scenario. Large deployments can run the
-// simulation kernel itself on several cores with WithWorkers(n) — the
-// sharded executor reproduces the sequential schedule event for event,
+// simulation kernel itself on several cores with WithWorkers(n) — a
+// sharded run reproduces the one-worker schedule event for event,
 // so results stay byte-identical per seed (see the README's Scaling
 // section).
 //
@@ -288,11 +288,8 @@ func (nw *Network) WarmUp() error {
 // Run advances virtual time by d. On a bridged network the run proceeds
 // in pump quanta (see WithTransportBridge).
 func (nw *Network) Run(d time.Duration) error {
-	if nw.bridge != nil {
-		_, err := nw.runUntilAt(nil, nw.d.Sim.Now()+d)
-		return err
-	}
-	return nw.d.Sim.Run(nw.d.Sim.Now() + d)
+	_, err := nw.runUntilAt(nil, nw.d.Sim.Now()+d)
+	return err
 }
 
 // RunUntil advances virtual time until pred is true or limit elapses,

@@ -193,33 +193,36 @@ func (nw *Network) stepBridged(step time.Duration) error {
 }
 
 // runUntilAt advances virtual time until pred holds or the deadline
-// passes, reporting whether pred held. On a bridged network the run is
-// chopped into quanta with a border pump between each, and the idle hook
-// — by default a 1:1 wall-clock sleep, so concurrently running peer
-// processes advance their halves in rough lockstep — runs after every
-// quantum. Tests and single-process drivers replace the hook to co-drive
-// the peer network instead of sleeping.
+// passes, reporting whether pred held; a nil pred runs to the deadline
+// with Run, so engine step chains run in place. On a bridged network the
+// run is chopped into quanta with a border pump between each, and the
+// idle hook — by default a 1:1 wall-clock sleep, so concurrently running
+// peer processes advance their halves in rough lockstep — runs after
+// every quantum. Tests and single-process drivers replace the hook to
+// co-drive the peer network instead of sleeping.
 func (nw *Network) runUntilAt(pred func() bool, deadline time.Duration) (bool, error) {
-	if pred == nil {
-		pred = func() bool { return false }
+	run := func(until time.Duration) (bool, error) {
+		if pred == nil {
+			return false, nw.d.Sim.Run(until)
+		}
+		return nw.d.Sim.RunUntil(pred, until)
 	}
 	if nw.bridge == nil {
-		return nw.d.Sim.RunUntil(pred, deadline)
+		return run(deadline)
 	}
 	for {
 		nw.bridge.Pump()
-		if pred() {
+		if pred != nil && pred() {
 			return true, nil
 		}
+		// A pump that brought nothing into a drained queue leaves the
+		// clock nothing to advance to: stop where an unbridged run stops.
 		now := nw.d.Sim.Now()
-		if now >= deadline {
+		if now >= deadline || nw.d.Sim.Pending() == 0 {
 			return false, nil
 		}
-		step := nw.quantum
-		if now+step > deadline {
-			step = deadline - now
-		}
-		if _, err := nw.d.Sim.RunUntil(pred, now+step); err != nil {
+		step := min(nw.quantum, deadline-now)
+		if _, err := run(now + step); err != nil {
 			return false, err
 		}
 		if nw.idle != nil {

@@ -80,7 +80,7 @@ func (n *Node) RemoteOp(op wire.RemoteOp, dest topology.Location, t tuplespace.T
 // instance; line, ring, random-disk, and custom layouts run the identical
 // middleware over different geometry.
 type Deployment struct {
-	Sim    sim.Executor
+	Sim    *sim.Parallel
 	Medium *radio.Medium
 	Base   *Node
 	Trace  *Trace
@@ -117,10 +117,10 @@ type DeploymentSpec struct {
 	// Replication attaches the gossip CRDT layer to every mote (the base
 	// station holds no replicas). Nil disables replication.
 	Replication *Replication
-	// Workers selects the simulation executor: values above 1 run the
+	// Workers is the executor's shard count: values above 1 run the
 	// deployment on that many spatial shards executing in parallel,
-	// windowed by the radio's minimum frame delay; 0 or 1 keeps the
-	// sequential kernel. Both produce the identical per-node schedule for
+	// windowed by the radio's minimum frame delay; 0 or 1 run one shard
+	// inline. Every count produces the identical per-node schedule for
 	// the same seed (see internal/sim).
 	Workers int
 }
@@ -151,18 +151,17 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 		topo = spec.Topo
 	}
 
-	// Pick the executor. All cross-node interaction flows through radio
-	// frames, so the minimum frame delay is a sound conservative lookahead
-	// for the parallel kernel, whatever the topology.
-	workers := spec.Workers
+	// All cross-node interaction flows through radio frames, so the
+	// minimum frame delay is a sound conservative lookahead whatever the
+	// topology: it windows the shards, and even on one shard it lets an
+	// engine's step chain run in place past other motes' lock-step
+	// schedules (see sim.Ctx.RunLocal).
+	workers := min(max(spec.Workers, 1), len(spec.Layout.Nodes)+1)
 	window := params.FrameDelay(0)
-	if workers > len(spec.Layout.Nodes)+1 {
-		workers = len(spec.Layout.Nodes) + 1
-	}
 	if window <= 0 {
-		workers = 1 // degenerate radio timing: no safe lookahead
+		workers, window = 1, 0 // degenerate radio timing: no safe lookahead
 	}
-	var s sim.Executor
+	var shardOf func(sim.ContextKey) int // one shard: every context on it
 	if workers > 1 {
 		locs := append([]topology.Location{baseLoc}, spec.Layout.Nodes...)
 		strip := topology.PartitionStrips(locs, workers)
@@ -171,20 +170,11 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 		for loc, sh := range strip {
 			byKey[sim.Key2D(loc.X, loc.Y)] = sh
 		}
-		s = sim.NewParallel(spec.Seed, workers, window, func(k sim.ContextKey) int {
+		shardOf = func(k sim.ContextKey) int {
 			return byKey[k] // unknown keys (harness contexts) ride shard 0
-		})
-	} else {
-		workers = 1
-		seq := sim.New(spec.Seed)
-		if window > 0 {
-			// The same frame-delay contract lets the sequential kernel
-			// run an engine's step chain in place past other motes'
-			// lock-step schedules (see Sim.SetLookahead).
-			seq.SetLookahead(window)
 		}
-		s = seq
 	}
+	s := sim.NewParallel(spec.Seed, workers, window, shardOf)
 
 	medium := radio.NewMedium(s, topo, params)
 	trace := &Trace{}
@@ -257,7 +247,7 @@ func (d *Deployment) Replication() *Replication {
 }
 
 // Workers returns the effective parallelism of the deployment's executor:
-// 1 for the sequential kernel, the shard count otherwise.
+// its shard count, 1 when the kernel runs inline on one shard.
 func (d *Deployment) Workers() int { return d.workers }
 
 // NowAt returns the virtual clock of the node at loc — exact even while a

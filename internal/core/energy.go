@@ -18,8 +18,8 @@ import (
 //
 // Accounting is integer nanojoules. Every charge happens inside one of
 // the node's own events, so the drain sequence is a pure function of the
-// node's schedule — bit-identical under the sequential and sharded
-// executors, with no float-summation order to worry about.
+// node's schedule — bit-identical at every worker count, with no
+// float-summation order to worry about.
 
 // EnergyModel configures per-mote batteries. The zero value (CapacityJ
 // <= 0) disables energy accounting entirely.

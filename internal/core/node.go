@@ -262,8 +262,8 @@ func (n *Node) Stop() { n.Crash(CauseKilled) }
 // Loc returns the node's location (which is its address, §2.2).
 func (n *Node) Loc() topology.Location { return n.loc }
 
-// Now returns the node's current virtual time: its shard clock under a
-// parallel executor, the global clock otherwise.
+// Now returns the node's current virtual time: its shard's clock, exact
+// inside the node's own events as well as between runs.
 func (n *Node) Now() time.Duration { return n.sim.Now() }
 
 // Config returns the node's effective configuration (defaults applied).

@@ -32,12 +32,12 @@ import (
 //
 //   - Moves mutate state other shards read while sending (the medium's
 //     attachment table, topology geometry, the deployment node map), so
-//     they execute as world events (sim.Executor.ScheduleWorldAt): under
-//     the parallel executor the window loop clips at the event's
-//     timestamp and runs it at a barrier with every shard synced exactly
-//     there, making a cross-shard move replay the sequential schedule
-//     event for event. Scripted kills and revivals ride the same lane so
-//     one schedule covers all three.
+//     they execute as world events (sim.Parallel.ScheduleWorldAt): the
+//     window loop clips at the event's timestamp and runs it at a
+//     barrier with every shard synced exactly there, making a
+//     cross-shard move replay the one-worker schedule event for event.
+//     Scripted kills and revivals ride the same lane so one schedule
+//     covers all three.
 
 // ErrNodeDown reports an operation addressed to (or an agent hosted on) a
 // node that is down. Agents die with their host; their tracked record

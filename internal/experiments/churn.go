@@ -143,7 +143,7 @@ func Churn(cfg Config) (*ChurnResult, error) {
 						// workload with suppression on vs. off, batteries
 						// uncapped so the delta is pure gossip airtime
 						// (the provisioned rows are battery-limited, which
-						// would clip it). Sequential only — the delta is
+						// would clip it). One worker only — the delta is
 						// deterministic, so every worker row of this
 						// configuration carries the same value.
 						quietU, err := churnRun(g, 1, virtual, cfg.Seed, repl, churnOpts{uncapped: true})

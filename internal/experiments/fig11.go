@@ -81,13 +81,13 @@ func runOneHopTrial(d *core.Deployment, src *core.Node, target topology.Location
 	default:
 		d.Trace.MigrationStarted = func(node topology.Location, _ uint16, _ wire.MigKind, dest topology.Location) {
 			if dest == target && started == 0 {
-				started = d.Sim.Now()
+				started = d.NowAt(node)
 			}
 		}
 		d.Trace.AgentArrived = func(node topology.Location, _ uint16, kind wire.MigKind, _ topology.Location) {
 			if node == target && kind != wire.MigInject && !resolved {
 				resolved = true
-				elapsed = d.Sim.Now() - started
+				elapsed = d.NowAt(node) - started
 			}
 		}
 	}

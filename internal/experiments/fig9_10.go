@@ -110,7 +110,7 @@ func runSmoveTrialsCode(d *core.Deployment, hops, trials int, code []byte) (HopP
 			halts++
 			if node == home && !halted {
 				halted = true
-				haltAt = d.Sim.Now()
+				haltAt = d.NowAt(node)
 			}
 		}
 

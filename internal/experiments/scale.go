@@ -19,7 +19,7 @@ import (
 // than the middleware: square grids from 5×5 up to 100×100, every mote
 // running a steady sensing-loop agent, executed once per worker count.
 // For each configuration it reports raw event throughput (events per
-// wall-clock second) and the speedup over the sequential kernel, plus a
+// wall-clock second) and the speedup over one worker, plus a
 // state hash over every node's final counters — byte-identical across
 // worker counts by the determinism guarantee of the sharded executor,
 // which is what the CI smoke job asserts.

@@ -89,7 +89,7 @@ func (c Config) withDefaults() Config {
 
 // Node is one mote running the Maté VM.
 type Node struct {
-	sim     *sim.Sim
+	sim     *sim.Ctx // the network's root context: every Maté event rides it
 	medium  *radio.Medium
 	loc     topology.Location
 	cfg     Config
@@ -108,8 +108,9 @@ type Node struct {
 	SentTuples []tuplespace.Tuple
 }
 
-// NewNode attaches a Maté mote to the medium.
-func NewNode(s *sim.Sim, medium *radio.Medium, loc topology.Location, board *sensor.Board, cfg Config) (*Node, error) {
+// NewNode attaches a Maté mote to the medium; it schedules, draws and
+// reads time through s.
+func NewNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, board *sensor.Board, cfg Config) (*Node, error) {
 	n := &Node{sim: s, medium: medium, loc: loc, cfg: cfg.withDefaults(), board: board}
 	if err := medium.Attach(loc, n); err != nil {
 		return nil, err
@@ -318,7 +319,7 @@ var _ radio.Receiver = (*Node)(nil)
 
 // Network is a Maté deployment on a grid, mirroring core.Deployment.
 type Network struct {
-	Sim    *sim.Sim
+	Sim    *sim.Parallel
 	Medium *radio.Medium
 	nodes  map[topology.Location]*Node
 }
@@ -330,7 +331,7 @@ func NewGridNetwork(seed int64, w, h int, params radio.Params, field sensor.Fiel
 	nw := &Network{Sim: s, Medium: medium, nodes: make(map[topology.Location]*Node)}
 	for _, loc := range topology.GridLocations(w, h) {
 		board := sensor.NewBoard(loc, field, sensor.DefaultSensors()...)
-		n, err := NewNode(s, medium, loc, board, cfg)
+		n, err := NewNode(s.Context(sim.RootKey), medium, loc, board, cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -12,7 +12,7 @@ import (
 )
 
 // testNet builds a grid of stacks over a zero-loss medium.
-func testNet(t *testing.T, w, h int, cfg Config) (*sim.Sim, *radio.Medium, map[topology.Location]*Stack) {
+func testNet(t *testing.T, w, h int, cfg Config) (*sim.Parallel, *radio.Medium, map[topology.Location]*Stack) {
 	t.Helper()
 	s := sim.New(42)
 	m := radio.NewMedium(s, topology.Grid{}, radio.ZeroLoss())
@@ -257,8 +257,11 @@ func TestTTLStopsRoutingLoops(t *testing.T) {
 	if err := a.SendRouted(topology.Loc(1, 50), radio.KindRemoteTS, nil); err != nil {
 		t.Fatalf("send: %v", err)
 	}
-	if err := s.RunUntilIdle(10_000); err != nil {
-		t.Fatalf("loop did not terminate: %v", err)
+	if err := s.Run(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if n := s.Pending(); n != 0 {
+		t.Fatalf("loop did not terminate: %d events still queued after an hour", n)
 	}
 	if got := a.Stats().DeliveredUp + b.Stats().DeliveredUp; got != 0 {
 		t.Errorf("phantom delivery: %d", got)
@@ -385,7 +388,7 @@ func TestBeaconSendReceiveAllocatesNothing(t *testing.T) {
 	a.NumAgents = func() int { return 2 }
 	cycle := func() {
 		a.SendBeacon()
-		if err := s.RunUntilIdle(0); err != nil {
+		if err := s.Run(time.Hour); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -420,7 +423,7 @@ func TestRelayForwardAllocatesNothing(t *testing.T) {
 		if err := src.SendRouted(dst.Self(), radio.KindRemoteTS, body); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunUntilIdle(0); err != nil {
+		if err := s.Run(time.Hour); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,6 +4,7 @@ package radio
 
 import (
 	"testing"
+	"time"
 
 	"github.com/agilla-go/agilla/internal/sim"
 	"github.com/agilla-go/agilla/internal/topology"
@@ -23,7 +24,7 @@ func TestRetainedPayloadReadsAsPoison(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(2, 1), Kind: KindRemoteTS, Payload: []byte{1, 2, 3}})
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if len(kept) != 3 {

@@ -21,10 +21,10 @@
 // Topology, which for the paper's testbed filters everything except
 // immediate grid neighbors (§4).
 //
-// The medium is driven by a sim.Executor. Each attached location gets a
+// The medium is driven by a sim.Parallel. Each attached location gets a
 // scheduling context; a frame's delivery is keyed by the sender's context
-// and scheduled onto the receiver's, which is what lets the parallel
-// executor replay the sequential schedule exactly. All per-frame
+// and scheduled onto the receiver's, which is what lets a multi-shard run
+// replay the one-shard schedule exactly. All per-frame
 // randomness (loss sampling, processing jitter) draws from a stream owned
 // by the directed link, so the values never depend on what other links
 // transmitted in between. Statistics and the per-source fan-out records —
@@ -329,7 +329,7 @@ type mediumShard struct {
 // Detach may only be called while the executor is paused; Send is called
 // from simulation events (or from the host between runs).
 type Medium struct {
-	ex     sim.Executor
+	ex     *sim.Parallel
 	topo   topology.Topology
 	params Params
 	random bool
@@ -355,7 +355,7 @@ type Medium struct {
 }
 
 // NewMedium creates a medium over the given topology, driven by ex.
-func NewMedium(ex sim.Executor, topo topology.Topology, params Params) *Medium {
+func NewMedium(ex *sim.Parallel, topo topology.Topology, params Params) *Medium {
 	m := &Medium{
 		ex:     ex,
 		topo:   topo,
@@ -420,7 +420,7 @@ func (m *Medium) Detach(loc topology.Location) {
 //
 // Like Attach, Move may only be called while no ordinary event is
 // executing: from the host between runs, or from a world event
-// (sim.Executor.ScheduleWorldAt), which under a parallel executor runs at
+// (sim.Parallel.ScheduleWorldAt), which runs at
 // a barrier with all shards synced to its timestamp.
 func (m *Medium) Move(from, to topology.Location) error {
 	if from == to {

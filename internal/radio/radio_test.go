@@ -25,7 +25,7 @@ type receiverFunc func(Frame)
 
 func (r receiverFunc) ReceiveFrame(f Frame) { r(f) }
 
-func newTestMedium(t *testing.T, params Params) (*sim.Sim, *Medium, map[topology.Location]*captureNode) {
+func newTestMedium(t *testing.T, params Params) (*sim.Parallel, *Medium, map[topology.Location]*captureNode) {
 	t.Helper()
 	s := sim.New(1)
 	m := NewMedium(s, topology.Grid{}, params)
@@ -43,7 +43,7 @@ func newTestMedium(t *testing.T, params Params) (*sim.Sim, *Medium, map[topology
 func TestUnicastDelivery(t *testing.T) {
 	s, m, nodes := newTestMedium(t, ZeroLoss())
 	m.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(2, 1), Kind: KindRemoteTS, Payload: []byte{1, 2, 3}})
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	got := nodes[topology.Loc(2, 1)].got
@@ -65,7 +65,7 @@ func TestUnicastToNonNeighborIsFiltered(t *testing.T) {
 	s, m, nodes := newTestMedium(t, ZeroLoss())
 	// (1,1) -> (3,1) is two grid hops; the testbed filter must drop it.
 	m.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(3, 1)})
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if len(nodes[topology.Loc(3, 1)].got) != 0 {
@@ -79,7 +79,7 @@ func TestUnicastToNonNeighborIsFiltered(t *testing.T) {
 func TestBroadcastReachesAllGridNeighbors(t *testing.T) {
 	s, m, nodes := newTestMedium(t, ZeroLoss())
 	m.Send(Frame{Src: topology.Loc(2, 2), Dst: Broadcast, Kind: KindBeacon})
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	wantHear := []topology.Location{
@@ -134,7 +134,7 @@ func TestPayloadIsCopiedAcrossAir(t *testing.T) {
 	buf := []byte{1, 2, 3}
 	m.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(2, 1), Payload: buf})
 	buf[0] = 99 // sender mutates its buffer after transmission
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	got := nodes[topology.Loc(2, 1)].got[0].Payload
@@ -159,7 +159,7 @@ func TestDetach(t *testing.T) {
 	s, m, nodes := newTestMedium(t, ZeroLoss())
 	m.Detach(topology.Loc(2, 1))
 	m.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(2, 1)})
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if len(nodes[topology.Loc(2, 1)].got) != 0 {
@@ -183,7 +183,7 @@ func TestLossRateApproximatesModel(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		m.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(2, 1)})
 	}
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	rate := 1 - float64(len(n.got))/trials
@@ -217,7 +217,7 @@ func TestBurstLossIsBursty(t *testing.T) {
 	for i := 0; i < trials; i++ {
 		m.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(2, 1)})
 	}
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	losses, runs := 0, 0
@@ -241,7 +241,7 @@ func TestStatsCounting(t *testing.T) {
 	s, m, _ := newTestMedium(t, ZeroLoss())
 	m.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(2, 1), Payload: []byte{1}})
 	m.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(5, 5)}) // not attached there? (5,5) not in 3x3 grid
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	st := m.Stats()
@@ -257,7 +257,7 @@ func TestBroadcastNeighborCacheFollowsAttachDetach(t *testing.T) {
 			n.got = nil
 		}
 		m.Send(Frame{Src: topology.Loc(2, 2), Dst: Broadcast, Kind: KindBeacon})
-		if err := s.RunUntilIdle(0); err != nil {
+		if err := s.Run(time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		total := 0
@@ -285,7 +285,7 @@ func TestBroadcastNeighborCacheFollowsAttachDetach(t *testing.T) {
 	// brand-new node at (1,4) and check it shows up in (1,3)'s fan-out
 	// even though (1,3) broadcast (and so cached its list) beforehand.
 	m.Send(Frame{Src: topology.Loc(1, 3), Dst: Broadcast, Kind: KindBeacon}) // warm (1,3)'s cache
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	fresh := &captureNode{}
@@ -293,7 +293,7 @@ func TestBroadcastNeighborCacheFollowsAttachDetach(t *testing.T) {
 		t.Fatalf("attach new location: %v", err)
 	}
 	m.Send(Frame{Src: topology.Loc(1, 3), Dst: Broadcast, Kind: KindBeacon})
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if len(fresh.got) != 1 {
@@ -310,7 +310,7 @@ func TestBroadcastSharesOnePayloadCopy(t *testing.T) {
 	buf := []byte{1, 2, 3, 4}
 	m.Send(Frame{Src: topology.Loc(2, 2), Dst: Broadcast, Kind: KindBeacon, Payload: buf})
 	buf[0] = 99 // the sender may reuse its buffer as soon as Send returns
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	var frames []Frame
@@ -343,7 +343,7 @@ func TestBroadcastSharesOnePayloadCopy(t *testing.T) {
 		want += 4 * int(v)
 		m2.Send(Frame{Src: topology.Loc(2, 2), Dst: Broadcast, Kind: KindBeacon, Payload: buf})
 		buf[0] = 0
-		if err := s2.RunUntilIdle(0); err != nil {
+		if err := s2.Run(time.Hour); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -360,7 +360,7 @@ func TestLinkStateLazyAllocationAndStats(t *testing.T) {
 	// A zero-loss, zero-jitter medium must allocate no link state at all.
 	s, m, _ := newTestMedium(t, ZeroLoss())
 	m.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(2, 1), Kind: KindBeacon})
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if got := m.Stats().Links; got != 0 {
@@ -373,7 +373,7 @@ func TestLinkStateLazyAllocationAndStats(t *testing.T) {
 	m2.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(2, 1), Kind: KindBeacon})
 	m2.Send(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(2, 1), Kind: KindBeacon})
 	m2.Send(Frame{Src: topology.Loc(2, 1), Dst: topology.Loc(1, 1), Kind: KindBeacon})
-	if err := s2.RunUntilIdle(0); err != nil {
+	if err := s2.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if got := m2.Stats().Links; got != 2 {
@@ -485,7 +485,7 @@ func TestLinksCountLinksThatCarriedAFrame(t *testing.T) {
 	if got := m.Stats().Links; got != 4 {
 		t.Fatalf("frames that found no route grew Links to %d", got)
 	}
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -528,7 +528,7 @@ func TestUnicastFindsItsLinkInTheFanout(t *testing.T) {
 			m.Send(Frame{Src: src, Dst: l, Kind: KindRemoteTS})
 		}
 	}
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	for l, n := range nodes {
@@ -559,7 +559,7 @@ func TestUnicastFindsItsLinkInTheFanout(t *testing.T) {
 	sink := nodes[dst]
 	cycle := func() {
 		m.Send(Frame{Src: src, Dst: dst})
-		if err := s.RunUntilIdle(0); err != nil {
+		if err := s.Run(time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		sink.got = sink.got[:0]

@@ -18,11 +18,15 @@ import (
 // other world events — is a pure function of the event's id, so the two
 // runs can only agree if the kernel fires exactly the oracle's events in
 // exactly the oracle's order: a stopped timer never, a re-armed one once
-// at its last deadline, nothing from a recycled Event.
+// at its last deadline, nothing from a recycled Event. Besides its near
+// timers every context owns a far one, armed 1–3 s out like a beacon or
+// gossip period and re-armed and stopped by near events, so the oracle
+// also covers entries queued far past the near window.
 
 const (
 	oracleCtxs   = 6
-	oracleTimers = 2
+	oracleTimers = 2 // near timers per context; index oracleTimers is the far one
+	farTimer     = oracleTimers
 	oracleWindow = 5 * time.Millisecond
 	oracleDepth  = 7
 	worldCtx     = -1
@@ -67,7 +71,7 @@ func act(s sched, seed int64, ctx int, id uint64, depth int) {
 			}
 			continue
 		}
-		switch r.Intn(8) {
+		switch r.Intn(10) {
 		case 0, 1:
 			s.schedule(ctx, ms(12), child)
 		case 2:
@@ -79,6 +83,10 @@ func act(s sched, seed int64, ctx int, id uint64, depth int) {
 			s.timerReset(ctx, r.Intn(oracleTimers), ms(15), child)
 		case 7:
 			s.timerStop(ctx, r.Intn(oracleTimers))
+		case 8:
+			s.timerReset(ctx, farTimer, time.Second+ms(2000), child)
+		case 9:
+			s.timerStop(ctx, farTimer)
 		}
 	}
 }
@@ -104,6 +112,7 @@ type modelEvent struct {
 	dst  int
 	id   uint64
 	dead *bool // shared with whoever may stop it
+	far  bool  // an arming of its context's far timer
 }
 
 type model struct {
@@ -112,10 +121,12 @@ type model struct {
 	seq      [oracleCtxs]uint64
 	worldSeq uint64
 	queue    []modelEvent
-	timers   [oracleCtxs][oracleTimers]*bool // the live arming's dead flag
+	timers   [oracleCtxs][oracleTimers + 1]*bool // the live arming's dead flag
 	worlds   []*bool
 	fired    [oracleCtxs + 1][]uint64 // per target context; last: the world lane
 	order    []uint64
+
+	farFired, farStopped int // far timers that fired, and live ones stopped
 }
 
 func (m *model) push(ctx, dst int, d time.Duration, id uint64) *bool {
@@ -130,12 +141,18 @@ func (m *model) stepLocal(ctx int, d time.Duration, id uint64) { m.push(ctx, ctx
 func (m *model) send(from, to int, d time.Duration, id uint64) { m.push(from, to, d, id) }
 
 func (m *model) timerReset(ctx, k int, d time.Duration, id uint64) {
-	m.timerStop(ctx, k)
+	if dead := m.timers[ctx][k]; dead != nil {
+		*dead = true // re-arming replaces the live arming, not a stop
+	}
 	m.timers[ctx][k] = m.push(ctx, ctx, d, id)
+	m.queue[len(m.queue)-1].far = k == farTimer
 }
 
 func (m *model) timerStop(ctx, k int) {
 	if dead := m.timers[ctx][k]; dead != nil {
+		if k == farTimer && !*dead {
+			m.farStopped++
+		}
 		*dead = true
 	}
 }
@@ -185,6 +202,9 @@ func (m *model) run() {
 		}
 		m.fired[lane] = append(m.fired[lane], e.id)
 		m.order = append(m.order, e.id)
+		if e.far {
+			m.farFired++
+		}
 		act(m, m.seed, e.dst, e.id, depthOf(e.id))
 	}
 }
@@ -193,16 +213,16 @@ func (m *model) run() {
 
 type kernelRig struct {
 	seed   int64
-	ex     Executor
+	ex     *Parallel
 	ctxs   [oracleCtxs]*Ctx
-	timers [oracleCtxs][oracleTimers]Timer
-	arming [oracleCtxs][oracleTimers]uint64 // id of each timer's current arming
+	timers [oracleCtxs][oracleTimers + 1]Timer
+	arming [oracleCtxs][oracleTimers + 1]uint64 // id of each timer's current arming
 	worlds []*Event
 	fired  [oracleCtxs + 1][]uint64
 	order  *[]uint64 // global firing order; nil where only each context's is defined
 }
 
-func newKernelRig(seed int64, ex Executor, global bool) *kernelRig {
+func newKernelRig(seed int64, ex *Parallel, global bool) *kernelRig {
 	h := &kernelRig{seed: seed, ex: ex}
 	if global {
 		h.order = new([]uint64)
@@ -300,28 +320,22 @@ func brutePending(shards ...*shard) int {
 }
 
 func TestKernelOrderOracle(t *testing.T) {
-	type setup struct {
+	// The setups keep their original names so their ids stay stable:
+	// "sequential" is one shard with no lookahead (New), whose global
+	// firing order is defined and checked.
+	setups := []struct {
 		name   string
 		global bool
-		build  func(seed int64) (Executor, []*shard)
-	}
-	setups := []setup{
-		{"sequential", true, func(seed int64) (Executor, []*shard) {
-			s := New(seed)
-			return s, []*shard{s.sh}
-		}},
+		build  func(seed int64) *Parallel
+	}{
+		{"sequential", true, New},
 		// With a lookahead a context runs ahead of the others inside the
-		// window, as it does on its own shard under Parallel: each
-		// context's schedule is the oracle's, the global interleaving is
-		// not defined.
-		{"sequential+lookahead", false, func(seed int64) (Executor, []*shard) {
-			s := New(seed)
-			s.SetLookahead(oracleWindow)
-			return s, []*shard{s.sh}
-		}},
-		{"parallel-2", false, func(seed int64) (Executor, []*shard) {
-			p := NewParallel(seed, 2, oracleWindow, func(k ContextKey) int { return int(k) % 2 })
-			return p, append([]*shard{p.world.shard}, p.shards...)
+		// window, as it does on its own shard when there are several:
+		// each context's schedule is the oracle's, the global
+		// interleaving is not defined.
+		{"sequential+lookahead", false, func(seed int64) *Parallel { return NewParallel(seed, 1, oracleWindow, nil) }},
+		{"parallel-2", false, func(seed int64) *Parallel {
+			return NewParallel(seed, 2, oracleWindow, func(k ContextKey) int { return int(k) % 2 })
 		}},
 	}
 	for _, su := range setups {
@@ -334,8 +348,12 @@ func TestKernelOrderOracle(t *testing.T) {
 				if len(m.order) < 50 {
 					t.Fatalf("script fired only %d events: too small to mean anything", len(m.order))
 				}
+				if m.farFired == 0 || m.farStopped == 0 {
+					t.Fatalf("script fired %d far timers and stopped %d: the oracle must cover both", m.farFired, m.farStopped)
+				}
 
-				ex, shards := su.build(seed)
+				ex := su.build(seed)
+				shards := append([]*shard{ex.world.shard}, ex.shards...)
 				h := newKernelRig(seed, ex, su.global)
 				roots(h)
 				// Run in slices so the live count is checked mid-run, with
@@ -370,9 +388,10 @@ func TestKernelOrderOracle(t *testing.T) {
 
 // TestRunLocalBoundsAChain pins the runaway bound: a context that keeps
 // chaining itself in place against an otherwise empty queue is refused
-// after maxLocalSteps steps, so the dispatch returns to the driver loop
-// and RunUntilIdle's event budget still trips. The chain's own loop is
-// capped, so a missing bound fails the test instead of hanging it.
+// after maxLocalSteps steps, so the dispatch returns to the driver loop.
+// The horizon ends exactly where the third segment's last in-place step
+// lands, and the chain's own loop is capped, so a missing bound fails
+// the test instead of hanging it.
 func TestRunLocalBoundsAChain(t *testing.T) {
 	s := New(1)
 	c := s.Context(Key2D(1, 1))
@@ -389,10 +408,15 @@ func TestRunLocalBoundsAChain(t *testing.T) {
 		runs = append(runs, -1) // never refused: leave the queue empty
 	}
 	c.Schedule(0, step)
-	budget := uint64(3 * maxLocalSteps)
-	err := s.RunUntilIdle(budget)
-	if err == nil {
-		t.Fatalf("RunUntilIdle(%d) went idle; steps run in place per dispatch: %v", budget, runs)
+	// A segment is one dispatch plus maxLocalSteps steps, a microsecond
+	// apart.
+	horizon := time.Duration(3*(maxLocalSteps+1)-1) * time.Microsecond
+	if err := s.Run(horizon); err != nil {
+		t.Fatal(err)
+	}
+	if len(runs) != 3 || s.Pending() != 1 || s.Now() != horizon {
+		t.Fatalf("Run(%v): %d segments, %d pending, clock at %v; steps run in place per dispatch: %v",
+			horizon, len(runs), s.Pending(), s.Now(), runs)
 	}
 	for _, n := range runs {
 		if n != maxLocalSteps {
@@ -410,14 +434,15 @@ func TestTimerFiresOnceAtLastDeadline(t *testing.T) {
 	s := New(1)
 	var at []time.Duration
 	var tm Timer
-	tm.Init(s.Context(Key2D(1, 1)), func() { at = append(at, s.Now()) })
+	c := s.Context(Key2D(1, 1))
+	tm.Init(c, func() { at = append(at, c.Now()) })
 	tm.Reset(10 * time.Millisecond)
 	tm.Reset(30 * time.Millisecond)
 	tm.Reset(20 * time.Millisecond)
 	if got := s.Pending(); got != 1 {
 		t.Fatalf("Pending = %d with one timer armed three times, want 1", got)
 	}
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if len(at) != 1 || at[0] != 20*time.Millisecond {
@@ -426,7 +451,7 @@ func TestTimerFiresOnceAtLastDeadline(t *testing.T) {
 	// Re-armed from its own callback, then stopped: never again.
 	tm.Reset(5 * time.Millisecond)
 	tm.Stop()
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if len(at) != 1 {
@@ -446,7 +471,7 @@ func TestTimerRebindWaitsForItsEntries(t *testing.T) {
 	if tm.Bound() {
 		t.Fatal("a zero timer reports bound")
 	}
-	tm.Init(a, func() { fired = append(fired, s.Now()) })
+	tm.Init(a, func() { fired = append(fired, b.Now()) })
 	if !tm.Bound() || !tm.Rebind(a) {
 		t.Fatal("a bound timer cannot stay on its own context")
 	}
@@ -473,7 +498,7 @@ func TestTimerRebindWaitsForItsEntries(t *testing.T) {
 	}
 	// The drained queue left the clock at 20ms.
 	tm.Reset(5 * time.Millisecond)
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if len(fired) != 1 || fired[0] != 25*time.Millisecond {

@@ -5,40 +5,47 @@ import (
 	"time"
 )
 
-// Parallel is the sharded discrete-event executor. Contexts are
-// partitioned into shards that run on worker goroutines inside
-// barrier-synchronized time windows no wider than the lookahead window —
-// the minimum delay of any cross-shard interaction (for a radio medium,
-// the minimum frame delay). Within a window shards cannot influence each
-// other, so they execute concurrently; cross-shard events travel through
-// per-shard mailboxes merged at the barriers.
+// Parallel is the discrete-event executor. Contexts are partitioned into
+// shards; each shard has its own queue and clock.
 //
-// Because events are ordered by (time, context key, context sequence) —
-// keys and sequences that depend only on each entity's own deterministic
-// history — every context observes exactly the schedule the sequential
-// executor would produce for the same seed. The one visible difference is
-// granularity: RunUntil evaluates its predicate at window barriers rather
-// than after every event, so predicate-bounded runs may execute up to one
-// window past the instant the predicate first became true. Time-bounded
-// runs (Run) are exact.
+// One shard runs inline on the calling goroutine, with the run's horizon
+// as its only window: events fire strictly in (time, context key,
+// sequence) order, and a declared lookahead only lets a context's step
+// chain run in place past other contexts' events (see Ctx.RunLocal).
 //
-// Construct with NewParallel. The host may only touch simulation state
-// between Run calls; hooks that fire during events (traces, medium taps)
-// are invoked concurrently from worker goroutines and must synchronize
-// any shared state they touch.
+// More shards run on worker goroutines inside barrier-synchronized time
+// windows no wider than the lookahead window — the minimum delay of any
+// cross-shard interaction (for a radio medium, the minimum frame delay).
+// Within a window shards cannot influence each other, so they execute
+// concurrently; cross-shard events travel through per-shard mailboxes
+// merged at the barriers. Because events are ordered by keys and
+// sequences that depend only on each entity's own deterministic history,
+// every context observes exactly the one-shard schedule for the same seed.
+// The one visible difference is granularity: RunUntil evaluates its
+// predicate at window barriers rather than after every event, so
+// predicate-bounded runs may execute up to one window past the instant
+// the predicate first became true. Time-bounded runs (Run) are exact.
+//
+// Now is the clock between runs; an event reads its own context's clock
+// (Ctx.Now). The host may only touch simulation state between runs; hooks
+// that fire during events (traces, medium taps) are invoked concurrently
+// from worker goroutines when there is more than one shard and must
+// synchronize any shared state they touch.
 type Parallel struct {
-	tab     ctxTable
-	window  time.Duration
+	seed    int64
+	mu      sync.Mutex // guards ctxs
+	ctxs    map[ContextKey]*Ctx
 	shards  []*shard
 	shardOf func(ContextKey) int
 
 	// The world lane: events that mutate cross-shard state. They are kept
 	// out of the worker shards' queues and executed on the driver goroutine
 	// at window barriers, with every shard synced exactly to the event's
-	// timestamp — see ScheduleWorldAt. world is the lane's sentinel context
-	// (see scheduleWorld); its shard is one no worker runs, lending the
-	// lane its queue, stale-entry skipping and live count (every entry
-	// carries WorldKey, so the heap orders them by (at, schedule order)).
+	// timestamp — see ScheduleWorldAt. world is the lane's sentinel
+	// context: no entity owns it; it numbers the lane's events in schedule
+	// order, and its shard is one no worker runs, lending the lane its
+	// queue, stale-entry skipping and live count (every entry carries
+	// WorldKey, so the heap orders them by (at, schedule order)).
 	world     Ctx
 	worldExec uint64
 	worldLast time.Duration
@@ -46,20 +53,24 @@ type Parallel struct {
 	now time.Duration
 }
 
-// NewParallel returns a sharded executor with the given number of shards.
+// New returns a one-shard executor with no lookahead whose randomness
+// derives from seed.
+func New(seed int64) *Parallel { return NewParallel(seed, 1, 0, nil) }
+
+// NewParallel returns an executor with the given number of shards.
 // window is the conservative lookahead: no cross-shard Send may have a
-// delay below it, and it must be positive. shardOf assigns contexts to
-// shards (values are clamped); nil assigns everything to shard 0.
+// delay below it. It must be positive when there is more than one shard;
+// one shard accepts 0, which declares no lookahead. shardOf assigns
+// contexts to shards: negative values go to shard 0, values past the last
+// shard wrap modulo the shard count, and nil assigns everything to shard 0.
 func NewParallel(seed int64, shards int, window time.Duration, shardOf func(ContextKey) int) *Parallel {
-	if shards < 1 {
-		shards = 1
-	}
-	if window <= 0 {
-		panic("sim: parallel executor needs a positive lookahead window")
+	shards = max(shards, 1)
+	if window < 0 || (window == 0 && shards > 1) {
+		panic("sim: a multi-shard executor needs a positive lookahead window")
 	}
 	p := &Parallel{
-		tab:     newCtxTable(seed),
-		window:  window,
+		seed:    seed,
+		ctxs:    make(map[ContextKey]*Ctx),
 		shards:  make([]*shard, shards),
 		shardOf: shardOf,
 		world:   Ctx{key: WorldKey, shard: &shard{}},
@@ -70,35 +81,38 @@ func NewParallel(seed int64, shards int, window time.Duration, shardOf func(Cont
 	return p
 }
 
-// Seed returns the root seed.
-func (p *Parallel) Seed() int64 { return p.tab.seed }
+// Seed returns the root seed all randomness derives from.
+func (p *Parallel) Seed() int64 { return p.seed }
 
 // Shards returns the number of execution shards.
 func (p *Parallel) Shards() int { return len(p.shards) }
 
-// Now returns the current virtual time (the last barrier position).
+// Now returns the current virtual time: the last barrier position, where
+// every context clock agrees with it between runs.
 func (p *Parallel) Now() time.Duration { return p.now }
 
-// Context returns (creating on first use) the scheduling context for key.
+// Context returns (creating on first use) the scheduling context for key,
+// with its key-derived random stream. Safe for concurrent use; contexts
+// should nevertheless be created during setup, not mid-run.
 func (p *Parallel) Context(key ContextKey) *Ctx {
-	return p.tab.context(key, func(k ContextKey) *shard {
-		si := 0
-		if p.shardOf != nil {
-			si = p.shardOf(k)
-			if si < 0 {
-				si = 0
-			}
-			if si >= len(p.shards) {
-				si = si % len(p.shards)
-			}
-		}
-		return p.shards[si]
-	})
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if c, ok := p.ctxs[key]; ok {
+		return c
+	}
+	si := 0
+	if p.shardOf != nil {
+		si = max(p.shardOf(key), 0) % len(p.shards)
+	}
+	c := &Ctx{key: key, shard: p.shards[si], rng: NewRand(p.seed, saltCtx, uint64(key))}
+	p.ctxs[key] = c
+	return c
 }
 
-// Executed returns the number of events fired so far (world events
-// included). Call it from the host between runs (worker counters are
-// merged at barriers).
+// Executed returns the number of events fired so far, world events and
+// steps run in place included (see Ctx.RunLocal) — the logical event
+// count, identical at every shard count and to a run that schedules every
+// step. Call it from the host between runs.
 func (p *Parallel) Executed() uint64 {
 	n := p.worldExec
 	for _, sh := range p.shards {
@@ -108,10 +122,11 @@ func (p *Parallel) Executed() uint64 {
 }
 
 // Dispatched returns the number of events popped from shard heaps (world
-// events included) — Executed minus the steps run in place. It varies
-// with the shard count: each shard's in-place horizon is bounded by its
-// own queue and window, so more shards batch differently (the schedule
-// itself stays identical).
+// events included) — Executed minus the steps run in place. The gap is
+// the scheduler work the in-place step chain saved; unlike Executed it
+// varies with the shard count: each shard's in-place horizon is bounded
+// by its own queue and window, so more shards batch differently (the
+// schedule itself stays identical).
 func (p *Parallel) Dispatched() uint64 {
 	n := p.worldExec
 	for _, sh := range p.shards {
@@ -121,7 +136,8 @@ func (p *Parallel) Dispatched() uint64 {
 }
 
 // Pending returns the number of live queued events across all shards,
-// mailboxes, and the world lane.
+// mailboxes, and the world lane: counts the kernel keeps at every push,
+// pop, stop and cancel, not a walk of the heaps.
 func (p *Parallel) Pending() int {
 	n := p.world.shard.pending()
 	for _, sh := range p.shards {
@@ -130,39 +146,52 @@ func (p *Parallel) Pending() int {
 	return n
 }
 
-// ScheduleWorldAt schedules a world event at absolute time at (clamped to
-// the barrier clock). Call it from the host between runs or from another
-// world event, never from an ordinary event: the world queue is not
-// synchronized against workers.
+// ScheduleWorldAt schedules a world event: a callback that may mutate
+// state shared across scheduling contexts (the radio's attachment table,
+// topology geometry, the deployment's node set). World events fire at
+// absolute virtual time at (clamped to now), ordered by (time, WorldKey,
+// schedule order) — after every node event at the same instant — on the
+// driver goroutine, with every shard synced exactly to their timestamp
+// and no worker running. Call it from the host between runs or from a
+// world event itself, never from a node event: the world queue is not
+// synchronized against workers. The event is the caller's handle and is
+// never pooled.
 func (p *Parallel) ScheduleWorldAt(at time.Duration, fn func()) *Event {
-	return scheduleWorld(&p.world, max(at, p.now), fn)
+	w := &p.world
+	e := &Event{dst: w, fn: fn, seq: w.seq, live: true}
+	w.shard.push(entry{at: max(at, p.now), src: WorldKey, seq: w.seq, ev: e})
+	w.seq++
+	return e
 }
 
 // peekWorld returns the earliest live world event, discarding cancelled
 // ones.
 func (p *Parallel) peekWorld() *entry { return p.world.shard.peek() }
 
+// fireWorld runs the earliest world event, due at at, with every clock
+// settled there, so the callback observes — and schedules against —
+// exactly the time the one-shard order shows it.
+func (p *Parallel) fireWorld(at time.Duration) {
+	p.settle(at)
+	fn := p.world.shard.popHead().ev.fn
+	p.worldLast = at
+	p.worldExec++
+	fn()
+}
+
 // runWorld executes every world event scheduled for exactly time at, in
 // schedule order, including ones those events themselves add for at. The
 // caller guarantees all shards are parked with every node event at or
-// before at already executed. Every clock is synced to at first, so the
-// callbacks observe — and schedule against — exactly the time the
-// sequential executor would show them. Between consecutive world events
-// at the same instant, node events the callback spawned for that instant
-// are drained first: their context keys sort below WorldKey, so the
-// sequential executor runs them before the next world event, and the
-// schedules must agree.
+// before at already executed. Between consecutive world events at the
+// same instant, node events the callback spawned for that instant are
+// drained first: their context keys sort below WorldKey.
 func (p *Parallel) runWorld(at time.Duration) {
-	p.settle(at)
 	for {
 		w := p.peekWorld()
 		if w == nil || w.at != at {
 			return
 		}
-		fn := p.world.shard.popHead().ev.fn
-		p.worldLast = at
-		p.worldExec++
-		fn()
+		p.fireWorld(at)
 		if p.anyDue(at, true) {
 			p.syncTo(at)
 		}
@@ -209,9 +238,14 @@ func (p *Parallel) earliest() (time.Duration, bool) {
 }
 
 // runWindow executes one window barrier to barrier: every shard runs its
-// events scheduled before end (at exactly end too when closed) on its own
-// goroutine. Shards with nothing due are skipped entirely.
+// events scheduled before end (at exactly end too when closed). One shard
+// runs inline; more run on their own goroutines, and shards with nothing
+// due are skipped entirely.
 func (p *Parallel) runWindow(end time.Duration, closed bool) {
+	if len(p.shards) == 1 {
+		p.shards[0].runTo(end, closed)
+		return
+	}
 	var wg sync.WaitGroup
 	for _, sh := range p.shards {
 		sh.drain()
@@ -229,8 +263,7 @@ func (p *Parallel) runWindow(end time.Duration, closed bool) {
 }
 
 // settle ends a run: the global clock lands on t and every shard clock
-// agrees with it, exactly as the sequential executor leaves its single
-// clock.
+// agrees with it.
 func (p *Parallel) settle(t time.Duration) {
 	p.now = t
 	for _, sh := range p.shards {
@@ -240,8 +273,8 @@ func (p *Parallel) settle(t time.Duration) {
 
 // park settles a run that has nothing left to execute at or before until.
 // With events still queued beyond it the clock lands on until; fully idle,
-// it rests at the last executed event (node or world), as the sequential
-// executor does — but never before begin, the position the run started at.
+// it rests at the last executed event (node or world) — but never before
+// begin, the position the run started at.
 func (p *Parallel) park(begin, until time.Duration) {
 	if _, ok := p.earliest(); ok || p.peekWorld() != nil {
 		p.settle(until)
@@ -255,21 +288,27 @@ func (p *Parallel) park(begin, until time.Duration) {
 }
 
 // Run executes events until the queue is empty or the virtual clock would
-// pass the until mark. Events at exactly until still run. The error is
-// always nil.
+// pass until. Events at exactly until still run. A drained queue leaves
+// the clock at the last executed event; otherwise it lands on until. An
+// until already in the past runs the current instant only — the clock
+// never moves back. Run and RunUntil are the only ways to bound a run:
+// there is no stop flag, so callers that need to cancel run in slices or
+// poll from the predicate. The error is always nil; bench/ and every host
+// compile against the signature.
 func (p *Parallel) Run(until time.Duration) error {
 	p.runLoop(until, nil)
 	return nil
 }
 
-// runLoop is the window loop behind Run and RunUntil: march
-// lookahead-width windows, each anchored at the earliest pending event,
-// up to until, then run one closed pass for events at exactly until
-// (cross-shard arrivals at until were merged by the barrier in between).
+// runLoop is the window loop behind Run and multi-shard RunUntil: march
+// windows, each anchored at the earliest pending event, up to until, then
+// run one closed pass for events at exactly until (cross-shard arrivals
+// at until were merged by the barrier in between). A multi-shard window
+// is the lookahead wide; one shard's window is the whole horizon.
 // Windows are clipped at world-event times: the deployment is synced
 // exactly to the event's timestamp, the world callback runs alone on the
 // driver goroutine, and windowing resumes — which is what makes
-// cross-shard world mutations replay the sequential schedule. When pred is
+// cross-shard world mutations replay the one-shard schedule. When pred is
 // non-nil it is evaluated at every barrier and ends the run once true. A
 // horizon already in the past is the current instant: the clock never
 // moves back.
@@ -283,7 +322,10 @@ func (p *Parallel) runLoop(until time.Duration, pred func() bool) bool {
 		if w := p.peekWorld(); w != nil && w.at <= until {
 			wat, worldDue = w.at, true
 		}
-		end := t0 + p.window
+		end := until
+		if len(p.shards) > 1 {
+			end = t0 + p.shards[0].win
+		}
 		switch {
 		case !worldDue && (!ok || t0 > until):
 			p.park(begin, until)
@@ -313,12 +355,54 @@ func (p *Parallel) runLoop(until time.Duration, pred func() bool) bool {
 }
 
 // RunUntil executes events until pred returns true, the queue empties, or
-// the clock passes limit, reporting whether pred became true. Unlike the
-// sequential executor, pred is evaluated at window barriers (from the
-// calling goroutine), so the run may execute up to one lookahead window of
-// events past the instant pred first became true. The error is always nil.
+// the clock passes limit (clamped to now like Run's until), reporting
+// whether pred became true. One shard checks pred after every event,
+// world events included, and runs steps in place only at the instant of
+// the event that chains them; more shards check it at window barriers
+// (from the calling goroutine), so the run may execute up to one
+// lookahead window of events past the instant pred first became true.
+// The error is always nil.
 func (p *Parallel) RunUntil(pred func() bool, limit time.Duration) (bool, error) {
-	return pred() || p.runLoop(limit, pred), nil
+	if pred() {
+		return true, nil
+	}
+	if len(p.shards) > 1 {
+		return p.runLoop(limit, pred), nil
+	}
+	return p.stepUntil(pred, limit), nil
 }
 
-var _ Executor = (*Parallel)(nil)
+// stepUntil is one shard's RunUntil: one event per step, the next of the
+// shard's head and the world lane's (which sorts after node events at its
+// instant), with pred checked after each.
+func (p *Parallel) stepUntil(pred func() bool, limit time.Duration) bool {
+	limit = max(limit, p.now)
+	sh := p.shards[0]
+	for {
+		e, w := sh.peek(), p.peekWorld()
+		world := w != nil && (e == nil || w.at < e.at)
+		var next time.Duration
+		switch {
+		case world:
+			next = w.at
+		case e != nil:
+			next = e.at
+		default:
+			return false // drained: the clock rests at the last event
+		}
+		if next > limit {
+			p.settle(limit)
+			return false
+		}
+		if world {
+			p.fireWorld(next)
+		} else {
+			sh.limit, sh.limitClosed = next, true
+			sh.dispatch(sh.popHead())
+			p.now = next
+		}
+		if pred() {
+			return true
+		}
+	}
+}

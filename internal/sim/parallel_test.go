@@ -31,7 +31,7 @@ func (h *harness) record(at time.Duration, key ContextKey, step int) {
 	h.mu.Unlock()
 }
 
-func (h *harness) run(t *testing.T, ex Executor, nEnt int, until time.Duration) []string {
+func (h *harness) run(t *testing.T, ex *Parallel, nEnt int, until time.Duration) []string {
 	t.Helper()
 	ctxs := make([]*Ctx, nEnt)
 	for i := range ctxs {
@@ -104,7 +104,7 @@ func TestParallelMatchesSequentialSchedule(t *testing.T) {
 	const until = 2 * time.Second
 	seqTrace := (&harness{}).run(t, New(7), nEnt, until)
 	if len(seqTrace) == 0 {
-		t.Fatal("sequential harness executed nothing")
+		t.Fatal("one-shard harness executed nothing")
 	}
 	for _, shards := range []int{2, 3, 4, 8} {
 		par := NewParallel(7, shards, testWindow, byColumn(shards))
@@ -121,10 +121,10 @@ func TestParallelMatchesSequentialSchedule(t *testing.T) {
 
 func TestParallelRunBoundaryEvents(t *testing.T) {
 	// Events at exactly the until mark must run; later ones must not, and
-	// the clock must land exactly on until — same as sequential.
-	for _, mk := range []func() Executor{
-		func() Executor { return New(1) },
-		func() Executor {
+	// the clock must land exactly on until — at any shard count.
+	for _, mk := range []func() *Parallel{
+		func() *Parallel { return New(1) },
+		func() *Parallel {
 			return NewParallel(1, 2, testWindow, func(k ContextKey) int { return int(uint64(k) % 2) })
 		},
 	} {
@@ -168,9 +168,9 @@ func TestParallelCrossShardArrivalAtUntil(t *testing.T) {
 func TestParallelRunUntilIdleAndClockRest(t *testing.T) {
 	// When the queue drains, both executors leave the clock at the last
 	// executed event, however far the horizon lies beyond it.
-	for _, mk := range []func() Executor{
-		func() Executor { return New(1) },
-		func() Executor {
+	for _, mk := range []func() *Parallel{
+		func() *Parallel { return New(1) },
+		func() *Parallel {
 			return NewParallel(1, 2, testWindow, func(k ContextKey) int { return int(uint64(k) % 2) })
 		},
 	} {
@@ -215,6 +215,18 @@ func TestParallelCrossShardBelowWindowPanics(t *testing.T) {
 		}
 	}()
 	a.Send(b, time.Millisecond, func() {})
+}
+
+func TestNewParallelZeroWindowOnlyOnOneShard(t *testing.T) {
+	if s := NewParallel(1, 1, 0, nil); s.Shards() != 1 {
+		t.Fatalf("one shard without lookahead built %d shards", s.Shards())
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("two shards without a lookahead window must panic")
+		}
+	}()
+	NewParallel(1, 2, 0, nil)
 }
 
 // TestParallelBarrierStress hammers the window barrier with dense
@@ -265,9 +277,9 @@ func TestParallelBarrierStress(t *testing.T) {
 func TestParallelRunDrainedQueueRestsAtLastEvent(t *testing.T) {
 	// When the queue drains inside the final window, both executors must
 	// leave the clock at the last executed event, not at the until mark.
-	for _, mk := range []func() Executor{
-		func() Executor { return New(1) },
-		func() Executor {
+	for _, mk := range []func() *Parallel{
+		func() *Parallel { return New(1) },
+		func() *Parallel {
 			return NewParallel(1, 2, testWindow, func(k ContextKey) int { return int(uint64(k) % 2) })
 		},
 	} {
@@ -290,9 +302,9 @@ func TestParallelRunDrainedQueueRestsAtLastEvent(t *testing.T) {
 	}
 }
 
-// bothExecutors returns a fresh sequential and a fresh two-shard executor.
-func bothExecutors(seed int64) []Executor {
-	return []Executor{New(seed), NewParallel(seed, 2, testWindow, byColumn(2))}
+// bothExecutors returns a fresh one-shard and a fresh two-shard executor.
+func bothExecutors(seed int64) []*Parallel {
+	return []*Parallel{New(seed), NewParallel(seed, 2, testWindow, byColumn(2))}
 }
 
 func TestRunNeverMovesClockBack(t *testing.T) {
@@ -310,16 +322,16 @@ func TestRunNeverMovesClockBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ex.Now() != 5*time.Second || c.Now() != 5*time.Second {
-			t.Fatalf("%T: Run(2s) after Run(5s) left Now()=%v, context at %v", ex, ex.Now(), c.Now())
+			t.Fatalf("%d shards: Run(2s) after Run(5s) left Now()=%v, context at %v", ex.Shards(), ex.Now(), c.Now())
 		}
 		if ok, err := ex.RunUntil(func() bool { return false }, -time.Second); ok || err != nil {
-			t.Fatalf("%T: RunUntil = %v, %v", ex, ok, err)
+			t.Fatalf("%d shards: RunUntil = %v, %v", ex.Shards(), ok, err)
 		}
 		if ex.Now() != 5*time.Second || c.Now() != 5*time.Second {
-			t.Fatalf("%T: RunUntil(-1s) left Now()=%v, context at %v", ex, ex.Now(), c.Now())
+			t.Fatalf("%d shards: RunUntil(-1s) left Now()=%v, context at %v", ex.Shards(), ex.Now(), c.Now())
 		}
 		if ex.Pending() != 1 {
-			t.Fatalf("%T: pending = %d, want the 9s event still queued", ex, ex.Pending())
+			t.Fatalf("%d shards: pending = %d, want the 9s event still queued", ex.Shards(), ex.Pending())
 		}
 	}
 }
@@ -338,7 +350,7 @@ func TestSlicedRunsMatchOneRun(t *testing.T) {
 	slices := []time.Duration{0, 37 * time.Millisecond, 100 * time.Millisecond, 100 * time.Millisecond,
 		250*time.Millisecond + 1, 300 * time.Millisecond, 613 * time.Millisecond, 950 * time.Millisecond, T}
 
-	drive := func(ex Executor, marks []time.Duration) []string {
+	drive := func(ex *Parallel, marks []time.Duration) []string {
 		h := &harness{}
 		ctxs := make([]*Ctx, nEnt)
 		for i := range ctxs {
@@ -401,11 +413,11 @@ func TestSlicedRunsMatchOneRun(t *testing.T) {
 				t.Fatal(err)
 			}
 			if ex.Pending() > 0 && ex.Now() != until {
-				t.Fatalf("%T: Run(%v) with events pending left Now()=%v", ex, until, ex.Now())
+				t.Fatalf("%d shards: Run(%v) with events pending left Now()=%v", ex.Shards(), until, ex.Now())
 			}
 		}
 		if ex.Dispatched() >= ex.Executed() {
-			t.Errorf("%T over %v: no step ran in place (dispatched %d of %d)", ex, marks, ex.Dispatched(), ex.Executed())
+			t.Errorf("%d shards over %v: no step ran in place (dispatched %d of %d)", ex.Shards(), marks, ex.Dispatched(), ex.Executed())
 		}
 		h.record(ex.Now(), RootKey, int(ex.Executed()))
 		return h.trace
@@ -415,10 +427,10 @@ func TestSlicedRunsMatchOneRun(t *testing.T) {
 	if rest := perEntity(whole)["0"]; len(rest) != 3 {
 		t.Fatalf("world lane traced %v, want two world events and the final line", rest)
 	}
-	for i, mk := range []func() Executor{
-		func() Executor { return New(21) },
-		func() Executor { return NewParallel(21, 2, testWindow, byColumn(2)) },
-		func() Executor { return NewParallel(21, 3, testWindow, byColumn(3)) },
+	for i, mk := range []func() *Parallel{
+		func() *Parallel { return New(21) },
+		func() *Parallel { return NewParallel(21, 2, testWindow, byColumn(2)) },
+		func() *Parallel { return NewParallel(21, 3, testWindow, byColumn(3)) },
 	} {
 		sameSchedule(t, fmt.Sprintf("executor %d, one run", i), whole, drive(mk(), []time.Duration{T}))
 		sameSchedule(t, fmt.Sprintf("executor %d, sliced", i), whole, drive(mk(), slices))

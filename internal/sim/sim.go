@@ -8,25 +8,26 @@
 //     per-context sequence number of the context that scheduled it, and
 //     events fire in (time, context key, sequence) order. Because the tie
 //     break depends only on who scheduled what — never on the global
-//     interleaving of the run — the schedule is reproducible across
-//     executors.
+//     interleaving of the run — the schedule is reproducible at any shard
+//     count.
 //
 //   - Splittable random streams: each context owns a random stream derived
 //     from the root seed and its key (see Stream), so the values an entity
 //     draws do not depend on what other entities drew in between. This is
-//     what lets a sharded executor replay the exact sequential schedule.
+//     what lets a sharded run replay the exact one-shard schedule.
 //
-//   - An Executor that runs the event queue. Sequential (the Sim type) is
-//     the default: one queue, one clock, events strictly in key order.
-//     Parallel partitions contexts into shards that execute concurrently
-//     inside conservative time windows (see parallel.go); for the same
-//     seed it produces the identical per-node schedule. A run is bounded
-//     one way — by a time (Run) or a predicate with a time limit
-//     (RunUntil) — and the clock never moves back; hosts that must cancel
-//     run in slices, which yields the same schedule as one long run.
+//   - One executor, Parallel, that partitions contexts into shards. One
+//     shard (New, or NewParallel with shards 1) runs inline on the
+//     caller's goroutine: one queue, one clock, events strictly in key
+//     order. More shards execute concurrently inside conservative time
+//     windows (see parallel.go) and produce the identical per-node
+//     schedule for the same seed. A run is bounded one way — by a time
+//     (Run) or a predicate with a time limit (RunUntil) — and the clock
+//     never moves back; hosts that must cancel run in slices, which yields
+//     the same schedule as one long run.
 //
 // Running the same scenario with the same seed reproduces the exact same
-// schedule under either executor, which is what lets the benchmark harness
+// schedule at every shard count, which is what lets the benchmark harness
 // regenerate the paper's figures reproducibly.
 //
 // # Handles: who may stop what
@@ -81,7 +82,7 @@ type ContextKey uint64
 const RootKey ContextKey = 0
 
 // WorldKey is the ordering identity of world events (node churn, mobility
-// — see Executor.ScheduleWorldAt). It is larger than every context key, so
+// — see Parallel.ScheduleWorldAt). It is larger than every context key, so
 // a world event at time t runs after all node events at t: the world
 // mutates between instants, never mid-instant.
 const WorldKey ContextKey = ^ContextKey(0)
@@ -103,8 +104,8 @@ func splitmix64(x uint64) uint64 {
 // Stream derives an independent deterministic random stream from the root
 // seed and a salt path. Entities that draw from their own streams (per
 // node, per radio link) observe the same values whatever order other
-// entities draw in — the property that makes parallel execution replay the
-// sequential schedule exactly.
+// entities draw in — the property that makes a sharded run replay the
+// one-shard schedule exactly.
 //
 // The generator is a splitmix64 counter: simulations allocate one stream
 // per node and per radio link, and the default math/rand source would pay
@@ -168,61 +169,6 @@ func (r *Rand) Int63n(n int64) int64 {
 
 // saltCtx namespaces per-context streams within the seed's stream space.
 const saltCtx = 0x637478 // "ctx"
-
-// Executor runs a discrete-event schedule. Sim (sequential) and Parallel
-// implement it with identical per-node schedules for the same seed.
-type Executor interface {
-	// Now returns the current virtual time. Between Run calls all context
-	// clocks agree with it.
-	Now() time.Duration
-	// Seed returns the root seed all randomness derives from.
-	Seed() int64
-	// Shards returns the number of execution shards (1 for sequential).
-	Shards() int
-	// Context returns (creating on first use) the scheduling context for
-	// key. Safe for concurrent use; contexts should nevertheless be
-	// created during setup, not mid-run.
-	Context(key ContextKey) *Ctx
-	// Run executes events until the queue is empty or the virtual clock
-	// would pass until. Events at exactly until still run. A drained
-	// queue leaves the clock at the last executed event; otherwise it
-	// lands on until. An until already in the past runs the current
-	// instant only — the clock never moves back. Run and RunUntil are the
-	// only ways to bound a run: there is no stop flag, so callers that
-	// need to cancel run in slices or poll from the predicate. The error
-	// is always nil; bench/ and every host compile against the signature.
-	Run(until time.Duration) error
-	// RunUntil executes events until pred returns true, the queue
-	// empties, or the clock passes limit (clamped to now like Run's
-	// until), reporting whether pred became true. Sequential checks pred
-	// after every event; Parallel checks at window barriers (see
-	// parallel.go). The error is always nil.
-	RunUntil(pred func() bool, limit time.Duration) (bool, error)
-	// ScheduleWorldAt schedules a world event: a callback that may mutate
-	// state shared across scheduling contexts (the radio's attachment
-	// table, topology geometry, the deployment's node set) and is
-	// therefore unsafe to run from an ordinary event under a sharded
-	// executor. World events fire at absolute virtual time at (clamped to
-	// now), ordered by (time, WorldKey, schedule order) — after every
-	// node event at the same instant. The sequential executor runs them
-	// in-stream; Parallel clips its windows so each world event executes
-	// at a barrier with all shards synced exactly to its timestamp and no
-	// worker running, which makes the observable schedule identical under
-	// both executors. Call it from the host between runs or from a world
-	// event itself, never from a node event.
-	ScheduleWorldAt(at time.Duration, fn func()) *Event
-	// Executed returns the number of events that have fired so far, steps
-	// run in place included (see Ctx.RunLocal) — the logical event count,
-	// identical across executors and to a run that schedules every step.
-	Executed() uint64
-	// Dispatched returns the number of events actually popped from the
-	// heap: Executed minus the steps run in place inside an earlier
-	// dispatch. The gap is the scheduler work the in-place step chain
-	// saved; unlike Executed it legitimately varies with shard count.
-	Dispatched() uint64
-	// Pending returns the number of live queued events.
-	Pending() int
-}
 
 // Event is what a queued heap entry points at: the callback and the
 // context it acts on. Three kinds of owner hold one (see the package
@@ -398,12 +344,11 @@ func (q *eventQueue) pop() entry {
 }
 
 // shard is one execution lane: a queue, a clock, and a mailbox for events
-// scheduled into it from other shards. The sequential executor has exactly
-// one; Parallel has one per worker, plus one that only lends its queue to
-// the world lane.
+// scheduled into it from other shards. Parallel has one per worker, plus
+// one that only lends its queue to the world lane.
 type shard struct {
 	idx      int
-	win      time.Duration // conservative cross-shard lookahead; 0 when single-shard
+	win      time.Duration // the lookahead window; 0 only on a one-shard executor declaring none
 	now      time.Duration
 	lastAt   time.Duration // timestamp of the last executed event
 	executed uint64
@@ -594,7 +539,7 @@ func (sh *shard) due(end time.Duration, closed bool) bool {
 //   - World events mutate shared state but sort after every node event
 //     at their instant; steps up to and including that instant are safe.
 //   - Other contexts influence c only through sends delayed by at least
-//     the lookahead window (the same contract the parallel executor's
+//     the lookahead window (the same contract a multi-shard run's
 //     barrier windows rest on), so c may run up to — not including —
 //     head.at+win. With no lookahead declared (win 0) this degrades to
 //     the strict head rule.
@@ -623,7 +568,7 @@ func (sh *shard) localOK(c *Ctx, at time.Duration) bool {
 
 // maxLocalSteps bounds how many steps one dispatch runs in place, so a
 // self-perpetuating chain against an otherwise idle queue still returns
-// to the driver loop, where RunUntilIdle checks its event budget.
+// to the driver loop and counts as a dispatch every so often.
 const maxLocalSteps = 4096
 
 // dispatch runs one popped heap entry, together with every step its
@@ -755,193 +700,3 @@ func (c *Ctx) Send(to *Ctx, d time.Duration, fn func()) {
 	to.shard.inbox = append(to.shard.inbox, e)
 	to.shard.mu.Unlock()
 }
-
-// ctxTable is the executor-shared context registry: one mutex-guarded
-// map from key to Ctx, creating contexts on first use with their
-// key-derived stream. Both executors embed it so context creation can
-// never diverge between them.
-type ctxTable struct {
-	seed int64
-	mu   sync.Mutex
-	ctxs map[ContextKey]*Ctx
-}
-
-func newCtxTable(seed int64) ctxTable {
-	return ctxTable{seed: seed, ctxs: make(map[ContextKey]*Ctx)}
-}
-
-// context returns (creating on first use) the context for key, placed on
-// the shard shardFor picks.
-func (t *ctxTable) context(key ContextKey, shardFor func(ContextKey) *shard) *Ctx {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if c, ok := t.ctxs[key]; ok {
-		return c
-	}
-	c := &Ctx{key: key, shard: shardFor(key), rng: NewRand(t.seed, saltCtx, uint64(key))}
-	t.ctxs[key] = c
-	return c
-}
-
-// Sim is the sequential discrete-event executor: one queue, one clock,
-// events strictly in (time, context key, sequence) order. It doubles as a
-// plain scheduling surface for tests and simple consumers: Schedule, Post,
-// and Rand operate on its root context.
-//
-// The zero value is not usable; construct with New. Not safe for
-// concurrent use.
-type Sim struct {
-	tab   ctxTable
-	sh    *shard
-	root  *Ctx
-	world Ctx // the world lane's sentinel context (see scheduleWorld)
-}
-
-// New returns a sequential executor whose randomness derives from seed.
-func New(seed int64) *Sim {
-	sh := &shard{}
-	s := &Sim{tab: newCtxTable(seed), sh: sh, world: Ctx{key: WorldKey, shard: sh}}
-	s.root = s.Context(RootKey)
-	return s
-}
-
-// Seed returns the root seed.
-func (s *Sim) Seed() int64 { return s.tab.seed }
-
-// Shards returns 1: the sequential executor is a single lane.
-func (s *Sim) Shards() int { return 1 }
-
-// Context returns (creating on first use) the scheduling context for key.
-func (s *Sim) Context(key ContextKey) *Ctx {
-	return s.tab.context(key, func(ContextKey) *shard { return s.sh })
-}
-
-// Now returns the current virtual time.
-func (s *Sim) Now() time.Duration { return s.sh.now }
-
-// Rand returns the root context's random stream. Entity-tied randomness
-// should use the entity context's Rand instead.
-func (s *Sim) Rand() *Rand { return &s.root.rng }
-
-// Executed returns the number of events that have fired so far, steps
-// run in place included.
-func (s *Sim) Executed() uint64 { return s.sh.executed }
-
-// Dispatched returns the number of events popped from the heap —
-// Executed minus the steps run in place inside an earlier dispatch.
-func (s *Sim) Dispatched() uint64 { return s.sh.executed - s.sh.local }
-
-// Schedule arranges for fn to run after delay d on the root context.
-func (s *Sim) Schedule(d time.Duration, fn func()) { s.root.Schedule(d, fn) }
-
-// Post schedules fn at the current instant on the root context.
-func (s *Sim) Post(fn func()) { s.root.Post(fn) }
-
-// ScheduleWorldAt schedules a world event at absolute time at (clamped to
-// now). In the sequential executor a world event is an ordinary queue
-// entry whose WorldKey identity sorts it after every node event at the
-// same instant.
-func (s *Sim) ScheduleWorldAt(at time.Duration, fn func()) *Event {
-	return scheduleWorld(&s.world, max(at, s.sh.now), fn)
-}
-
-// scheduleWorld queues a world event at absolute time at on the lane whose
-// sentinel context is w: a context no entity owns, keyed WorldKey, that
-// numbers the lane's events in schedule order and names the shard whose
-// queue holds them — the sequential executor's one shard, or a shard of
-// Parallel's own that no worker runs. The event is the caller's handle
-// and is never pooled.
-func scheduleWorld(w *Ctx, at time.Duration, fn func()) *Event {
-	e := &Event{dst: w, fn: fn, seq: w.seq, live: true}
-	w.shard.push(entry{at: at, src: WorldKey, seq: w.seq, ev: e})
-	w.seq++
-	return e
-}
-
-// SetLookahead declares the minimum cross-context influence delay: no
-// event of one context schedules onto, or otherwise affects, another
-// context in less than d of virtual time (for a radio deployment, the
-// minimum frame delay — exactly the window NewParallel takes). Declaring
-// it lets a context run its step chain in place (Ctx.RunLocal) past other
-// contexts' queued events inside that horizon, which is what turns
-// instruction runs into single dispatches on multi-node deployments where
-// lock-step schedules leave no strictly-earlier gap. Zero (the default)
-// disables the relaxation. The caller owns the contract's truth; root
-// and world events are exempt from it and never run ahead of.
-func (s *Sim) SetLookahead(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	s.sh.win = d
-}
-
-// maxHorizon is the run horizon for runs bounded only by queue
-// exhaustion: run steps in place as far ahead as the queue itself allows.
-const maxHorizon = time.Duration(1<<63 - 1)
-
-// Step fires the next pending event, advancing the clock to its timestamp.
-// It returns false when the queue is empty. Single-stepping admits
-// in-place steps at the same instant only, so its granularity stays close
-// to one event per call.
-func (s *Sim) Step() bool {
-	if s.sh.peek() == nil {
-		return false
-	}
-	e := s.sh.popHead()
-	s.sh.limit, s.sh.limitClosed = e.at, true
-	s.sh.dispatch(e)
-	return true
-}
-
-// Run executes events until the queue is empty or the virtual clock would
-// pass the until mark (clamped to now: the clock never moves back). Events
-// at exactly until still run. The error is always nil.
-func (s *Sim) Run(until time.Duration) error {
-	until = max(until, s.sh.now)
-	s.sh.runTo(until, true)
-	if s.sh.peek() != nil {
-		s.sh.now = until
-	}
-	return nil
-}
-
-// RunUntilIdle executes events until none remain. It is the drain helper
-// of tests that hold the concrete Sim, not part of Executor. maxEvents
-// guards against runaway schedules (self-perpetuating beacons); 0 means
-// no limit.
-func (s *Sim) RunUntilIdle(maxEvents uint64) error {
-	s.sh.limit, s.sh.limitClosed = maxHorizon, true
-	start := s.sh.executed
-	for s.sh.peek() != nil {
-		s.sh.dispatch(s.sh.popHead())
-		if maxEvents > 0 && s.sh.executed-start >= maxEvents {
-			return fmt.Errorf("sim: exceeded %d events without going idle", maxEvents)
-		}
-	}
-	return nil
-}
-
-// RunUntil executes events until pred returns true (checked after every
-// event), the queue empties, or the clock passes limit (clamped to now).
-// It reports whether pred became true. The error is always nil.
-func (s *Sim) RunUntil(pred func() bool, limit time.Duration) (bool, error) {
-	limit = max(limit, s.sh.now)
-	for !pred() {
-		e := s.sh.peek()
-		if e == nil {
-			return false, nil
-		}
-		if e.at > limit {
-			s.sh.now = limit
-			return false, nil
-		}
-		s.Step()
-	}
-	return true, nil
-}
-
-// Pending returns the number of live queued events: a count the kernel
-// keeps at every push, pop, stop and cancel, not a walk of the heap.
-func (s *Sim) Pending() int { return s.sh.pending() }
-
-var _ Executor = (*Sim)(nil)

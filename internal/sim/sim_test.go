@@ -8,11 +8,12 @@ import (
 
 func TestScheduleOrdering(t *testing.T) {
 	s := New(1)
+	root := s.Context(RootKey)
 	var got []int
-	s.Schedule(30*time.Millisecond, func() { got = append(got, 3) })
-	s.Schedule(10*time.Millisecond, func() { got = append(got, 1) })
-	s.Schedule(20*time.Millisecond, func() { got = append(got, 2) })
-	if err := s.RunUntilIdle(0); err != nil {
+	root.Schedule(30*time.Millisecond, func() { got = append(got, 3) })
+	root.Schedule(10*time.Millisecond, func() { got = append(got, 1) })
+	root.Schedule(20*time.Millisecond, func() { got = append(got, 2) })
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	want := []int{1, 2, 3}
@@ -28,12 +29,13 @@ func TestScheduleOrdering(t *testing.T) {
 
 func TestSameInstantFIFO(t *testing.T) {
 	s := New(1)
+	root := s.Context(RootKey)
 	var got []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.Schedule(time.Millisecond, func() { got = append(got, i) })
+		root.Schedule(time.Millisecond, func() { got = append(got, i) })
 	}
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	for i := range got {
@@ -45,13 +47,14 @@ func TestSameInstantFIFO(t *testing.T) {
 
 func TestPostRunsAfterQueuedThisInstant(t *testing.T) {
 	s := New(1)
+	root := s.Context(RootKey)
 	var got []string
-	s.Schedule(0, func() {
+	root.Schedule(0, func() {
 		got = append(got, "a")
-		s.Post(func() { got = append(got, "c") })
+		root.Post(func() { got = append(got, "c") })
 	})
-	s.Schedule(0, func() { got = append(got, "b") })
-	if err := s.RunUntilIdle(0); err != nil {
+	root.Schedule(0, func() { got = append(got, "b") })
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
@@ -69,7 +72,7 @@ func TestCancel(t *testing.T) {
 	if s.Pending() != 0 {
 		t.Fatalf("Pending = %d after Stop, want 0", s.Pending())
 	}
-	if err := s.RunUntilIdle(0); err != nil {
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if fired {
@@ -97,10 +100,11 @@ func TestCancelIsIdempotent(t *testing.T) {
 
 func TestRunStopsAtLimit(t *testing.T) {
 	s := New(1)
+	root := s.Context(RootKey)
 	fired := 0
-	s.Schedule(10*time.Millisecond, func() { fired++ })
-	s.Schedule(20*time.Millisecond, func() { fired++ })
-	s.Schedule(30*time.Millisecond, func() { fired++ })
+	root.Schedule(10*time.Millisecond, func() { fired++ })
+	root.Schedule(20*time.Millisecond, func() { fired++ })
+	root.Schedule(30*time.Millisecond, func() { fired++ })
 	if err := s.Run(20 * time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +123,7 @@ func TestRunUntilPredicate(t *testing.T) {
 	s := New(1)
 	n := 0
 	for i := 1; i <= 5; i++ {
-		s.Schedule(time.Duration(i)*time.Millisecond, func() { n++ })
+		s.Context(RootKey).Schedule(time.Duration(i)*time.Millisecond, func() { n++ })
 	}
 	ok, err := s.RunUntil(func() bool { return n == 3 }, time.Second)
 	if err != nil || !ok {
@@ -137,25 +141,16 @@ func TestRunUntilPredicate(t *testing.T) {
 	}
 }
 
-func TestRunUntilIdleRunawayGuard(t *testing.T) {
-	s := New(1)
-	var loop func()
-	loop = func() { s.Schedule(time.Millisecond, loop) }
-	loop()
-	if err := s.RunUntilIdle(100); err == nil {
-		t.Fatal("expected runaway error")
-	}
-}
-
 func TestNegativeDelayClampsToNow(t *testing.T) {
 	s := New(1)
-	s.Schedule(time.Second, func() {})
+	root := s.Context(RootKey)
+	root.Schedule(time.Second, func() {})
 	if err := s.Run(time.Second); err != nil {
 		t.Fatal(err)
 	}
 	var at time.Duration
-	s.Schedule(-time.Hour, func() { at = s.Now() })
-	if err := s.RunUntilIdle(0); err != nil {
+	root.Schedule(-time.Hour, func() { at = root.Now() })
+	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	if at != time.Second {
@@ -166,16 +161,17 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 func TestDeterminismAcrossRuns(t *testing.T) {
 	trace := func(seed int64) []int64 {
 		s := New(seed)
+		root := s.Context(RootKey)
 		var out []int64
 		var tick func()
 		tick = func() {
-			out = append(out, int64(s.Now()), s.Rand().Int63n(1000))
+			out = append(out, int64(root.Now()), root.Rand().Int63n(1000))
 			if len(out) < 40 {
-				s.Schedule(time.Duration(1+s.Rand().Int63n(5))*time.Millisecond, tick)
+				root.Schedule(time.Duration(1+root.Rand().Int63n(5))*time.Millisecond, tick)
 			}
 		}
-		s.Post(tick)
-		if err := s.RunUntilIdle(0); err != nil {
+		root.Post(tick)
+		if err := s.Run(time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		return out
@@ -213,13 +209,14 @@ func TestQueueOrderingProperty(t *testing.T) {
 			return true
 		}
 		s := New(7)
+		root := s.Context(RootKey)
 		var times []time.Duration
 		for _, d := range delays {
-			s.Schedule(time.Duration(d)*time.Microsecond, func() {
-				times = append(times, s.Now())
+			root.Schedule(time.Duration(d)*time.Microsecond, func() {
+				times = append(times, root.Now())
 			})
 		}
-		if err := s.RunUntilIdle(0); err != nil {
+		if err := s.Run(time.Hour); err != nil {
 			return false
 		}
 		if len(times) != len(delays) {

@@ -56,7 +56,7 @@ func (l *worldLog) sorted() []string {
 // contexts ticking and cross-sending, plus world events that mutate a
 // shared table — the shape of a topology change. The sorted log must come
 // out byte-identical whatever the executor.
-func worldHarness(t *testing.T, ex Executor, keys []ContextKey) []string {
+func worldHarness(t *testing.T, ex *Parallel, keys []ContextKey) []string {
 	t.Helper()
 	log := &worldLog{seq: make(map[int]int)}
 	shared := map[string]int{"gen": 1}
@@ -119,7 +119,7 @@ func worldHarness(t *testing.T, ex Executor, keys []ContextKey) []string {
 }
 
 // TestWorldEventsMatchSequential proves the world lane replays the exact
-// sequential schedule under the sharded executor, including world events
+// one-shard schedule on several shards, including world events
 // landing on occupied instants and world events scheduled from world
 // events.
 func TestWorldEventsMatchSequential(t *testing.T) {
@@ -147,10 +147,10 @@ func TestWorldEventsMatchSequential(t *testing.T) {
 // TestWorldEventSpawnsSameInstantNodeEvents pins the interleave rule for
 // a world callback that schedules node work at its own instant while a
 // second world event waits at the same time: node events' context keys
-// sort below WorldKey, so both executors must run them between the two
+// sort below WorldKey, so every shard count must run them between the two
 // world events.
 func TestWorldEventSpawnsSameInstantNodeEvents(t *testing.T) {
-	runOrder := func(ex Executor) []string {
+	runOrder := func(ex *Parallel) []string {
 		var order []string
 		c := ex.Context(Key2D(1, 1))
 		ex.ScheduleWorldAt(10*time.Millisecond, func() {
@@ -167,7 +167,7 @@ func TestWorldEventSpawnsSameInstantNodeEvents(t *testing.T) {
 	}
 	want := runOrder(New(3))
 	if len(want) != 3 || want[1] != "node" {
-		t.Fatalf("sequential order = %v, want [world1 node world2]", want)
+		t.Fatalf("one-shard order = %v, want [world1 node world2]", want)
 	}
 	got := runOrder(NewParallel(3, 2, time.Millisecond, nil))
 	if fmt.Sprint(got) != fmt.Sprint(want) {
@@ -178,27 +178,27 @@ func TestWorldEventSpawnsSameInstantNodeEvents(t *testing.T) {
 // TestWorldEventCancel checks cancelled world events never fire and do not
 // count as pending.
 func TestWorldEventCancel(t *testing.T) {
-	for _, ex := range []Executor{New(1), NewParallel(1, 2, time.Millisecond, nil)} {
+	for _, ex := range []*Parallel{New(1), NewParallel(1, 2, time.Millisecond, nil)} {
 		fired := false
 		e := ex.ScheduleWorldAt(5*time.Millisecond, func() { fired = true })
 		e.Cancel()
 		if got := ex.Pending(); got != 0 {
-			t.Errorf("%T: pending = %d after cancel, want 0", ex, got)
+			t.Errorf("%d shards: pending = %d after cancel, want 0", ex.Shards(), got)
 		}
 		if err := ex.Run(time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		if fired {
-			t.Errorf("%T: cancelled world event fired", ex)
+			t.Errorf("%d shards: cancelled world event fired", ex.Shards())
 		}
 	}
 }
 
 // TestWorldOnlySchedule checks executors drive a schedule consisting of
 // world events alone (no node events at all), with the clock visible to
-// the callbacks matching the sequential executor.
+// the callbacks matching the one-shard run.
 func TestWorldOnlySchedule(t *testing.T) {
-	for _, ex := range []Executor{New(1), NewParallel(1, 2, time.Millisecond, nil)} {
+	for _, ex := range []*Parallel{New(1), NewParallel(1, 2, time.Millisecond, nil)} {
 		var order []time.Duration
 		ex.ScheduleWorldAt(30*time.Millisecond, func() { order = append(order, ex.Now()) })
 		ex.ScheduleWorldAt(10*time.Millisecond, func() { order = append(order, ex.Now()) })
@@ -206,19 +206,46 @@ func TestWorldOnlySchedule(t *testing.T) {
 			t.Fatal(err)
 		}
 		if len(order) != 1 || order[0] != 10*time.Millisecond {
-			t.Fatalf("%T: order after bounded run = %v", ex, order)
+			t.Fatalf("%d shards: order after bounded run = %v", ex.Shards(), order)
 		}
 		if now := ex.Now(); now != 20*time.Millisecond {
-			t.Fatalf("%T: now = %v after bounded run, want 20ms", ex, now)
+			t.Fatalf("%d shards: now = %v after bounded run, want 20ms", ex.Shards(), now)
 		}
 		if err := ex.Run(time.Hour); err != nil {
 			t.Fatal(err)
 		}
 		if len(order) != 2 || order[1] != 30*time.Millisecond {
-			t.Fatalf("%T: order = %v", ex, order)
+			t.Fatalf("%d shards: order = %v", ex.Shards(), order)
 		}
 		if now := ex.Now(); now != 30*time.Millisecond {
-			t.Fatalf("%T: now = %v after idle run, want 30ms", ex, now)
+			t.Fatalf("%d shards: now = %v after idle run, want 30ms", ex.Shards(), now)
 		}
+	}
+}
+
+// TestOneShardRunUntilStepsWorldEvents pins one shard's RunUntil
+// granularity across the two lanes: the predicate is checked after every
+// event, a world event included, and a world event at an occupied
+// instant runs after that instant's node events.
+func TestOneShardRunUntilStepsWorldEvents(t *testing.T) {
+	s := New(1)
+	c := s.Context(Key2D(1, 1))
+	var order []string
+	c.Schedule(10*time.Millisecond, func() { order = append(order, "node@10") })
+	c.Schedule(20*time.Millisecond, func() { order = append(order, "node@20") })
+	s.ScheduleWorldAt(10*time.Millisecond, func() { order = append(order, "world@10") })
+	s.ScheduleWorldAt(15*time.Millisecond, func() { order = append(order, "world@15") })
+	ok, err := s.RunUntil(func() bool { return len(order) == 2 }, time.Second)
+	if err != nil || !ok {
+		t.Fatalf("RunUntil = %v, %v", ok, err)
+	}
+	if fmt.Sprint(order) != "[node@10 world@10]" || s.Now() != 10*time.Millisecond {
+		t.Fatalf("stopped after %v at %v, want [node@10 world@10] at 10ms", order, s.Now())
+	}
+	if ok, _ := s.RunUntil(func() bool { return false }, time.Second); ok {
+		t.Fatal("an unreachable predicate held")
+	}
+	if fmt.Sprint(order) != "[node@10 world@10 world@15 node@20]" || s.Now() != 20*time.Millisecond {
+		t.Fatalf("drained to %v at %v, want [node@10 world@10 world@15 node@20] at 20ms", order, s.Now())
 	}
 }

@@ -622,7 +622,7 @@ func (c *capture) ReceiveFrame(f radio.Frame) {
 // bridgeHalf is one process of a split 2x1 field for the unit test:
 // a 1-mote medium plus the bridge standing in for the other mote.
 type bridgeHalf struct {
-	sim  *sim.Sim
+	sim  *sim.Parallel
 	med  *radio.Medium
 	node *capture
 	br   *Bridge
@@ -647,7 +647,7 @@ func newBridgeHalf(t *testing.T, name string, own, remote topology.Location, pee
 func (h *bridgeHalf) step(t *testing.T) {
 	t.Helper()
 	h.br.Pump()
-	if err := h.sim.RunUntilIdle(0); err != nil {
+	if err := h.sim.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -113,8 +113,9 @@ func WithReplication(r Replication) Option {
 // concurrently inside time windows bounded by the radio's minimum frame
 // delay, with cross-shard frames exchanged at window barriers — so the
 // schedule every node observes is event-for-event identical to the
-// default sequential kernel for the same seed, while large deployments
-// use all n cores. Values of 0 or 1 keep the sequential kernel.
+// default one-worker run for the same seed, while large deployments use
+// all n cores. Values of 0 or 1 run the kernel on one shard, inline on
+// the calling goroutine.
 //
 // Two caveats. RunUntil and Scenario.Until predicates are evaluated at
 // window barriers (roughly every 21 ms of virtual time under the default

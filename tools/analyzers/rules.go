@@ -126,8 +126,8 @@ var maprange = &Analyzer{
 }
 
 // gospawn flags go statements in kernel code. Scheduling belongs to the
-// executor: the sharded parallel kernel reproduces the sequential event
-// schedule exactly because it alone decides what runs concurrently. An
+// executor: a sharded run reproduces the one-shard event schedule exactly
+// because the executor alone decides what runs concurrently. An
 // ad-hoc goroutine racing the executor reintroduces host-scheduler
 // nondeterminism.
 var gospawn = &Analyzer{

@@ -4,7 +4,7 @@ package agilla
 // agents that adapt to a hostile, changing network (§1, §5); this file is
 // the host-facing surface for making the network actually hostile — nodes
 // die, recover, relocate, and drain batteries while the simulation runs,
-// deterministically under both the sequential and the sharded kernel.
+// deterministically at every worker count.
 //
 // Two entry points:
 //
