@@ -9,6 +9,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/network"
@@ -86,8 +87,6 @@ type Config struct {
 	// (0 = 400 bytes / 10 reactions, §3.2).
 	RegistryBytes int
 	RegistryMax   int
-	// Slice is the round-robin instruction quantum.
-	Slice int
 	// Exec selects the execution strategy (zero value: ExecAuto).
 	Exec ExecMode
 
@@ -103,15 +102,6 @@ type Config struct {
 	RemoteTimeout time.Duration
 	RemoteRetries int
 
-	// MigSendOverhead and MigRecvOverhead are the calibrated CPU costs of
-	// packing and unpacking a migrating agent.
-	MigSendOverhead time.Duration
-	MigRecvOverhead time.Duration
-
-	// BootDelay is how long a recovering mote takes from power-on until
-	// it is back on the air (0 = DefaultBootDelay).
-	BootDelay time.Duration
-
 	// EndToEndMigration switches the migration protocol to the end-to-end
 	// variant the paper tried and abandoned (§3.2: "We tried using
 	// end-to-end communication ... unacceptably prone to failure").
@@ -126,11 +116,9 @@ func (c Config) withDefaults() Config {
 	if c.MaxAgents <= 0 {
 		c.MaxAgents = DefaultMaxAgents
 	}
+	c.MaxAgents = min(c.MaxAgents, math.MaxUint16) // Node.reserve counts below it in 16 bits
 	if c.CodeBlocks <= 0 {
 		c.CodeBlocks = DefaultCodeBlocks
-	}
-	if c.Slice <= 0 {
-		c.Slice = DefaultSlice
 	}
 	if c.AckTimeout <= 0 {
 		c.AckTimeout = DefaultAckTimeout
@@ -149,15 +137,6 @@ func (c Config) withDefaults() Config {
 	// default"). Consumers clamp negatives at the point of use.
 	if c.RemoteRetries == 0 {
 		c.RemoteRetries = DefaultRemoteRetries
-	}
-	if c.MigSendOverhead <= 0 {
-		c.MigSendOverhead = DefaultMigSendOverhead
-	}
-	if c.MigRecvOverhead <= 0 {
-		c.MigRecvOverhead = DefaultMigRecvOverhead
-	}
-	if c.BootDelay <= 0 {
-		c.BootDelay = DefaultBootDelay
 	}
 	c.Network = c.Network.WithDefaults()
 	return c

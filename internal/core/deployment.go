@@ -30,7 +30,7 @@ func (n *Node) InjectAgent(code []byte, dest topology.Location) (uint16, error) 
 	if dest == n.loc {
 		return n.CreateAgent(code)
 	}
-	if len(n.agents)+n.reserve >= n.cfg.MaxAgents {
+	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents {
 		return 0, fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
 	}
 	id := n.NextAgentID()
@@ -44,7 +44,7 @@ func (n *Node) InjectAgent(code []byte, dest topology.Location) (uint16, error) 
 	if n.trace.MigrationStarted != nil {
 		n.trace.MigrationStarted(n.loc, id, wire.MigInject, dest)
 	}
-	om.timer.Reset(n.cfg.MigSendOverhead)
+	om.timer.Reset(DefaultMigSendOverhead)
 	return id, nil
 }
 
@@ -336,7 +336,7 @@ func (d *Deployment) TotalAgents() int {
 	total := 0
 	//lint:maprange integer summation is commutative
 	for _, n := range d.nodes {
-		total += len(n.agents) + n.reserve
+		total += len(n.agents) + int(n.reserve)
 	}
 	return total
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"github.com/agilla-go/agilla/internal/sim"
 	"github.com/agilla-go/agilla/internal/vm"
 )
 
@@ -112,8 +113,8 @@ type battery struct {
 	idlePerSec uint64
 	checkEvery time.Duration
 
-	mark time.Duration // idle drain accrued up to this instant
-	gen  int           // invalidates stale battery tick chains
+	mark  time.Duration // idle drain accrued up to this instant
+	check sim.Timer     // the periodic idle-drain check (see startBatteryTick)
 }
 
 func newBattery(m EnergyModel, now time.Duration) *battery {
@@ -188,6 +189,7 @@ func (n *Node) SetEnergy(m EnergyModel) {
 		return
 	}
 	n.bat = newBattery(m, n.sim.Now())
+	n.bat.check.Init(n.sim, n.batteryTick)
 	n.net.OnSend = func(payloadBytes int) {
 		n.charge(n.bat.sendFixed + uint64(payloadBytes)*n.bat.sendByte)
 	}
@@ -232,33 +234,28 @@ func (n *Node) exhaust() {
 }
 
 // startBatteryTick arms the periodic idle-drain check; without it a
-// totally silent mote would never notice its battery emptied. The chain
-// stops itself when the node goes down and is re-armed by Recover.
+// totally silent mote would never notice its battery emptied. Crash
+// stops it and Recover re-arms it.
 func (n *Node) startBatteryTick() {
-	if n.bat == nil || n.bat.idlePerSec == 0 {
-		return
+	if n.bat != nil && n.bat.idlePerSec > 0 {
+		n.bat.check.Reset(n.bat.checkEvery)
 	}
-	n.bat.gen++
-	gen := n.bat.gen
-	var tick func()
-	tick = func() {
-		if n.life != NodeUp || gen != n.bat.gen {
-			return
-		}
-		n.bat.accrue(n.sim.Now())
-		if n.bat.empty() {
-			n.exhaust()
-			return
-		}
-		n.sim.Schedule(n.bat.checkEvery, tick)
-	}
-	n.sim.Schedule(n.bat.checkEvery, tick)
 }
 
-// stopBatteryTick invalidates the running tick chain.
+// batteryTick is one idle-drain check.
+func (n *Node) batteryTick() {
+	n.bat.accrue(n.sim.Now())
+	if n.bat.empty() {
+		n.exhaust()
+		return
+	}
+	n.bat.check.Reset(n.bat.checkEvery)
+}
+
+// stopBatteryTick disarms the idle-drain check.
 func (n *Node) stopBatteryTick() {
 	if n.bat != nil {
-		n.bat.gen++
+		n.bat.check.Stop()
 	}
 }
 

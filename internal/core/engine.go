@@ -129,7 +129,7 @@ func (n *Node) engineStep() {
 		// context", §3.2).
 		if rec.state == AgentReady {
 			rec.sliceUsed++
-			if rec.sliceUsed >= n.cfg.Slice {
+			if rec.sliceUsed >= DefaultSlice {
 				n.runq.Rotate()
 				n.runq.Tail().sliceUsed = 0
 			}
@@ -144,7 +144,7 @@ func (n *Node) engineStep() {
 		// nothing else in the simulation is due first (otherwise it goes
 		// through the scheduler and ordering is resolved there, exactly
 		// as seeded).
-		if !n.burst || !n.sim.RunLocal(n.sim.Now()+out.Cost) {
+		if n.cfg.Exec == ExecStep || !n.sim.RunLocal(n.sim.Now()+out.Cost) {
 			n.busy = true
 			n.sim.Schedule(out.Cost, n.stepFn)
 			return

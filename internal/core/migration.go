@@ -227,7 +227,7 @@ func (n *Node) startMigration(rec *record, out vm.Outcome) {
 		n.trace.MigrationStarted(n.loc, rec.agent.ID, kind, dest)
 	}
 	// Packaging the agent costs CPU time before the first byte is sent.
-	om.timer.Reset(n.cfg.MigSendOverhead)
+	om.timer.Reset(DefaultMigSendOverhead)
 }
 
 // migrateToSelf implements the degenerate migration to the current node.
@@ -639,7 +639,7 @@ func (n *Node) recvState(st wire.StateMsg, from topology.Location, e2e bool) {
 	// Admission control: an agent slot plus instruction memory must be
 	// available before the transfer is accepted. A refused transfer is
 	// silently ignored; the sender times out and resumes the agent.
-	if len(n.agents)+n.reserve >= n.cfg.MaxAgents || !n.instr.CanAlloc(int(st.CodeLen)) {
+	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents || !n.instr.CanAlloc(int(st.CodeLen)) {
 		return
 	}
 	if n.hosted(st.AgentID) != nil && (st.Kind == wire.MigStrongMove || st.Kind == wire.MigWeakMove || st.Kind == wire.MigInject) {
@@ -679,7 +679,7 @@ func (n *Node) touchIn(im *inMigration, t wire.MsgType, idx uint8) {
 	if n.inComplete(im) {
 		// Reassembling and installing the agent costs CPU time.
 		im.finalizing = true
-		im.stall.Reset(n.cfg.MigRecvOverhead)
+		im.stall.Reset(DefaultMigRecvOverhead)
 	}
 }
 
@@ -799,7 +799,7 @@ func (n *Node) finalizeIn(im *inMigration) {
 	// destination, its in-flight registers as they arrived. If forwarding
 	// fails the agent becomes resident here with condition zero
 	// (duplicate-tolerant semantics).
-	n.packAgent(rec, st.Kind, st.Dest, false).timer.Reset(n.cfg.MigSendOverhead)
+	n.packAgent(rec, st.Kind, st.Dest, false).timer.Reset(DefaultMigSendOverhead)
 }
 
 // newAgent takes a recycled agent from the shard's free list, or makes
@@ -849,7 +849,7 @@ func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
 		rec = new(record)
 	}
 	rec.agent, rec.state, rec.arrivedAt = a, AgentMigrating, n.sim.Now()
-	if n.burst {
+	if n.cfg.Exec != ExecStep {
 		rec.prog = progCache.Get(a.Code)
 	}
 	i, _ := n.agentIndex(a.ID) // instr.Alloc above refused an ID already hosted

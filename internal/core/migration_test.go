@@ -794,8 +794,7 @@ func (r *hopRig) hop() {
 		r.buf, _ = wire.StackMsg{AgentID: id, Seq: seq, Index: i, Values: stack[4*i : min(4*i+4, 5)]}.Append(r.buf[:0])
 		r.deliver(radio.KindMigrate, r.from, r.buf)
 	}
-	cfg := r.n.Config()
-	if err := r.d.Sim.Run(r.d.Sim.Now() + cfg.MigRecvOverhead + cfg.MigSendOverhead); err != nil {
+	if err := r.d.Sim.Run(r.d.Sim.Now() + DefaultMigRecvOverhead + DefaultMigSendOverhead); err != nil {
 		r.t.Fatal(err)
 	}
 	for _, om := range r.n.out {

@@ -119,16 +119,15 @@ type Node struct {
 	sim       *sim.Ctx
 	loc       topology.Location
 
-	life  LifeState // up / down / recovering (see world.go)
-	busy  bool      // an engine step is scheduled
-	burst bool      // run engine steps in place when admitted (Exec != ExecStep)
+	life LifeState // up / down / recovering (see world.go)
+	busy bool      // an engine step is scheduled
 
 	nodeIndex  uint8 // high byte of locally assigned agent IDs
 	agentCount uint8 // low byte counter
 	migSeq     uint16
 	reqSeq     uint16
 	led        int16
-	reserve    int // agent slots held by inbound migrations
+	reserve    uint16 // agent slots held by inbound migrations: below cfg.MaxAgents, which withDefaults caps at 65535
 
 	bat   *battery      // nil when the deployment has no energy model
 	repl  *replicaState // nil without replication (see replica.go)
@@ -218,7 +217,6 @@ func newNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, nodeIndex 
 	}
 	n.resetRAM()
 	n.stepFn = n.engineStep
-	n.burst = n.cfg.Exec != ExecStep
 	n.net.Init(s, medium, loc, &env.net)
 	n.net.NumAgents = func() int { return len(n.agents) }
 	n.net.DeliverDirect = n.handleDirect
@@ -381,7 +379,7 @@ func (n *Node) CreateAgent(code []byte) (uint16, error) {
 	if n.life != NodeUp {
 		return 0, fmt.Errorf("%w: %v", ErrNodeDown, n.loc)
 	}
-	if len(n.agents)+n.reserve >= n.cfg.MaxAgents {
+	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents {
 		return 0, fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
 	}
 	id := n.NextAgentID()

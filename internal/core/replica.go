@@ -6,6 +6,7 @@ import (
 
 	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/internal/replica"
+	"github.com/agilla-go/agilla/internal/sim"
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
 	"github.com/agilla-go/agilla/internal/wire"
@@ -93,8 +94,8 @@ type replicaState struct {
 	// tracking and recovery must keep recognizing them as ours.
 	former []topology.Location
 
-	gen  int // invalidates stale gossip tick chains, like battery.gen
-	mute int // >0: space hooks ignore inserts/removals (bookkeeping ops)
+	tick sim.Timer // the periodic anti-entropy tick (see startGossip)
+	mute int       // >0: space hooks ignore inserts/removals (bookkeeping ops)
 
 	// dirty marks the store as changed since the last transmitted digest;
 	// quiet counts consecutive suppressed ticks so a quiescent store
@@ -111,6 +112,7 @@ type replicaState struct {
 func (n *Node) EnableReplication(cfg Replication, rng *rand.Rand) {
 	cfg = cfg.withDefaults()
 	n.repl = &replicaState{cfg: cfg, rng: rng, set: replica.NewSet(cfg.MaxEntries)}
+	n.repl.tick.Init(n.sim, n.gossipTick)
 	n.hookReplica()
 }
 
@@ -190,47 +192,41 @@ func (n *Node) ownsReplicaOrigin(loc topology.Location) bool {
 	return false
 }
 
-// startGossip arms the periodic anti-entropy tick. The chain stops itself
-// when the node goes down (generation check, like the battery tick) and is
-// re-armed by Recover — whose first tick advertises a near-empty store,
+// startGossip arms the periodic anti-entropy tick. Crash stops it and
+// Recover re-arms it — whose first tick advertises a near-empty store,
 // which is exactly the invitation neighbors need to stream state back.
 func (n *Node) startGossip() {
 	r := n.repl
 	if r == nil {
 		return
 	}
-	r.gen++
-	// Force the first tick of every chain to transmit: a freshly booted
+	// Force the first tick after every start to transmit: a freshly booted
 	// (or recovered) node's digest is the invitation neighbors answer by
 	// streaming state back, so it must not be suppressed as quiescent.
 	r.dirty = true
-	gen := r.gen
-	var tick func()
-	tick = func() {
-		if n.life != NodeUp || r.gen != gen {
-			return
-		}
-		n.gossipTick()
-		if n.life != NodeUp || r.gen != gen {
-			return // transmitting the digests emptied the battery
-		}
-		n.sim.Schedule(r.cfg.Period, tick)
-	}
-	n.sim.Schedule(r.cfg.Period, tick)
+	r.tick.Reset(r.cfg.Period)
 }
 
-// stopGossip invalidates the running tick chain.
+// gossipTick is one anti-entropy round, re-armed while the node stays up.
+func (n *Node) gossipTick() {
+	n.pushDigest()
+	if n.life == NodeUp { // transmitting the digests can empty the battery
+		n.repl.tick.Reset(n.repl.cfg.Period)
+	}
+}
+
+// stopGossip disarms the anti-entropy tick.
 func (n *Node) stopGossip() {
 	if n.repl != nil {
-		n.repl.gen++
+		n.repl.tick.Stop()
 	}
 }
 
-// gossipTick pushes this node's digest to K neighbors. Peer choice draws
+// pushDigest pushes this node's digest to K neighbors. Peer choice draws
 // once from the node's own stream (when there is a choice to make), so the
 // sequence of choices is a pure function of the seed and this node's
 // schedule — identical under both executors.
-func (n *Node) gossipTick() {
+func (n *Node) pushDigest() {
 	r := n.repl
 	nbrs := n.net.Acquaintances().Neighbors()
 	if len(nbrs) == 0 {

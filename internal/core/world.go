@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/agilla-go/agilla/internal/replica"
-	"github.com/agilla-go/agilla/internal/sim"
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
 )
@@ -205,7 +204,7 @@ func (n *Node) Crash(cause DownCause) bool {
 	return true
 }
 
-// Recover powers a dead node back on. The mote boots for Config.BootDelay
+// Recover powers a dead node back on. The mote boots for DefaultBootDelay
 // (state NodeRecovering, radio still deaf), then comes up fresh: context
 // tuples re-seeded, battery replaced, beacons restarted. It reports
 // whether the node was down.
@@ -214,7 +213,7 @@ func (n *Node) Recover() bool {
 		return false
 	}
 	n.life = NodeRecovering
-	n.sim.Schedule(n.cfg.BootDelay, func() {
+	n.sim.Schedule(DefaultBootDelay, func() {
 		if n.life != NodeRecovering {
 			return
 		}
@@ -287,15 +286,15 @@ func (d *Deployment) WorldStats() WorldStats { return d.world }
 // location resolves when the event fires, so a schedule written against
 // the initial layout keeps working after moves only if loc tracks the
 // mote. Killing the base station, a location with no node, or a node
-// already down counts as Rejected. The returned event can be cancelled.
-func (d *Deployment) KillAt(at time.Duration, loc topology.Location) *sim.Event {
-	return d.Sim.ScheduleWorldAt(at, func() { d.applyKill(loc) })
+// already down counts as Rejected.
+func (d *Deployment) KillAt(at time.Duration, loc topology.Location) {
+	d.Sim.ScheduleWorldAt(at, func() { d.applyKill(loc) })
 }
 
 // ReviveAt schedules the dead mote at loc to boot again at virtual time
-// at (plus its configured BootDelay before it is back on the air).
-func (d *Deployment) ReviveAt(at time.Duration, loc topology.Location) *sim.Event {
-	return d.Sim.ScheduleWorldAt(at, func() { d.applyRevive(loc) })
+// at (plus DefaultBootDelay before it is back on the air).
+func (d *Deployment) ReviveAt(at time.Duration, loc topology.Location) {
+	d.Sim.ScheduleWorldAt(at, func() { d.applyRevive(loc) })
 }
 
 // MoveAt schedules the mote at from to relocate to to at virtual time at.
@@ -305,8 +304,8 @@ func (d *Deployment) ReviveAt(at time.Duration, loc topology.Location) *sim.Even
 // are lost at delivery; in-flight broadcasts are still heard. Moving the
 // base station, from a location with no node, or onto an occupied
 // location counts as Rejected.
-func (d *Deployment) MoveAt(at time.Duration, from, to topology.Location) *sim.Event {
-	return d.Sim.ScheduleWorldAt(at, func() { d.applyMove(from, to) })
+func (d *Deployment) MoveAt(at time.Duration, from, to topology.Location) {
+	d.Sim.ScheduleWorldAt(at, func() { d.applyMove(from, to) })
 }
 
 // RejectWorld counts a world event that could not even be scheduled

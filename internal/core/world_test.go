@@ -77,6 +77,23 @@ func TestKillTakesAgentsDown(t *testing.T) {
 	}
 }
 
+// TestCrashStopsPeriodicTimers: a mote's periodic chains are timers its
+// Crash stops, so their entries leave the live count at once instead of
+// firing later as no-ops.
+func TestCrashStopsPeriodicTimers(t *testing.T) {
+	energy := DefaultEnergyModel()
+	d := worldDeployment(t, 3, 3, func(s *DeploymentSpec) {
+		s.Energy, s.Replication = &energy, &Replication{}
+	})
+	before := d.Sim.Pending()
+	if !d.Node(topology.Loc(2, 2)).Crash(CauseKilled) {
+		t.Fatal("the crash found the mote already down")
+	}
+	if got := d.Sim.Pending(); got != before-3 {
+		t.Fatalf("Pending went %d -> %d across the crash, want a drop of 3 (beacon, battery check, gossip tick)", before, got)
+	}
+}
+
 // TestReviveRebootsFresh: a revived mote boots with empty volatile state,
 // re-seeds its context tuples, beacons again, and can host agents.
 func TestReviveRebootsFresh(t *testing.T) {

@@ -89,7 +89,7 @@ func (c Config) withDefaults() Config {
 
 // Node is one mote running the Maté VM.
 type Node struct {
-	sim     *sim.Ctx // the network's root context: every Maté event rides it
+	sim     *sim.Ctx // the mote's own context, the one its frames arrive on
 	medium  *radio.Medium
 	loc     topology.Location
 	cfg     Config
@@ -97,6 +97,8 @@ type Node struct {
 	caps    [NumCapsuleTypes]Capsule
 	led     int16
 	stopped bool
+	adv     sim.Timer // the version-summary beacon
+	clock   sim.Timer // the clock capsule's timer
 
 	// Installs counts capsule installations (including self-injection).
 	Installs uint64
@@ -109,25 +111,30 @@ type Node struct {
 }
 
 // NewNode attaches a Maté mote to the medium; it schedules, draws and
-// reads time through s.
+// reads time through s, which must be the context keyed to loc
+// (sim.Key2D): the one the medium delivers the mote's frames on.
 func NewNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, board *sensor.Board, cfg Config) (*Node, error) {
 	n := &Node{sim: s, medium: medium, loc: loc, cfg: cfg.withDefaults(), board: board}
 	if err := medium.Attach(loc, n); err != nil {
 		return nil, err
 	}
+	n.adv.Init(s, n.advertiseTick)
+	n.clock.Init(s, n.clockTick)
 	return n, nil
 }
 
 // Start begins advertising and clock execution.
 func (n *Node) Start() {
 	offset := time.Duration(n.sim.Rand().Int63n(int64(n.cfg.AdvertiseEvery)))
-	n.sim.Schedule(offset, n.advertiseTick)
-	n.sim.Schedule(offset+n.cfg.ClockEvery, n.clockTick)
+	n.adv.Reset(offset)
+	n.clock.Reset(offset + n.cfg.ClockEvery)
 }
 
 // Stop silences the node.
 func (n *Node) Stop() {
 	n.stopped = true
+	n.adv.Stop()
+	n.clock.Stop()
 	n.medium.Detach(n.loc)
 }
 
@@ -164,14 +171,11 @@ func (n *Node) Install(c Capsule) error {
 }
 
 func (n *Node) advertiseTick() {
-	if n.stopped {
-		return
-	}
 	n.medium.Send(radio.Frame{
 		Src: n.loc, Dst: radio.Broadcast, Kind: kindSummary,
 		Payload: n.encodeSummary(),
 	})
-	n.sim.Schedule(n.cfg.AdvertiseEvery, n.advertiseTick)
+	n.adv.Reset(n.cfg.AdvertiseEvery)
 }
 
 func (n *Node) encodeSummary() []byte {
@@ -240,13 +244,10 @@ func (n *Node) onCapsule(p []byte) {
 
 // clockTick runs the clock capsule, as Maté's timer context does.
 func (n *Node) clockTick() {
-	if n.stopped {
-		return
-	}
 	if c := n.caps[CapsuleClock]; c.Code != nil {
 		n.runCapsule(c)
 	}
-	n.sim.Schedule(n.cfg.ClockEvery, n.clockTick)
+	n.clock.Reset(n.cfg.ClockEvery)
 }
 
 // runCapsule interprets one capsule activation to completion (halt, error,
@@ -331,7 +332,7 @@ func NewGridNetwork(seed int64, w, h int, params radio.Params, field sensor.Fiel
 	nw := &Network{Sim: s, Medium: medium, nodes: make(map[topology.Location]*Node)}
 	for _, loc := range topology.GridLocations(w, h) {
 		board := sensor.NewBoard(loc, field, sensor.DefaultSensors()...)
-		n, err := NewNode(s.Context(sim.RootKey), medium, loc, board, cfg)
+		n, err := NewNode(s.Context(sim.Key2D(loc.X, loc.Y)), medium, loc, board, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -340,7 +341,8 @@ func NewGridNetwork(seed int64, w, h int, params radio.Params, field sensor.Fiel
 	return nw, nil
 }
 
-// Start begins all nodes in location order (reproducible RNG draws).
+// Start begins all nodes. Each draws from its own context's stream, so
+// the order they start in does not matter.
 func (nw *Network) Start() {
 	for _, n := range nw.Nodes() {
 		n.Start()

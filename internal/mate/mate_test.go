@@ -1,6 +1,7 @@
 package mate
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -184,5 +185,38 @@ func TestDeadNodeMissesCapsule(t *testing.T) {
 	}
 	if nw.Converged(CapsuleClock, 1) {
 		t.Error("dead node cannot have converged")
+	}
+}
+
+// TestMateStartOrderIrrelevant: every mote schedules and draws on its own
+// context, so starting the same network in a different order runs the
+// same flood.
+func TestMateStartOrderIrrelevant(t *testing.T) {
+	flood := func(reverse bool) (time.Duration, radio.Stats) {
+		nw, err := NewGridNetwork(5, 4, 4, radio.Lossy(), sensor.Constant(25), Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes := nw.Nodes()
+		if reverse {
+			slices.Reverse(nodes)
+		}
+		for _, n := range nodes {
+			n.Start()
+		}
+		c := Capsule{Type: CapsuleClock, Version: 1, Code: asm.MustAssemble("pushc 1\nputled\nhalt")}
+		if err := nw.Inject(topology.Loc(1, 1), c); err != nil {
+			t.Fatal(err)
+		}
+		ok, err := nw.Sim.RunUntil(func() bool { return nw.Converged(CapsuleClock, 1) }, 120*time.Second)
+		if err != nil || !ok {
+			t.Fatalf("reverse=%v: converged=%v err=%v", reverse, ok, err)
+		}
+		return nw.Sim.Now(), nw.Medium.Stats()
+	}
+	at, stats := flood(false)
+	revAt, revStats := flood(true)
+	if revAt != at || revStats != stats {
+		t.Fatalf("location order converged at %v with %+v; reverse order at %v with %+v", at, stats, revAt, revStats)
 	}
 }

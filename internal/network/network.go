@@ -162,17 +162,15 @@ type Shard struct {
 // Construct with NewStack, or Init one held by value; not safe for
 // concurrent use (the simulation is single-threaded).
 type Stack struct {
-	sim    *sim.Ctx
-	medium *radio.Medium
-	self   topology.Location
-	shard  *Shard // configuration and transmit scratch, shared by the stacks of one executor shard
-	acq    AcquaintanceList
-	stats  Stats
-
-	started bool
+	sim     *sim.Ctx
+	medium  *radio.Medium
+	self    topology.Location
+	started bool // (beside self: the two flags fill its padding)
 	stopped bool
-	gen     int    // bumped per Start; orphans stale beacon chains
-	tickFn  func() // beaconTick as a value, allocated once per Start
+	shard   *Shard // configuration and transmit scratch, shared by the stacks of one executor shard
+	acq     AcquaintanceList
+	stats   Stats
+	beacon  sim.Timer // the periodic beacon, bound to beaconTick once by Init
 
 	// DeliverRouted receives envelope payloads whose final destination is
 	// this node (remote tuple space requests and replies). env.Body is
@@ -206,6 +204,7 @@ func NewStack(s *sim.Ctx, medium *radio.Medium, self topology.Location, cfg Conf
 // (Config.WithDefaults) and must not change afterwards.
 func (st *Stack) Init(s *sim.Ctx, medium *radio.Medium, self topology.Location, sh *Shard) {
 	*st = Stack{sim: s, medium: medium, self: self, shard: sh, acq: AcquaintanceList{expireAfter: sh.ExpireAfter}}
+	st.beacon.Init(s, st.beaconTick)
 }
 
 // Self returns this node's location.
@@ -226,8 +225,7 @@ func (st *Stack) Stats() Stats { return st.stats }
 // Start begins periodic beaconing. The first beacon goes out after a random
 // fraction of the period so co-deployed nodes do not synchronize. A
 // stopped stack can Start again (the mote recovered): the acquaintance
-// list is cleared — boot RAM is empty — and a fresh beacon chain begins;
-// any stale chain from the previous life is orphaned by generation.
+// list is cleared — boot RAM is empty — and the beacon timer is re-armed.
 func (st *Stack) Start() {
 	if st.started && !st.stopped {
 		return
@@ -236,23 +234,21 @@ func (st *Stack) Start() {
 		st.acq.Clear()
 	}
 	st.started, st.stopped = true, false
-	st.gen++
-	gen := st.gen
-	st.tickFn = func() { st.beaconTick(gen) }
-	offset := time.Duration(st.sim.Rand().Int63n(int64(st.shard.BeaconEvery)))
-	st.sim.Schedule(offset, st.tickFn)
+	st.beacon.Reset(time.Duration(st.sim.Rand().Int63n(int64(st.shard.BeaconEvery))))
 }
 
 // Stop halts future beacons (the mote died).
-func (st *Stack) Stop() { st.stopped = true }
+func (st *Stack) Stop() {
+	st.stopped = true
+	st.beacon.Stop()
+}
 
-func (st *Stack) beaconTick(gen int) {
-	if st.stopped || gen != st.gen {
-		return
-	}
+func (st *Stack) beaconTick() {
 	st.SendBeacon()
 	st.acq.Expire(st.sim.Now())
-	st.sim.Schedule(st.shard.BeaconEvery, st.tickFn)
+	if !st.stopped { // sending the beacon can empty the battery
+		st.beacon.Reset(st.shard.BeaconEvery)
+	}
 }
 
 // transmit offers one frame to the medium, charging the energy model

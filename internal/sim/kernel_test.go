@@ -14,11 +14,11 @@ import (
 // next one with sort.SliceStable over (at, src, seq). What an event does
 // when it fires — schedule, continue its own step chain in place or
 // through the heap, send to another context, re-arm or stop a timer; a
-// world event also reaches into any context and schedules or cancels
-// other world events — is a pure function of the event's id, so the two
-// runs can only agree if the kernel fires exactly the oracle's events in
-// exactly the oracle's order: a stopped timer never, a re-armed one once
-// at its last deadline, nothing from a recycled Event. Besides its near
+// world event also reaches into any context and schedules other world
+// events, at its own instant or later — is a pure function of the event's
+// id, so the two runs can only agree if the kernel fires exactly the
+// oracle's events in exactly the oracle's order: a stopped timer never, a
+// re-armed one once at its last deadline, nothing from a recycled event. Besides its near
 // timers every context owns a far one, armed 1–3 s out like a beacon or
 // gossip period and re-armed and stopped by near events, so the oracle
 // also covers entries queued far past the near window.
@@ -41,7 +41,6 @@ type sched interface {
 	timerReset(ctx, k int, d time.Duration, id uint64)
 	timerStop(ctx, k int)
 	worldAt(after time.Duration, id uint64)
-	worldCancel(nth int)
 }
 
 // act performs the children of event id firing on ctx (worldCtx for a
@@ -67,7 +66,7 @@ func act(s sched, seed int64, ctx int, id uint64, depth int) {
 			case 3, 4:
 				s.worldAt(ms(30), child)
 			case 5:
-				s.worldCancel(r.Intn(64))
+				s.worldAt(0, child) // behind its parent, at the same instant
 			}
 			continue
 		}
@@ -122,8 +121,7 @@ type model struct {
 	worldSeq uint64
 	queue    []modelEvent
 	timers   [oracleCtxs][oracleTimers + 1]*bool // the live arming's dead flag
-	worlds   []*bool
-	fired    [oracleCtxs + 1][]uint64 // per target context; last: the world lane
+	fired    [oracleCtxs + 1][]uint64            // per target context; last: the world lane
 	order    []uint64
 
 	farFired, farStopped int // far timers that fired, and live ones stopped
@@ -161,13 +159,6 @@ func (m *model) worldAt(after time.Duration, id uint64) {
 	dead := new(bool)
 	m.queue = append(m.queue, modelEvent{at: m.now + after, src: WorldKey, seq: m.worldSeq, dst: worldCtx, id: id, dead: dead})
 	m.worldSeq++
-	m.worlds = append(m.worlds, dead)
-}
-
-func (m *model) worldCancel(nth int) {
-	if nth < len(m.worlds) {
-		*m.worlds[nth] = true
-	}
 }
 
 func (m *model) run() {
@@ -217,7 +208,6 @@ type kernelRig struct {
 	ctxs   [oracleCtxs]*Ctx
 	timers [oracleCtxs][oracleTimers + 1]Timer
 	arming [oracleCtxs][oracleTimers + 1]uint64 // id of each timer's current arming
-	worlds []*Event
 	fired  [oracleCtxs + 1][]uint64
 	order  *[]uint64 // global firing order; nil where only each context's is defined
 }
@@ -284,13 +274,7 @@ func (h *kernelRig) timerReset(ctx, k int, d time.Duration, id uint64) {
 func (h *kernelRig) timerStop(ctx, k int) { h.timers[ctx][k].Stop() }
 
 func (h *kernelRig) worldAt(after time.Duration, id uint64) {
-	h.worlds = append(h.worlds, h.ex.ScheduleWorldAt(h.ex.Now()+after, func() { h.fire(worldCtx, id) }))
-}
-
-func (h *kernelRig) worldCancel(nth int) {
-	if nth < len(h.worlds) {
-		h.worlds[nth].Cancel()
-	}
+	h.ex.ScheduleWorldAt(h.ex.Now()+after, func() { h.fire(worldCtx, id) })
 }
 
 // roots seeds a run from the host: a few events per context, an armed

@@ -5,8 +5,11 @@ import (
 	"time"
 )
 
-// Parallel is the discrete-event executor. Contexts are partitioned into
-// shards; each shard has its own queue and clock.
+// Parallel is the discrete-event executor. Every event rides one of two
+// lanes: a context's own, on the shard its context is partitioned into
+// (each shard has its own queue and clock), or the world lane, whose
+// events run alone on the driver goroutine with every shard synced to
+// their instant (see ScheduleWorldAt).
 //
 // One shard runs inline on the calling goroutine, with the run's horizon
 // as its only window: events fire strictly in (time, context key,
@@ -44,11 +47,9 @@ type Parallel struct {
 	// timestamp — see ScheduleWorldAt. world is the lane's sentinel
 	// context: no entity owns it; it numbers the lane's events in schedule
 	// order, and its shard is one no worker runs, lending the lane its
-	// queue, stale-entry skipping and live count (every entry carries
+	// queue, free list, event counts and live count (every entry carries
 	// WorldKey, so the heap orders them by (at, schedule order)).
-	world     Ctx
-	worldExec uint64
-	worldLast time.Duration
+	world Ctx
 
 	now time.Duration
 }
@@ -114,7 +115,7 @@ func (p *Parallel) Context(key ContextKey) *Ctx {
 // count, identical at every shard count and to a run that schedules every
 // step. Call it from the host between runs.
 func (p *Parallel) Executed() uint64 {
-	n := p.worldExec
+	n := p.world.shard.executed
 	for _, sh := range p.shards {
 		n += sh.executed
 	}
@@ -128,7 +129,7 @@ func (p *Parallel) Executed() uint64 {
 // by its own queue and window, so more shards batch differently (the
 // schedule itself stays identical).
 func (p *Parallel) Dispatched() uint64 {
-	n := p.worldExec
+	n := p.world.shard.executed
 	for _, sh := range p.shards {
 		n += sh.executed - sh.local
 	}
@@ -137,7 +138,7 @@ func (p *Parallel) Dispatched() uint64 {
 
 // Pending returns the number of live queued events across all shards,
 // mailboxes, and the world lane: counts the kernel keeps at every push,
-// pop, stop and cancel, not a walk of the heaps.
+// pop and stop, not a walk of the heaps.
 func (p *Parallel) Pending() int {
 	n := p.world.shard.pending()
 	for _, sh := range p.shards {
@@ -154,18 +155,16 @@ func (p *Parallel) Pending() int {
 // driver goroutine, with every shard synced exactly to their timestamp
 // and no worker running. Call it from the host between runs or from a
 // world event itself, never from a node event: the world queue is not
-// synchronized against workers. The event is the caller's handle and is
-// never pooled.
-func (p *Parallel) ScheduleWorldAt(at time.Duration, fn func()) *Event {
+// synchronized against workers. Like Schedule it returns no handle: the
+// event comes from the world lane's free list and goes back to it once
+// the callback returns.
+func (p *Parallel) ScheduleWorldAt(at time.Duration, fn func()) {
 	w := &p.world
-	e := &Event{dst: w, fn: fn, seq: w.seq, live: true}
-	w.shard.push(entry{at: max(at, p.now), src: WorldKey, seq: w.seq, ev: e})
+	w.shard.push(entry{at: max(at, p.now), src: WorldKey, seq: w.seq, ev: w.shard.get(w, w.seq, fn)})
 	w.seq++
-	return e
 }
 
-// peekWorld returns the earliest live world event, discarding cancelled
-// ones.
+// peekWorld returns the earliest world event.
 func (p *Parallel) peekWorld() *entry { return p.world.shard.peek() }
 
 // fireWorld runs the earliest world event, due at at, with every clock
@@ -173,10 +172,8 @@ func (p *Parallel) peekWorld() *entry { return p.world.shard.peek() }
 // exactly the time the one-shard order shows it.
 func (p *Parallel) fireWorld(at time.Duration) {
 	p.settle(at)
-	fn := p.world.shard.popHead().ev.fn
-	p.worldLast = at
-	p.worldExec++
-	fn()
+	w := p.world.shard
+	w.dispatch(w.popHead())
 }
 
 // runWorld executes every world event scheduled for exactly time at, in
@@ -280,7 +277,7 @@ func (p *Parallel) park(begin, until time.Duration) {
 		p.settle(until)
 		return
 	}
-	t := max(begin, p.worldLast)
+	t := max(begin, p.world.shard.lastAt)
 	for _, sh := range p.shards {
 		t = max(t, sh.lastAt)
 	}

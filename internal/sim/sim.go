@@ -3,13 +3,13 @@
 //
 // The kernel is built around three pieces:
 //
-//   - A Ctx (scheduling context) per simulated entity — one per mote, plus
-//     a root context for harness code. Every event carries the key and a
-//     per-context sequence number of the context that scheduled it, and
-//     events fire in (time, context key, sequence) order. Because the tie
-//     break depends only on who scheduled what — never on the global
-//     interleaving of the run — the schedule is reproducible at any shard
-//     count.
+//   - A Ctx (scheduling context) per simulated entity — one per mote;
+//     churn and mobility ride the world lane instead. Every event carries
+//     the key and a per-context sequence number of the context that
+//     scheduled it, and events fire in (time, context key, sequence)
+//     order. Because the tie break depends only on who scheduled what —
+//     never on the global interleaving of the run — the schedule is
+//     reproducible at any shard count.
 //
 //   - Splittable random streams: each context owns a random stream derived
 //     from the root seed and its key (see Stream), so the values an entity
@@ -30,32 +30,37 @@
 // schedule at every shard count, which is what lets the benchmark harness
 // regenerate the paper's figures reproducibly.
 //
+// A context acts only on its own entity; it reaches another one through
+// Send, delayed by at least the lookahead window. That holds for RootKey
+// too, which is a plain context whose only distinction is that its key
+// sorts first: harness code that mutates other entities mid-run schedules
+// a world event (Parallel.ScheduleWorldAt) instead.
+//
 // # Handles: who may stop what
 //
 // A queued event is a 32-byte heap entry — its (time, key, sequence)
-// identity by value plus a pointer to the Event that holds the callback —
-// and there are exactly three ways to own that Event:
+// identity by value plus a pointer to the event that holds the callback —
+// and there are exactly two ways to own that event:
 //
-//   - Nobody outside the kernel. Schedule, Post and Send return nothing,
-//     so their events cannot be cancelled and their Event comes from, and
-//     goes back to, the shard's free list the moment the callback
-//     returns. Recycling is safe precisely because no pointer to
-//     a pooled Event ever leaves this package: there is no stale handle
-//     that could stop an unrelated later event.
-//   - A Timer, embedded by value in the state it times (an agent's sleep,
-//     a retransmission, a stall abort). Its owner may Reset and Stop it
-//     from events on the timer's own context's shard, any number of
-//     times; arming allocates nothing. The kernel never pools a Timer; an
-//     owner that recycles the state it is embedded in moves it to another
-//     context only through Rebind, which waits out its queued entries.
-//   - The caller of ScheduleWorldAt, who gets the *Event and may Cancel it
-//     from the host between runs or from a world event. Never pooled.
+//   - Nobody outside the kernel. Schedule, Post, Send and ScheduleWorldAt
+//     return nothing, so their events cannot be stopped and come from, and
+//     go back to, the shard's free list the moment the callback returns.
+//     Recycling is safe precisely because no pointer to a pooled event
+//     ever leaves this package: there is no stale handle that could stop
+//     an unrelated later event.
+//   - A Timer, embedded by value in the state it times (a beacon, a
+//     battery check, an agent's sleep, a retransmission). Its owner binds
+//     it once and may Reset and Stop it from events on the timer's own
+//     context's shard, any number of times; arming allocates nothing. The
+//     kernel never pools a Timer; an owner that recycles the state it is
+//     embedded in moves it to another context only through Rebind, which
+//     waits out its queued entries.
 //
-// Stopping, cancelling or re-arming never removes anything from the
-// middle of the heap: the old entry stays queued, stale, and is skipped
-// when it surfaces — an entry is live only while its Event is live and
-// still carries the entry's sequence number. Pending counts live entries
-// only, and is kept as a counter, not found by a walk.
+// Stopping or re-arming never removes anything from the middle of the
+// heap: the old entry stays queued, stale, and is skipped when it
+// surfaces — an entry is live only while its event is live and still
+// carries the entry's sequence number. Pending counts live entries only,
+// and is kept as a counter, not found by a walk.
 //
 // A step that is never queued at all needs no owner: an entity continuing
 // its own step chain from a tail position asks Ctx.RunLocal whether the
@@ -76,9 +81,9 @@ import (
 // values.
 type ContextKey uint64
 
-// RootKey is the key of an executor's root context, used by harness code
-// that is not tied to any simulated entity. Root events sort before node
-// events scheduled for the same instant.
+// RootKey is a context key no entity takes, for harness code that is not
+// tied to any simulated entity. It is a plain context: its events sort
+// before node events scheduled for the same instant, and that is all.
 const RootKey ContextKey = 0
 
 // WorldKey is the ordering identity of world events (node churn, mobility
@@ -170,13 +175,13 @@ func (r *Rand) Int63n(n int64) int64 {
 // saltCtx namespaces per-context streams within the seed's stream space.
 const saltCtx = 0x637478 // "ctx"
 
-// Event is what a queued heap entry points at: the callback and the
-// context it acts on. Three kinds of owner hold one (see the package
-// comment's handle contract): the shard free list (Schedule, Post and Send
-// — nobody else ever sees the pointer, so it is recycled the moment its
-// callback returns), a Timer embedded by value in the state it times, and
-// the caller of ScheduleWorldAt.
-type Event struct {
+// event is what a queued heap entry points at: the callback and the
+// context it acts on. Two kinds of owner hold one (see the package
+// comment's handle contract): the shard free list (Schedule, Post, Send
+// and ScheduleWorldAt — nobody else ever sees the pointer, so it is
+// recycled the moment its callback returns) and a Timer embedded by value
+// in the state it times.
+type event struct {
 	dst *Ctx // the context the event acts on (the world lane's sentinel for world events)
 	fn  func()
 	// seq is the arming the event is live for: a heap entry is live only
@@ -191,17 +196,8 @@ type Event struct {
 	pooled bool // recycled through the shard free list after dispatch
 }
 
-// Cancel prevents a world event from firing. Cancelling an event that
-// already fired or was already cancelled is a no-op. Call it from where
-// ScheduleWorldAt may be called: the host between runs, or a world event.
-func (e *Event) Cancel() {
-	if e != nil {
-		e.stop()
-	}
-}
-
 // stop makes the event's queued entry, if it has one, stale.
-func (e *Event) stop() {
+func (e *event) stop() {
 	if e.live {
 		e.live = false
 		e.dst.shard.live--
@@ -210,13 +206,13 @@ func (e *Event) stop() {
 
 // Timer is a re-armable event held by value in the state it times (an
 // agent's sleep, a migration's retransmission, a remote operation's
-// timeout): arming it allocates nothing, and the heap entry points into
-// the owner, so the wake-up touches no separate event object. Bind it once
-// with Init, then Reset and Stop it freely from events on its context's
-// shard. The owner must not move while the timer is armed; a timer whose
-// owner was dropped while armed is kept alive by its heap entry and fires
-// (or is skipped, if stopped) like any other.
-type Timer struct{ ev Event }
+// timeout, a beacon or battery check): arming it allocates nothing, and
+// the heap entry points into the owner, so the wake-up touches no separate
+// event object. Bind it once with Init, then Reset and Stop it freely from
+// events on its context's shard. The owner must not move while the timer
+// is armed; a timer whose owner was dropped while armed is kept alive by
+// its heap entry and fires (or is skipped, if stopped) like any other.
+type Timer struct{ ev event }
 
 // Init binds the timer to the context whose clock and ordering identity
 // it schedules with, and to its callback. Call it once, before Reset.
@@ -272,11 +268,11 @@ type entry struct {
 	at  time.Duration
 	src ContextKey
 	seq uint64
-	ev  *Event
+	ev  *event
 }
 
-// stale reports whether the entry's event was stopped, cancelled or
-// re-armed after the entry was queued.
+// stale reports whether the entry's event was stopped or re-armed after
+// the entry was queued.
 func (e *entry) stale() bool { return !e.ev.live || e.ev.seq != e.seq }
 
 func (e *entry) before(o *entry) bool {
@@ -345,7 +341,7 @@ func (q *eventQueue) pop() entry {
 
 // shard is one execution lane: a queue, a clock, and a mailbox for events
 // scheduled into it from other shards. Parallel has one per worker, plus
-// one that only lends its queue to the world lane.
+// one that only lends its queue, free list and counts to the world lane.
 type shard struct {
 	idx      int
 	win      time.Duration // the lookahead window; 0 only on a one-shard executor declaring none
@@ -354,7 +350,7 @@ type shard struct {
 	executed uint64
 	queue    eventQueue
 	live     int      // queued entries that are not stale: Pending without a walk
-	free     []*Event // recycled pooled events (see get/put)
+	free     []*event // recycled pooled events (see get/put)
 
 	// In-place step state (see Ctx.RunLocal). limit/limitClosed is the
 	// horizon the current run admits — events at or before it are known
@@ -368,16 +364,6 @@ type shard struct {
 	dispatching bool
 	chain       int
 	local       uint64
-
-	// Due-time tracking for the relaxed admission rule (see localOK).
-	// Every queued heap entry, stale ones included, registers the time it
-	// acts on its target: node-context events in the target Ctx's own due
-	// list, root/harness events in gdue, world events in wdue. A context
-	// may then run ahead of other contexts' events — their influence needs
-	// at least the lookahead window to reach it — but never past its own
-	// next due event, a root event, or a world event's instant.
-	gdue []time.Duration // root/harness events: may touch any context
-	wdue []time.Duration // world events
 
 	mu    sync.Mutex
 	inbox []entry // cross-shard arrivals, merged into queue at barriers
@@ -420,28 +406,28 @@ func removeDue(s *[]time.Duration, t time.Duration) {
 	}
 }
 
-// get pops a recycled Event or allocates one, marked live for sequence
+// get pops a recycled event or allocates one, marked live for sequence
 // seq. Pooling is safe because nothing outside the kernel ever holds the
-// pointer: Schedule, Post and Send return no handle, and whoever needs to
-// cancel holds a Timer or a world event, neither of which is pooled.
-func (sh *shard) get(dst *Ctx, seq uint64, fn func()) *Event {
-	var e *Event
+// pointer: Schedule, Post, Send and ScheduleWorldAt return no handle, and
+// whoever needs to stop holds a Timer, which is never pooled.
+func (sh *shard) get(dst *Ctx, seq uint64, fn func()) *event {
+	var e *event
 	if n := len(sh.free) - 1; n >= 0 {
 		e = sh.free[n]
 		sh.free[n] = nil
 		sh.free = sh.free[:n]
 	} else {
-		e = new(Event)
+		e = new(event)
 	}
-	*e = Event{dst: dst, fn: fn, seq: seq, live: true, pooled: true}
+	*e = event{dst: dst, fn: fn, seq: seq, live: true, pooled: true}
 	return e
 }
 
 // put recycles a pooled event after its callback returned. Cross-shard
 // sends are allocated on the sender's free list and released to the
 // receiver's; each list is only ever touched by its owning worker.
-func (sh *shard) put(e *Event) {
-	*e = Event{} // drop the closure and dst references for the GC
+func (sh *shard) put(e *event) {
+	*e = event{} // drop the closure and dst references for the GC
 	sh.free = append(sh.free, e)
 }
 
@@ -452,19 +438,7 @@ func (sh *shard) push(e entry) {
 	e.ev.queued++
 	sh.queue.push(e)
 	sh.live++
-	insertDue(sh.dueOf(&e), e.at)
-}
-
-// dueOf returns the due list an entry's action time is registered in.
-func (sh *shard) dueOf(e *entry) *[]time.Duration {
-	switch {
-	case e.src == WorldKey:
-		return &sh.wdue
-	case e.ev.dst.key == RootKey:
-		return &sh.gdue
-	default:
-		return &e.ev.dst.due
-	}
+	insertDue(&e.ev.dst.due, e.at)
 }
 
 // take removes the head entry from the heap and from its target's due
@@ -472,7 +446,7 @@ func (sh *shard) dueOf(e *entry) *[]time.Duration {
 // when it went stale).
 func (sh *shard) take() entry {
 	e := sh.queue.pop()
-	removeDue(sh.dueOf(&e), e.at)
+	removeDue(&e.ev.dst.due, e.at)
 	e.ev.queued--
 	return e
 }
@@ -529,15 +503,12 @@ func (sh *shard) due(end time.Duration, closed bool) bool {
 // localOK reports whether a step of context c at time at may run in place
 // inside the current dispatch without observable reordering. The shard
 // must be mid-dispatch, with fewer than maxLocalSteps steps already run in
-// place, and at must fall inside the admitted horizon. Ordering is then
-// protected per scope:
+// place, and at must fall inside the admitted horizon — which the window
+// loop clips at every world event, so no step runs past one. Ordering is
+// then protected per scope:
 //
 //   - c's own lane is exact: the step must come strictly before c's next
 //     queued heap event (a frame delivery, its sleep timer, ...).
-//   - Root/harness events may touch any context directly, and they sort
-//     before node events at the same instant; never run past one.
-//   - World events mutate shared state but sort after every node event
-//     at their instant; steps up to and including that instant are safe.
 //   - Other contexts influence c only through sends delayed by at least
 //     the lookahead window (the same contract a multi-shard run's
 //     barrier windows rest on), so c may run up to — not including —
@@ -554,12 +525,6 @@ func (sh *shard) localOK(c *Ctx, at time.Duration) bool {
 		return false
 	}
 	if len(c.due) > 0 && at >= c.due[0] {
-		return false
-	}
-	if len(sh.gdue) > 0 && at >= sh.gdue[0] {
-		return false
-	}
-	if len(sh.wdue) > 0 && at > sh.wdue[0] {
 		return false
 	}
 	e := sh.peek()
@@ -616,7 +581,10 @@ type Ctx struct {
 	shard *shard
 	seq   uint64
 	rng   Rand
-	due   []time.Duration // sorted times of this context's queued heap events
+	// due holds the sorted times of every queued heap entry, stale ones
+	// included, that acts on this context: the one due list the relaxed
+	// admission rule consults (see localOK).
+	due []time.Duration
 }
 
 // Key returns the context's key.

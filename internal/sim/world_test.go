@@ -175,25 +175,6 @@ func TestWorldEventSpawnsSameInstantNodeEvents(t *testing.T) {
 	}
 }
 
-// TestWorldEventCancel checks cancelled world events never fire and do not
-// count as pending.
-func TestWorldEventCancel(t *testing.T) {
-	for _, ex := range []*Parallel{New(1), NewParallel(1, 2, time.Millisecond, nil)} {
-		fired := false
-		e := ex.ScheduleWorldAt(5*time.Millisecond, func() { fired = true })
-		e.Cancel()
-		if got := ex.Pending(); got != 0 {
-			t.Errorf("%d shards: pending = %d after cancel, want 0", ex.Shards(), got)
-		}
-		if err := ex.Run(time.Hour); err != nil {
-			t.Fatal(err)
-		}
-		if fired {
-			t.Errorf("%d shards: cancelled world event fired", ex.Shards())
-		}
-	}
-}
-
 // TestWorldOnlySchedule checks executors drive a schedule consisting of
 // world events alone (no node events at all), with the clock visible to
 // the callbacks matching the one-shard run.

@@ -110,8 +110,9 @@ func KillAt(at time.Duration, loc Location) WorldEvent {
 }
 
 // ReviveAt schedules the dead mote at loc to boot again at virtual time
-// at. It comes back BootDelay later with empty spaces, a fresh battery,
-// and re-seeded context tuples, and neighbors re-discover it by beacon.
+// at. It comes back after a 500 ms boot (core.DefaultBootDelay) with
+// empty spaces, a fresh battery, and re-seeded context tuples, and
+// neighbors re-discover it by beacon.
 func ReviveAt(at time.Duration, loc Location) WorldEvent {
 	return WorldEvent{At: at, Kind: WorldRevive, Loc: loc}
 }
