@@ -1,27 +1,35 @@
 package sim
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"time"
 	"unsafe"
 )
 
 // The kernel order oracle. One seeded script drives both the real kernel
-// and a model that keeps every queued event in a plain slice and finds the
-// next one with sort.SliceStable over (at, src, seq). What an event does
-// when it fires — schedule, continue its own step chain in place or
-// through the heap, send to another context, re-arm or stop a timer; a
-// world event also reaches into any context and schedules other world
-// events, at its own instant or later — is a pure function of the event's
-// id, so the two runs can only agree if the kernel fires exactly the
-// oracle's events in exactly the oracle's order: a stopped timer never, a
-// re-armed one once at its last deadline, nothing from a recycled event. Besides its near
-// timers every context owns a far one, armed 1–3 s out like a beacon or
-// gossip period and re-armed and stopped by near events, so the oracle
-// also covers entries queued far past the near window.
+// and a model that keeps every queued event in a plain binary heap
+// (container/heap) over (at, src, seq) and skips dead ones as they
+// surface. What an event does when it fires — schedule, continue its own
+// step chain in place or through the queue, send to another context,
+// re-arm or stop a timer; a world event also reaches into any context and
+// schedules other world events, at its own instant or later — is a pure
+// function of the event's id, so the two runs can only agree if the
+// kernel fires exactly the oracle's events in exactly the oracle's order:
+// a stopped timer never, a re-armed one once at its last deadline,
+// nothing from a recycled event.
+//
+// Two scripts run under it. The random one drives six contexts; besides
+// its near timers every context owns a far one, armed 1–3 s out like a
+// beacon or gossip period and re-armed and stopped by near events, so the
+// oracle also covers entries queued far past the near window. The
+// calendar one drives enough contexts to spill every shard's queue into
+// its calendar: all their wake timers fire at one instant, the way a
+// field's sensing loops do, and re-arm for the next; near timers are
+// re-armed and stopped across bucket boundaries, and far timers are
+// armed past the ring's reach, into the overflow heap.
 
 const (
 	oracleCtxs   = 6
@@ -41,6 +49,26 @@ type sched interface {
 	timerReset(ctx, k int, d time.Duration, id uint64)
 	timerStop(ctx, k int)
 	worldAt(after time.Duration, id uint64)
+}
+
+// script is what the oracle runs: how many contexts, the host's roots,
+// what event id does when it fires on ctx (worldCtx for a world event),
+// and the run slices the kernel is driven in.
+type script struct {
+	ctxs  int
+	roots func(s sched)
+	act   func(s sched, seed int64, ctx int, id uint64)
+	slice time.Duration
+}
+
+// randomScript is the six-context script of random children.
+var randomScript = script{
+	ctxs:  oracleCtxs,
+	roots: roots,
+	act: func(s sched, seed int64, ctx int, id uint64) {
+		act(s, seed, ctx, id, depthOf(id))
+	},
+	slice: 9 * time.Millisecond,
 }
 
 // act performs the children of event id firing on ctx (worldCtx for a
@@ -102,6 +130,84 @@ func depthOf(id uint64) int {
 	return d
 }
 
+// --- the calendar script ------------------------------------------------
+
+const (
+	calCtxs   = 3000 // with their stale entries, past spillAt on each of two shards
+	calPeriod = 500 * time.Millisecond
+	calRounds = 20
+	calReach  = ringSlots << bucketShift // the ring's span: later times overflow
+)
+
+// An id's low four bits are its kind; a wake's next four bits hold
+// nothing, the others' hold their generation.
+const (
+	kindWake = iota
+	kindLeaf
+	kindFar
+)
+
+// calendarScript fires every context's wake timer (timer 0) at the same
+// instant every calPeriod for calRounds rounds. Each wake also does one or
+// two of: schedule or send a leaf across a few buckets, re-arm or stop
+// the near timer (timer 1), re-arm the far timer 1–3 s out or past the
+// ring's reach, or stop it. A leaf may step once more in place; a far
+// timer re-arms itself for a few generations.
+var calendarScript = script{
+	ctxs: calCtxs,
+	roots: func(s sched) {
+		for c := 0; c < calCtxs; c++ {
+			s.timerReset(c, 0, calPeriod, wakeID(c, 0))
+			if c%7 == 0 {
+				s.timerReset(c, farTimer, calReach+time.Duration(c)*time.Millisecond, uint64(c)<<8|kindFar)
+			}
+		}
+	},
+	act:   calendarAct,
+	slice: 97 * time.Millisecond, // each check walks every tier of thousands of entries
+}
+
+func wakeID(ctx, round int) uint64 { return (uint64(round)<<16|uint64(ctx))<<8 | kindWake }
+
+func calendarAct(s sched, seed int64, ctx int, id uint64) {
+	r := NewRand(seed, id)
+	ms := func(n int64) time.Duration { return time.Duration(r.Int63n(n)) * time.Millisecond }
+	gen := id >> 4 & 15
+	child := func(kind uint64) uint64 { return r.Uint64()<<8 | (gen+1)<<4 | kind }
+	switch id & 15 {
+	case kindWake:
+		if round := int(id >> 24); round+1 < calRounds {
+			s.timerReset(ctx, 0, calPeriod, wakeID(ctx, round+1))
+		}
+		for i, n := 0, 1+r.Int63n(2); i < int(n); i++ {
+			switch r.Int63n(8) {
+			case 0, 1:
+				s.schedule(ctx, ms(40), child(kindLeaf))
+			case 2:
+				s.send(ctx, int(r.Int63n(calCtxs)), oracleWindow+ms(20), child(kindLeaf))
+			case 3:
+				s.timerReset(ctx, 1, 5*time.Millisecond+ms(60), child(kindLeaf))
+			case 4:
+				s.timerStop(ctx, 1)
+			case 5:
+				s.timerReset(ctx, farTimer, time.Second+ms(2000), child(kindFar))
+			case 6:
+				s.timerReset(ctx, farTimer, calReach+ms(1500), child(kindFar))
+			case 7:
+				s.timerStop(ctx, farTimer)
+			}
+		}
+	case kindLeaf:
+		if gen < 3 && r.Int63n(4) == 0 {
+			s.stepLocal(ctx, ms(3), child(kindLeaf))
+		}
+	case kindFar:
+		if gen < 3 && r.Int63n(2) == 0 {
+			s.timerReset(ctx, farTimer, time.Second+ms(8000), child(kindFar))
+		}
+	}
+}
+
 // --- the model ----------------------------------------------------------
 
 type modelEvent struct {
@@ -114,36 +220,68 @@ type modelEvent struct {
 	far  bool  // an arming of its context's far timer
 }
 
+// modelQueue is container/heap's min-heap over (at, src, seq).
+type modelQueue []modelEvent
+
+func (q modelQueue) Len() int { return len(q) }
+func (q modelQueue) Less(i, j int) bool {
+	a, b := q[i], q[j]
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.src != b.src {
+		return a.src < b.src
+	}
+	return a.seq < b.seq
+}
+func (q modelQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *modelQueue) Push(x any)   { *q = append(*q, x.(modelEvent)) }
+func (q *modelQueue) Pop() any {
+	old := *q
+	e := old[len(old)-1]
+	*q = old[:len(old)-1]
+	return e
+}
+
 type model struct {
 	seed     int64
+	sc       script
 	now      time.Duration
-	seq      [oracleCtxs]uint64
+	seq      []uint64
 	worldSeq uint64
-	queue    []modelEvent
-	timers   [oracleCtxs][oracleTimers + 1]*bool // the live arming's dead flag
-	fired    [oracleCtxs + 1][]uint64            // per target context; last: the world lane
+	queue    modelQueue
+	timers   [][oracleTimers + 1]*bool // the live arming's dead flag
+	fired    [][]uint64                // per target context; last: the world lane
 	order    []uint64
 
 	farFired, farStopped int // far timers that fired, and live ones stopped
 }
 
-func (m *model) push(ctx, dst int, d time.Duration, id uint64) *bool {
+func newModel(seed int64, sc script) *model {
+	return &model{
+		seed: seed, sc: sc,
+		seq:    make([]uint64, sc.ctxs),
+		timers: make([][oracleTimers + 1]*bool, sc.ctxs),
+		fired:  make([][]uint64, sc.ctxs+1),
+	}
+}
+
+func (m *model) push(ctx, dst int, d time.Duration, id uint64, far bool) *bool {
 	dead := new(bool)
-	m.queue = append(m.queue, modelEvent{at: m.now + d, src: oracleKey(ctx), seq: m.seq[ctx], dst: dst, id: id, dead: dead})
+	heap.Push(&m.queue, modelEvent{at: m.now + d, src: oracleKey(ctx), seq: m.seq[ctx], dst: dst, id: id, dead: dead, far: far})
 	m.seq[ctx]++
 	return dead
 }
 
-func (m *model) schedule(ctx int, d time.Duration, id uint64)  { m.push(ctx, ctx, d, id) }
-func (m *model) stepLocal(ctx int, d time.Duration, id uint64) { m.push(ctx, ctx, d, id) }
-func (m *model) send(from, to int, d time.Duration, id uint64) { m.push(from, to, d, id) }
+func (m *model) schedule(ctx int, d time.Duration, id uint64)  { m.push(ctx, ctx, d, id, false) }
+func (m *model) stepLocal(ctx int, d time.Duration, id uint64) { m.push(ctx, ctx, d, id, false) }
+func (m *model) send(from, to int, d time.Duration, id uint64) { m.push(from, to, d, id, false) }
 
 func (m *model) timerReset(ctx, k int, d time.Duration, id uint64) {
 	if dead := m.timers[ctx][k]; dead != nil {
 		*dead = true // re-arming replaces the live arming, not a stop
 	}
-	m.timers[ctx][k] = m.push(ctx, ctx, d, id)
-	m.queue[len(m.queue)-1].far = k == farTimer
+	m.timers[ctx][k] = m.push(ctx, ctx, d, id, k == farTimer)
 }
 
 func (m *model) timerStop(ctx, k int) {
@@ -157,46 +295,28 @@ func (m *model) timerStop(ctx, k int) {
 
 func (m *model) worldAt(after time.Duration, id uint64) {
 	dead := new(bool)
-	m.queue = append(m.queue, modelEvent{at: m.now + after, src: WorldKey, seq: m.worldSeq, dst: worldCtx, id: id, dead: dead})
+	heap.Push(&m.queue, modelEvent{at: m.now + after, src: WorldKey, seq: m.worldSeq, dst: worldCtx, id: id, dead: dead})
 	m.worldSeq++
 }
 
 func (m *model) run() {
-	for {
-		live := m.queue[:0]
-		for _, e := range m.queue {
-			if !*e.dead {
-				live = append(live, e)
-			}
+	for m.queue.Len() > 0 {
+		e := heap.Pop(&m.queue).(modelEvent)
+		if *e.dead {
+			continue
 		}
-		m.queue = live
-		if len(m.queue) == 0 {
-			return
-		}
-		sort.SliceStable(m.queue, func(i, j int) bool {
-			a, b := m.queue[i], m.queue[j]
-			if a.at != b.at {
-				return a.at < b.at
-			}
-			if a.src != b.src {
-				return a.src < b.src
-			}
-			return a.seq < b.seq
-		})
-		e := m.queue[0]
-		m.queue = m.queue[1:]
 		*e.dead = true // fired: a later stop of this arming is a no-op
 		m.now = e.at
 		lane := e.dst
 		if lane == worldCtx {
-			lane = oracleCtxs
+			lane = m.sc.ctxs
 		}
 		m.fired[lane] = append(m.fired[lane], e.id)
 		m.order = append(m.order, e.id)
 		if e.far {
 			m.farFired++
 		}
-		act(m, m.seed, e.dst, e.id, depthOf(e.id))
+		m.sc.act(m, m.seed, e.dst, e.id)
 	}
 }
 
@@ -204,16 +324,23 @@ func (m *model) run() {
 
 type kernelRig struct {
 	seed   int64
+	sc     script
 	ex     *Parallel
-	ctxs   [oracleCtxs]*Ctx
-	timers [oracleCtxs][oracleTimers + 1]Timer
-	arming [oracleCtxs][oracleTimers + 1]uint64 // id of each timer's current arming
-	fired  [oracleCtxs + 1][]uint64
+	ctxs   []*Ctx
+	timers [][oracleTimers + 1]Timer  // allocated once: a bound Timer must not move
+	arming [][oracleTimers + 1]uint64 // id of each timer's current arming
+	fired  [][]uint64
 	order  *[]uint64 // global firing order; nil where only each context's is defined
 }
 
-func newKernelRig(seed int64, ex *Parallel, global bool) *kernelRig {
-	h := &kernelRig{seed: seed, ex: ex}
+func newKernelRig(seed int64, sc script, ex *Parallel, global bool) *kernelRig {
+	h := &kernelRig{
+		seed: seed, sc: sc, ex: ex,
+		ctxs:   make([]*Ctx, sc.ctxs),
+		timers: make([][oracleTimers + 1]Timer, sc.ctxs),
+		arming: make([][oracleTimers + 1]uint64, sc.ctxs),
+		fired:  make([][]uint64, sc.ctxs+1),
+	}
 	if global {
 		h.order = new([]uint64)
 	}
@@ -232,13 +359,13 @@ func newKernelRig(seed int64, ex *Parallel, global bool) *kernelRig {
 func (h *kernelRig) fire(ctx int, id uint64) {
 	lane := ctx
 	if ctx == worldCtx {
-		lane = oracleCtxs
+		lane = h.sc.ctxs
 	}
 	h.fired[lane] = append(h.fired[lane], id)
 	if h.order != nil {
 		*h.order = append(*h.order, id)
 	}
-	act(h, h.seed, ctx, id, depthOf(id))
+	h.sc.act(h, h.seed, ctx, id)
 }
 
 func (h *kernelRig) schedule(ctx int, d time.Duration, id uint64) {
@@ -289,13 +416,27 @@ func roots(s sched) {
 	s.worldAt(7*time.Millisecond, id+1)
 }
 
-// brutePending counts live entries the way Pending used to: by walking.
+// brutePending counts live entries the way Pending used to: by walking
+// every tier of every queue — the side heap, the rest of the current run,
+// each ring bucket's chunks and the overflow heap — plus the mailboxes.
 func brutePending(shards ...*shard) int {
 	n := 0
 	for _, sh := range shards {
-		for i := range sh.queue {
-			if !sh.queue[i].stale() {
-				n++
+		q := &sh.queue
+		tiers := [][]entry{q.heap, q.run[q.pos:]}
+		if c := q.cal; c != nil {
+			for s := range c.ring {
+				for k := c.ring[s].head; k != nil; k = k.next {
+					tiers = append(tiers, k.e[:k.n])
+				}
+			}
+			tiers = append(tiers, c.over)
+		}
+		for _, tier := range tiers {
+			for i := range tier {
+				if !tier[i].stale() {
+					n++
+				}
 			}
 		}
 		n += len(sh.inbox)
@@ -309,25 +450,31 @@ func TestKernelOrderOracle(t *testing.T) {
 	// firing order is defined and checked.
 	setups := []struct {
 		name   string
+		sc     script
+		seeds  int64
 		global bool
 		build  func(seed int64) *Parallel
 	}{
-		{"sequential", true, New},
+		{"sequential", randomScript, 12, true, New},
 		// With a lookahead a context runs ahead of the others inside the
 		// window, as it does on its own shard when there are several:
 		// each context's schedule is the oracle's, the global
 		// interleaving is not defined.
-		{"sequential+lookahead", false, func(seed int64) *Parallel { return NewParallel(seed, 1, oracleWindow, nil) }},
-		{"parallel-2", false, func(seed int64) *Parallel {
+		{"sequential+lookahead", randomScript, 12, false, func(seed int64) *Parallel { return NewParallel(seed, 1, oracleWindow, nil) }},
+		{"parallel-2", randomScript, 12, false, func(seed int64) *Parallel {
 			return NewParallel(seed, 2, oracleWindow, func(k ContextKey) int { return int(k) % 2 })
+		}},
+		{"calendar", calendarScript, 2, true, New},
+		{"calendar/parallel-2", calendarScript, 2, false, func(seed int64) *Parallel {
+			return NewParallel(seed, 2, oracleWindow, byColumn(2))
 		}},
 	}
 	for _, su := range setups {
 		var inPlace uint64 // steps the setup ran in place, over every seed
-		for seed := int64(1); seed <= 12; seed++ {
+		for seed := int64(1); seed <= su.seeds; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", su.name, seed), func(t *testing.T) {
-				m := &model{seed: seed}
-				roots(m)
+				m := newModel(seed, su.sc)
+				su.sc.roots(m)
 				m.run()
 				if len(m.order) < 50 {
 					t.Fatalf("script fired only %d events: too small to mean anything", len(m.order))
@@ -338,20 +485,38 @@ func TestKernelOrderOracle(t *testing.T) {
 
 				ex := su.build(seed)
 				shards := append([]*shard{ex.world.shard}, ex.shards...)
-				h := newKernelRig(seed, ex, su.global)
-				roots(h)
+				h := newKernelRig(seed, su.sc, ex, su.global)
+				su.sc.roots(h)
 				// Run in slices so the live count is checked mid-run, with
 				// stale entries and (under Parallel) mailboxes in play.
+				overflowed := false
 				for ex.Pending() > 0 {
-					if err := ex.Run(ex.Now() + 9*time.Millisecond); err != nil {
+					if err := ex.Run(ex.Now() + su.sc.slice); err != nil {
 						t.Fatal(err)
 					}
 					if got, want := ex.Pending(), brutePending(shards...); got != want {
 						t.Fatalf("at %v: Pending() = %d, a walk of the queues finds %d live", ex.Now(), got, want)
 					}
+					for _, sh := range ex.shards {
+						overflowed = overflowed || sh.queue.cal != nil && len(sh.queue.cal.over) > 0
+					}
+				}
+				if su.sc.ctxs == calCtxs {
+					// The script must reach what it is there for: every
+					// shard spilled, a same-instant cluster sorted as one
+					// bucket, and the overflow tier in use.
+					for _, sh := range ex.shards {
+						if sh.queue.cal == nil || cap(sh.queue.run) < calCtxs/len(ex.shards) {
+							t.Fatalf("shard %d: spilled %v, largest run %d; want a calendar and a run of the whole wake cluster",
+								sh.idx, sh.queue.cal != nil, cap(sh.queue.run))
+						}
+					}
+					if !overflowed {
+						t.Fatal("no entry ever waited in the overflow heap")
+					}
 				}
 				if h.order != nil && fmt.Sprint(*h.order) != fmt.Sprint(m.order) {
-					t.Fatalf("fired order differs from the sort.SliceStable oracle:\n got %v\nwant %v", *h.order, m.order)
+					t.Fatalf("fired order differs from the oracle's:\n got %v\nwant %v", *h.order, m.order)
 				}
 				for lane := range m.fired {
 					if fmt.Sprint(h.fired[lane]) != fmt.Sprint(m.fired[lane]) {
@@ -365,7 +530,7 @@ func TestKernelOrderOracle(t *testing.T) {
 			})
 		}
 		if inPlace == 0 {
-			t.Errorf("%s: no step ran in place over 12 seeds — the oracle does not cover RunLocal", su.name)
+			t.Errorf("%s: no step ran in place over %d seeds — the oracle does not cover RunLocal", su.name, su.seeds)
 		}
 	}
 }
@@ -513,6 +678,58 @@ func TestKernelSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if fired != 2*202 {
 		t.Fatalf("fired %d callbacks, want %d", fired, 2*202)
+	}
+}
+
+// TestSpilledQueueAllocatesNothing pins the same for a queue past
+// spillAt: timers on a thousand contexts re-arming themselves — a
+// same-instant cluster, two beacon-like periods and a period past the
+// ring's reach — cycle through the ring's chunks, the run and the overflow
+// heap without allocating. Every period is a whole number of
+// buckets, so after two of the longest the buckets fill exactly as they
+// did before and every buffer is at its working size.
+func TestSpilledQueueAllocatesNothing(t *testing.T) {
+	s := New(1)
+	const n = spillAt + spillAt/4
+	const bucket time.Duration = 1 << bucketShift
+	timers := make([]Timer, n)
+	fired := 0
+	for i := range timers {
+		c := s.Context(Key2D(int16(i%1000+1), 1))
+		period, phase := 30*bucket, 30*bucket // the cluster, about 250 ms
+		switch i % 4 {
+		case 1:
+			period, phase = 240*bucket, time.Duration(i)*97*time.Microsecond
+		case 2:
+			period, phase = 150*bucket, time.Duration(i)*61*time.Microsecond
+		case 3:
+			period, phase = 1200*bucket, time.Duration(i)*1200*bucket/n // past the ring
+		}
+		tm := &timers[i]
+		tm.Init(c, func() {
+			fired++
+			tm.Reset(period)
+		})
+		tm.Reset(phase)
+	}
+	cycle := func() {
+		if err := s.Run(s.Now() + 30*bucket); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for s.Now() < 2*1200*bucket {
+		cycle()
+	}
+	if q := &s.shards[0].queue; q.cal == nil || len(q.cal.over) == 0 {
+		t.Fatalf("the queue did not spill into a calendar with an overflow heap: %+v", q.cal != nil)
+	}
+	before := fired
+	// Forty cycles are one period of the longest timer.
+	if avg := testing.AllocsPerRun(40, cycle); avg != 0 {
+		t.Fatalf("a spilled queue cycling %d timers allocates %.1f objects per cycle, want 0", n, avg)
+	}
+	if fired-before < 41*n/4 {
+		t.Fatalf("fired %d timers over the measured cycles, want at least the cluster's %d", fired-before, 41*n/4)
 	}
 }
 

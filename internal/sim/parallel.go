@@ -48,7 +48,7 @@ type Parallel struct {
 	// context: no entity owns it; it numbers the lane's events in schedule
 	// order, and its shard is one no worker runs, lending the lane its
 	// queue, free list, event counts and live count (every entry carries
-	// WorldKey, so the heap orders them by (at, schedule order)).
+	// WorldKey, so the queue orders them by (at, schedule order)).
 	world Ctx
 
 	now time.Duration
@@ -122,7 +122,7 @@ func (p *Parallel) Executed() uint64 {
 	return n
 }
 
-// Dispatched returns the number of events popped from shard heaps (world
+// Dispatched returns the number of events popped from shard queues (world
 // events included) — Executed minus the steps run in place. The gap is
 // the scheduler work the in-place step chain saved; unlike Executed it
 // varies with the shard count: each shard's in-place horizon is bounded
@@ -138,7 +138,7 @@ func (p *Parallel) Dispatched() uint64 {
 
 // Pending returns the number of live queued events across all shards,
 // mailboxes, and the world lane: counts the kernel keeps at every push,
-// pop and stop, not a walk of the heaps.
+// pop and stop, not a walk of the queues.
 func (p *Parallel) Pending() int {
 	n := p.world.shard.pending()
 	for _, sh := range p.shards {
@@ -319,22 +319,27 @@ func (p *Parallel) runLoop(until time.Duration, pred func() bool) bool {
 		if w := p.peekWorld(); w != nil && w.at <= until {
 			wat, worldDue = w.at, true
 		}
+		// A closed pass to some instant is safe only short of t0+win: a
+		// send from t0 may land at exactly t0+win, after the receiver's
+		// own events there would already have run. So while until is at
+		// or past that, the shards march open windows.
 		end := until
-		if len(p.shards) > 1 {
+		windowed := len(p.shards) > 1 && t0 <= until-p.shards[0].win
+		if windowed {
 			end = t0 + p.shards[0].win
 		}
 		switch {
 		case !worldDue && (!ok || t0 > until):
 			p.park(begin, until)
 			return false
-		case worldDue && (!ok || wat <= end):
+		case worldDue && (!ok || !windowed || wat < end):
 			// Clip at the world event: bring every shard exactly to its
 			// timestamp (node events at that instant sort before it), run
 			// it with all workers parked (which settles the clock there),
 			// resume windowing.
 			p.syncTo(wat)
 			p.runWorld(wat)
-		case end < until:
+		case windowed:
 			p.runWindow(end, false)
 			p.now = end
 		default:

@@ -165,6 +165,42 @@ func TestParallelCrossShardArrivalAtUntil(t *testing.T) {
 	}
 }
 
+func TestParallelArrivalAtWindowEdgeKeepsOrder(t *testing.T) {
+	// A send delayed by exactly the window, into a run that ends exactly
+	// there, lands at the same instant as the receiver's own event and
+	// must fire first: its sender's key is smaller. A closed pass over
+	// the whole window would run the receiver's event before the arrival
+	// reached its mailbox. Both halves, the run's end and a world event,
+	// close there.
+	for _, world := range []bool{false, true} {
+		p := NewParallel(3, 2, testWindow, func(k ContextKey) int { return int(uint64(k) % 2) })
+		a, b := p.Context(Key2D(1, 1)), p.Context(Key2D(1, 2))
+		if a.Shard() == b.Shard() || a.Key() > b.Key() {
+			t.Fatal("test needs two shards and the sender's key first")
+		}
+		var fired []string
+		a.Schedule(0, func() {
+			a.Send(b, testWindow, func() { fired = append(fired, "arrival") })
+		})
+		b.Schedule(testWindow, func() { fired = append(fired, "own") })
+		until := testWindow
+		if world {
+			p.ScheduleWorldAt(testWindow, func() { fired = append(fired, "world") })
+			until = time.Hour
+		}
+		if err := p.Run(until); err != nil {
+			t.Fatal(err)
+		}
+		want := "[arrival own]"
+		if world {
+			want = "[arrival own world]"
+		}
+		if got := fmt.Sprint(fired); got != want {
+			t.Fatalf("world event %v: fired %s, want %s", world, got, want)
+		}
+	}
+}
+
 func TestParallelRunUntilIdleAndClockRest(t *testing.T) {
 	// When the queue drains, both executors leave the clock at the last
 	// executed event, however far the horizon lies beyond it.

@@ -38,7 +38,7 @@
 //
 // # Handles: who may stop what
 //
-// A queued event is a 32-byte heap entry — its (time, key, sequence)
+// A queued event is a 32-byte queue entry — its (time, key, sequence)
 // identity by value plus a pointer to the event that holds the callback —
 // and there are exactly two ways to own that event:
 //
@@ -56,11 +56,16 @@
 //     embedded in moves it to another context only through Rebind, which
 //     waits out its queued entries.
 //
-// Stopping or re-arming never removes anything from the middle of the
-// heap: the old entry stays queued, stale, and is skipped when it
-// surfaces — an entry is live only while its event is live and still
-// carries the entry's sequence number. Pending counts live entries only,
-// and is kept as a counter, not found by a walk.
+// A shard's queue is one 4-ary heap until it first holds a few thousand
+// entries; then it spills into tiers (see eventQueue): a calendar of
+// fixed-width buckets that entries are appended to unsorted, the current
+// bucket sorted once into a run, and the heap as a side tier for entries
+// that land in the current bucket after that. Whatever the tier, stopping
+// or re-arming never removes anything from the middle of it: the old
+// entry stays queued, stale, and is skipped when it surfaces — an entry
+// is live only while its event is live and still carries the entry's
+// sequence number. Pending counts live entries only, and is kept as a
+// counter, not found by a walk.
 //
 // A step that is never queued at all needs no owner: an entity continuing
 // its own step chain from a tail position asks Ctx.RunLocal whether the
@@ -71,6 +76,7 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 )
@@ -175,7 +181,7 @@ func (r *Rand) Int63n(n int64) int64 {
 // saltCtx namespaces per-context streams within the seed's stream space.
 const saltCtx = 0x637478 // "ctx"
 
-// event is what a queued heap entry points at: the callback and the
+// event is what a queue entry points at: the callback and the
 // context it acts on. Two kinds of owner hold one (see the package
 // comment's handle contract): the shard free list (Schedule, Post, Send
 // and ScheduleWorldAt — nobody else ever sees the pointer, so it is
@@ -184,12 +190,12 @@ const saltCtx = 0x637478 // "ctx"
 type event struct {
 	dst *Ctx // the context the event acts on (the world lane's sentinel for world events)
 	fn  func()
-	// seq is the arming the event is live for: a heap entry is live only
+	// seq is the arming the event is live for: a queue entry is live only
 	// while its event is live and carries this sequence number, so
-	// stopping or re-arming leaves the old entry in the heap as a stale
+	// stopping or re-arming leaves the old entry in the queue as a stale
 	// one that pop skips — nothing is ever removed from the middle.
 	seq uint64
-	// queued counts the heap entries, live or stale, that point at the
+	// queued counts the queue entries, live or stale, that point at the
 	// event; a Timer may change context only while it is zero.
 	queued uint32
 	live   bool
@@ -207,11 +213,12 @@ func (e *event) stop() {
 // Timer is a re-armable event held by value in the state it times (an
 // agent's sleep, a migration's retransmission, a remote operation's
 // timeout, a beacon or battery check): arming it allocates nothing, and
-// the heap entry points into the owner, so the wake-up touches no separate
-// event object. Bind it once with Init, then Reset and Stop it freely from
-// events on its context's shard. The owner must not move while the timer
-// is armed; a timer whose owner was dropped while armed is kept alive by
-// its heap entry and fires (or is skipped, if stopped) like any other.
+// the queue entry points into the owner, so the wake-up touches no
+// separate event object. Bind it once with Init, then Reset and Stop it
+// freely from events on its context's shard. The owner must not move
+// while the timer is armed; a timer whose owner was dropped while armed
+// is kept alive by its queue entry and fires (or is skipped, if stopped)
+// like any other.
 type Timer struct{ ev event }
 
 // Init binds the timer to the context whose clock and ordering identity
@@ -240,104 +247,24 @@ func (t *Timer) Rebind(c *Ctx) bool {
 	return true
 }
 
-// Reset arms the timer to fire after delay d (negative: zero), replacing
-// any earlier arming: a timer fires once, at its last deadline. It takes
-// the ordering identity Schedule would — the next sequence number of its
-// context — so timing something with a Timer or with Schedule yields the
-// same schedule.
+// Reset arms the timer to fire after delay d (negative: zero; a deadline
+// past the largest Duration saturates there), replacing any earlier
+// arming: a timer fires once, at its last deadline. It takes the ordering
+// identity Schedule would — the next sequence number of its context — so
+// timing something with a Timer or with Schedule yields the same
+// schedule.
 func (t *Timer) Reset(d time.Duration) {
 	t.ev.stop()
-	if d < 0 {
-		d = 0
-	}
 	c := t.ev.dst
 	sh := c.shard
 	t.ev.seq, t.ev.live = c.seq, true
-	sh.push(entry{at: sh.now + d, src: c.key, seq: c.seq, ev: &t.ev})
+	sh.push(entry{at: sh.after(d), src: c.key, seq: c.seq, ev: &t.ev})
 	c.seq++
 }
 
 // Stop disarms the timer. Stopping a timer that is not armed (never
 // armed, already fired, already stopped, or never bound) is a no-op.
 func (t *Timer) Stop() { t.ev.stop() }
-
-// entry is one heap slot: the (time, context key, sequence) ordering
-// identity by value, so a comparison dereferences nothing, and the event
-// to run.
-type entry struct {
-	at  time.Duration
-	src ContextKey
-	seq uint64
-	ev  *event
-}
-
-// stale reports whether the entry's event was stopped or re-armed after
-// the entry was queued.
-func (e *entry) stale() bool { return !e.ev.live || e.ev.seq != e.seq }
-
-func (e *entry) before(o *entry) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	if e.src != o.src {
-		return e.src < o.src
-	}
-	return e.seq < o.seq
-}
-
-// eventQueue is a hand-rolled 4-ary min-heap ordered by (at, src, seq).
-// Heap maintenance dominates the scheduler on large deployments, and a
-// 4-way tree halves the sift depth of container/heap's binary layout
-// while keeping the four children of a node on two cache lines.
-type eventQueue []entry
-
-func (q *eventQueue) push(e entry) {
-	d := append(*q, e)
-	*q = d
-	i := len(d) - 1
-	for i > 0 {
-		p := (i - 1) / 4
-		if !d[i].before(&d[p]) {
-			break
-		}
-		d[i], d[p] = d[p], d[i]
-		i = p
-	}
-}
-
-func (q *eventQueue) pop() entry {
-	d := *q
-	top := d[0]
-	n := len(d) - 1
-	d[0] = d[n]
-	d[n] = entry{}
-	d = d[:n]
-	*q = d
-	// Sift the promoted tail element down to its place.
-	i := 0
-	for {
-		c := i*4 + 1
-		if c >= n {
-			break
-		}
-		m := c
-		end := c + 4
-		if end > n {
-			end = n
-		}
-		for j := c + 1; j < end; j++ {
-			if d[j].before(&d[m]) {
-				m = j
-			}
-		}
-		if !d[m].before(&d[i]) {
-			break
-		}
-		d[i], d[m] = d[m], d[i]
-		i = m
-	}
-	return top
-}
 
 // shard is one execution lane: a queue, a clock, and a mailbox for events
 // scheduled into it from other shards. Parallel has one per worker, plus
@@ -358,7 +285,7 @@ type shard struct {
 	// that far with no interleaving from outside. dispatching is true
 	// while the shard is inside dispatch; chain counts the steps the
 	// current dispatch ran in place, local all steps ever run in place
-	// instead of popped from the heap.
+	// instead of popped from the queue.
 	limit       time.Duration
 	limitClosed bool
 	dispatching bool
@@ -369,40 +296,57 @@ type shard struct {
 	inbox []entry // cross-shard arrivals, merged into queue at barriers
 }
 
-// insertDue adds t to a sorted due list; removeDue drops one entry equal
-// to t. Both are amortized allocation-free: the slices keep their
-// backing capacity and per-context event counts are small.
-func insertDue(s *[]time.Duration, t time.Duration) {
-	d := *s
-	lo, hi := 0, len(d)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d[mid] <= t {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	d = append(d, 0)
-	copy(d[lo+1:], d[lo:])
-	d[lo] = t
-	*s = d
+// after returns the time d from the shard clock. A negative delay is
+// zero, and a deadline past the largest Duration saturates there, so an
+// event is never queued before the clock.
+func (sh *shard) after(d time.Duration) time.Duration {
+	return sh.now + min(max(d, 0), maxTime-sh.now)
 }
 
-func removeDue(s *[]time.Duration, t time.Duration) {
-	d := *s
-	lo, hi := 0, len(d)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d[mid] < t {
-			lo = mid + 1
-		} else {
-			hi = mid
+// dueInline is how many due times a context keeps in place.
+const dueInline = 3
+
+// dueList is a multiset of due times in order: the earliest dueInline in
+// place, so pushing and popping a context's first few entries touches no
+// second cache line, and the rest, once there are more, in a slice.
+type dueList struct {
+	n    int // times in near; more is empty unless n == dueInline
+	near [dueInline]time.Duration
+	more []time.Duration // sorted, none before near[dueInline-1]
+}
+
+// first reports whether the list holds a time, and the earliest.
+func (d *dueList) first() (time.Duration, bool) { return d.near[0], d.n > 0 }
+
+func (d *dueList) insert(t time.Duration) {
+	if d.n == dueInline {
+		last := d.near[dueInline-1]
+		if t >= last {
+			i, _ := slices.BinarySearch(d.more, t)
+			d.more = slices.Insert(d.more, i, t)
+			return
 		}
+		d.more = slices.Insert(d.more, 0, last) // nothing in more is before it
+		d.n--
 	}
-	if lo < len(d) && d[lo] == t {
-		copy(d[lo:], d[lo+1:])
-		*s = d[:len(d)-1]
+	i := d.n
+	for ; i > 0 && d.near[i-1] > t; i-- {
+		d.near[i] = d.near[i-1]
+	}
+	d.near[i] = t
+	d.n++
+}
+
+// pop drops the earliest time. It is the only removal there is: a shard
+// takes entries in time order, so the one it takes is always the earliest
+// its target still has queued.
+func (d *dueList) pop() {
+	copy(d.near[:d.n], d.near[1:d.n])
+	if len(d.more) > 0 {
+		d.near[dueInline-1] = d.more[0]
+		d.more = d.more[:copy(d.more, d.more[1:])]
+	} else {
+		d.n--
 	}
 }
 
@@ -431,22 +375,22 @@ func (sh *shard) put(e *event) {
 	sh.free = append(sh.free, e)
 }
 
-// push queues a live entry: into the heap, the live count, and its
+// push queues a live entry: into the queue, the live count, and its
 // target's due list. Called only from the goroutine that owns the shard's
 // queue.
 func (sh *shard) push(e entry) {
 	e.ev.queued++
 	sh.queue.push(e)
 	sh.live++
-	insertDue(&e.ev.dst.due, e.at)
+	e.ev.dst.due.insert(e.at)
 }
 
-// take removes the head entry from the heap and from its target's due
+// take removes the head entry from the queue and from its target's due
 // list; the caller settles the live count (a stale head was uncounted
 // when it went stale).
 func (sh *shard) take() entry {
 	e := sh.queue.pop()
-	removeDue(&e.ev.dst.due, e.at)
+	e.ev.dst.due.pop()
 	e.ev.queued--
 	return e
 }
@@ -464,15 +408,25 @@ func (sh *shard) drain() {
 }
 
 // peek returns the next live entry without removing it, discarding stale
-// ones. The pointer is into the heap: use it before the next push or pop.
+// ones. The pointer is into the queue: use it before the next push or
+// pop. Its fast path is eventQueue.top, inlined here and in localOK.
 func (sh *shard) peek() *entry {
-	for len(sh.queue) > 0 {
-		if e := &sh.queue[0]; !e.stale() {
+	if e := sh.queue.top(); e != nil {
+		return e
+	}
+	return sh.peekSlow()
+}
+
+// peekSlow is peek past the fast path: it pops stale heads, and moves the
+// calendar on to its next bucket when the current one is spent.
+func (sh *shard) peekSlow() *entry {
+	for {
+		e := sh.queue.head()
+		if e == nil || !e.stale() {
 			return e
 		}
 		sh.take()
 	}
-	return nil
 }
 
 // popHead removes and returns the head entry, which peek just found live.
@@ -508,7 +462,7 @@ func (sh *shard) due(end time.Duration, closed bool) bool {
 // then protected per scope:
 //
 //   - c's own lane is exact: the step must come strictly before c's next
-//     queued heap event (a frame delivery, its sleep timer, ...).
+//     queued event (a frame delivery, its sleep timer, ...).
 //   - Other contexts influence c only through sends delayed by at least
 //     the lookahead window (the same contract a multi-shard run's
 //     barrier windows rest on), so c may run up to — not including —
@@ -516,7 +470,7 @@ func (sh *shard) due(end time.Duration, closed bool) bool {
 //     the strict head rule.
 //
 // A refused step is scheduled instead, so running it in place or through
-// the heap yields the same per-context schedule either way.
+// the queue yields the same per-context schedule either way.
 func (sh *shard) localOK(c *Ctx, at time.Duration) bool {
 	if !sh.dispatching || sh.chain >= maxLocalSteps {
 		return false
@@ -524,11 +478,14 @@ func (sh *shard) localOK(c *Ctx, at time.Duration) bool {
 	if at > sh.limit || (!sh.limitClosed && at == sh.limit) {
 		return false
 	}
-	if len(c.due) > 0 && at >= c.due[0] {
+	if t, ok := c.due.first(); ok && at >= t {
 		return false
 	}
-	e := sh.peek()
-	return e == nil || at < e.at+sh.win
+	e := sh.queue.top()
+	if e == nil {
+		e = sh.peekSlow()
+	}
+	return e == nil || at-e.at < sh.win
 }
 
 // maxLocalSteps bounds how many steps one dispatch runs in place, so a
@@ -536,7 +493,7 @@ func (sh *shard) localOK(c *Ctx, at time.Duration) bool {
 // to the driver loop and counts as a dispatch every so often.
 const maxLocalSteps = 4096
 
-// dispatch runs one popped heap entry, together with every step its
+// dispatch runs one popped queue entry, together with every step its
 // callback chains in place (see Ctx.RunLocal).
 func (sh *shard) dispatch(e entry) {
 	sh.dispatching, sh.chain = true, 0
@@ -581,10 +538,10 @@ type Ctx struct {
 	shard *shard
 	seq   uint64
 	rng   Rand
-	// due holds the sorted times of every queued heap entry, stale ones
-	// included, that acts on this context: the one due list the relaxed
-	// admission rule consults (see localOK).
-	due []time.Duration
+	// due holds the times of every queued entry, stale ones included,
+	// that acts on this context: the one due list the relaxed admission
+	// rule consults (see localOK).
+	due dueList
 }
 
 // Key returns the context's key.
@@ -602,16 +559,14 @@ func (c *Ctx) Now() time.Duration { return c.shard.now }
 func (c *Ctx) Rand() *Rand { return &c.rng }
 
 // Schedule arranges for fn to run after delay d of virtual time on this
-// context's shard. A negative delay is treated as zero. Events scheduled
+// context's shard. A negative delay is treated as zero, and a deadline
+// past the largest Duration saturates there. Events scheduled
 // for the same instant by the same context fire in scheduling order. It
 // returns no handle — the event is recycled once fn returns — so what must
 // be stoppable is timed with a Timer instead.
 func (c *Ctx) Schedule(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
 	sh := c.shard
-	sh.push(entry{at: sh.now + d, src: c.key, seq: c.seq, ev: sh.get(c, c.seq, fn)})
+	sh.push(entry{at: sh.after(d), src: c.key, seq: c.seq, ev: sh.get(c, c.seq, fn)})
 	c.seq++
 }
 
@@ -628,7 +583,7 @@ func (c *Ctx) Post(fn func()) { c.Schedule(0, fn) }
 // step exactly as a fired event, and reports true: the caller then runs
 // the step inline. Otherwise it changes nothing and reports false, and
 // the caller schedules the step instead. Either way the observable
-// schedule is the same; only the number of heap round trips (Dispatched)
+// schedule is the same; only the number of queue round trips (Dispatched)
 // differs. Call it only from a tail position: nothing the current event
 // still does may follow the step.
 func (c *Ctx) RunLocal(at time.Duration) bool {
@@ -649,13 +604,10 @@ func (c *Ctx) RunLocal(at time.Duration) bool {
 // scheduling primitive: the radio uses it to deliver frames. When the
 // receiver lives on a different shard, d must be at least the executor's
 // lookahead window — which holds by construction, because the window is
-// the minimum frame delay.
+// the minimum frame delay. The delay is clamped as Schedule clamps it.
 func (c *Ctx) Send(to *Ctx, d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
 	sh := c.shard
-	e := entry{at: sh.now + d, src: c.key, seq: c.seq, ev: sh.get(to, c.seq, fn)}
+	e := entry{at: sh.after(d), src: c.key, seq: c.seq, ev: sh.get(to, c.seq, fn)}
 	c.seq++
 	if to.shard == sh {
 		sh.push(e)

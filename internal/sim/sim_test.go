@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -150,6 +152,56 @@ func TestNegativeDelayClampsToNow(t *testing.T) {
 	}
 	if at != time.Second {
 		t.Fatalf("negative-delay event fired at %v, want 1s", at)
+	}
+}
+
+func TestDeadlinePastMaxDurationSaturates(t *testing.T) {
+	// A delay near the largest Duration, given at 1 s, must not wrap
+	// around to a time before the clock: Timer.Reset, Schedule and Send
+	// all saturate at the largest Duration, so those events sort after
+	// everything finite, wait out any finite run, and fire last, in
+	// scheduling order, with each context's clock still moving forward.
+	// On one shard and on two.
+	for _, shards := range []int{1, 2} {
+		p := NewParallel(1, shards, time.Millisecond, func(k ContextKey) int { return int(uint64(k)>>16) % 2 })
+		a, b := p.Context(Key2D(1, 1)), p.Context(Key2D(2, 1))
+		// Each lane is written only from its own context's shard.
+		type lane struct {
+			c     *Ctx
+			fired []string
+			last  time.Duration
+		}
+		la, lb := &lane{c: a}, &lane{c: b}
+		record := func(l *lane, name string) func() {
+			return func() {
+				if now := l.c.Now(); now < l.last {
+					t.Errorf("%d shards: %s ran at %v, after an event at %v", shards, name, now, l.last)
+				}
+				l.last = l.c.Now()
+				l.fired = append(l.fired, name)
+			}
+		}
+		var tm Timer
+		tm.Init(a, record(la, "timer"))
+		a.Schedule(time.Second, func() {
+			tm.Reset(math.MaxInt64)
+			a.Schedule(math.MaxInt64-time.Millisecond, record(la, "schedule"))
+			a.Send(b, math.MaxInt64, record(lb, "send"))
+			a.Schedule(time.Millisecond, record(la, "1ms"))
+		})
+		if err := p.Run(time.Hour); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(la.fired, lb.fired) != "[1ms] []" || p.Now() != time.Hour || p.Pending() != 3 {
+			t.Fatalf("%d shards: after Run(1h) fired %v and %v, clock %v, %d pending; want [1ms] and none, 1h, 3",
+				shards, la.fired, lb.fired, p.Now(), p.Pending())
+		}
+		if err := p.Run(math.MaxInt64); err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprint(la.fired, lb.fired); got != "[1ms timer schedule] [send]" || p.Now() != math.MaxInt64 {
+			t.Fatalf("%d shards: fired %s, clock %v; want [1ms timer schedule] [send], at the largest Duration", shards, got, p.Now())
+		}
 	}
 }
 
