@@ -212,11 +212,16 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 	d.Base = base
 	d.nodes[baseLoc] = base
 
-	idx := uint8(1)
-	for _, loc := range spec.Layout.Nodes {
+	// Motes are built in the order each shard dispatches them, ascending
+	// context key, so consecutive allocations of every per-mote type (the
+	// context, the board, the node with its arena) sit side by side in
+	// the order a same-instant wake cluster pops. A mote's node index
+	// still comes from its layout position: agent IDs do not move.
+	for _, i := range dispatchOrder(spec.Layout.Nodes) {
+		loc := spec.Layout.Nodes[i]
 		board := sensor.NewBoard(loc, spec.Field, sensor.DefaultSensors()...)
 		ctx := s.Context(sim.Key2D(loc.X, loc.Y))
-		n, err := newNode(ctx, medium, loc, idx, board, envs[ctx.Shard()])
+		n, err := newNode(ctx, medium, loc, uint8(i+1), board, envs[ctx.Shard()])
 		if err != nil {
 			return nil, fmt.Errorf("core: node %v: %w", loc, err)
 		}
@@ -231,9 +236,23 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 				sim.Stream(spec.Seed, saltReplica, uint64(sim.Key2D(loc.X, loc.Y))))
 		}
 		d.nodes[loc] = n
-		idx++
 	}
 	return d, nil
+}
+
+// dispatchOrder returns the indices of locs sorted by their scheduling
+// context keys (sim.Key2D: x first, then y) — the order in which a shard
+// pops a cluster of same-instant wake-ups.
+func dispatchOrder(locs []topology.Location) []int {
+	order := make([]int, len(locs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(a, b int) bool {
+		la, lb := locs[order[a]], locs[order[b]]
+		return sim.Key2D(la.X, la.Y) < sim.Key2D(lb.X, lb.Y)
+	})
+	return order
 }
 
 // Replication returns the deployment's replication config with defaults

@@ -615,12 +615,14 @@ func (m *Medium) Inject(f Frame) bool {
 		return false
 	}
 	a, ok := m.att[f.Dst]
-	dst := m.ctxOf(f.Dst)
-	sh := &m.sh[dst.Shard()]
 	if !ok || a.r == nil {
-		sh.stats.NoRoute++
+		// The host owns every shard's counters here and Stats sums them,
+		// so the miss counts on shard 0: looking up the destination's
+		// context would register one for a never-attached location.
+		m.sh[0].stats.NoRoute++
 		return false
 	}
+	sh := &m.sh[a.ctx.Shard()]
 	sh.stats.Delivered++
 	d := sh.take()
 	d.load(a.r, f, sh)

@@ -569,3 +569,29 @@ func TestUnicastFindsItsLinkInTheFanout(t *testing.T) {
 		t.Fatalf("unicast send→deliver allocates %.1f objects, want 0", avg)
 	}
 }
+
+// TestInjectMissCreatesNoContext pins Inject's refusal of a frame for a
+// location that was never attached: it returns false and counts one
+// NoRoute without registering a scheduling context for the stranger.
+// Every run below names a fresh location, so a context made per miss
+// would show up as allocations.
+func TestInjectMissCreatesNoContext(t *testing.T) {
+	_, m, _ := newTestMedium(t, ZeroLoss())
+	if m.Inject(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(50, 50), Kind: KindRemoteTS}) {
+		t.Fatal("Inject to a never-attached location reported delivery")
+	}
+	if got := m.Stats().NoRoute; got != 1 {
+		t.Fatalf("NoRoute = %d after one miss, want 1", got)
+	}
+	x := int16(100)
+	if avg := testing.AllocsPerRun(100, func() {
+		x++
+		m.Inject(Frame{Src: topology.Loc(1, 1), Dst: topology.Loc(x, 7), Kind: KindRemoteTS})
+	}); avg != 0 {
+		t.Fatalf("a missed Inject allocates %.1f times, want 0", avg)
+	}
+	// AllocsPerRun makes one warm-up call of its own: 102 misses in all.
+	if got := m.Stats().NoRoute; got != 102 {
+		t.Fatalf("NoRoute = %d after 102 misses", got)
+	}
+}

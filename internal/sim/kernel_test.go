@@ -461,8 +461,14 @@ func TestKernelOrderOracle(t *testing.T) {
 		// each context's schedule is the oracle's, the global
 		// interleaving is not defined.
 		{"sequential+lookahead", randomScript, 12, false, func(seed int64) *Parallel { return NewParallel(seed, 1, oracleWindow, nil) }},
+		// Two shards in halves (contexts 0–2 and 3–5) and interleaved by
+		// column. Every oracle key is even, so the raw key modulo 2 would
+		// leave shard 1 idle and never cross a mailbox.
 		{"parallel-2", randomScript, 12, false, func(seed int64) *Parallel {
-			return NewParallel(seed, 2, oracleWindow, func(k ContextKey) int { return int(k) % 2 })
+			return NewParallel(seed, 2, oracleWindow, func(k ContextKey) int { return (int(uint64(k)>>16) - 1) * 2 / oracleCtxs })
+		}},
+		{"parallel-2/split", randomScript, 12, false, func(seed int64) *Parallel {
+			return NewParallel(seed, 2, oracleWindow, byColumn(2))
 		}},
 		{"calendar", calendarScript, 2, true, New},
 		{"calendar/parallel-2", calendarScript, 2, false, func(seed int64) *Parallel {
@@ -525,6 +531,11 @@ func TestKernelOrderOracle(t *testing.T) {
 				}
 				if got, want := ex.Executed(), uint64(len(m.order)); got != want {
 					t.Fatalf("Executed() = %d, oracle fired %d", got, want)
+				}
+				for _, sh := range ex.shards {
+					if sh.executed == 0 && len(ex.shards) > 1 {
+						t.Fatalf("shard %d of %d executed no event: the setup never crosses a mailbox", sh.idx, len(ex.shards))
+					}
 				}
 				inPlace += ex.Executed() - ex.Dispatched()
 			})
