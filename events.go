@@ -294,28 +294,13 @@ func (s *stream[T]) pump() {
 	}
 }
 
-// eventSub is one Events subscription.
-type eventSub struct {
-	filters []EventFilter
-	st      *stream[Event]
-}
-
-// watchReg is one live Space.Watch registration. loc tracks the watched
-// node across relocations so death can be matched to the right watches;
-// once makes teardown idempotent between Network.Close and the node-death
-// path.
-type watchReg struct {
-	loc    Location
-	remove func()
-	st     *stream[Tuple]
-	once   sync.Once
-}
-
-func (w *watchReg) closeWatch() {
-	w.once.Do(func() {
-		w.remove()
-		w.st.close()
-	})
+// subscription is one Events channel or Space.Watch: send offers it an
+// event and reports whether it is still live, end closes its stream.
+// publish drops a subscription once send reports it ended, and Close
+// ends whatever remains.
+type subscription struct {
+	send func(Event) bool
+	end  func()
 }
 
 // events is the per-network dispatch state behind Events and
@@ -323,9 +308,7 @@ func (w *watchReg) closeWatch() {
 type events struct {
 	mu        sync.Mutex
 	installed bool
-	subs      []*eventSub
-	watches   []*watchReg
-	closers   []func()
+	subs      []subscription
 	closed    bool
 }
 
@@ -346,20 +329,34 @@ type events struct {
 // The channel closes after Network.Close, once already-queued events
 // have been drained.
 func (nw *Network) Events(filters ...EventFilter) <-chan Event {
-	sub := &eventSub{filters: filters, st: newStream[Event]()}
+	st := newStream[Event]()
+	nw.subscribe(subscription{end: st.close, send: func(e Event) bool {
+		for _, f := range filters {
+			if !f(e) {
+				return true
+			}
+		}
+		st.push(e)
+		return true
+	}})
+	return st.out
+}
+
+// subscribe adds sub to the stream, or ends it at once on a closed
+// network. The taps go in with the first subscription of any kind: a
+// Watch needs the death tap even if the host never called Events.
+func (nw *Network) subscribe(sub subscription) {
 	nw.ev.mu.Lock()
 	defer nw.ev.mu.Unlock()
 	if nw.ev.closed {
-		sub.st.close()
-		return sub.st.out
+		sub.end()
+		return
 	}
 	nw.installTaps()
 	nw.ev.subs = append(nw.ev.subs, sub)
-	nw.ev.closers = append(nw.ev.closers, sub.st.close)
-	return sub.st.out
 }
 
-// Close ends every event and watch subscription. The contract, exactly:
+// Close ends every Events and Watch subscription. The contract, exactly:
 //
 //   - Every event published before Close remains deliverable: the
 //     subscription channel keeps yielding queued items in order.
@@ -390,27 +387,28 @@ func (nw *Network) Close() error {
 		return err
 	}
 	nw.ev.closed = true
-	for _, c := range nw.ev.closers {
-		c()
+	for _, sub := range nw.ev.subs {
+		sub.end()
 	}
 	nw.ev.subs = nil
-	nw.ev.closers = nil
 	return err
 }
 
-// publish fans one event out to every matching subscription.
+// publish offers one event to every subscription, and drops those it
+// ended.
 func (nw *Network) publish(e Event) {
 	nw.ev.mu.Lock()
 	defer nw.ev.mu.Unlock()
-subs:
+	live := nw.ev.subs[:0]
 	for _, sub := range nw.ev.subs {
-		for _, f := range sub.filters {
-			if !f(e) {
-				continue subs
-			}
+		if sub.send(e) {
+			live = append(live, sub)
+		} else {
+			sub.end()
 		}
-		sub.st.push(e)
 	}
+	clear(nw.ev.subs[len(live):])
+	nw.ev.subs = live
 }
 
 // installTaps fills Events from the deployment's internal trace hooks,
@@ -455,14 +453,12 @@ func (nw *Network) installTaps() {
 	}
 	tr.NodeDied = func(node Location, cause DownCause) {
 		emit(EventNodeDied, node, Event{Cause: cause})
-		nw.closeWatchesAt(node)
 	}
 	tr.NodeRecovered = func(node Location) {
 		emit(EventNodeRecovered, node, Event{})
 	}
 	tr.NodeMoved = func(from, to Location) {
 		emit(EventNodeMoved, to, Event{Peer: from})
-		nw.rehomeWatches(from, to)
 	}
 	tr.EnergyExhausted = func(node Location, usedJ float64) {
 		emit(EventEnergyExhausted, node, Event{UsedJ: usedJ})
@@ -473,55 +469,4 @@ func (nw *Network) installTaps() {
 	tr.TupleRecovered = func(node Location, t Tuple) {
 		emit(EventTupleRecovered, node, Event{Tuple: t})
 	}
-}
-
-// closeWatchesAt terminates every watch on a node that just died: the
-// volatile space the watch observed is gone, so the channel closes (after
-// draining queued matches) instead of dangling open until Network.Close.
-func (nw *Network) closeWatchesAt(node Location) {
-	nw.ev.mu.Lock()
-	defer nw.ev.mu.Unlock()
-	kept := nw.ev.watches[:0]
-	for _, w := range nw.ev.watches {
-		if w.loc == node {
-			w.closeWatch()
-		} else {
-			kept = append(kept, w)
-		}
-	}
-	nw.ev.watches = kept
-}
-
-// rehomeWatches follows a relocating mote: its space (tuples, observers)
-// moves with it, so watches keep delivering and must die with the node's
-// new address, not its old one.
-func (nw *Network) rehomeWatches(from, to Location) {
-	nw.ev.mu.Lock()
-	defer nw.ev.mu.Unlock()
-	for _, w := range nw.ev.watches {
-		if w.loc == from {
-			w.loc = to
-		}
-	}
-}
-
-// registerWatch atomically installs a watch on the node at loc: on an
-// open network it runs install (which registers the insert observer and
-// returns its remove func) and wires teardown into both Close and the
-// node-death tap; on a closed network it only closes the stream, without
-// installing anything. Holding the lock across install closes the race
-// where a concurrent Close would miss a just-registered observer.
-func (nw *Network) registerWatch(loc Location, install func() (remove func()), st *stream[Tuple]) {
-	nw.ev.mu.Lock()
-	defer nw.ev.mu.Unlock()
-	if nw.ev.closed {
-		st.close()
-		return
-	}
-	// The death tap must be live for the watch-closing contract even if
-	// the host never subscribed via Events.
-	nw.installTaps()
-	w := &watchReg{loc: loc, remove: install(), st: st}
-	nw.ev.watches = append(nw.ev.watches, w)
-	nw.ev.closers = append(nw.ev.closers, w.closeWatch)
 }

@@ -61,7 +61,7 @@ func TestStructSizes(t *testing.T) {
 		name      string
 		got, most uintptr
 	}{
-		{"core.Node", unsafe.Sizeof(Node{}), 696},
+		{"core.Node", unsafe.Sizeof(Node{}), 656},
 		{"core.record", unsafe.Sizeof(record{}), 144},
 		{"tuplespace.Value", unsafe.Sizeof(tuplespace.Value{}), 8},
 		{"vm.Agent", unsafe.Sizeof(vm.Agent{}), 288},

@@ -230,13 +230,15 @@ func newNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, nodeIndex 
 
 // resetRAM makes the tuple space, reaction registry and instruction memory
 // empty at their configured budgets — a mote's RAM at power-on — and
-// re-hooks the space's observers.
+// re-hooks the space. Without replication the remove hook stays nil, so
+// removals copy out no tuple.
 func (n *Node) resetRAM() {
 	n.space.Init(n.cfg.ArenaBytes)
-	n.space.OnInsert(n.onTupleInserted)
+	var onRemove func(tuplespace.Tuple)
 	if n.repl != nil {
-		n.hookReplica()
+		onRemove = n.replicaOnRemove
 	}
+	n.space.SetHooks(n.onTupleInserted, onRemove)
 	n.registry.Init(n.cfg.RegistryBytes, n.cfg.RegistryMax)
 	n.instr.Init(n.cfg.CodeBlocks)
 }
@@ -421,7 +423,8 @@ func (n *Node) noteArrival(id uint16, kind wire.MigKind, from topology.Location)
 }
 
 // onTupleInserted is the tuple space manager's insert hook: it wakes
-// blocked agents and fires matching reactions (§3.2).
+// blocked agents and fires matching reactions (§3.2), then stamps the
+// insertion for replication.
 func (n *Node) onTupleInserted(t tuplespace.Tuple) {
 	if n.trace.TupleOut != nil {
 		n.trace.TupleOut(n.loc, t)
@@ -452,6 +455,7 @@ func (n *Node) onTupleInserted(t tuplespace.Tuple) {
 			n.enqueue(rec)
 		}
 	}
+	n.replicaOnInsert(t)
 }
 
 // ReceiveFrame implements radio.Receiver. A down or booting mote's radio

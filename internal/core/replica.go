@@ -113,7 +113,7 @@ func (n *Node) EnableReplication(cfg Replication, rng *rand.Rand) {
 	cfg = cfg.withDefaults()
 	n.repl = &replicaState{cfg: cfg, rng: rng, set: replica.NewSet(cfg.MaxEntries)}
 	n.repl.tick.Init(n.sim, n.gossipTick)
-	n.hookReplica()
+	n.space.SetHooks(n.onTupleInserted, n.replicaOnRemove)
 }
 
 // ReplicaLive returns the node's live replica entries (tests and the churn
@@ -123,13 +123,6 @@ func (n *Node) ReplicaLive() []replica.Entry {
 		return nil
 	}
 	return n.repl.set.Live()
-}
-
-// hookReplica subscribes the replica tracker to the node's current tuple
-// space. Crash rebuilds the space, so it re-hooks after the rebuild.
-func (n *Node) hookReplica() {
-	n.space.OnInsert(n.replicaOnInsert)
-	n.space.OnRemove(n.replicaOnRemove)
 }
 
 // replicaMuted runs f with replica tracking suppressed — for bookkeeping
@@ -160,12 +153,13 @@ func (n *Node) replicaOnInsert(t tuplespace.Tuple) {
 	}
 }
 
-// replicaOnRemove tombstones the replica entry behind a consumed arena
-// tuple. Only entries this node originated (at its current or a former
-// address) are findable here; consuming an untracked tuple is a no-op.
+// replicaOnRemove, the space's remove hook under replication, tombstones
+// the replica entry behind a consumed arena tuple. Only entries this node
+// originated (at its current or a former address) are findable here;
+// consuming an untracked tuple is a no-op.
 func (n *Node) replicaOnRemove(t tuplespace.Tuple) {
 	r := n.repl
-	if r == nil || r.mute > 0 {
+	if r.mute > 0 {
 		return
 	}
 	o, ok := r.set.FindLocal(n.loc, t)

@@ -257,6 +257,11 @@ func (n *Node) applyMove(to topology.Location) {
 	for _, rec := range n.agents {
 		n.tracker.rehome(n.sim.Now(), to, rec.agent.ID)
 	}
+	// The move is reported before the location tuple refresh below, so a
+	// host watch that follows the mote sees the refreshed tuple.
+	if n.trace.NodeMoved != nil {
+		n.trace.NodeMoved(from, to)
+	}
 	if n.life == NodeUp {
 		// Refresh the location context tuple (§2.2); the insertion runs
 		// reactions, so agents can watch their host move. Context tuples
@@ -265,9 +270,6 @@ func (n *Node) applyMove(to topology.Location) {
 			n.space.Inp(tuplespace.Tmpl(tuplespace.Str("loc"), tuplespace.LocV(from)))
 			_ = n.space.Out(tuplespace.T(tuplespace.Str("loc"), tuplespace.LocV(to)))
 		})
-	}
-	if n.trace.NodeMoved != nil {
-		n.trace.NodeMoved(from, to)
 	}
 }
 

@@ -180,21 +180,31 @@ func (e *endpoint) Flush() {
 	}
 }
 
-// wrote accounts one attempted wire write of a sealed batch — framing
-// is what the transport wraps around the batch bytes — and recycles the
-// batch's writer. It reports whether the endpoint has closed, which is
-// when a failed write means the sender should exit rather than retry.
-func (e *endpoint) wrote(st *PeerStats, ob outBatch, framing int, err error) (closed bool) {
+// sending counts a sealed batch as sent — framing is what the transport
+// wraps around the batch bytes — before its bytes reach the wire: the
+// receiver may deliver the batch before the write returns, and Stats
+// must never lag a delivery. wrote takes a failed write back out.
+func (e *endpoint) sending(st *PeerStats, ob outBatch, framing int) {
 	e.mu.Lock()
+	st.Batches++
+	st.SentBytes += uint64(framing + len(ob.bytes))
+	e.mu.Unlock()
+}
+
+// wrote concludes a write that sending counted and recycles the batch's
+// writer. A failed write moves from the sent counts to SendErrs, its
+// frames to Dropped, and wrote reports whether the endpoint has closed,
+// which is when the sender should exit rather than retry.
+func (e *endpoint) wrote(st *PeerStats, ob outBatch, framing int, err error) (closed bool) {
 	if err != nil {
+		e.mu.Lock()
+		st.Batches--
+		st.SentBytes -= uint64(framing + len(ob.bytes))
 		st.SendErrs++
 		st.Dropped += uint64(ob.frames)
-	} else {
-		st.Batches++
-		st.SentBytes += uint64(framing + len(ob.bytes))
+		closed = !e.live
+		e.mu.Unlock()
 	}
-	closed = !e.live
-	e.mu.Unlock()
 	wire.PutBatchWriter(ob.w)
 	return closed
 }

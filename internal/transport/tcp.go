@@ -256,14 +256,15 @@ func (t *TCP) sendLoop(hp string, co *coalescer, st *PeerStats) {
 		case <-t.done:
 			return
 		case ob := <-co.out:
+			// Rate-limit reconnects: inside the backoff window the batch
+			// is dropped, the queue discipline in miniature.
+			if conn == nil && time.Since(lastDial) < tcpRedialBackoff {
+				t.count(&st.Dropped, ob.frames)
+				wire.PutBatchWriter(ob.w)
+				continue
+			}
+			t.sending(st, ob, tcpFraming)
 			if conn == nil {
-				// Rate-limit reconnects: inside the backoff window the
-				// batch is dropped, the queue discipline in miniature.
-				if time.Since(lastDial) < tcpRedialBackoff {
-					t.count(&st.Dropped, ob.frames)
-					wire.PutBatchWriter(ob.w)
-					continue
-				}
 				lastDial = time.Now()
 				c, err := t.connect(hp, w)
 				if err != nil {

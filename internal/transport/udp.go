@@ -129,6 +129,7 @@ func (u *UDP) sendLoop(raddr *net.UDPAddr, co *coalescer, st *PeerStats) {
 		case <-u.done:
 			return
 		case ob := <-co.out:
+			u.sending(st, ob, 0)
 			_, err := u.conn.WriteToUDP(ob.bytes, raddr)
 			if closed := u.wrote(st, ob, 0, err); err != nil && (closed || errors.Is(err, net.ErrClosed)) {
 				return

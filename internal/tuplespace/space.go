@@ -26,20 +26,13 @@ type Space struct {
 	budget int
 	count  int
 
-	// onInsert observers (the tuple space manager wires the reaction
-	// registry and blocked-agent wakeups here; host-side watches come
-	// and go), keyed by registration id so they can be removed.
-	onInsert []insertObserver
-	// onRemove observers fire after each successful Inp (the replication
-	// layer tracks tombstones through this hook).
-	onRemove []insertObserver
-	obsSeq   int
-}
-
-// insertObserver is one registered insert hook.
-type insertObserver struct {
-	id int
-	fn func(Tuple)
+	// onInsert runs after each successful Out and onRemove after each
+	// removal, with the removed tuple; the owning node sets both (see
+	// SetHooks). The tuple space manager wakes blocked agents and fires
+	// reactions on insertion; the replication layer tracks tombstones on
+	// removal.
+	onInsert func(Tuple)
+	onRemove func(Tuple)
 }
 
 // NewSpace creates a space with the given arena budget; budget <= 0 uses
@@ -51,52 +44,20 @@ func NewSpace(budget int) *Space {
 }
 
 // Init makes s an empty space with the given arena budget (<= 0:
-// DefaultArenaBytes) and no observers, for owners that hold a Space by
-// value; it also serves to wipe one (a crashed mote's RAM). Observer ids
-// keep counting across a wipe, so an unregister func handed out before it
-// can never remove an observer registered after.
+// DefaultArenaBytes) and no hooks, for owners that hold a Space by
+// value; it also serves to wipe one (a crashed mote's RAM).
 func (s *Space) Init(budget int) {
 	if budget <= 0 {
 		budget = DefaultArenaBytes
 	}
-	*s = Space{budget: budget, obsSeq: s.obsSeq}
+	*s = Space{budget: budget}
 }
 
-// OnInsert registers an observer called after each successful Out, in
-// registration order. The returned func unregisters it; long-lived
-// spaces with transient observers (host-side watches) must call it to
-// keep insertions from paying for dead observers. Unregistering from
-// within an observer is not supported.
-func (s *Space) OnInsert(fn func(Tuple)) (remove func()) {
-	s.obsSeq++
-	id := s.obsSeq
-	s.onInsert = append(s.onInsert, insertObserver{id: id, fn: fn})
-	return func() {
-		for i, o := range s.onInsert {
-			if o.id == id {
-				s.onInsert = append(s.onInsert[:i], s.onInsert[i+1:]...)
-				return
-			}
-		}
-	}
-}
-
-// OnRemove registers an observer called after each successful Inp with
-// the removed tuple, in registration order. The returned func
-// unregisters it. Unregistering from within an observer is not
-// supported.
-func (s *Space) OnRemove(fn func(Tuple)) (remove func()) {
-	s.obsSeq++
-	id := s.obsSeq
-	s.onRemove = append(s.onRemove, insertObserver{id: id, fn: fn})
-	return func() {
-		for i, o := range s.onRemove {
-			if o.id == id {
-				s.onRemove = append(s.onRemove[:i], s.onRemove[i+1:]...)
-				return
-			}
-		}
-	}
+// SetHooks sets the space's one insert hook and one remove hook; either
+// may be nil. A nil remove hook lets Drop skip copying out the tuple it
+// removes.
+func (s *Space) SetHooks(onInsert, onRemove func(Tuple)) {
+	s.onInsert, s.onRemove = onInsert, onRemove
 }
 
 // UsedBytes returns the number of arena bytes holding live tuples.
@@ -121,8 +82,8 @@ func (s *Space) Out(t Tuple) error {
 	}
 	s.arena = t.Marshal(s.arena)
 	s.count++
-	for _, o := range s.onInsert {
-		o.fn(t)
+	if s.onInsert != nil {
+		s.onInsert(t)
 	}
 	return nil
 }
@@ -150,14 +111,14 @@ func (s *Space) Inp(p Template) (Tuple, bool) {
 
 // Drop removes the first tuple matching the template, as Inp does, for
 // callers that do not want it back: the tuple is copied out only when a
-// remove observer needs it.
+// remove hook needs it.
 func (s *Space) Drop(p Template) bool {
 	off, sz, ok := s.find(p, 0)
 	if !ok {
 		return false
 	}
 	var t Tuple
-	if len(s.onRemove) > 0 {
+	if s.onRemove != nil {
 		t = s.at(off)
 	}
 	s.cut(off, sz, t)
@@ -227,11 +188,11 @@ func (s *Space) at(off int) Tuple {
 }
 
 // cut removes the size bytes at off that encode t, shifting all following
-// tuples forward (§3.2), and tells the remove observers.
+// tuples forward (§3.2), and tells the remove hook.
 func (s *Space) cut(off, size int, t Tuple) {
 	s.arena = append(s.arena[:off], s.arena[off+size:]...)
 	s.count--
-	for _, o := range s.onRemove {
-		o.fn(t)
+	if s.onRemove != nil {
+		s.onRemove(t)
 	}
 }

@@ -232,31 +232,28 @@ func TestRemoveAll(t *testing.T) {
 
 func TestOnInsertObserver(t *testing.T) {
 	s := NewSpace(0)
-	var seen []Tuple
-	s.OnInsert(func(t Tuple) { seen = append(seen, t) })
+	var seen, gone []Tuple
+	s.SetHooks(func(t Tuple) { seen = append(seen, t) }, func(t Tuple) { gone = append(gone, t) })
 	if err := s.Out(fireTuple()); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 1 || !seen[0].Equal(fireTuple()) {
-		t.Fatalf("observer saw %v", seen)
+		t.Fatalf("insert hook saw %v", seen)
 	}
-}
-
-func TestOnInsertObserverRemoval(t *testing.T) {
-	s := NewSpace(0)
-	var first, second int
-	removeFirst := s.OnInsert(func(Tuple) { first++ })
-	s.OnInsert(func(Tuple) { second++ })
+	// Drop hands the remove hook the tuple it removed, as Inp does.
+	if !s.Drop(Tmpl(Str("fir"), TypeV(TypeLocation))) {
+		t.Fatal("Drop missed the stored tuple")
+	}
+	if len(gone) != 1 || !gone[0].Equal(fireTuple()) {
+		t.Fatalf("remove hook saw %v", gone)
+	}
+	// A wipe clears both hooks.
+	s.Init(0)
 	if err := s.Out(fireTuple()); err != nil {
 		t.Fatal(err)
 	}
-	removeFirst()
-	removeFirst() // removing twice is a harmless no-op
-	if err := s.Out(fireTuple()); err != nil {
-		t.Fatal(err)
-	}
-	if first != 1 || second != 2 {
-		t.Fatalf("first=%d second=%d, want 1 and 2 (removed observer must not fire)", first, second)
+	if len(seen) != 1 {
+		t.Fatalf("insert hook fired after Init: %v", seen)
 	}
 }
 

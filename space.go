@@ -79,12 +79,14 @@ func (sp Space) All() []Tuple {
 }
 
 // Watch subscribes to insertions matching the template: the host-side
-// analogue of an agent's regrxn, layered on the same tuple-space-manager
-// insert hook that fires reactions (§3.2). Every tuple inserted after
-// the call whose fields match p is delivered to the returned channel in
-// insertion order. Like reactions — and unlike in/rd — Watch observes
-// insertions only; tuples already in the space are not replayed (probe
-// with Rdp/All first for a snapshot-then-watch idiom).
+// analogue of an agent's regrxn (§3.2). It filters the event stream that
+// Network.Events reads, keeping the EventTupleOut records of this node
+// whose tuple matches p, so it sees every insertion whatever made it.
+// Every tuple inserted after the call whose fields match p is delivered
+// to the returned channel in insertion order. Like reactions — and unlike
+// in/rd — Watch observes insertions only; tuples already in the space
+// are not replayed (probe with Rdp/All first for a snapshot-then-watch
+// idiom).
 //
 // Delivery never blocks or perturbs the simulation: matches queue
 // without bound until read. The channel closes after Network.Close, once
@@ -96,22 +98,25 @@ func (sp Space) All() []Tuple {
 // the watch terminates — already-queued tuples remain readable, then the
 // channel closes, so ranging over a watch ends at whichever comes first
 // of node death and Network.Close. Re-Watch after a revival to observe
-// the new space. A watch follows its node through relocations.
+// the new space. A watch follows its node through relocations: an
+// EventNodeMoved from the watched address moves the watch with it.
 func (sp Space) Watch(p Template) <-chan Tuple {
 	st := newStream[Tuple]()
-	n := sp.nw.d.Node(sp.loc)
-	if n == nil {
+	if sp.nw.d.Node(sp.loc) == nil {
 		st.close()
 		return st.out
 	}
-	// Closing unregisters the matcher too, so a finished watch costs the
-	// node's insert path nothing.
-	sp.nw.registerWatch(sp.loc, func() func() {
-		return n.Space().OnInsert(func(t Tuple) {
-			if p.Matches(t) {
-				st.push(t)
-			}
-		})
-	}, st)
+	loc := sp.loc // follows moves; only send touches it, under nw.ev.mu
+	sp.nw.subscribe(subscription{end: st.close, send: func(e Event) bool {
+		switch {
+		case e.Kind == EventTupleOut && e.Node == loc && p.Matches(e.Tuple):
+			st.push(e.Tuple)
+		case e.Kind == EventNodeMoved && e.Peer == loc:
+			loc = e.Node
+		case e.Kind == EventNodeDied && e.Node == loc:
+			return false
+		}
+		return true
+	}})
 	return st.out
 }
