@@ -86,6 +86,7 @@ type Deployment struct {
 	Trace  *Trace
 
 	nodes   map[topology.Location]*Node
+	order   []*Node // the base station, then the motes in dispatch order: the order they were built
 	layout  topology.Layout
 	spec    DeploymentSpec
 	workers int
@@ -184,6 +185,7 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 		Medium:  medium,
 		Trace:   trace,
 		nodes:   make(map[topology.Location]*Node, len(spec.Layout.Nodes)+1),
+		order:   make([]*Node, 0, len(spec.Layout.Nodes)+1),
 		layout:  spec.Layout,
 		spec:    spec,
 		workers: workers,
@@ -196,7 +198,7 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 	nodeCfg := spec.Node.withDefaults()
 	envs := make([]*shardEnv, s.Shards())
 	for i := range envs {
-		envs[i] = &shardEnv{cfg: nodeCfg, trace: trace, tracker: d.tracker, net: network.Shard{Config: nodeCfg.Network}}
+		envs[i] = &shardEnv{cfg: nodeCfg, trace: trace, tracker: d.tracker, net: network.Shard{Config: nodeCfg.Network, Medium: medium}}
 	}
 	baseEnv := *envs[0]
 	baseEnv.cfg.MaxAgents = 64
@@ -205,12 +207,13 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 	baseEnv.cfg.RegistryBytes = 8 * 1024
 	baseEnv.cfg.RegistryMax = 128
 
-	base, err := newNode(s.Context(sim.Key2D(baseLoc.X, baseLoc.Y)), medium, baseLoc, 0, nil, &baseEnv)
+	base, err := newNode(s.Context(sim.Key2D(baseLoc.X, baseLoc.Y)), baseLoc, 0, nil, &baseEnv)
 	if err != nil {
 		return nil, fmt.Errorf("core: base station: %w", err)
 	}
 	d.Base = base
 	d.nodes[baseLoc] = base
+	d.order = append(d.order, base)
 
 	// Motes are built in the order each shard dispatches them, ascending
 	// context key, so consecutive allocations of every per-mote type (the
@@ -221,7 +224,7 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 		loc := spec.Layout.Nodes[i]
 		board := sensor.NewBoard(loc, spec.Field, sensor.DefaultSensors()...)
 		ctx := s.Context(sim.Key2D(loc.X, loc.Y))
-		n, err := newNode(ctx, medium, loc, uint8(i+1), board, envs[ctx.Shard()])
+		n, err := newNode(ctx, loc, uint8(i+1), board, envs[ctx.Shard()])
 		if err != nil {
 			return nil, fmt.Errorf("core: node %v: %w", loc, err)
 		}
@@ -236,6 +239,7 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 				sim.Stream(spec.Seed, saltReplica, uint64(sim.Key2D(loc.X, loc.Y))))
 		}
 		d.nodes[loc] = n
+		d.order = append(d.order, n)
 	}
 	return d, nil
 }
@@ -293,11 +297,64 @@ func (d *Deployment) Locations() []topology.Location {
 }
 
 // Start begins beaconing on every node. Each node's beacon offset draws
-// from its own per-node stream, so the order is immaterial; location order
-// is kept for tidiness.
+// from its own per-node stream, so the order is immaterial; the nodes are
+// walked in the order they were built. A Start before any event has run
+// first re-homes the agents created so far (see rehomeAgents).
 func (d *Deployment) Start() {
-	for _, n := range d.Nodes() {
+	if d.Sim.Executed() == 0 {
+		d.rehomeAgents()
+	}
+	for _, n := range d.order {
 		n.Start()
+	}
+}
+
+// rehomeAgents moves the agents created before the simulation first runs
+// into per-shard slabs — one of records, one of vm.Agents, one of code
+// bytes — filled in the order the nodes were built, which on every shard
+// is the order a same-instant wake cluster pops. Consecutive wake-ups
+// then touch consecutive records, agents and code, in whatever order the
+// caller created the agents. Before the first event a created agent
+// (AgentReady) is held only by its node's agent list and run ring, which
+// are re-pointed, and has never bound its wake timer; an injected one is
+// also held by its transfer (AgentMigrating) and stays where it is.
+func (d *Deployment) rehomeAgents() {
+	movable := func(rec *record) bool { return rec.state == AgentReady && !rec.wake.Bound() }
+	agents, code := make([]int, d.Sim.Shards()), make([]int, d.Sim.Shards())
+	for _, n := range d.order {
+		for _, rec := range n.agents {
+			if movable(rec) {
+				agents[n.sim.Shard()]++
+				code[n.sim.Shard()] += len(rec.agent.Code)
+			}
+		}
+	}
+	type slab struct {
+		recs   []record
+		agents []vm.Agent
+		code   []byte
+	}
+	slabs := make([]slab, len(agents))
+	for i := range slabs {
+		slabs[i] = slab{make([]record, 0, agents[i]), make([]vm.Agent, 0, agents[i]), make([]byte, 0, code[i])}
+	}
+	for _, n := range d.order {
+		s := &slabs[n.sim.Shard()]
+		for i, old := range n.agents {
+			if !movable(old) {
+				continue
+			}
+			s.agents = append(s.agents, *old.agent)
+			a := &s.agents[len(s.agents)-1]
+			at := len(s.code)
+			s.code = append(s.code, a.Code...)
+			a.Code = s.code[at:len(s.code):len(s.code)] // full: a later append copies out
+			s.recs = append(s.recs, *old)
+			rec := &s.recs[len(s.recs)-1]
+			rec.agent = a
+			n.agents[i] = rec
+			n.runq.Replace(old, rec)
+		}
 	}
 }
 

@@ -193,10 +193,10 @@ type shardEnv struct {
 
 	// tx is the scratch every frame the shard's motes send is encoded
 	// into: acks, envelopes, remote requests and replies, digests and
-	// deltas. net holds the network stacks' configuration and their own
-	// scratch, kept apart so that an envelope is never encoded into the
-	// buffer holding its body. The medium copies a payload before Send
-	// returns, so each is free again once the send call is.
+	// deltas. net holds the network stacks' configuration, the medium and
+	// their own scratch, kept apart so that an envelope is never encoded
+	// into the buffer holding its body. The medium copies a payload before
+	// a send returns, so each is free again once the send call is.
 	tx  []byte
 	net network.Shard
 }
@@ -207,7 +207,7 @@ type shardEnv struct {
 // context must be the one keyed to loc (sim.Key2D), the same context the
 // medium registers on Attach, so the node's timers and the radio's
 // deliveries share one ordering identity.
-func newNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, nodeIndex uint8, board *sensor.Board, env *shardEnv) (*Node, error) {
+func newNode(s *sim.Ctx, loc topology.Location, nodeIndex uint8, board *sensor.Board, env *shardEnv) (*Node, error) {
 	n := &Node{
 		shardEnv:  env,
 		sim:       s,
@@ -217,13 +217,13 @@ func newNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, nodeIndex 
 	}
 	n.resetRAM()
 	n.stepFn = n.engineStep
-	n.net.Init(s, medium, loc, &env.net)
+	if err := env.net.Medium.Attach(loc, n); err != nil {
+		return nil, err
+	}
+	n.net.Init(s, loc, &env.net)
 	n.net.NumAgents = func() int { return len(n.agents) }
 	n.net.DeliverDirect = n.handleDirect
 	n.net.DeliverRouted = n.handleRouted
-	if err := medium.Attach(loc, n); err != nil {
-		return nil, err
-	}
 	n.seedContextTuples()
 	return n, nil
 }
@@ -328,7 +328,9 @@ func (n *Node) AgentInfo(id uint16) (AgentState, bool) {
 
 // Agent returns the VM state of a hosted agent (tests and the CLI inspect
 // through this). The pointer is the agent's while it is hosted here: the
-// agent of a relayed transfer is recycled once it has left.
+// agent of a relayed transfer is recycled once it has left, and an agent
+// created before the deployment first starts moves into its shard's slab
+// at that Start (Deployment.rehomeAgents), so ask again after it.
 func (n *Node) Agent(id uint16) (*vm.Agent, bool) {
 	rec := n.hosted(id)
 	if rec == nil {

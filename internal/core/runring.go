@@ -61,6 +61,15 @@ func (r *runRing) Tail() *record {
 	return r.buf[r.slot(r.n-1)]
 }
 
+// Replace re-points the slot holding old at rec (a re-homed agent).
+func (r *runRing) Replace(old, rec *record) {
+	for i := int32(0); i < r.n; i++ {
+		if s := r.slot(i); r.buf[s] == old {
+			r.buf[s] = rec
+		}
+	}
+}
+
 // Clear empties the ring and releases every held record (node crash).
 func (r *runRing) Clear() {
 	for i := int32(0); i < r.n; i++ {

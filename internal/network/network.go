@@ -145,13 +145,14 @@ type Stats struct {
 }
 
 // Shard is what the stacks of one executor shard share: their
-// configuration, and the scratch every beacon and every originated or
-// relayed envelope is encoded into. Events of one shard never overlap and
-// the medium copies a payload before Send returns, so one buffer serves
-// every stack of the shard; stacks on different shards must not share a
-// Shard.
+// configuration, the medium they send on, and the scratch every beacon
+// and every originated or relayed envelope is encoded into. Events of one
+// shard never overlap and the medium copies a payload before a send
+// returns, so one buffer serves every stack of the shard; stacks on
+// different shards must not share a Shard.
 type Shard struct {
 	Config // defaults applied; never written once a stack uses it
+	Medium *radio.Medium
 	tx     []byte
 }
 
@@ -163,7 +164,7 @@ type Shard struct {
 // concurrent use (the simulation is single-threaded).
 type Stack struct {
 	sim     *sim.Ctx
-	medium  *radio.Medium
+	port    *radio.Port // the node's attachment, which every frame it sends goes out through
 	self    topology.Location
 	started bool // (beside self: the two flags fill its padding)
 	stopped bool
@@ -195,15 +196,17 @@ type Stack struct {
 // randomized beacon offset draws from its stream.
 func NewStack(s *sim.Ctx, medium *radio.Medium, self topology.Location, cfg Config) *Stack {
 	st := new(Stack)
-	st.Init(s, medium, self, &Shard{Config: cfg.WithDefaults()})
+	st.Init(s, self, &Shard{Config: cfg.WithDefaults(), Medium: medium})
 	return st
 }
 
 // Init is NewStack for a Stack its owner holds by value, on the executor
 // shard sh serves. sh's Config must already have its defaults applied
-// (Config.WithDefaults) and must not change afterwards.
-func (st *Stack) Init(s *sim.Ctx, medium *radio.Medium, self topology.Location, sh *Shard) {
-	*st = Stack{sim: s, medium: medium, self: self, shard: sh, acq: AcquaintanceList{expireAfter: sh.ExpireAfter}}
+// (Config.WithDefaults) and must not change afterwards. The stack takes
+// the medium's port at self, which the node's receiver is attached to
+// before or after.
+func (st *Stack) Init(s *sim.Ctx, self topology.Location, sh *Shard) {
+	*st = Stack{sim: s, port: sh.Medium.Port(self), self: self, shard: sh, acq: AcquaintanceList{expireAfter: sh.ExpireAfter}}
 	st.beacon.Init(s, st.beaconTick)
 }
 
@@ -262,7 +265,7 @@ func (st *Stack) transmit(f radio.Frame) bool {
 			return false
 		}
 	}
-	st.medium.Send(f)
+	st.shard.Medium.SendFrom(st.port, f)
 	return true
 }
 

@@ -190,12 +190,19 @@ type Stats struct {
 	Links     uint64 // directed links with live channel state
 }
 
-// attachment is one location's registration: its receiver (nil after
-// Detach — the context outlives the node so in-flight traffic keyed by it
-// stays deterministic) and its scheduling context.
-type attachment struct {
+// Port is one location's attachment to the medium: its receiver (nil
+// until Attach and after Detach — the context outlives the node so
+// in-flight traffic keyed by it stays deterministic), its scheduling
+// context, and the fan-out record of its current location. A node holds its port and sends through
+// it (SendFrom), so a send finds its context and its fan-out without
+// hashing its location. Move carries the port to the new location and
+// bumps the medium version; the next send through the port then resolves
+// the record of the new location afresh, so link state stays keyed by
+// coordinates exactly as for a send through Medium.Send.
+type Port struct {
 	r   Receiver
 	ctx *sim.Ctx
+	fo  *fanout // the record sends from the port's location last used; nil before the first
 }
 
 // link is one directed link out of a fan-out's source: who is at the far
@@ -213,9 +220,9 @@ type link struct {
 	// used: the link has carried a frame on a randomized medium, so rng is
 	// seeded and the link counts in Stats.Links.
 	used bool
-	bad  bool        // Gilbert–Elliott state
-	a    *attachment // the attachment at to as of the epoch; nil when there is none
-	rng  sim.Rand    // seeded at first use from the root seed and the endpoint coordinates alone
+	bad  bool     // Gilbert–Elliott state
+	a    *Port    // the port attached at to as of the epoch; nil when there is none
+	rng  sim.Rand // seeded at first use from the root seed and the endpoint coordinates alone
 }
 
 // fanout is everything the medium keeps about sends from one source
@@ -333,7 +340,7 @@ type Medium struct {
 	topo   topology.Topology
 	params Params
 	random bool
-	att    map[topology.Location]*attachment
+	att    map[topology.Location]*Port
 	sh     []mediumShard
 	// version counts topology mutations (attaches, moves). It is written
 	// only while no event is executing — at construction, between runs,
@@ -361,7 +368,7 @@ func NewMedium(ex *sim.Parallel, topo topology.Topology, params Params) *Medium 
 		topo:   topo,
 		params: params,
 		random: params.randomized(),
-		att:    make(map[topology.Location]*attachment),
+		att:    make(map[topology.Location]*Port),
 		sh:     make([]mediumShard, ex.Shards()),
 	}
 	for i := range m.sh {
@@ -388,19 +395,30 @@ func (m *Medium) Stats() Stats {
 // Attach registers a receiver at the given location. Attaching twice at the
 // same location is a configuration bug and returns an error.
 func (m *Medium) Attach(loc topology.Location, r Receiver) error {
-	if a, ok := m.att[loc]; ok {
-		if a.r != nil {
-			return fmt.Errorf("radio: node already attached at %v", loc)
-		}
-		a.r = r // reattach at a previously vacated location
-		return nil
+	a := m.Port(loc)
+	if a.r != nil {
+		return fmt.Errorf("radio: node already attached at %v", loc)
 	}
-	m.att[loc] = &attachment{r: r, ctx: m.ex.Context(sim.Key2D(loc.X, loc.Y))}
+	a.r = r // a new port, or a reattach at a previously vacated location
+	return nil
+}
+
+// Port returns the port at loc: the one a receiver attached there holds,
+// or, when nobody has attached there yet, a new one with no receiver that
+// a later Attach at loc fills. A node's network stack takes its port here
+// once, and sends through it from then on.
+func (m *Medium) Port(loc topology.Location) *Port {
+	if a, ok := m.att[loc]; ok {
+		return a
+	}
+	a := &Port{ctx: m.ex.Context(sim.Key2D(loc.X, loc.Y))}
+	m.att[loc] = a
 	// A brand-new location invalidates every fan-out that should now
 	// include it; bumping the version makes each source re-resolve its own
-	// lazily.
+	// lazily. Delivery skips a port with no receiver, so one that is
+	// filled later needs no second bump.
 	m.version++
-	return nil
+	return a
 }
 
 // Detach removes the receiver at loc (a dead mote). Fan-outs stay valid:
@@ -411,8 +429,8 @@ func (m *Medium) Detach(loc topology.Location) {
 	}
 }
 
-// Move rekeys the attachment at from to to: the mote carried its radio to
-// a new coordinate while staying on the air. The attachment keeps its
+// Move rekeys the port at from to to: the mote carried its radio to a new
+// coordinate while staying on the air. The port keeps its
 // scheduling context (the node's ordering identity is its birth location),
 // the medium's topology is rekeyed when it is Movable (explicit link
 // sets; geometric topologies re-derive connectivity from the new
@@ -514,12 +532,37 @@ func (m *Medium) fanoutOf(src topology.Location, sh *mediumShard) *fanout {
 // returns, so the sender may reuse its buffer as soon as Send returns;
 // Trace and Drop see the sender's bytes, during Send. A receiver gets the
 // delivery's copy under the rule on Receiver.
+//
+// Send finds the source's context and fan-out by its location, which
+// suits frames from senders that hold no port (test harnesses); an
+// attached node sends through SendFrom.
 func (m *Medium) Send(f Frame) {
 	src := m.ctxOf(f.Src)
 	sh := &m.sh[src.Shard()]
+	m.send(f, src, sh, m.fanoutOf(f.Src, sh))
+}
+
+// SendFrom is Send for a frame from the node that holds p, whose Src must
+// be the port's current location: the port's context and cached fan-out
+// stand in for the two location lookups, and the frame's outcome —
+// deliveries, link random draws, Stats — is the one Send gives.
+func (m *Medium) SendFrom(p *Port, f Frame) {
+	sh := &m.sh[p.ctx.Shard()]
+	fo := p.fo
+	if fo == nil || fo.epoch != m.version {
+		// The first send, or the topology changed since the last one —
+		// perhaps by moving this port: resolve the record of where it is.
+		fo = m.fanoutOf(f.Src, sh)
+		p.fo = fo
+	}
+	m.send(f, p.ctx, sh, fo)
+}
+
+// send is the body of Send and SendFrom: fo is src's up-to-date fan-out
+// record and sh its shard's arena.
+func (m *Medium) send(f Frame, src *sim.Ctx, sh *mediumShard, fo *fanout) {
 	sh.stats.Sent++
 	sh.stats.Bytes += uint64(len(f.Payload))
-	fo := m.fanoutOf(f.Src, sh)
 	if f.IsBroadcast() {
 		// Deliver in sorted location order: map iteration order would
 		// leak nondeterminism into the loss sampling and event sequence.
@@ -536,7 +579,7 @@ func (m *Medium) Send(f Frame) {
 	// record has not met (no such neighbour, or connectivity that grew
 	// without a version bump) falls back to the attachment table.
 	l := fo.find(f.Dst)
-	var a *attachment
+	var a *Port
 	if l != nil {
 		a = l.a
 	} else {

@@ -2,6 +2,7 @@ package radio
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -462,6 +463,87 @@ func TestLinkStateOutlivesFanoutRebuild(t *testing.T) {
 		if after := md.Stats().Links; after < before {
 			t.Fatalf("%s: Links fell from %d to %d", name, before, after)
 		}
+	}
+}
+
+// TestPortSendMatchesSend: frames sent through the senders' ports give
+// exactly what the same frames sent through Medium.Send give — the
+// deliveries with their times, every link's loss and jitter draws, and
+// Stats — also after the sender moves to a vacated location with link
+// history of its own and back, where the port's cached fan-out must
+// follow it.
+func TestPortSendMatchesSend(t *testing.T) {
+	p := Lossy()
+	p.LossGood, p.PGoodBad, p.PBadGood = 0.3, 0.2, 0.3 // a busy chain: every draw matters
+	type heard struct {
+		at       time.Duration
+		to, from topology.Location
+		tag      byte
+	}
+	type outcome struct {
+		to        topology.Location
+		delivered bool
+	}
+	run := func(viaPort bool) ([]heard, []outcome, Stats) {
+		s := sim.New(1)
+		m := NewMedium(s, topology.Grid{}, p)
+		var log []heard
+		var outs []outcome
+		m.Trace = func(_ Frame, to topology.Location, delivered bool) { outs = append(outs, outcome{to, delivered}) }
+		for _, loc := range topology.GridLocations(3, 3) {
+			if err := m.Attach(loc, receiverFunc(func(f Frame) {
+				log = append(log, heard{s.Now(), loc, f.Src, f.Payload[0]})
+			})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mover, vacated := topology.Loc(2, 2), topology.Loc(3, 2)
+		port := m.Port(mover)
+		tag := byte(0)
+		send := func(from topology.Location, via *Port, frames int) {
+			for i := 0; i < frames; i++ {
+				tag++
+				f := Frame{Src: from, Dst: Broadcast, Kind: KindBeacon, Payload: []byte{tag}}
+				if i%3 == 1 {
+					f.Dst, f.Kind = topology.Loc(from.X, from.Y-1), KindRemoteTS
+				}
+				if viaPort {
+					m.SendFrom(via, f)
+				} else {
+					m.Send(f)
+				}
+			}
+			if err := s.Run(s.Now() + time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
+		move := func(from, to topology.Location) {
+			if err := m.Move(from, to); err != nil {
+				t.Fatal(err)
+			}
+		}
+		send(vacated, m.Port(vacated), 30) // the location the mover takes gets link history
+		send(mover, port, 60)
+		move(vacated, topology.Loc(9, 9))
+		move(mover, vacated)
+		send(vacated, port, 60)
+		move(vacated, mover)
+		send(mover, port, 60)
+		return log, outs, m.Stats()
+	}
+	wantLog, wantOuts, wantStats := run(false)
+	gotLog, gotOuts, gotStats := run(true)
+	if len(wantLog) == 0 || len(wantOuts) == len(wantLog) || wantStats.Dropped == 0 {
+		t.Fatalf("the reference run exercised too little: %d heard, %d offered, %+v", len(wantLog), len(wantOuts), wantStats)
+	}
+	if !slices.Equal(gotOuts, wantOuts) {
+		t.Fatal("loss decisions through the port differ from Medium.Send's")
+	}
+	if !slices.Equal(gotLog, wantLog) {
+		t.Fatal("deliveries through the port differ from Medium.Send's")
+	}
+	if gotStats != wantStats {
+		t.Fatalf("Stats through the port %+v, through Medium.Send %+v", gotStats, wantStats)
 	}
 }
 
