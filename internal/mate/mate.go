@@ -91,6 +91,7 @@ func (c Config) withDefaults() Config {
 type Node struct {
 	sim     *sim.Ctx // the mote's own context, the one its frames arrive on
 	medium  *radio.Medium
+	port    *radio.Port // the mote's attachment, which its frames go out through
 	loc     topology.Location
 	cfg     Config
 	board   *sensor.Board
@@ -118,6 +119,7 @@ func NewNode(s *sim.Ctx, medium *radio.Medium, loc topology.Location, board *sen
 	if err := medium.Attach(loc, n); err != nil {
 		return nil, err
 	}
+	n.port = medium.Port(loc)
 	n.adv.Init(s, n.advertiseTick)
 	n.clock.Init(s, n.clockTick)
 	return n, nil
@@ -171,7 +173,7 @@ func (n *Node) Install(c Capsule) error {
 }
 
 func (n *Node) advertiseTick() {
-	n.medium.Send(radio.Frame{
+	n.medium.SendFrom(n.port, radio.Frame{
 		Src: n.loc, Dst: radio.Broadcast, Kind: kindSummary,
 		Payload: n.encodeSummary(),
 	})
@@ -223,7 +225,7 @@ func (n *Node) broadcastCapsule(typ uint8) {
 	b[2] = byte(c.Version)
 	b[3] = byte(len(c.Code))
 	b = append(b, c.Code...)
-	n.medium.Send(radio.Frame{Src: n.loc, Dst: radio.Broadcast, Kind: kindCapsule, Payload: b})
+	n.medium.SendFrom(n.port, radio.Frame{Src: n.loc, Dst: radio.Broadcast, Kind: kindCapsule, Payload: b})
 }
 
 func (n *Node) onCapsule(p []byte) {

@@ -193,12 +193,12 @@ type Stats struct {
 // Port is one location's attachment to the medium: its receiver (nil
 // until Attach and after Detach — the context outlives the node so
 // in-flight traffic keyed by it stays deterministic), its scheduling
-// context, and the fan-out record of its current location. A node holds its port and sends through
-// it (SendFrom), so a send finds its context and its fan-out without
-// hashing its location. Move carries the port to the new location and
-// bumps the medium version; the next send through the port then resolves
-// the record of the new location afresh, so link state stays keyed by
-// coordinates exactly as for a send through Medium.Send.
+// context, and the fan-out record of its current location. A node holds
+// its port and sends through it (SendFrom), so a send finds its context
+// and its fan-out without hashing its location. Move carries the port to
+// the new location and drops its cached record; the next send through
+// the port then resolves the record of the new location, so link state
+// stays keyed by coordinates exactly as for a send through Medium.Send.
 type Port struct {
 	r   Receiver
 	ctx *sim.Ctx
@@ -453,6 +453,9 @@ func (m *Medium) Move(from, to topology.Location) error {
 	}
 	delete(m.att, from)
 	m.att[to] = a
+	// The port's cached record is from's, which a send from there — by a
+	// port moved in later — can bring up to the new version: drop it.
+	a.fo = nil
 	if mv, ok := m.topo.(topology.Movable); ok {
 		mv.Rekey(from, to)
 	}
@@ -550,8 +553,9 @@ func (m *Medium) SendFrom(p *Port, f Frame) {
 	sh := &m.sh[p.ctx.Shard()]
 	fo := p.fo
 	if fo == nil || fo.epoch != m.version {
-		// The first send, or the topology changed since the last one —
-		// perhaps by moving this port: resolve the record of where it is.
+		// The first send since the port was taken or moved, or the
+		// topology changed since the last one: resolve the record of where
+		// it is.
 		fo = m.fanoutOf(f.Src, sh)
 		p.fo = fo
 	}

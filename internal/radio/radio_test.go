@@ -471,7 +471,9 @@ func TestLinkStateOutlivesFanoutRebuild(t *testing.T) {
 // deliveries with their times, every link's loss and jitter draws, and
 // Stats — also after the sender moves to a vacated location with link
 // history of its own and back, where the port's cached fan-out must
-// follow it.
+// follow it. While the mover is away, a second port moves into the
+// location it left and sends first, bringing that location's record up to
+// date: the mover's cached copy of it must not pass for its own.
 func TestPortSendMatchesSend(t *testing.T) {
 	p := Lossy()
 	p.LossGood, p.PGoodBad, p.PBadGood = 0.3, 0.2, 0.3 // a busy chain: every draw matters
@@ -497,7 +499,7 @@ func TestPortSendMatchesSend(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		mover, vacated := topology.Loc(2, 2), topology.Loc(3, 2)
+		mover, vacated, other := topology.Loc(2, 2), topology.Loc(3, 2), topology.Loc(1, 2)
 		port := m.Port(mover)
 		tag := byte(0)
 		send := func(from topology.Location, via *Port, frames int) {
@@ -526,7 +528,10 @@ func TestPortSendMatchesSend(t *testing.T) {
 		send(mover, port, 60)
 		move(vacated, topology.Loc(9, 9))
 		move(mover, vacated)
+		move(other, mover)
+		send(mover, m.Port(mover), 30) // the other port, sending from where the mover was
 		send(vacated, port, 60)
+		move(mover, other)
 		move(vacated, mover)
 		send(mover, port, 60)
 		return log, outs, m.Stats()

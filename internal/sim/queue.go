@@ -86,11 +86,10 @@ func bucketOf(at time.Duration) int64 { return int64(at) >> bucketShift }
 // once is far cheaper than sifting each of its entries through a heap
 // that does not fit the caches.
 type eventQueue struct {
-	heap   quadHeap // the whole queue until it spills, then the side tier
-	run    []entry  // the current bucket, sorted; run[pos:] is still queued
-	pos    int
-	cal    *calendar // nil until the queue spills
-	strays []entry   // sortRun's scratch: a bucket's entries outside its longest ordered stretch
+	heap quadHeap // the whole queue until it spills, then the side tier
+	run  []entry  // the current bucket, sorted; run[pos:] is still queued
+	pos  int
+	cal  *calendar // nil until the queue spills
 }
 
 // calendar holds the entries after the current bucket: those within
@@ -219,51 +218,12 @@ func (q *eventQueue) advance() bool {
 }
 
 // sortRun puts a promoted bucket in (at, src, seq) order. A bucket is
-// appended to in push order, so one holding a same-instant cluster, pushed
-// in key order as its predecessor fired, arrives almost sorted: one long
-// ascending stretch with a few hundred strays around and inside it. When
-// the longest ascending stretch holds at least half the bucket, only the
-// strays are sorted, and merged into the stretch in place (McIlroy,
-// "Optimistic Sorting and Information Theoretic Complexity", SODA 1993);
-// a bucket with no dominant stretch is sorted whole.
+// appended to in push order, so one that holds a single same-instant
+// cluster, pushed in key order as its predecessor fired, needs no sort.
 func (q *eventQueue) sortRun() {
-	run := q.run
-	n := len(run)
-	start, long := 0, 0 // the longest ascending stretch, run[start:start+long]
-	for s, i := 0, 1; i <= n; i++ {
-		if i == n || run[i].before(&run[i-1]) {
-			if i-s > long {
-				start, long = s, i-s
-			}
-			s = i
-		}
+	if !slices.IsSortedFunc(q.run, cmpEntry) {
+		slices.SortFunc(q.run, cmpEntry)
 	}
-	switch {
-	case long == n:
-		return
-	case 2*long < n:
-		slices.SortFunc(run, cmpEntry)
-		return
-	}
-	strays := append(append(q.strays[:0], run[:start]...), run[start+long:]...)
-	slices.SortFunc(strays, cmpEntry)
-	// Slide the stretch to the tail and merge forward from the front. The
-	// write index w stays at or behind the stretch's read index r: w is r's
-	// progress through the stretch plus the strays written, and there are
-	// exactly tail strays.
-	tail := n - long
-	copy(run[tail:], run[start:start+long])
-	w, r := 0, tail
-	for i := range strays {
-		for r < n && run[r].before(&strays[i]) {
-			run[w] = run[r]
-			w, r = w+1, r+1
-		}
-		run[w] = strays[i]
-		w++
-	}
-	clear(strays) // no dangling events for the GC
-	q.strays = strays[:0]
 }
 
 // add appends e, due in bucket b (after the current one), to its ring

@@ -15,9 +15,9 @@ import (
 // An odd first byte queues spillAt+1 filler events first, so the script
 // runs against a spilled queue: the side heap, the sorted run, the ring's
 // buckets and the overflow heap. The fillers are spread over three ring
-// spans, or, when the first byte's second bit is set too, packed one
+// spans, except for a first byte of exactly 3: then they are packed one
 // microsecond apart into the second bucket, which the script's events
-// landing there turn into one large mostly ordered bucket to merge.
+// landing there turn into one large mostly ordered bucket.
 func FuzzQueueOrder(f *testing.F) {
 	f.Add([]byte{0, 0, 3, 1, 10, 2, 4, 20})
 	f.Add([]byte{1, 0, 7, 21, 6, 1, 2, 22, 5, 4, 4, 3, 15, 4, 31})
@@ -32,7 +32,7 @@ func FuzzQueueOrder(f *testing.F) {
 		if data[0]&1 == 1 {
 			const bucket time.Duration = 1 << bucketShift
 			for i := 0; i <= spillAt; i++ {
-				if data[0]&2 == 2 {
+				if data[0] == 3 {
 					q.schedule(q.filler, bucket+time.Duration(i)*time.Microsecond)
 				} else {
 					q.schedule(q.filler, time.Duration(i)*3*calReach/spillAt)
@@ -220,51 +220,19 @@ func (q *queueRig) run(t *testing.T, until time.Duration) {
 // TestSortRunOrders holds the bucket sort to the standard library's, and
 // to the order the side heap compares by, on the shapes a bucket takes:
 // sorted (no sort), a same-instant cluster with strays scattered through
-// it, reversed and random — sorted whole — and a cluster with strays
-// around it, merged when the cluster is at least half the bucket.
+// it, reversed and random.
 func TestSortRunOrders(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	ev := new(event)
-	const instant = 4 << 20
-	cluster := func(n int) []entry { // keys 2, 4, 6, …: odd keys fall between
+	cluster := func(n int) []entry {
 		d := make([]entry, n)
 		for i := range d {
-			d[i] = entry{at: instant, src: ContextKey(2 * (i + 1)), ev: ev}
+			d[i] = entry{at: 4 << 20, src: ContextKey(i + 1), ev: ev}
 		}
 		return d
 	}
 	stray := func() entry {
 		return entry{at: time.Duration(r.Int63n(1 << bucketShift)), src: ContextKey(r.Int63n(1 << 20)), seq: r.Uint64(), ev: ev}
-	}
-	strays := func(n int) []entry {
-		d := make([]entry, n)
-		for i := range d {
-			d[i] = stray()
-		}
-		return d
-	}
-	// tied returns strays at the cluster's instant: odd keys, which tie
-	// on at and are placed by src, and keys of cluster entries with a
-	// later sequence number, which tie on at and src and are placed by seq.
-	tied := func(n, clusterLen int) []entry {
-		d := make([]entry, n)
-		for i := range d {
-			k := ContextKey(r.Intn(2*clusterLen + 4))
-			d[i] = entry{at: instant, src: k, seq: 1 + uint64(r.Intn(3)), ev: ev}
-			if k%2 == 1 {
-				d[i].seq = 0
-			}
-		}
-		return d
-	}
-	// early returns n strays in descending order, every one before the
-	// cluster: no two of them ascend, so the cluster is the longest stretch.
-	early := func(n int) []entry {
-		d := make([]entry, n)
-		for i := range d {
-			d[i] = entry{at: time.Duration(n - i), src: 1, ev: ev}
-		}
-		return d
 	}
 	scatter := func(d []entry, n int) []entry {
 		for i := 0; i < n; i++ {
@@ -272,46 +240,37 @@ func TestSortRunOrders(t *testing.T) {
 		}
 		return d
 	}
+	random := func(n int) []entry {
+		d := make([]entry, n)
+		for i := range d {
+			d[i] = stray()
+		}
+		return d
+	}
 	reversed := func(d []entry) []entry {
 		slices.Reverse(d)
 		return d
 	}
-	cases := []struct {
-		name  string
-		d     []entry
-		merge bool // the longest stretch holds at least half the bucket
-	}{
-		{"empty", nil, false},
-		{"one", cluster(1), false},
-		{"sorted", cluster(5000), false},
-		{"cluster+strays", scatter(cluster(20000), 400), false},
-		{"reversed", reversed(cluster(3000)), false},
-		{"random", strays(3000), false},
-		{"stretch first", slices.Concat(cluster(20000), strays(900)), true},
-		{"stretch inside", slices.Concat(strays(400), cluster(20000), strays(500)), true},
-		{"stretch last", slices.Concat(strays(900), cluster(20000)), true},
-		{"strays tied with the stretch", slices.Concat(tied(300, 8000), cluster(8000), tied(600, 8000)), true},
-		{"stretch exactly half", slices.Concat(cluster(1000), early(1000)), true},
-		{"stretch just under half", slices.Concat(cluster(999), early(1001)), false},
+	cases := map[string][]entry{
+		"empty":          nil,
+		"one":            cluster(1),
+		"sorted":         cluster(5000),
+		"cluster+strays": scatter(cluster(20000), 400),
+		"reversed":       reversed(cluster(3000)),
+		"random":         random(3000),
 	}
-	for _, c := range cases {
-		want := slices.Clone(c.d)
+	for name, d := range cases {
+		want := slices.Clone(d)
 		slices.SortFunc(want, cmpEntry)
-		q := &eventQueue{run: slices.Clone(c.d)}
+		q := &eventQueue{run: slices.Clone(d)}
 		q.sortRun()
 		if !slices.Equal(q.run, want) {
-			t.Errorf("%s: sortRun's order differs from slices.SortFunc's", c.name)
+			t.Errorf("%s: sortRun's order differs from slices.SortFunc's", name)
 		}
 		for i := 1; i < len(q.run); i++ {
 			if q.run[i].before(&q.run[i-1]) {
-				t.Fatalf("%s: run[%d] sorts before run[%d]", c.name, i, i-1)
+				t.Fatalf("%s: run[%d] sorts before run[%d]", name, i, i-1)
 			}
-		}
-		if merged := cap(q.strays) > 0; merged != c.merge {
-			t.Errorf("%s: merged %v, want %v", c.name, merged, c.merge)
-		}
-		if slices.ContainsFunc(q.strays[:cap(q.strays)], func(e entry) bool { return e.ev != nil }) {
-			t.Errorf("%s: the strays scratch still holds events", c.name)
 		}
 	}
 }
