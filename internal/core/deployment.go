@@ -65,7 +65,6 @@ func (n *Node) RemoteOp(op wire.RemoteOp, dest topology.Location, t tuplespace.T
 		return
 	}
 	pr := &pendingRemote{
-		reqID:   req.ReqID,
 		done:    done,
 		dest:    dest,
 		req:     req,
@@ -166,10 +165,9 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 	if workers > 1 {
 		locs := append([]topology.Location{baseLoc}, spec.Layout.Nodes...)
 		strip := topology.PartitionStrips(locs, workers)
-		byKey := make(map[sim.ContextKey]int, len(strip))
-		//lint:maprange map-to-map rekeying; each entry is independent
-		for loc, sh := range strip {
-			byKey[sim.Key2D(loc.X, loc.Y)] = sh
+		byKey := make(map[sim.ContextKey]int, len(locs))
+		for _, loc := range locs {
+			byKey[sim.Key2D(loc.X, loc.Y)] = strip[loc]
 		}
 		shardOf = func(k sim.ContextKey) int {
 			return byKey[k] // unknown keys (harness contexts) ride shard 0
@@ -380,11 +378,7 @@ func (d *Deployment) Node(loc topology.Location) *Node { return d.nodes[loc] }
 
 // Nodes returns all nodes (including the base) sorted by location.
 func (d *Deployment) Nodes() []*Node {
-	out := make([]*Node, 0, len(d.nodes))
-	//lint:maprange collected values are sorted by location below
-	for _, n := range d.nodes {
-		out = append(out, n)
-	}
+	out := append([]*Node(nil), d.order...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].loc.Y != out[j].loc.Y {
 			return out[i].loc.Y < out[j].loc.Y
@@ -410,8 +404,7 @@ func (d *Deployment) Motes() []*Node {
 // the count never dips to zero while an agent is in flight.
 func (d *Deployment) TotalAgents() int {
 	total := 0
-	//lint:maprange integer summation is commutative
-	for _, n := range d.nodes {
+	for _, n := range d.order {
 		total += len(n.agents) + int(n.reserve)
 	}
 	return total
@@ -421,8 +414,7 @@ func (d *Deployment) TotalAgents() int {
 // (including the base station).
 func (d *Deployment) TotalStats() NodeStats {
 	var t NodeStats
-	//lint:maprange counter summation is commutative
-	for _, n := range d.nodes {
+	for _, n := range d.order {
 		s := n.stats
 		t.InstrExecuted += s.InstrExecuted
 		t.AgentsHosted += s.AgentsHosted

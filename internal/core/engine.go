@@ -225,12 +225,18 @@ func (n *Node) applyEffect(rec *record, out *vm.Outcome) {
 // killAgent reclaims an agent that died with an error.
 func (n *Node) killAgent(rec *record, err error) {
 	rec.state = AgentDead
-	n.stats.AgentsDied++
-	n.tracker.finish(n.sim.Now(), n.loc, rec.agent.ID, false, err)
-	if n.trace.AgentDied != nil {
-		n.trace.AgentDied(n.loc, rec.agent.ID, err)
-	}
+	n.agentDied(rec.agent.ID, err)
 	n.reclaim(rec.agent.ID)
+}
+
+// agentDied reports the death of agent id on this mote: it is counted,
+// its tracked record ends with err, and the trace hears of it.
+func (n *Node) agentDied(id uint16, err error) {
+	n.stats.AgentsDied++
+	n.tracker.finish(n.sim.Now(), n.loc, id, false, err)
+	if n.trace.AgentDied != nil {
+		n.trace.AgentDied(n.loc, id, err)
+	}
 }
 
 // resumeAgent returns a suspended agent to the run queue with the given

@@ -55,13 +55,13 @@ func TestHostBytesPerMote(t *testing.T) {
 // TestStructSizes pins the by-value layouts. Node is one object holding
 // the stack, space, registry, instruction manager and run ring; with the
 // allocator's 8-byte header for pointerful objects over 512 B it must stay
-// within the 704-byte size class.
+// within the 640-byte size class.
 func TestStructSizes(t *testing.T) {
 	pins := []struct {
 		name      string
 		got, most uintptr
 	}{
-		{"core.Node", unsafe.Sizeof(Node{}), 656},
+		{"core.Node", unsafe.Sizeof(Node{}), 624},
 		{"core.record", unsafe.Sizeof(record{}), 144},
 		{"tuplespace.Value", unsafe.Sizeof(tuplespace.Value{}), 8},
 		{"vm.Agent", unsafe.Sizeof(vm.Agent{}), 288},
@@ -103,8 +103,8 @@ func TestSleepWakeCycleAllocatesNothing(t *testing.T) {
 }
 
 // TestLazyTablesStayNil: a mote that has never migrated, served or
-// replicated keeps its five protocol session tables unallocated through
-// everything that only reads, deletes from or clears them.
+// replicated keeps its protocol session record unallocated through
+// everything that only reads, removes or clears sessions.
 func TestLazyTablesStayNil(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		d, err := NewDeployment(DeploymentSpec{Layout: topology.GridLayout(4, 4), Seed: 5, Workers: workers})
@@ -118,9 +118,8 @@ func TestLazyTablesStayNil(t *testing.T) {
 		peer := topology.Loc(2, 3)
 		assertNil := func(when string) {
 			t.Helper()
-			if n.out != nil || n.in != nil || n.done != nil || n.remote != nil || n.served != nil {
-				t.Fatalf("workers=%d, %s: a session table was allocated: out=%v in=%v done=%v remote=%v served=%v",
-					workers, when, n.out != nil, n.in != nil, n.done != nil, n.remote != nil, n.served != nil)
+			if n.ses != nil {
+				t.Fatalf("workers=%d, %s: the session record was allocated: %+v", workers, when, *n.ses)
 			}
 		}
 		assertNil("after warm-up")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"slices"
 	"time"
 
@@ -34,6 +35,13 @@ type migKey struct {
 type inKey struct {
 	migKey
 	from topology.Location
+}
+
+// compare orders inbound transfers by agent, sequence number and sender
+// ((Y,X) order), the order a crash reports their agents' deaths in.
+func (k inKey) compare(o inKey) int {
+	return cmp.Or(cmp.Compare(k.agentID, o.agentID), cmp.Compare(k.seq, o.seq),
+		cmp.Compare(k.from.Y, o.from.Y), cmp.Compare(k.from.X, o.from.X))
 }
 
 // A hop allocates nothing but the agent that arrives. The transfer
@@ -377,7 +385,8 @@ func (n *Node) beginTransfer(om *outMigration) {
 	for i := range om.metas {
 		wire.SetSeq(om.msg(i), om.key.seq)
 	}
-	put(&n.out, om.key, om)
+	s := n.session()
+	s.out = append(s.out, om)
 	n.stats.MigrationsOut++
 	n.sendCurrent(om)
 }
@@ -404,7 +413,7 @@ func (n *Node) sendCurrent(om *outMigration) {
 }
 
 func (n *Node) onAckTimeout(om *outMigration) {
-	if n.out[om.key] != om {
+	if n.ses.outbound(om.key) != om {
 		return
 	}
 	om.retries++
@@ -440,9 +449,8 @@ func (n *Node) recvMigrationAck(f radio.Frame) {
 	if err != nil {
 		return
 	}
-	key := migKey{agentID: ack.AgentID, seq: ack.Seq}
-	om, ok := n.out[key]
-	if !ok {
+	om := n.ses.outbound(migKey{agentID: ack.AgentID, seq: ack.Seq})
+	if om == nil {
 		return
 	}
 	if n.cfg.EndToEndMigration {
@@ -515,7 +523,9 @@ func (n *Node) failTransfer(om *outMigration) {
 
 func (n *Node) clearOut(om *outMigration) {
 	om.timer.Stop()
-	delete(n.out, om.key)
+	if n.ses != nil {
+		remove(&n.ses.out, om)
+	}
 }
 
 // --- receiver side -------------------------------------------------------
@@ -625,12 +635,13 @@ func consistent(st wire.StateMsg) bool {
 // recvState opens (or re-acks) an inbound transfer.
 func (n *Node) recvState(st wire.StateMsg, from topology.Location, e2e bool) {
 	key := inKey{migKey{st.AgentID, st.Seq}, from}
-	if n.done.has(key) {
+	if n.ses.finalized(key) {
 		n.ackIn(from, key, wire.MsgState, 0, e2e)
 		return
 	}
-	if im, ok := n.in[key]; ok {
-		n.touchIn(im, wire.MsgState, 0)
+	at, open := n.ses.inbound(key)
+	if open {
+		n.touchIn(n.ses.in[at], wire.MsgState, 0)
 		return
 	}
 	if !consistent(st) {
@@ -650,17 +661,18 @@ func (n *Node) recvState(st wire.StateMsg, from topology.Location, e2e bool) {
 	im.key, im.st, im.e2e = key, st, e2e
 	im.code = slices.Grow(im.code[:0], int(st.NCode)*CodeBlockSize)[:int(st.NCode)*CodeBlockSize]
 	im.rxns = slices.Grow(im.rxns[:0], int(st.NRxn))[:st.NRxn]
-	put(&n.in, key, im)
+	s := n.session()
+	s.in = slices.Insert(s.in, at, im)
 	n.touchIn(im, wire.MsgState, 0)
 }
 
 // liveIn fetches the open transfer for a data message, re-acking messages
 // that belong to an already-finalized transfer.
 func (n *Node) liveIn(key inKey, t wire.MsgType, idx uint8) *inMigration {
-	if im, ok := n.in[key]; ok {
-		return im
+	if i, ok := n.ses.inbound(key); ok {
+		return n.ses.in[i]
 	}
-	if n.done.has(key) {
+	if n.ses.finalized(key) {
 		n.ackIn(key.from, key, t, idx, n.cfg.EndToEndMigration)
 	}
 	return nil
@@ -723,7 +735,7 @@ func (n *Node) onStall(im *inMigration) {
 
 // abortIn implements the receiver stall abort (§3.2).
 func (n *Node) abortIn(im *inMigration) {
-	delete(n.in, im.key)
+	remove(&n.ses.in, im)
 	n.reserve--
 	n.releaseIn(im)
 }
@@ -732,12 +744,14 @@ func (n *Node) abortIn(im *inMigration) {
 // destination) or to be relayed onward.
 func (n *Node) finalizeIn(im *inMigration) {
 	defer n.releaseIn(im)
-	if n.in[im.key] != im {
+	s := n.ses
+	i, ok := s.inbound(im.key)
+	if !ok || s.in[i] != im {
 		return // the node crashed during the reassembly delay
 	}
-	delete(n.in, im.key)
+	s.in = slices.Delete(s.in, i, i+1)
 	n.reserve--
-	n.rememberDone(im.key)
+	s.done.note(im.key, struct{}{}, n.sim.Now(), 3*time.Second)
 	if im.e2e {
 		// End-to-end mode: one completion ack, routed back to the origin.
 		n.ackIn(im.key.from, im.key, wire.MsgState, 0xff, true)
@@ -869,49 +883,11 @@ func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
 func (n *Node) presence(id uint16) tuplespace.Tuple {
 	t, ok := n.agt[id]
 	if !ok {
+		if n.agt == nil {
+			n.agt = make(map[uint16]tuplespace.Tuple)
+		}
 		t = tuplespace.T(tuplespace.Str("agt"), tuplespace.AgentIDV(id))
-		put(&n.agt, id, t)
+		n.agt[id] = t
 	}
 	return t
-}
-
-// doneLog holds a node's recently finalized inbound transfers, oldest
-// first, so retransmitted stragglers are re-acked instead of reopening the
-// transfer. A node's clock only moves forward, so entries are appended in
-// time order and expire from the front.
-type doneLog []doneEntry
-
-type doneEntry struct {
-	key inKey
-	at  time.Duration
-}
-
-// has reports whether key was finalized within the grace period (or
-// after it, if no finalize has expired it yet).
-func (l *doneLog) has(key inKey) bool {
-	if l == nil {
-		return false
-	}
-	for _, e := range *l {
-		if e.key == key {
-			return true
-		}
-	}
-	return false
-}
-
-// rememberDone records a finalized transfer and expires entries older
-// than the grace period.
-func (n *Node) rememberDone(key inKey) {
-	const grace = 3 * time.Second
-	now := n.sim.Now()
-	if n.done == nil {
-		n.done = new(doneLog)
-	}
-	l := *n.done
-	i := 0
-	for i < len(l) && now-l[i].at > grace {
-		i++
-	}
-	*n.done = append(l[:copy(l, l[i:])], doneEntry{key: key, at: now})
 }

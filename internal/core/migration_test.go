@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -70,6 +72,22 @@ func itoa(v int) string {
 func hasMarker(n *Node, val int) bool {
 	_, ok := n.Space().Rdp(tuplespace.Tmpl(tuplespace.Int(int16(val))))
 	return ok
+}
+
+// openIn and openOut return a mote's open transfers: none before its
+// first session.
+func openIn(n *Node) []*inMigration {
+	if n.ses == nil {
+		return nil
+	}
+	return n.ses.in
+}
+
+func openOut(n *Node) []*outMigration {
+	if n.ses == nil {
+		return nil
+	}
+	return n.ses.out
 }
 
 func TestSmoveOneHop(t *testing.T) {
@@ -379,7 +397,7 @@ func TestReceiverStallAborts(t *testing.T) {
 	}
 	runFor(t, d, 5*time.Second)
 
-	if len(dst.in) != 0 {
+	if len(openIn(dst)) != 0 {
 		t.Error("stalled inbound transfer not aborted")
 	}
 	if dst.reserve != 0 {
@@ -564,10 +582,10 @@ func TestFragmentIndexesBoundTheTransfer(t *testing.T) {
 			for _, p := range tc.frames {
 				n.ReceiveFrame(radio.Frame{Src: from, Dst: at, Kind: radio.KindMigrate, Payload: p})
 			}
-			if got := len(n.in) == 1; got != tc.open {
+			if got := len(openIn(n)) == 1; got != tc.open {
 				t.Fatalf("transfer open = %v, want %v", got, tc.open)
 			}
-			for _, im := range n.in {
+			for _, im := range openIn(n) {
 				if im.finalizing {
 					t.Fatal("an unannounced fragment completed the transfer")
 				}
@@ -576,8 +594,8 @@ func TestFragmentIndexesBoundTheTransfer(t *testing.T) {
 			if h := n.Stats().AgentsHosted; h != 0 {
 				t.Fatalf("%d agents installed from an incomplete or malformed transfer", h)
 			}
-			if len(n.in) != 0 || n.reserve != 0 {
-				t.Fatalf("transfer not released: %d open, %d reserved", len(n.in), n.reserve)
+			if len(openIn(n)) != 0 || n.reserve != 0 {
+				t.Fatalf("transfer not released: %d open, %d reserved", len(openIn(n)), n.reserve)
 			}
 		})
 	}
@@ -648,13 +666,10 @@ func TestPooledRecordsAreSafeToReuse(t *testing.T) {
 	}
 	inOpen := func() *inMigration {
 		t.Helper()
-		if len(n.in) != 1 {
-			t.Fatalf("%d transfers open, want 1", len(n.in))
+		if len(openIn(n)) != 1 {
+			t.Fatalf("%d transfers open, want 1", len(openIn(n)))
 		}
-		for _, im := range n.in {
-			return im
-		}
-		return nil
+		return openIn(n)[0]
 	}
 
 	// Transfer 1 delivers block 0, stack message 0 and the reaction, then
@@ -666,8 +681,8 @@ func TestPooledRecordsAreSafeToReuse(t *testing.T) {
 	send(n, stack[0])
 	send(n, rxn)
 	runFor(t, d, time.Second)
-	if len(n.in) != 0 || len(n.inFree) != 1 || n.inFree[0] != first {
-		t.Fatalf("stalled record not released: %d open, free list %v", len(n.in), n.inFree)
+	if len(openIn(n)) != 0 || len(n.inFree) != 1 || n.inFree[0] != first {
+		t.Fatalf("stalled record not released: %d open, free list %v", len(openIn(n)), n.inFree)
 	}
 	if first.got != [5]uint64{} || first.have != [4]uint8{} || first.heap != [vm.HeapSlots]tuplespace.Value{} ||
 		first.stack != [vm.StackDepth]tuplespace.Value{} || len(first.rxns) != 0 || first.n != nil {
@@ -725,8 +740,55 @@ func TestPooledRecordsAreSafeToReuse(t *testing.T) {
 		t.Fatal("a stale timer entry fired into the transfer that reused the record")
 	}
 	runFor(t, d, 100*time.Millisecond)
-	if len(n.in) != 0 {
+	if len(openIn(n)) != 0 {
 		t.Fatal("reused transfer did not stall out at its own deadline")
+	}
+}
+
+// TestCrashReportsFinalizingDeathsInKeyOrder: a mote that crashes while
+// two complete inbound transfers wait out their reassembly delay reports
+// both agents dead in transfer-key order, whatever order the transfers
+// opened in, and their records still come back once the delay ends.
+func TestCrashReportsFinalizingDeathsInKeyOrder(t *testing.T) {
+	d := quietDeployment(t, 2, 1)
+	if err := d.WarmUp(); err != nil {
+		t.Fatal(err)
+	}
+	from, at := topology.Loc(1, 1), topology.Loc(2, 1)
+	n := d.Node(at)
+	code := asm.MustAssemble("halt")
+	ids := []uint16{0x0109, 0x0105} // opened in reverse key order
+	for _, id := range ids {
+		st := wire.StateMsg{AgentID: id, Seq: 1, Kind: wire.MigStrongMove, Dest: at,
+			CodeLen: uint16(len(code)), NCode: uint8(BlocksFor(len(code)))}
+		cm := wire.CodeMsg{AgentID: id, Seq: 1}
+		copy(cm.Block[:], code)
+		for _, p := range [][]byte{st.Append(nil), cm.Append(nil)} {
+			n.ReceiveFrame(radio.Frame{Src: from, Dst: at, Kind: radio.KindMigrate, Payload: p})
+		}
+	}
+	in := openIn(n)
+	if len(in) != 2 || !in[0].finalizing || !in[1].finalizing {
+		t.Fatalf("want two transfers in their finalize delay, have %d", len(in))
+	}
+
+	var died []uint16
+	d.Trace.AgentDied = func(loc topology.Location, id uint16, err error) {
+		if loc != at || !errors.Is(err, ErrNodeDown) {
+			t.Errorf("agent %#x died at %v with %v, want %v with ErrNodeDown", id, loc, err, at)
+		}
+		died = append(died, id)
+	}
+	n.Stop()
+	if want := []uint16{0x0105, 0x0109}; !slices.Equal(died, want) {
+		t.Fatalf("deaths reported as %#x, want %#x", died, want)
+	}
+	if got := n.Stats().AgentsDied; got != 2 {
+		t.Fatalf("AgentsDied = %d, want 2", got)
+	}
+	runFor(t, d, time.Second)
+	if len(n.inFree) != 2 || n.NumAgents() != 0 || len(died) != 2 {
+		t.Fatalf("after the delay: %d records released, %d agents hosted, %d deaths", len(n.inFree), n.NumAgents(), len(died))
 	}
 }
 
@@ -797,8 +859,10 @@ func (r *hopRig) hop() {
 	if err := r.d.Sim.Run(r.d.Sim.Now() + DefaultMigRecvOverhead + DefaultMigSendOverhead); err != nil {
 		r.t.Fatal(err)
 	}
-	for _, om := range r.n.out {
-		for om.started && r.n.out[om.key] == om {
+	// Acking a transfer to its end closes it, so walk a copy.
+	var open [4]*outMigration
+	for _, om := range open[:copy(open[:], openOut(r.n))] {
+		for om.started && r.n.ses.outbound(om.key) == om {
 			want := om.metas[om.acked]
 			r.buf = wire.AckMsg{AgentID: id, Seq: om.key.seq, Of: want.typ, Index: want.idx}.Append(r.buf[:0])
 			r.deliver(radio.KindMigrateCtl, r.to, r.buf)
@@ -842,8 +906,8 @@ func TestHopAllocatesOnlyTheAgent(t *testing.T) {
 			if got > tc.most {
 				t.Fatalf("a %s hop allocates %.0f objects, want <= %.0f", tc.name, got, tc.most)
 			}
-			if r.n.NumAgents() != 0 || len(r.n.in) != 0 || len(r.n.out) != 0 {
-				t.Fatalf("hop left state behind: %d agents, %d in, %d out", r.n.NumAgents(), len(r.n.in), len(r.n.out))
+			if r.n.NumAgents() != 0 || len(openIn(r.n)) != 0 || len(openOut(r.n)) != 0 {
+				t.Fatalf("hop left state behind: %d agents, %d in, %d out", r.n.NumAgents(), len(openIn(r.n)), len(openOut(r.n)))
 			}
 		})
 	}

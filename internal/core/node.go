@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/network"
@@ -112,7 +113,7 @@ func (rec *record) popFiring() firing {
 // so a wake-up finds them beside the fields that led to them. What every
 // mote of a shard can share (the configuration, the hook table, the
 // tracker, the engine's scratch) is pointed at, and what a mote has not
-// used yet — protocol session tables, its agents' records — is not
+// used yet — its protocol sessions, its agents' records — is not
 // allocated.
 type Node struct {
 	*shardEnv // cfg, trace, tracker, stepOut
@@ -145,25 +146,107 @@ type Node struct {
 	runq   runRing
 	stepFn func() // engineStep as a value: one instruction per event makes a fresh method closure per step measurable
 
-	// Protocol session tables, each created at its first insert (see put;
-	// reads, deletes and clears of a nil map are no-ops).
-	out    map[migKey]*outMigration
-	in     map[inKey]*inMigration
-	done   *doneLog // recently finalized, for duplicate acks
-	remote map[uint16]*pendingRemote
-	served map[servedKey]servedReply // responder-side reply cache
+	ses *sessions // nil until the mote's first protocol session
 
 	stats NodeStats
 }
 
-// put stores v under k in one of a node's protocol session tables (or the
-// shard's presence tuples), creating the table at its first entry — the
-// one way anything gets into them.
-func put[K comparable, V any](table *map[K]V, k K, v V) {
-	if *table == nil {
-		*table = make(map[K]V)
+// sessions is a mote's protocol state between frames. The paper's agent
+// manager hosts four agents (§3.2), which bounds the open sessions to a
+// handful, so each list is a short ordered slice searched in place. A mote
+// makes its record at its first session and loses it with its RAM.
+type sessions struct {
+	out    []*outMigration  // outbound transfers, in the order they began
+	in     []*inMigration   // inbound transfers, in inKey order
+	remote []*pendingRemote // in-flight remote operations, in request order
+
+	done   recent[inKey, struct{}]             // finalized inbound transfers, to re-ack stragglers for 3 s
+	served recent[servedKey, wire.RemoteReply] // the responder's reply cache (serveRemoteRequest)
+}
+
+// session returns the mote's session record, making it at first use.
+// Lookups read n.ses as it is: their nil receiver holds no sessions.
+func (n *Node) session() *sessions {
+	if n.ses == nil {
+		n.ses = new(sessions)
 	}
-	(*table)[k] = v
+	return n.ses
+}
+
+// outbound returns the open outbound transfer key names, or nil.
+func (s *sessions) outbound(key migKey) *outMigration {
+	if s != nil {
+		for _, om := range s.out {
+			if om.key == key {
+				return om
+			}
+		}
+	}
+	return nil
+}
+
+// inbound returns the index of the inbound transfer key names in s.in, or
+// the index it would take.
+func (s *sessions) inbound(key inKey) (int, bool) {
+	if s == nil {
+		return 0, false
+	}
+	return slices.BinarySearchFunc(s.in, key, func(im *inMigration, k inKey) int { return im.key.compare(k) })
+}
+
+// request returns the in-flight remote operation reqID names, or nil.
+func (s *sessions) request(reqID uint16) *pendingRemote {
+	if s != nil {
+		for _, pr := range s.remote {
+			if pr.req.ReqID == reqID {
+				return pr
+			}
+		}
+	}
+	return nil
+}
+
+// finalized reports whether the inbound transfer key names was finalized
+// recently.
+func (s *sessions) finalized(key inKey) bool { return s != nil && s.done.find(key) >= 0 }
+
+// remove deletes v from the session list l, keeping the others in order.
+func remove[T comparable](l *[]T, v T) {
+	if i := slices.Index(*l, v); i >= 0 {
+		*l = slices.Delete(*l, i, i+1)
+	}
+}
+
+// recent remembers concluded exchanges for a grace period, so that a
+// retransmitted straggler is answered instead of run again. A mote's clock
+// only moves forward and note stamps at the back, so the list is in time
+// order and expires from the front, in note only: an entry outlives its
+// grace until the next one.
+type recent[K comparable, V any] []stamped[K, V]
+
+type stamped[K comparable, V any] struct {
+	key K
+	val V
+	at  time.Duration
+}
+
+// find returns the index of key's entry, or -1.
+func (r recent[K, V]) find(key K) int {
+	return slices.IndexFunc(r, func(e stamped[K, V]) bool { return e.key == key })
+}
+
+// note stamps key with val at now, moving an entry already there to the
+// back, and drops the entries stamped more than grace before now.
+func (r *recent[K, V]) note(key K, val V, now, grace time.Duration) {
+	l := *r
+	if i := l.find(key); i >= 0 {
+		l = slices.Delete(l, i, i+1)
+	}
+	old := 0
+	for old < len(l) && now-l[old].at > grace {
+		old++
+	}
+	*r = append(slices.Delete(l, 0, old), stamped[K, V]{key: key, val: val, at: now})
 }
 
 // shardEnv is what the nodes of one deployment that run on one executor

@@ -37,7 +37,6 @@ func RemoteOpBudget(c Config) time.Duration {
 // (an agent suspended on the instruction) or done (a base-station tool
 // callback) is set.
 type pendingRemote struct {
-	reqID    uint16
 	rec      *record
 	done     func(wire.RemoteReply, error)
 	kind     vm.RemoteKind
@@ -54,33 +53,33 @@ func (n *Node) startRemote(rec *record, out vm.Outcome) {
 	rec.state = AgentRemote
 	n.reqSeq++
 	pr := &pendingRemote{
-		reqID:   n.reqSeq,
 		rec:     rec,
 		kind:    out.Remote,
 		dest:    out.Dest,
 		started: n.sim.Now(),
 	}
 	pr.req = wire.RemoteRequest{
-		ReqID:    pr.reqID,
+		ReqID:    n.reqSeq,
 		Op:       out.Remote,
 		ReplyTo:  n.loc,
 		Tuple:    out.Tuple,
 		Template: out.Template,
 	}
 	// A remote operation on the local node short-circuits to the local
-	// tuple space without touching the radio or the pending table.
+	// tuple space without touching the radio or the open sessions.
 	if out.Dest == n.loc {
 		n.stats.RemoteInitiated++
-		n.settleRemote(pr, n.performRemote(pr.req))
+		n.settleRemote(pr, n.performRemote(pr.req), nil)
 		return
 	}
 	n.awaitRemote(pr)
 }
 
-// awaitRemote enters pr in the pending table, binds its timeout and sends
-// the first attempt.
+// awaitRemote enters pr among the mote's open sessions, binds its timeout
+// and sends the first attempt.
 func (n *Node) awaitRemote(pr *pendingRemote) {
-	put(&n.remote, pr.reqID, pr)
+	s := n.session()
+	s.remote = append(s.remote, pr)
 	n.stats.RemoteInitiated++
 	pr.timer.Init(n.sim, func() { n.onRemoteTimeout(pr) })
 	n.sendRemote(pr)
@@ -94,29 +93,20 @@ func (n *Node) sendRemote(pr *pendingRemote) {
 	pr.timer.Reset(n.cfg.RemoteTimeout)
 }
 
+// onRemoteTimeout retransmits, or settles an operation whose retries ran
+// out as a failed one. "Only probing operations are provided to prevent an
+// agent from blocking forever due to message loss" (§2.2): a lost
+// operation simply clears the condition code.
 func (n *Node) onRemoteTimeout(pr *pendingRemote) {
-	if n.remote[pr.reqID] != pr {
+	if n.ses.request(pr.req.ReqID) != pr {
 		return
 	}
 	if pr.attempts <= n.cfg.RemoteRetries {
 		n.sendRemote(pr)
 		return
 	}
-	delete(n.remote, pr.reqID)
-	n.stats.RemoteFail++
-	if pr.rec == nil {
-		if pr.done != nil {
-			pr.done(wire.RemoteReply{ReqID: pr.reqID, OK: false}, ErrRemoteTimeout)
-		}
-		return
-	}
-	if n.trace.RemoteDone != nil {
-		n.trace.RemoteDone(n.loc, pr.rec.agent.ID, pr.kind, pr.dest, false, n.sim.Now()-pr.started)
-	}
-	// "Only probing operations are provided to prevent an agent from
-	// blocking forever due to message loss" (§2.2): a lost operation
-	// simply clears the condition code.
-	n.resumeAgent(pr.rec, 0)
+	remove(&n.ses.remote, pr)
+	n.settleRemote(pr, wire.RemoteReply{ReqID: pr.req.ReqID}, ErrRemoteTimeout)
 }
 
 // servedKey identifies one remote request as seen by the responder: the
@@ -125,13 +115,6 @@ func (n *Node) onRemoteTimeout(pr *pendingRemote) {
 type servedKey struct {
 	from  topology.Location
 	reqID uint16
-}
-
-// servedReply caches the outcome of a served request so a retransmission
-// can be answered without re-executing the operation.
-type servedReply struct {
-	reply wire.RemoteReply
-	at    time.Duration
 }
 
 // serveRemoteRequest is the responder side: perform the operation on the
@@ -149,14 +132,21 @@ func (n *Node) serveRemoteRequest(env wire.Envelope) {
 		return
 	}
 	key := servedKey{from: req.ReplyTo, reqID: req.ReqID}
-	sr, dup := n.served[key]
-	if !dup {
-		sr = servedReply{reply: n.performRemote(req)}
+	s := n.session()
+	var reply wire.RemoteReply
+	if i := s.served.find(key); i >= 0 {
+		reply = s.served[i].val
+	} else {
+		reply = n.performRemote(req)
 	}
 	// (Re-)stamping on every hit keeps an entry alive for as long as its
-	// initiator is still retransmitting, whatever timers it runs.
-	n.rememberServed(key, sr)
-	n.tx = sr.reply.Append(n.tx[:0])
+	// initiator is still retransmitting, whatever timers it runs; it goes
+	// once none can plausibly still arrive. An initiator's 16-bit reqID
+	// could only collide with a cached entry after wrapping within that
+	// window, which the per-op radio round trip makes unreachable.
+	grace := max(2*RemoteOpBudget(n.cfg), servedGraceFloor)
+	s.served.note(key, reply, n.sim.Now(), grace)
+	n.tx = reply.Append(n.tx[:0])
 	_ = n.net.SendRouted(req.ReplyTo, radio.KindRemoteTSR, n.tx)
 }
 
@@ -165,26 +155,6 @@ func (n *Node) serveRemoteRequest(env wire.Envelope) {
 // timers, so the floor must generously cover any sane configuration's
 // gap between attempts; entries also refresh on every duplicate hit.
 const servedGraceFloor = 30 * time.Second
-
-// rememberServed caches a reply for duplicate suppression. Entries are
-// garbage collected once no retransmission can plausibly still arrive:
-// past the responder's own full remote-op budget and the generous flat
-// floor, whichever is larger. An initiator's 16-bit reqID could only
-// collide with a cached entry after wrapping within that window — tens of
-// thousands of operations in seconds — which the per-op radio round trip
-// makes unreachable.
-func (n *Node) rememberServed(key servedKey, sr servedReply) {
-	now := n.sim.Now()
-	sr.at = now
-	put(&n.served, key, sr)
-	grace := max(2*RemoteOpBudget(n.cfg), servedGraceFloor)
-	//lint:maprange each entry is tested and deleted independently
-	for k, s := range n.served {
-		if now-s.at > grace {
-			delete(n.served, k)
-		}
-	}
-}
 
 // performRemote executes one remote operation against the local space.
 // With replication, a probe the arena cannot satisfy falls back to the
@@ -225,19 +195,21 @@ func (n *Node) recvRemoteReply(env wire.Envelope) {
 	if err != nil {
 		return
 	}
-	pr, ok := n.remote[reply.ReqID]
-	if !ok {
+	pr := n.ses.request(reply.ReqID)
+	if pr == nil {
 		return // duplicate or late reply
 	}
-	delete(n.remote, pr.reqID)
+	remove(&n.ses.remote, pr)
 	pr.timer.Stop()
-	n.settleRemote(pr, reply)
+	n.settleRemote(pr, reply, nil)
 }
 
-// settleRemote applies a reply to the suspended agent: "If the operation is
-// successful, the resulting tuple is placed onto the stack and the
-// condition is set to 1" (§3.4).
-func (n *Node) settleRemote(pr *pendingRemote, reply wire.RemoteReply) {
+// settleRemote concludes a remote operation: it hands the reply (and err,
+// ErrRemoteTimeout when the retries ran out) to a base-station callback,
+// or applies it to the suspended agent: "If the operation is successful,
+// the resulting tuple is placed onto the stack and the condition is set
+// to 1" (§3.4).
+func (n *Node) settleRemote(pr *pendingRemote, reply wire.RemoteReply, err error) {
 	if reply.OK {
 		n.stats.RemoteOK++
 	} else {
@@ -245,7 +217,7 @@ func (n *Node) settleRemote(pr *pendingRemote, reply wire.RemoteReply) {
 	}
 	if pr.rec == nil {
 		if pr.done != nil {
-			pr.done(reply, nil)
+			pr.done(reply, err)
 		}
 		return
 	}

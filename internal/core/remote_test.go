@@ -423,7 +423,10 @@ func TestServedCacheEvicted(t *testing.T) {
 			t.Fatalf("op %d never resolved", i)
 		}
 	}
-	if n := len(dst.served); n > 1 {
+	if dst.ses == nil {
+		t.Fatal("the responder never cached a reply")
+	}
+	if n := len(dst.ses.served); n > 1 {
 		t.Errorf("served cache holds %d entries after eviction window, want <= 1", n)
 	}
 }

@@ -106,11 +106,11 @@ func TestSoakManyAgents(t *testing.T) {
 		if n.reserve != 0 {
 			t.Errorf("%v: leaked reservation %d", n.Loc(), n.reserve)
 		}
-		if len(n.in) != 0 {
-			t.Errorf("%v: %d inbound transfers stuck", n.Loc(), len(n.in))
+		if in := openIn(n); len(in) != 0 {
+			t.Errorf("%v: %d inbound transfers stuck", n.Loc(), len(in))
 		}
-		if len(n.out) != 0 {
-			t.Errorf("%v: %d outbound transfers stuck", n.Loc(), len(n.out))
+		if out := openOut(n); len(out) != 0 {
+			t.Errorf("%v: %d outbound transfers stuck", n.Loc(), len(out))
 		}
 		// Instruction memory charged equals live agents' code.
 		want := 0

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/replica"
@@ -114,79 +113,42 @@ func (n *Node) Crash(cause DownCause) bool {
 	}
 	// Hosted agents die with the node.
 	for _, rec := range n.agents {
-		id := rec.agent.ID
 		rec.state = AgentDead
 		rec.wake.Stop()
-		n.stats.AgentsDied++
-		n.tracker.finish(n.sim.Now(), n.loc, id, false, ErrNodeDown)
-		if n.trace.AgentDied != nil {
-			n.trace.AgentDied(n.loc, id, ErrNodeDown)
-		}
+		n.agentDied(rec.agent.ID, ErrNodeDown)
 	}
 	clear(n.agents)
 	n.agents = n.agents[:0]
 	n.runq.Clear()
 	// Volatile protocol sessions vanish with the RAM; peers time out and
 	// run their failure paths.
-	//lint:maprange independent releases; no cross-entry effects
-	for _, om := range n.out {
-		n.releaseOut(om)
-	}
-	clear(n.out)
-	// Iterate inbound sessions in a deterministic order: the per-agent
-	// death events below land in the trace, and map order would vary the
-	// hash run to run.
-	inKeys := make([]inKey, 0, len(n.in))
-	//lint:maprange collected keys are sorted below before any effects
-	for k := range n.in {
-		inKeys = append(inKeys, k)
-	}
-	sort.Slice(inKeys, func(i, j int) bool {
-		a, b := inKeys[i], inKeys[j]
-		if a.agentID != b.agentID {
-			return a.agentID < b.agentID
+	if s := n.ses; s != nil {
+		for _, om := range s.out {
+			n.releaseOut(om)
 		}
-		if a.seq != b.seq {
-			return a.seq < b.seq
-		}
-		if a.from.Y != b.from.Y {
-			return a.from.Y < b.from.Y
-		}
-		return a.from.X < b.from.X
-	})
-	for _, k := range inKeys {
-		im := n.in[k]
-		if !im.finalizing {
-			n.releaseIn(im)
-			continue
-		}
-		// A fully-received transfer awaiting finalizeIn is special: the
-		// sender has been acked and has (or is about to have) released
-		// its copy, so the agent exists only in this mote's reassembly
-		// buffer — it dies here, and its record must say so or handles
-		// would report AgentMigrating forever. Incomplete transfers,
-		// released above, need nothing more: the sender times out and
-		// fails over. Clone transfers travel under the parent's ID while
-		// the parent lives on at the origin, so only moves and injections
-		// die. The timer still fires finalizeIn, which finds the transfer
-		// gone and releases it.
-		if !im.st.Kind.Clone() {
-			id := im.key.agentID
-			n.stats.AgentsDied++
-			n.tracker.finish(n.sim.Now(), n.loc, id, false, ErrNodeDown)
-			if n.trace.AgentDied != nil {
-				n.trace.AgentDied(n.loc, id, ErrNodeDown)
+		// Inbound sessions are in key order, so the deaths reported
+		// below land in the trace in the same order every run.
+		for _, im := range s.in {
+			if !im.finalizing {
+				n.releaseIn(im)
+				continue
+			}
+			// A complete transfer awaiting finalizeIn holds the only copy
+			// of its agent (the sender has been acked), so a moved or
+			// injected agent dies here, or its handle would report
+			// AgentMigrating forever; a clone's parent lives on at the
+			// origin. The timer still fires finalizeIn, which finds the
+			// transfer gone and releases it. An incomplete transfer needs
+			// nothing more: the sender times out and fails over.
+			if !im.st.Kind.Clone() {
+				n.agentDied(im.key.agentID, ErrNodeDown)
 			}
 		}
+		for _, pr := range s.remote {
+			pr.timer.Stop()
+		}
+		n.ses = nil
 	}
-	clear(n.in)
-	n.done = nil
-	//lint:maprange independent timer cancellations; no cross-entry effects
-	for _, pr := range n.remote {
-		pr.timer.Stop()
-	}
-	clear(n.remote)
-	clear(n.served)
 	n.reserve = 0
 	// The tuple space, registry, and instruction memory are rebuilt empty.
 	n.resetRAM()

@@ -188,7 +188,7 @@ func TestCrashDuringFinalizeReportsAgentDead(t *testing.T) {
 	// Run to the exact event that completes reception, then kill the
 	// receiver before finalizeIn fires.
 	hit, err := d.Sim.RunUntil(func() bool {
-		for _, im := range d.Node(dst).in {
+		for _, im := range openIn(d.Node(dst)) {
 			if im.finalizing {
 				return true
 			}
