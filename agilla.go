@@ -201,6 +201,7 @@ func NewFire(spreadEvery time.Duration, w, h int) *Fire {
 type Network struct {
 	d         *core.Deployment
 	ev        events
+	agents    registry
 	admission *admission
 
 	// bridge, when non-nil, connects this process's half of the field to

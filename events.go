@@ -4,11 +4,13 @@ package agilla
 // tuple space, node and replica occurrences — reaches a host as one Event
 // record, delivered through channel subscriptions created by
 // Network.Events. Internally the records are filled from the same core
-// trace hooks the experiment harness uses.
+// trace hooks the experiment harness uses, and the same hooks keep the
+// agent registry behind the Agent handles.
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/wire"
@@ -56,7 +58,9 @@ const (
 	EventAgentArrived EventKind = iota + 1
 	// EventAgentHalted: an agent voluntarily executed halt. Sets AgentID.
 	EventAgentHalted
-	// EventAgentDied: an agent died with an error. Sets AgentID and Err.
+	// EventAgentDied: an agent died. Sets AgentID and Err: the fatal
+	// error, ErrNodeDown when its node went down, or nil when the host
+	// killed it (Node.KillAgent).
 	EventAgentDied
 	// EventMigrationStarted: a hop transfer began on the sending Node
 	// (once per hop of a multi-hop move). Sets AgentID, Mig and Peer (the
@@ -304,12 +308,13 @@ type subscription struct {
 }
 
 // events is the per-network dispatch state behind Events and
-// Space.Watch.
+// Space.Watch. live mirrors len(subs) so a tap can tell, without the
+// lock, that nobody listens.
 type events struct {
-	mu        sync.Mutex
-	installed bool
-	subs      []subscription
-	closed    bool
+	mu     sync.Mutex
+	subs   []subscription
+	live   atomic.Int32
+	closed bool
 }
 
 // Events subscribes to the middleware event stream. Events occurring
@@ -343,8 +348,7 @@ func (nw *Network) Events(filters ...EventFilter) <-chan Event {
 }
 
 // subscribe adds sub to the stream, or ends it at once on a closed
-// network. The taps go in with the first subscription of any kind: a
-// Watch needs the death tap even if the host never called Events.
+// network.
 func (nw *Network) subscribe(sub subscription) {
 	nw.ev.mu.Lock()
 	defer nw.ev.mu.Unlock()
@@ -352,8 +356,8 @@ func (nw *Network) subscribe(sub subscription) {
 		sub.end()
 		return
 	}
-	nw.installTaps()
 	nw.ev.subs = append(nw.ev.subs, sub)
+	nw.ev.live.Store(int32(len(nw.ev.subs)))
 }
 
 // Close ends every Events and Watch subscription. The contract, exactly:
@@ -391,6 +395,7 @@ func (nw *Network) Close() error {
 		sub.end()
 	}
 	nw.ev.subs = nil
+	nw.ev.live.Store(0)
 	return err
 }
 
@@ -409,64 +414,125 @@ func (nw *Network) publish(e Event) {
 	}
 	clear(nw.ev.subs[len(live):])
 	nw.ev.subs = live
+	nw.ev.live.Store(int32(len(live)))
 }
 
-// installTaps fills Events from the deployment's internal trace hooks,
-// once. The Network owns its deployment's trace; nothing else writes
-// these hooks.
+// installTaps points the deployment's trace hooks at the agent registry
+// and the event stream; New calls it once. The Network owns its
+// deployment's trace; nothing else writes these hooks. The agent hooks
+// keep the registry whoever listens. Past that, an event costs one
+// atomic load while nothing subscribes: no Event is built, no clock is
+// read and no lock is taken.
 func (nw *Network) installTaps() {
-	if nw.ev.installed {
-		return
-	}
-	nw.ev.installed = true
 	tr := nw.d.Trace
+	listening := func() bool { return nw.ev.live.Load() > 0 }
 	// Stamp events with the reporting node's clock: under a parallel
 	// executor it is exact mid-run where the executor-wide clock is only
 	// barrier-accurate.
+	now := nw.d.NowAt
 	emit := func(kind EventKind, node Location, e Event) {
-		e.Kind, e.At, e.Node = kind, nw.d.NowAt(node), node
+		e.Kind, e.At, e.Node = kind, now(node), node
 		nw.publish(e)
 	}
 	tr.AgentArrived = func(node Location, id uint16, kind MigKind, from Location) {
-		emit(EventAgentArrived, node, Event{AgentID: id, Mig: kind, Peer: from})
+		// An injection's arrival mints the ID; a move or clone reuses a
+		// live one.
+		nw.agents.update(id, now(node), kind == MigInject, func(info *AgentInfo) {
+			info.Loc, info.State = node, AgentReady
+		})
+		if listening() {
+			emit(EventAgentArrived, node, Event{AgentID: id, Mig: kind, Peer: from})
+		}
+	}
+	tr.AgentCloned = func(node Location, parent, clone uint16) {
+		nw.agents.cloned(now(node), node, parent, clone)
 	}
 	tr.AgentHalted = func(node Location, id uint16) {
-		emit(EventAgentHalted, node, Event{AgentID: id})
+		nw.agents.finish(now(node), node, id, true, nil)
+		if listening() {
+			emit(EventAgentHalted, node, Event{AgentID: id})
+		}
 	}
 	tr.AgentDied = func(node Location, id uint16, err error) {
-		emit(EventAgentDied, node, Event{AgentID: id, Err: err})
+		nw.agents.finish(now(node), node, id, false, err)
+		if listening() {
+			emit(EventAgentDied, node, Event{AgentID: id, Err: err})
+		}
 	}
 	tr.MigrationStarted = func(node Location, id uint16, kind MigKind, dest Location) {
-		emit(EventMigrationStarted, node, Event{AgentID: id, Mig: kind, Peer: dest})
+		nw.agents.update(id, now(node), kind == MigInject, func(info *AgentInfo) {
+			info.Loc, info.State = node, AgentMigrating
+		})
+		if listening() {
+			emit(EventMigrationStarted, node, Event{AgentID: id, Mig: kind, Peer: dest})
+		}
 	}
 	tr.MigrationDone = func(node Location, id uint16, kind MigKind, dest Location, ok bool) {
-		emit(EventMigrationDone, node, Event{AgentID: id, Mig: kind, Peer: dest, OK: ok})
+		nw.agents.update(id, now(node), false, func(info *AgentInfo) {
+			switch {
+			case !ok:
+				// Failed handoff: the agent resumes on the sending node
+				// (which may be a relay) with condition zero.
+				info.Loc, info.State = node, AgentReady
+			case !kind.Clone():
+				// Clone transfers travel under the parent's ID (the
+				// clone's ID is minted at the destination), so crediting
+				// them would inflate a stationary cloning agent's hops.
+				info.Hops++
+			}
+		})
+		if listening() {
+			emit(EventMigrationDone, node, Event{AgentID: id, Mig: kind, Peer: dest, OK: ok})
+		}
 	}
 	tr.RemoteDone = func(node Location, id uint16, op RemoteKind, dest Location, ok bool, elapsed time.Duration) {
-		emit(EventRemoteDone, node, Event{AgentID: id, Op: op, Peer: dest, OK: ok, Elapsed: elapsed})
+		if listening() {
+			emit(EventRemoteDone, node, Event{AgentID: id, Op: op, Peer: dest, OK: ok, Elapsed: elapsed})
+		}
 	}
 	tr.TupleOut = func(node Location, t Tuple) {
-		emit(EventTupleOut, node, Event{Tuple: t})
+		if listening() {
+			emit(EventTupleOut, node, Event{Tuple: t})
+		}
 	}
 	tr.ReactionFired = func(node Location, id uint16, t Tuple) {
-		emit(EventReactionFired, node, Event{AgentID: id, Tuple: t})
+		if listening() {
+			emit(EventReactionFired, node, Event{AgentID: id, Tuple: t})
+		}
 	}
 	tr.NodeDied = func(node Location, cause DownCause) {
-		emit(EventNodeDied, node, Event{Cause: cause})
+		if listening() {
+			emit(EventNodeDied, node, Event{Cause: cause})
+		}
 	}
 	tr.NodeRecovered = func(node Location) {
-		emit(EventNodeRecovered, node, Event{})
+		if listening() {
+			emit(EventNodeRecovered, node, Event{})
+		}
 	}
 	tr.NodeMoved = func(from, to Location) {
-		emit(EventNodeMoved, to, Event{Peer: from})
+		// Agents ride along: their records follow the mote, so handles
+		// resolve to the new address (Location/Host/Kill keep working).
+		for _, id := range nw.d.Node(to).AgentIDs() {
+			nw.agents.update(id, now(to), false, func(info *AgentInfo) { info.Loc = to })
+		}
+		if listening() {
+			emit(EventNodeMoved, to, Event{Peer: from})
+		}
 	}
 	tr.EnergyExhausted = func(node Location, usedJ float64) {
-		emit(EventEnergyExhausted, node, Event{UsedJ: usedJ})
+		if listening() {
+			emit(EventEnergyExhausted, node, Event{UsedJ: usedJ})
+		}
 	}
 	tr.ReplicaSynced = func(node, peer Location, added, removed int) {
-		emit(EventReplicaSynced, node, Event{Peer: peer, Added: added, Removed: removed})
+		if listening() {
+			emit(EventReplicaSynced, node, Event{Peer: peer, Added: added, Removed: removed})
+		}
 	}
 	tr.TupleRecovered = func(node Location, t Tuple) {
-		emit(EventTupleRecovered, node, Event{Tuple: t})
+		if listening() {
+			emit(EventTupleRecovered, node, Event{Tuple: t})
+		}
 	}
 }

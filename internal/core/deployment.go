@@ -40,7 +40,6 @@ func (n *Node) InjectAgent(code []byte, dest topology.Location) (uint16, error) 
 		return 0, err
 	}
 	om := n.packAgent(rec, wire.MigInject, dest, true)
-	n.tracker.injected(n.sim.Now(), n.loc, id)
 	if n.trace.MigrationStarted != nil {
 		n.trace.MigrationStarted(n.loc, id, wire.MigInject, dest)
 	}
@@ -56,21 +55,8 @@ func (n *Node) InjectAgent(code []byte, dest topology.Location) (uint16, error) 
 // timeout the callback's error is ErrRemoteTimeout and the reply's OK is
 // false.
 func (n *Node) RemoteOp(op wire.RemoteOp, dest topology.Location, t tuplespace.Tuple, p tuplespace.Template, done func(wire.RemoteReply, error)) {
-	n.reqSeq++
-	req := wire.RemoteRequest{ReqID: n.reqSeq, Op: op, ReplyTo: n.loc, Tuple: t, Template: p}
-	if dest == n.loc {
-		if done != nil {
-			done(n.performRemote(req), nil)
-		}
-		return
-	}
-	pr := &pendingRemote{
-		done:    done,
-		dest:    dest,
-		req:     req,
-		started: n.sim.Now(),
-	}
-	n.awaitRemote(pr)
+	n.beginRemote(&pendingRemote{done: done, dest: dest,
+		req: wire.RemoteRequest{Op: op, Tuple: t, Template: p}})
 }
 
 // Deployment is a full Agilla network: motes placed by a Layout, the
@@ -89,7 +75,6 @@ type Deployment struct {
 	layout  topology.Layout
 	spec    DeploymentSpec
 	workers int
-	tracker *agentTracker
 	world   WorldStats
 }
 
@@ -127,7 +112,7 @@ type DeploymentSpec struct {
 
 // NewDeployment builds a network from a layout: one mote per layout node,
 // the shared medium over the layout's links, and a base station bridged
-// to the gateway. All nodes share one Trace and one agent tracker.
+// to the gateway. All nodes share one Trace.
 func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 	baseLoc := topology.Loc(0, 0)
 	if spec.BaseLoc != nil {
@@ -187,7 +172,6 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 		layout:  spec.Layout,
 		spec:    spec,
 		workers: workers,
-		tracker: newAgentTracker(),
 	}
 
 	// One environment per shard for the motes (separately allocated: their
@@ -196,7 +180,7 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 	nodeCfg := spec.Node.withDefaults()
 	envs := make([]*shardEnv, s.Shards())
 	for i := range envs {
-		envs[i] = &shardEnv{cfg: nodeCfg, trace: trace, tracker: d.tracker, net: network.Shard{Config: nodeCfg.Network, Medium: medium}}
+		envs[i] = &shardEnv{cfg: nodeCfg, trace: trace, net: network.Shard{Config: nodeCfg.Network, Medium: medium}}
 	}
 	baseEnv := *envs[0]
 	baseEnv.cfg.MaxAgents = 64

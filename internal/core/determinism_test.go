@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -59,6 +60,9 @@ func (r *traceRecorder) install(d *Deployment) {
 	tr := d.Trace
 	tr.AgentArrived = func(node topology.Location, id uint16, kind wire.MigKind, from topology.Location) {
 		r.add(now(node), node, "arrived %d %v from %v", id, kind, from)
+	}
+	tr.AgentCloned = func(node topology.Location, parent, clone uint16) {
+		r.add(now(node), node, "cloned %d from %d", clone, parent)
 	}
 	tr.AgentHalted = func(node topology.Location, id uint16) {
 		r.add(now(node), node, "halted %d", id)
@@ -153,21 +157,7 @@ const reactorSrc = `
 // counters.
 func runDeterminismWorkload(t *testing.T, layout topology.Layout, seed int64, workers int, opts ...func(*DeploymentSpec)) (uint64, int, NodeStats, Stats2) {
 	t.Helper()
-	spec := DeploymentSpec{Layout: layout, Seed: seed, Workers: workers}
-	for _, opt := range opts {
-		opt(&spec)
-	}
-	d, err := NewDeployment(spec)
-	if err != nil {
-		t.Fatalf("deployment: %v", err)
-	}
-	rec := newTraceRecorder()
-	rec.install(d)
-
-	if err := d.WarmUp(); err != nil {
-		t.Fatalf("warm-up: %v", err)
-	}
-
+	d, rec := tracedDeployment(t, layout, seed, workers, opts...)
 	locs := d.Locations()
 	far := locs[len(locs)-1]
 	mid := locs[len(locs)/2]
@@ -194,6 +184,50 @@ func runDeterminismWorkload(t *testing.T, layout topology.Layout, seed int64, wo
 	}
 	h, n := rec.hash()
 	return h, n, d.TotalStats(), Stats2{Medium: d.Medium.Stats(), Now: d.Sim.Now(), Events: d.Sim.Executed()}
+}
+
+// tracedDeployment builds a deployment over the layout with a trace
+// recorder installed, warmed up.
+func tracedDeployment(t *testing.T, layout topology.Layout, seed int64, workers int, opts ...func(*DeploymentSpec)) (*Deployment, *traceRecorder) {
+	t.Helper()
+	spec := DeploymentSpec{Layout: layout, Seed: seed, Workers: workers}
+	for _, opt := range opts {
+		opt(&spec)
+	}
+	d, err := NewDeployment(spec)
+	if err != nil {
+		t.Fatalf("deployment: %v", err)
+	}
+	rec := newTraceRecorder()
+	rec.install(d)
+	if err := d.WarmUp(); err != nil {
+		t.Fatalf("warm-up: %v", err)
+	}
+	return d, rec
+}
+
+// runSpreaderWorkload injects a weak-clone flood (agents.Spreader) at the
+// first mote and runs it for 25 virtual seconds: every mote's first
+// visitor clones to each of its neighbors, so the trace carries clone
+// reports from remote instantiations. It returns what
+// runDeterminismWorkload does plus the number of clone reports.
+func runSpreaderWorkload(t *testing.T, layout topology.Layout, seed int64, workers int, opts ...func(*DeploymentSpec)) (uint64, int, NodeStats, Stats2, int) {
+	t.Helper()
+	d, rec := tracedDeployment(t, layout, seed, workers, opts...)
+	if _, err := d.Base.InjectAgent(agents.Spreader("halt"), d.Locations()[0]); err != nil {
+		t.Fatalf("inject spreader: %v", err)
+	}
+	if err := d.Sim.Run(d.Sim.Now() + 25*time.Second); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	h, n := rec.hash()
+	clones := 0
+	for _, l := range rec.lines {
+		if strings.HasPrefix(l.desc, "cloned ") {
+			clones++
+		}
+	}
+	return h, n, d.TotalStats(), Stats2{Medium: d.Medium.Stats(), Now: d.Sim.Now(), Events: d.Sim.Executed()}, clones
 }
 
 // Stats2 bundles the executor-level quantities the comparison also pins.
@@ -241,6 +275,35 @@ func TestParallelExecutorMatchesSequentialTrace(t *testing.T) {
 			})
 		}
 	}
+	// A weak-clone flood: the clone reports are hashed across worker
+	// counts and against the step interpreter.
+	t.Run("spreader", func(t *testing.T) {
+		layout := topology.GridLayout(4, 4)
+		wantHash, wantLen, wantStats, wantExec, clones := runSpreaderWorkload(t, layout, 3, 1)
+		if clones < len(layout.Nodes)-1 {
+			t.Fatalf("the flood reported %d clones, want at least %d", clones, len(layout.Nodes)-1)
+		}
+		for _, v := range []struct {
+			name    string
+			workers int
+			opts    []func(*DeploymentSpec)
+		}{
+			{"workers=2", 2, nil},
+			{"ExecStep", 1, []func(*DeploymentSpec){withExec(ExecStep)}},
+		} {
+			name := v.name
+			gotHash, gotLen, gotStats, gotExec, _ := runSpreaderWorkload(t, layout, 3, v.workers, v.opts...)
+			if gotLen != wantLen || gotHash != wantHash {
+				t.Errorf("%s: trace hash %016x (%d events), want %016x (%d events)", name, gotHash, gotLen, wantHash, wantLen)
+			}
+			if gotStats != wantStats {
+				t.Errorf("%s: stats %+v, want %+v", name, gotStats, wantStats)
+			}
+			if gotExec.String() != wantExec.String() {
+				t.Errorf("%s: executor state %v, want %v", name, gotExec, wantExec)
+			}
+		}
+	})
 }
 
 // runWorldDeterminismWorkload drives the full dynamic-world feature set —

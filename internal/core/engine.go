@@ -176,7 +176,6 @@ func (n *Node) applyEffect(rec *record, out *vm.Outcome) {
 	case vm.EffectHalt:
 		rec.state = AgentDead
 		n.stats.AgentsHalted++
-		n.tracker.finish(n.sim.Now(), n.loc, rec.agent.ID, true, nil)
 		if n.trace.AgentHalted != nil {
 			n.trace.AgentHalted(n.loc, rec.agent.ID)
 		}
@@ -222,7 +221,7 @@ func (n *Node) applyEffect(rec *record, out *vm.Outcome) {
 	}
 }
 
-// killAgent reclaims an agent that died with an error.
+// killAgent reclaims an agent that died with err (nil for a host kill).
 func (n *Node) killAgent(rec *record, err error) {
 	rec.state = AgentDead
 	n.agentDied(rec.agent.ID, err)
@@ -230,10 +229,9 @@ func (n *Node) killAgent(rec *record, err error) {
 }
 
 // agentDied reports the death of agent id on this mote: it is counted,
-// its tracked record ends with err, and the trace hears of it.
+// and the trace hears of it with err.
 func (n *Node) agentDied(id uint16, err error) {
 	n.stats.AgentsDied++
-	n.tracker.finish(n.sim.Now(), n.loc, id, false, err)
 	if n.trace.AgentDied != nil {
 		n.trace.AgentDied(n.loc, id, err)
 	}

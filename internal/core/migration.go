@@ -230,7 +230,6 @@ func (n *Node) startMigration(rec *record, out vm.Outcome) {
 		return
 	}
 	om := n.packAgent(rec, kind, dest, true)
-	n.tracker.migStarted(n.sim.Now(), n.loc, rec.agent.ID)
 	if n.trace.MigrationStarted != nil {
 		n.trace.MigrationStarted(n.loc, rec.agent.ID, kind, dest)
 	}
@@ -256,7 +255,6 @@ func (n *Node) migrateToSelf(rec *record, kind wire.MigKind) {
 			n.resumeAgent(rec, 0)
 			return
 		}
-		n.tracker.cloned(n.sim.Now(), n.loc, rec.agent.ID, clone.ID)
 		if kind.Strong() {
 			// The clone inherits the parent's registered reactions.
 			for _, r := range n.registry.AppendForAgent(nil, rec.agent.ID) {
@@ -267,6 +265,7 @@ func (n *Node) migrateToSelf(rec *record, kind wire.MigKind) {
 		clone.Condition = 1
 		crec.state = AgentReady
 		n.enqueue(crec)
+		n.noteClone(rec.agent.ID, clone.ID)
 		n.noteArrival(clone.ID, kind, n.loc)
 		n.resumeAgent(rec, 1)
 	}
@@ -477,17 +476,10 @@ func (n *Node) recvMigrationAck(f radio.Frame) {
 func (n *Node) finishTransferOK(om *outMigration) {
 	n.clearOut(om)
 	n.stats.MigrationsOK++
-	isClone := om.kind.Clone()
-	// Clone transfers travel under the parent's ID (the clone's ID is
-	// minted at the destination), so crediting these hops would inflate
-	// a stationary cloning agent's hop count.
-	if !isClone {
-		n.tracker.hopDone(n.sim.Now(), n.loc, om.key.agentID, true)
-	}
 	if n.trace.MigrationDone != nil {
 		n.trace.MigrationDone(n.loc, om.key.agentID, om.kind, om.dest, true)
 	}
-	rec, origin := om.rec, om.origin
+	rec, origin, isClone := om.rec, om.origin, om.kind.Clone()
 	n.releaseOut(om)
 	if origin && isClone {
 		// The original keeps running with the condition set (§2.2).
@@ -512,7 +504,6 @@ func (n *Node) finishTransferOK(om *outMigration) {
 func (n *Node) failTransfer(om *outMigration) {
 	n.clearOut(om)
 	n.stats.MigrationsFail++
-	n.tracker.hopDone(n.sim.Now(), n.loc, om.key.agentID, false)
 	if n.trace.MigrationDone != nil {
 		n.trace.MigrationDone(n.loc, om.key.agentID, om.kind, om.dest, false)
 	}
@@ -804,7 +795,7 @@ func (n *Node) finalizeIn(im *inMigration) {
 		a.Condition = 1
 		n.enqueue(rec)
 		if isClone {
-			n.tracker.cloned(n.sim.Now(), n.loc, st.AgentID, id)
+			n.noteClone(st.AgentID, id)
 		}
 		n.noteArrival(id, st.Kind, im.key.from)
 		return

@@ -112,11 +112,10 @@ func (rec *record) popFiring() firing {
 // reaction registry, instruction manager and run queue are held by value,
 // so a wake-up finds them beside the fields that led to them. What every
 // mote of a shard can share (the configuration, the hook table, the
-// tracker, the engine's scratch) is pointed at, and what a mote has not
-// used yet — its protocol sessions, its agents' records — is not
-// allocated.
+// engine's scratch) is pointed at, and what a mote has not used yet — its
+// protocol sessions, its agents' records — is not allocated.
 type Node struct {
-	*shardEnv // cfg, trace, tracker, stepOut
+	*shardEnv // cfg, trace, stepOut
 	sim       *sim.Ctx
 	loc       topology.Location
 
@@ -256,10 +255,9 @@ func (r *recent[K, V]) note(key K, val V, now, grace time.Duration) {
 // migration state live here too, so a mote that has never moved an agent
 // pays nothing for them.
 type shardEnv struct {
-	cfg     Config        // defaults applied; never written after construction
-	trace   *Trace        // the deployment's hook table; never nil
-	tracker *agentTracker // deployment-wide agent registry; never nil
-	stepOut vm.Outcome    // engineStep's scratch outcome
+	cfg     Config     // defaults applied; never written after construction
+	trace   *Trace     // the deployment's hook table; never nil
+	stepOut vm.Outcome // engineStep's scratch outcome
 
 	// Released transfer records, and the records and agents of relayed
 	// agents (see migration.go).
@@ -423,16 +421,14 @@ func (n *Node) Agent(id uint16) (*vm.Agent, bool) {
 }
 
 // KillAgent forcibly reclaims a hosted agent (the user retires an old
-// application, §2.2: "old agents can die"). It reports whether the agent
-// was present.
+// application, §2.2: "old agents can die"). The agent dies with a nil
+// error. It reports whether the agent was present.
 func (n *Node) KillAgent(id uint16) bool {
 	rec := n.hosted(id)
 	if rec == nil {
 		return false
 	}
-	rec.state = AgentDead
-	n.tracker.finish(n.sim.Now(), n.loc, id, false, nil)
-	n.reclaim(id)
+	n.killAgent(rec, nil)
 	return true
 }
 
@@ -501,9 +497,15 @@ func (n *Node) reclaim(id uint16) {
 }
 
 func (n *Node) noteArrival(id uint16, kind wire.MigKind, from topology.Location) {
-	n.tracker.arrived(n.sim.Now(), n.loc, id, kind)
 	if n.trace.AgentArrived != nil {
 		n.trace.AgentArrived(n.loc, id, kind, from)
+	}
+}
+
+// noteClone reports a clone instantiated here; its arrival follows.
+func (n *Node) noteClone(parent, clone uint16) {
+	if n.trace.AgentCloned != nil {
+		n.trace.AgentCloned(n.loc, parent, clone)
 	}
 }
 

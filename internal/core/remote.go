@@ -39,11 +39,10 @@ func RemoteOpBudget(c Config) time.Duration {
 type pendingRemote struct {
 	rec      *record
 	done     func(wire.RemoteReply, error)
-	kind     vm.RemoteKind
 	dest     topology.Location
 	req      wire.RemoteRequest
 	attempts int
-	timer    sim.Timer // retransmission timeout, bound to onRemoteTimeout by awaitRemote
+	timer    sim.Timer // retransmission timeout, bound to onRemoteTimeout by beginRemote
 	started  time.Duration
 }
 
@@ -51,36 +50,26 @@ type pendingRemote struct {
 // and resume it when the reply arrives or the retransmissions run out.
 func (n *Node) startRemote(rec *record, out vm.Outcome) {
 	rec.state = AgentRemote
+	n.beginRemote(&pendingRemote{rec: rec, dest: out.Dest,
+		req: wire.RemoteRequest{Op: out.Remote, Tuple: out.Tuple, Template: out.Template}})
+}
+
+// beginRemote numbers pr's request and starts it, counted once whoever
+// asked. An operation on the local node short-circuits to the local
+// tuple space without touching the radio or the open sessions; any other
+// enters the open sessions, binds its timeout and sends the first
+// attempt.
+func (n *Node) beginRemote(pr *pendingRemote) {
 	n.reqSeq++
-	pr := &pendingRemote{
-		rec:     rec,
-		kind:    out.Remote,
-		dest:    out.Dest,
-		started: n.sim.Now(),
-	}
-	pr.req = wire.RemoteRequest{
-		ReqID:    n.reqSeq,
-		Op:       out.Remote,
-		ReplyTo:  n.loc,
-		Tuple:    out.Tuple,
-		Template: out.Template,
-	}
-	// A remote operation on the local node short-circuits to the local
-	// tuple space without touching the radio or the open sessions.
-	if out.Dest == n.loc {
-		n.stats.RemoteInitiated++
+	pr.req.ReqID, pr.req.ReplyTo = n.reqSeq, n.loc
+	pr.started = n.sim.Now()
+	n.stats.RemoteInitiated++
+	if pr.dest == n.loc {
 		n.settleRemote(pr, n.performRemote(pr.req), nil)
 		return
 	}
-	n.awaitRemote(pr)
-}
-
-// awaitRemote enters pr among the mote's open sessions, binds its timeout
-// and sends the first attempt.
-func (n *Node) awaitRemote(pr *pendingRemote) {
 	s := n.session()
 	s.remote = append(s.remote, pr)
-	n.stats.RemoteInitiated++
 	pr.timer.Init(n.sim, func() { n.onRemoteTimeout(pr) })
 	n.sendRemote(pr)
 }
@@ -222,12 +211,12 @@ func (n *Node) settleRemote(pr *pendingRemote, reply wire.RemoteReply, err error
 		return
 	}
 	if n.trace.RemoteDone != nil {
-		n.trace.RemoteDone(n.loc, pr.rec.agent.ID, pr.kind, pr.dest, reply.OK, n.sim.Now()-pr.started)
+		n.trace.RemoteDone(n.loc, pr.rec.agent.ID, pr.req.Op, pr.dest, reply.OK, n.sim.Now()-pr.started)
 	}
 	cond := int16(0)
 	if reply.OK {
 		cond = 1
-		if pr.kind == vm.RemoteInp || pr.kind == vm.RemoteRdp {
+		if pr.req.Op == vm.RemoteInp || pr.req.Op == vm.RemoteRdp {
 			if err := pr.rec.agent.PushFields(reply.Tuple.Fields); err != nil {
 				n.killAgent(pr.rec, err)
 				return

@@ -309,6 +309,43 @@ func TestBaseStationRemoteOpAPI(t *testing.T) {
 	}
 }
 
+// TestRemoteOpCountsWhoeverAsks: a remote operation on the initiator's own
+// space is counted the same whether an agent or the base-station tool
+// asked for it: one RemoteInitiated, then one RemoteOK or RemoteFail.
+func TestRemoteOpCountsWhoeverAsks(t *testing.T) {
+	d := quietDeployment(t, 1, 1)
+	n := d.Node(topology.Loc(1, 1))
+	if _, err := n.CreateAgent(asm.MustAssemble("pushcl 66\npushc 1\npushloc 1 1\nrout\nhalt")); err != nil {
+		t.Fatal(err)
+	}
+	runFor(t, d, time.Second)
+	if st := n.Stats(); st.RemoteInitiated != 1 || st.RemoteOK != 1 || st.RemoteFail != 0 {
+		t.Fatalf("agent's local rout counted %d initiated, %d ok, %d failed; want 1, 1, 0",
+			st.RemoteInitiated, st.RemoteOK, st.RemoteFail)
+	}
+
+	base := d.Base
+	var replies []bool
+	done := func(r wire.RemoteReply, err error) {
+		if err != nil {
+			t.Errorf("local op failed: %v", err)
+		}
+		replies = append(replies, r.OK)
+	}
+	base.RemoteOp(wire.OpRout, base.Loc(), tuplespace.T(tuplespace.Str("abc")), tuplespace.Template{}, done)
+	base.RemoteOp(wire.OpRrdp, base.Loc(), tuplespace.Tuple{}, tuplespace.Tmpl(tuplespace.Str("zzz")), done)
+	if len(replies) != 2 || !replies[0] || replies[1] {
+		t.Fatalf("local replies = %v, want [true false] delivered synchronously", replies)
+	}
+	if st := base.Stats(); st.RemoteInitiated != 2 || st.RemoteOK != 1 || st.RemoteFail != 1 {
+		t.Fatalf("base station's local ops counted %d initiated, %d ok, %d failed; want 2, 1, 1",
+			st.RemoteInitiated, st.RemoteOK, st.RemoteFail)
+	}
+	if base.ses != nil || d.Medium.Stats().Sent != 0 {
+		t.Fatal("a local op opened a session or touched the radio")
+	}
+}
+
 // dropFirstReply arms the medium to eat the first remote-TS reply frame,
 // forcing the initiator to retransmit the request. It returns a pointer
 // to the drop count.

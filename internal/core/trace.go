@@ -16,9 +16,14 @@ type Trace struct {
 	// AgentArrived fires when an agent materializes on a node: injection,
 	// completed move, or clone instantiation.
 	AgentArrived func(node topology.Location, id uint16, kind wire.MigKind, from topology.Location)
+	// AgentCloned fires on the node where a clone is instantiated, just
+	// before the clone's AgentArrived: parent is the agent it was cloned
+	// from, clone its freshly minted ID.
+	AgentCloned func(node topology.Location, parent, clone uint16)
 	// AgentHalted fires when an agent executes halt.
 	AgentHalted func(node topology.Location, id uint16)
-	// AgentDied fires when an agent dies with an error.
+	// AgentDied fires when an agent dies: with an error, with its node
+	// (ErrNodeDown), or killed by the host (a nil err).
 	AgentDied func(node topology.Location, id uint16, err error)
 	// MigrationStarted fires on the sender when a transfer begins
 	// (once per hop).
@@ -58,6 +63,46 @@ type Trace struct {
 	// originated, streamed back from a neighbor's replica store.
 	TupleRecovered func(node topology.Location, t tuplespace.Tuple)
 }
+
+// AgentInfo is the deployment-wide view of one agent's life: where it was
+// last hosted, how far it has travelled, how many clones it spawned, and
+// how it ended. A host builds it from the trace: the agent hooks above
+// carry every fact it holds.
+//
+// The duplicate-tolerant failure semantics (§3.2) mean an ID can briefly
+// name two live copies; a record that follows the most recent event
+// follows the copy that made progress.
+type AgentInfo struct {
+	// ID is the network-unique agent ID.
+	ID uint16
+	// Parent is the agent this one was cloned from, 0 for originals.
+	Parent uint16
+	// Loc is the last node known to host the agent. While a multi-hop
+	// transfer is relaying, Loc lags at the last node that reported an
+	// event for the agent.
+	Loc topology.Location
+	// State is the coarse life-cycle state, refined by the hosting
+	// node's live engine state (Node.AgentInfo) where one is known.
+	State AgentState
+	// Hops counts successfully completed hop transfers (sender-confirmed),
+	// including relay hops of multi-hop moves and injections. Clone
+	// transfers are not counted: they travel under the parent's ID while
+	// the parent stays put.
+	Hops int
+	// Clones counts clones this agent has spawned (local and remote).
+	Clones int
+	// Halted reports a voluntary halt; Err carries the fatal error for
+	// agents that died. Both false/nil while the agent lives.
+	Halted bool
+	Err    error
+	// BornAt and DoneAt are virtual timestamps; DoneAt is zero while the
+	// agent lives.
+	BornAt time.Duration
+	DoneAt time.Duration
+}
+
+// Done reports whether the agent's life is over (halted, died, or killed).
+func (i AgentInfo) Done() bool { return i.State == AgentDead }
 
 // NodeStats counts per-node middleware activity.
 type NodeStats struct {

@@ -214,11 +214,6 @@ func (n *Node) applyMove(to topology.Location) {
 	if n.board != nil {
 		n.board.MoveTo(to)
 	}
-	// Agents ride along: re-point their tracked records so handles
-	// resolve to the new address (Location/Host/Kill keep working).
-	for _, rec := range n.agents {
-		n.tracker.rehome(n.sim.Now(), to, rec.agent.ID)
-	}
 	// The move is reported before the location tuple refresh below, so a
 	// host watch that follows the mote sees the refreshed tuple.
 	if n.trace.NodeMoved != nil {

@@ -60,10 +60,6 @@ func TestKillTakesAgentsDown(t *testing.T) {
 	if len(died) != 1 || died[0] != id {
 		t.Fatalf("died agents = %v, want [%d]", died, id)
 	}
-	info, ok := d.AgentRecord(id)
-	if !ok || info.State != AgentDead || !errors.Is(info.Err, ErrNodeDown) {
-		t.Fatalf("tracker record = %+v, want dead with ErrNodeDown", info)
-	}
 	if ws := d.WorldStats(); ws.Kills != 1 || ws.Rejected != 0 {
 		t.Fatalf("world stats = %+v, want 1 kill", ws)
 	}
@@ -152,22 +148,32 @@ func TestAgentSurvivesHostFailureMidMigration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var deaths []error
+	halted := false
+	d.Trace.AgentDied = func(_ topology.Location, aid uint16, err error) {
+		if aid == id {
+			deaths = append(deaths, err)
+		}
+	}
+	d.Trace.AgentHalted = func(_ topology.Location, aid uint16) { halted = halted || aid == id }
 	// Kill the relay/destination the instant the hop is mid-air.
 	d.KillAt(d.Sim.Now()+80*time.Millisecond, topology.Loc(2, 1))
 	if err := d.Sim.Run(d.Sim.Now() + 30*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	info, ok := d.AgentRecord(id)
-	if !ok {
-		t.Fatal("agent untracked")
-	}
 	// The agent must not have died with the dead mote: either it is alive
 	// on a surviving node or it completed its round trip and halted.
-	if info.Err != nil {
-		t.Fatalf("agent died: %v", info.Err)
+	if len(deaths) != 0 {
+		t.Fatalf("agent died: %v", deaths)
 	}
-	if n := d.FindAgent(id); n == nil && !info.Halted {
-		t.Fatalf("agent neither hosted nor halted: %+v", info)
+	hosted := false
+	for _, n := range d.Nodes() {
+		if _, ok := n.AgentInfo(id); ok {
+			hosted = true
+		}
+	}
+	if !hosted && !halted {
+		t.Fatal("agent neither hosted nor halted")
 	}
 	if st := d.TotalStats(); st.MigrationsFail == 0 {
 		t.Fatal("expected at least one failed handoff against the dead mote")
@@ -184,6 +190,12 @@ func TestCrashDuringFinalizeReportsAgentDead(t *testing.T) {
 	id, err := d.Node(src).CreateAgent(asm.MustAssemble(agents.SmoveRoundTripSrc(dst, src)))
 	if err != nil {
 		t.Fatal(err)
+	}
+	var deaths []error
+	d.Trace.AgentDied = func(node topology.Location, aid uint16, err error) {
+		if node == dst && aid == id {
+			deaths = append(deaths, err)
+		}
 	}
 	// Run to the exact event that completes reception, then kill the
 	// receiver before finalizeIn fires.
@@ -202,12 +214,8 @@ func TestCrashDuringFinalizeReportsAgentDead(t *testing.T) {
 	if err := d.Sim.Run(d.Sim.Now() + 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	info, ok := d.AgentRecord(id)
-	if !ok {
-		t.Fatal("agent untracked")
-	}
-	if info.State != AgentDead || !errors.Is(info.Err, ErrNodeDown) {
-		t.Fatalf("agent record = %+v, want dead with ErrNodeDown", info)
+	if len(deaths) != 1 || !errors.Is(deaths[0], ErrNodeDown) {
+		t.Fatalf("deaths reported on the receiver = %v, want one with ErrNodeDown", deaths)
 	}
 }
 
@@ -246,13 +254,9 @@ func TestMoveRelocatesNode(t *testing.T) {
 	if n.Space().Count(tuplespace.Tmpl(tuplespace.Str("loc"), tuplespace.LocV(from))) != 0 {
 		t.Fatal("stale loc context tuple survived the move")
 	}
-	// The hosted agent rode along: its tracked record resolves to the
-	// new address, so Host/Kill-style lookups keep working.
-	if info, ok := d.AgentRecord(rider); !ok || info.Loc != to {
-		t.Fatalf("rider record = %+v ok=%v, want Loc=%v", info, ok, to)
-	}
-	if host := d.FindAgent(rider); host != n {
-		t.Fatalf("FindAgent after move = %v, want the moved node", host)
+	// The hosted agent rode along.
+	if _, ok := n.AgentInfo(rider); !ok {
+		t.Fatalf("rider %d not hosted by the moved node", rider)
 	}
 	// The mote now beacons from its new position: (1,1) hears it as a
 	// neighbor at (1,2) after a beacon period.

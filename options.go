@@ -175,7 +175,8 @@ func New(opts ...Option) (*Network, error) {
 	if err != nil {
 		return nil, fmt.Errorf("agilla: %w", err)
 	}
-	nw := &Network{d: d}
+	nw := &Network{d: d, agents: registry{agents: make(map[uint16]*AgentInfo)}}
+	nw.installTaps()
 	if s.bridge != nil {
 		tr, err := transport.Open(transport.Addr(s.bridge.Listen))
 		if err != nil {

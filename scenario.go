@@ -242,10 +242,10 @@ func (s *Scenario) run(ctx context.Context, seed int64) (*Metrics, error) {
 	stats := nw.d.TotalStats()
 	med := nw.d.Medium.Stats()
 	m.Elapsed = nw.Now()
-	// Count agent lifetimes from the tracker, not NodeStats.AgentsHosted:
+	// Count agent lifetimes from the registry, not NodeStats.AgentsHosted:
 	// the latter counts per-node admissions, so every relay hop of a
 	// multi-hop migration would inflate it.
-	m.AgentsSpawned = len(nw.d.AgentRecords())
+	m.AgentsSpawned = len(nw.agents.ids())
 	m.AgentsHalted = int(stats.AgentsHalted)
 	m.AgentsDied = int(stats.AgentsDied)
 	m.Hops = int(stats.MigrationsOK)
