@@ -10,7 +10,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the -h golden in testdata")
+var update = flag.Bool("update", false, "rewrite the goldens in testdata")
 
 // bench drives run the way main does and returns what it wrote.
 func bench(t *testing.T, args ...string) (code int, stdout, stderr string) {
@@ -45,6 +45,49 @@ func TestHelpGolden(t *testing.T) {
 	}
 	if stderr != string(want) {
 		t.Errorf("%s differs\n--- got ---\n%s--- want ---\n%s", golden, stderr, want)
+	}
+}
+
+// TestFiguresQuickGolden pins every figure and table of "-exp all
+// -quick", so a refactor of the harness shows up as a golden diff. Only
+// the closing wall-clock line is left out. Regenerate with
+//
+//	go test -run TestFiguresQuickGolden -update ./cmd/agilla-bench
+func TestFiguresQuickGolden(t *testing.T) {
+	const golden = "testdata/figures-quick.golden"
+	code, stdout, stderr := bench(t, "-exp", "all", "-quick")
+	if code != 0 || stderr != "" {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	cut := strings.LastIndex(strings.TrimSuffix(stdout, "\n"), "\n")
+	if cut < 0 || !strings.Contains(stdout[cut:], "(wall clock)") {
+		t.Fatalf("output does not end in the wall-clock line:\n%s", stdout)
+	}
+	got := stdout[:cut+1]
+	if *update {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		gl, wl := strings.Split(got, "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < len(gl) || i < len(wl); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("%s differs from line %d\n got: %q\nwant: %q", golden, i+1, g, w)
+			}
+		}
 	}
 }
 
