@@ -190,43 +190,33 @@ func (nw *Network) record(id uint16) (AgentInfo, bool) {
 type registry struct {
 	mu     sync.Mutex
 	agents map[uint16]*AgentInfo
+	// lifetimes counts every record opened, so a lifetime replaced under
+	// a wrapped ID still counts: the census Scenario reports.
+	lifetimes int
 }
 
-func (r *registry) ensure(id uint16, now time.Duration) *AgentInfo {
-	info, ok := r.agents[id]
-	if !ok {
-		info = &AgentInfo{ID: id, BornAt: now}
-		r.agents[id] = info
-	}
-	return info
-}
-
-// born records a brand-new agent entering the system under id. Agent IDs
-// are 16 bits and a node's counter wraps, so a creation event landing on
-// a dead record means the ID was reused — start a fresh lifetime instead
-// of resurrecting (and merging stats with) the dead one. A live record
-// is kept: that is the same lifetime (e.g. the arrival completing an
+// lifetime returns id's record, opening one if there is none. A birth
+// (an injection leaving its node or materializing on it, or a clone) on
+// a dead record also opens a fresh one: agent IDs are 16 bits and a
+// node's counter wraps, so the ID was reused, and the dead lifetime must
+// not be resurrected (and its stats merged). A birth on a live record
+// keeps it: that is the same lifetime (e.g. the arrival completing an
 // injection the registry already opened).
-func (r *registry) born(id uint16, now time.Duration) *AgentInfo {
-	if info, ok := r.agents[id]; ok && info.State != AgentDead {
+func (r *registry) lifetime(id uint16, now time.Duration, birth bool) *AgentInfo {
+	if info, ok := r.agents[id]; ok && (!birth || info.State != AgentDead) {
 		return info
 	}
 	info := &AgentInfo{ID: id, BornAt: now}
 	r.agents[id] = info
+	r.lifetimes++
 	return info
 }
 
-// update applies f to id's record under the lock. A birth (an injection
-// leaving its node or materializing on it) opens the record with born,
-// anything else with ensure.
+// update applies f to id's record under the lock.
 func (r *registry) update(id uint16, now time.Duration, birth bool, f func(*AgentInfo)) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if birth {
-		f(r.born(id, now))
-	} else {
-		f(r.ensure(id, now))
-	}
+	f(r.lifetime(id, now, birth))
 }
 
 // cloned records a clone instantiation, attributing it to the parent.
@@ -235,8 +225,8 @@ func (r *registry) update(id uint16, now time.Duration, birth bool, f func(*Agen
 func (r *registry) cloned(now time.Duration, node Location, parent, clone uint16) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.ensure(parent, now).Clones++
-	info := r.born(clone, now)
+	r.lifetime(parent, now, false).Clones++
+	info := r.lifetime(clone, now, true)
 	info.Parent = parent
 	info.Loc = node
 	info.State = AgentReady
@@ -265,6 +255,13 @@ func (r *registry) get(id uint16) (AgentInfo, bool) {
 		return AgentInfo{}, false
 	}
 	return *info, true
+}
+
+// spawned returns how many lifetimes the registry has opened.
+func (r *registry) spawned() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.lifetimes
 }
 
 // ids returns every recorded agent ID, sorted.

@@ -35,19 +35,18 @@
 //	churn     the dynamic-world benchmark: grids under a
 //	          scripted kill/revive/move schedule with the
 //	          energy model active, swept over -workers like
-//	          scale; -json writes BENCH_churn.json rows.
-//	          With -replication it adds gossip-replicated
-//	          rows beside the baseline ones, quantifying
-//	          the tuple-survival and remote-lookup gains
-//	          under the identical schedule and seed.
-//	          Also opt-in, for the same reason as scale.
+//	          scale, once without and once with gossip
+//	          replication, quantifying the tuple-survival
+//	          and remote-lookup gains under the identical
+//	          schedule and seed; -json writes
+//	          BENCH_churn.json rows. Also opt-in, for the
+//	          same reason as scale.
 //
-// With -json PATH and one of scale or churn selected, PATH is the output
-// file. With both selected, PATH is treated as a directory and receives
-// BENCH_scale.json and BENCH_churn.json — the artifact names CI uploads
-// to track the perf trajectory. No other experiment writes JSON rows, so
-// -json without scale or churn is a usage error, as is any -exp name not
-// listed above.
+// -json DIR names a directory (created if missing) that receives
+// BENCH_scale.json and/or BENCH_churn.json, one per selected sweep: the
+// artifact names CI uploads to track the perf trajectory. No other
+// experiment writes JSON rows, so -json without scale or churn is a
+// usage error, as is any -exp name not listed above.
 //
 // The wire path and the VM backends are timed by the bench module
 // instead: go run -C bench . -workload wire-flood|vm-compute.
@@ -98,13 +97,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	context.AfterFunc(ctx, stop)
 
 	var (
-		cfg      experiments.Config
-		runs     int
-		jsonPath string
-		want     = map[string]bool{}
+		cfg     experiments.Config
+		runs    int
+		jsonDir string
+		want    = map[string]bool{}
 	)
-	// With scale and churn both selected, -json is a directory receiving
-	// the BENCH_*.json artifacts; with one, it is the output file.
 	type jsonResult interface {
 		fmt.Stringer
 		JSON() ([]byte, error)
@@ -112,24 +109,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 	writingJSON := func(name string, f func() (jsonResult, error)) func() (fmt.Stringer, error) {
 		return func() (fmt.Stringer, error) {
 			res, err := f()
-			if err != nil {
-				return nil, err
-			}
-			if jsonPath == "" {
-				return res, nil
-			}
-			path := jsonPath
-			if want["scale"] && want["churn"] {
-				if err := os.MkdirAll(jsonPath, 0o755); err != nil {
-					return nil, fmt.Errorf("json dir %s: %w", jsonPath, err)
-				}
-				path = filepath.Join(jsonPath, name)
+			if err != nil || jsonDir == "" {
+				return res, err
 			}
 			data, err := res.JSON()
 			if err != nil {
 				return nil, err
 			}
-			if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+			path := filepath.Join(jsonDir, name)
+			if err = os.MkdirAll(jsonDir, 0o755); err == nil {
+				err = os.WriteFile(path, append(data, '\n'), 0o644)
+			}
+			if err != nil {
 				return nil, fmt.Errorf("write %s: %w", path, err)
 			}
 			return res, nil
@@ -170,8 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&runs, "runs", 8, "seeds for the ensemble experiment")
 	fs.BoolVar(&cfg.Quick, "quick", false, "reduced trial counts for a fast pass")
 	fs.IntVar(&cfg.Workers, "workers", 4, "max kernel parallelism the scale/churn experiments sweep up to")
-	fs.StringVar(&jsonPath, "json", "", "write scale/churn rows as JSON (needs -exp scale and/or churn): a file when one of them is selected, a directory (BENCH_scale.json, BENCH_churn.json) when both are")
-	fs.BoolVar(&cfg.Replication, "replication", false, "add gossip-replicated rows to the churn sweep, beside the baseline rows")
+	fs.StringVar(&jsonDir, "json", "", "write scale/churn rows as JSON (needs -exp scale and/or churn) into this directory: BENCH_scale.json, BENCH_churn.json")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file (go tool pprof)")
 	memProfile := fs.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 	if err := fs.Parse(args); err != nil {
@@ -193,7 +183,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		want[name] = true
 	}
-	if jsonPath != "" && !want["scale"] && !want["churn"] {
+	if jsonDir != "" && !want["scale"] && !want["churn"] {
 		fmt.Fprintln(stderr, "agilla-bench: -json needs -exp scale and/or churn: no other experiment writes JSON rows")
 		return 2
 	}

@@ -166,12 +166,15 @@ func TestRunWritesJSON(t *testing.T) {
 	}
 	sweep := []string{"-quick", "-trials", "1", "-workers", "1"}
 
-	file := filepath.Join(t.TempDir(), "scale.json")
-	if code, _, stderr := bench(t, append(sweep, "-exp", "scale", "-json", file)...); code != 0 {
+	one := filepath.Join(t.TempDir(), "one")
+	if code, _, stderr := bench(t, append(sweep, "-exp", "scale", "-json", one)...); code != 0 {
 		t.Fatalf("one experiment: exit %d, stderr %q", code, stderr)
 	}
-	if rows(file) == 0 {
-		t.Error("one experiment: -json FILE holds no rows")
+	if rows(filepath.Join(one, "BENCH_scale.json")) == 0 {
+		t.Error("one experiment: BENCH_scale.json holds no rows")
+	}
+	if _, err := os.Stat(filepath.Join(one, "BENCH_churn.json")); !os.IsNotExist(err) {
+		t.Errorf("one experiment wrote the other's rows (stat: %v)", err)
 	}
 
 	dir := filepath.Join(t.TempDir(), "out")

@@ -94,6 +94,38 @@ func TestAgentIDReuse(t *testing.T) {
 	}
 }
 
+// TestCensusCountsWrappedLifetimes: a lifetime opened under a reused ID
+// replaces the dead record, but the census still counts it, so spawned
+// adds up to halted + died + live past a counter wrap.
+func TestCensusCountsWrappedLifetimes(t *testing.T) {
+	const agents = 300
+	sc := agilla.Scenario{
+		Name:    "wrap-census",
+		Options: []agilla.Option{agilla.WithTopology(agilla.Grid(2, 1))},
+		Play: func(_ context.Context, nw *agilla.Network, _ *agilla.Metrics) error {
+			base := nw.Base()
+			code := program.MustParse(sleeper).Bytes()
+			for i := 0; i < agents; i++ {
+				id, err := base.CreateAgent(code)
+				if err != nil {
+					return err
+				}
+				if !base.KillAgent(id) {
+					return fmt.Errorf("agent %d: kill failed", i)
+				}
+			}
+			return nil
+		},
+	}
+	m, err := sc.Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.AgentsSpawned != agents || m.AgentsDied != agents {
+		t.Fatalf("census spawned %d, died %d; want %d each", m.AgentsSpawned, m.AgentsDied, agents)
+	}
+}
+
 // TestHandleDiesWithItsNode: a scripted kill takes the hosted agent
 // down, and its handle reads dead there with ErrNodeDown.
 func TestHandleDiesWithItsNode(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"github.com/agilla-go/agilla/internal/agents"
 	"github.com/agilla-go/agilla/internal/asm"
 	"github.com/agilla-go/agilla/internal/core"
 	"github.com/agilla-go/agilla/internal/radio"
@@ -66,7 +67,7 @@ func AblationEndToEnd(cfg Config) (*AblationResult, error) {
 		p.PGoodBad = lv.pgb
 		for _, v := range variants {
 			pp := p
-			row, err := smoveSweepCode(cfg, v.label+" @ "+lv.label, v.node, &pp, fatRoundTrip)
+			row, err := smoveSweep(cfg, v.label+" @ "+lv.label, v.node, &pp, fatRoundTrip)
 			if err != nil {
 				return nil, err
 			}
@@ -85,7 +86,7 @@ func fatRoundTrip(target, home topology.Location) []byte {
 	}
 	fmt.Fprintf(&sb, "pushloc %d %d\nsmove\n", target.X, target.Y)
 	fmt.Fprintf(&sb, "pushloc %d %d\nsmove\nhalt\n", home.X, home.Y)
-	return asmMust(sb.String())
+	return asm.MustAssemble(sb.String())
 }
 
 // AblationLossModel compares the calibrated Gilbert–Elliott burst-loss
@@ -117,7 +118,7 @@ func AblationLossModel(cfg Config) (*AblationResult, error) {
 	}
 	for _, v := range variants {
 		p := v.params
-		row, err := smoveSweep(cfg, v.label, core.Config{}, &p)
+		row, err := smoveSweep(cfg, v.label, core.Config{}, &p, agents.SmoveRoundTrip)
 		if err != nil {
 			return nil, err
 		}
@@ -138,7 +139,7 @@ func AblationRetries(cfg Config) (*AblationResult, error) {
 		if retries > 4 {
 			node.ReceiverStall = time.Duration(retries) * 150 * time.Millisecond
 		}
-		row, err := smoveSweep(cfg, fmt.Sprintf("retries=%d", retries), node, nil)
+		row, err := smoveSweep(cfg, fmt.Sprintf("retries=%d", retries), node, nil, agents.SmoveRoundTrip)
 		if err != nil {
 			return nil, err
 		}
@@ -148,34 +149,20 @@ func AblationRetries(cfg Config) (*AblationResult, error) {
 }
 
 // smoveSweep measures smove reliability and latency at 1, 3, and 5 hops
-// under one configuration using the Figure 8 agent.
-func smoveSweep(cfg Config, label string, node core.Config, params *radio.Params) (AblationRow, error) {
-	return smoveSweepCode(cfg, label, node, params, nil)
-}
-
-// smoveSweepCode is smoveSweep with a custom agent builder; nil selects
-// the Figure 8 agent.
-func smoveSweepCode(cfg Config, label string, node core.Config, params *radio.Params,
+// under one configuration, with the round-trip mover build makes.
+func smoveSweep(cfg Config, label string, node core.Config, params *radio.Params,
 	build func(target, home topology.Location) []byte) (AblationRow, error) {
 	row := AblationRow{
 		Label: label,
 		Rate:  map[int]float64{}, Latency: map[int]float64{},
 		Duplicates: map[int]int{}, Frames: map[int]uint64{},
 	}
-	d, err := newTestbed(cfg.Seed, node, params)
+	b, err := newHopBench(cfg.Seed, node, params)
 	if err != nil {
 		return row, err
 	}
-	if err := d.WarmUp(); err != nil {
-		return row, err
-	}
 	for _, h := range []int{1, 3, 5} {
-		var pt HopPoint
-		if build == nil {
-			pt, err = runSmoveTrials(d, h, cfg.Trials)
-		} else {
-			pt, err = runSmoveTrialsCode(d, h, cfg.Trials, build(hopTarget(h), d.Base.Loc()))
-		}
+		pt, err := b.smoveTrials(h, cfg.Trials, build)
 		if err != nil {
 			return row, err
 		}
@@ -186,9 +173,6 @@ func smoveSweepCode(cfg Config, label string, node core.Config, params *radio.Pa
 	}
 	return row, nil
 }
-
-// asmMust assembles or panics; ablation programs are hard-coded.
-func asmMust(src string) []byte { return asm.MustAssemble(src) }
 
 // String renders the ablation table.
 func (r *AblationResult) String() string {

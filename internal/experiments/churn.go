@@ -105,8 +105,9 @@ func (r *ChurnResult) String() string {
 	return b.String()
 }
 
-// Churn runs the dynamic-world sweep: for each grid size and replication
-// setting, one run per worker count in {1, 2, 4, ...} up to cfg.Workers.
+// Churn runs the dynamic-world sweep: for each grid size, replication off
+// and then on, one run per worker count in {1, 2, 4, ...} up to
+// cfg.Workers.
 func Churn(cfg Config) (*ChurnResult, error) {
 	cfg = cfg.withDefaults()
 	sizes := []int{6, 10}
@@ -115,58 +116,43 @@ func Churn(cfg Config) (*ChurnResult, error) {
 		sizes = []int{6}
 		virtual = 15 * time.Second
 	}
-	workers := []int{1}
-	for w := 2; w <= cfg.Workers; w *= 2 {
-		workers = append(workers, w)
-	}
-	if last := workers[len(workers)-1]; last != cfg.Workers && cfg.Workers > 1 {
-		workers = append(workers, cfg.Workers)
-	}
-
-	modes := []bool{false}
-	if cfg.Replication {
-		modes = append(modes, true)
-	}
 	res := &ChurnResult{}
 	for _, g := range sizes {
-		for _, repl := range modes {
-			var baseline, savedJ float64
-			for _, w := range workers {
-				row, err := churnRun(g, w, virtual, cfg.Seed, repl, churnOpts{})
-				if err != nil {
-					return nil, fmt.Errorf("churn %dx%d workers=%d repl=%v: %w", g, g, w, repl, err)
-				}
-				if w == 1 {
-					baseline = row.EventsPerSec
-					if repl {
-						// Measure what digest suppression saves: the same
-						// workload with suppression on vs. off, batteries
-						// uncapped so the delta is pure gossip airtime
-						// (the provisioned rows are battery-limited, which
-						// would clip it). One worker only — the delta is
-						// deterministic, so every worker row of this
-						// configuration carries the same value.
-						quietU, err := churnRun(g, 1, virtual, cfg.Seed, repl, churnOpts{uncapped: true})
-						if err != nil {
-							return nil, fmt.Errorf("churn %dx%d uncapped repl=%v: %w", g, g, repl, err)
-						}
-						noisyU, err := churnRun(g, 1, virtual, cfg.Seed, repl, churnOpts{uncapped: true, quiescentEvery: 1})
-						if err != nil {
-							return nil, fmt.Errorf("churn %dx%d no-suppression repl=%v: %w", g, g, repl, err)
-						}
-						savedJ = noisyU.EnergyUsedJ - quietU.EnergyUsedJ
-					}
-				}
-				if baseline > 0 {
-					row.Speedup = row.EventsPerSec / baseline
-				}
-				row.SuppressionSavedJ = savedJ
-				res.Rows = append(res.Rows, row)
+		for _, repl := range []bool{false, true} {
+			rows, err := sweepWorkers(fmt.Sprintf("churn %dx%d repl=%v", g, g, repl), cfg.Workers, func(w int) (ChurnRow, error) {
+				return churnRun(g, w, virtual, cfg.Seed, repl, churnOpts{})
+			})
+			if err != nil {
+				return nil, err
 			}
+			if repl {
+				// Measure what digest suppression saves: the same
+				// workload with suppression on vs. off, batteries
+				// uncapped so the delta is pure gossip airtime (the
+				// provisioned rows are battery-limited, which would clip
+				// it). One worker only — the delta is deterministic, so
+				// every worker row of this configuration carries the
+				// same value.
+				quietU, err := churnRun(g, 1, virtual, cfg.Seed, repl, churnOpts{uncapped: true})
+				if err != nil {
+					return nil, fmt.Errorf("churn %dx%d uncapped repl=%v: %w", g, g, repl, err)
+				}
+				noisyU, err := churnRun(g, 1, virtual, cfg.Seed, repl, churnOpts{uncapped: true, quiescentEvery: 1})
+				if err != nil {
+					return nil, fmt.Errorf("churn %dx%d no-suppression repl=%v: %w", g, g, repl, err)
+				}
+				for i := range rows {
+					rows[i].SuppressionSavedJ = noisyU.EnergyUsedJ - quietU.EnergyUsedJ
+				}
+			}
+			res.Rows = append(res.Rows, rows...)
 		}
 	}
 	return res, nil
 }
+
+// rate is the sweepWorkers view of a row.
+func (r *ChurnRow) rate() (float64, *float64) { return r.EventsPerSec, &r.Speedup }
 
 // marker is the tuple mote number idx publishes at t=0; the survival and
 // probe columns track these through the churn.

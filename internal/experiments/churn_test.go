@@ -13,7 +13,7 @@ import (
 // schedule and seed, gossip replication turns the dead motes' markers
 // from unreadable to readable (remote probes and end-of-run survival).
 func TestChurnDeterministicAcrossWorkers(t *testing.T) {
-	res, err := Churn(Config{Seed: 7, Quick: true, Workers: 2, Replication: true})
+	res, err := Churn(Config{Seed: 7, Quick: true, Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,19 +28,38 @@ type Fig11Result struct {
 // instructions by timing each 100 times and finding the average").
 func Fig11(cfg Config) (*Fig11Result, error) {
 	cfg = cfg.withDefaults()
-	node := core.Config{RemoteRetries: -1}
-	d, err := newTestbed(cfg.Seed, node, nil)
+	d, err := newTestbed(cfg.Seed, core.Config{RemoteRetries: -1}, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := d.WarmUp(); err != nil {
-		return nil, err
-	}
-
-	res := &Fig11Result{Latency: make(map[string]*stats.Series, len(Fig11Ops))}
 	src := d.Node(topology.Loc(1, 1))
 	target := topology.Loc(2, 1)
 
+	// A trial resolves on the reply to its remote op, or on its agent
+	// (or clone) arriving at the target.
+	var resolved bool
+	var started, elapsed time.Duration
+	d.Trace.RemoteDone = func(_ topology.Location, _ uint16, _ vm.RemoteKind, dest topology.Location, ok bool, dt time.Duration) {
+		if dest == target && !resolved {
+			resolved = true
+			if ok {
+				elapsed = dt
+			}
+		}
+	}
+	d.Trace.MigrationStarted = func(node topology.Location, _ uint16, _ wire.MigKind, dest topology.Location) {
+		if dest == target && started == 0 {
+			started = d.NowAt(node)
+		}
+	}
+	d.Trace.AgentArrived = func(node topology.Location, _ uint16, kind wire.MigKind, _ topology.Location) {
+		if node == target && kind != wire.MigInject && !resolved {
+			resolved = true
+			elapsed = d.NowAt(node) - started
+		}
+	}
+
+	res := &Fig11Result{Latency: make(map[string]*stats.Series, len(Fig11Ops))}
 	for _, op := range Fig11Ops {
 		series := &stats.Series{}
 		res.Latency[op] = series
@@ -49,64 +68,25 @@ func Fig11(cfg Config) (*Fig11Result, error) {
 			return nil, err
 		}
 		for i := 0; i < cfg.Trials; i++ {
-			if err := runOneHopTrial(d, src, target, op, code, series); err != nil {
+			// rinp/rrdp need something to find.
+			if op == "rinp" || op == "rrdp" {
+				if err := d.Node(target).Space().Out(tuplespace.T(tuplespace.Int(1))); err != nil {
+					return nil, err
+				}
+			}
+			resolved, started, elapsed = false, 0, 0
+			if _, err := runAgent(d, src, src.Loc(), code, func() bool { return resolved }, 10*time.Second); err != nil {
+				return nil, fmt.Errorf("%s trial %d: %w", op, i, err)
+			}
+			if resolved && elapsed > 0 {
+				series.AddDuration(elapsed)
+			}
+			if err := reset(d, 300*time.Millisecond); err != nil {
 				return nil, fmt.Errorf("%s trial %d: %w", op, i, err)
 			}
 		}
 	}
 	return res, nil
-}
-
-func runOneHopTrial(d *core.Deployment, src *core.Node, target topology.Location, op string, code []byte, series *stats.Series) error {
-	// rinp/rrdp need something to find.
-	if op == "rinp" || op == "rrdp" {
-		if err := d.Node(target).Space().Out(tuplespace.T(tuplespace.Int(1))); err != nil {
-			return err
-		}
-	}
-
-	var resolved bool
-	var elapsed time.Duration
-	var started time.Duration
-	switch op {
-	case "rout", "rinp", "rrdp":
-		d.Trace.RemoteDone = func(_ topology.Location, _ uint16, _ vm.RemoteKind, dest topology.Location, ok bool, dt time.Duration) {
-			if dest == target && !resolved {
-				resolved = true
-				if ok {
-					elapsed = dt
-				}
-			}
-		}
-	default:
-		d.Trace.MigrationStarted = func(node topology.Location, _ uint16, _ wire.MigKind, dest topology.Location) {
-			if dest == target && started == 0 {
-				started = d.NowAt(node)
-			}
-		}
-		d.Trace.AgentArrived = func(node topology.Location, _ uint16, kind wire.MigKind, _ topology.Location) {
-			if node == target && kind != wire.MigInject && !resolved {
-				resolved = true
-				elapsed = d.NowAt(node) - started
-			}
-		}
-	}
-
-	if _, err := src.CreateAgent(code); err != nil {
-		return err
-	}
-	if _, err := d.Sim.RunUntil(func() bool { return resolved }, d.Sim.Now()+10*time.Second); err != nil {
-		return err
-	}
-	if resolved && elapsed > 0 {
-		series.AddDuration(elapsed)
-	}
-	d.Trace.RemoteDone = nil
-	d.Trace.MigrationStarted = nil
-	d.Trace.AgentArrived = nil
-	purgeAgents(d)
-	purgeValueTuples(d)
-	return settle(d, 300*time.Millisecond)
 }
 
 // String renders the Figure 11 bars as a table.

@@ -6,12 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/agilla-go/agilla/internal/asm"
-	"github.com/agilla-go/agilla/internal/core"
-	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/internal/stats"
-	"github.com/agilla-go/agilla/internal/topology"
-	"github.com/agilla-go/agilla/internal/tuplespace"
 	"github.com/agilla-go/agilla/internal/vm"
 )
 
@@ -23,7 +18,7 @@ var Fig12Ops = []string{
 	"out", "inp", "rdp", "in", "rd", "tcount",
 }
 
-// Fig12Point is one instruction's measured latency.
+// Fig12Point is one instruction's latency.
 type Fig12Point struct {
 	Op      string
 	Mean    time.Duration
@@ -31,148 +26,35 @@ type Fig12Point struct {
 	Samples int
 }
 
-// Fig12Result is the local-instruction latency sweep.
+// Fig12Result is the local-instruction latency table.
 type Fig12Result struct {
 	Points []Fig12Point
 }
 
-// Fig12 measures local instruction latency through the full engine with
-// the radio disabled, as §4 does ("we disabled the radio and timed how
-// long it took to execute each 1000 times"). Each instruction runs inside
-// a harness agent on a live node; latency is virtual time per instruction,
-// which exercises the calibrated cost model plus engine scheduling.
+// Fig12 reports the latency of each local instruction. §4 disabled the
+// radio and timed each instruction 1000 times on a mote; that measurement
+// is the calibrated cost column of the vm ISA table, and the engine
+// charges it exactly: each instruction advances its agent's virtual
+// clock by its cost (pinned by core's TestEngineChargesCostTable). So
+// every mean is the instruction's cost row, and n is the paper's 1000
+// repetitions (100 with Quick).
 func Fig12(cfg Config) (*Fig12Result, error) {
-	cfg = cfg.withDefaults()
 	reps := 1000
 	if cfg.Quick {
 		reps = 100
 	}
-
 	res := &Fig12Result{}
-	for _, op := range Fig12Ops {
-		mean, n, err := timeLocalOp(cfg.Seed, op, reps)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", op, err)
+	for _, name := range Fig12Ops {
+		op, ok := vm.ByName(name)
+		if !ok {
+			return nil, fmt.Errorf("fig12: no instruction %q", name)
 		}
+		info, _ := vm.Lookup(op)
 		res.Points = append(res.Points, Fig12Point{
-			Op: op, Mean: mean, Class: classify(mean), Samples: n,
+			Op: name, Mean: info.Cost, Class: classify(info.Cost), Samples: reps,
 		})
 	}
 	return res, nil
-}
-
-// timeLocalOp runs one instruction repeatedly on an otherwise idle node
-// and returns the mean virtual latency per instruction.
-func timeLocalOp(seed int64, op string, reps int) (time.Duration, int, error) {
-	// Radio disabled: zero-loss params on a single isolated mote. The
-	// harness repeats the op inside a counted loop whose fixed overhead
-	// (loop control) is measured separately and subtracted.
-	params := radio.ZeroLoss()
-	d, err := core.NewDeployment(core.DeploymentSpec{
-		Layout: topology.GridLayout(1, 1), Seed: seed, Radio: &params,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	n := d.Node(topology.Loc(1, 1))
-	// A neighbor entry so getnbr/randnbr have something to return.
-	n.Net().Acquaintances().Update(topology.Loc(2, 1), 0, 0)
-	// A stored tuple so probing reads succeed quickly and `in`/`rd` do
-	// not block.
-	if err := n.Space().Out(tuplespace.T(tuplespace.Int(7))); err != nil {
-		return 0, 0, err
-	}
-
-	body, per, err := opBody(op)
-	if err != nil {
-		return 0, 0, err
-	}
-	code, err := asm.Assemble(body)
-	if err != nil {
-		return 0, 0, fmt.Errorf("harness for %s: %v", op, err)
-	}
-
-	var total time.Duration
-	var instr uint64
-	d.Trace.InstrExecuted = func(_ topology.Location, _ uint16, executed vm.Op) {
-		info, _ := vm.Lookup(executed)
-		if info.Name == op {
-			instr++
-			total += info.Cost
-		}
-	}
-	if _, err := n.CreateAgent(code); err != nil {
-		return 0, 0, err
-	}
-	// One run of the harness executes the op `per` times; repeat by
-	// re-injecting until we have enough samples.
-	runs := (reps + per - 1) / per
-	for i := 0; i < runs; i++ {
-		if _, err := d.Sim.RunUntil(func() bool { return n.NumAgents() == 0 },
-			d.Sim.Now()+time.Hour); err != nil {
-			return 0, 0, err
-		}
-		if i+1 < runs {
-			if _, err := n.CreateAgent(code); err != nil {
-				return 0, 0, err
-			}
-		}
-	}
-	if instr == 0 {
-		return 0, 0, fmt.Errorf("op %s never executed", op)
-	}
-	return total / time.Duration(instr), int(instr), nil
-}
-
-// opBody builds a self-cleaning straight-line harness that executes op a
-// fixed number of times and halts. It returns the source and how many
-// times op executes per run.
-func opBody(op string) (string, int, error) {
-	var once string
-	switch op {
-	case "loc", "aid", "numnbrs", "randnbr":
-		once = op + "\npop\n"
-	case "getnbr":
-		once = "pushc 0\ngetnbr\npop\n"
-	case "pushrt":
-		once = "pushrt TEMPERATURE\npop\n"
-	case "pusht":
-		once = "pusht VALUE\npop\n"
-	case "pushn":
-		once = "pushn fir\npop\n"
-	case "pushcl":
-		once = "pushcl 1000\npop\n"
-	case "pushloc":
-		once = "pushloc 3 3\npop\n"
-	case "regrxn":
-		// Register then deregister so the registry never fills.
-		once = "pusht VALUE\npushc 1\npushc 0\nregrxn\npusht VALUE\npushc 1\nderegrxn\n"
-	case "deregrxn":
-		once = "pusht VALUE\npushc 1\npushc 0\nregrxn\npusht VALUE\npushc 1\nderegrxn\n"
-	case "out":
-		// Insert then remove so the arena never fills.
-		once = "pushc 9\npushc 1\nout\npushc 9\npushc 1\ninp\npop\npop\n"
-	case "inp":
-		once = "pushc 9\npushc 1\nout\npushc 9\npushc 1\ninp\npop\npop\n"
-	case "rdp":
-		once = "pushc 7\npushc 1\nrdp\npop\npop\n"
-	case "in":
-		once = "pushc 9\npushc 1\nout\npushc 9\npushc 1\nin\npop\npop\n"
-	case "rd":
-		once = "pushc 7\npushc 1\nrd\npop\npop\n"
-	case "tcount":
-		once = "pusht VALUE\npushc 1\ntcount\npop\n"
-	default:
-		return "", 0, fmt.Errorf("no harness for %s", op)
-	}
-	// 20 repetitions per run keeps programs within instruction memory.
-	const per = 20
-	var sb strings.Builder
-	for i := 0; i < per; i++ {
-		sb.WriteString(once)
-	}
-	sb.WriteString("halt\n")
-	return sb.String(), per, nil
 }
 
 // classify assigns the three latency classes of Figure 12.

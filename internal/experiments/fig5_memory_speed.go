@@ -128,32 +128,17 @@ func Speed(cfg Config) (*SpeedResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := d.WarmUp(); err != nil {
-		return nil, err
-	}
 
+	// The ping-pong agent: 2 hops per round trip.
 	src := d.Node(topology.Loc(1, 1))
-	hops := 0
-	d.Trace.AgentArrived = func(node topology.Location, _ uint16, kind wire.MigKind, _ topology.Location) {
-		if kind == wire.MigStrongMove {
-			hops++
-		}
-	}
-	// The ping-pong agent: 2 hops per round trip, driven by a bounded
-	// loop counter in the heap.
-	code := agents.SmoveRoundTrip(topology.Loc(2, 1), topology.Loc(1, 1))
+	code := agents.SmoveRoundTrip(topology.Loc(2, 1), src.Loc())
 	start := d.Sim.Now()
-	var elapsed time.Duration
 	for i := 0; i < trips; i++ {
-		if _, err := src.CreateAgent(code); err != nil {
-			return nil, err
-		}
-		if _, err := d.Sim.RunUntil(func() bool { return d.TotalAgents() == 0 },
-			d.Sim.Now()+30*time.Second); err != nil {
+		if _, err := runAgent(d, src, src.Loc(), code, func() bool { return d.TotalAgents() == 0 }, 30*time.Second); err != nil {
 			return nil, err
 		}
 	}
-	elapsed = d.Sim.Now() - start
+	elapsed := d.Sim.Now() - start
 
 	perHop := elapsed / time.Duration(2*trips)
 	// 50 m per hop (§4 assumes ~50 m radio range).

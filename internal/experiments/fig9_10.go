@@ -10,7 +10,6 @@ import (
 	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/internal/stats"
 	"github.com/agilla-go/agilla/internal/topology"
-	"github.com/agilla-go/agilla/internal/tuplespace"
 	"github.com/agilla-go/agilla/internal/vm"
 	"github.com/agilla-go/agilla/internal/wire"
 )
@@ -46,24 +45,19 @@ type Fig9and10Result struct {
 // fold multiple executions into one number.
 func Fig9and10(cfg Config) (*Fig9and10Result, error) {
 	cfg = cfg.withDefaults()
-	node := core.Config{RemoteRetries: -1}
-	d, err := newTestbed(cfg.Seed, node, nil)
+	b, err := newHopBench(cfg.Seed, core.Config{RemoteRetries: -1}, nil)
 	if err != nil {
 		return nil, err
 	}
-	if err := d.WarmUp(); err != nil {
-		return nil, err
-	}
-
 	res := &Fig9and10Result{}
 	for h := 1; h <= 5; h++ {
-		sm, err := runSmoveTrials(d, h, cfg.Trials)
+		sm, err := b.smoveTrials(h, cfg.Trials, agents.SmoveRoundTrip)
 		if err != nil {
 			return nil, fmt.Errorf("smove %d hops: %w", h, err)
 		}
 		res.Smove = append(res.Smove, sm)
 
-		ro, err := runRoutTrials(d, h, cfg.Trials)
+		ro, err := b.routTrials(h, cfg.Trials)
 		if err != nil {
 			return nil, fmt.Errorf("rout %d hops: %w", h, err)
 		}
@@ -72,108 +66,110 @@ func Fig9and10(cfg Config) (*Fig9and10Result, error) {
 	return res, nil
 }
 
-// runSmoveTrials executes the Figure 8 smove agent repeatedly.
-func runSmoveTrials(d *core.Deployment, hops, trials int) (HopPoint, error) {
-	target := hopTarget(hops)
-	return runSmoveTrialsCode(d, hops, trials, agents.SmoveRoundTrip(target, d.Base.Loc()))
+// hopBench is a testbed for the smove and rout trials of Figures 9 and 10
+// and the ablations. Its trace hooks are installed once and write the
+// fields below; each trial clears them before it starts.
+type hopBench struct {
+	d         *core.Deployment
+	target    topology.Location
+	migFrames uint64
+	// The smove round trip.
+	reachedTarget, returnedHome, halted bool
+	haltAt                              time.Duration
+	halts                               int
+	// The rout.
+	resolved, ok bool
+	elapsed      time.Duration
 }
 
-// runSmoveTrialsCode executes an arbitrary round-trip mover repeatedly.
-// The code must strong-move to hopTarget(hops), strong-move back to the
-// base, and halt.
-func runSmoveTrialsCode(d *core.Deployment, hops, trials int, code []byte) (HopPoint, error) {
-	pt := HopPoint{Hops: hops}
-	target := hopTarget(hops)
+func newHopBench(seed int64, node core.Config, params *radio.Params) (*hopBench, error) {
+	d, err := newTestbed(seed, node, params)
+	if err != nil {
+		return nil, err
+	}
+	b := &hopBench{d: d}
 	home := d.Base.Loc()
-
 	d.Medium.Trace = func(f radio.Frame, _ topology.Location, _ bool) {
 		if f.Kind == radio.KindMigrate || f.Kind == radio.KindMigrateCtl {
-			pt.MigFrames++
+			b.migFrames++
 		}
 	}
-	defer func() { d.Medium.Trace = nil }()
+	d.Trace.AgentArrived = func(node topology.Location, _ uint16, kind wire.MigKind, _ topology.Location) {
+		switch {
+		case node == b.target && kind == wire.MigStrongMove:
+			b.reachedTarget = true
+		case node == home && kind == wire.MigStrongMove:
+			b.returnedHome = true
+		}
+	}
+	d.Trace.AgentHalted = func(node topology.Location, _ uint16) {
+		b.halts++
+		if node == home && !b.halted {
+			b.halted = true
+			b.haltAt = d.NowAt(node)
+		}
+	}
+	d.Trace.RemoteDone = func(_ topology.Location, _ uint16, kind vm.RemoteKind, dest topology.Location, success bool, dt time.Duration) {
+		if kind == vm.RemoteOut && dest == b.target && !b.resolved {
+			b.resolved, b.ok, b.elapsed = true, success, dt
+		}
+	}
+	return b, nil
+}
 
+// smoveTrials runs the round-trip mover build makes from the base
+// station: it must strong-move to target, strong-move back home, and
+// halt.
+func (b *hopBench) smoveTrials(hops, trials int, build func(target, home topology.Location) []byte) (HopPoint, error) {
+	d := b.d
+	pt := HopPoint{Hops: hops}
+	b.target, b.migFrames = hopTarget(hops), 0
+	code := build(b.target, d.Base.Loc())
 	for i := 0; i < trials; i++ {
-		var reachedTarget, returnedHome, halted bool
-		var haltAt time.Duration
-		halts := 0
-
-		d.Trace.AgentArrived = func(node topology.Location, _ uint16, kind wire.MigKind, _ topology.Location) {
-			switch {
-			case node == target && kind == wire.MigStrongMove:
-				reachedTarget = true
-			case node == home && kind == wire.MigStrongMove:
-				returnedHome = true
-			}
-		}
-		d.Trace.AgentHalted = func(node topology.Location, _ uint16) {
-			halts++
-			if node == home && !halted {
-				halted = true
-				haltAt = d.NowAt(node)
-			}
-		}
-
+		b.reachedTarget, b.returnedHome, b.halted, b.halts = false, false, false, 0
 		start := d.Sim.Now()
-		if _, err := d.Base.CreateAgent(code); err != nil {
-			return pt, err
-		}
-		done, err := d.Sim.RunUntil(func() bool { return d.TotalAgents() == 0 }, d.Sim.Now()+20*time.Second)
+		done, err := runAgent(d, d.Base, d.Base.Loc(), code, func() bool { return d.TotalAgents() == 0 }, 20*time.Second)
 		if err != nil {
 			return pt, err
 		}
-		ok := done && reachedTarget && returnedHome && halted
+		ok := done && b.reachedTarget && b.returnedHome && b.halted
 		pt.Reliability.Record(ok)
-		if halts > 1 {
+		if b.halts > 1 {
 			pt.Duplicates++
 		}
 		if ok {
 			// Halve the round trip for the double migration (§4).
-			pt.Latency.AddDuration((haltAt - start) / 2)
+			pt.Latency.AddDuration((b.haltAt - start) / 2)
 		}
-		d.Trace.AgentArrived = nil
-		d.Trace.AgentHalted = nil
-		purgeAgents(d)
-		purgeValueTuples(d)
-		if err := settle(d, 500*time.Millisecond); err != nil {
+		if err := reset(d, 500*time.Millisecond); err != nil {
 			return pt, err
 		}
 	}
+	pt.MigFrames = b.migFrames
 	return pt, nil
 }
 
-// runRoutTrials executes the Figure 8 rout agent repeatedly.
-func runRoutTrials(d *core.Deployment, hops, trials int) (HopPoint, error) {
+// routTrials runs the Figure 8 rout agent from the base station.
+func (b *hopBench) routTrials(hops, trials int) (HopPoint, error) {
+	d := b.d
 	pt := HopPoint{Hops: hops}
-	target := hopTarget(hops)
-	code := agents.Rout(target)
-
+	b.target = hopTarget(hops)
+	code := agents.Rout(b.target)
 	for i := 0; i < trials; i++ {
-		var resolved, ok bool
-		var elapsed time.Duration
-		d.Trace.RemoteDone = func(_ topology.Location, _ uint16, kind vm.RemoteKind, dest topology.Location, success bool, dt time.Duration) {
-			if kind == vm.RemoteOut && dest == target && !resolved {
-				resolved, ok, elapsed = true, success, dt
-			}
-		}
-		if _, err := d.Base.CreateAgent(code); err != nil {
-			return pt, err
-		}
-		if _, err := d.Sim.RunUntil(func() bool { return resolved }, d.Sim.Now()+10*time.Second); err != nil {
+		b.resolved = false
+		if _, err := runAgent(d, d.Base, d.Base.Loc(), code, func() bool { return b.resolved }, 10*time.Second); err != nil {
 			return pt, err
 		}
 		// Reliability counts the tuple actually landing, confirmed by the
 		// reply; a lost reply with a delivered tuple still counts as a
 		// failed execution, as the initiator cannot tell the difference.
-		pt.Reliability.Record(resolved && ok)
-		if resolved && ok {
-			pt.Latency.AddDuration(elapsed)
+		pt.Reliability.Record(b.resolved && b.ok)
+		if b.resolved && b.ok {
+			pt.Latency.AddDuration(b.elapsed)
 		}
-		d.Trace.RemoteDone = nil
-		purgeAgents(d)
-		// Remove the deposited <1> so the next trial's space stays clean.
-		d.Node(target).Space().RemoveAll(tuplespace.Tmpl(tuplespace.Int(1)))
-		if err := settle(d, 200*time.Millisecond); err != nil {
+		// reset also removes the deposited <1>, so the next trial's
+		// space stays clean.
+		if err := reset(d, 200*time.Millisecond); err != nil {
 			return pt, err
 		}
 	}

@@ -51,9 +51,6 @@ func MateCompare(cfg Config) (*MateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := d.WarmUp(); err != nil {
-		return nil, err
-	}
 	base := d.Medium.Stats()
 	start := d.Sim.Now()
 	target := topology.Loc(3, 3)
@@ -64,10 +61,7 @@ func MateCompare(cfg Config) (*MateResult, error) {
 		}
 	}
 	code := asm.MustAssemble("pushc 1\nputled\npushn new\npushc 1\nout\nhalt")
-	if _, err := d.Base.InjectAgent(code, target); err != nil {
-		return nil, err
-	}
-	if _, err := d.Sim.RunUntil(func() bool { return arrived }, d.Sim.Now()+time.Minute); err != nil {
+	if _, err := runAgent(d, d.Base, target, code, func() bool { return arrived }, time.Minute); err != nil {
 		return nil, err
 	}
 	after := d.Medium.Stats()
@@ -94,15 +88,8 @@ func MateCompare(cfg Config) (*MateResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := d2.WarmUp(); err != nil {
-		return nil, err
-	}
 	base2 := d2.Medium.Stats()
 	start2 := d2.Sim.Now()
-	spreader := agents.Spreader("pushc 2\nputled\nhalt")
-	if _, err := d2.Base.InjectAgent(spreader, topology.Loc(1, 1)); err != nil {
-		return nil, err
-	}
 	covered := func() int {
 		n := 0
 		for _, node := range d2.Motes() {
@@ -112,8 +99,8 @@ func MateCompare(cfg Config) (*MateResult, error) {
 		}
 		return n
 	}
-	if _, err := d2.Sim.RunUntil(func() bool { return covered() >= 25 },
-		d2.Sim.Now()+5*time.Minute); err != nil {
+	spreader := agents.Spreader("pushc 2\nputled\nhalt")
+	if _, err := runAgent(d2, d2.Base, topology.Loc(1, 1), spreader, func() bool { return covered() >= 25 }, 5*time.Minute); err != nil {
 		return nil, err
 	}
 	after2 := d2.Medium.Stats()

@@ -83,33 +83,15 @@ func Scale(cfg Config) (*ScaleResult, error) {
 		sizes = []int{5, 10}
 		virtual = 3 * time.Second
 	}
-	workers := []int{1}
-	for w := 2; w <= cfg.Workers; w *= 2 {
-		workers = append(workers, w)
-	}
-	if last := workers[len(workers)-1]; last != cfg.Workers && cfg.Workers > 1 {
-		workers = append(workers, cfg.Workers)
-	}
-
 	res := &ScaleResult{}
 	for _, g := range sizes {
-		var baseline float64
-		for _, w := range workers {
-			// Settle the heap between rows so a big earlier grid's
-			// garbage does not tax this row's GC — each measurement
-			// stands alone.
-			row, err := scaleBest(g, w, virtual, cfg.Seed, cfg.Trials)
-			if err != nil {
-				return nil, fmt.Errorf("scale %dx%d workers=%d: %w", g, g, w, err)
-			}
-			if w == 1 {
-				baseline = row.EventsPerSec
-			}
-			if baseline > 0 {
-				row.Speedup = row.EventsPerSec / baseline
-			}
-			res.Rows = append(res.Rows, row)
+		rows, err := sweepWorkers(fmt.Sprintf("scale %dx%d", g, g), cfg.Workers, func(w int) (ScaleRow, error) {
+			return scaleBest(g, w, virtual, cfg.Seed, cfg.Trials)
+		})
+		if err != nil {
+			return nil, err
 		}
+		res.Rows = append(res.Rows, rows...)
 	}
 	if !cfg.Quick {
 		// The 1000x1000 headline: a million motes, feasible only because
@@ -124,6 +106,40 @@ func Scale(cfg Config) (*ScaleResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 	return res, nil
+}
+
+// rate is the sweepWorkers view of a row.
+func (r *ScaleRow) rate() (float64, *float64) { return r.EventsPerSec, &r.Speedup }
+
+// sweepWorkers runs the configuration label names at each worker count
+// in {1, 2, 4, …} up to max, max itself included, and sets each row's
+// speedup over the workers-1 row's events per second.
+func sweepWorkers[R any, P interface {
+	*R
+	rate() (eventsPerSec float64, speedup *float64)
+}](label string, max int, run func(workers int) (R, error)) ([]R, error) {
+	workers := []int{1}
+	for w := 2; w <= max; w *= 2 {
+		workers = append(workers, w)
+	}
+	if last := workers[len(workers)-1]; last != max && max > 1 {
+		workers = append(workers, max)
+	}
+	rows := make([]R, 0, len(workers))
+	for _, w := range workers {
+		row, err := run(w)
+		if err != nil {
+			return nil, fmt.Errorf("%s workers=%d: %w", label, w, err)
+		}
+		rows = append(rows, row)
+	}
+	if baseline, _ := P(&rows[0]).rate(); baseline > 0 {
+		for i := range rows {
+			eps, speedup := P(&rows[i]).rate()
+			*speedup = eps / baseline
+		}
+	}
+	return rows, nil
 }
 
 // scaleBest measures one configuration -trials times and keeps the run

@@ -1,13 +1,12 @@
 // Package stats provides the small statistics toolkit the experiment
-// harness uses to regenerate the paper's figures: streaming series with
-// moments and percentiles, success/failure reliability counters, and
-// fixed-width table rendering for paper-style output.
+// harness uses to regenerate the paper's figures: series with moments
+// and extremes, success/failure reliability counters, and fixed-width
+// table rendering for paper-style output.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 	"time"
 )
@@ -17,14 +16,12 @@ import (
 type Series struct {
 	values []float64
 	sum    float64
-	sorted bool
 }
 
 // Add appends one observation.
 func (s *Series) Add(v float64) {
 	s.values = append(s.values, v)
 	s.sum += v
-	s.sorted = false
 }
 
 // AddDuration appends a time observation in milliseconds.
@@ -87,29 +84,6 @@ func (s *Series) Max() float64 {
 	return max
 }
 
-// Percentile returns the p-th percentile (0-100) using nearest-rank, or 0
-// for an empty series.
-func (s *Series) Percentile(p float64) float64 {
-	if len(s.values) == 0 {
-		return 0
-	}
-	if !s.sorted {
-		sort.Float64s(s.values)
-		s.sorted = true
-	}
-	if p <= 0 {
-		return s.values[0]
-	}
-	if p >= 100 {
-		return s.values[len(s.values)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(s.values))))
-	return s.values[rank-1]
-}
-
-// Median returns the 50th percentile.
-func (s *Series) Median() float64 { return s.Percentile(50) }
-
 // Reliability counts successes over trials, as in Figure 9.
 // The zero value is ready to use.
 type Reliability struct {
@@ -133,9 +107,6 @@ func (r *Reliability) Rate() float64 {
 	return float64(r.Successes) / float64(r.Trials)
 }
 
-// Failures returns the failed-trial count.
-func (r *Reliability) Failures() int { return r.Trials - r.Successes }
-
 // Table renders aligned fixed-width tables for the benchmark harness output.
 type Table struct {
 	header []string
@@ -147,18 +118,12 @@ func NewTable(header ...string) *Table {
 	return &Table{header: header}
 }
 
-// AddRow appends a row; cells render with fmt.Sprint.
+// AddRow appends a row; cells render with fmt.Sprint, so callers format
+// floats themselves.
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))
 	for i, c := range cells {
-		switch v := c.(type) {
-		case float64:
-			row[i] = fmt.Sprintf("%.2f", v)
-		case time.Duration:
-			row[i] = fmt.Sprintf("%.2fms", float64(v)/float64(time.Millisecond))
-		default:
-			row[i] = fmt.Sprint(c)
-		}
+		row[i] = fmt.Sprint(c)
 	}
 	t.rows = append(t.rows, row)
 }

@@ -32,7 +32,7 @@ func TestSeriesMoments(t *testing.T) {
 
 func TestSeriesEmpty(t *testing.T) {
 	var s Series
-	if s.Mean() != 0 || s.Std() != 0 || s.Min() != 0 || s.Max() != 0 || s.Percentile(50) != 0 {
+	if s.Mean() != 0 || s.Std() != 0 || s.Min() != 0 || s.Max() != 0 {
 		t.Error("empty series must report zeros")
 	}
 }
@@ -43,23 +43,8 @@ func TestSeriesSingle(t *testing.T) {
 	if s.Std() != 0 {
 		t.Error("single-element std must be 0")
 	}
-	if s.Median() != 3 {
-		t.Errorf("Median = %v", s.Median())
-	}
-}
-
-func TestPercentiles(t *testing.T) {
-	var s Series
-	for i := 1; i <= 100; i++ {
-		s.Add(float64(i))
-	}
-	tests := []struct{ p, want float64 }{
-		{0, 1}, {1, 1}, {50, 50}, {90, 90}, {100, 100}, {150, 100}, {-5, 1},
-	}
-	for _, tt := range tests {
-		if got := s.Percentile(tt.p); !almost(got, tt.want) {
-			t.Errorf("P%.0f = %v, want %v", tt.p, got, tt.want)
-		}
+	if s.Mean() != 3 || s.Min() != 3 || s.Max() != 3 {
+		t.Errorf("Mean/Min/Max = %v/%v/%v, want 3", s.Mean(), s.Min(), s.Max())
 	}
 }
 
@@ -98,9 +83,6 @@ func TestReliability(t *testing.T) {
 	if !almost(r.Rate(), 0.92) {
 		t.Errorf("Rate = %v, want 0.92", r.Rate())
 	}
-	if r.Failures() != 8 {
-		t.Errorf("Failures = %d", r.Failures())
-	}
 	var empty Reliability
 	if empty.Rate() != 0 {
 		t.Error("empty reliability must be 0")
@@ -122,13 +104,5 @@ func TestTableRendering(t *testing.T) {
 	// Separator line is dashes.
 	if !strings.HasPrefix(lines[1], "----") {
 		t.Errorf("missing separator: %q", lines[1])
-	}
-}
-
-func TestTableDurationCell(t *testing.T) {
-	tb := NewTable("op", "latency")
-	tb.AddRow("smove", 225*time.Millisecond)
-	if !strings.Contains(tb.String(), "225.00ms") {
-		t.Errorf("duration cell not formatted:\n%s", tb.String())
 	}
 }

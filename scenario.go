@@ -244,8 +244,9 @@ func (s *Scenario) run(ctx context.Context, seed int64) (*Metrics, error) {
 	m.Elapsed = nw.Now()
 	// Count agent lifetimes from the registry, not NodeStats.AgentsHosted:
 	// the latter counts per-node admissions, so every relay hop of a
-	// multi-hop migration would inflate it.
-	m.AgentsSpawned = len(nw.agents.ids())
+	// multi-hop migration would inflate it. Nor from its records: a
+	// wrapped ID's new lifetime replaces the dead one's record.
+	m.AgentsSpawned = nw.agents.spawned()
 	m.AgentsHalted = int(stats.AgentsHalted)
 	m.AgentsDied = int(stats.AgentsDied)
 	m.Hops = int(stats.MigrationsOK)
