@@ -1,8 +1,10 @@
 package core
 
 import (
+	"flag"
 	"fmt"
 	"hash/fnv"
+	"os"
 	"sort"
 	"strings"
 	"sync"
@@ -25,6 +27,66 @@ import (
 // middleware event trace — (time, per-node sequence, node, kind, agent)
 // for every trace hook firing — and require it byte-identical across
 // executors, on grid, ring, and random-disk topologies and several seeds.
+
+var update = flag.Bool("update", false, "rewrite testdata/determinism.golden")
+
+// determinismGolden is testdata/determinism.golden, which pins the suite
+// across commits as well: one line per workers-1 run, its scenario,
+// layout and seed and then the trace hash, event count and counters the
+// run measured. The executors are diffed against each other inside one
+// run; the file catches a change that moves them all alike. Regenerate
+// with
+//
+//	go test -run 'Deterministic|MatchesSequential' -update ./internal/core
+const determinismGolden = "testdata/determinism.golden"
+
+var golden struct {
+	sync.Mutex
+	lines map[string]string // run key -> what it measured
+}
+
+// checkGolden compares one run's measurements with its golden line, or
+// with -update records them and rewrites the file.
+func checkGolden(t *testing.T, key string, hash uint64, events int, stats NodeStats, exec Stats2, extra ...any) {
+	t.Helper()
+	got := fmt.Sprintf("hash=%016x events=%d stats=%+v exec=%v", hash, events, stats, exec)
+	for _, x := range extra {
+		got += fmt.Sprintf(" %+v", x)
+	}
+	golden.Lock()
+	defer golden.Unlock()
+	if golden.lines == nil {
+		golden.lines = make(map[string]string)
+		b, err := os.ReadFile(determinismGolden)
+		if err != nil && !*update {
+			t.Fatal(err)
+		}
+		for _, l := range strings.Split(strings.TrimSpace(string(b)), "\n") {
+			if k, v, ok := strings.Cut(l, " hash="); ok {
+				golden.lines[k] = "hash=" + v
+			}
+		}
+	}
+	if *update {
+		golden.lines[key] = got
+		keys := make([]string, 0, len(golden.lines))
+		for k := range golden.lines {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		var b strings.Builder
+		for _, k := range keys {
+			fmt.Fprintf(&b, "%s %s\n", k, golden.lines[k])
+		}
+		if err := os.WriteFile(determinismGolden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if want := golden.lines[key]; got != want {
+		t.Errorf("%s: %s differs\n got: %s\nwant: %s", key, determinismGolden, got, want)
+	}
+}
 
 // traceRecorder captures every middleware event with the reporting node's
 // exact clock. The hooks fire concurrently under a parallel executor, so
@@ -259,6 +321,7 @@ func TestParallelExecutorMatchesSequentialTrace(t *testing.T) {
 				if wantLen == 0 {
 					t.Fatal("sequential run produced no trace events")
 				}
+				checkGolden(t, fmt.Sprintf("workload %s seed=%d", name, seed), wantHash, wantLen, wantStats, wantExec)
 				for _, workers := range []int{2, 4} {
 					gotHash, gotLen, gotStats, gotExec := runDeterminismWorkload(t, layout, seed, workers)
 					if gotLen != wantLen || gotHash != wantHash {
@@ -283,6 +346,7 @@ func TestParallelExecutorMatchesSequentialTrace(t *testing.T) {
 		if clones < len(layout.Nodes)-1 {
 			t.Fatalf("the flood reported %d clones, want at least %d", clones, len(layout.Nodes)-1)
 		}
+		checkGolden(t, "spreader grid seed=3", wantHash, wantLen, wantStats, wantExec)
 		for _, v := range []struct {
 			name    string
 			workers int
@@ -384,6 +448,7 @@ func TestWorldDynamicsDeterministic(t *testing.T) {
 			if wantWorld.Kills != 2 || wantWorld.Revives != 1 || wantWorld.Moves != 2 {
 				t.Fatalf("world schedule did not apply: %+v", wantWorld)
 			}
+			checkGolden(t, fmt.Sprintf("world grid5x5 seed=%d", seed), wantHash, wantLen, wantStats, wantExec, wantWorld)
 			for _, workers := range []int{2, 4} {
 				gotHash, gotLen, gotStats, gotExec, gotWorld := runWorldDeterminismWorkload(t, seed, workers)
 				if gotLen != wantLen || gotHash != wantHash {
@@ -482,6 +547,7 @@ func TestReplicationDeterministic(t *testing.T) {
 			if wantStats.TuplesRecovered == 0 {
 				t.Fatalf("no tuples recovered after revive: %+v", wantStats)
 			}
+			checkGolden(t, fmt.Sprintf("replication grid4x4 seed=%d", seed), wantHash, wantLen, wantStats, wantExec)
 			for _, workers := range []int{2, 4} {
 				gotHash, gotLen, gotStats, gotExec := runReplicationDeterminismWorkload(t, seed, workers)
 				if gotLen != wantLen || gotHash != wantHash {
