@@ -24,27 +24,15 @@ import (
 // injection resumes the agent on this node with condition zero, per the
 // standard migration failure semantics.
 func (n *Node) InjectAgent(code []byte, dest topology.Location) (uint16, error) {
-	if n.life != NodeUp {
-		return 0, fmt.Errorf("%w: %v", ErrNodeDown, n.loc)
-	}
 	if dest == n.loc {
 		return n.CreateAgent(code)
 	}
-	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents {
-		return 0, fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
-	}
-	id := n.NextAgentID()
-	a := vm.NewAgent(id, append([]byte(nil), code...))
-	rec, err := n.admitRecord(a)
+	rec, err := n.admitNew(code)
 	if err != nil {
 		return 0, err
 	}
-	om := n.packAgent(rec, wire.MigInject, dest, true)
-	if n.trace.MigrationStarted != nil {
-		n.trace.MigrationStarted(n.loc, id, wire.MigInject, dest)
-	}
-	om.timer.Reset(DefaultMigSendOverhead)
-	return id, nil
+	n.depart(rec, wire.MigInject, dest, true)
+	return rec.agent.ID, nil
 }
 
 // RemoteOp lets the base station (or a test) perform a remote tuple space
@@ -91,9 +79,6 @@ type DeploymentSpec struct {
 	Node Config
 	// BaseLoc places the base station; default (0,0) as in §4.
 	BaseLoc *topology.Location
-	// Topo, when non-nil, replaces the whole medium topology (layout
-	// links plus base bridge). Used by failure-injection tests.
-	Topo topology.Topology
 	// Field drives sensor readings (nil: all sensors read 0).
 	Field sensor.Field
 	// Energy attaches a battery with the given model to every mote (the
@@ -127,13 +112,10 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 	}
 	// The base bridge is a pointer so a moving gateway can carry the
 	// bridge with it (Medium.Move rekeys via topology.Movable).
-	var topo topology.Topology = &topology.WithBase{
+	topo := &topology.WithBase{
 		Inner:   spec.Layout.Links,
 		Base:    baseLoc,
 		Gateway: spec.Layout.Gateway,
-	}
-	if spec.Topo != nil {
-		topo = spec.Topo
 	}
 
 	// All cross-node interaction flows through radio frames, so the

@@ -229,12 +229,7 @@ func (n *Node) startMigration(rec *record, out vm.Outcome) {
 		n.migrateToSelf(rec, kind)
 		return
 	}
-	om := n.packAgent(rec, kind, dest, true)
-	if n.trace.MigrationStarted != nil {
-		n.trace.MigrationStarted(n.loc, rec.agent.ID, kind, dest)
-	}
-	// Packaging the agent costs CPU time before the first byte is sent.
-	om.timer.Reset(DefaultMigSendOverhead)
+	n.depart(rec, kind, dest, true)
 }
 
 // migrateToSelf implements the degenerate migration to the current node.
@@ -271,15 +266,19 @@ func (n *Node) migrateToSelf(rec *record, kind wire.MigKind) {
 	}
 }
 
-// packAgent suspends rec for a transfer to dest and takes the outbound
-// record that carries it, encoded. The caller reports the departure and
-// then arms the packaging delay on om.timer.
-func (n *Node) packAgent(rec *record, kind wire.MigKind, dest topology.Location, origin bool) *outMigration {
+// depart suspends rec for a transfer to dest, the one way every agent
+// leaves a node: it encodes the agent into an outbound record, reports
+// the departure unless relaying (origin false), and arms the packaging
+// delay, the CPU time packing costs before the first byte is sent.
+func (n *Node) depart(rec *record, kind wire.MigKind, dest topology.Location, origin bool) {
 	rec.state = AgentMigrating
 	om := n.newOut()
 	om.rec, om.kind, om.dest, om.origin = rec, kind, dest, origin
 	n.encodeAgent(om, rec.agent)
-	return om
+	if origin && n.trace.MigrationStarted != nil {
+		n.trace.MigrationStarted(n.loc, rec.agent.ID, kind, dest)
+	}
+	om.timer.Reset(DefaultMigSendOverhead)
 }
 
 // encodeAgent renders a's Figure 5 message sequence into om.buf, with
@@ -392,17 +391,14 @@ func (n *Node) beginTransfer(om *outMigration) {
 
 // sendCurrent transmits the next unacknowledged message and arms the
 // retransmission timer. In end-to-end mode all messages go out back to
-// back, routed to the final destination, and a single completion ack is
-// awaited. The medium copies a payload before Send returns, so om.buf is
-// free to reuse once the transfer ends.
+// back in the network stack's routed envelopes, addressed to the final
+// destination, and a single completion ack is awaited. The medium copies
+// a payload before Send returns, so om.buf is free to reuse once the
+// transfer ends.
 func (n *Node) sendCurrent(om *outMigration) {
 	if n.cfg.EndToEndMigration {
 		for i := range om.metas {
-			if hop, ok := n.net.NextHop(om.dest); ok {
-				env := wire.Envelope{Src: n.loc, Dst: om.dest, TTL: 32, Kind: uint8(radio.KindMigrate), Body: om.msg(i)}
-				n.tx = env.Append(n.tx[:0])
-				n.net.SendDirect(hop, radio.KindMigrate, n.tx)
-			}
+			_ = n.net.SendRouted(om.dest, radio.KindMigrateRouted, om.msg(i)) // a stall is the timeout's to report
 		}
 		om.timer.Reset(n.cfg.AckTimeout * 10)
 		return
@@ -423,39 +419,14 @@ func (n *Node) onAckTimeout(om *outMigration) {
 	n.sendCurrent(om)
 }
 
-// recvMigrationAck is the sender half of ack processing. In end-to-end
-// mode acks travel in routed envelopes and may need forwarding.
-func (n *Node) recvMigrationAck(f radio.Frame) {
-	payload := f.Payload
-	if n.cfg.EndToEndMigration {
-		env, err := wire.DecodeEnvelope(payload)
-		if err != nil {
-			return
-		}
-		if env.Dst != n.loc {
-			if env.TTL > 0 {
-				env.TTL--
-				if hop, ok := n.net.NextHop(env.Dst); ok {
-					n.tx = env.Append(n.tx[:0])
-					n.net.SendDirect(hop, radio.KindMigrateCtl, n.tx)
-				}
-			}
-			return
-		}
-		payload = env.Body
-	}
+// recvMigrationAck is the sender half of hop-by-hop ack processing.
+func (n *Node) recvMigrationAck(payload []byte) {
 	ack, err := wire.DecodeAck(payload)
 	if err != nil {
 		return
 	}
 	om := n.ses.outbound(migKey{agentID: ack.AgentID, seq: ack.Seq})
 	if om == nil {
-		return
-	}
-	if n.cfg.EndToEndMigration {
-		if ack.Of == wire.MsgState && ack.Index == 0xff {
-			n.finishTransferOK(om)
-		}
 		return
 	}
 	want := om.metas[om.acked]
@@ -470,6 +441,18 @@ func (n *Node) recvMigrationAck(f radio.Frame) {
 		return
 	}
 	n.sendCurrent(om)
+}
+
+// recvCompletionAck concludes an end-to-end transfer: its destination
+// routes back one completion ack once the whole agent is in.
+func (n *Node) recvCompletionAck(payload []byte) {
+	ack, err := wire.DecodeAck(payload)
+	if err != nil || ack.Of != wire.MsgState || ack.Index != 0xff {
+		return
+	}
+	if om := n.ses.outbound(migKey{agentID: ack.AgentID, seq: ack.Seq}); om != nil {
+		n.finishTransferOK(om)
+	}
 }
 
 // finishTransferOK concludes a fully acknowledged handoff.
@@ -521,37 +504,10 @@ func (n *Node) clearOut(om *outMigration) {
 
 // --- receiver side -------------------------------------------------------
 
-// recvMigrationData handles hop-by-hop migration messages.
-func (n *Node) recvMigrationData(f radio.Frame) {
-	payload := f.Payload
-	e2e := false
-	from := f.Src
-	// End-to-end mode wraps messages in routed envelopes; unwrap or
-	// forward them.
-	if n.cfg.EndToEndMigration {
-		env, err := wire.DecodeEnvelope(payload)
-		if err != nil {
-			return
-		}
-		if env.Dst != n.loc {
-			if env.TTL > 0 {
-				env.TTL--
-				if hop, ok := n.net.NextHop(env.Dst); ok {
-					n.tx = env.Append(n.tx[:0])
-					n.net.SendDirect(hop, radio.KindMigrate, n.tx)
-				}
-			}
-			return
-		}
-		payload = env.Body
-		from = env.Src
-		e2e = true
-	}
-	n.acceptMigrationMsg(payload, from, e2e)
-}
-
-// acceptMigrationMsg files one migration message into its transfer. Data
-// fragments are written straight into the slots they fill.
+// acceptMigrationMsg files one migration message from from into its
+// transfer: a one-hop frame's payload, or with e2e the body of a routed
+// envelope from the agent's origin. Data fragments are written straight
+// into the slots they fill.
 func (n *Node) acceptMigrationMsg(payload []byte, from topology.Location, e2e bool) {
 	t, err := wire.Type(payload)
 	if err != nil {
@@ -564,14 +520,14 @@ func (n *Node) acceptMigrationMsg(payload []byte, from topology.Location, e2e bo
 		}
 	case wire.MsgCode:
 		m, err := wire.DecodeCode(payload)
-		if im, _ := n.fragment(err, m.AgentID, m.Seq, from, t, m.Index); im != nil {
+		if im, _ := n.fragment(err, m.AgentID, m.Seq, from, t, m.Index, e2e); im != nil {
 			copy(im.code[int(m.Index)*CodeBlockSize:], m.Block[:])
 			n.touchIn(im, t, m.Index)
 		}
 	case wire.MsgHeap:
 		var buf [wire.HeapVarsPerMsg]wire.HeapEntry
 		m, err := wire.DecodeHeapInto(buf[:0], payload)
-		if im, fresh := n.fragment(err, m.AgentID, m.Seq, from, t, m.Index); im != nil {
+		if im, fresh := n.fragment(err, m.AgentID, m.Seq, from, t, m.Index, e2e); im != nil {
 			for _, e := range m.Entries {
 				if int(e.Addr) < vm.HeapSlots && fresh {
 					im.heap[e.Addr] = e.Value // the first copy only, as sent
@@ -582,13 +538,13 @@ func (n *Node) acceptMigrationMsg(payload []byte, from topology.Location, e2e bo
 	case wire.MsgStack:
 		var buf [wire.StackVarsPerMsg]tuplespace.Value
 		m, err := wire.DecodeStackInto(buf[:0], payload)
-		if im, _ := n.fragment(err, m.AgentID, m.Seq, from, t, m.Index); im != nil {
+		if im, _ := n.fragment(err, m.AgentID, m.Seq, from, t, m.Index, e2e); im != nil {
 			copy(im.stack[int(m.Index)*wire.StackVarsPerMsg:], m.Values)
 			n.touchIn(im, t, m.Index)
 		}
 	case wire.MsgReaction:
 		m, err := wire.DecodeReaction(payload)
-		if im, _ := n.fragment(err, m.AgentID, m.Seq, from, t, m.Index); im != nil {
+		if im, _ := n.fragment(err, m.AgentID, m.Seq, from, t, m.Index, e2e); im != nil {
 			im.rxns[m.Index] = tuplespace.Reaction{AgentID: m.AgentID, Template: m.Template, PC: m.PC}
 			n.touchIn(im, t, m.Index)
 		}
@@ -601,12 +557,12 @@ func (n *Node) acceptMigrationMsg(payload []byte, from topology.Location, e2e bo
 // (re-acking it if its transfer already finished), and for one whose
 // index the state header does not announce: dropped unacked, it can never
 // complete a transfer.
-func (n *Node) fragment(err error, id, seq uint16, from topology.Location, t wire.MsgType, idx uint8) (im *inMigration, fresh bool) {
+func (n *Node) fragment(err error, id, seq uint16, from topology.Location, t wire.MsgType, idx uint8, e2e bool) (im *inMigration, fresh bool) {
 	if err != nil {
 		return nil, false
 	}
 	key := inKey{migKey{id, seq}, from}
-	if im = n.liveIn(key, t, idx); im == nil || idx >= im.want(t) {
+	if im = n.liveIn(key, t, idx, e2e); im == nil || idx >= im.want(t) {
 		return nil, false
 	}
 	return im, im.mark(t, idx)
@@ -659,12 +615,12 @@ func (n *Node) recvState(st wire.StateMsg, from topology.Location, e2e bool) {
 
 // liveIn fetches the open transfer for a data message, re-acking messages
 // that belong to an already-finalized transfer.
-func (n *Node) liveIn(key inKey, t wire.MsgType, idx uint8) *inMigration {
+func (n *Node) liveIn(key inKey, t wire.MsgType, idx uint8, e2e bool) *inMigration {
 	if i, ok := n.ses.inbound(key); ok {
 		return n.ses.in[i]
 	}
 	if n.ses.finalized(key) {
-		n.ackIn(key.from, key, t, idx, n.cfg.EndToEndMigration)
+		n.ackIn(key.from, key, t, idx, e2e)
 	}
 	return nil
 }
@@ -687,18 +643,13 @@ func (n *Node) touchIn(im *inMigration, t wire.MsgType, idx uint8) {
 }
 
 // ackIn sends one acknowledgment back to the previous hop (or, end-to-end,
-// the completion ack back to the origin).
+// routes the completion ack back to the origin).
 func (n *Node) ackIn(to topology.Location, key inKey, t wire.MsgType, idx uint8, e2e bool) {
 	ack := wire.AckMsg{AgentID: key.agentID, Seq: key.seq, Of: t, Index: idx}
 	if e2e {
 		ack.Of, ack.Index = wire.MsgState, 0xff
-		if hop, ok := n.net.NextHop(to); ok {
-			// A bodiless envelope encodes its header alone; the ack follows
-			// as its body.
-			env := wire.Envelope{Src: n.loc, Dst: to, TTL: 32, Kind: uint8(radio.KindMigrateCtl)}
-			n.tx = ack.Append(env.Append(n.tx[:0]))
-			n.net.SendDirect(hop, radio.KindMigrateCtl, n.tx)
-		}
+		n.tx = ack.Append(n.tx[:0])
+		_ = n.net.SendRouted(to, radio.KindMigrateRoutedCtl, n.tx) // a lost ack times the origin out
 		return
 	}
 	n.tx = ack.Append(n.tx[:0])
@@ -804,7 +755,7 @@ func (n *Node) finalizeIn(im *inMigration) {
 	// destination, its in-flight registers as they arrived. If forwarding
 	// fails the agent becomes resident here with condition zero
 	// (duplicate-tolerant semantics).
-	n.packAgent(rec, st.Kind, st.Dest, false).timer.Reset(DefaultMigSendOverhead)
+	n.depart(rec, st.Kind, st.Dest, false)
 }
 
 // newAgent takes a recycled agent from the shard's free list, or makes

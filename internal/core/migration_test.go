@@ -18,26 +18,15 @@ import (
 	"github.com/agilla-go/agilla/internal/wire"
 )
 
-// blockableTopo wraps a topology with a mutable set of severed directed
-// links, for failure injection mid-test.
-type blockableTopo struct {
-	inner   topology.Topology
-	blocked map[[2]topology.Location]bool
-}
-
-func newBlockableTopo(inner topology.Topology) *blockableTopo {
-	return &blockableTopo{inner: inner, blocked: make(map[[2]topology.Location]bool)}
-}
-
-func (b *blockableTopo) Block(from, to topology.Location) {
-	b.blocked[[2]topology.Location{from, to}] = true
-}
-
-func (b *blockableTopo) Connected(from, to topology.Location) bool {
-	if b.blocked[[2]topology.Location{from, to}] {
-		return false
+// severable arms d's medium to drop every frame on the directed link
+// from -> to once the returned flag is set, for failure injection
+// mid-test.
+func severable(d *Deployment, from, to topology.Location) *bool {
+	cut := new(bool)
+	d.Medium.Drop = func(f radio.Frame, at topology.Location) bool {
+		return *cut && f.Src == from && at == to
 	}
-	return b.inner.Connected(from, to)
+	return cut
 }
 
 // markerAgent outs <val> at its current node then halts.
@@ -311,8 +300,7 @@ func TestMigrationDuplicateOnLostAcks(t *testing.T) {
 	// Sever the ack direction only: the receiver gets every message and
 	// instantiates the agent, but the sender never learns and resumes it
 	// locally — the paper's duplicate-preferred-over-loss semantics.
-	s := newBlockableTopo(topology.Grid{})
-	d := deploymentWithTopo(t, s)
+	d := quietDeployment(t, 2, 1)
 	if err := d.WarmUp(); err != nil {
 		t.Fatal(err)
 	}
@@ -322,12 +310,13 @@ func TestMigrationDuplicateOnLostAcks(t *testing.T) {
 	// Let the transfer proceed normally until the last data message is on
 	// the air, then sever the ack direction: the receiver completes but
 	// the final ack never reaches the sender.
+	cut := severable(d, topology.Loc(2, 1), topology.Loc(1, 1))
 	migrateMsgs := 0
 	d.Medium.Trace = func(f radio.Frame, to topology.Location, delivered bool) {
 		if f.Kind == radio.KindMigrate && delivered {
 			migrateMsgs++
 			if migrateMsgs == 2 { // state + single code block
-				s.Block(topology.Loc(2, 1), topology.Loc(1, 1))
+				*cut = true
 			}
 		}
 	}
@@ -349,24 +338,8 @@ func TestMigrationDuplicateOnLostAcks(t *testing.T) {
 	}
 }
 
-// deploymentWithTopo builds a 2x1 zero-loss deployment over a custom
-// topology.
-func deploymentWithTopo(t *testing.T, topo topology.Topology) *Deployment {
-	t.Helper()
-	params := radio.ZeroLoss()
-	d, err := NewDeployment(DeploymentSpec{
-		Layout: topology.GridLayout(2, 1), Seed: 3, Radio: &params,
-		Field: sensor.Constant(0), Topo: topo,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
-}
-
 func TestReceiverStallAborts(t *testing.T) {
-	s := newBlockableTopo(topology.Grid{})
-	d := deploymentWithTopo(t, s)
+	d := quietDeployment(t, 2, 1)
 	if err := d.WarmUp(); err != nil {
 		t.Fatal(err)
 	}
@@ -375,12 +348,10 @@ func TestReceiverStallAborts(t *testing.T) {
 
 	// A fat agent needs several messages; cut the forward link as soon as
 	// the first message lands so the transfer stalls mid-flight.
-	var cut bool
+	cut := severable(d, topology.Loc(1, 1), topology.Loc(2, 1))
 	d.Medium.Trace = func(f radio.Frame, to topology.Location, delivered bool) {
-		if !cut && f.Kind == radio.KindMigrate && delivered {
-			cut = true
-			// Let this first message through, then sever.
-			s.Block(topology.Loc(1, 1), topology.Loc(2, 1))
+		if f.Kind == radio.KindMigrate && delivered {
+			*cut = true // let this first message through, then sever
 		}
 	}
 	code := asm.MustAssemble(`
@@ -511,6 +482,50 @@ func TestEndToEndMigrationAblation(t *testing.T) {
 	runFor(t, d, 5*time.Second)
 	if !hasMarker(dst, 42) {
 		t.Error("end-to-end migration failed on a clean link")
+	}
+}
+
+// TestEndToEndMigrationAcrossRelays: the end-to-end variant rides the
+// network stack's routed envelopes, so a 3-hop move is forwarded by the
+// relays' stacks, which never open a transfer, and only the final
+// destination acks — once, routed back to the origin.
+func TestEndToEndMigrationAcrossRelays(t *testing.T) {
+	params := radio.ZeroLoss()
+	d, err := NewDeployment(DeploymentSpec{
+		Layout: topology.GridLayout(4, 1), Seed: 9, Radio: &params,
+		Node: Config{EndToEndMigration: true},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.WarmUp(); err != nil {
+		t.Fatal(err)
+	}
+	src, relay, dst := d.Node(topology.Loc(1, 1)), d.Node(topology.Loc(2, 1)), d.Node(topology.Loc(4, 1))
+	var done, ok bool
+	d.Trace.MigrationDone = func(node topology.Location, _ uint16, _ wire.MigKind, dest topology.Location, success bool) {
+		if node == src.Loc() && dest == dst.Loc() {
+			done, ok = true, success
+		}
+	}
+	if _, err := src.CreateAgent(asm.MustAssemble(`
+		pushloc 4 1
+		smove
+		` + markerSrc(43))); err != nil {
+		t.Fatal(err)
+	}
+	runFor(t, d, 5*time.Second)
+	if !hasMarker(dst, 43) {
+		t.Error("end-to-end migration did not arrive 3 hops away")
+	}
+	if !done || !ok {
+		t.Errorf("sender's MigrationDone: reported %v, ok %v; want an ok report", done, ok)
+	}
+	if got := relay.Net().Stats().Forwarded; got == 0 {
+		t.Error("the relay's network stack forwarded nothing")
+	}
+	if relay.Stats().AgentsHosted != 0 {
+		t.Errorf("the relay hosted %d agents; end-to-end transfers pass through", relay.Stats().AgentsHosted)
 	}
 }
 

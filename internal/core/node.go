@@ -459,22 +459,29 @@ func (n *Node) seedContextTuples() {
 // locally. It charges instruction memory and an agent slot, inserts the
 // arrival context tuple, and schedules the agent to run.
 func (n *Node) CreateAgent(code []byte) (uint16, error) {
-	if n.life != NodeUp {
-		return 0, fmt.Errorf("%w: %v", ErrNodeDown, n.loc)
-	}
-	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents {
-		return 0, fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
-	}
-	id := n.NextAgentID()
-	a := vm.NewAgent(id, append([]byte(nil), code...))
-	rec, err := n.admitRecord(a)
+	rec, err := n.admitNew(code)
 	if err != nil {
 		return 0, err
 	}
+	id := rec.agent.ID
 	rec.state = AgentReady
 	n.enqueue(rec)
 	n.noteArrival(id, wire.MigInject, n.loc)
 	return id, nil
+}
+
+// admitNew installs a fresh agent with a copy of code under a new ID, the
+// start of every agent's life that does not arrive by migration: the mote
+// must be up and hold a free agent slot beside the inbound transfers'
+// reservations.
+func (n *Node) admitNew(code []byte) (*record, error) {
+	if n.life != NodeUp {
+		return nil, fmt.Errorf("%w: %v", ErrNodeDown, n.loc)
+	}
+	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents {
+		return nil, fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
+	}
+	return n.admitRecord(vm.NewAgent(n.NextAgentID(), append([]byte(nil), code...)))
 }
 
 // reclaim removes an agent and frees everything it held.
@@ -573,9 +580,9 @@ func (n *Node) ReceiveFrame(f radio.Frame) {
 func (n *Node) handleDirect(f radio.Frame) {
 	switch f.Kind {
 	case radio.KindMigrate:
-		n.recvMigrationData(f)
+		n.acceptMigrationMsg(f.Payload, f.Src, false)
 	case radio.KindMigrateCtl:
-		n.recvMigrationAck(f)
+		n.recvMigrationAck(f.Payload)
 	case radio.KindReplicaDigest:
 		n.recvReplicaDigest(f)
 	case radio.KindReplicaDelta:
@@ -584,9 +591,14 @@ func (n *Node) handleDirect(f radio.Frame) {
 }
 
 // handleRouted receives end-to-end traffic: remote tuple space requests
-// addressed to this node and replies to requests this node initiated.
+// addressed to this node, replies to requests this node initiated, and
+// the messages and completion acks of end-to-end migrations.
 func (n *Node) handleRouted(kind radio.FrameKind, env wire.Envelope) {
 	switch kind {
+	case radio.KindMigrateRouted:
+		n.acceptMigrationMsg(env.Body, env.Src, true)
+	case radio.KindMigrateRoutedCtl:
+		n.recvCompletionAck(env.Body)
 	case radio.KindRemoteTS:
 		n.serveRemoteRequest(env)
 	case radio.KindRemoteTSR:

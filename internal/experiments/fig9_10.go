@@ -90,7 +90,8 @@ func newHopBench(seed int64, node core.Config, params *radio.Params) (*hopBench,
 	b := &hopBench{d: d}
 	home := d.Base.Loc()
 	d.Medium.Trace = func(f radio.Frame, _ topology.Location, _ bool) {
-		if f.Kind == radio.KindMigrate || f.Kind == radio.KindMigrateCtl {
+		switch f.Kind {
+		case radio.KindMigrate, radio.KindMigrateCtl, radio.KindMigrateRouted, radio.KindMigrateRoutedCtl:
 			b.migFrames++
 		}
 	}

@@ -174,8 +174,9 @@ type Stack struct {
 	beacon  sim.Timer // the periodic beacon, bound to beaconTick once by Init
 
 	// DeliverRouted receives envelope payloads whose final destination is
-	// this node (remote tuple space requests and replies). env.Body is
-	// valid only during the call, like a received payload (radio.Receiver).
+	// this node (remote tuple space requests and replies, end-to-end
+	// migration messages). env.Body is valid only during the call, like a
+	// received payload (radio.Receiver).
 	DeliverRouted func(kind radio.FrameKind, env wire.Envelope)
 	// DeliverDirect receives non-beacon, non-routed frames (migration data
 	// and control, which run their own hop-by-hop protocol). f.Payload is
@@ -295,7 +296,7 @@ func (st *Stack) HandleFrame(f radio.Frame) {
 			return // corrupt beacon: ignore
 		}
 		st.acq.Update(f.Src, st.sim.Now(), b.NumAgents)
-	case radio.KindRemoteTS, radio.KindRemoteTSR:
+	case radio.KindRemoteTS, radio.KindRemoteTSR, radio.KindMigrateRouted, radio.KindMigrateRoutedCtl:
 		env, err := wire.DecodeEnvelope(f.Payload)
 		if err != nil {
 			return

@@ -60,6 +60,9 @@ const (
 
 	KindReplicaDigest FrameKind = 6 // replication anti-entropy digest
 	KindReplicaDelta  FrameKind = 7 // replication anti-entropy delta
+
+	KindMigrateRouted    FrameKind = 8 // end-to-end migration data, in a routed envelope (the §3.2 ablation)
+	KindMigrateRoutedCtl FrameKind = 9 // end-to-end migration completion ack, in a routed envelope
 )
 
 func (k FrameKind) String() string {
@@ -78,6 +81,10 @@ func (k FrameKind) String() string {
 		return "replica-digest"
 	case KindReplicaDelta:
 		return "replica-delta"
+	case KindMigrateRouted:
+		return "migrate-routed"
+	case KindMigrateRoutedCtl:
+		return "migrate-routed-ctl"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
