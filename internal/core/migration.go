@@ -376,7 +376,7 @@ func (n *Node) beginTransfer(om *outMigration) {
 	om.key = migKey{agentID: om.rec.agent.ID, seq: n.migSeq}
 	hop, ok := n.net.NextHop(om.dest)
 	if !ok {
-		n.failTransfer(om)
+		n.endOut(om, false)
 		return
 	}
 	om.nextHop = hop
@@ -413,7 +413,7 @@ func (n *Node) onAckTimeout(om *outMigration) {
 	}
 	om.retries++
 	if om.retries > n.cfg.MaxRetries {
-		n.failTransfer(om)
+		n.endOut(om, false)
 		return
 	}
 	n.sendCurrent(om)
@@ -437,7 +437,7 @@ func (n *Node) recvMigrationAck(payload []byte) {
 	om.acked++
 	om.retries = 0
 	if om.acked == len(om.metas) {
-		n.finishTransferOK(om)
+		n.endOut(om, true)
 		return
 	}
 	n.sendCurrent(om)
@@ -451,54 +451,47 @@ func (n *Node) recvCompletionAck(payload []byte) {
 		return
 	}
 	if om := n.ses.outbound(migKey{agentID: ack.AgentID, seq: ack.Seq}); om != nil {
-		n.finishTransferOK(om)
+		n.endOut(om, true)
 	}
 }
 
-// finishTransferOK concludes a fully acknowledged handoff.
-func (n *Node) finishTransferOK(om *outMigration) {
-	n.clearOut(om)
-	n.stats.MigrationsOK++
-	if n.trace.MigrationDone != nil {
-		n.trace.MigrationDone(n.loc, om.key.agentID, om.kind, om.dest, true)
-	}
-	rec, origin, isClone := om.rec, om.origin, om.kind.Clone()
-	n.releaseOut(om)
-	if origin && isClone {
-		// The original keeps running with the condition set (§2.2).
-		n.resumeAgent(rec, 1)
-		return
-	}
-	// Moves, injections, and relayed agents leave this node entirely. A
-	// relayed agent lived only inside this file — admitted migrating by
-	// finalizeIn, never run, never enqueued — so its record and agent go
-	// back to the free lists.
-	relayed := !origin && n.hosted(rec.agent.ID) == rec
-	n.reclaim(rec.agent.ID)
-	if relayed {
-		n.recycle(rec)
-	}
-}
-
-// failTransfer implements the paper's failure semantics: "If the sender
-// detects a failure, it resumes the agent running on the local machine
-// with the condition code set to zero. While this may result in duplicate
-// agents, the alternative is to simply kill the agent."
-func (n *Node) failTransfer(om *outMigration) {
-	n.clearOut(om)
-	n.stats.MigrationsFail++
-	if n.trace.MigrationDone != nil {
-		n.trace.MigrationDone(n.loc, om.key.agentID, om.kind, om.dest, false)
-	}
-	rec := om.rec
-	n.releaseOut(om)
-	n.resumeAgent(rec, 0)
-}
-
-func (n *Node) clearOut(om *outMigration) {
+// endOut concludes the outbound transfer om, counting and reporting its
+// outcome. After a fully acknowledged clone the original keeps running
+// with the condition set (§2.2); moves, injections and relayed agents
+// leave this node entirely. A failed handoff follows the paper's failure
+// semantics: "If the sender detects a failure, it resumes the agent
+// running on the local machine with the condition code set to zero.
+// While this may result in duplicate agents, the alternative is to
+// simply kill the agent."
+func (n *Node) endOut(om *outMigration, ok bool) {
 	om.timer.Stop()
 	if n.ses != nil {
 		remove(&n.ses.out, om)
+	}
+	if ok {
+		n.stats.MigrationsOK++
+	} else {
+		n.stats.MigrationsFail++
+	}
+	if n.trace.MigrationDone != nil {
+		n.trace.MigrationDone(n.loc, om.key.agentID, om.kind, om.dest, ok)
+	}
+	rec, origin, isClone := om.rec, om.origin, om.kind.Clone()
+	n.releaseOut(om)
+	switch {
+	case !ok:
+		n.resumeAgent(rec, 0)
+	case origin && isClone:
+		n.resumeAgent(rec, 1)
+	default:
+		// A relayed agent lived only inside this file — admitted
+		// migrating by finalizeIn, never run, never enqueued — so its
+		// record and agent go back to the free lists.
+		relayed := !origin && n.hosted(rec.agent.ID) == rec
+		n.reclaim(rec.agent.ID)
+		if relayed {
+			n.recycle(rec)
+		}
 	}
 }
 
@@ -562,7 +555,14 @@ func (n *Node) fragment(err error, id, seq uint16, from topology.Location, t wir
 		return nil, false
 	}
 	key := inKey{migKey{id, seq}, from}
-	if im = n.liveIn(key, t, idx, e2e); im == nil || idx >= im.want(t) {
+	i, open := n.ses.inbound(key)
+	if !open {
+		if n.ses.finalized(key) {
+			n.ackIn(from, key, t, idx, e2e)
+		}
+		return nil, false
+	}
+	if im = n.ses.in[i]; idx >= im.want(t) {
 		return nil, false
 	}
 	return im, im.mark(t, idx)
@@ -611,18 +611,6 @@ func (n *Node) recvState(st wire.StateMsg, from topology.Location, e2e bool) {
 	s := n.session()
 	s.in = slices.Insert(s.in, at, im)
 	n.touchIn(im, wire.MsgState, 0)
-}
-
-// liveIn fetches the open transfer for a data message, re-acking messages
-// that belong to an already-finalized transfer.
-func (n *Node) liveIn(key inKey, t wire.MsgType, idx uint8, e2e bool) *inMigration {
-	if i, ok := n.ses.inbound(key); ok {
-		return n.ses.in[i]
-	}
-	if n.ses.finalized(key) {
-		n.ackIn(key.from, key, t, idx, e2e)
-	}
-	return nil
 }
 
 // touchIn acks a message, resets the stall timer, and finalizes when the
