@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -355,5 +356,42 @@ func TestOutAllocsWithoutSubscribers(t *testing.T) {
 	})
 	if allocs > 1 {
 		t.Fatalf("Space.Out with no subscriber allocates %v per op, want at most 1", allocs)
+	}
+}
+
+// TestConcurrentInjectionsBothSettle: two agents launched at once toward
+// the same mote each need 11 of its 20 code blocks. The mote accepts the
+// first transfer and refuses the second until the first agent's blocks
+// are free again, so every acknowledged transfer is finalized into an
+// agent: both handles end halted or dead, none reads migrating forever,
+// and the census adds up.
+func TestConcurrentInjectionsBothSettle(t *testing.T) {
+	p := program.MustParse(strings.Repeat("pushn abc\nloc\npushc 2\nout\n", 30) + "halt\n")
+	if p.Len() != 241 {
+		t.Fatalf("program is %d bytes, want 241 (11 code blocks)", p.Len())
+	}
+	at := agilla.Loc(1, 1)
+	live := 0
+	sc := agilla.Scenario{
+		Name:     "concurrent injections",
+		Options:  []agilla.Option{agilla.WithTopology(agilla.Grid(6, 2)), agilla.WithReliableRadio()},
+		Agents:   []agilla.AgentSpec{{Program: p, At: at}, {Program: p, At: at}},
+		Duration: 30 * time.Second,
+		Collect: func(nw *agilla.Network, _ *agilla.Metrics) {
+			for _, ag := range nw.Agents() {
+				if !ag.Done() {
+					t.Errorf("agent %d never settled: %v", ag.ID(), ag)
+				}
+			}
+			live = nw.TotalAgents()
+		},
+	}
+	m, err := sc.Run(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.AgentsSpawned != m.AgentsHalted+m.AgentsDied+live || m.AgentsSpawned != 2 {
+		t.Errorf("census: %d spawned, %d halted, %d died, %d live; want 2 spawned, each halted or dead",
+			m.AgentsSpawned, m.AgentsHalted, m.AgentsDied, live)
 	}
 }

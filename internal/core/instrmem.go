@@ -102,6 +102,19 @@ func (m *InstrMem) CanAlloc(codeLen int) bool {
 	return m.usedBlocks+BlocksFor(codeLen) <= m.totalBlocks
 }
 
+// hold charges the blocks for codeLen bytes to no agent yet, if they fit,
+// and reports whether it did; release returns them. An inbound transfer
+// holds its agent's code from its state message until it ends.
+func (m *InstrMem) hold(codeLen int) bool {
+	ok := m.CanAlloc(codeLen)
+	if ok {
+		m.usedBlocks += BlocksFor(codeLen)
+	}
+	return ok
+}
+
+func (m *InstrMem) release(codeLen int) { m.usedBlocks -= BlocksFor(codeLen) }
+
 // Free releases an agent's blocks. Freeing an unknown agent is a no-op.
 func (m *InstrMem) Free(agentID uint16) {
 	if i, ok := m.index(agentID); ok {

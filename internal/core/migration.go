@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 	"time"
 
@@ -594,14 +595,14 @@ func (n *Node) recvState(st wire.StateMsg, from topology.Location, e2e bool) {
 	if !consistent(st) {
 		return // a malformed header; the sender times out and fails over
 	}
-	// Admission control: an agent slot plus instruction memory must be
-	// available before the transfer is accepted. A refused transfer is
-	// silently ignored; the sender times out and resumes the agent.
-	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents || !n.instr.CanAlloc(int(st.CodeLen)) {
-		return
-	}
 	if n.hosted(st.AgentID) != nil && (st.Kind == wire.MigStrongMove || st.Kind == wire.MigWeakMove || st.Kind == wire.MigInject) {
 		return // an agent with this identity already lives here
+	}
+	// Admission control: the transfer holds an agent slot and its code's
+	// instruction memory until it ends, so an acked agent always fits. A
+	// refused transfer is ignored; the sender times out and resumes it.
+	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents || !n.instr.hold(int(st.CodeLen)) {
+		return
 	}
 	n.reserve++
 	im := n.newIn()
@@ -667,6 +668,7 @@ func (n *Node) onStall(im *inMigration) {
 func (n *Node) abortIn(im *inMigration) {
 	remove(&n.ses.in, im)
 	n.reserve--
+	n.instr.release(int(im.st.CodeLen))
 	n.releaseIn(im)
 }
 
@@ -681,6 +683,7 @@ func (n *Node) finalizeIn(im *inMigration) {
 	}
 	s.in = slices.Delete(s.in, i, i+1)
 	n.reserve--
+	n.instr.release(int(im.st.CodeLen)) // admitRecord charges the agent itself
 	s.done.note(im.key, struct{}{}, n.sim.Now(), 3*time.Second)
 	if im.e2e {
 		// End-to-end mode: one completion ack, routed back to the origin.
@@ -715,7 +718,7 @@ func (n *Node) finalizeIn(im *inMigration) {
 	rec, err := n.admitRecord(a)
 	if err != nil {
 		n.agentFree = append(n.agentFree, a)
-		return // capacity vanished despite the reservation; drop
+		return // unreachable: the reservation kept the slot and the blocks
 	}
 	// Restore the agent's reactions (§3.2: "When an agent arrives, it
 	// automatically restores all of the agent's reactions").
@@ -780,10 +783,10 @@ func (n *Node) recycle(rec *record) {
 }
 
 // admitRecord installs an agent without enqueueing it; callers decide when
-// it becomes runnable.
+// it becomes runnable. It leaves the inbound transfers' reservations be.
 func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
-	if len(n.agents) >= n.cfg.MaxAgents {
-		return nil, ErrAgentLimit
+	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents {
+		return nil, fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
 	}
 	if err := n.instr.Alloc(a.ID, len(a.Code)); err != nil {
 		return nil, err

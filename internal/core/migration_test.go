@@ -374,6 +374,9 @@ func TestReceiverStallAborts(t *testing.T) {
 	if dst.reserve != 0 {
 		t.Errorf("reservation leaked: %d", dst.reserve)
 	}
+	if free, total := dst.InstrMem().FreeBlocks(), dst.InstrMem().TotalBlocks(); free != total {
+		t.Errorf("held code blocks leaked: %d of %d free", free, total)
+	}
 	if dst.NumAgents() != 0 {
 		t.Error("partial agent materialized")
 	}

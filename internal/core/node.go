@@ -470,16 +470,12 @@ func (n *Node) CreateAgent(code []byte) (uint16, error) {
 	return id, nil
 }
 
-// admitNew installs a fresh agent with a copy of code under a new ID, the
-// start of every agent's life that does not arrive by migration: the mote
-// must be up and hold a free agent slot beside the inbound transfers'
-// reservations.
+// admitNew installs a fresh agent with a copy of code under a new ID on an
+// up mote, the start of every agent's life that does not arrive by
+// migration.
 func (n *Node) admitNew(code []byte) (*record, error) {
 	if n.life != NodeUp {
 		return nil, fmt.Errorf("%w: %v", ErrNodeDown, n.loc)
-	}
-	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents {
-		return nil, fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
 	}
 	return n.admitRecord(vm.NewAgent(n.NextAgentID(), append([]byte(nil), code...)))
 }
