@@ -477,6 +477,9 @@ func (n *Node) admitNew(code []byte) (*record, error) {
 	if n.life != NodeUp {
 		return nil, fmt.Errorf("%w: %v", ErrNodeDown, n.loc)
 	}
+	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents { // admitRecord's check, before an ID is spent
+		return nil, fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
+	}
 	return n.admitRecord(vm.NewAgent(n.NextAgentID(), append([]byte(nil), code...)))
 }
 
