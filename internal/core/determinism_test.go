@@ -37,7 +37,7 @@ var update = flag.Bool("update", false, "rewrite testdata/determinism.golden")
 // run; the file catches a change that moves them all alike. Regenerate
 // with
 //
-//	go test -run 'Deterministic|MatchesSequential' -update ./internal/core
+//	go test ./internal/core -run 'Deterministic|MatchesSequential' -update
 const determinismGolden = "testdata/determinism.golden"
 
 var golden struct {
