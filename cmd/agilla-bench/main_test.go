@@ -23,7 +23,7 @@ func bench(t *testing.T, args ...string) (code int, stdout, stderr string) {
 // TestHelpGolden pins the -h text, so a flag change shows up as a
 // reviewed golden diff. Regenerate with
 //
-//	go test -run TestHelpGolden -update ./cmd/agilla-bench
+//	go test ./cmd/agilla-bench -run TestHelpGolden -update
 func TestHelpGolden(t *testing.T) {
 	const golden = "testdata/help.golden"
 	code, stdout, stderr := bench(t, "-h")
@@ -52,7 +52,7 @@ func TestHelpGolden(t *testing.T) {
 // -quick", so a refactor of the harness shows up as a golden diff. Only
 // the closing wall-clock line is left out. Regenerate with
 //
-//	go test -run TestFiguresQuickGolden -update ./cmd/agilla-bench
+//	go test ./cmd/agilla-bench -run TestFiguresQuickGolden -update
 func TestFiguresQuickGolden(t *testing.T) {
 	const golden = "testdata/figures-quick.golden"
 	code, stdout, stderr := bench(t, "-exp", "all", "-quick")

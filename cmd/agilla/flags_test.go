@@ -16,7 +16,7 @@ var update = flag.Bool("update", false, "rewrite the -h goldens in testdata")
 // TestHelpGolden pins the -h text of agilla and agilla serve, so a flag
 // change shows up as a reviewed golden diff. Regenerate with
 //
-//	go test -run TestHelpGolden -update ./cmd/agilla
+//	go test ./cmd/agilla -run TestHelpGolden -update
 func TestHelpGolden(t *testing.T) {
 	for _, tc := range []struct {
 		cmd    func([]string, io.Writer) error

@@ -188,25 +188,20 @@ func (b *Bridge) Pump() int {
 		if !ok {
 			break
 		}
+		// b.local is never written after NewBridge: only the counters
+		// need the lock.
+		local := b.local[wf.Dst]
+		f := radio.Frame{Kind: radio.FrameKind(wf.Kind), Src: wf.Src, Dst: wf.Dst, Payload: wf.Payload}
+		injected := local && b.medium.Inject(f)
 		b.mu.Lock()
-		if !b.local[wf.Dst] {
+		switch {
+		case !local:
 			b.stats.Misrouted++
-			b.mu.Unlock()
-			continue
-		}
-		b.mu.Unlock()
-		f := radio.Frame{
-			Kind:    radio.FrameKind(wf.Kind),
-			Src:     wf.Src,
-			Dst:     wf.Dst,
-			Payload: wf.Payload,
-		}
-		b.mu.Lock()
-		if b.medium.Inject(f) {
+		case injected:
 			b.stats.Injected++
 			b.stats.InjectedByKind[kindBucket(wf.Kind)]++
 			n++
-		} else {
+		default:
 			b.stats.Stale++
 		}
 		b.mu.Unlock()

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
+	"slices"
 	"strings"
+	"sync"
+	"syscall"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/wire"
@@ -33,6 +35,12 @@ import (
 // dropped — unlike UDP there is no datagram boundary to resynchronize
 // on.
 //
+// Each accepted connection has a reader goroutine, and on unix
+// (tcp_unix.go) Recv on an empty inbox also reads what the sockets
+// already hold without blocking: waking a parked reader can take
+// milliseconds while the host spins on Recv. Both feed one record
+// parser, one at a time per connection.
+//
 // Each dialed peer gets one outbound connection owned by its sender
 // goroutine, established lazily and re-established on error with a
 // backoff, so a peer that starts late or restarts is picked up without
@@ -48,6 +56,9 @@ const (
 	// tcpMaxRecord bounds a length prefix before any allocation: far
 	// past the biggest legal batch, small enough to reject absurdity.
 	tcpMaxRecord = 1 << 20
+	// tcpRecvBuf sizes a connection's reassembly buffer; only a record
+	// bigger than that grows it, for as long as that record is pending.
+	tcpRecvBuf = 16 << 10
 	// tcpMaxHelloAddr bounds the address a hello may claim, which
 	// becomes a key of the stats table: generous for "tcp:" plus a DNS
 	// name and port, far too small to grow the table by the megabyte.
@@ -67,13 +78,13 @@ var tcpHelloMagic = []byte("AGH1")
 // a "tcp:" address).
 type TCP struct {
 	endpoint
-	ln    net.Listener      // set by Listen, under mu
-	conns map[net.Conn]bool // accepted connections, for Close; under mu
+	ln    net.Listener // set by Listen, under mu
+	conns []*tcpRecv   // accepted connections, for Recv and Close; under mu
 }
 
 // NewTCP creates an endpoint bound to addr ("tcp:host:port") at Listen.
 func NewTCP(addr Addr) *TCP {
-	return &TCP{endpoint: newEndpoint(addr), conns: make(map[net.Conn]bool)}
+	return &TCP{endpoint: newEndpoint(addr)}
 }
 
 // Listen binds the listener and starts the accept loop.
@@ -102,77 +113,128 @@ func (t *TCP) acceptLoop(ln net.Listener) {
 		if err != nil {
 			return // closed
 		}
+		rc := t.newRecv(conn)
 		t.mu.Lock()
 		if !t.live {
 			t.mu.Unlock()
 			conn.Close()
 			return
 		}
-		t.conns[conn] = true
+		t.conns = append(t.conns, rc)
 		t.mu.Unlock()
 		t.wg.Add(1)
-		go t.readLoop(conn)
+		go t.readLoop(rc)
 	}
 }
 
-// dropConn unregisters and closes an accepted connection.
-func (t *TCP) dropConn(conn net.Conn) {
+// dropConn unregisters and closes an accepted connection. The list is
+// copied, not edited in place: Recv polls a snapshot of it unlocked.
+func (t *TCP) dropConn(rc *tcpRecv) {
 	t.mu.Lock()
-	delete(t.conns, conn)
+	t.conns = slices.DeleteFunc(slices.Clone(t.conns), func(c *tcpRecv) bool { return c == rc })
 	t.mu.Unlock()
-	conn.Close()
+	rc.conn.Close()
 }
 
-// readRecord reads one length-prefixed record. The returned slice is
-// freshly allocated per record: decoded payloads alias it and the inbox
-// outlives any shared buffer.
-func readRecord(r io.Reader, lenBuf []byte) ([]byte, error) {
-	if _, err := io.ReadFull(r, lenBuf[:tcpFraming]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint32(lenBuf[:tcpFraming])
-	if n == 0 || n > tcpMaxRecord {
-		return nil, fmt.Errorf("%w: tcp record length %d", wire.ErrBadMessage, n)
-	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, err
-	}
-	return b, nil
+// tcpRecv is one accepted connection's receive state. Its readers take
+// turns under mu, so records reach the inbox whole and in stream order.
+type tcpRecv struct {
+	conn net.Conn
+	raw  syscall.RawConn  // unix: non-blocking access to conn's descriptor
+	poll func(fd uintptr) // unix: drain bound to rc, so a poll allocates nothing
+
+	mu      sync.Mutex
+	buf     []byte // reassembly buffer; buf[head:] is not yet parsed
+	head    int
+	from    Addr // until a hello arrives, the wire-level remote address
+	started bool // the first record, the only one a hello may be, is parsed
+	done    bool // the stream ended or corrupted; the reader drops it
 }
 
-// readLoop delivers one accepted connection's records until the stream
-// ends or corrupts. A corrupt record poisons the framing, so the stream
-// is dropped; the dialer reconnects and resumes from a clean boundary.
-func (t *TCP) readLoop(conn net.Conn) {
-	defer t.wg.Done()
-	defer t.dropConn(conn)
-	// Until a hello arrives, attribute to the wire-level remote address.
-	from := Addr("tcp:" + conn.RemoteAddr().String())
-	var lenBuf [tcpFraming]byte
-	for first := true; ; first = false {
-		data, err := readRecord(conn, lenBuf[:])
-		if err != nil {
-			if errors.Is(err, wire.ErrBadMessage) {
-				t.reject(from)
+// space returns the buffer's free tail, which parse leaves non-empty.
+func (rc *tcpRecv) space() []byte {
+	if rc.buf == nil {
+		rc.buf = make([]byte, 0, tcpRecvBuf)
+	}
+	return rc.buf[len(rc.buf):cap(rc.buf)]
+}
+
+// parse takes n bytes just read into space and delivers every record
+// they complete. It reports false when the stream must be dropped — a
+// corrupt record poisons the framing (the dialer reconnects and resumes
+// from a clean boundary) — or the endpoint has closed.
+func (t *TCP) parse(rc *tcpRecv, n int) bool {
+	rc.buf = rc.buf[:len(rc.buf)+n]
+	for {
+		pending := rc.buf[rc.head:]
+		need := tcpFraming
+		if len(pending) >= tcpFraming {
+			size := binary.BigEndian.Uint32(pending)
+			if size == 0 || size > tcpMaxRecord {
+				t.reject(rc.from)
+				return false
 			}
-			return
+			need += int(size)
 		}
+		if len(pending) < need {
+			rc.fit(need)
+			return true
+		}
+		data := pending[tcpFraming:need]
+		rc.head += need
 		// A hello counts only as the first record; a later one falls
 		// through to deliver, which rejects it like any other non-batch.
-		if first && bytes.HasPrefix(data, tcpHelloMagic) {
-			peer := string(data[len(tcpHelloMagic):])
-			if len(peer) > tcpMaxHelloAddr || !strings.HasPrefix(peer, "tcp:") {
-				t.reject(from)
-				return
+		if !rc.started {
+			rc.started = true
+			if bytes.HasPrefix(data, tcpHelloMagic) {
+				peer := string(data[len(tcpHelloMagic):])
+				if len(peer) > tcpMaxHelloAddr || !strings.HasPrefix(peer, "tcp:") {
+					t.reject(rc.from)
+					return false
+				}
+				rc.from = Addr(peer)
+				continue
 			}
-			from = Addr(peer)
-			continue
 		}
-		if !t.deliver(from, data, tcpFraming) {
-			return
+		// Each record gets its own allocation: decoded payloads alias
+		// it, and callers may hold frames across Recv calls.
+		if !t.deliver(rc.from, bytes.Clone(data), tcpFraming) {
+			return false
 		}
 	}
+}
+
+// fit makes room for a pending record of need bytes: an empty buffer
+// rewinds (or is released, if a big record grew it), a record that
+// outgrows the buffer moves to one of its size, and one that would run
+// past the end slides to the front.
+func (rc *tcpRecv) fit(need int) {
+	pending := rc.buf[rc.head:]
+	switch {
+	case len(pending) == 0 && cap(rc.buf) > tcpRecvBuf:
+		rc.buf = nil
+	case len(pending) == 0:
+		rc.buf = rc.buf[:0]
+	case need > cap(rc.buf):
+		rc.buf = append(make([]byte, 0, need), pending...)
+	case rc.head+need > cap(rc.buf):
+		rc.buf = rc.buf[:copy(rc.buf, pending)]
+	default:
+		return
+	}
+	rc.head = 0
+}
+
+// Recv pops the oldest received frame, non-blocking. On an empty inbox
+// it first reads what the accepted connections already hold (poll), so
+// a frame that has reached the socket need not wait for its reader
+// goroutine to be scheduled.
+func (t *TCP) Recv() (Addr, wire.Frame, bool) {
+	if from, f, ok := t.endpoint.Recv(); ok {
+		return from, f, ok
+	}
+	t.poll()
+	return t.endpoint.Recv()
 }
 
 // reject charges one record that never reached the batch decoder — an
@@ -306,10 +368,10 @@ func (t *TCP) Close() error {
 	err := t.ln.Close()
 	t.mu.Lock()
 	conns := t.conns
-	t.conns = make(map[net.Conn]bool)
+	t.conns = nil
 	t.mu.Unlock()
-	for conn := range conns {
-		conn.Close()
+	for _, rc := range conns {
+		rc.conn.Close()
 	}
 	t.wg.Wait()
 	return err

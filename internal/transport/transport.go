@@ -15,7 +15,9 @@
 // three embed one endpoint core (endpoint.go) — inbox, counters,
 // Send/Flush/Recv/Stats, malformed-record accounting — and present the
 // same poll-style interface, so the bridge and the conformance driver
-// are transport-agnostic.
+// are transport-agnostic. On unix a TCP Recv on an empty inbox reads
+// what the sockets already hold, so an arrived frame does not wait for
+// a reader goroutine to wake.
 //
 // There is one wire path: every write is a wire.Batch container. UDP
 // and TCP coalesce each peer's outbound frames (see coalesce.go for the
@@ -81,9 +83,10 @@ func (s PeerStats) FramesPerBatch() float64 {
 // pump quantum boundary so bridged virtual time never stalls on the
 // linger timer. Recv pops one received frame without blocking — the
 // caller polls; this is deliberate, because the simulation side consumes
-// frames from a host pump, not from a goroutine. Close releases the
-// endpoint; Send and Recv on a closed transport fail and report empty,
-// respectively.
+// frames from a host pump, not from a goroutine (on an empty inbox it may
+// first read what the sockets hold, still without blocking). Close
+// releases the endpoint; Send and Recv on a closed transport fail and
+// report empty, respectively.
 type Transport interface {
 	Listen() error
 	Dial(addr Addr) error

@@ -9,6 +9,7 @@ import (
 	"net"
 	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -529,6 +530,61 @@ func TestTCPMalformedRecord(t *testing.T) {
 				t.Fatalf("read after a corrupt record: err = %v, want a dropped connection", err)
 			}
 		})
+	}
+}
+
+// TestTCPRecvRacesClose polls Recv on one goroutine while the endpoint
+// closes under it and its peer keeps sending: nothing panics or races,
+// and once Close has returned, Recv reports empty.
+func TestTCPRecvRacesClose(t *testing.T) {
+	a, b := listening(t, newTCP), listening(t, newTCP)
+	addrA, addrB := a.LocalAddr(), b.LocalAddr()
+	if err := a.Dial(addrB); err != nil {
+		t.Fatal(err)
+	}
+	var closed atomic.Bool
+	var late atomic.Int64 // frames Recv yielded after Close returned
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt() // a failed wait below must not leave the loops spinning
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		for seq := 0; ; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a.Send(addrB, testFrame(seq))
+			a.Flush()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			wasClosed := closed.Load()
+			if _, _, ok := b.Recv(); ok && wasClosed {
+				late.Add(1)
+			}
+		}
+	}()
+	eventually(t, "frames at b", func() bool { return b.Stats()[addrA].Recv > 0 })
+	if err := b.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed.Store(true)
+	sent := a.Stats()[addrB].Sent
+	eventually(t, "a to keep sending", func() bool { return a.Stats()[addrB].Sent > sent+100 })
+	halt()
+	if _, _, ok := b.Recv(); ok || late.Load() != 0 {
+		t.Fatalf("Recv after Close yielded %d frames (and ok=%v now), want none", late.Load(), ok)
 	}
 }
 

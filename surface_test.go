@@ -21,7 +21,7 @@ var update = flag.Bool("update", false, "rewrite testdata/api from the current s
 // one per line with its signature, to testdata/api. An API change is then
 // a reviewed golden diff; regenerate with
 //
-//	go test -run TestPublicSurface -update .
+//	go test . -run TestPublicSurface -update
 func TestPublicSurface(t *testing.T) {
 	for _, pkg := range []struct{ dir, path, golden string }{
 		{".", "github.com/agilla-go/agilla", "agilla.txt"},
