@@ -24,11 +24,12 @@ import (
 // virtual time never stalls on the linger timer.
 //
 // Sealed batches queue on a bounded channel drained by the transport's
-// per-peer sender goroutine. The queue is drop-oldest: when it is full
-// the oldest sealed batch is discarded (its frames counted via onDrop)
-// to admit the new one — for this traffic new frames carry newer
-// protocol state and retransmission regenerates old ones, so head drop
-// beats tail drop and either beats blocking the simulation.
+// per-peer writer: UDP's sender goroutine, or TCP's Flush and sender
+// goroutine taking turns (tcp.go). The queue is drop-oldest: when it is
+// full the oldest sealed batch is discarded (its frames counted via
+// onDrop) to admit the new one — for this traffic new frames carry
+// newer protocol state and retransmission regenerates old ones, so
+// head drop beats tail drop and either beats blocking the simulation.
 
 const (
 	// DefaultBatchBytes is the MTU-safe batch size bound: 1500 less
@@ -45,9 +46,8 @@ const (
 	sendQueueCap = 256
 )
 
-// outBatch is one sealed batch awaiting the sender goroutine. bytes
-// aliases the writer, which the sender returns to the pool after the
-// wire write.
+// outBatch is one sealed batch awaiting its write. bytes aliases the
+// writer, which the transport returns to the pool after the wire write.
 type outBatch struct {
 	w      *wire.BatchWriter
 	bytes  []byte
@@ -58,7 +58,13 @@ type outBatch struct {
 // coalescer's mu is always taken before the owning transport's
 // stats lock (onDrop runs under mu), never after.
 type coalescer struct {
-	out    chan outBatch
+	out chan outBatch
+	// ready holds a token once add or flush has sealed a batch, for a
+	// writer that pops out only under a lock of its own and so cannot
+	// block on out (TCP). One token stands for every batch queued before
+	// it is taken. seal leaves none: its caller writes the batch or
+	// kicks.
+	ready  chan struct{}
 	onDrop func(frames int) // called under mu when drop-oldest discards a batch
 
 	mu sync.Mutex
@@ -75,6 +81,7 @@ type coalescer struct {
 func newCoalescer(onDrop func(frames int)) *coalescer {
 	return &coalescer{
 		out:       make(chan outBatch, sendQueueCap),
+		ready:     make(chan struct{}, 1),
 		onDrop:    onDrop,
 		maxBytes:  DefaultBatchBytes,
 		maxFrames: DefaultBatchFrames,
@@ -95,6 +102,7 @@ func (c *coalescer) add(f wire.Frame) {
 	}
 	if c.w != nil && c.w.Size()+f.RecordLen() > c.maxBytes {
 		c.sealLocked()
+		c.kick()
 	}
 	if c.w == nil {
 		c.w = wire.GetBatchWriter()
@@ -105,6 +113,7 @@ func (c *coalescer) add(f wire.Frame) {
 	}
 	if c.w.Count() >= c.maxFrames || c.w.Size() >= c.maxBytes {
 		c.sealLocked()
+		c.kick()
 		return
 	}
 	if c.w.Count() == 1 {
@@ -142,19 +151,35 @@ func (c *coalescer) sealLocked() {
 	}
 }
 
-// flush seals whatever is pending. Runs from the linger timer and from
-// Transport.Flush.
+// kick leaves a token on ready, unless one is already there.
+func (c *coalescer) kick() {
+	select {
+	case c.ready <- struct{}{}:
+	default:
+	}
+}
+
+// flush seals whatever is pending and wakes the writer. Runs from the
+// linger timer and from Transport.Flush.
 func (c *coalescer) flush() {
+	if c.seal() {
+		c.kick()
+	}
+}
+
+// seal seals whatever is pending, reporting whether that queued a batch.
+func (c *coalescer) seal() bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed || c.w == nil || c.w.Count() == 0 {
-		return
+		return false
 	}
 	c.sealLocked()
+	return true
 }
 
 // close stops the timer and discards the pending batch. Batches already
-// sealed stay in the queue for the sender goroutine to drain or abandon.
+// sealed stay in the queue for the transport to write or abandon.
 func (c *coalescer) close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()

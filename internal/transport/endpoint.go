@@ -76,9 +76,10 @@ func (r *ring) grow() {
 // inbox ring that deliver fills and Recv drains, and the table of
 // per-peer coalescers that Send feeds and Flush seals. A transport adds
 // only its wire: how a sealed batch is written (a sender goroutine per
-// dialed peer draining coalescer.out) and how a received record reaches
-// deliver. Loopback has no wire to wait on, so it dials no coalescers
-// and delivers from its own Send.
+// dialed peer draining coalescer.out, which a TCP Flush on unix may
+// beat to it) and how a received record reaches deliver. Loopback has
+// no wire to wait on, so it dials no coalescers and delivers from its
+// own Send.
 type endpoint struct {
 	addr Addr // as configured; LocalAddr may resolve a kernel-chosen port
 
@@ -117,10 +118,11 @@ func (e *endpoint) listen(bind func() error) error {
 	return nil
 }
 
-// dial gives addr a coalescer and starts send as the goroutine that
-// writes its sealed batches to the wire. Dialing a peer twice is a
-// no-op.
-func (e *endpoint) dial(addr Addr, send func(co *coalescer, st *PeerStats)) error {
+// dial gives addr a coalescer and starts the goroutine that sender
+// returns to write its sealed batches to the wire. sender runs under
+// e.mu, so a transport can register per-peer state of its own there.
+// Dialing a peer twice is a no-op.
+func (e *endpoint) dial(addr Addr, sender func(co *coalescer, st *PeerStats) func()) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if !e.live {
@@ -135,10 +137,11 @@ func (e *endpoint) dial(addr Addr, send func(co *coalescer, st *PeerStats)) erro
 	co := newCoalescer(func(frames int) { e.count(&st.Dropped, frames) })
 	e.out[addr] = co
 	e.cos = append(e.cos, co)
+	send := sender(co, st)
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
-		send(co, st)
+		send()
 	}()
 	return nil
 }
@@ -169,8 +172,8 @@ func (e *endpoint) Send(addr Addr, f wire.Frame) error {
 }
 
 // Flush seals every peer's pending batch so nothing waits out the
-// linger timer. The sealed batches are written asynchronously by the
-// sender goroutines.
+// linger timer, and leaves the sealed batches to the sender goroutines.
+// TCP on unix writes them itself where it can (tcp_unix.go).
 func (e *endpoint) Flush() {
 	e.mu.Lock()
 	cos := e.cos // append-only: the coalescers this header covers never change

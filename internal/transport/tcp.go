@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"net"
 	"slices"
@@ -41,14 +40,21 @@ import (
 // milliseconds while the host spins on Recv. Both feed one record
 // parser, one at a time per connection.
 //
-// Each dialed peer gets one outbound connection owned by its sender
-// goroutine, established lazily and re-established on error with a
-// backoff, so a peer that starts late or restarts is picked up without
-// any external supervision; batches sealed while the link is down fall
-// to the drop-oldest queue discipline like any overflow. Nagle is
-// disabled (SetNoDelay) — the coalescer already decides what a write
-// is, and stacking the kernel's own batching delay on top of our linger
-// would double-charge latency.
+// Each dialed peer gets one outbound connection, established lazily and
+// re-established on error with a backoff, so a peer that starts late or
+// restarts is picked up without any external supervision; batches
+// sealed while the link is down fall to the drop-oldest queue
+// discipline like any overflow. On unix (tcp_unix.go) Flush writes the
+// batches it seals straight to the socket, on the caller's goroutine
+// and without blocking; waking a sender goroutine can cost as much as
+// the socket round trip. The peer's sender goroutine keeps what must
+// wait: dialing, batches sealed by size or linger, and a record the
+// socket took only in part. Both writers pop the queue and write only
+// under the peer's send record's mutex, so records reach the stream
+// whole and in the order they were sealed. Nagle is disabled
+// (SetNoDelay) — the coalescer already decides what a write is, and
+// stacking the kernel's own batching delay on top of our linger would
+// double-charge latency.
 
 const (
 	// tcpFraming is the length prefix in front of every record.
@@ -80,6 +86,7 @@ type TCP struct {
 	endpoint
 	ln    net.Listener // set by Listen, under mu
 	conns []*tcpRecv   // accepted connections, for Recv and Close; under mu
+	sends []*tcpSend   // dialed peers, for Flush and Close; append-only until Close; under mu
 }
 
 // NewTCP creates an endpoint bound to addr ("tcp:host:port") at Listen.
@@ -247,10 +254,10 @@ func (t *TCP) reject(from Addr) {
 	}
 }
 
-// Dial registers the peer, gives it a coalescer, and starts its sender
-// goroutine; the connection itself is established lazily (and
-// re-established after errors), so dialing a peer that has not started
-// yet succeeds and traffic flows once it does. Idempotent.
+// Dial registers the peer, gives it a coalescer and a send record, and
+// starts its sender goroutine; the connection itself is established
+// lazily (and re-established after errors), so dialing a peer that has
+// not started yet succeeds and traffic flows once it does. Idempotent.
 func (t *TCP) Dial(addr Addr) error {
 	hp, err := hostPort(addr, "tcp:")
 	if err != nil {
@@ -259,92 +266,169 @@ func (t *TCP) Dial(addr Addr) error {
 	if _, _, err := net.SplitHostPort(hp); err != nil {
 		return fmt.Errorf("transport: peer %q: %v", addr, err)
 	}
-	return t.dial(addr, func(co *coalescer, st *PeerStats) { t.sendLoop(hp, co, st) })
+	return t.dial(addr, func(co *coalescer, st *PeerStats) func() {
+		s := &tcpSend{hp: hp, co: co, st: st}
+		t.sends = append(t.sends, s) // dial holds t.mu
+		return func() { t.sendLoop(s) }
+	})
+}
+
+// tcpSend is one dialed peer's send state. Its writers — the sender
+// goroutine and, on unix, Flush — take turns under mu and pop co.out
+// only while holding it, so records go out whole and in seal order.
+type tcpSend struct {
+	hp string
+	co *coalescer
+	st *PeerStats
+
+	mu       sync.Mutex
+	conn     net.Conn         // nil while the link is down; set under the endpoint's mu too, for Close
+	raw      syscall.RawConn  // unix: non-blocking access to conn's descriptor
+	put      func(fd uintptr) // unix: the non-blocking write, bound once so a write allocates nothing
+	lastDial time.Time
+	buf      []byte   // scratch holding one length-prefixed record
+	rec      []byte   // the record in progress: the part of buf not yet written
+	ob       outBatch // the batch rec carries
+	err      error    // unix: put's write error
+}
+
+// frame makes b, length-prefixed, the record in progress. It is copied
+// behind its prefix so that one write carries both.
+func (s *tcpSend) frame(b []byte) {
+	s.buf = binary.BigEndian.AppendUint32(s.buf[:0], uint32(len(b)))
+	s.buf = append(s.buf, b...)
+	s.rec = s.buf
+}
+
+// start counts ob as sent and makes it the record in progress. Counting
+// precedes the write: the receiver may deliver the batch before the
+// write returns.
+func (t *TCP) start(s *tcpSend, ob outBatch) {
+	t.sending(s.st, ob, tcpFraming)
+	s.ob = ob
+	s.frame(ob.bytes)
+}
+
+// finish concludes the record in progress once it is written or its
+// write has failed; a failure also closes the connection, which the
+// next batch redials. It reports whether the endpoint has closed.
+func (t *TCP) finish(s *tcpSend, err error) (closed bool) {
+	closed = t.wrote(s.st, s.ob, tcpFraming, err)
+	s.rec, s.ob = nil, outBatch{}
+	if err != nil {
+		t.disconnect(s)
+	}
+	return closed
 }
 
 // connect opens the outbound connection and introduces this endpoint
-// with a hello record.
-func (t *TCP) connect(hp string, w *recordWriter) (net.Conn, error) {
-	conn, err := net.DialTimeout("tcp", hp, tcpDialTimeout)
+// with a hello record; under s.mu.
+func (t *TCP) connect(s *tcpSend) error {
+	conn, err := net.DialTimeout("tcp", s.hp, tcpDialTimeout)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		// The coalescer is our Nagle; the kernel's would stack a second
-		// delay on every partial batch.
-		_ = tc.SetNoDelay(true)
-		_ = tc.SetWriteBuffer(4 << 20)
-		_ = tc.SetReadBuffer(4 << 20)
-	}
-	hello := append(append([]byte(nil), tcpHelloMagic...), []byte(t.LocalAddr())...)
-	if err := w.write(conn, hello); err != nil {
+	tc := conn.(*net.TCPConn)
+	// The coalescer is our Nagle; the kernel's would stack a second
+	// delay on every partial batch.
+	_ = tc.SetNoDelay(true)
+	_ = tc.SetWriteBuffer(4 << 20)
+	_ = tc.SetReadBuffer(4 << 20)
+	s.frame(append(append([]byte(nil), tcpHelloMagic...), []byte(t.LocalAddr())...))
+	_, err = conn.Write(s.rec)
+	s.rec = nil
+	if err != nil {
 		conn.Close()
-		return nil, err
+		return err
 	}
-	return conn, nil
+	s.raw, _ = tc.SyscallConn() // cannot fail for a *net.TCPConn
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.live { // Close has already closed the connections it could see
+		conn.Close()
+		return net.ErrClosed
+	}
+	s.conn = conn
+	return nil
 }
 
-// recordWriter writes length-prefixed records, each as a single vectored
-// write (one syscall for prefix plus body). A sender keeps one for its
-// whole life, so writing a record allocates nothing.
-type recordWriter struct {
-	prefix [tcpFraming]byte
-	vec    [2][]byte
-	bufs   net.Buffers
+// disconnect closes the outbound connection; under s.mu.
+func (t *TCP) disconnect(s *tcpSend) {
+	s.conn.Close()
+	t.mu.Lock()
+	s.conn = nil
+	t.mu.Unlock()
 }
 
-func (w *recordWriter) write(conn net.Conn, b []byte) error {
-	binary.BigEndian.PutUint32(w.prefix[:], uint32(len(b)))
-	w.vec = [2][]byte{w.prefix[:], b}
-	w.bufs = w.vec[:]
-	_, err := w.bufs.WriteTo(conn)
-	w.vec[1] = nil // do not pin the record's pooled buffer
-	return err
-}
-
-// sendLoop writes one peer's sealed batches onto its connection,
-// connecting and reconnecting as needed, until Close.
-func (t *TCP) sendLoop(hp string, co *coalescer, st *PeerStats) {
-	var conn net.Conn
-	var lastDial time.Time
-	w := new(recordWriter)
-	defer func() {
-		if conn != nil {
-			conn.Close()
-		}
-	}()
+// sendLoop writes what Flush leaves to it — batches sealed by size or
+// linger, a record the socket took only in part, anything while the
+// link is down — whenever co.ready holds a token, until Close.
+func (t *TCP) sendLoop(s *tcpSend) {
+	defer t.hangUp(s)
 	for {
 		select {
 		case <-t.done:
 			return
-		case ob := <-co.out:
-			// Rate-limit reconnects: inside the backoff window the batch
-			// is dropped, the queue discipline in miniature.
-			if conn == nil && time.Since(lastDial) < tcpRedialBackoff {
-				t.count(&st.Dropped, ob.frames)
+		case <-s.co.ready:
+		}
+		s.mu.Lock()
+		closed := t.send(s)
+		s.mu.Unlock()
+		if closed {
+			return
+		}
+	}
+}
+
+// send writes the rest of the record in progress and then every queued
+// batch, blocking, connecting as needed; under s.mu. It reports whether
+// the endpoint has closed.
+func (t *TCP) send(s *tcpSend) (closed bool) {
+	if len(s.rec) > 0 {
+		_, err := s.conn.Write(s.rec)
+		if t.finish(s, err) {
+			return true
+		}
+	}
+	for {
+		var ob outBatch
+		select {
+		case ob = <-s.co.out:
+		default:
+			return false
+		}
+		if s.conn == nil {
+			// Rate-limit reconnects: inside the backoff window the
+			// batch is dropped, the queue discipline in miniature.
+			if time.Since(s.lastDial) < tcpRedialBackoff {
+				t.count(&s.st.Dropped, ob.frames)
 				wire.PutBatchWriter(ob.w)
 				continue
 			}
-			t.sending(st, ob, tcpFraming)
-			if conn == nil {
-				lastDial = time.Now()
-				c, err := t.connect(hp, w)
-				if err != nil {
-					t.wrote(st, ob, tcpFraming, err)
-					continue
-				}
-				conn = c
-			}
-			err := w.write(conn, ob.bytes)
-			closed := t.wrote(st, ob, tcpFraming, err)
-			if err != nil {
-				conn.Close()
-				conn = nil
-				if closed || errors.Is(err, net.ErrClosed) {
-					return
-				}
+			s.lastDial = time.Now()
+			if err := t.connect(s); err != nil {
+				t.sending(s.st, ob, tcpFraming) // a failed connect counts as a failed write
+				t.wrote(s.st, ob, tcpFraming, err)
+				continue
 			}
 		}
+		t.start(s, ob)
+		_, err := s.conn.Write(s.rec)
+		if t.finish(s, err) {
+			return true
+		}
+	}
+}
+
+// hangUp closes the connection as the sender goroutine exits. A record
+// the socket took only in part is lost with it, as a failed write.
+func (t *TCP) hangUp(s *tcpSend) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.rec) > 0 {
+		t.finish(s, net.ErrClosed)
+	} else if s.conn != nil {
+		t.disconnect(s)
 	}
 }
 
@@ -369,6 +453,14 @@ func (t *TCP) Close() error {
 	t.mu.Lock()
 	conns := t.conns
 	t.conns = nil
+	// A sender goroutine blocked on a peer that stopped reading returns
+	// once its connection is closed.
+	for _, s := range t.sends {
+		if s.conn != nil {
+			s.conn.Close()
+		}
+	}
+	t.sends = nil
 	t.mu.Unlock()
 	for _, rc := range conns {
 		rc.conn.Close()

@@ -61,3 +61,77 @@ func (t *TCP) poll() {
 		}
 	}
 }
+
+// Flush seals every peer's pending batch and writes each peer's queue
+// straight to its connection, on the caller's goroutine and without
+// blocking. A peer whose sender goroutine is writing or dialing, whose
+// link is down, whose write failed or whose socket took a record only
+// in part is left to that goroutine, and only then is it woken.
+func (t *TCP) Flush() {
+	t.mu.Lock()
+	sends := t.sends
+	t.mu.Unlock()
+	for _, s := range sends {
+		s.co.seal()
+		if s.mu.TryLock() {
+			done := t.push(s)
+			s.mu.Unlock()
+			if done {
+				continue
+			}
+		}
+		if len(s.co.out) > 0 {
+			s.co.kick()
+		}
+	}
+}
+
+// push writes the peer's queued batches without blocking, under s.mu,
+// and reports whether it emptied the queue. Once Close has returned the
+// sender goroutine has hung up, so a later push writes nothing.
+func (t *TCP) push(s *tcpSend) (done bool) {
+	if s.conn == nil || len(s.rec) > 0 {
+		return false
+	}
+	if s.put == nil {
+		s.put = s.write
+	}
+	for {
+		select {
+		case ob := <-s.co.out:
+			t.start(s, ob)
+		default:
+			return true
+		}
+		err := s.raw.Control(s.put)
+		if err == nil {
+			err, s.err = s.err, nil
+		}
+		switch {
+		case err != nil:
+			t.finish(s, err)
+			return false
+		case len(s.rec) > 0: // the socket is full; the tail is the goroutine's
+			return false
+		}
+		t.finish(s, nil)
+	}
+}
+
+// write is put: it writes the record in progress until it is done or
+// the socket is full, without blocking, leaving any error in s.err.
+func (s *tcpSend) write(fd uintptr) {
+	for len(s.rec) > 0 {
+		n, err := syscall.Write(int(fd), s.rec)
+		switch {
+		case err == syscall.EINTR:
+		case err == syscall.EAGAIN:
+			return
+		case err != nil:
+			s.err = err
+			return
+		default:
+			s.rec = s.rec[n:]
+		}
+	}
+}

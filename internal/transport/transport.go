@@ -17,7 +17,9 @@
 // same poll-style interface, so the bridge and the conformance driver
 // are transport-agnostic. On unix a TCP Recv on an empty inbox reads
 // what the sockets already hold, so an arrived frame does not wait for
-// a reader goroutine to wake.
+// a reader goroutine to wake, and a TCP Flush writes the batches it
+// seals to the sockets itself, without blocking, so a flushed frame does
+// not wait for a sender goroutine to wake either.
 //
 // There is one wire path: every write is a wire.Batch container. UDP
 // and TCP coalesce each peer's outbound frames (see coalesce.go for the
@@ -49,7 +51,7 @@ type Addr string
 type PeerStats struct {
 	Sent      uint64 // frames accepted for send
 	SentBytes uint64 // encoded bytes written to the wire (batch container included)
-	Batches   uint64 // wire writes (datagrams / stream records) carrying those bytes
+	Batches   uint64 // batches written (datagrams / stream records) carrying those bytes
 	Dropped   uint64 // frames dropped by send-queue backpressure (oldest first) or lost with a failed write
 	Recv      uint64 // frames received and decoded
 	RecvBytes uint64 // encoded bytes received
@@ -58,7 +60,7 @@ type PeerStats struct {
 	SendErrs  uint64 // socket write or connect failures
 }
 
-// FramesPerBatch reports the average frames carried per wire write —
+// FramesPerBatch reports the average frames carried per batch written —
 // the coalescing payoff — or 0 before any batch has been written.
 func (s PeerStats) FramesPerBatch() float64 {
 	if s.Batches == 0 {
@@ -81,10 +83,12 @@ func (s PeerStats) FramesPerBatch() float64 {
 // wait up to DefaultBatchLinger before it is written. Flush seals
 // every peer's pending batch immediately — the bridge calls it at each
 // pump quantum boundary so bridged virtual time never stalls on the
-// linger timer. Recv pops one received frame without blocking — the
-// caller polls; this is deliberate, because the simulation side consumes
-// frames from a host pump, not from a goroutine (on an empty inbox it may
-// first read what the sockets hold, still without blocking). Close
+// linger timer — and, like Send, never blocks on the network (it may
+// write what the sockets take at once). Recv pops one received frame
+// without blocking — the caller polls; this is deliberate, because the
+// simulation side consumes frames from a host pump, not from a
+// goroutine (on an empty inbox it may first read what the sockets hold,
+// still without blocking). Close
 // releases the endpoint; Send and Recv on a closed transport fail and
 // report empty, respectively.
 type Transport interface {

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -588,6 +589,47 @@ func TestTCPRecvRacesClose(t *testing.T) {
 	}
 }
 
+// TestTCPFlushRacesClose flushes on one goroutine while the endpoint
+// closes: once Close has returned, no Flush writes or counts anything —
+// not a batch, not a send error.
+func TestTCPFlushRacesClose(t *testing.T) {
+	a, b := listening(t, newTCP), listening(t, newTCP)
+	addrA, addrB := a.LocalAddr(), b.LocalAddr()
+	if err := a.Dial(addrB); err != nil {
+		t.Fatal(err)
+	}
+	var flushes atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	halt := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer halt()
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for seq := 0; ; seq++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			a.Send(addrB, testFrame(seq))
+			a.Flush()
+			flushes.Add(1)
+		}
+	}()
+	eventually(t, "frames at b", func() bool { return b.Stats()[addrA].Recv > 0 })
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := a.Stats()[addrB]
+	n := flushes.Load()
+	eventually(t, "more flushes", func() bool { return flushes.Load() > n+100 })
+	halt()
+	if now := a.Stats()[addrB]; now != closed {
+		t.Fatalf("counters moved after Close returned: %+v, then %+v", closed, now)
+	}
+}
+
 // tighten overrides the thresholds of a's coalescer for peer; the
 // production values are constants, so only a test can do this.
 func tighten(a Transport, peer Addr, maxFrames int, linger time.Duration) {
@@ -789,5 +831,44 @@ func TestBridgeRejectsOverlap(t *testing.T) {
 	}
 	if fmt.Sprint(err) == "" {
 		t.Fatal("error must describe the overlap")
+	}
+}
+
+// BenchmarkTCPFlushToRecv times one frame's Send, Flush and arrival at
+// the peer's Recv on localhost: the latency a bridged quantum pays per
+// border hop.
+func BenchmarkTCPFlushToRecv(b *testing.B) {
+	src, dst := NewTCP("tcp:127.0.0.1:0"), NewTCP("tcp:127.0.0.1:0")
+	for _, tr := range []*TCP{src, dst} {
+		if err := tr.Listen(); err != nil {
+			b.Fatal(err)
+		}
+		defer tr.Close()
+	}
+	peer := dst.LocalAddr()
+	if err := src.Dial(peer); err != nil {
+		b.Fatal(err)
+	}
+	f := testFrame(1)
+	hop := func() bool {
+		if err := src.Send(peer, f); err != nil {
+			b.Fatal(err)
+		}
+		src.Flush()
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); runtime.Gosched() {
+			if _, _, ok := dst.Recv(); ok {
+				return true
+			}
+		}
+		return false
+	}
+	if !hop() { // the first hop dials
+		b.Fatal("no frame within 5 s")
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if !hop() {
+			b.Fatal("no frame within 5 s")
+		}
 	}
 }

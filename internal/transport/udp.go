@@ -112,7 +112,9 @@ func (u *UDP) Dial(addr Addr) error {
 	if err != nil {
 		return fmt.Errorf("transport: resolve peer %q: %v", addr, err)
 	}
-	err = u.dial(addr, func(co *coalescer, st *PeerStats) { u.sendLoop(raddr, co, st) })
+	err = u.dial(addr, func(co *coalescer, st *PeerStats) func() {
+		return func() { u.sendLoop(raddr, co, st) }
+	})
 	if err != nil {
 		return err
 	}
