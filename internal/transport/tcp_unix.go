@@ -66,7 +66,8 @@ func (t *TCP) poll() {
 // straight to its connection, on the caller's goroutine and without
 // blocking. A peer whose sender goroutine is writing or dialing, whose
 // link is down, whose write failed or whose socket took a record only
-// in part is left to that goroutine, and only then is it woken.
+// in part is left to that goroutine, and only then is it woken: when
+// batches wait in its queue, or a record's tail does.
 func (t *TCP) Flush() {
 	t.mu.Lock()
 	sends := t.sends
@@ -74,9 +75,10 @@ func (t *TCP) Flush() {
 	for _, s := range sends {
 		s.co.seal()
 		if s.mu.TryLock() {
-			done := t.push(s)
+			tail := t.push(s)
 			s.mu.Unlock()
-			if done {
+			if tail {
+				s.co.kick()
 				continue
 			}
 		}
@@ -87,11 +89,13 @@ func (t *TCP) Flush() {
 }
 
 // push writes the peer's queued batches without blocking, under s.mu,
-// and reports whether it emptied the queue. Once Close has returned the
-// sender goroutine has hung up, so a later push writes nothing.
-func (t *TCP) push(s *tcpSend) (done bool) {
+// until the queue is empty or the goroutine must take over. It reports
+// whether a record's tail is left unwritten: the queue may be empty
+// then, yet the goroutine must still write it. Once Close has returned
+// the sender goroutine has hung up, so a later push writes nothing.
+func (t *TCP) push(s *tcpSend) (tail bool) {
 	if s.conn == nil || len(s.rec) > 0 {
-		return false
+		return len(s.rec) > 0
 	}
 	if s.put == nil {
 		s.put = s.write
@@ -101,7 +105,7 @@ func (t *TCP) push(s *tcpSend) (done bool) {
 		case ob := <-s.co.out:
 			t.start(s, ob)
 		default:
-			return true
+			return false
 		}
 		err := s.raw.Control(s.put)
 		if err == nil {
@@ -112,7 +116,7 @@ func (t *TCP) push(s *tcpSend) (done bool) {
 			t.finish(s, err)
 			return false
 		case len(s.rec) > 0: // the socket is full; the tail is the goroutine's
-			return false
+			return true
 		}
 		t.finish(s, nil)
 	}

@@ -213,6 +213,24 @@ func TestTCPFlushNeverBlocks(t *testing.T) {
 	want := int(uint64(sent) - st.Dropped)
 
 	_ = conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	got := readNumbered(t, conn, want, size)
+	// Nothing more: a frame counted dropped must not arrive after all.
+	_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if n, err := conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("%d frames arrived, then read %d more bytes (%v); want exactly sent %d - dropped %d",
+			got, n, err, sent, st.Dropped)
+	}
+	if now := a.Stats()[peer]; now.Dropped != st.Dropped || now.SendErrs != 0 {
+		t.Fatalf("stats moved after the last Flush: %+v, then %+v", st, now)
+	}
+}
+
+// readNumbered reads a dialer's stream from conn — a hello, then batch
+// records — until want numbered frames of size bytes have arrived, and
+// returns how many did. Every record must parse and frame numbers only
+// increase; a read error, such as conn's deadline passing, fails t.
+func readNumbered(t *testing.T, conn net.Conn, want, size int) (got int) {
+	t.Helper()
 	record := func() ([]byte, error) {
 		var prefix [tcpFraming]byte
 		if _, err := io.ReadFull(conn, prefix[:]); err != nil {
@@ -230,7 +248,7 @@ func TestTCPFlushNeverBlocks(t *testing.T) {
 	if err != nil || !bytes.HasPrefix(hello, tcpHelloMagic) {
 		t.Fatalf("first record %q, %v: want a hello", hello, err)
 	}
-	got, next := 0, uint32(0)
+	next := uint32(0)
 	for got < want {
 		rec, err := record()
 		if err != nil {
@@ -249,15 +267,60 @@ func TestTCPFlushNeverBlocks(t *testing.T) {
 			got++
 		}
 	}
-	// Nothing more: a frame counted dropped must not arrive after all.
-	_ = conn.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
-	if n, err := conn.Read(make([]byte, 1)); n != 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
-		t.Fatalf("%d frames arrived, then read %d more bytes (%v); want exactly sent %d - dropped %d",
-			got, n, err, sent, st.Dropped)
+	return got
+}
+
+// TestTCPFlushWakesForTail: a Flush whose socket takes the last queued
+// record only in part leaves its tail to the sender goroutine, and wakes
+// it even though the queue is then empty. The peer accepts and does not
+// read; frames go out one Send + Flush at a time until a record is
+// unwritten in part. Then the sender falls quiet — no later batch will
+// wake anyone — and the peer reads: every frame sent must arrive.
+func TestTCPFlushWakesForTail(t *testing.T) {
+	const (
+		size = 1000
+		most = 256 << 20 // bytes offered before giving up on a full socket
+	)
+	peer, accept := sink(t)
+	a := listening(t, newTCP).(*TCP)
+	if err := a.Dial(peer); err != nil {
+		t.Fatal(err)
 	}
-	if now := a.Stats()[peer]; now.Dropped != st.Dropped || now.SendErrs != 0 {
-		t.Fatalf("stats moved after the last Flush: %+v, then %+v", st, now)
+	a.mu.Lock()
+	s := a.sends[0]
+	a.mu.Unlock()
+	var sent uint32
+	offer := func() {
+		if err := a.Send(peer, numbered(sent, size)); err != nil {
+			t.Fatal(err)
+		}
+		sent++
+		a.Flush()
 	}
+	offer()
+	conn := accept()
+	eventually(t, "the first frame written", func() bool { return a.Stats()[peer].Batches == 1 })
+	// From here the goroutine runs only when Flush wakes it, which now
+	// means for a tail: a writer holding s.mu is blocked on one.
+	tail := func() bool {
+		if !s.mu.TryLock() {
+			return true
+		}
+		defer s.mu.Unlock()
+		return len(s.rec) > 0
+	}
+	for !tail() {
+		if sent*size >= most {
+			t.Fatalf("%d MB offered to a peer that does not read and no write was partial", most>>20)
+		}
+		offer()
+	}
+	st := a.Stats()[peer]
+	if st.Dropped != 0 || st.SendErrs != 0 {
+		t.Fatalf("dropped = %d, send errors = %d before the socket filled; want 0, 0", st.Dropped, st.SendErrs)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	readNumbered(t, conn, int(sent), size)
 }
 
 // TestTCPCloseStalledPeer: Close returns even while the sender
