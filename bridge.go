@@ -13,11 +13,14 @@ package agilla
 //
 // The split is by ownership, not by protocol: each process prunes the
 // shared layout to its own motes and attaches transparent border ports at
-// every peer-owned coordinate. The radio model (loss, airtime, jitter)
-// runs once per border hop on the owner of the sending node; the peer
-// injects the surviving frame delay-free. See internal/transport for the
-// mechanism and the README's "Distributed runtime" section for the
-// topology picture.
+// the peer-owned coordinates its radios reach — the border ring, or every
+// peer-owned coordinate on a topology that cannot enumerate neighbours
+// (Disk). A scripted move extends the ring around its target. The radio
+// model (loss, airtime, jitter) runs once per border hop on the owner of
+// the sending node; the peer injects the surviving frame delay-free, and
+// drops (as Spoofed) one whose source it cannot have come from. See
+// internal/transport for the mechanism and the README's "Distributed
+// runtime" section for the topology picture.
 
 import (
 	"fmt"
@@ -179,6 +182,16 @@ func (b *Bridge) Close() error { return b.nw.bridge.Close() }
 // bridgeOwns reports whether a peer serves loc.
 func (nw *Network) bridgeOwns(loc Location) bool {
 	return nw.bridge != nil && nw.bridge.Owns(loc)
+}
+
+// bridgeMove prepares the border for a scripted move to to, reporting
+// false when the move must be rejected: a peer owns to, or no border
+// port can be attached beside it. Like Attach, host-only.
+func (nw *Network) bridgeMove(to Location) bool {
+	if nw.bridge == nil {
+		return true
+	}
+	return !nw.bridge.Owns(to) && nw.bridge.AttachNear(to) == nil
 }
 
 // stepBridged advances one quantum of virtual time with a border pump on

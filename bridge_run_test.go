@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/agilla-go/agilla/internal/agents"
+	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/program"
 )
 
@@ -81,5 +82,54 @@ func TestBridgedRunChainsStepsInPlace(t *testing.T) {
 	executed, dispatched = sim.Executed()-executed, sim.Dispatched()-dispatched
 	if executed <= dispatched {
 		t.Fatalf("bridged Run executed %d events in %d dispatches: no step ran in place", executed, dispatched)
+	}
+}
+
+// TestBridgeMoveRules pins what a mote's move means on a bridged field.
+// A move onto a coordinate a peer owns is rejected: the peer's mote
+// answers there. A move off the field, next to a peer-owned coordinate
+// no local radio reached before, puts that coordinate in range: the
+// moved mote's beacons reach the border there and cross the wire. The
+// peer, whose map still has the mote at a coordinate A owns, drops them
+// as spoofed.
+func TestBridgeMoveRules(t *testing.T) {
+	a, b := newBridgedPair(t, "loop:move-a", "loop:move-b", nil)
+	from, onPeer := Loc(1, 2), Loc(6, 1)
+	off, beside := Loc(confW+1, 2), Loc(confW, 2) // beside is B's, two columns from the split
+	var heard int
+	a.d.Medium.Trace = func(f radio.Frame, to Location, delivered bool) {
+		if f.Src == off && to == beside && f.IsBroadcast() && delivered {
+			heard++
+		}
+	}
+	now := a.Now()
+	a.Script(MoveAt(now+time.Millisecond, from, onPeer))
+	if err := a.Run(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if ws := a.WorldStats(); ws.Rejected != 1 || ws.Moves != 0 {
+		t.Fatalf("move onto peer-owned %v: world stats %+v, want 1 rejected and no move", onPeer, ws)
+	}
+	relayed := a.Bridge().Stats().RelayedByKind[radio.KindBeacon]
+	if sp := b.Bridge().Stats().Spoofed; sp != 0 {
+		t.Fatalf("B counted %d spoofed frames before any move, want 0", sp)
+	}
+	a.Script(MoveAt(a.Now()+time.Millisecond, from, off))
+	if err := a.Run(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if ws := a.WorldStats(); ws.Rejected != 1 || ws.Moves != 1 {
+		t.Fatalf("move to off-field %v: world stats %+v, want the move applied", off, ws)
+	}
+	if heard == 0 {
+		t.Fatalf("no beacon from the moved mote at %v reached the border port at %v", off, beside)
+	}
+	st := a.Bridge().Stats()
+	if got := st.RelayedByKind[radio.KindBeacon] - relayed; got < uint64(heard) || st.SendErrs != 0 {
+		t.Fatalf("%d beacons relayed since the move, %d send errors; want at least the %d heard at %v and none",
+			got, st.SendErrs, heard, beside)
+	}
+	if sp := b.Bridge().Stats().Spoofed; sp == 0 {
+		t.Fatalf("B injected the beacons of a mote at %v, which it knows no peer owns", off)
 	}
 }

@@ -384,6 +384,9 @@ func NewMedium(ex *sim.Parallel, topo topology.Topology, params Params) *Medium 
 	return m
 }
 
+// Topology returns the connectivity model the medium was built over.
+func (m *Medium) Topology() topology.Topology { return m.topo }
+
 // Stats returns a snapshot of the medium counters, summed across shards.
 func (m *Medium) Stats() Stats {
 	var t Stats

@@ -332,7 +332,10 @@ func (t *TCP) connect(s *tcpSend) error {
 	// The coalescer is our Nagle; the kernel's would stack a second
 	// delay on every partial batch.
 	_ = tc.SetNoDelay(true)
-	_ = tc.SetWriteBuffer(4 << 20)
+	// The drop-oldest queue is the send-side bound: a kernel buffer much
+	// larger than it would hold a stalled peer's backlog where no drop
+	// can reach it, to be delivered late when the peer reads again.
+	_ = tc.SetWriteBuffer(sendQueueCap * DefaultBatchBytes)
 	_ = tc.SetReadBuffer(4 << 20)
 	s.frame(append(append([]byte(nil), tcpHelloMagic...), []byte(t.LocalAddr())...))
 	_, err = conn.Write(s.rec)

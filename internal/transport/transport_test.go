@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"net"
 	"os"
 	"runtime"
@@ -831,6 +832,158 @@ func TestBridgeRejectsOverlap(t *testing.T) {
 	}
 	if fmt.Sprint(err) == "" {
 		t.Fatal("error must describe the overlap")
+	}
+}
+
+// splitGrid splits a w×h grid at column x: local gets columns 1..x and
+// the base at (0,0), peers the rest, all served by peer.
+func splitGrid(w, h, x int16, peer Addr) (local []topology.Location, peers map[topology.Location]Addr) {
+	local = []topology.Location{topology.Loc(0, 0)}
+	peers = make(map[topology.Location]Addr)
+	for yy := int16(1); yy <= h; yy++ {
+		for xx := int16(1); xx <= w; xx++ {
+			if l := topology.Loc(xx, yy); xx <= x {
+				local = append(local, l)
+			} else {
+				peers[l] = peer
+			}
+		}
+	}
+	return local, peers
+}
+
+// TestBridgeAttachesRing pins that a bridge over an enumerable topology
+// attaches a port exactly at the peer-owned locations some local
+// location is connected to, found here by brute force over Connected,
+// while Owns still answers for every peer-owned location.
+func TestBridgeAttachesRing(t *testing.T) {
+	for _, diag := range []bool{false, true} {
+		topo := topology.WithBase{Inner: topology.Grid{Diag: diag}, Base: topology.Loc(0, 0), Gateway: topology.Loc(1, 1)}
+		med := radio.NewMedium(sim.New(1), topo, radio.ZeroLoss())
+		local, peers := splitGrid(40, 20, 20, "loop:ring-peer")
+		br, err := NewBridge(NewLoopback(Addr(fmt.Sprintf("loop:ring-%v", diag))), med, local, peers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make(map[topology.Location]bool)
+		for r := range peers {
+			for _, l := range local {
+				if topo.Connected(l, r) {
+					want[r] = true
+				}
+			}
+		}
+		if len(want) != 20 {
+			t.Fatalf("diag=%v: brute force found a ring of %d, want the 20 motes of column 21", diag, len(want))
+		}
+		if !maps.Equal(br.ports, want) {
+			t.Fatalf("diag=%v: ports at %v, want the ring %v", diag, br.ports, want)
+		}
+		for r := range peers {
+			if !br.Owns(r) {
+				t.Fatalf("diag=%v: Owns(%v) = false for a peer-owned location off the ring", diag, r)
+			}
+		}
+		br.Close()
+	}
+}
+
+// TestBridgeDiskAttachesAll pins the fallback: a topology that cannot
+// enumerate neighbours gets a port at every peer-owned location, and
+// AttachNear then has nothing to add.
+func TestBridgeDiskAttachesAll(t *testing.T) {
+	med := radio.NewMedium(sim.New(1), topology.Disk{Range: 1.5}, radio.ZeroLoss())
+	local, peers := splitGrid(8, 4, 4, "loop:disk-peer")
+	br, err := NewBridge(NewLoopback("loop:disk"), med, local, peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Close()
+	if len(br.ports) != len(peers) {
+		t.Fatalf("%d ports for %d peer-owned locations, want one at each", len(br.ports), len(peers))
+	}
+	for r := range peers {
+		if !br.ports[r] {
+			t.Fatalf("no port at peer-owned %v", r)
+		}
+	}
+	if err := br.AttachNear(topology.Loc(9, 2)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBridgeAttachNear pins that AttachNear extends the ring by the
+// peer-owned neighbours of its location and nothing else, and that a
+// second call for the same location is a no-op.
+func TestBridgeAttachNear(t *testing.T) {
+	med := radio.NewMedium(sim.New(1), topology.Grid{}, radio.ZeroLoss())
+	local, peers := splitGrid(8, 4, 4, "loop:near-peer")
+	br, err := NewBridge(NewLoopback("loop:near"), med, local, peers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Close()
+	ring := len(br.ports)
+	for range 2 {
+		if err := br.AttachNear(topology.Loc(9, 2)); err != nil {
+			t.Fatal(err)
+		}
+		if !br.ports[topology.Loc(8, 2)] || len(br.ports) != ring+1 {
+			t.Fatalf("after AttachNear(9,2): ports %v, want the ring of %d plus (8,2)", br.ports, ring)
+		}
+	}
+}
+
+// TestBridgeDropsSpoofed sends frames over loop: whose source could not
+// have crossed a border hop to their destination — a local source, a
+// source nobody owns, a peer-owned source out of radio range — and
+// checks that each is counted Spoofed and never injected, while a frame
+// from a peer-owned neighbour is.
+func TestBridgeDropsSpoofed(t *testing.T) {
+	peer := listening(t, func() Transport { return NewLoopback("loop:spoof-peer") })
+	defer peer.Close()
+	s := sim.New(1)
+	med := radio.NewMedium(s, topology.Grid{}, radio.ZeroLoss())
+	dst, other := &capture{}, &capture{}
+	at, beside := topology.Loc(2, 1), topology.Loc(3, 1)
+	if err := med.Attach(at, dst); err != nil {
+		t.Fatal(err)
+	}
+	if err := med.Attach(beside, other); err != nil {
+		t.Fatal(err)
+	}
+	br, err := NewBridge(NewLoopback("loop:spoof"), med, []topology.Location{at, beside},
+		map[topology.Location]Addr{topology.Loc(1, 1): peer.LocalAddr(), topology.Loc(5, 1): peer.LocalAddr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer br.Close()
+	send := func(src topology.Location, payload byte) {
+		t.Helper()
+		f := wire.Frame{Kind: uint8(radio.KindRemoteTS), Src: src, Dst: at, Payload: []byte{payload}}
+		if err := peer.Send("loop:spoof", f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send(beside, 1)              // local
+	send(topology.Loc(2, 2), 2)  // owned by nobody
+	send(topology.Loc(5, 1), 3)  // peer-owned, out of range
+	send(topology.Loc(1, 1), 42) // peer-owned neighbour: the only real hop
+	if n := br.Pump(); n != 1 {
+		t.Fatalf("Pump injected %d frames, want 1", n)
+	}
+	if err := s.Run(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if len(dst.got) != 1 || dst.got[0].Payload[0] != 42 || len(other.got) != 0 {
+		t.Fatalf("motes heard %+v and %+v, want only the frame from the neighbour", dst.got, other.got)
+	}
+	st := br.Stats()
+	if st.Spoofed != 3 || st.Injected != 1 || st.Misrouted != 0 || st.Stale != 0 {
+		t.Fatalf("bridge stats %+v, want 3 spoofed and 1 injected", st)
+	}
+	if !strings.Contains(st.String(), "spoofed 3") {
+		t.Fatalf("stats render %q without the spoofed count", st)
 	}
 }
 

@@ -146,7 +146,10 @@ func (nw *Network) WorldStats() WorldStats { return nw.d.WorldStats() }
 // Script schedules world events on the running network. Call it between
 // runs (or from a Scenario Play hook); events fire at their absolute
 // virtual times, in time order, after all ordinary middleware events of
-// the same instant — identically under both executors.
+// the same instant — identically under both executors. On a bridged
+// network a move onto a coordinate a peer owns is rejected at once, and
+// a move elsewhere first extends the border ring around its target, so
+// the moved mote's radio reaches the peer-owned coordinates beside it.
 func (nw *Network) Script(events ...WorldEvent) {
 	for _, e := range events {
 		switch e.Kind {
@@ -155,6 +158,10 @@ func (nw *Network) Script(events ...WorldEvent) {
 		case WorldRevive:
 			nw.d.ReviveAt(e.At, e.Loc)
 		case WorldMove:
+			if !nw.bridgeMove(e.To) {
+				nw.d.RejectWorld()
+				continue
+			}
 			nw.d.MoveAt(e.At, e.Loc, e.To)
 		default:
 			// A hand-built event with a zero or unknown Kind resolves to
