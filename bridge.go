@@ -208,10 +208,10 @@ func (nw *Network) stepBridged(step time.Duration) error {
 // runUntilAt advances virtual time until pred holds or the deadline
 // passes, reporting whether pred held; a nil pred runs to the deadline
 // with Run, so engine step chains run in place. On a bridged network the
-// run is chopped into quanta with a border pump between each, and the
-// idle hook — by default a 1:1 wall-clock sleep, so concurrently running
-// peer processes advance their halves in rough lockstep — runs after
-// every quantum. Tests and single-process drivers replace the hook to
+// run is chopped into quanta with a border pump between each, and after
+// every quantum its border frames are flushed to the wire and then the
+// idle hook runs — by default a 1:1 wall-clock sleep, so concurrently
+// running peer processes advance their halves in rough lockstep. Tests and single-process drivers replace the hook to
 // co-drive the peer network instead of sleeping.
 func (nw *Network) runUntilAt(pred func() bool, deadline time.Duration) (bool, error) {
 	run := func(until time.Duration) (bool, error) {
@@ -238,6 +238,9 @@ func (nw *Network) runUntilAt(pred func() bool, deadline time.Duration) (bool, e
 		if _, err := run(now + step); err != nil {
 			return false, err
 		}
+		// The quantum's border frames go on the wire before the wait,
+		// so the peer can run with them; nothing else seals a batch.
+		nw.bridge.Transport().Flush()
 		if nw.idle != nil {
 			nw.idle(step)
 		}

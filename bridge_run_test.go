@@ -1,11 +1,13 @@
 package agilla
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/agents"
 	"github.com/agilla-go/agilla/internal/radio"
+	"github.com/agilla-go/agilla/internal/transport"
 	"github.com/agilla-go/agilla/program"
 )
 
@@ -82,6 +84,55 @@ func TestBridgedRunChainsStepsInPlace(t *testing.T) {
 	executed, dispatched = sim.Executed()-executed, sim.Dispatched()-dispatched
 	if executed <= dispatched {
 		t.Fatalf("bridged Run executed %d events in %d dispatches: no step ran in place", executed, dispatched)
+	}
+}
+
+// TestBridgedRunFlushesBeforeIdle pins the pump order of a bridged run:
+// the border frames a quantum relays are on the wire before the idle
+// hook runs, so a peer process paced by that hook can run with them. The
+// peer here is a bare TCP endpoint; A's idle hook reads it until it holds
+// every frame A has relayed so far.
+func TestBridgedRunFlushesBeforeIdle(t *testing.T) {
+	if testing.Short() {
+		t.Skip("real sockets; skipped in -short")
+	}
+	peer := transport.NewTCP("tcp:127.0.0.1:0")
+	if err := peer.Listen(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { peer.Close() })
+	_, bOwned := confSplit()
+	a, err := New(
+		WithTopology(Grid(confW, confH)),
+		WithSeed(confSeed),
+		WithReliableRadio(),
+		WithTransportBridge(BridgeConfig{
+			Listen: "tcp:127.0.0.1:0",
+			Peers:  []BridgePeer{{Addr: string(peer.LocalAddr()), Locations: append(bOwned, confBBase)}},
+		}),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { a.Close() })
+	var got uint64
+	quanta := 0
+	a.idle = func(time.Duration) {
+		quanta++
+		want := a.Bridge().Stats().Relayed
+		for deadline := time.Now().Add(5 * time.Second); got < want; runtime.Gosched() {
+			if _, _, ok := peer.Recv(); ok {
+				got++
+			} else if time.Now().After(deadline) {
+				t.Fatalf("idle hook of quantum %d: the peer holds %d of the %d frames A relayed", quanta, got, want)
+			}
+		}
+	}
+	if err := a.WarmUp(); err != nil {
+		t.Fatal(err)
+	}
+	if got == 0 {
+		t.Fatalf("A relayed nothing in %d quanta", quanta)
 	}
 }
 

@@ -266,9 +266,8 @@ func (b *Bridge) AttachNear(loc topology.Location) error {
 // (between runs): Medium.Inject schedules delivery events, which is
 // only legal then. Returns how many frames were injected.
 func (b *Bridge) Pump() int {
-	// Seal whatever the last quantum queued before waiting on inbound
-	// traffic: the pump boundary is the batching epoch, so bridged
-	// virtual time never stalls on the coalescer's linger timer.
+	// Seal whatever the last quantum queued before taking inbound
+	// traffic: a partial batch waits for a Flush, never for a timer.
 	b.tr.Flush()
 	n := 0
 	for {

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"sync"
-	"time"
 
 	"github.com/agilla-go/agilla/internal/wire"
 )
@@ -10,18 +9,16 @@ import (
 // Per-peer frame coalescing, shared by the UDP and TCP transports. One
 // wire write (and one syscall) per frame bounds throughput by
 // per-packet cost; the coalescer instead accumulates a peer's outbound
-// frames into a wire.Batch and seals it when any of three thresholds
-// fires:
+// frames into a wire.Batch and seals it on one of three triggers, all
+// on the caller's goroutine:
 //
 //   - size: the encoded batch would exceed DefaultBatchBytes (MTU-safe,
 //     so a UDP batch is one unfragmented datagram);
 //   - count: DefaultBatchFrames frames are pending;
-//   - time: DefaultBatchLinger has passed since the first pending frame
-//     — the bound on added latency when traffic is sparse.
+//   - Transport.Flush, which seals whatever is pending right now.
 //
-// A fourth trigger, Transport.Flush, seals whatever is pending right
-// now; the bridge invokes it at every pump quantum boundary so bridged
-// virtual time never stalls on the linger timer.
+// There is no timer: a partial batch waits for the next Flush, which the
+// bridge makes after every quantum it runs.
 //
 // Sealed batches queue on a bounded channel drained by the transport's
 // per-peer writer: UDP's sender goroutine, or TCP's Flush and sender
@@ -39,9 +36,6 @@ const (
 	// workload's ~32-byte records the size bound fires first, so this
 	// mostly caps degenerate tiny-frame floods.
 	DefaultBatchFrames = 64
-	// DefaultBatchLinger bounds the latency a lone frame pays waiting
-	// for a batch to fill.
-	DefaultBatchLinger = 500 * time.Microsecond
 	// sendQueueCap bounds each peer's queue of sealed batches.
 	sendQueueCap = 256
 )
@@ -72,9 +66,7 @@ type coalescer struct {
 	// so in-package tests can make a seal fire on demand.
 	maxBytes  int
 	maxFrames int
-	linger    time.Duration
 	w         *wire.BatchWriter // pending, nil when empty
-	timer     *time.Timer       // linger; nil until first armed
 	closed    bool
 }
 
@@ -85,12 +77,11 @@ func newCoalescer(onDrop func(frames int)) *coalescer {
 		onDrop:    onDrop,
 		maxBytes:  DefaultBatchBytes,
 		maxFrames: DefaultBatchFrames,
-		linger:    DefaultBatchLinger,
 	}
 }
 
-// add appends one frame, sealing on the size or count threshold and
-// arming the linger timer otherwise. The frame's payload must already
+// add appends one frame, sealing on the size or count threshold. The
+// frame's payload must already
 // be validated (<= wire.MaxFramePayload) and must stay immutable until
 // the batch is written; both transports copy-by-encode here, under mu,
 // so the caller's payload is not retained.
@@ -114,14 +105,6 @@ func (c *coalescer) add(f wire.Frame) {
 	if c.w.Count() >= c.maxFrames || c.w.Size() >= c.maxBytes {
 		c.sealLocked()
 		c.kick()
-		return
-	}
-	if c.w.Count() == 1 {
-		if c.timer == nil {
-			c.timer = time.AfterFunc(c.linger, c.flush)
-		} else {
-			c.timer.Reset(c.linger)
-		}
 	}
 }
 
@@ -159,8 +142,8 @@ func (c *coalescer) kick() {
 	}
 }
 
-// flush seals whatever is pending and wakes the writer. Runs from the
-// linger timer and from Transport.Flush.
+// flush seals whatever is pending and wakes the writer; Transport.Flush
+// runs it.
 func (c *coalescer) flush() {
 	if c.seal() {
 		c.kick()
@@ -178,15 +161,12 @@ func (c *coalescer) seal() bool {
 	return true
 }
 
-// close stops the timer and discards the pending batch. Batches already
+// close discards the pending batch. Batches already
 // sealed stay in the queue for the transport to write or abandon.
 func (c *coalescer) close() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
-	if c.timer != nil {
-		c.timer.Stop()
-	}
 	if c.w != nil {
 		wire.PutBatchWriter(c.w)
 		c.w = nil

@@ -90,7 +90,7 @@ type endpoint struct {
 	out   map[Addr]*coalescer
 	cos   []*coalescer   // out's values in dial order; append-only until shut
 	done  chan struct{}  // closed by shut; stops the sender goroutines
-	wg    sync.WaitGroup // reader and sender goroutines, waited on by Close
+	wg    sync.WaitGroup // accept, reader and sender goroutines, waited on by Close
 }
 
 func newEndpoint(addr Addr) endpoint {
@@ -171,9 +171,9 @@ func (e *endpoint) Send(addr Addr, f wire.Frame) error {
 	return nil
 }
 
-// Flush seals every peer's pending batch so nothing waits out the
-// linger timer, and leaves the sealed batches to the sender goroutines.
-// TCP on unix writes them itself where it can (tcp_unix.go).
+// Flush seals every peer's pending batch, which otherwise waits until it
+// fills, and leaves the sealed batches to the sender goroutines. TCP on
+// unix writes them itself where it can (tcp_unix.go).
 func (e *endpoint) Flush() {
 	e.mu.Lock()
 	cos := e.cos // append-only: the coalescers this header covers never change
@@ -212,8 +212,8 @@ func (e *endpoint) wrote(st *PeerStats, ob outBatch, framing int, err error) (cl
 	return closed
 }
 
-// decodePool recycles deliver's decode buffers, so a reader goroutine
-// decodes outside the endpoint lock without allocating per record.
+// decodePool recycles deliver's decode buffers, so a reader decodes
+// outside the endpoint lock without allocating per record.
 var decodePool = sync.Pool{New: func() any { return new([]wire.Frame) }}
 
 // deliver takes one received record — a wire.Batch, exactly as it

@@ -34,11 +34,12 @@ import (
 // dropped — unlike UDP there is no datagram boundary to resynchronize
 // on.
 //
-// Each accepted connection has a reader goroutine, and on unix
-// (tcp_unix.go) Recv on an empty inbox also reads what the sockets
-// already hold without blocking: waking a parked reader can take
-// milliseconds while the host spins on Recv. Both feed one record
-// parser, one at a time per connection.
+// No goroutine reads an accepted connection on unix (tcp_unix.go): Recv
+// on an empty inbox reads what the sockets already hold, without
+// blocking, and feeds each connection's bytes to its record parser.
+// Waking a parked reader goroutine instead could take milliseconds while
+// the host spins on Recv. Only a build without non-blocking reads
+// (tcp_other.go) gives each connection a blocking reader goroutine.
 //
 // Each dialed peer gets one outbound connection, established lazily and
 // re-established on error with a backoff, so a peer that starts late or
@@ -48,13 +49,14 @@ import (
 // batches it seals straight to the socket, on the caller's goroutine
 // and without blocking; waking a sender goroutine can cost as much as
 // the socket round trip. The peer's sender goroutine keeps what must
-// wait: dialing, batches sealed by size or linger, and a record the
-// socket took only in part. Both writers pop the queue and write only
-// under the peer's send record's mutex, so records reach the stream
-// whole and in the order they were sealed. Nagle is disabled
-// (SetNoDelay) — the coalescer already decides what a write is, and
-// stacking the kernel's own batching delay on top of our linger would
-// double-charge latency.
+// wait: dialing, batches sealed by size or count, and a record the
+// socket took only in part; writing every batch inline instead was
+// measured to cut a loopback flood's throughput by about 30%. Both
+// writers pop the queue and write only under the peer's send record's
+// mutex, so records reach the stream whole and in the order they were
+// sealed. Nagle is disabled
+// (SetNoDelay) — the coalescer already decides what a write is, and the
+// kernel's own batching delay would hold back the tail of every Flush.
 
 const (
 	// tcpFraming is the length prefix in front of every record.
@@ -112,7 +114,7 @@ func (t *TCP) Listen() error {
 	})
 }
 
-// acceptLoop hands each inbound connection to a reader goroutine.
+// acceptLoop registers each inbound connection for Recv to read.
 func (t *TCP) acceptLoop(ln net.Listener) {
 	defer t.wg.Done()
 	for {
@@ -129,8 +131,7 @@ func (t *TCP) acceptLoop(ln net.Listener) {
 		}
 		t.conns = append(t.conns, rc)
 		t.mu.Unlock()
-		t.wg.Add(1)
-		go t.readLoop(rc)
+		t.serve(rc)
 	}
 }
 
@@ -143,8 +144,9 @@ func (t *TCP) dropConn(rc *tcpRecv) {
 	rc.conn.Close()
 }
 
-// tcpRecv is one accepted connection's receive state. Its readers take
-// turns under mu, so records reach the inbox whole and in stream order.
+// tcpRecv is one accepted connection's receive state. Its readers —
+// concurrent Recv calls, or the reader goroutine off unix — take turns
+// under mu, so records reach the inbox whole and in stream order.
 type tcpRecv struct {
 	conn net.Conn
 	raw  syscall.RawConn  // unix: non-blocking access to conn's descriptor
@@ -155,7 +157,7 @@ type tcpRecv struct {
 	head    int
 	from    Addr // until a hello arrives, the wire-level remote address
 	started bool // the first record, the only one a hello may be, is parsed
-	done    bool // the stream ended or corrupted; the reader drops it
+	done    bool // the stream ended or corrupted; its reader drops it
 }
 
 // space returns the buffer's free tail, which parse leaves non-empty.
@@ -199,7 +201,7 @@ func (t *TCP) parse(rc *tcpRecv, n int) bool {
 					t.reject(rc.from)
 					return false
 				}
-				rc.from = Addr(peer)
+				rc.from = helloAddr(peer, rc.conn.RemoteAddr())
 				continue
 			}
 		}
@@ -209,6 +211,18 @@ func (t *TCP) parse(rc *tcpRecv, n int) bool {
 			return false
 		}
 	}
+}
+
+// helloAddr is the address a hello names, with a wildcard host (a
+// listener on tcp:0.0.0.0:0 names itself so) replaced by the IP the
+// connection came from, so a peer dialed by that IP counts in one cell.
+func helloAddr(peer string, remote net.Addr) Addr {
+	host, port, err := net.SplitHostPort(peer[len("tcp:"):])
+	ra, ok := remote.(*net.TCPAddr)
+	if err != nil || !ok || !net.ParseIP(host).IsUnspecified() {
+		return Addr(peer)
+	}
+	return Addr("tcp:" + net.JoinHostPort(ra.IP.String(), port))
 }
 
 // fit makes room for a pending record of need bytes: an empty buffer
@@ -233,9 +247,8 @@ func (rc *tcpRecv) fit(need int) {
 }
 
 // Recv pops the oldest received frame, non-blocking. On an empty inbox
-// it first reads what the accepted connections already hold (poll), so
-// a frame that has reached the socket need not wait for its reader
-// goroutine to be scheduled.
+// it first reads what the accepted connections already hold (poll),
+// which on unix is the only way a frame reaches the inbox.
 func (t *TCP) Recv() (Addr, wire.Frame, bool) {
 	if from, f, ok := t.endpoint.Recv(); ok {
 		return from, f, ok
@@ -364,7 +377,7 @@ func (t *TCP) disconnect(s *tcpSend) {
 }
 
 // sendLoop writes what Flush leaves to it — batches sealed by size or
-// linger, a record the socket took only in part, anything while the
+// count, a record the socket took only in part, anything while the
 // link is down — whenever co.ready holds a token, until Close.
 func (t *TCP) sendLoop(s *tcpSend) {
 	defer t.hangUp(s)

@@ -12,6 +12,12 @@ func (t *TCP) newRecv(conn net.Conn) *tcpRecv {
 
 func (t *TCP) poll() {}
 
+// serve starts a registered connection's reader goroutine.
+func (t *TCP) serve(rc *tcpRecv) {
+	t.wg.Add(1)
+	go t.readLoop(rc)
+}
+
 // readLoop feeds the record parser with blocking reads until the stream
 // ends or corrupts.
 func (t *TCP) readLoop(rc *tcpRecv) {

@@ -16,8 +16,8 @@ import (
 	"github.com/agilla-go/agilla/internal/wire"
 )
 
-// TestTCPDrainReassembles runs drain on an accepted connection that has
-// no reader goroutine: a hello and three batch records — the last one
+// TestTCPDrainReassembles runs drain on an accepted connection that is
+// not registered for Recv to poll: a hello and three batch records — the last one
 // bigger than the reassembly buffer — written a byte at a time and then
 // in one write, must come out whole, in order and attributed to the
 // hello's address, with nothing counted malformed and the buffer back
@@ -57,7 +57,7 @@ func TestTCPDrainReassembles(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer server.Close()
-			rc := tr.newRecv(server) // not registered: no reader, no Recv poll
+			rc := tr.newRecv(server) // not registered: no Recv poll
 			drain := func() {
 				rc.mu.Lock()
 				defer rc.mu.Unlock()
@@ -92,6 +92,43 @@ func TestTCPDrainReassembles(t *testing.T) {
 				t.Fatalf("reassembly buffer kept %d bytes after the big record, want <= %d", cap(rc.buf), tcpRecvBuf)
 			}
 		})
+	}
+}
+
+// TestTCPRecvIsTheOnlyReader: a batch written to an accepted connection
+// stays in the socket until the receiver's Recv reads it; no goroutine
+// delivers it to the inbox, or counts it, in the meantime.
+func TestTCPRecvIsTheOnlyReader(t *testing.T) {
+	a, b := listening(t, newTCP).(*TCP), listening(t, newTCP).(*TCP)
+	addrA, addrB := a.LocalAddr(), b.LocalAddr()
+	if err := a.Dial(addrB); err != nil {
+		t.Fatal(err)
+	}
+	sendSeqs(t, a, addrB, 4, 5)
+	eventually(t, "a's batch counted", func() bool { return a.Stats()[addrB].Batches == 1 })
+	a.mu.Lock()
+	s := a.sends[0]
+	a.mu.Unlock()
+	s.mu.Lock() // the write that counted the batch holds s.mu until it returns
+	s.mu.Unlock()
+	if st := a.Stats()[addrB]; st.SendErrs != 0 || st.Dropped != 0 {
+		t.Fatalf("a's stats = %+v, want the batch written", st)
+	}
+	eventually(t, "b to accept", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return len(b.conns) == 1
+	})
+	time.Sleep(50 * time.Millisecond)
+	if st := b.Stats()[addrA]; st.Recv != 0 {
+		t.Fatalf("b counted %d frames before any Recv, want 0", st.Recv)
+	}
+	from, f, ok := b.Recv()
+	if !ok {
+		t.Fatal("b's first Recv found no frame")
+	}
+	if from != addrA || seqOf(f) != 4 {
+		t.Fatalf("first Recv = seq %d from %q, want seq 4 from %q", seqOf(f), from, addrA)
 	}
 }
 

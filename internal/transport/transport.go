@@ -11,21 +11,21 @@
 // goroutine, per-peer send queues with drop-oldest backpressure);
 // and TCP, a stream transport for lossless inter-shard links
 // (length-prefixed batch records, per-peer connections with
-// reconnect-on-error, Nagle disabled in favor of our own linger). All
+// reconnect-on-error, Nagle disabled in favor of our own batching). All
 // three embed one endpoint core (endpoint.go) — inbox, counters,
 // Send/Flush/Recv/Stats, malformed-record accounting — and present the
 // same poll-style interface, so the bridge and the conformance driver
-// are transport-agnostic. On unix a TCP Recv on an empty inbox reads
-// what the sockets already hold, so an arrived frame does not wait for
-// a reader goroutine to wake, and a TCP Flush writes the batches it
-// seals to the sockets itself, without blocking, so a flushed frame does
-// not wait for a sender goroutine to wake either.
+// are transport-agnostic. On unix the caller drives TCP reception: no
+// goroutine reads an accepted socket, and a Recv on an empty inbox
+// reads what the sockets already hold. A TCP Flush writes the batches
+// it seals to the sockets itself, without blocking, so a flushed frame
+// does not wait for a sender goroutine to wake either.
 //
 // There is one wire path: every write is a wire.Batch container. UDP
-// and TCP coalesce each peer's outbound frames (see coalesce.go for the
-// size/count/linger thresholds) so envelope and syscall costs amortize
-// across frames instead of being paid per frame; Loopback sends batches
-// of one.
+// and TCP coalesce each peer's outbound frames (see coalesce.go for
+// what seals a batch) so envelope and syscall costs amortize across
+// frames instead of being paid per frame; Loopback sends batches of
+// one.
 //
 // Everything here runs on wall-clock threads, outside the deterministic
 // simulation kernel. The boundary discipline is: transports never touch
@@ -75,22 +75,22 @@ func (s PeerStats) FramesPerBatch() float64 {
 
 // Transport is one process's frame endpoint.
 //
-// Listen binds the local endpoint and starts reception; it must be called
-// before Send or Recv. Dial prepares a send path to a peer and is
-// idempotent. Send queues one frame to a dialed peer and never blocks on
-// the network (backpressure drops the oldest queued data instead); the
-// wire transports coalesce queued frames into batches, so a frame may
-// wait up to DefaultBatchLinger before it is written. Flush seals
-// every peer's pending batch immediately — the bridge calls it at each
-// pump quantum boundary so bridged virtual time never stalls on the
-// linger timer — and, like Send, never blocks on the network (it may
-// write what the sockets take at once). Recv pops one received frame
-// without blocking — the caller polls; this is deliberate, because the
-// simulation side consumes frames from a host pump, not from a
-// goroutine (on an empty inbox it may first read what the sockets hold,
-// still without blocking). Close
-// releases the endpoint; Send and Recv on a closed transport fail and
-// report empty, respectively.
+// Listen binds the local endpoint; it must be called before Send or
+// Recv. Dial prepares a send path to a peer and is idempotent. Send
+// queues one frame to a dialed peer and never blocks on the network
+// (backpressure drops the oldest queued data instead); the wire
+// transports coalesce queued frames into batches, so a frame waits for
+// its batch to fill or for the next Flush before it is written. Flush
+// seals every peer's pending batch immediately — the bridge calls it
+// after every quantum it runs — and, like Send, never blocks on the
+// network (it may write what the sockets take at once). Recv pops one
+// received frame without blocking — the caller polls; this is
+// deliberate, because the simulation side consumes frames from a host
+// pump, not from a goroutine. On an empty inbox it may first read what
+// the sockets hold, still without blocking, and for TCP on unix that is
+// the only read: nothing arrives between calls. Close releases the
+// endpoint; Send and Recv on a closed transport fail and report empty,
+// respectively.
 type Transport interface {
 	Listen() error
 	Dial(addr Addr) error

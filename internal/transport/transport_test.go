@@ -151,6 +151,21 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// pollUntil is eventually for a receiver that reads only when asked:
+// before each check it makes the socket reads that a Recv on an empty
+// inbox makes (TCP's poll), without popping the inbox, whose frames the
+// tests go on to count.
+func pollUntil(t *testing.T, tr Transport, what string, cond func() bool) {
+	t.Helper()
+	p, _ := tr.(interface{ poll() })
+	eventually(t, what, func() bool {
+		if p != nil {
+			p.poll()
+		}
+		return cond()
+	})
+}
+
 // recvDeadline polls tr until a frame arrives or the deadline passes.
 func recvDeadline(t *testing.T, tr Transport, d time.Duration) (Addr, wire.Frame) {
 	t.Helper()
@@ -227,8 +242,8 @@ func TestTransportConformance(t *testing.T) {
 			// Counters are per peer and agree end to end: a second sender
 			// lands in its own cell, and what one side wrote the other read.
 			sendSeqs(t, c, addrB, 0, 3)
-			eventually(t, "c's frames at b", func() bool { return b.Stats()[addrC].Recv == 3 })
-			eventually(t, "a's writes accounted", func() bool {
+			pollUntil(t, b, "c's frames at b", func() bool { return b.Stats()[addrC].Recv == 3 })
+			pollUntil(t, b, "a's writes accounted", func() bool {
 				st := a.Stats()[addrB]
 				return st.Batches > 0 && st.SentBytes == b.Stats()[addrA].RecvBytes
 			})
@@ -255,7 +270,7 @@ func TestTransportConformance(t *testing.T) {
 			// charged to the peer whose frames were evicted.
 			const extra = 10
 			sendSeqs(t, a, addrB, 0, inboxCap+extra)
-			eventually(t, "the flood at b", func() bool { return b.Stats()[addrA].Recv == frames+inboxCap+extra })
+			pollUntil(t, b, "the flood at b", func() bool { return b.Stats()[addrA].Recv == frames+inboxCap+extra })
 			if st := b.Stats(); st[addrA].Overrun != extra || st[addrC].Overrun != 0 {
 				t.Fatalf("Overrun = %d for a, %d for c; want %d, 0", st[addrA].Overrun, st[addrC].Overrun, extra)
 			}
@@ -275,7 +290,7 @@ func TestTransportConformance(t *testing.T) {
 			// Close drops what is queued and refuses further traffic; a
 			// second Close is harmless.
 			sendSeqs(t, a, addrB, 0, 2)
-			eventually(t, "frames queued at b", func() bool { return b.Stats()[addrA].Recv == frames+inboxCap+extra+2 })
+			pollUntil(t, b, "frames queued at b", func() bool { return b.Stats()[addrA].Recv == frames+inboxCap+extra+2 })
 			if err := b.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -473,6 +488,48 @@ func TestTCPReconnect(t *testing.T) {
 	t.Fatalf("no frame after receiver restart; sender stats = %+v", a.Stats()[addrB])
 }
 
+// TestTCPWildcardHello: endpoints listening on the wildcard address
+// report it as their own, and their hellos name it; each acceptor must
+// still keep a peer's receive counters in the cell that holds its send
+// counters, keyed by the address it dialed.
+func TestTCPWildcardHello(t *testing.T) {
+	mk := func() Transport { return NewTCP("tcp:0.0.0.0:0") }
+	a, b := listening(t, mk), listening(t, mk)
+	dialed := func(tr Transport) Addr {
+		_, port, err := net.SplitHostPort(strings.TrimPrefix(string(tr.LocalAddr()), "tcp:"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Addr("tcp:" + net.JoinHostPort("127.0.0.1", port))
+	}
+	addrA, addrB := dialed(a), dialed(b)
+	for _, d := range []struct {
+		src, dst Transport
+		to, from Addr
+		n        int
+	}{{a, b, addrB, addrA, 3}, {b, a, addrA, addrB, 2}} {
+		if err := d.src.Dial(d.to); err != nil {
+			t.Fatal(err)
+		}
+		sendSeqs(t, d.src, d.to, 0, d.n)
+		for i := 0; i < d.n; i++ {
+			if from, _ := recvDeadline(t, d.dst, 5*time.Second); from != d.from {
+				t.Fatalf("frame attributed to %q, want the dialed %q", from, d.from)
+			}
+		}
+	}
+	for _, c := range []struct {
+		tr         Transport
+		peer       Addr
+		sent, recv uint64
+	}{{a, addrB, 3, 2}, {b, addrA, 2, 3}} {
+		st := c.tr.Stats()
+		if len(st) != 1 || st[c.peer].Sent != c.sent || st[c.peer].Recv != c.recv {
+			t.Fatalf("stats = %+v, want one cell %q with Sent=%d and Recv=%d", st, c.peer, c.sent, c.recv)
+		}
+	}
+}
+
 // TestTCPMalformedRecord feeds a listener streams that go bad in every
 // way the reader guards against. Each must be counted malformed exactly
 // once, deliver nothing past the bad record, and lose its connection —
@@ -517,7 +574,7 @@ func TestTCPMalformedRecord(t *testing.T) {
 			if blamed == "" {
 				blamed = Addr("tcp:" + raw.LocalAddr().String())
 			}
-			eventually(t, "the malformed count", func() bool { return tr.Stats()[blamed].Malformed == 1 })
+			pollUntil(t, tr, "the malformed count", func() bool { return tr.Stats()[blamed].Malformed == 1 })
 			stats := tr.Stats()
 			if n := malformedTotal(tr); n != 1 || len(stats) != 1 {
 				t.Fatalf("want one malformed record in one stats cell (%q), got %+v", blamed, stats)
@@ -618,7 +675,7 @@ func TestTCPFlushRacesClose(t *testing.T) {
 			flushes.Add(1)
 		}
 	}()
-	eventually(t, "frames at b", func() bool { return b.Stats()[addrA].Recv > 0 })
+	pollUntil(t, b, "frames at b", func() bool { return b.Stats()[addrA].Recv > 0 })
 	if err := a.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -633,13 +690,13 @@ func TestTCPFlushRacesClose(t *testing.T) {
 
 // tighten overrides the thresholds of a's coalescer for peer; the
 // production values are constants, so only a test can do this.
-func tighten(a Transport, peer Addr, maxFrames int, linger time.Duration) {
+func tighten(a Transport, peer Addr, maxFrames int) {
 	e := core(a)
 	e.mu.Lock()
 	co := e.out[peer]
 	e.mu.Unlock()
 	co.mu.Lock()
-	co.maxFrames, co.linger = maxFrames, linger
+	co.maxFrames = maxFrames
 	co.mu.Unlock()
 }
 
@@ -651,9 +708,9 @@ func TestBatchingCoalesces(t *testing.T) {
 			if err := a.Dial(addrB); err != nil {
 				t.Fatal(err)
 			}
-			// A linger far past the test's deadline: only the count
-			// threshold and explicit Flush may seal batches here.
-			tighten(a, addrB, 8, time.Hour)
+			// Only the count threshold and explicit Flush seal batches
+			// here: no frame comes near the size threshold.
+			tighten(a, addrB, 8)
 
 			// Exactly maxFrames frames seal one batch with no flush.
 			for i := 0; i < 8; i++ {
@@ -668,8 +725,7 @@ func TestBatchingCoalesces(t *testing.T) {
 				t.Fatalf("%s stats after count-threshold seal = %+v, want Batches=1", sc.name, st)
 			}
 
-			// A partial batch stays pending (linger is an hour) until
-			// Flush seals it.
+			// A partial batch stays pending until Flush seals it.
 			for i := 0; i < 3; i++ {
 				if err := a.Send(addrB, testFrame(100+i)); err != nil {
 					t.Fatal(err)
@@ -691,22 +747,6 @@ func TestBatchingCoalesces(t *testing.T) {
 				t.Fatalf("%s FramesPerBatch = %v, want 11/2", sc.name, got)
 			}
 		})
-	}
-}
-
-func TestBatchingLinger(t *testing.T) {
-	a, b := listening(t, newUDP), listening(t, newUDP)
-	addrB := b.LocalAddr()
-	if err := a.Dial(addrB); err != nil {
-		t.Fatal(err)
-	}
-	tighten(a, addrB, DefaultBatchFrames, 2*time.Millisecond)
-	// One lone frame, no Flush: the linger timer must seal it.
-	if err := a.Send(addrB, testFrame(9)); err != nil {
-		t.Fatal(err)
-	}
-	if _, f := recvDeadline(t, b, 5*time.Second); seqOf(f) != 9 {
-		t.Fatalf("lingered frame seq = %d, want 9", seqOf(f))
 	}
 }
 
