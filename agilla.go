@@ -150,6 +150,11 @@ type NodeConfig = core.Config
 // its retransmission budget without a reply reaching the initiator.
 var ErrRemoteTimeout = core.ErrRemoteTimeout
 
+// ErrKilled is the cause of death of an agent the host killed
+// (Node.KillAgent): its handle's Err and its EventAgentDied carry it.
+// Test with errors.Is.
+var ErrKilled = core.ErrKilled
+
 // ErrNoSuchNode reports an operation addressed to a location where the
 // deployment has no node. Launch, Space.Out, and RemoteClient operations
 // wrap it; test with errors.Is.

@@ -59,8 +59,8 @@ const (
 	// EventAgentHalted: an agent voluntarily executed halt. Sets AgentID.
 	EventAgentHalted
 	// EventAgentDied: an agent died. Sets AgentID and Err: the fatal
-	// error, ErrNodeDown when its node went down, or nil when the host
-	// killed it (Node.KillAgent).
+	// error, ErrNodeDown when its node went down, or ErrKilled when the
+	// host killed it (Node.KillAgent). Err is never nil.
 	EventAgentDied
 	// EventMigrationStarted: a hop transfer began on the sending Node
 	// (once per hop of a multi-hop move). Sets AgentID, Mig and Peer (the

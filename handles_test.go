@@ -273,8 +273,8 @@ func TestCloneHandles(t *testing.T) {
 	}
 }
 
-// TestKillAgentReportsDeath: a host kill is a death with a nil error. The
-// handle reads done, the event stream delivers it, and the per-node
+// TestKillAgentReportsDeath: a host kill is a death caused by ErrKilled.
+// The handle reads done, the event stream delivers it, and the per-node
 // death counter counts it, so a scenario's census adds up.
 func TestKillAgentReportsDeath(t *testing.T) {
 	nw := warmNetwork(t, 2, 1, 3)
@@ -288,8 +288,8 @@ func TestKillAgentReportsDeath(t *testing.T) {
 	if !ag.Host().KillAgent(ag.ID()) {
 		t.Fatal("kill found no agent")
 	}
-	if !ag.Done() || ag.Err() != nil || ag.Halted() || ag.Host() != nil {
-		t.Fatalf("killed handle: %v, err %v, halted %v; want dead with a nil error", ag, ag.Err(), ag.Halted())
+	if !ag.Done() || !errors.Is(ag.Err(), agilla.ErrKilled) || ag.Halted() || ag.Host() != nil {
+		t.Fatalf("killed handle: %v, err %v, halted %v; want dead with ErrKilled", ag, ag.Err(), ag.Halted())
 	}
 	if got := agilla.DeploymentForTest(nw).TotalStats().AgentsDied; got != before+1 {
 		t.Fatalf("AgentsDied went %d -> %d, want a rise of one", before, got)
@@ -299,8 +299,8 @@ func TestKillAgentReportsDeath(t *testing.T) {
 	for e := range deaths {
 		got = append(got, e)
 	}
-	if len(got) != 1 || got[0].AgentID != ag.ID() || got[0].Err != nil || got[0].Node != agilla.Loc(2, 1) {
-		t.Fatalf("death events = %v, want one for agent %d with a nil error", got, ag.ID())
+	if len(got) != 1 || got[0].AgentID != ag.ID() || !errors.Is(got[0].Err, agilla.ErrKilled) || got[0].Node != agilla.Loc(2, 1) {
+		t.Fatalf("death events = %v, want one for agent %d with ErrKilled", got, ag.ID())
 	}
 
 	// The census: spawned = halted + died + live.

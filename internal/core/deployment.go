@@ -43,8 +43,9 @@ func (n *Node) InjectAgent(code []byte, dest topology.Location) (uint16, error) 
 // timeout the callback's error is ErrRemoteTimeout and the reply's OK is
 // false.
 func (n *Node) RemoteOp(op wire.RemoteOp, dest topology.Location, t tuplespace.Tuple, p tuplespace.Template, done func(wire.RemoteReply, error)) {
-	n.beginRemote(&pendingRemote{done: done, dest: dest,
-		req: wire.RemoteRequest{Op: op, Tuple: t, Template: p}})
+	pr := n.newRemote(op, dest)
+	pr.done, pr.req.Tuple, pr.req.Template = done, t, p
+	n.beginRemote(pr)
 }
 
 // Deployment is a full Agilla network: motes placed by a Layout, the

@@ -52,9 +52,11 @@ func (n *Node) enqueue(rec *record) {
 	n.pump()
 }
 
-// dequeueHead removes the queue head.
+// dequeueHead removes the queue head, freeing a dead agent's record.
 func (n *Node) dequeueHead() {
-	n.runq.PopHead().queued = false
+	rec := n.runq.PopHead()
+	rec.queued = false
+	n.free(rec)
 }
 
 // pump schedules an engine step if one is not already pending.
@@ -133,12 +135,13 @@ func (n *Node) engineStep() {
 				n.runq.Rotate()
 				n.runq.Tail().sliceUsed = 0
 			}
-		} else if n.runq.Len() > 0 && n.runq.Head() == rec {
-			n.dequeueHead()
-		}
-
-		if n.runq.Len() == 0 && rec.state != AgentReady {
-			return
+		} else {
+			if n.runq.Len() > 0 && n.runq.Head() == rec {
+				n.dequeueHead() // a halted or killed agent's record is free from here on
+			}
+			if n.runq.Len() == 0 {
+				return
+			}
 		}
 		// The next step is due at now+Cost: run it in place only if
 		// nothing else in the simulation is due first (otherwise it goes
@@ -187,14 +190,9 @@ func (n *Node) applyEffect(rec *record, out *vm.Outcome) {
 	case vm.EffectSleep:
 		rec.state = AgentSleeping
 		if !rec.wake.Bound() {
-			// Bound at the first sleep, so admitting an agent costs its
-			// record alone.
-			rec.wake.Init(n.sim, func() {
-				if rec.state == AgentSleeping {
-					rec.state = AgentReady
-					n.enqueue(rec)
-				}
-			})
+			// Bound at the record's first sleep and kept when the record is
+			// recycled: the callback finds the mote through rec.host.
+			rec.wake.Init(n.sim, func() { rec.host.onWake(rec) })
 		}
 		rec.wake.Reset(out.Sleep)
 
@@ -221,7 +219,15 @@ func (n *Node) applyEffect(rec *record, out *vm.Outcome) {
 	}
 }
 
-// killAgent reclaims an agent that died with err (nil for a host kill).
+// onWake ends rec's sleep.
+func (n *Node) onWake(rec *record) {
+	if rec.state == AgentSleeping {
+		rec.state = AgentReady
+		n.enqueue(rec)
+	}
+}
+
+// killAgent reclaims an agent that died with err.
 func (n *Node) killAgent(rec *record, err error) {
 	rec.state = AgentDead
 	n.agentDied(rec.agent.ID, err)

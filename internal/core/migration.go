@@ -45,12 +45,14 @@ func (k inKey) compare(o inKey) int {
 		cmp.Compare(k.from.Y, o.from.Y), cmp.Compare(k.from.X, o.from.X))
 }
 
-// A hop allocates nothing but the agent that arrives. The transfer
-// records on both sides come from their shard's free lists and hold the
-// agent in fixed slots: the sender encodes the Figure 5 sequence into one
-// reused buffer, and the receiver writes each fragment straight into the
-// slot it fills. Each record's timer is bound once, when the record is
-// first made, and carries every delay the record waits out — the
+// A warm hop allocates nothing. The transfer records on both sides come
+// from their shard's free lists and hold the agent in fixed slots: the
+// sender encodes the Figure 5 sequence into one reused buffer, and the
+// receiver writes each fragment straight into the slot it fills. The
+// agent that arrives takes its record, its VM state and its code buffer
+// from the free lists too, where the agents that left the shard's motes
+// put theirs. Each transfer record's timer is bound once, when the record
+// is first made, and carries every delay the record waits out — the
 // packaging and reassembly overheads as well as the protocol timeouts —
 // with the same ordering identity a scheduled closure would take.
 
@@ -158,6 +160,12 @@ const CodeBlockSize = wire.CodeBlockSize
 // release order: the stale timer entries a transfer leaves behind drain
 // within its longest timeout, so the oldest record is almost always free
 // to move, and the scan rarely looks past it.
+//
+// A record can sit on the list with its timer armed: a mote that browns
+// out inside a send (Crash, from the energy model's charge) releases the
+// session record that was sending, and the sender then arms its timer.
+// Rebind keeps such a record on the list until the timer has fired, and
+// the firing finds the record released (its node nil) and does nothing.
 func reuse[T interface{ clock() *sim.Timer }](free *[]T, c *sim.Ctx) (r T) {
 	l := *free
 	for i, cand := range l {
@@ -178,7 +186,11 @@ func (n *Node) newOut() *outMigration {
 	om := reuse(&n.outFree, n.sim)
 	if om == nil {
 		om = new(outMigration)
-		om.timer.Init(n.sim, func() { om.n.onOutTimer(om) })
+		om.timer.Init(n.sim, func() {
+			if om.n != nil { // nil: released armed (see reuse)
+				om.n.onOutTimer(om)
+			}
+		})
 	}
 	om.n = n
 	return om
@@ -201,7 +213,11 @@ func (n *Node) newIn() *inMigration {
 	im := reuse(&n.inFree, n.sim)
 	if im == nil {
 		im = new(inMigration)
-		im.stall.Init(n.sim, func() { im.n.onStall(im) })
+		im.stall.Init(n.sim, func() {
+			if im.n != nil { // nil: released armed (see reuse)
+				im.n.onStall(im)
+			}
+		})
 	}
 	im.n = n
 	return im
@@ -242,7 +258,8 @@ func (n *Node) migrateToSelf(rec *record, kind wire.MigKind) {
 		}
 		n.resumeAgent(rec, 1)
 	case wire.MigStrongClone, wire.MigWeakClone:
-		clone := rec.agent.Clone(n.NextAgentID())
+		clone := n.newAgent()
+		rec.agent.CloneInto(clone, n.NextAgentID())
 		if !kind.Strong() {
 			clone.Reset()
 		}
@@ -268,14 +285,17 @@ func (n *Node) migrateToSelf(rec *record, kind wire.MigKind) {
 }
 
 // depart suspends rec for a transfer to dest, the one way every agent
-// leaves a node: it encodes the agent into an outbound record, reports
-// the departure unless relaying (origin false), and arms the packaging
-// delay, the CPU time packing costs before the first byte is sent.
+// leaves a node: it encodes the agent into an outbound record, opens it
+// among the mote's sessions, reports the departure unless relaying
+// (origin false), and arms the packaging delay, the CPU time packing
+// costs before the first byte is sent.
 func (n *Node) depart(rec *record, kind wire.MigKind, dest topology.Location, origin bool) {
 	rec.state = AgentMigrating
 	om := n.newOut()
 	om.rec, om.kind, om.dest, om.origin = rec, kind, dest, origin
 	n.encodeAgent(om, rec.agent)
+	s := n.session()
+	s.out = append(s.out, om)
 	if origin && n.trace.MigrationStarted != nil {
 		n.trace.MigrationStarted(n.loc, rec.agent.ID, kind, dest)
 	}
@@ -368,8 +388,8 @@ func (n *Node) onOutTimer(om *outMigration) {
 
 // beginTransfer resolves the next hop and starts sending.
 func (n *Node) beginTransfer(om *outMigration) {
-	if om.rec.state != AgentMigrating {
-		n.releaseOut(om) // agent was reclaimed meanwhile
+	if om.rec == nil {
+		n.releaseOut(om) // the mote crashed meanwhile (Crash)
 		return
 	}
 	om.started = true
@@ -384,8 +404,6 @@ func (n *Node) beginTransfer(om *outMigration) {
 	for i := range om.metas {
 		wire.SetSeq(om.msg(i), om.key.seq)
 	}
-	s := n.session()
-	s.out = append(s.out, om)
 	n.stats.MigrationsOut++
 	n.sendCurrent(om)
 }
@@ -398,7 +416,9 @@ func (n *Node) beginTransfer(om *outMigration) {
 // transfer ends.
 func (n *Node) sendCurrent(om *outMigration) {
 	if n.cfg.EndToEndMigration {
-		for i := range om.metas {
+		// len is read each time round: a send that browns the mote out
+		// releases om, emptying its messages.
+		for i := 0; i < len(om.metas); i++ {
 			_ = n.net.SendRouted(om.dest, radio.KindMigrateRouted, om.msg(i)) // a stall is the timeout's to report
 		}
 		om.timer.Reset(n.cfg.AckTimeout * 10)
@@ -466,9 +486,7 @@ func (n *Node) recvCompletionAck(payload []byte) {
 // simply kill the agent."
 func (n *Node) endOut(om *outMigration, ok bool) {
 	om.timer.Stop()
-	if n.ses != nil {
-		remove(&n.ses.out, om)
-	}
+	remove(&n.ses.out, om)
 	if ok {
 		n.stats.MigrationsOK++
 	} else {
@@ -485,14 +503,9 @@ func (n *Node) endOut(om *outMigration, ok bool) {
 	case origin && isClone:
 		n.resumeAgent(rec, 1)
 	default:
-		// A relayed agent lived only inside this file — admitted
-		// migrating by finalizeIn, never run, never enqueued — so its
-		// record and agent go back to the free lists.
-		relayed := !origin && n.hosted(rec.agent.ID) == rec
+		// The agent has left: its record, VM state and code go back to
+		// the shard's free lists for the next agent to arrive.
 		n.reclaim(rec.agent.ID)
-		if relayed {
-			n.recycle(rec)
-		}
 	}
 }
 
@@ -620,8 +633,8 @@ func (n *Node) touchIn(im *inMigration, t wire.MsgType, idx uint8) {
 	if !im.e2e {
 		n.ackIn(im.key.from, im.key, t, idx, false)
 	}
-	if im.finalizing {
-		return
+	if im.finalizing || n.life != NodeUp {
+		return // or the ack browned the mote out, and Crash released im
 	}
 	im.stall.Reset(n.cfg.ReceiverStall)
 	if n.inComplete(im) {
@@ -688,6 +701,9 @@ func (n *Node) finalizeIn(im *inMigration) {
 	if im.e2e {
 		// End-to-end mode: one completion ack, routed back to the origin.
 		n.ackIn(im.key.from, im.key, wire.MsgState, 0xff, true)
+		if n.life != NodeUp {
+			return // the ack browned the mote out unsent: the origin resumes the agent
+		}
 	}
 
 	st := im.st
@@ -717,7 +733,6 @@ func (n *Node) finalizeIn(im *inMigration) {
 
 	rec, err := n.admitRecord(a)
 	if err != nil {
-		n.agentFree = append(n.agentFree, a)
 		return // unreachable: the reservation kept the slot and the blocks
 	}
 	// Restore the agent's reactions (§3.2: "When an agent arrives, it
@@ -749,6 +764,17 @@ func (n *Node) finalizeIn(im *inMigration) {
 	n.depart(rec, st.Kind, st.Dest, false)
 }
 
+// newRecord takes a record from the shard's free list, or makes one. Its
+// wake timer, once bound, moves along to n's context (see reuse).
+func (n *Node) newRecord() *record {
+	rec := reuse(&n.recFree, n.sim)
+	if rec == nil {
+		rec = new(record)
+	}
+	rec.host = n
+	return rec
+}
+
 // newAgent takes a recycled agent from the shard's free list, or makes
 // one.
 func (n *Node) newAgent() *vm.Agent {
@@ -770,32 +796,47 @@ func pop[T any](free *[]*T) *T {
 	return v
 }
 
-// recycle returns a relayed agent's reclaimed record and agent, wiped, to
-// the shard's free lists. The agent keeps its code buffer's capacity for
-// a later transfer; the record's sleep timer was never bound, because the
-// agent never ran here.
-func (n *Node) recycle(rec *record) {
-	a := rec.agent
-	*a = vm.Agent{Code: a.Code[:0]}
-	*rec = record{}
-	n.agentFree = append(n.agentFree, a)
+// free returns a dead agent's record and VM state, wiped, to the shard's
+// free lists once nothing can reach them any more. A dead record is out of
+// its mote's agent list, and its transfer or remote operation has ended or
+// was abandoned (detach, Crash); the run ring may still hold it, and then
+// the ring frees it when it lets go (dequeueHead). Its wake timer is
+// stopped, and a stale entry of it only keeps the record on its own
+// mote's context (see reuse). The agent keeps its code buffer's capacity,
+// and the record its reaction queue's, for the next agent.
+func (n *Node) free(rec *record) {
+	if rec.state != AgentDead || rec.queued {
+		return
+	}
+	n.freeAgent(rec.agent)
+	clear(rec.pending)
+	*rec = record{
+		wake:    rec.wake, // same address: queued entries still point at it
+		pending: rec.pending[:0],
+	}
 	n.recFree = append(n.recFree, rec)
+}
+
+// freeAgent returns a, wiped, to the shard's free list.
+func (n *Node) freeAgent(a *vm.Agent) {
+	*a = vm.Agent{Code: a.Code[:0]}
+	n.agentFree = append(n.agentFree, a)
 }
 
 // admitRecord installs an agent without enqueueing it; callers decide when
 // it becomes runnable. It leaves the inbound transfers' reservations be.
+// An agent it refuses goes back to the shard's free list.
 func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
 	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents {
+		n.freeAgent(a)
 		return nil, fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
 	}
 	if err := n.instr.Alloc(a.ID, len(a.Code)); err != nil {
+		n.freeAgent(a)
 		return nil, err
 	}
-	rec := pop(&n.recFree)
-	if rec == nil {
-		rec = new(record)
-	}
-	rec.agent, rec.state, rec.arrivedAt = a, AgentMigrating, n.sim.Now()
+	rec := n.newRecord()
+	rec.agent, rec.state = a, AgentMigrating
 	if n.cfg.Exec != ExecStep {
 		rec.prog = progCache.Get(a.Code)
 	}

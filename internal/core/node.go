@@ -19,6 +19,10 @@ import (
 // ErrAgentLimit is returned when a node cannot host another agent.
 var ErrAgentLimit = errors.New("core: agent limit reached")
 
+// ErrKilled is the cause of death of an agent the host killed
+// (Node.KillAgent).
+var ErrKilled = errors.New("core: agent killed")
+
 // AgentState tracks where an agent is in its life cycle on this node.
 type AgentState uint8
 
@@ -62,17 +66,18 @@ type firing struct {
 }
 
 // record is the agent manager's per-agent bookkeeping (§3.2: "The agent
-// manager maintains each agent's context").
+// manager maintains each agent's context"). Records and their agents come
+// from the shard's free lists and go back to them once the agent has left
+// its mote and nothing can reach the record (see free).
 type record struct {
 	agent *vm.Agent
-	state AgentState
+	host  *Node // the mote hosting the agent, which the wake timer resumes it on
 	// prog is the compiled form of the agent's code, nil when the program
 	// does not verify or the node runs without the compiled backend.
 	prog *vm.Compiled
 
 	// blockTmpl and blockRemove describe an unsatisfied blocking in/rd.
-	blockTmpl   tuplespace.Template
-	blockRemove bool
+	blockTmpl tuplespace.Template
 
 	// pending[pendHead:] are the queued reaction firings. Consuming
 	// advances pendHead instead of reslicing so the backing array is
@@ -80,12 +85,14 @@ type record struct {
 	pending  []firing
 	pendHead int
 
-	sliceUsed int
-	queued    bool
-	wake      sim.Timer // sleep timer, bound to the sleep-expiry continuation at admit
-
-	arrivedAt time.Duration
+	sliceUsed   int32
+	state       AgentState
+	blockRemove bool
+	queued      bool      // in the run ring
+	wake        sim.Timer // sleep timer, bound to onWake at the record's first sleep
 }
+
+func (rec *record) clock() *sim.Timer { return &rec.wake }
 
 // pendingCount returns the number of undelivered reaction firings.
 func (rec *record) pendingCount() int { return len(rec.pending) - rec.pendHead }
@@ -155,7 +162,7 @@ type Node struct {
 // handful, so each list is a short ordered slice searched in place. A mote
 // makes its record at its first session and loses it with its RAM.
 type sessions struct {
-	out    []*outMigration  // outbound transfers, in the order they began
+	out    []*outMigration  // outbound transfers, in the order their agents departed
 	in     []*inMigration   // inbound transfers, in inKey order
 	remote []*pendingRemote // in-flight remote operations, in request order
 
@@ -172,11 +179,11 @@ func (n *Node) session() *sessions {
 	return n.ses
 }
 
-// outbound returns the open outbound transfer key names, or nil.
+// outbound returns the begun outbound transfer key names, or nil.
 func (s *sessions) outbound(key migKey) *outMigration {
 	if s != nil {
 		for _, om := range s.out {
-			if om.key == key {
+			if om.started && om.key == key {
 				return om
 			}
 		}
@@ -259,10 +266,12 @@ type shardEnv struct {
 	trace   *Trace     // the deployment's hook table; never nil
 	stepOut vm.Outcome // engineStep's scratch outcome
 
-	// Released transfer records, and the records and agents of relayed
-	// agents (see migration.go).
+	// Released transfer and remote-operation records, and the records and
+	// agents of agents that left their motes (see migration.go, remote.go
+	// and free).
 	outFree   []*outMigration
 	inFree    []*inMigration
+	remFree   []*pendingRemote
 	recFree   []*record
 	agentFree []*vm.Agent
 	agt       map[uint16]tuplespace.Tuple // presence tuples by agent ID
@@ -408,10 +417,12 @@ func (n *Node) AgentInfo(id uint16) (AgentState, bool) {
 }
 
 // Agent returns the VM state of a hosted agent (tests and the CLI inspect
-// through this). The pointer is the agent's while it is hosted here: the
-// agent of a relayed transfer is recycled once it has left, and an agent
-// created before the deployment first starts moves into its shard's slab
-// at that Start (Deployment.rehomeAgents), so ask again after it.
+// through this). The pointer is the agent's only while it is hosted here:
+// once the agent leaves — it moves on, halts, dies, is killed or its mote
+// crashes — the state is recycled for the next agent the shard admits, and
+// an agent created before the deployment first starts moves into its
+// shard's slab at that Start (Deployment.rehomeAgents), so ask again after
+// either.
 func (n *Node) Agent(id uint16) (*vm.Agent, bool) {
 	rec := n.hosted(id)
 	if rec == nil {
@@ -421,15 +432,41 @@ func (n *Node) Agent(id uint16) (*vm.Agent, bool) {
 }
 
 // KillAgent forcibly reclaims a hosted agent (the user retires an old
-// application, §2.2: "old agents can die"). The agent dies with a nil
-// error. It reports whether the agent was present.
+// application, §2.2: "old agents can die"). The agent dies with
+// ErrKilled; a transfer or remote operation it was suspended on is
+// abandoned, so no late ack or reply reaches it. It reports whether the
+// agent was present.
 func (n *Node) KillAgent(id uint16) bool {
 	rec := n.hosted(id)
 	if rec == nil {
 		return false
 	}
-	n.killAgent(rec, nil)
+	n.detach(rec)
+	n.killAgent(rec, ErrKilled)
 	return true
+}
+
+// detach abandons the outbound transfer or remote operation rec is
+// suspended on, the only protocol state that points at an agent's record.
+func (n *Node) detach(rec *record) {
+	s := n.ses
+	if s == nil {
+		return
+	}
+	for _, om := range s.out {
+		if om.rec == rec {
+			remove(&s.out, om)
+			n.releaseOut(om)
+			return
+		}
+	}
+	for _, pr := range s.remote {
+		if pr.rec == rec {
+			remove(&s.remote, pr)
+			n.releaseRemote(pr)
+			return
+		}
+	}
 }
 
 // NextAgentID hands out a network-unique agent ID: the node index in the
@@ -480,10 +517,13 @@ func (n *Node) admitNew(code []byte) (*record, error) {
 	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents { // admitRecord's check, before an ID is spent
 		return nil, fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
 	}
-	return n.admitRecord(vm.NewAgent(n.NextAgentID(), append([]byte(nil), code...)))
+	a := n.newAgent()
+	a.ID, a.Code = n.NextAgentID(), append(a.Code, code...)
+	return n.admitRecord(a)
 }
 
-// reclaim removes an agent and frees everything it held.
+// reclaim removes an agent and frees everything it held, its record too
+// unless the run ring still holds it.
 func (n *Node) reclaim(id uint16) {
 	i, ok := n.agentIndex(id)
 	if !ok {
@@ -500,6 +540,7 @@ func (n *Node) reclaim(id uint16) {
 	copy(n.agents[i:], n.agents[i+1:])
 	n.agents[len(n.agents)-1] = nil
 	n.agents = n.agents[:len(n.agents)-1]
+	n.free(rec)
 }
 
 func (n *Node) noteArrival(id uint16, kind wire.MigKind, from topology.Location) {

@@ -35,30 +35,57 @@ func RemoteOpBudget(c Config) time.Duration {
 
 // pendingRemote tracks one in-flight remote operation. Exactly one of rec
 // (an agent suspended on the instruction) or done (a base-station tool
-// callback) is set.
+// callback) is set. Like the transfer records, it comes from its shard's
+// free list with its timer bound once, when it was first made.
 type pendingRemote struct {
+	n        *Node // the initiating node
 	rec      *record
 	done     func(wire.RemoteReply, error)
 	dest     topology.Location
 	req      wire.RemoteRequest
 	attempts int
-	timer    sim.Timer // retransmission timeout, bound to onRemoteTimeout by beginRemote
+	timer    sim.Timer // retransmission timeout
 	started  time.Duration
+}
+
+func (pr *pendingRemote) clock() *sim.Timer { return &pr.timer }
+
+// newRemote takes a remote-operation record for an op of kind op to dest
+// from the shard's free list, or makes one and binds its timer.
+func (n *Node) newRemote(op wire.RemoteOp, dest topology.Location) *pendingRemote {
+	pr := reuse(&n.remFree, n.sim)
+	if pr == nil {
+		pr = new(pendingRemote)
+		pr.timer.Init(n.sim, func() {
+			if pr.n != nil { // nil: released armed (see reuse)
+				pr.n.onRemoteTimeout(pr)
+			}
+		})
+	}
+	pr.n, pr.dest, pr.req.Op = n, dest, op
+	return pr
+}
+
+// releaseRemote stops pr's timer and returns it, wiped, to the free list.
+func (n *Node) releaseRemote(pr *pendingRemote) {
+	pr.timer.Stop()
+	*pr = pendingRemote{timer: pr.timer} // same address: queued entries still point at it
+	n.remFree = append(n.remFree, pr)
 }
 
 // startRemote handles EffectRemote: suspend the agent, ship the request,
 // and resume it when the reply arrives or the retransmissions run out.
 func (n *Node) startRemote(rec *record, out vm.Outcome) {
 	rec.state = AgentRemote
-	n.beginRemote(&pendingRemote{rec: rec, dest: out.Dest,
-		req: wire.RemoteRequest{Op: out.Remote, Tuple: out.Tuple, Template: out.Template}})
+	pr := n.newRemote(out.Remote, out.Dest)
+	pr.rec, pr.req.Tuple, pr.req.Template = rec, out.Tuple, out.Template
+	n.beginRemote(pr)
 }
 
 // beginRemote numbers pr's request and starts it, counted once whoever
 // asked. An operation on the local node short-circuits to the local
 // tuple space without touching the radio or the open sessions; any other
-// enters the open sessions, binds its timeout and sends the first
-// attempt.
+// enters the open sessions and sends the first attempt.
 func (n *Node) beginRemote(pr *pendingRemote) {
 	n.reqSeq++
 	pr.req.ReqID, pr.req.ReplyTo = n.reqSeq, n.loc
@@ -70,7 +97,6 @@ func (n *Node) beginRemote(pr *pendingRemote) {
 	}
 	s := n.session()
 	s.remote = append(s.remote, pr)
-	pr.timer.Init(n.sim, func() { n.onRemoteTimeout(pr) })
 	n.sendRemote(pr)
 }
 
@@ -189,39 +215,40 @@ func (n *Node) recvRemoteReply(env wire.Envelope) {
 		return // duplicate or late reply
 	}
 	remove(&n.ses.remote, pr)
-	pr.timer.Stop()
 	n.settleRemote(pr, reply, nil)
 }
 
-// settleRemote concludes a remote operation: it hands the reply (and err,
-// ErrRemoteTimeout when the retries ran out) to a base-station callback,
-// or applies it to the suspended agent: "If the operation is successful,
-// the resulting tuple is placed onto the stack and the condition is set
-// to 1" (§3.4).
+// settleRemote concludes a remote operation out of the open sessions and
+// releases its record: it hands the reply (and err, ErrRemoteTimeout when
+// the retries ran out) to a base-station callback, or applies it to the
+// suspended agent: "If the operation is successful, the resulting tuple
+// is placed onto the stack and the condition is set to 1" (§3.4).
 func (n *Node) settleRemote(pr *pendingRemote, reply wire.RemoteReply, err error) {
+	rec, done, op, dest, started := pr.rec, pr.done, pr.req.Op, pr.dest, pr.started
+	n.releaseRemote(pr)
 	if reply.OK {
 		n.stats.RemoteOK++
 	} else {
 		n.stats.RemoteFail++
 	}
-	if pr.rec == nil {
-		if pr.done != nil {
-			pr.done(reply, err)
+	if rec == nil {
+		if done != nil {
+			done(reply, err)
 		}
 		return
 	}
 	if n.trace.RemoteDone != nil {
-		n.trace.RemoteDone(n.loc, pr.rec.agent.ID, pr.req.Op, pr.dest, reply.OK, n.sim.Now()-pr.started)
+		n.trace.RemoteDone(n.loc, rec.agent.ID, op, dest, reply.OK, n.sim.Now()-started)
 	}
 	cond := int16(0)
 	if reply.OK {
 		cond = 1
-		if pr.req.Op == vm.RemoteInp || pr.req.Op == vm.RemoteRdp {
-			if err := pr.rec.agent.PushFields(reply.Tuple.Fields); err != nil {
-				n.killAgent(pr.rec, err)
+		if op == vm.RemoteInp || op == vm.RemoteRdp {
+			if err := rec.agent.PushFields(reply.Tuple.Fields); err != nil {
+				n.killAgent(rec, err)
 				return
 			}
 		}
 	}
-	n.resumeAgent(pr.rec, cond)
+	n.resumeAgent(rec, cond)
 }

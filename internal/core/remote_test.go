@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"github.com/agilla-go/agilla/internal/asm"
+	"github.com/agilla-go/agilla/internal/network"
 	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
@@ -503,5 +504,101 @@ func TestDeploymentAssembly(t *testing.T) {
 func TestDeploymentRejectsBadConfig(t *testing.T) {
 	if _, err := NewDeployment(DeploymentSpec{Layout: topology.GridLayout(0, 5)}); err == nil {
 		t.Error("zero width must be rejected")
+	}
+}
+
+// TestRemoteOpAllocatesNothing: a steady-state rrdp round trip on a
+// zero-loss two-mote line allocates nothing for the operation itself. Its
+// record and retransmission timer come from the shard's free list; what
+// is left are the tuples the agent's program and the wire hand over by
+// value. At the initiator (an agent at (1,1) reading <44> from (2,1) over
+// and over) those are two:
+//   - the template's fields, popped off the agent's stack (vm execRemote);
+//   - the reply's tuple, decoded from the frame (wire.DecodeRemoteReply).
+//
+// The responder adds two more to a round trip:
+//   - the request's template, decoded from the frame
+//     (wire.DecodeRemoteRequest);
+//   - the matching tuple its tuple space copies out (Space.Rdp).
+func TestRemoteOpAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, tc := range []struct {
+		name string
+		// answer is true when the test drops the request and answers it
+		// itself, so only the initiator's work is counted.
+		answer bool
+		most   float64
+	}{
+		{"initiator", true, 2},
+		{"round trip", false, 4},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			params := radio.ZeroLoss()
+			d, err := NewDeployment(DeploymentSpec{
+				Layout: topology.GridLayout(2, 1), Seed: 3, Radio: &params,
+				// One beacon round for the warm-up, then silence.
+				Node: Config{Network: network.Config{BeaconEvery: time.Hour, ExpireAfter: 10 * time.Hour}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := d.WarmUp(); err != nil {
+				t.Fatal(err)
+			}
+			src, dst := d.Node(topology.Loc(1, 1)), d.Node(topology.Loc(2, 1))
+			if err := dst.Space().Out(tuplespace.T(tuplespace.Int(44))); err != nil {
+				t.Fatal(err)
+			}
+			if tc.answer {
+				d.Medium.Drop = func(f radio.Frame, _ topology.Location) bool { return f.Kind == radio.KindRemoteTS }
+			}
+			if _, err := src.CreateAgent(asm.MustAssemble(`
+			TOP:	pusht VALUE
+				pushc 1
+				pushloc 2 1
+				rrdp
+				pop
+				pop
+				rjump TOP
+			`)); err != nil {
+				t.Fatal(err)
+			}
+			var (
+				want     uint64
+				reply    = tuplespace.T(tuplespace.Int(44))
+				body, fr []byte
+			)
+			sent := func() bool { return src.Stats().RemoteInitiated >= want }
+			replied := func() bool { return src.Stats().RemoteOK >= want }
+			roundTrip := func() {
+				want = src.Stats().RemoteOK + 1
+				if tc.answer {
+					if ok, _ := d.Sim.RunUntil(sent, d.Sim.Now()+time.Second); !ok {
+						t.Fatal("no request within a second")
+					}
+					body = wire.RemoteReply{ReqID: src.reqSeq, OK: true, Tuple: reply}.Append(body[:0])
+					fr = wire.Envelope{Src: dst.Loc(), Dst: src.Loc(), TTL: 4, Kind: uint8(radio.KindRemoteTSR), Body: body}.Append(fr[:0])
+					src.ReceiveFrame(radio.Frame{Src: dst.Loc(), Dst: src.Loc(), Kind: radio.KindRemoteTSR, Payload: fr})
+				}
+				if ok, _ := d.Sim.RunUntil(replied, d.Sim.Now()+time.Second); !ok {
+					t.Fatalf("no reply within a second: %+v", src.Stats())
+				}
+			}
+			// Warm up; with a responder, past its reply-cache grace, so the
+			// cache has reached its steady length.
+			for i := 0; i < 20 || !tc.answer && src.Now() < d.WarmUpSpan()+2*servedGraceFloor; i++ {
+				roundTrip()
+			}
+			got := testing.AllocsPerRun(100, roundTrip)
+			t.Logf("%s: %.1f allocations per rrdp", tc.name, got)
+			if st := src.Stats(); st.RemoteFail != 0 || st.AgentsDied != 0 {
+				t.Fatalf("the loop broke: %+v", st)
+			}
+			if got > tc.most {
+				t.Fatalf("%s: an rrdp allocates %.1f objects, want <= %.0f", tc.name, got, tc.most)
+			}
+		})
 	}
 }

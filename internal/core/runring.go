@@ -70,14 +70,6 @@ func (r *runRing) Replace(old, rec *record) {
 	}
 }
 
-// Clear empties the ring and releases every held record (node crash).
-func (r *runRing) Clear() {
-	for i := int32(0); i < r.n; i++ {
-		r.buf[r.slot(i)] = nil
-	}
-	r.head, r.n = 0, 0
-}
-
 // Cap exposes the backing capacity for the leak-regression test.
 func (r *runRing) Cap() int { return len(r.buf) }
 

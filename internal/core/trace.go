@@ -23,7 +23,7 @@ type Trace struct {
 	// AgentHalted fires when an agent executes halt.
 	AgentHalted func(node topology.Location, id uint16)
 	// AgentDied fires when an agent dies: with an error, with its node
-	// (ErrNodeDown), or killed by the host (a nil err).
+	// (ErrNodeDown), or killed by the host (ErrKilled).
 	AgentDied func(node topology.Location, id uint16, err error)
 	// MigrationStarted fires on the sender when a transfer begins
 	// (once per hop).

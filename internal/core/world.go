@@ -117,13 +117,16 @@ func (n *Node) Crash(cause DownCause) bool {
 		rec.wake.Stop()
 		n.agentDied(rec.agent.ID, ErrNodeDown)
 	}
-	clear(n.agents)
-	n.agents = n.agents[:0]
-	n.runq.Clear()
 	// Volatile protocol sessions vanish with the RAM; peers time out and
 	// run their failure paths.
 	if s := n.ses; s != nil {
 		for _, om := range s.out {
+			if !om.started {
+				// Still packing: its timer runs out and releases it
+				// (beginTransfer).
+				om.rec = nil
+				continue
+			}
 			n.releaseOut(om)
 		}
 		// Inbound sessions are in key order, so the deaths reported
@@ -145,10 +148,19 @@ func (n *Node) Crash(cause DownCause) bool {
 			}
 		}
 		for _, pr := range s.remote {
-			pr.timer.Stop()
+			n.releaseRemote(pr)
 		}
 		n.ses = nil
 	}
+	// Nothing holds the dead agents' records now but the run ring.
+	for n.runq.Len() > 0 {
+		n.dequeueHead()
+	}
+	for _, rec := range n.agents {
+		n.free(rec)
+	}
+	clear(n.agents)
+	n.agents = n.agents[:0]
 	n.reserve = 0
 	// The tuple space, registry, and instruction memory are rebuilt empty.
 	n.resetRAM()

@@ -620,9 +620,9 @@ func TestTimerFiresOnceAtLastDeadline(t *testing.T) {
 }
 
 // TestTimerRebindWaitsForItsEntries pins the rule that lets an owner
-// recycle a timer across contexts: Rebind refuses while any entry of the
-// timer is queued, stale ones included, and a moved timer fires once, at
-// its new deadline.
+// recycle a timer across contexts: Rebind refuses while the timer is
+// armed and while any entry of it is queued, stale ones included, and a
+// moved timer fires once, at its new deadline.
 func TestTimerRebindWaitsForItsEntries(t *testing.T) {
 	s := New(1)
 	a, b := s.Context(Key2D(1, 1)), s.Context(Key2D(2, 1))
@@ -634,6 +634,10 @@ func TestTimerRebindWaitsForItsEntries(t *testing.T) {
 	tm.Init(a, func() { fired = append(fired, b.Now()) })
 	if !tm.Bound() || !tm.Rebind(a) {
 		t.Fatal("a bound timer cannot stay on its own context")
+	}
+	tm.Reset(time.Millisecond)
+	if tm.Rebind(a) {
+		t.Fatal("an armed timer was handed on, even on its own context")
 	}
 	// Leave a stale entry due at 30ms behind a live harness event at 20ms,
 	// which keeps it queued: the kernel drops a stale entry as soon as it

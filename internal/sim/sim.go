@@ -53,8 +53,9 @@
 //     it once and may Reset and Stop it from events on the timer's own
 //     context's shard, any number of times; arming allocates nothing. The
 //     kernel never pools a Timer; an owner that recycles the state it is
-//     embedded in moves it to another context only through Rebind, which
-//     waits out its queued entries.
+//     embedded in hands it on only through Rebind, which refuses an armed
+//     timer and waits out its queued entries before it moves it to another
+//     context.
 //
 // A shard's queue is one 4-ary heap until it first holds a few thousand
 // entries; then it spills into tiers (see eventQueue): a calendar of
@@ -232,11 +233,15 @@ func (t *Timer) Bound() bool { return t.ev.fn != nil }
 // Rebind moves a stopped timer to context c, keeping its callback, for an
 // owner recycled from one context to another (a pooled protocol record).
 // It reports true when the timer is already on c or was moved, and false,
-// changing nothing, while an entry of the timer is still queued: a stale
-// entry's due-list slot belongs to the old context, and a sequence number
-// drawn from c could make it look live again. The same context is always
-// safe, since its sequence numbers only grow.
+// changing nothing, while the timer is armed, or while an entry of it is
+// still queued on another context: a stale entry's due-list slot belongs
+// to the old context, and a sequence number drawn from c could make it
+// look live again. The same context is otherwise safe, since its sequence
+// numbers only grow.
 func (t *Timer) Rebind(c *Ctx) bool {
+	if t.ev.live {
+		return false
+	}
 	if t.ev.dst == c {
 		return true
 	}

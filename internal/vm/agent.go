@@ -69,12 +69,12 @@ func (a *Agent) Reset() {
 	}
 }
 
-// Clone returns a deep copy of the agent with the given new ID.
-func (a *Agent) Clone(newID uint16) *Agent {
-	c := *a
-	c.ID = newID
-	c.Code = append([]byte(nil), a.Code...)
-	return &c
+// CloneInto makes c a deep copy of the agent with the given new ID,
+// copying the code into c's own buffer.
+func (a *Agent) CloneInto(c *Agent, newID uint16) {
+	code := append(c.Code[:0], a.Code...)
+	*c = *a
+	c.ID, c.Code = newID, code
 }
 
 // StackDepthUsed returns the number of live stack entries.

@@ -153,9 +153,11 @@ func TestCloneIsDeep(t *testing.T) {
 	if err := a.Push(ts.Int(42)); err != nil {
 		t.Fatal(err)
 	}
-	c := a.Clone(2)
-	if c.ID != 2 {
-		t.Fatalf("clone ID = %d", c.ID)
+	c := NewAgent(9, make([]byte, 0, 8))
+	buf := c.Code[:1]
+	a.CloneInto(c, 2)
+	if c.ID != 2 || &c.Code[0] != &buf[0] {
+		t.Fatalf("clone ID = %d, code %p (want ID 2 in the given buffer %p)", c.ID, c.Code, buf)
 	}
 	c.Code[0] = byte(OpLoc)
 	if a.Code[0] != byte(OpHalt) {
