@@ -9,6 +9,7 @@ package agilla
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -490,14 +491,16 @@ func (nw *Network) installTaps() {
 			emit(EventRemoteDone, node, Event{AgentID: id, Op: op, Peer: dest, OK: ok, Elapsed: elapsed})
 		}
 	}
+	// The trace hands a tuple over only for the call: an event, which
+	// outlives it, gets a copy, made only while someone listens.
 	tr.TupleOut = func(node Location, t Tuple) {
 		if listening() {
-			emit(EventTupleOut, node, Event{Tuple: t})
+			emit(EventTupleOut, node, Event{Tuple: ownTuple(t)})
 		}
 	}
 	tr.ReactionFired = func(node Location, id uint16, t Tuple) {
 		if listening() {
-			emit(EventReactionFired, node, Event{AgentID: id, Tuple: t})
+			emit(EventReactionFired, node, Event{AgentID: id, Tuple: ownTuple(t)})
 		}
 	}
 	tr.NodeDied = func(node Location, cause DownCause) {
@@ -532,7 +535,10 @@ func (nw *Network) installTaps() {
 	}
 	tr.TupleRecovered = func(node Location, t Tuple) {
 		if listening() {
-			emit(EventTupleRecovered, node, Event{Tuple: t})
+			emit(EventTupleRecovered, node, Event{Tuple: ownTuple(t)})
 		}
 	}
 }
+
+// ownTuple returns a copy of t that shares no storage with it.
+func ownTuple(t Tuple) Tuple { return Tuple{Fields: slices.Clone(t.Fields)} }

@@ -41,10 +41,11 @@ func (n *Node) InjectAgent(code []byte, dest topology.Location) (uint16, error) 
 // performing remote tuple space operations" (§3.1). The callback receives
 // the outcome; it is invoked synchronously for local destinations. On
 // timeout the callback's error is ErrRemoteTimeout and the reply's OK is
-// false.
+// false. The reply's tuple is valid only during the callback: it is
+// decoded into the shard's scratch, so a callback copies what it keeps.
 func (n *Node) RemoteOp(op wire.RemoteOp, dest topology.Location, t tuplespace.Tuple, p tuplespace.Template, done func(wire.RemoteReply, error)) {
-	pr := n.newRemote(op, dest)
-	pr.done, pr.req.Tuple, pr.req.Template = done, t, p
+	pr := n.newRemote(op, dest, t, p)
+	pr.done = done
 	n.beginRemote(pr)
 }
 

@@ -124,6 +124,10 @@ func (n *Node) engineStep() {
 			}
 		}
 		n.applyEffect(rec, out)
+		if poisonScratch {
+			poison(n.scratch.Fields[:])
+			poison(n.scratch.Hit[:])
+		}
 
 		// Context switch policy: rotate when the slice is exhausted or the
 		// agent stopped being runnable ("if an agent executes a
@@ -162,7 +166,11 @@ func (n *Node) deliverFiring(rec *record, f firing) error {
 	if err := a.Push(tuplespace.Int(int16(a.PC))); err != nil {
 		return err
 	}
-	if err := a.PushFields(f.tuple.Fields); err != nil {
+	fields, _, err := tuplespace.AppendFields(n.scratch.Hit[:0], f.tuple[:])
+	if err != nil {
+		return err
+	}
+	if err := a.PushFields(fields); err != nil {
 		return err
 	}
 	a.PC = f.pc
@@ -208,7 +216,7 @@ func (n *Node) applyEffect(rec *record, out *vm.Outcome) {
 
 	case vm.EffectBlocked:
 		rec.state = AgentBlocked
-		rec.blockTmpl = out.Block
+		rec.blockTmpl.Fields = append(rec.blockTmpl.Fields[:0], out.Block.Fields...)
 		rec.blockRemove = out.BlockRemove
 
 	case vm.EffectMigrate:

@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"github.com/agilla-go/agilla/internal/agents"
+	"github.com/agilla-go/agilla/internal/asm"
 	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/internal/topology"
 	"github.com/agilla-go/agilla/internal/tuplespace"
@@ -55,16 +56,18 @@ func TestHostBytesPerMote(t *testing.T) {
 // TestStructSizes pins the by-value layouts. Node is one object holding
 // the stack, space, registry, instruction manager and run ring; with the
 // allocator's 8-byte header for pointerful objects over 512 B it must stay
-// within the 640-byte size class.
+// within the 640-byte size class. A record and a vm.Agent are pinned at
+// their size, so per-agent scratch cannot creep in: a shard's agents
+// share one (vm.Host.Scratch).
 func TestStructSizes(t *testing.T) {
 	pins := []struct {
 		name      string
 		got, most uintptr
 	}{
 		{"core.Node", unsafe.Sizeof(Node{}), 624},
-		{"core.record", unsafe.Sizeof(record{}), 144},
+		{"core.record", unsafe.Sizeof(record{}), 120},
 		{"tuplespace.Value", unsafe.Sizeof(tuplespace.Value{}), 8},
-		{"vm.Agent", unsafe.Sizeof(vm.Agent{}), 288},
+		{"vm.Agent", unsafe.Sizeof(vm.Agent{}), 264},
 	}
 	for _, p := range pins {
 		if p.got > p.most {
@@ -99,6 +102,133 @@ func TestSleepWakeCycleAllocatesNothing(t *testing.T) {
 	}
 	if got := n.Stats().InstrExecuted - woke; got < 100*5 {
 		t.Fatalf("agent executed %d instructions over 101 cycles: it is not cycling", got)
+	}
+}
+
+// TestTupleOpsAllocateNothing: every tuple instruction runs in the
+// shard's scratch. One loop of the agents below does an out, an rdp hit
+// and miss, a tcount, an inp hit and miss, a regrxn and deregrxn, an out
+// that fires a reaction, and an out that wakes an agent blocked in in;
+// none of it allocates once the registry, the reaction queue and the
+// blocking template have their storage.
+func TestTupleOpsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	d, err := NewDeployment(DeploymentSpec{Layout: topology.GridLayout(1, 1), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := d.Motes()[0]
+	for _, src := range []string{`
+	TOP:	pushn abc
+		pushc 5
+		pushc 2
+		out
+		pushn abc
+		pusht VALUE
+		pushc 2
+		rdp
+		pop
+		pop
+		pop
+		pushn zzz
+		pushc 1
+		rdp
+		pushn abc
+		pusht VALUE
+		pushc 2
+		tcount
+		pop
+		pushn abc
+		pusht VALUE
+		pushc 2
+		inp
+		pop
+		pop
+		pop
+		pushn zzz
+		pushc 1
+		inp
+		pushn rxn
+		pusht VALUE
+		pushc 2
+		pushcl TOP
+		regrxn
+		pushn rxn
+		pusht VALUE
+		pushc 2
+		deregrxn
+		pushn fir
+		pushc 7
+		pushc 2
+		out
+		pushn fir
+		pusht VALUE
+		pushc 2
+		inp
+		pop
+		pop
+		pop
+		pushn wak
+		pushc 3
+		pushc 2
+		out
+		pushc 1
+		sleep
+		rjump TOP`, `
+	TOP:	pushn wak
+		pusht VALUE
+		pushc 2
+		in
+		pop
+		pop
+		pop
+		rjump TOP`, `
+		pushn fir
+		pusht VALUE
+		pushc 2
+		pushcl RX
+		regrxn
+	WAIT:	wait
+		rjump WAIT
+	RX:	pop
+		pop
+		pop
+		jumps`,
+	} {
+		if _, err := n.CreateAgent(asm.MustAssemble(src)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle := func() {
+		if err := d.Sim.Run(d.Sim.Now() + vm.SleepTick); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ {
+		cycle()
+	}
+	before := n.Stats()
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("a loop of tuple instructions allocates %.1f objects, want 0", avg)
+	}
+	after := n.Stats()
+	// A loop takes a sleep tick plus its instructions' latency, so 101
+	// ticks see a few loops fewer, each firing the waiter once.
+	if fired := after.ReactionsFired - before.ReactionsFired; fired < 90 {
+		t.Errorf("%d reactions fired over 101 sleep ticks: the loop is not cycling", fired)
+	}
+	if after.AgentsDied != 0 || n.NumAgents() != 3 {
+		t.Fatalf("the agents broke: %d died, %d hosted", after.AgentsDied, n.NumAgents())
+	}
+	for _, name := range []string{"abc", "fir", "wak"} {
+		if got := n.Space().Count(tuplespace.Tmpl(tuplespace.Str(name), tuplespace.TypeV(tuplespace.TypeValue))); got != 0 {
+			t.Errorf("%d <%q, VALUE> tuples left over: a loop did not run through", got, name)
+		}
+	}
+	if n.Registry().Len() != 1 {
+		t.Errorf("%d reactions registered, want the waiter's one", n.Registry().Len())
 	}
 }
 

@@ -803,7 +803,8 @@ func pop[T any](free *[]*T) *T {
 // the ring frees it when it lets go (dequeueHead). Its wake timer is
 // stopped, and a stale entry of it only keeps the record on its own
 // mote's context (see reuse). The agent keeps its code buffer's capacity,
-// and the record its reaction queue's, for the next agent.
+// and the record its reaction queue's and blocking template's, for the
+// next agent.
 func (n *Node) free(rec *record) {
 	if rec.state != AgentDead || rec.queued {
 		return
@@ -811,8 +812,9 @@ func (n *Node) free(rec *record) {
 	n.freeAgent(rec.agent)
 	clear(rec.pending)
 	*rec = record{
-		wake:    rec.wake, // same address: queued entries still point at it
-		pending: rec.pending[:0],
+		wake:      rec.wake, // same address: queued entries still point at it
+		pending:   rec.pending[:0],
+		blockTmpl: tuplespace.Template{Fields: rec.blockTmpl.Fields[:0]},
 	}
 	n.recFree = append(n.recFree, rec)
 }

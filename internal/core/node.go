@@ -59,10 +59,12 @@ func (s AgentState) String() string {
 }
 
 // firing is one queued reaction delivery: jump target plus the tuple that
-// matched, delivered at the agent's next instruction boundary.
+// matched, delivered at the agent's next instruction boundary. The tuple
+// is kept encoded in the queue slot: the inserted tuple may be scratch
+// that the next instruction overwrites, and a slot owns its bytes.
 type firing struct {
 	pc    uint16
-	tuple tuplespace.Tuple
+	tuple [tuplespace.MaxTupleBytes]byte
 }
 
 // record is the agent manager's per-agent bookkeeping (§3.2: "The agent
@@ -77,6 +79,7 @@ type record struct {
 	prog *vm.Compiled
 
 	// blockTmpl and blockRemove describe an unsatisfied blocking in/rd.
+	// The template is a copy in storage the record keeps when recycled.
 	blockTmpl tuplespace.Template
 
 	// pending[pendHead:] are the queued reaction firings. Consuming
@@ -166,8 +169,11 @@ type sessions struct {
 	in     []*inMigration   // inbound transfers, in inKey order
 	remote []*pendingRemote // in-flight remote operations, in request order
 
-	done   recent[inKey, struct{}]             // finalized inbound transfers, to re-ack stragglers for 3 s
-	served recent[servedKey, wire.RemoteReply] // the responder's reply cache (serveRemoteRequest)
+	done   recent[inKey, struct{}]        // finalized inbound transfers, to re-ack stragglers for 3 s
+	served recent[servedKey, servedReply] // the responder's reply cache (serveRemoteRequest)
+	// servedTuples holds the encoded tuple of served[i]'s reply at
+	// i*MaxTupleBytes; it grows only once a reply carries a tuple.
+	servedTuples []byte
 }
 
 // session returns the mote's session record, making it at first use.
@@ -224,35 +230,57 @@ func remove[T comparable](l *[]T, v T) {
 }
 
 // recent remembers concluded exchanges for a grace period, so that a
-// retransmitted straggler is answered instead of run again. A mote's clock
-// only moves forward and note stamps at the back, so the list is in time
-// order and expires from the front, in note only: an entry outlives its
-// grace until the next one.
+// retransmitted straggler is answered instead of run again. Expiry happens
+// in note only, which clears every entry stamped more than grace before
+// now, so an entry outlives its grace until the next note; a cleared slot
+// (at < 0) takes the next key noted. The list thus grows only to the most
+// entries live at once, and nothing in it ever shifts.
 type recent[K comparable, V any] []stamped[K, V]
 
 type stamped[K comparable, V any] struct {
 	key K
 	val V
-	at  time.Duration
+	at  time.Duration // < 0: a free slot
 }
 
 // find returns the index of key's entry, or -1.
 func (r recent[K, V]) find(key K) int {
-	return slices.IndexFunc(r, func(e stamped[K, V]) bool { return e.key == key })
+	for i := range r {
+		if r[i].at >= 0 && r[i].key == key {
+			return i
+		}
+	}
+	return -1
 }
 
-// note stamps key with val at now, moving an entry already there to the
-// back, and drops the entries stamped more than grace before now.
-func (r *recent[K, V]) note(key K, val V, now, grace time.Duration) {
+// note stamps key with val at now, in the slot key already has or else in
+// the first free one, clears the entries stamped more than grace before
+// now, and returns key's slot.
+func (r *recent[K, V]) note(key K, val V, now, grace time.Duration) int {
 	l := *r
-	if i := l.find(key); i >= 0 {
-		l = slices.Delete(l, i, i+1)
+	slot, free := -1, -1
+	for i := range l {
+		e := &l[i]
+		switch {
+		case e.at >= 0 && e.key == key:
+			slot = i
+		case e.at >= 0 && now-e.at <= grace:
+		default:
+			*e = stamped[K, V]{at: -1}
+			if free < 0 {
+				free = i
+			}
+		}
 	}
-	old := 0
-	for old < len(l) && now-l[old].at > grace {
-		old++
+	if slot < 0 {
+		slot = free
 	}
-	*r = append(slices.Delete(l, 0, old), stamped[K, V]{key: key, val: val, at: now})
+	if slot < 0 {
+		slot = len(l)
+		*r = append(l, stamped[K, V]{})
+	}
+	(*r)[slot] = stamped[K, V]{key: key, val: val, at: now}
+	return slot
 }
 
 // shardEnv is what the nodes of one deployment that run on one executor
@@ -265,6 +293,11 @@ type shardEnv struct {
 	cfg     Config     // defaults applied; never written after construction
 	trace   *Trace     // the deployment's hook table; never nil
 	stepOut vm.Outcome // engineStep's scratch outcome
+	// scratch is what the tuple instructions of the shard's agents work
+	// in (Node.Scratch), and rxFields what a remote request or reply
+	// decodes its fields into. Both are overwritten by the next use.
+	scratch  vm.Scratch
+	rxFields [tuplespace.MaxTupleBytes]tuplespace.Value
 
 	// Released transfer and remote-operation records, and the records and
 	// agents of agents that left their motes (see migration.go, remote.go
@@ -289,6 +322,17 @@ type shardEnv struct {
 	// a send returns, so each is free again once the send call is.
 	tx  []byte
 	net network.Shard
+}
+
+// poisonValue is what the shard's tuple scratch reads as between uses in
+// builds that set poisonScratch: a kind no instruction or codec produces.
+var poisonValue = tuplespace.Value{Kind: 0xA5, A: -0x5A5B, B: -0x5A5B}
+
+// poison overwrites vs with poisonValue.
+func poison(vs []tuplespace.Value) {
+	for i := range vs {
+		vs[i] = poisonValue
+	}
 }
 
 // newNode builds a mote at loc, attaches it to the medium, and seeds its
@@ -574,12 +618,15 @@ func (n *Node) onTupleInserted(t tuplespace.Tuple) {
 	}
 	// Fire reactions: queue the jump on each owning agent; waiting agents
 	// resume immediately (§3.2 Tuple Space Manager).
-	for _, rxn := range n.registry.Matching(t) {
+	var matched [tuplespace.DefaultRegistryMax]tuplespace.Reaction
+	for _, rxn := range n.registry.AppendMatching(matched[:0], t) {
 		rec := n.hosted(rxn.AgentID)
 		if rec == nil || rec.state == AgentDead {
 			continue
 		}
-		rec.pending = append(rec.pending, firing{pc: rxn.PC, tuple: t})
+		rec.pending = append(rec.pending, firing{pc: rxn.PC})
+		f := &rec.pending[len(rec.pending)-1]
+		t.Marshal(f.tuple[:0]) // Out admitted t, so it fits
 		n.stats.ReactionsFired++
 		if n.trace.ReactionFired != nil {
 			n.trace.ReactionFired(n.loc, rxn.AgentID, t)
@@ -682,14 +729,22 @@ func (n *Node) Sense(s tuplespace.SensorType) (int16, bool) {
 // SetLED implements vm.Host.
 func (n *Node) SetLED(v int16) { n.led = v }
 
+// Scratch implements vm.Host: the shard's tuple scratch, which every
+// agent of every mote on the shard shares.
+func (n *Node) Scratch() *vm.Scratch { return &n.scratch }
+
 // TSOut implements vm.Host.
 func (n *Node) TSOut(t tuplespace.Tuple) error { return n.space.Out(t) }
 
 // TSInp implements vm.Host.
-func (n *Node) TSInp(p tuplespace.Template) (tuplespace.Tuple, bool) { return n.space.Inp(p) }
+func (n *Node) TSInp(p tuplespace.Template, dst []tuplespace.Value) (tuplespace.Tuple, bool) {
+	return n.space.Lookup(p, true, dst)
+}
 
 // TSRdp implements vm.Host.
-func (n *Node) TSRdp(p tuplespace.Template) (tuplespace.Tuple, bool) { return n.space.Rdp(p) }
+func (n *Node) TSRdp(p tuplespace.Template, dst []tuplespace.Value) (tuplespace.Tuple, bool) {
+	return n.space.Lookup(p, false, dst)
+}
 
 // TSCount implements vm.Host.
 func (n *Node) TSCount(p tuplespace.Template) int { return n.space.Count(p) }

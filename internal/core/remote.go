@@ -2,11 +2,13 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/radio"
 	"github.com/agilla-go/agilla/internal/sim"
 	"github.com/agilla-go/agilla/internal/topology"
+	"github.com/agilla-go/agilla/internal/tuplespace"
 	"github.com/agilla-go/agilla/internal/vm"
 	"github.com/agilla-go/agilla/internal/wire"
 )
@@ -42,17 +44,20 @@ type pendingRemote struct {
 	rec      *record
 	done     func(wire.RemoteReply, error)
 	dest     topology.Location
-	req      wire.RemoteRequest
+	req      wire.RemoteRequest // its tuple or template is fields
 	attempts int
 	timer    sim.Timer // retransmission timeout
 	started  time.Duration
+	fields   []tuplespace.Value // kept, with its capacity, when the record is released
 }
 
 func (pr *pendingRemote) clock() *sim.Timer { return &pr.timer }
 
 // newRemote takes a remote-operation record for an op of kind op to dest
-// from the shard's free list, or makes one and binds its timer.
-func (n *Node) newRemote(op wire.RemoteOp, dest topology.Location) *pendingRemote {
+// from the shard's free list, or makes one and binds its timer. The
+// request's tuple (rout) or template is copied into the record, so t and
+// p may be scratch.
+func (n *Node) newRemote(op wire.RemoteOp, dest topology.Location, t tuplespace.Tuple, p tuplespace.Template) *pendingRemote {
 	pr := reuse(&n.remFree, n.sim)
 	if pr == nil {
 		pr = new(pendingRemote)
@@ -63,13 +68,21 @@ func (n *Node) newRemote(op wire.RemoteOp, dest topology.Location) *pendingRemot
 		})
 	}
 	pr.n, pr.dest, pr.req.Op = n, dest, op
+	if op == wire.OpRout {
+		pr.fields = append(pr.fields[:0], t.Fields...)
+		pr.req.Tuple.Fields = pr.fields
+	} else {
+		pr.fields = append(pr.fields[:0], p.Fields...)
+		pr.req.Template.Fields = pr.fields
+	}
 	return pr
 }
 
-// releaseRemote stops pr's timer and returns it, wiped, to the free list.
+// releaseRemote stops pr's timer and returns it, wiped but for its fields
+// buffer's capacity, to the free list.
 func (n *Node) releaseRemote(pr *pendingRemote) {
 	pr.timer.Stop()
-	*pr = pendingRemote{timer: pr.timer} // same address: queued entries still point at it
+	*pr = pendingRemote{timer: pr.timer, fields: pr.fields[:0]} // same address: queued entries still point at it
 	n.remFree = append(n.remFree, pr)
 }
 
@@ -77,8 +90,8 @@ func (n *Node) releaseRemote(pr *pendingRemote) {
 // and resume it when the reply arrives or the retransmissions run out.
 func (n *Node) startRemote(rec *record, out vm.Outcome) {
 	rec.state = AgentRemote
-	pr := n.newRemote(out.Remote, out.Dest)
-	pr.rec, pr.req.Tuple, pr.req.Template = rec, out.Tuple, out.Template
+	pr := n.newRemote(out.Remote, out.Dest, out.Tuple, out.Template)
+	pr.rec = rec
 	n.beginRemote(pr)
 }
 
@@ -142,17 +155,20 @@ type servedKey struct {
 // reply is cached per (initiator, reqID) and retransmissions are answered
 // from the cache instead of re-performing the op.
 func (n *Node) serveRemoteRequest(env wire.Envelope) {
-	req, err := wire.DecodeRemoteRequest(env.Body)
+	req, err := wire.DecodeRemoteRequest(env.Body, n.rxFields[:0])
 	if err != nil {
 		return
 	}
 	key := servedKey{from: req.ReplyTo, reqID: req.ReqID}
 	s := n.session()
 	var reply wire.RemoteReply
-	if i := s.served.find(key); i >= 0 {
-		reply = s.served[i].val
+	var val servedReply
+	i := s.served.find(key)
+	if i >= 0 {
+		reply, val = s.cachedReply(i, n.scratch.Hit[:0]), s.served[i].val
 	} else {
 		reply = n.performRemote(req)
+		val.ok = reply.OK
 	}
 	// (Re-)stamping on every hit keeps an entry alive for as long as its
 	// initiator is still retransmitting, whatever timers it runs; it goes
@@ -160,9 +176,48 @@ func (n *Node) serveRemoteRequest(env wire.Envelope) {
 	// could only collide with a cached entry after wrapping within that
 	// window, which the per-op radio round trip makes unreachable.
 	grace := max(2*RemoteOpBudget(n.cfg), servedGraceFloor)
-	s.served.note(key, reply, n.sim.Now(), grace)
+	if slot := s.served.note(key, val, n.sim.Now(), grace); i < 0 {
+		s.cacheTuple(slot, reply.Tuple)
+	}
 	n.tx = reply.Append(n.tx[:0])
 	_ = n.net.SendRouted(req.ReplyTo, radio.KindRemoteTSR, n.tx)
+	if poisonScratch {
+		poison(n.rxFields[:])
+		poison(n.scratch.Hit[:])
+	}
+}
+
+// servedReply is what the reply cache keeps of a served request's reply
+// besides its tuple: whether it succeeded, and how many bytes the tuple
+// takes in servedTuples (0: none).
+type servedReply struct {
+	ok bool
+	n  uint8
+}
+
+// cacheTuple keeps the encoding of t, a reply's tuple, as served[slot]'s.
+// A reply's tuple comes out of a tuple space, so it fits MaxTupleBytes.
+func (s *sessions) cacheTuple(slot int, t tuplespace.Tuple) {
+	if len(t.Fields) == 0 {
+		return // a reply's tuple is encoded only when it has fields (wire.RemoteReply.Append)
+	}
+	off := slot * tuplespace.MaxTupleBytes
+	if end := off + tuplespace.MaxTupleBytes; len(s.servedTuples) < end {
+		s.servedTuples = slices.Grow(s.servedTuples, end-len(s.servedTuples))[:end]
+	}
+	s.served[slot].val.n = uint8(len(t.Marshal(s.servedTuples[off : off : off+tuplespace.MaxTupleBytes])))
+}
+
+// cachedReply rebuilds the reply cached in served[i], decoding its tuple's
+// fields onto dst.
+func (s *sessions) cachedReply(i int, dst []tuplespace.Value) wire.RemoteReply {
+	e := &s.served[i]
+	reply := wire.RemoteReply{ReqID: e.key.reqID, OK: e.val.ok}
+	if e.val.n > 0 {
+		off := i * tuplespace.MaxTupleBytes
+		reply.Tuple.Fields, _, _ = tuplespace.AppendFields(dst, s.servedTuples[off:off+int(e.val.n)]) // cacheTuple's own encoding
+	}
+	return reply
 }
 
 // servedGraceFloor is the minimum idle time before a cached reply may be
@@ -172,6 +227,7 @@ func (n *Node) serveRemoteRequest(env wire.Envelope) {
 const servedGraceFloor = 30 * time.Second
 
 // performRemote executes one remote operation against the local space.
+// The reply's tuple is the shard's scratch or the replica store's.
 // With replication, a probe the arena cannot satisfy falls back to the
 // replica store: an rrdp reads any live replica, and an rinp consumes one
 // by tombstoning it — the tombstone gossips outward and evicts the arena
@@ -183,7 +239,7 @@ func (n *Node) performRemote(req wire.RemoteRequest) wire.RemoteReply {
 	case wire.OpRout:
 		reply.OK = n.space.Out(req.Tuple) == nil
 	case wire.OpRinp:
-		t, ok := n.space.Inp(req.Template)
+		t, ok := n.space.Lookup(req.Template, true, n.scratch.Hit[:0])
 		if !ok && n.repl != nil {
 			if e, hit := n.repl.set.LiveMatch(req.Template); hit {
 				n.repl.set.Tombstone(e.Origin)
@@ -192,7 +248,7 @@ func (n *Node) performRemote(req wire.RemoteRequest) wire.RemoteReply {
 		}
 		reply.OK, reply.Tuple = ok, t
 	case wire.OpRrdp:
-		t, ok := n.space.Rdp(req.Template)
+		t, ok := n.space.Lookup(req.Template, false, n.scratch.Hit[:0])
 		if !ok && n.repl != nil {
 			if e, hit := n.repl.set.LiveMatch(req.Template); hit {
 				t, ok = e.Tuple, true
@@ -206,21 +262,23 @@ func (n *Node) performRemote(req wire.RemoteRequest) wire.RemoteReply {
 // recvRemoteReply matches a reply to its pending request and resumes the
 // initiating agent.
 func (n *Node) recvRemoteReply(env wire.Envelope) {
-	reply, err := wire.DecodeRemoteReply(env.Body)
+	reply, err := wire.DecodeRemoteReply(env.Body, n.rxFields[:0])
 	if err != nil {
 		return
 	}
-	pr := n.ses.request(reply.ReqID)
-	if pr == nil {
-		return // duplicate or late reply
+	if pr := n.ses.request(reply.ReqID); pr != nil { // else a duplicate or late reply
+		remove(&n.ses.remote, pr)
+		n.settleRemote(pr, reply, nil)
 	}
-	remove(&n.ses.remote, pr)
-	n.settleRemote(pr, reply, nil)
+	if poisonScratch {
+		poison(n.rxFields[:])
+	}
 }
 
 // settleRemote concludes a remote operation out of the open sessions and
 // releases its record: it hands the reply (and err, ErrRemoteTimeout when
-// the retries ran out) to a base-station callback, or applies it to the
+// the retries ran out) to a base-station callback, whose reply tuple is
+// valid only during the call and is copied if kept, or applies it to the
 // suspended agent: "If the operation is successful, the resulting tuple
 // is placed onto the stack and the condition is set to 1" (§3.4).
 func (n *Node) settleRemote(pr *pendingRemote, reply wire.RemoteReply, err error) {

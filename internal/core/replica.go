@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/radio"
@@ -141,13 +142,16 @@ func (n *Node) replicaMuted(f func()) {
 // replicaOnInsert stamps a fresh arena insertion with this node's next
 // origin dot. The sequence only advances when the store admits the entry,
 // so a full store never opens a gap below this origin's frontier (a gap
-// would stall delta propagation of everything above it).
+// would stall delta propagation of everything above it). The store gets
+// a copy of t, which may be scratch.
 func (n *Node) replicaOnInsert(t tuplespace.Tuple) {
 	r := n.repl
 	if r == nil || r.mute > 0 {
 		return
 	}
-	if r.set.Add(replica.Origin{Node: n.loc, Seq: r.seq + 1}, t) {
+	o := replica.Origin{Node: n.loc, Seq: r.seq + 1}
+	if r.set.Admits(o) {
+		r.set.Add(o, tuplespace.Tuple{Fields: slices.Clone(t.Fields)})
 		r.seq++
 		r.dirty = true
 	}

@@ -11,7 +11,9 @@ import (
 
 // Trace observes middleware events across all nodes. The experiment harness
 // uses it to measure reliability and latency without instrumenting the
-// protocol code. All fields are optional.
+// protocol code. All fields are optional. A tuple a hook is handed is
+// valid only during the call (it may be the shard's tuple scratch): a
+// hook copies what it keeps.
 type Trace struct {
 	// AgentArrived fires when an agent materializes on a node: injection,
 	// completed move, or clone instantiation.

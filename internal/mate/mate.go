@@ -20,6 +20,7 @@ package mate
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -277,7 +278,8 @@ func (n *Node) runCapsule(c Capsule) {
 // instructions degrade to a send-to-base model: out appends to SentTuples;
 // probes always miss. Maté programs have no acquaintance list.
 type mateHost struct {
-	node *Node
+	node    *Node
+	scratch vm.Scratch // one activation's tuple scratch
 }
 
 func (h *mateHost) Loc() topology.Location { return h.node.loc }
@@ -292,10 +294,11 @@ func (h *mateHost) RandInt16(mod int16) int16 {
 func (h *mateHost) NumNeighbors() int                      { return 0 }
 func (h *mateHost) Neighbor(int) (topology.Location, bool) { return topology.Location{}, false }
 func (h *mateHost) SetLED(v int16)                         { h.node.led = v }
-func (h *mateHost) TSInp(tuplespace.Template) (tuplespace.Tuple, bool) {
+func (h *mateHost) Scratch() *vm.Scratch                   { return &h.scratch }
+func (h *mateHost) TSInp(tuplespace.Template, []tuplespace.Value) (tuplespace.Tuple, bool) {
 	return tuplespace.Tuple{}, false
 }
-func (h *mateHost) TSRdp(tuplespace.Template) (tuplespace.Tuple, bool) {
+func (h *mateHost) TSRdp(tuplespace.Template, []tuplespace.Value) (tuplespace.Tuple, bool) {
 	return tuplespace.Tuple{}, false
 }
 func (h *mateHost) TSCount(tuplespace.Template) int { return 0 }
@@ -307,8 +310,9 @@ func (h *mateHost) Sense(s tuplespace.SensorType) (int16, bool) {
 	return h.node.board.Sense(s, h.node.sim.Now())
 }
 
+// TSOut keeps a copy of t: its fields are the host's scratch.
 func (h *mateHost) TSOut(t tuplespace.Tuple) error {
-	h.node.SentTuples = append(h.node.SentTuples, t)
+	h.node.SentTuples = append(h.node.SentTuples, tuplespace.Tuple{Fields: slices.Clone(t.Fields)})
 	return nil
 }
 

@@ -3,6 +3,8 @@ package tuplespace
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 )
 
 // DefaultRegistryBytes and DefaultRegistryMax mirror the paper: "By default
@@ -35,11 +37,17 @@ func (r Reaction) EncodedSize() int { return reactionOverheadBytes + r.Template.
 
 // Registry stores registered reactions within a byte and entry budget.
 // The zero Registry is not usable; construct with NewRegistry or Init.
+//
+// The registry owns its templates: fields holds every entry's template
+// fields back to back, in entry order, and each entry's Template.Fields is
+// a capacity-capped window on it. Registering copies into fields and
+// removing closes the gap, so a registry that has once held its largest
+// set of reactions registers and deregisters without allocating.
 type Registry struct {
 	entries  []Reaction
-	used     int
-	capBytes int
-	maxN     int
+	fields   []Value
+	capBytes int32
+	maxN     int32
 }
 
 // NewRegistry creates a registry; non-positive arguments select the
@@ -60,44 +68,57 @@ func (g *Registry) Init(capBytes, maxEntries int) {
 	if maxEntries <= 0 {
 		maxEntries = DefaultRegistryMax
 	}
-	*g = Registry{capBytes: capBytes, maxN: maxEntries}
+	*g = Registry{capBytes: int32(min(capBytes, math.MaxInt32)), maxN: int32(min(maxEntries, math.MaxInt32))}
 }
 
 // Len returns the number of registered reactions.
 func (g *Registry) Len() int { return len(g.entries) }
 
 // UsedBytes returns the bytes charged against the registry budget.
-func (g *Registry) UsedBytes() int { return g.used }
+func (g *Registry) UsedBytes() int {
+	n := 0
+	for _, e := range g.entries {
+		n += e.EncodedSize()
+	}
+	return n
+}
 
 // CapBytes returns the registry byte budget.
-func (g *Registry) CapBytes() int { return g.capBytes }
+func (g *Registry) CapBytes() int { return int(g.capBytes) }
 
-// Register adds a reaction. Registering an identical (agent, template, pc)
-// entry twice is a no-op, matching the idempotent regrxn semantics.
+// Register adds a reaction, copying its template into the registry's own
+// storage: r's fields are the caller's again once Register returns.
+// Registering an identical (agent, template, pc) entry twice is a no-op,
+// matching the idempotent regrxn semantics.
 func (g *Registry) Register(r Reaction) error {
 	for _, e := range g.entries {
 		if e.AgentID == r.AgentID && e.PC == r.PC && e.Template.Equal(r.Template) {
 			return nil
 		}
 	}
-	sz := r.EncodedSize()
-	if len(g.entries) >= g.maxN || g.used+sz > g.capBytes {
-		return fmt.Errorf("%w: %d entries, %d/%d bytes", ErrRegistryFull, len(g.entries), g.used, g.capBytes)
+	used, sz := g.UsedBytes(), r.EncodedSize()
+	if len(g.entries) >= int(g.maxN) || used+sz > int(g.capBytes) {
+		return fmt.Errorf("%w: %d entries, %d/%d bytes", ErrRegistryFull, len(g.entries), used, g.capBytes)
 	}
+	g.fields = append(g.fields, r.Template.Fields...)
 	g.entries = append(g.entries, r)
-	g.used += sz
+	g.repoint() // the append may have moved fields
 	return nil
 }
 
 // Deregister removes the agent's reaction matching the template (deregrxn).
 // It reports whether anything was removed.
 func (g *Registry) Deregister(agentID uint16, p Template) bool {
+	off := 0
 	for i, e := range g.entries {
+		n := len(e.Template.Fields)
 		if e.AgentID == agentID && e.Template.Equal(p) {
-			g.used -= e.EncodedSize()
-			g.entries = append(g.entries[:i], g.entries[i+1:]...)
+			g.fields = slices.Delete(g.fields, off, off+n)
+			g.entries = slices.Delete(g.entries, i, i+1)
+			g.repoint()
 			return true
 		}
+		off += n
 	}
 	return false
 }
@@ -105,23 +126,36 @@ func (g *Registry) Deregister(agentID uint16, p Template) bool {
 // RemoveAgent removes all reactions registered by the agent (it died or
 // left the node) and returns how many there were.
 func (g *Registry) RemoveAgent(agentID uint16) int {
-	kept := g.entries[:0]
+	kept, nf := g.entries[:0], 0
 	for _, e := range g.entries {
-		if e.AgentID == agentID {
-			g.used -= e.EncodedSize()
-		} else {
+		if e.AgentID != agentID {
+			nf += copy(g.fields[nf:], e.Template.Fields) // moves down or stays: the windows are in entry order
 			kept = append(kept, e)
 		}
 	}
 	removed := len(g.entries) - len(kept)
 	clear(g.entries[len(kept):])
-	g.entries = kept
+	clear(g.fields[nf:])
+	g.entries, g.fields = kept, g.fields[:nf]
+	g.repoint()
 	return removed
 }
 
-// AppendForAgent appends copies of the agent's registered reactions to dst
-// and returns the extended slice. The migration packager uses it to
-// collect the reactions that travel with an agent (§3.2).
+// repoint aims each entry's template at its window of fields.
+func (g *Registry) repoint() {
+	off := 0
+	for i := range g.entries {
+		e := &g.entries[i]
+		end := off + len(e.Template.Fields)
+		e.Template.Fields = g.fields[off:end:end]
+		off = end
+	}
+}
+
+// AppendForAgent appends the agent's registered reactions to dst and
+// returns the extended slice. The migration packager uses it to collect
+// the reactions that travel with an agent (§3.2). The templates are the
+// registry's own storage, valid until the registry next changes.
 func (g *Registry) AppendForAgent(dst []Reaction, agentID uint16) []Reaction {
 	for _, e := range g.entries {
 		if e.AgentID == agentID {
@@ -132,13 +166,17 @@ func (g *Registry) AppendForAgent(dst []Reaction, agentID uint16) []Reaction {
 }
 
 // Matching returns all reactions whose template matches the tuple, in
-// registration order.
-func (g *Registry) Matching(t Tuple) []Reaction {
-	var out []Reaction
+// registration order, in a fresh slice; see AppendMatching.
+func (g *Registry) Matching(t Tuple) []Reaction { return g.AppendMatching(nil, t) }
+
+// AppendMatching appends the reactions whose template matches the tuple to
+// dst, in registration order, and returns the extended slice. As with
+// AppendForAgent the templates are the registry's own storage.
+func (g *Registry) AppendMatching(dst []Reaction, t Tuple) []Reaction {
 	for _, e := range g.entries {
 		if e.Template.Matches(t) {
-			out = append(out, e)
+			dst = append(dst, e)
 		}
 	}
-	return out
+	return dst
 }

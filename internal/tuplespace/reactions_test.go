@@ -155,3 +155,68 @@ func TestMatchingOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestDeregisterClearsVacatedSlot: removing a reaction leaves nothing of
+// it reachable past the registry's length, neither the entry nor its
+// template's fields.
+func TestDeregisterClearsVacatedSlot(t *testing.T) {
+	g := NewRegistry(0, 0)
+	for pc := uint16(1); pc <= 3; pc++ {
+		if err := g.Register(fireReaction(pc, pc)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !g.Deregister(1, fireReaction(1, 1).Template) {
+		t.Fatal("Deregister found nothing")
+	}
+	if tail := g.entries[:len(g.entries)+1][len(g.entries)]; tail.AgentID != 0 || tail.PC != 0 || tail.Template.Fields != nil {
+		t.Errorf("vacated entry slot holds %+v, want the zero Reaction", tail)
+	}
+	for i, v := range g.fields[len(g.fields):cap(g.fields)] {
+		if v != (Value{}) {
+			t.Errorf("vacated field slot %d holds %v, want the zero Value", i, v)
+		}
+	}
+	for i, e := range g.entries {
+		if want := fireReaction(uint16(i+2), uint16(i+2)); e.AgentID != want.AgentID || !e.Template.Equal(want.Template) {
+			t.Errorf("entry %d = %+v after the removal, want %+v", i, e, want)
+		}
+	}
+}
+
+// TestRegistryOwnsTemplates: Register copies the template, so the
+// caller's fields are free to change afterwards, and once the registry
+// has held its largest set a register/deregister cycle allocates nothing.
+func TestRegistryOwnsTemplates(t *testing.T) {
+	g := NewRegistry(0, 0)
+	scratch := []Value{Str("fir"), TypeV(TypeLocation)}
+	if err := g.Register(Reaction{AgentID: 1, Template: Template{Fields: scratch}, PC: 4}); err != nil {
+		t.Fatal(err)
+	}
+	scratch[0], scratch[1] = Str("ice"), Int(9)
+	if ms := g.Matching(T(Str("fir"), LocV(topology.Loc(2, 2)))); len(ms) != 1 {
+		t.Fatalf("the registered template changed with the caller's fields: %+v", g.entries)
+	}
+	if err := g.Register(fireReaction(2, 8)); err != nil {
+		t.Fatal(err)
+	}
+	first, other := fireReaction(1, 4), Reaction{AgentID: 3, Template: Tmpl(Str("tmp"), TypeV(TypeValue), TypeV(TypeLocation)), PC: 6}
+	cycle := func() {
+		if err := g.Register(other); err != nil {
+			t.Fatal(err)
+		}
+		if !g.Deregister(first.AgentID, first.Template) || !g.Deregister(other.AgentID, other.Template) {
+			t.Fatal("Deregister found nothing")
+		}
+		if err := g.Register(first); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	if got := testing.AllocsPerRun(100, cycle); got != 0 {
+		t.Errorf("register/deregister allocates %.1f objects per cycle, want 0", got)
+	}
+	if g.Len() != 2 || g.UsedBytes() != 2*first.EncodedSize() {
+		t.Errorf("after the cycles: %d entries, %d bytes", g.Len(), g.UsedBytes())
+	}
+}

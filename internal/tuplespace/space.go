@@ -3,6 +3,7 @@ package tuplespace
 import (
 	"errors"
 	"fmt"
+	"math"
 )
 
 // DefaultArenaBytes is the tuple store budget: "By default, it is
@@ -23,8 +24,8 @@ var ErrSpaceFull = errors.New("tuplespace: arena full")
 // The zero Space is not usable; construct with NewSpace or Init.
 type Space struct {
 	arena  []byte // serialized tuples, back to back; all of it is live
-	budget int
-	count  int
+	budget int32
+	count  int32
 
 	// onInsert runs after each successful Out and onRemove after each
 	// removal, with the removed tuple; the owning node sets both (see
@@ -50,7 +51,7 @@ func (s *Space) Init(budget int) {
 	if budget <= 0 {
 		budget = DefaultArenaBytes
 	}
-	*s = Space{budget: budget}
+	*s = Space{budget: int32(min(budget, math.MaxInt32))}
 }
 
 // SetHooks sets the space's one insert hook and one remove hook; either
@@ -64,10 +65,10 @@ func (s *Space) SetHooks(onInsert, onRemove func(Tuple)) {
 func (s *Space) UsedBytes() int { return len(s.arena) }
 
 // CapBytes returns the arena budget.
-func (s *Space) CapBytes() int { return s.budget }
+func (s *Space) CapBytes() int { return int(s.budget) }
 
 // TupleCount returns the number of stored tuples.
-func (s *Space) TupleCount() int { return s.count }
+func (s *Space) TupleCount() int { return int(s.count) }
 
 // Out inserts a tuple. It fails if the tuple is oversized or the arena is
 // full; per the paper the operation is atomic — it either fully inserts or
@@ -77,7 +78,7 @@ func (s *Space) Out(t Tuple) error {
 	if sz > MaxTupleBytes {
 		return fmt.Errorf("%w (%d bytes)", ErrTupleTooBig, sz)
 	}
-	if len(s.arena)+sz > s.budget {
+	if len(s.arena)+sz > int(s.budget) {
 		return fmt.Errorf("%w: %d used of %d, need %d", ErrSpaceFull, len(s.arena), s.budget, sz)
 	}
 	s.arena = t.Marshal(s.arena)
@@ -88,8 +89,28 @@ func (s *Space) Out(t Tuple) error {
 	return nil
 }
 
+// Lookup finds the first tuple matching the template, decodes its fields
+// onto dst and, when remove is set, removes it from the space. The
+// boolean reports whether a match was found. The returned tuple's fields
+// are dst's storage: a dst with room for MaxTupleBytes fields makes the
+// lookup allocation-free, and the tuple is the caller's only until it
+// reuses dst. The vm.Host tuple instructions look up through here.
+func (s *Space) Lookup(p Template, remove bool, dst []Value) (Tuple, bool) {
+	off, sz, ok := s.find(p, 0)
+	if !ok {
+		return Tuple{}, false
+	}
+	var t Tuple
+	t.Fields, _, _ = AppendFields(dst, s.arena[off:]) // find decoded this tuple already
+	if remove {
+		s.cut(off, sz, t)
+	}
+	return t, true
+}
+
 // Rdp returns a copy of the first tuple matching the template without
-// removing it. The boolean reports whether a match was found.
+// removing it. The boolean reports whether a match was found. The copy
+// is the caller's to keep.
 func (s *Space) Rdp(p Template) (Tuple, bool) {
 	off, _, ok := s.find(p, 0)
 	if !ok {
@@ -98,7 +119,8 @@ func (s *Space) Rdp(p Template) (Tuple, bool) {
 	return s.at(off), true
 }
 
-// Inp removes and returns the first tuple matching the template.
+// Inp removes and returns the first tuple matching the template, a copy
+// the caller may keep.
 func (s *Space) Inp(p Template) (Tuple, bool) {
 	off, sz, ok := s.find(p, 0)
 	if !ok {

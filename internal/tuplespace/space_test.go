@@ -294,9 +294,9 @@ func TestArenaInvariantProperty(t *testing.T) {
 }
 
 // TestLookupAllocatesOnlyWhatItReturns pins the allocation-free lookup:
-// tuples are matched in a scratch array on the stack, so a miss, a count
-// and a Drop allocate nothing and a hit allocates only the tuple it hands
-// back.
+// tuples are matched in a scratch array on the stack and a Lookup hit is
+// decoded onto the caller's buffer, so every lookup allocates nothing;
+// only Rdp and Inp, which hand back a copy to keep, allocate that copy.
 func TestLookupAllocatesOnlyWhatItReturns(t *testing.T) {
 	s := NewSpace(0)
 	for i := int16(0); i < 10; i++ {
@@ -307,13 +307,27 @@ func TestLookupAllocatesOnlyWhatItReturns(t *testing.T) {
 	miss := Tmpl(Str("tmp"), Int(99), TypeV(TypeLocation))
 	hit := Tmpl(Str("tmp"), Int(9), TypeV(TypeLocation))
 	all := Tmpl(Str("tmp"), TypeV(TypeValue), TypeV(TypeLocation))
+	var buf [MaxTupleBytes]Value
 	for _, tc := range []struct {
 		name string
 		op   func()
 		want float64
 	}{
+		{"Lookup miss", func() { s.Lookup(miss, false, buf[:0]) }, 0},
+		{"Lookup hit", func() {
+			if got, ok := s.Lookup(hit, false, buf[:0]); !ok || !hit.Matches(got) {
+				t.Fatalf("Lookup hit = %v, %v", got, ok)
+			}
+		}, 0},
+		{"Lookup remove then Out", func() {
+			got, ok := s.Lookup(hit, true, buf[:0])
+			if !ok {
+				t.Fatal("Lookup remove missed")
+			}
+			_ = s.Out(got)
+		}, 0},
 		{"Rdp miss", func() { s.Rdp(miss) }, 0},
-		{"Rdp hit", func() { s.Rdp(hit) }, 1},
+		{"Rdp hit", func() { s.Rdp(hit) }, 1}, // the copy it returns
 		{"Inp miss", func() { s.Inp(miss) }, 0},
 		{"Count", func() {
 			if s.Count(all) != 10 {

@@ -154,10 +154,12 @@ func (a *Agent) PopLoc() (tuplespace.Value, error) {
 	return v, nil
 }
 
-// PopFields pops a field-count integer and then that many fields, used by
-// the tuple and template instructions. Fields are returned in push order
-// (the first field pushed is field 0), matching Figures 2, 8, and 13.
-func (a *Agent) PopFields() ([]tuplespace.Value, error) {
+// PopFields pops a field-count integer and then that many fields into
+// buf, used by the tuple and template instructions, and returns them as a
+// view of buf. Fields are in push order (the first field pushed is field
+// 0), matching Figures 2, 8, and 13. The count is at most the stack
+// depth, so buf always has room.
+func (a *Agent) PopFields(buf *[StackDepth]tuplespace.Value) ([]tuplespace.Value, error) {
 	n, err := a.PopInt()
 	if err != nil {
 		return nil, err
@@ -165,15 +167,8 @@ func (a *Agent) PopFields() ([]tuplespace.Value, error) {
 	if n < 0 || int(n) > a.sp {
 		return nil, fmt.Errorf("%w: field count %d with stack depth %d", ErrStackUnderflow, n, a.sp)
 	}
-	fields := make([]tuplespace.Value, n)
-	for i := int(n) - 1; i >= 0; i-- {
-		v, err := a.Pop()
-		if err != nil {
-			return nil, err
-		}
-		fields[i] = v
-	}
-	return fields, nil
+	a.sp -= int(n)
+	return buf[:copy(buf[:], a.stack[a.sp:a.sp+int(n)])], nil
 }
 
 // PushFields pushes fields in order followed by the count, the inverse of

@@ -90,7 +90,7 @@ func TestPopFieldsOrder(t *testing.T) {
 	if err := a.Push(ts.Int(2)); err != nil {
 		t.Fatal(err)
 	}
-	fields, err := a.PopFields()
+	fields, err := a.PopFields(new([StackDepth]ts.Value))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestPopFieldsUnderflow(t *testing.T) {
 	if err := a.Push(ts.Int(3)); err != nil { // claims 3 fields, none present
 		t.Fatal(err)
 	}
-	if _, err := a.PopFields(); !errors.Is(err, ErrStackUnderflow) {
+	if _, err := a.PopFields(new([StackDepth]ts.Value)); !errors.Is(err, ErrStackUnderflow) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -118,7 +118,7 @@ func TestPushFieldsRoundTrip(t *testing.T) {
 	if err := a.PushFields(in); err != nil {
 		t.Fatal(err)
 	}
-	out, err := a.PopFields()
+	out, err := a.PopFields(new([StackDepth]ts.Value))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestFieldsRoundTripProperty(t *testing.T) {
 		if err := a.PushFields(in); err != nil {
 			return false
 		}
-		out, err := a.PopFields()
+		out, err := a.PopFields(new([StackDepth]ts.Value))
 		if err != nil || len(out) != len(in) {
 			return false
 		}

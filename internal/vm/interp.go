@@ -15,6 +15,12 @@ import (
 // the local tuple space manager, and the reaction registry. Asynchronous
 // services (migration, remote tuple space operations) are requested
 // through the Outcome instead.
+//
+// A tuple or template passed to a Host method is valid only during the
+// call: its fields are the host's Scratch, which the next tuple
+// instruction overwrites. The callee copies whatever it keeps — the
+// tuple space its encoding, the registry its template, a reaction firing
+// its tuple.
 type Host interface {
 	// Loc returns this node's location (the loc instruction).
 	Loc() topology.Location
@@ -30,15 +36,31 @@ type Host interface {
 	// SetLED drives the mote's LEDs (putled).
 	SetLED(v int16)
 
-	// Local tuple space operations.
+	// Scratch returns the storage the tuple instructions run on this
+	// host work in. Instructions on one host never nest, so every agent
+	// it runs may share one; it is never per agent.
+	Scratch() *Scratch
+
+	// Local tuple space operations. TSInp and TSRdp append the fields of
+	// the tuple they find to dst and return it: it is dst's storage.
 	TSOut(t tuplespace.Tuple) error
-	TSInp(p tuplespace.Template) (tuplespace.Tuple, bool)
-	TSRdp(p tuplespace.Template) (tuplespace.Tuple, bool)
+	TSInp(p tuplespace.Template, dst []tuplespace.Value) (tuplespace.Tuple, bool)
+	TSRdp(p tuplespace.Template, dst []tuplespace.Value) (tuplespace.Tuple, bool)
 	TSCount(p tuplespace.Template) int
 
 	// Reaction registry operations for the executing agent.
 	RegisterReaction(r tuplespace.Reaction) error
 	DeregisterReaction(agentID uint16, p tuplespace.Template) bool
+}
+
+// Scratch is what a tuple instruction works in instead of the heap:
+// Fields receives the fields it pops (PopFields), Hit the tuple a lookup
+// finds (TSInp, TSRdp). Its contents last one instruction. An Outcome
+// whose Block, Tuple or Template it backs must be copied by the engine
+// before the host runs its next instruction.
+type Scratch struct {
+	Fields [StackDepth]tuplespace.Value
+	Hit    [tuplespace.MaxTupleBytes]tuplespace.Value
 }
 
 // Effect tells the engine what to do after an instruction.
@@ -106,6 +128,7 @@ type Outcome struct {
 
 	// Block describes the unsatisfied template for EffectBlocked, and
 	// BlockRemove whether the retry should remove (in) or copy (rd).
+	// Block, Tuple and Template are views of the host's Scratch.
 	Block       tuplespace.Template
 	BlockRemove bool
 
@@ -505,7 +528,7 @@ func execNeighbor(in *inst, a *Agent, h Host, _ *Outcome) (uint16, error) {
 // condition rather than killing the agent; resource exhaustion is an
 // expected condition on a mote.
 func execOut(in *inst, a *Agent, h Host, _ *Outcome) (uint16, error) {
-	fields, err := a.PopFields()
+	fields, err := a.PopFields(&h.Scratch().Fields)
 	if err != nil {
 		return 0, err
 	}
@@ -519,7 +542,8 @@ func execOut(in *inst, a *Agent, h Host, _ *Outcome) (uint16, error) {
 // arrives (§3.4). A hit pushes the tuple's fields and count.
 func execRead(in *inst, a *Agent, h Host, out *Outcome) (uint16, error) {
 	sp := a.snapshotSP()
-	fields, err := a.PopFields()
+	sc := h.Scratch()
+	fields, err := a.PopFields(&sc.Fields)
 	if err != nil {
 		return 0, err
 	}
@@ -528,9 +552,9 @@ func execRead(in *inst, a *Agent, h Host, out *Outcome) (uint16, error) {
 	var t tuplespace.Tuple
 	var found bool
 	if remove {
-		t, found = h.TSInp(p)
+		t, found = h.TSInp(p, sc.Hit[:0])
 	} else {
-		t, found = h.TSRdp(p)
+		t, found = h.TSRdp(p, sc.Hit[:0])
 	}
 	switch {
 	case found:
@@ -546,7 +570,7 @@ func execRead(in *inst, a *Agent, h Host, out *Outcome) (uint16, error) {
 }
 
 func execTcount(in *inst, a *Agent, h Host, _ *Outcome) (uint16, error) {
-	fields, err := a.PopFields()
+	fields, err := a.PopFields(&h.Scratch().Fields)
 	if err != nil {
 		return 0, err
 	}
@@ -564,7 +588,7 @@ func execRegrxn(in *inst, a *Agent, h Host, _ *Outcome) (uint16, error) {
 	if addr < 0 || int(addr) >= len(a.Code) {
 		return 0, fmt.Errorf("%w: reaction address %d", ErrBadPC, addr)
 	}
-	fields, err := a.PopFields()
+	fields, err := a.PopFields(&h.Scratch().Fields)
 	if err != nil {
 		return 0, err
 	}
@@ -574,7 +598,7 @@ func execRegrxn(in *inst, a *Agent, h Host, _ *Outcome) (uint16, error) {
 }
 
 func execDeregrxn(in *inst, a *Agent, h Host, _ *Outcome) (uint16, error) {
-	fields, err := a.PopFields()
+	fields, err := a.PopFields(&h.Scratch().Fields)
 	if err != nil {
 		return 0, err
 	}
@@ -604,12 +628,12 @@ func execMigrate(in *inst, a *Agent, _ Host, out *Outcome) (uint16, error) {
 
 // execRemote: rout sends the tuple, rinp and rrdp the template, popped
 // from beneath the destination.
-func execRemote(in *inst, a *Agent, _ Host, out *Outcome) (uint16, error) {
+func execRemote(in *inst, a *Agent, h Host, out *Outcome) (uint16, error) {
 	dest, err := a.PopLoc()
 	if err != nil {
 		return 0, err
 	}
-	fields, err := a.PopFields()
+	fields, err := a.PopFields(&h.Scratch().Fields)
 	if err != nil {
 		return 0, err
 	}

@@ -18,6 +18,7 @@ type mockHost struct {
 	space     *ts.Space
 	registry  *ts.Registry
 	led       int16
+	scratch   Scratch
 	randSeq   []int16
 	randIdx   int
 }
@@ -58,11 +59,16 @@ func (m *mockHost) Sense(s ts.SensorType) (int16, bool) {
 
 func (m *mockHost) SetLED(v int16) { m.led = v }
 
+func (m *mockHost) Scratch() *Scratch                    { return &m.scratch }
 func (m *mockHost) TSOut(t ts.Tuple) error               { return m.space.Out(t) }
-func (m *mockHost) TSInp(p ts.Template) (ts.Tuple, bool) { return m.space.Inp(p) }
-func (m *mockHost) TSRdp(p ts.Template) (ts.Tuple, bool) { return m.space.Rdp(p) }
 func (m *mockHost) TSCount(p ts.Template) int            { return m.space.Count(p) }
 func (m *mockHost) RegisterReaction(r ts.Reaction) error { return m.registry.Register(r) }
+func (m *mockHost) TSInp(p ts.Template, dst []ts.Value) (ts.Tuple, bool) {
+	return m.space.Lookup(p, true, dst)
+}
+func (m *mockHost) TSRdp(p ts.Template, dst []ts.Value) (ts.Tuple, bool) {
+	return m.space.Lookup(p, false, dst)
+}
 func (m *mockHost) DeregisterReaction(id uint16, p ts.Template) bool {
 	return m.registry.Deregister(id, p)
 }
@@ -388,7 +394,7 @@ func TestOutInpRdpLocal(t *testing.T) {
 	if a.Condition != 1 {
 		t.Fatal("rdp did not match")
 	}
-	fields, err := a.PopFields()
+	fields, err := a.PopFields(new([StackDepth]ts.Value))
 	if err != nil || len(fields) != 2 || fields[0].Name() != "fir" {
 		t.Fatalf("rdp result = %v, %v", fields, err)
 	}
@@ -441,7 +447,7 @@ func TestBlockingInBlocksAndRetries(t *testing.T) {
 	if out.Effect != EffectNone || a.Condition != 1 {
 		t.Fatalf("retry: %v cond=%d", out.Effect, a.Condition)
 	}
-	fields, err := a.PopFields()
+	fields, err := a.PopFields(new([StackDepth]ts.Value))
 	if err != nil || len(fields) != 1 || fields[0].A != 9 {
 		t.Fatalf("retry result = %v", fields)
 	}

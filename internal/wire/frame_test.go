@@ -234,8 +234,8 @@ func fuzzDecode(t *testing.T, b []byte) {
 			}
 		case 4, 5:
 			if env, err := DecodeEnvelope(fr.Payload); err == nil {
-				_, _ = DecodeRemoteRequest(env.Body)
-				_, _ = DecodeRemoteReply(env.Body)
+				_, _ = DecodeRemoteRequest(env.Body, nil)
+				_, _ = DecodeRemoteReply(env.Body, nil)
 			}
 		case 6:
 			_, _ = DecodeReplicaDigest(fr.Payload)

@@ -42,10 +42,10 @@ var payloadCodecs = []payloadCodec{
 	codec("beacon", DecodeBeacon, infallible(Beacon.Append), Beacon{NumAgents: 3}),
 	codec("envelope", DecodeEnvelope, infallible(Envelope.Append),
 		Envelope{Src: topology.Loc(1, 2), Dst: topology.Loc(5, 1), TTL: 12, Kind: 4, Body: []byte{1, 2, 3}}),
-	codec("remote request", DecodeRemoteRequest, infallible(RemoteRequest.Append),
+	codec("remote request", func(b []byte) (RemoteRequest, error) { return DecodeRemoteRequest(b, nil) }, infallible(RemoteRequest.Append),
 		RemoteRequest{ReqID: 9, Op: OpRout, ReplyTo: topology.Loc(2, 3), Tuple: tuplespace.T(tuplespace.Str("fir"), tuplespace.Int(4))},
 		RemoteRequest{ReqID: 10, Op: OpRinp, Template: tuplespace.Tmpl(tuplespace.TypeV(tuplespace.TypeLocation))}),
-	codec("remote reply", DecodeRemoteReply, infallible(RemoteReply.Append),
+	codec("remote reply", func(b []byte) (RemoteReply, error) { return DecodeRemoteReply(b, nil) }, infallible(RemoteReply.Append),
 		RemoteReply{ReqID: 4, OK: true, Tuple: tuplespace.T(tuplespace.LocV(topology.Loc(3, 3)))},
 		RemoteReply{ReqID: 5}),
 	codec("replica digest", DecodeReplicaDigest, infallible(ReplicaDigest.Append),

@@ -63,27 +63,28 @@ func (r RemoteRequest) Append(dst []byte) []byte {
 	return r.Template.Marshal(dst)
 }
 
-// DecodeRemoteRequest parses a request.
-func DecodeRemoteRequest(b []byte) (RemoteRequest, error) {
+// DecodeRemoteRequest parses a request, appending the fields of its tuple
+// or template to fields: the request's Tuple or Template is fields'
+// storage. A fields buffer with room for tuplespace.MaxTupleBytes values
+// makes the decode allocation-free.
+func DecodeRemoteRequest(b []byte, fields []tuplespace.Value) (RemoteRequest, error) {
 	if len(b) < 9 {
 		return RemoteRequest{}, fmt.Errorf("%w: short remote request", ErrBadMessage)
 	}
 	r := RemoteRequest{Op: RemoteOp(b[0]), ReqID: get16(b[1:]), ReplyTo: getLoc(b[3:])}
-	switch r.Op {
-	case OpRout:
-		t, _, err := tuplespace.UnmarshalTuple(b[8:])
-		if err != nil {
-			return RemoteRequest{}, fmt.Errorf("%w: remote request tuple: %v", ErrBadMessage, err)
-		}
-		r.Tuple = t
-	case OpRinp, OpRrdp:
-		p, _, err := tuplespace.UnmarshalTemplate(b[8:])
-		if err != nil {
-			return RemoteRequest{}, fmt.Errorf("%w: remote request template: %v", ErrBadMessage, err)
-		}
-		r.Template = p
-	default:
+	if r.Op != OpRout && r.Op != OpRinp && r.Op != OpRrdp {
 		return RemoteRequest{}, fmt.Errorf("%w: unknown remote op %d", ErrBadMessage, b[0])
+	}
+	fields, _, err := tuplespace.AppendFields(fields, b[8:])
+	switch {
+	case err != nil && r.Op == OpRout:
+		return RemoteRequest{}, fmt.Errorf("%w: remote request tuple: %v", ErrBadMessage, err)
+	case err != nil:
+		return RemoteRequest{}, fmt.Errorf("%w: remote request template: %v", ErrBadMessage, err)
+	case r.Op == OpRout:
+		r.Tuple.Fields = fields
+	default:
+		r.Template.Fields = fields
 	}
 	return r, nil
 }
@@ -116,19 +117,20 @@ func (r RemoteReply) Append(dst []byte) []byte {
 	return dst
 }
 
-// DecodeRemoteReply parses a reply. Only a successful reply carries a
+// DecodeRemoteReply parses a reply, appending the fields of its tuple to
+// fields as DecodeRemoteRequest does. Only a successful reply carries a
 // tuple: bytes past the header of a failed one are ignored.
-func DecodeRemoteReply(b []byte) (RemoteReply, error) {
+func DecodeRemoteReply(b []byte, fields []tuplespace.Value) (RemoteReply, error) {
 	if len(b) < 4 || b[0] != 1 {
 		return RemoteReply{}, fmt.Errorf("%w: bad remote reply", ErrBadMessage)
 	}
 	r := RemoteReply{ReqID: get16(b[1:]), OK: b[3] == 1}
 	if r.OK && len(b) > 4 {
-		t, _, err := tuplespace.UnmarshalTuple(b[4:])
+		fields, _, err := tuplespace.AppendFields(fields, b[4:])
 		if err != nil {
 			return RemoteReply{}, fmt.Errorf("%w: remote reply tuple: %v", ErrBadMessage, err)
 		}
-		r.Tuple = t
+		r.Tuple.Fields = fields
 	}
 	return r, nil
 }

@@ -221,7 +221,7 @@ func TestRemoteRequestRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := DecodeRemoteRequest(tt.req.Encode())
+			got, err := DecodeRemoteRequest(tt.req.Encode(), nil)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -270,7 +270,7 @@ func TestRemoteReplyRoundTrip(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			got, err := DecodeRemoteReply(tt.reply.Encode())
+			got, err := DecodeRemoteReply(tt.reply.Encode(), nil)
 			if err != nil {
 				t.Fatalf("decode: %v", err)
 			}
@@ -323,10 +323,10 @@ func TestDecodeErrors(t *testing.T) {
 			append([]byte{byte(MsgStack), 0, 0, 0, 0, 0, 1, 99}, make([]byte, 22)...)},
 		{"reaction short", func(b []byte) error { _, err := DecodeReaction(b); return err }, []byte{byte(MsgReaction)}},
 		{"ack short", func(b []byte) error { _, err := DecodeAck(b); return err }, []byte{byte(MsgAck), 1, 2}},
-		{"remote request empty", func(b []byte) error { _, err := DecodeRemoteRequest(b); return err }, nil},
-		{"remote request bad op", func(b []byte) error { _, err := DecodeRemoteRequest(b); return err },
+		{"remote request empty", func(b []byte) error { _, err := DecodeRemoteRequest(b, nil); return err }, nil},
+		{"remote request bad op", func(b []byte) error { _, err := DecodeRemoteRequest(b, nil); return err },
 			[]byte{9, 0, 1, 0, 0, 0, 0, 0, 0}},
-		{"remote reply short", func(b []byte) error { _, err := DecodeRemoteReply(b); return err }, []byte{1, 2}},
+		{"remote reply short", func(b []byte) error { _, err := DecodeRemoteReply(b, nil); return err }, []byte{1, 2}},
 		{"beacon short", func(b []byte) error { _, err := DecodeBeacon(b); return err }, []byte{1}},
 		{"envelope short", func(b []byte) error { _, err := DecodeEnvelope(b); return err }, make([]byte, 5)},
 		{"type empty", func(b []byte) error { _, err := Type(b); return err }, nil},

@@ -51,6 +51,7 @@ func (rc *RemoteClient) do(op wire.RemoteOp, dest Location, t Tuple, p Template)
 	var reply *wire.RemoteReply
 	var opErr error
 	rc.nw.d.Base.RemoteOp(op, dest, t, p, func(r wire.RemoteReply, err error) {
+		r.Tuple = ownTuple(r.Tuple) // the reply's tuple is valid only during the callback
 		reply, opErr = &r, err
 	})
 	// The remote manager resolves (reply or timeout failure) within the
@@ -128,7 +129,7 @@ func (rc *RemoteClient) Query(p Template) ([]Match, error) {
 		rc.nw.d.Base.RemoteOp(wire.OpRrdp, loc, Tuple{}, p, func(r wire.RemoteReply, err error) {
 			remaining--
 			if err == nil && r.OK {
-				byLoc[loc] = r.Tuple
+				byLoc[loc] = ownTuple(r.Tuple)
 			}
 		})
 	}

@@ -41,8 +41,9 @@ func (sp Space) Out(t Tuple) error {
 	return n.Space().Out(t)
 }
 
-// Rdp copies the first tuple matching the template without removing it,
-// reporting whether a match was found.
+// Rdp returns a copy of the first tuple matching the template without
+// removing it, reporting whether a match was found. The copy is the
+// caller's: it shares no storage with the space.
 func (sp Space) Rdp(p Template) (Tuple, bool) {
 	n := sp.nw.d.Node(sp.loc)
 	if n == nil {
@@ -51,7 +52,9 @@ func (sp Space) Rdp(p Template) (Tuple, bool) {
 	return n.Space().Rdp(p)
 }
 
-// Inp removes and returns the first tuple matching the template.
+// Inp removes the first tuple matching the template and returns it,
+// reporting whether a match was found. Like Rdp's, the tuple is the
+// caller's own copy.
 func (sp Space) Inp(p Template) (Tuple, bool) {
 	n := sp.nw.d.Node(sp.loc)
 	if n == nil {
