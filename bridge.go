@@ -39,7 +39,10 @@ type BridgePeer struct {
 	// datagram sockets, "tcp:host:port" for a lossless stream link,
 	// "loop:name" for the in-memory loopback transport.
 	Addr string
-	// Locations are the layout coordinates the peer owns.
+	// Locations are the layout coordinates the peer owns. They may
+	// also name coordinates off the layout: a mote of the peer's that
+	// moves stays bridged only when it moves to a coordinate listed
+	// here, since this process drops frames from any other as spoofed.
 	Locations []Location
 }
 

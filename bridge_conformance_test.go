@@ -51,8 +51,9 @@ func confSplit() (aOwned, bOwned []Location) {
 // newBridgedPair builds the two half-networks over the given transport
 // addresses and wires A's idle hook to co-drive B, so driving A (WarmUp,
 // Run, RemoteClient calls) advances both halves in lockstep quanta. All
-// workload initiation goes through A; B follows.
-func newBridgedPair(t *testing.T, addrA, addrB string, idleExtra func()) (a, b *Network) {
+// workload initiation goes through A; B follows. B's peer entry for A
+// lists alsoA beside A's columns and base.
+func newBridgedPair(t *testing.T, addrA, addrB string, idleExtra func(), alsoA ...Location) (a, b *Network) {
 	t.Helper()
 	aOwned, bOwned := confSplit()
 	var err error
@@ -75,7 +76,7 @@ func newBridgedPair(t *testing.T, addrA, addrB string, idleExtra func()) (a, b *
 		WithTransportBridge(BridgeConfig{
 			Listen:  addrB,
 			BaseLoc: &confBBase,
-			Peers:   []BridgePeer{{Addr: addrA, Locations: append(aOwned, Loc(0, 0))}},
+			Peers:   []BridgePeer{{Addr: addrA, Locations: append(append(aOwned, Loc(0, 0)), alsoA...)}},
 		}),
 	)
 	if err != nil {

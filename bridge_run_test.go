@@ -184,3 +184,35 @@ func TestBridgeMoveRules(t *testing.T) {
 		t.Fatalf("B injected the beacons of a mote at %v, which it knows no peer owns", off)
 	}
 }
+
+// TestBridgeDeclaredMove pins a move the peer was told of: B lists the
+// off-field (7,2) as A's, so once A's mote at (1,2) moves there the
+// border carries it both ways. B injects the moved mote's beacons as
+// from a peer-owned neighbour (none spoofed), and A injects B's beacons
+// to it, where it counted them misrouted while nothing was attached at
+// (7,2); the moved mote lists B's (6,2) as a neighbour.
+func TestBridgeDeclaredMove(t *testing.T) {
+	from, off, beside := Loc(1, 2), Loc(confW+1, 2), Loc(confW, 2)
+	a, b := newBridgedPair(t, "loop:declared-a", "loop:declared-b", nil, off)
+	a.Script(MoveAt(a.Now()+time.Millisecond, from, off))
+	if err := a.Run(2 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if ws := a.WorldStats(); ws.Rejected != 0 || ws.Moves != 1 {
+		t.Fatalf("move to declared %v: world stats %+v, want the move applied", off, ws)
+	}
+	misrouted := a.Bridge().Stats().Misrouted
+	if err := a.Run(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if !a.d.Node(off).Net().Acquaintances().Contains(beside) {
+		t.Fatalf("the mote moved to %v hears %v, not B's %v",
+			off, a.d.Node(off).Net().Acquaintances().Neighbors(), beside)
+	}
+	if st := a.Bridge().Stats(); st.Misrouted != misrouted || st.Injected == 0 {
+		t.Fatalf("A's bridge stats after the move %+v: misrouted grew from %d, or nothing was injected", st, misrouted)
+	}
+	if sp := b.Bridge().Stats().Spoofed; sp != 0 {
+		t.Fatalf("B counted %d spoofed frames from a mote it lists as A's, want 0", sp)
+	}
+}

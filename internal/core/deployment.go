@@ -347,12 +347,7 @@ func (d *Deployment) Node(loc topology.Location) *Node { return d.nodes[loc] }
 // Nodes returns all nodes (including the base) sorted by location.
 func (d *Deployment) Nodes() []*Node {
 	out := append([]*Node(nil), d.order...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].loc.Y != out[j].loc.Y {
-			return out[i].loc.Y < out[j].loc.Y
-		}
-		return out[i].loc.X < out[j].loc.X
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].loc.Compare(out[j].loc) < 0 })
 	return out
 }
 

@@ -41,8 +41,7 @@ type inKey struct {
 // compare orders inbound transfers by agent, sequence number and sender
 // ((Y,X) order), the order a crash reports their agents' deaths in.
 func (k inKey) compare(o inKey) int {
-	return cmp.Or(cmp.Compare(k.agentID, o.agentID), cmp.Compare(k.seq, o.seq),
-		cmp.Compare(k.from.Y, o.from.Y), cmp.Compare(k.from.X, o.from.X))
+	return cmp.Or(cmp.Compare(k.agentID, o.agentID), cmp.Compare(k.seq, o.seq), k.from.Compare(o.from))
 }
 
 // A warm hop allocates nothing. The transfer records on both sides come

@@ -12,7 +12,7 @@
 package firesim
 
 import (
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/agilla-go/agilla/internal/topology"
@@ -156,12 +156,7 @@ func (f *Fire) BurningCells(now time.Duration, bounds *Rect) []topology.Location
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Y != out[j].Y {
-			return out[i].Y < out[j].Y
-		}
-		return out[i].X < out[j].X
-	})
+	slices.SortFunc(out, topology.Location.Compare)
 	return out
 }
 

@@ -364,12 +364,7 @@ func (nw *Network) Nodes() []*Node {
 	for _, n := range nw.nodes {
 		out = append(out, n)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].loc.Y != out[j].loc.Y {
-			return out[i].loc.Y < out[j].loc.Y
-		}
-		return out[i].loc.X < out[j].loc.X
-	})
+	sort.Slice(out, func(i, j int) bool { return out[i].loc.Compare(out[j].loc) < 0 })
 	return out
 }
 

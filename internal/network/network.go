@@ -47,7 +47,7 @@ func (a *AcquaintanceList) search(loc topology.Location) (int, bool) {
 	lo, hi := 0, len(a.entries)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if l := a.entries[mid].Loc; l.Y < loc.Y || (l.Y == loc.Y && l.X < loc.X) {
+		if a.entries[mid].Loc.Compare(loc) < 0 {
 			lo = mid + 1
 		} else {
 			hi = mid

@@ -250,7 +250,7 @@ type fanout struct {
 // pos returns the index of the link to to in the (Y,X) order, or where it
 // would be inserted.
 func (fo *fanout) pos(to topology.Location) int {
-	return sort.Search(len(fo.links), func(i int) bool { return !locLess(fo.links[i].to, to) })
+	return sort.Search(len(fo.links), func(i int) bool { return fo.links[i].to.Compare(to) >= 0 })
 }
 
 // find returns the link to to, or nil.
@@ -268,13 +268,6 @@ func (fo *fanout) insert(l link) *link {
 	copy(fo.links[i+1:], fo.links[i:])
 	fo.links[i] = l
 	return &fo.links[i]
-}
-
-func locLess(a, b topology.Location) bool {
-	if a.Y != b.Y {
-		return a.Y < b.Y
-	}
-	return a.X < b.X
 }
 
 // delivery is one frame in flight: the receiver resolved at send time, the
@@ -429,6 +422,15 @@ func (m *Medium) Port(loc topology.Location) *Port {
 	// filled later needs no second bump.
 	m.version++
 	return a
+}
+
+// Attached reports whether the medium holds a port at loc: a receiver
+// was attached there, or a node took the port to attach one, and has not
+// moved away since. A location whose receiver was detached still counts.
+// Unlike Port, it registers nothing.
+func (m *Medium) Attached(loc topology.Location) bool {
+	_, ok := m.att[loc]
+	return ok
 }
 
 // Detach removes the receiver at loc (a dead mote). Fan-outs stay valid:

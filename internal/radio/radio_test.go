@@ -638,7 +638,7 @@ func TestUnicastFindsItsLinkInTheFanout(t *testing.T) {
 			len(fo.links), m.Stats().Links, degree, degree)
 	}
 	for i := 1; i < len(fo.links); i++ {
-		if !locLess(fo.links[i-1].to, fo.links[i].to) {
+		if fo.links[i-1].to.Compare(fo.links[i].to) >= 0 {
 			t.Fatalf("fan-out out of (Y,X) order at %d: %v then %v", i, fo.links[i-1].to, fo.links[i].to)
 		}
 	}

@@ -169,3 +169,28 @@ func TestGridConnectedImpliesAdjacent(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestLocationCompare pins Compare to the (Y, X) order, the extremes of
+// int16 included, where a difference of X coordinates is largest.
+func TestLocationCompare(t *testing.T) {
+	vals := []int16{-32768, -32767, -1, 0, 1, 32766, 32767}
+	for _, ay := range vals {
+		for _, ax := range vals {
+			for _, by := range vals {
+				for _, bx := range vals {
+					a, b := Loc(ax, ay), Loc(bx, by)
+					want := 0
+					switch {
+					case ay < by || ay == by && ax < bx:
+						want = -1
+					case a != b:
+						want = 1
+					}
+					if got := a.Compare(b); (got < 0) != (want < 0) || (got > 0) != (want > 0) {
+						t.Fatalf("%v.Compare(%v) = %d, want the sign of %d", a, b, got, want)
+					}
+				}
+			}
+		}
+	}
+}

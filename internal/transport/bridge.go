@@ -35,6 +35,11 @@ import (
 // scan for its ring would be O(local × remote). A local mote about to
 // move extends the ring around its target first (AttachNear).
 //
+// The peer map is the bridge's only location table. A location with a
+// port in the medium holds a border port if a peer owns it and a local
+// receiver (live or dead) if not, so a mote is local wherever it moves:
+// a peer that lists its new coordinate for this process reaches it.
+//
 // Broadcasts (beacons) reach every connected border port just like every
 // connected mote; each port forwards its copy as a unicast to its own
 // location, so the remote mote at that coordinate hears the beacon
@@ -50,11 +55,7 @@ type Bridge struct {
 	medium *radio.Medium
 	topo   topology.Topology
 	peers  map[topology.Location]Addr
-	local  map[topology.Location]bool
-	// ports holds the locations this bridge attached a border port at:
-	// the ring, then what AttachNear added. Once closed, AttachNear adds
-	// none: the border is down.
-	ports  map[topology.Location]bool
+	// closed: the border is down, so AttachNear adds no port.
 	closed bool
 
 	mu    sync.Mutex
@@ -65,8 +66,8 @@ type Bridge struct {
 type BridgeStats struct {
 	Relayed   uint64 // frames relayed to peers (post radio model)
 	Injected  uint64 // inbound frames delivered into the local medium
-	Stale     uint64 // inbound frames whose destination node is gone
-	Misrouted uint64 // inbound frames for locations this process does not own
+	Stale     uint64 // inbound frames for a receiver attached here and since detached
+	Misrouted uint64 // inbound frames for a peer-owned location, one never attached here, or one a move vacated
 	Spoofed   uint64 // inbound frames from a source no peer owns or out of range of their destination
 	SendErrs  uint64 // transport send failures
 
@@ -149,23 +150,21 @@ func (p *borderPort) ReceiveFrame(f radio.Frame) {
 // peer-owned location on the border ring — a topology neighbour of some
 // local location — or, when the medium's topology cannot enumerate
 // neighbours, at every peer-owned location. local must list every
-// location this process owns (its motes and its base station); peers
-// maps each remote location to the peer process serving it, and stays
-// whole: Owns answers for every entry. The two sets must be disjoint.
+// location this process owns (its motes and its base station); it seeds
+// the ring and is checked against peers, not kept. peers maps each remote
+// location to the peer process serving it, and stays whole: Owns answers
+// for every entry. The two sets must be disjoint.
 func NewBridge(tr Transport, medium *radio.Medium, local []topology.Location, peers map[topology.Location]Addr) (*Bridge, error) {
 	b := &Bridge{
 		tr:     tr,
 		medium: medium,
 		topo:   medium.Topology(),
 		peers:  peers,
-		local:  make(map[topology.Location]bool, len(local)),
-		ports:  make(map[topology.Location]bool),
 	}
 	for _, l := range local {
 		if _, remote := peers[l]; remote {
 			return nil, fmt.Errorf("transport: location %v is both local and remote", l)
 		}
-		b.local[l] = true
 	}
 	if err := tr.Listen(); err != nil {
 		return nil, err
@@ -192,7 +191,7 @@ func NewBridge(tr Transport, medium *radio.Medium, local []topology.Location, pe
 		for l := range peers {
 			ring = append(ring, l)
 		}
-		sortLocs(ring)
+		slices.SortFunc(ring, topology.Location.Compare)
 	}
 	if err := b.attach(ring); err != nil {
 		tr.Close()
@@ -202,19 +201,18 @@ func NewBridge(tr Transport, medium *radio.Medium, local []topology.Location, pe
 }
 
 // near returns the peer-owned locations without a port yet that a radio
-// at one of from reaches, in (Y, X) order; ok is false when the topology
+// at one of from reaches, in (Y, X) order, so attach order follows
+// neither map nor enumeration order; ok is false when the topology
 // cannot enumerate the neighbours of some location in from.
 func (b *Bridge) near(from []topology.Location) (out []topology.Location, ok bool) {
 	en, ok := b.topo.(topology.NeighborEnumerator)
 	if !ok {
 		return nil, false
 	}
-	seen := make(map[topology.Location]bool)
 	var src topology.Location
 	visit := func(c topology.Location) {
-		if _, remote := b.peers[c]; remote && !seen[c] && !b.ports[c] && b.topo.Connected(src, c) {
-			seen[c] = true
-			out = append(out, c)
+		if _, remote := b.peers[c]; remote && !b.medium.Attached(c) && b.topo.Connected(src, c) {
+			out = append(out, c) // a location beside two of from comes twice
 		}
 	}
 	for _, src = range from {
@@ -222,19 +220,8 @@ func (b *Bridge) near(from []topology.Location) (out []topology.Location, ok boo
 			return nil, false
 		}
 	}
-	sortLocs(out)
-	return out, true
-}
-
-// sortLocs orders locations by (Y, X): attach order must not follow map
-// or enumeration order.
-func sortLocs(ls []topology.Location) {
-	slices.SortFunc(ls, func(a, b topology.Location) int {
-		if a.Y != b.Y {
-			return int(a.Y) - int(b.Y)
-		}
-		return int(a.X) - int(b.X)
-	})
+	slices.SortFunc(out, topology.Location.Compare)
+	return slices.Compact(out), true
 }
 
 // attach puts a border port at each of locs.
@@ -243,7 +230,6 @@ func (b *Bridge) attach(locs []topology.Location) error {
 		if err := b.medium.Attach(l, &borderPort{b: b, loc: l, peer: b.peers[l]}); err != nil {
 			return fmt.Errorf("transport: border port at %v: %v", l, err)
 		}
-		b.ports[l] = true
 	}
 	return nil
 }
@@ -275,9 +261,10 @@ func (b *Bridge) Pump() int {
 		if !ok {
 			break
 		}
-		// b.local, b.peers and the topology are not written while the
-		// host pumps: only the counters need the lock.
-		local := b.local[wf.Dst]
+		// The medium, b.peers and the topology are not written while
+		// the host pumps: only the counters need the lock.
+		_, remote := b.peers[wf.Dst]
+		local := !remote && b.medium.Attached(wf.Dst)
 		spoofed := local && !b.fromPeer(wf.Src, wf.Dst)
 		f := radio.Frame{Kind: radio.FrameKind(wf.Kind), Src: wf.Src, Dst: wf.Dst, Payload: wf.Payload}
 		injected := local && !spoofed && b.medium.Inject(f)
@@ -323,12 +310,13 @@ func (b *Bridge) Stats() BridgeStats {
 // complement BridgeStats).
 func (b *Bridge) Transport() Transport { return b.tr }
 
-// Close detaches the border ports it attached and closes the transport.
-// Like Pump, host-only: Detach mutates the attachment table.
+// Close detaches the border ports it attached — every peer-owned
+// location the medium has a port at — and closes the transport. Like
+// Pump, host-only: Detach mutates the attachment table.
 func (b *Bridge) Close() error {
 	b.closed = true
-	for l := range b.ports {
-		b.medium.Detach(l)
+	for l := range b.peers {
+		b.medium.Detach(l) // a no-op off the ring
 	}
 	return b.tr.Close()
 }

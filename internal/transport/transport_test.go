@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"maps"
 	"net"
 	"os"
 	"runtime"
@@ -916,10 +915,10 @@ func TestBridgeAttachesRing(t *testing.T) {
 		if len(want) != 20 {
 			t.Fatalf("diag=%v: brute force found a ring of %d, want the 20 motes of column 21", diag, len(want))
 		}
-		if !maps.Equal(br.ports, want) {
-			t.Fatalf("diag=%v: ports at %v, want the ring %v", diag, br.ports, want)
-		}
 		for r := range peers {
+			if med.Attached(r) != want[r] {
+				t.Fatalf("diag=%v: port at %v is %v, want %v (the ring %v)", diag, r, med.Attached(r), want[r], want)
+			}
 			if !br.Owns(r) {
 				t.Fatalf("diag=%v: Owns(%v) = false for a peer-owned location off the ring", diag, r)
 			}
@@ -939,11 +938,8 @@ func TestBridgeDiskAttachesAll(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer br.Close()
-	if len(br.ports) != len(peers) {
-		t.Fatalf("%d ports for %d peer-owned locations, want one at each", len(br.ports), len(peers))
-	}
 	for r := range peers {
-		if !br.ports[r] {
+		if !med.Attached(r) {
 			t.Fatalf("no port at peer-owned %v", r)
 		}
 	}
@@ -963,13 +959,21 @@ func TestBridgeAttachNear(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer br.Close()
-	ring := len(br.ports)
+	ports := func() (at []topology.Location) {
+		for r := range peers {
+			if med.Attached(r) {
+				at = append(at, r)
+			}
+		}
+		return at
+	}
+	ring := len(ports())
 	for range 2 {
 		if err := br.AttachNear(topology.Loc(9, 2)); err != nil {
 			t.Fatal(err)
 		}
-		if !br.ports[topology.Loc(8, 2)] || len(br.ports) != ring+1 {
-			t.Fatalf("after AttachNear(9,2): ports %v, want the ring of %d plus (8,2)", br.ports, ring)
+		if at := ports(); !med.Attached(topology.Loc(8, 2)) || len(at) != ring+1 {
+			t.Fatalf("after AttachNear(9,2): ports %v, want the ring of %d plus (8,2)", at, ring)
 		}
 	}
 }

@@ -150,6 +150,9 @@ func (nw *Network) WorldStats() WorldStats { return nw.d.WorldStats() }
 // network a move onto a coordinate a peer owns is rejected at once, and
 // a move elsewhere first extends the border ring around its target, so
 // the moved mote's radio reaches the peer-owned coordinates beside it.
+// The mote stays bridged only when it moves to a coordinate its peers'
+// BridgePeer.Locations list for this process: a peer drops frames from
+// any other coordinate as spoofed.
 func (nw *Network) Script(events ...WorldEvent) {
 	for _, e := range events {
 		switch e.Kind {
