@@ -2,6 +2,7 @@ package network
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -398,6 +399,32 @@ func TestBeaconSendReceiveAllocatesNothing(t *testing.T) {
 	}
 	if ns := b.Acquaintances().Neighbors(); len(ns) != 1 || ns[0].Loc != a.Self() || ns[0].NumAgents != 2 {
 		t.Fatalf("receiver's acquaintances = %+v, want %v with 2 agents", ns, a.Self())
+	}
+}
+
+// TestFirstBeaconsAllocateNothing: a stack's acquaintance list is built
+// with room for its topology degree, so hearing each of its neighbours
+// for the first time allocates nothing.
+func TestFirstBeaconsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	_, _, stacks := testNet(t, 3, 3, Config{})
+	st := stacks[topology.Loc(2, 2)]
+	beacon := wire.Beacon{NumAgents: 1}.Append(nil)
+	nbrs := []topology.Location{topology.Loc(2, 1), topology.Loc(1, 2), topology.Loc(3, 2), topology.Loc(2, 3)}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, n := range nbrs {
+		st.HandleFrame(radio.Frame{Src: n, Dst: radio.Broadcast, Kind: radio.KindBeacon, Payload: beacon})
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.Mallocs - before.Mallocs; got != 0 {
+		t.Errorf("hearing %d neighbours for the first time allocates %d objects, want 0", len(nbrs), got)
+	}
+	if got := st.Acquaintances().Neighbors(); len(got) != len(nbrs) {
+		t.Fatalf("acquaintances = %+v, want the %d neighbours", got, len(nbrs))
 	}
 }
 

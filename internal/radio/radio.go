@@ -200,12 +200,15 @@ type Stats struct {
 // Port is one location's attachment to the medium: its receiver (nil
 // until Attach and after Detach — the context outlives the node so
 // in-flight traffic keyed by it stays deterministic), its scheduling
-// context, and the fan-out record of its current location. A node holds
-// its port and sends through it (SendFrom), so a send finds its context
-// and its fan-out without hashing its location. Move carries the port to
-// the new location and drops its cached record; the next send through
-// the port then resolves the record of the new location, so link state
-// stays keyed by coordinates exactly as for a send through Medium.Send.
+// context, and the fan-out record of its current location. Taking a port
+// builds that record, with room for the location's topology degree, so
+// the node's first broadcast resolves its neighbours into capacity it
+// already holds. A node holds its port and sends through it (SendFrom),
+// so a send finds its context and its fan-out without hashing its
+// location. Move carries the port to the new location and drops its
+// cached record; the next send through the port then resolves the record
+// of the new location, so link state stays keyed by coordinates exactly
+// as for a send through Medium.Send.
 type Port struct {
 	r   Receiver
 	ctx *sim.Ctx
@@ -233,12 +236,13 @@ type link struct {
 }
 
 // fanout is everything the medium keeps about sends from one source
-// location: its links in (Y,X) order of their far end. epoch is the medium
-// version the broadcast membership and the attachments were resolved
-// against; topology mutations (attach, move) bump the medium version
-// instead of touching any record, and each record re-resolves itself on its
-// source's next send — the incremental invalidation that lets world events
-// stay O(1) in the deployment size. Re-resolving never drops a used link:
+// location: its links in (Y,X) order of their far end, with room for the
+// source's topology degree from the start (newFanout). epoch is the
+// medium version the broadcast membership and the attachments were
+// resolved against; topology mutations (attach, move) bump the medium
+// version instead of touching any record, and each record re-resolves
+// itself on its source's next send — the incremental invalidation that
+// lets world events stay O(1) in the deployment size. Re-resolving never drops a used link:
 // its chain position and stream outlive any number of rebuilds, exactly as
 // if the state were keyed by the link's coordinates. Detached/dead
 // receivers need no invalidation at all: delivery skips them.
@@ -330,6 +334,13 @@ type mediumShard struct {
 	stats Stats
 	fan   map[topology.Location]*fanout // by source location
 	free  []*delivery
+
+	// The resolution in progress on this shard: collect, bound once by
+	// NewMedium, adds src's connected neighbours to fo, so re-resolving a
+	// record allocates no closure.
+	src     topology.Location
+	fo      *fanout
+	collect func(topology.Location)
 }
 
 // Medium is the shared channel. Construct with NewMedium. Attach and
@@ -372,7 +383,9 @@ func NewMedium(ex *sim.Parallel, topo topology.Topology, params Params) *Medium 
 		sh:     make([]mediumShard, ex.Shards()),
 	}
 	for i := range m.sh {
-		m.sh[i].fan = make(map[topology.Location]*fanout)
+		sh := &m.sh[i]
+		sh.fan = make(map[topology.Location]*fanout)
+		sh.collect = func(loc topology.Location) { m.collect(sh, loc) }
 	}
 	return m
 }
@@ -416,6 +429,13 @@ func (m *Medium) Port(loc topology.Location) *Port {
 	}
 	a := &Port{ctx: m.ex.Context(sim.Key2D(loc.X, loc.Y))}
 	m.att[loc] = a
+	// The record starts stale (epoch 0 is behind the bump below), so the
+	// port's first send resolves its membership as a lazily built record's
+	// would. A record left at loc by an earlier occupant keeps its link
+	// state.
+	if sh := &m.sh[a.ctx.Shard()]; sh.fan[loc] == nil {
+		sh.fan[loc] = m.newFanout(loc)
+	}
 	// A brand-new location invalidates every fan-out that should now
 	// include it; bumping the version makes each source re-resolve its own
 	// lazily. Delivery skips a port with no receiver, so one that is
@@ -484,16 +504,30 @@ func (m *Medium) ctxOf(loc topology.Location) *sim.Ctx {
 	return m.ex.Context(sim.Key2D(loc.X, loc.Y))
 }
 
-// fanoutOf returns the fan-out record for sends from src, building it on
-// the source's first send and re-resolving it after a topology mutation.
-// The broadcast membership — every ever-attached location connected to
-// src — is computed once per source and medium version on the source's
-// shard and reused for every subsequent send; re-sorting the whole
-// attachment table per beacon was the medium's hottest path.
+// newFanout returns an empty record for sends from src whose links have
+// room for src's topology degree, so resolving its neighbours appends
+// without growing; a topology that cannot enumerate leaves them to grow.
+func (m *Medium) newFanout(src topology.Location) *fanout {
+	fo := new(fanout)
+	if n, ok := topology.Degree(m.topo, src); ok && n > 0 {
+		fo.links = make([]link, 0, n)
+	}
+	return fo
+}
+
+// fanoutOf returns the fan-out record for sends from src, resolving it on
+// the source's first send and again after a topology mutation. A port's
+// record was built with the port; a source that has none yet — a moved
+// mote's new coordinate, or a Send from a location holding no port — gets
+// one here, sized the same way. The broadcast membership — every
+// ever-attached location connected to src — is computed once per source
+// and medium version on the source's shard and reused for every
+// subsequent send; re-sorting the whole attachment table per beacon was
+// the medium's hottest path.
 func (m *Medium) fanoutOf(src topology.Location, sh *mediumShard) *fanout {
 	fo := sh.fan[src]
 	if fo == nil {
-		fo = &fanout{}
+		fo = m.newFanout(src)
 		sh.fan[src] = fo
 	} else if fo.epoch == m.version {
 		return fo
@@ -509,33 +543,37 @@ func (m *Medium) fanoutOf(src topology.Location, sh *mediumShard) *fanout {
 		}
 	}
 	fo.links = kept
-	collect := func(loc topology.Location) {
-		if loc == src || !m.topo.Connected(src, loc) {
-			return
-		}
-		a, ok := m.att[loc]
-		if !ok {
-			return
-		}
-		// Enumerators may emit a candidate twice (e.g. a gateway's base
-		// link and its geometric link); the second visit finds the first.
-		if l := fo.find(loc); l != nil {
-			l.bcast = true
-		} else {
-			fo.insert(link{to: loc, bcast: true, a: a})
-		}
-	}
+	sh.src, sh.fo = src, fo
 	// Topologies that can enumerate their own candidate neighbors keep
 	// this O(degree); otherwise scan every ever-attached location —
 	// correct for any topology but quadratic across a large deployment's
 	// first broadcasts.
-	if en, ok := m.topo.(topology.NeighborEnumerator); !ok || !en.EnumerateNeighbors(src, collect) {
+	if en, ok := m.topo.(topology.NeighborEnumerator); !ok || !en.EnumerateNeighbors(src, sh.collect) {
 		//lint:maprange links are inserted in (Y, X) order whatever order they are visited in
 		for loc := range m.att {
-			collect(loc)
+			m.collect(sh, loc)
 		}
 	}
 	return fo
+}
+
+// collect is sh.collect's body: it adds loc to the record being resolved
+// on sh when loc is an ever-attached location connected to its source.
+func (m *Medium) collect(sh *mediumShard, loc topology.Location) {
+	if loc == sh.src || !m.topo.Connected(sh.src, loc) {
+		return
+	}
+	a, ok := m.att[loc]
+	if !ok {
+		return
+	}
+	// Enumerators may emit a candidate twice (e.g. a gateway's base link
+	// and its geometric link); the second visit finds the first.
+	if l := sh.fo.find(loc); l != nil {
+		l.bcast = true
+	} else {
+		sh.fo.insert(link{to: loc, bcast: true, a: a})
+	}
 }
 
 // Send transmits a frame. Unicast frames are delivered to the destination
