@@ -299,15 +299,22 @@ func TestLazyTablesStayNil(t *testing.T) {
 // mote's first beacon (the period is 2 s). A mote's radio fan-out and
 // acquaintance list are sized from its topology degree when it is built,
 // so the round resolves into room the motes already hold; it allocated
-// 527 objects while they grew on first use. Of the 5 left, an
-// allocation profile names three: two kernel due lists growing
-// (sim.(*dueList).insert) and the base station's first beacon growing
-// its shard's transmit scratch.
+// 527 objects while they grew on first use. Five program sites are
+// left, the same in every run of this one-shard field: four kernel due
+// lists growing (sim.(*dueList).insert) and the base station's first
+// beacon growing its shard's transmit scratch (wire.Beacon.Append). Two
+// of the due-list growths are 8-byte slices the runtime packs into a
+// tiny block it already holds, so an ordinary allocation profile misses
+// them; a profile under -race, which turns that packing off, names all
+// five. The pin allows two more for the runtime itself: an interface
+// type assertion (WithBase.EnumerateNeighbors asserts its inner
+// topology) builds its call site's cache on a random one of its early
+// calls, so about one fresh process in thirty allocates a sixth object.
 func TestFirstBeaconRoundAllocates(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
-	const g, most = 12, 5
+	const g, sites, runtimeNoise = 12, 5, 2
 	d, err := NewDeployment(DeploymentSpec{Layout: topology.GridLayout(g, g), Seed: 7})
 	if err != nil {
 		t.Fatal(err)
@@ -324,13 +331,14 @@ func TestFirstBeaconRoundAllocates(t *testing.T) {
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
+	runtime.GC()
 	runtime.ReadMemStats(&before)
 	if err := d.Sim.Run(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if got := after.Mallocs - before.Mallocs; got > most {
-		t.Errorf("the first beacon round of a %d×%d field allocates %d objects, want <= %d", g, g, got, most)
+	if got := after.Mallocs - before.Mallocs; got > sites+runtimeNoise {
+		t.Errorf("the first beacon round of a %d×%d field allocates %d objects, want <= %d (%d program sites, %d for the runtime)", g, g, got, sites+runtimeNoise, sites, runtimeNoise)
 	}
 	for _, n := range d.Motes() {
 		if n.NumNeighbors() < 2 {

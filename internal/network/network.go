@@ -205,12 +205,13 @@ func NewStack(s *sim.Ctx, medium *radio.Medium, self topology.Location, cfg Conf
 // shard sh serves. sh's Config must already have its defaults applied
 // (Config.WithDefaults) and must not change afterwards. The stack takes
 // the medium's port at self, which the node's receiver is attached to
-// before or after. The acquaintance list gets room for self's topology
-// degree, which the first beacon round fills, so hearing a neighbour for
-// the first time allocates nothing; Clear and Expire keep that room.
+// before or after. The acquaintance list gets the room the port's fan-out
+// record was built with, self's topology degree, which the first beacon
+// round fills: hearing a neighbour for the first time allocates nothing,
+// and Clear and Expire keep that room.
 func (st *Stack) Init(s *sim.Ctx, self topology.Location, sh *Shard) {
 	*st = Stack{sim: s, port: sh.Medium.Port(self), self: self, shard: sh, acq: AcquaintanceList{expireAfter: sh.ExpireAfter}}
-	if n, ok := topology.Degree(sh.Medium.Topology(), self); ok && n > 0 {
+	if n := st.port.NeighborRoom(); n > 0 {
 		st.acq.entries = make([]Neighbor, 0, n)
 	}
 	st.beacon.Init(s, st.beaconTick)

@@ -92,6 +92,61 @@ func TestFirstBroadcastAllocatesNothing(t *testing.T) {
 // scans its attachments and grows each record on use.
 type plainTopology struct{ topology.Topology }
 
+// TestNeighborRoom: taking a port sizes its record from the candidates
+// the topology enumerates that are Connected to the location, and a
+// network stack reads that room back. A Grid clips its candidates at the
+// int16 extremes, so a corner of the coordinate range has 2 (3 with
+// Diag) and an edge 3 (5); WithBase adds the base–gateway link; Adjacency
+// counts its explicit partners; a topology that cannot enumerate gives
+// its ports no room.
+func TestNeighborRoom(t *testing.T) {
+	const lo, hi = -32768, 32767
+	adj := topology.NewAdjacency()
+	adj.Link(topology.Loc(1, 1), topology.Loc(5, 5))
+	adj.Link(topology.Loc(1, 1), topology.Loc(9, 2))
+	base := &topology.WithBase{Inner: topology.Grid{}, Base: topology.Loc(0, 0), Gateway: topology.Loc(1, 1)}
+	cases := []struct {
+		name string
+		topo topology.Topology
+		at   topology.Location
+		room int
+	}{
+		{"grid interior", topology.Grid{}, topology.Loc(3, 3), 4},
+		{"grid corner of the range", topology.Grid{}, topology.Loc(hi, hi), 2},
+		{"grid low corner of the range", topology.Grid{}, topology.Loc(lo, lo), 2},
+		{"grid edge of the range", topology.Grid{}, topology.Loc(lo, 0), 3},
+		{"diagonal grid interior", topology.Grid{Diag: true}, topology.Loc(3, 3), 8},
+		{"diagonal grid corner of the range", topology.Grid{Diag: true}, topology.Loc(hi, lo), 3},
+		{"diagonal grid edge of the range", topology.Grid{Diag: true}, topology.Loc(0, hi), 5},
+		{"adjacency", adj, topology.Loc(1, 1), 2},
+		{"adjacency without links", adj, topology.Loc(7, 7), 0},
+		{"base", base, topology.Loc(0, 0), 1},
+		{"gateway", base, topology.Loc(1, 1), 5},
+		{"disk", topology.Disk{Range: 2}, topology.Loc(3, 3), 0},
+		{"base over a disk", &topology.WithBase{Inner: topology.Disk{Range: 2}, Base: topology.Loc(0, 0), Gateway: topology.Loc(1, 1)}, topology.Loc(1, 1), 0},
+	}
+	for _, c := range cases {
+		m := NewMedium(sim.New(1), c.topo, ZeroLoss())
+		if got := m.Port(c.at).NeighborRoom(); got != c.room {
+			t.Errorf("%s: the port at %v has room for %d links, want %d", c.name, c.at, got, c.room)
+		}
+	}
+}
+
+// degree counts the locations Connected to src, attached or not, over
+// every coordinate the topologies of TestSizedRecordsMatchLazyOnes link.
+func degree(topo topology.Topology, src topology.Location) int {
+	n := 0
+	for y := int16(-1); y <= 11; y++ {
+		for x := int16(-1); x <= 11; x++ {
+			if loc := topology.Loc(x, y); loc != src && topo.Connected(src, loc) {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestSizedRecordsMatchLazyOnes: for every topology the first broadcast
 // from each port reaches the attached locations Connected to it, in (Y,X)
 // order — what a record grown on use delivers to — whether the record was
@@ -158,7 +213,7 @@ func TestSizedRecordsMatchLazyOnes(t *testing.T) {
 				t.Helper()
 				heard = heard[:0]
 				p := ports[src]
-				n, sized := topology.Degree(topo, src)
+				_, sized := topo.(topology.NeighborEnumerator)
 				m.SendFrom(p, Frame{Src: src, Dst: Broadcast, Kind: KindBeacon})
 				if err := s.Run(s.Now() + time.Second); err != nil {
 					t.Fatal(err)
@@ -166,8 +221,8 @@ func TestSizedRecordsMatchLazyOnes(t *testing.T) {
 				if w := want(src); !slices.Equal(heard, w) {
 					t.Fatalf("broadcast from %v reached %v, want %v", src, heard, w)
 				}
-				if fo := recordOf(m, p, src); sized && cap(fo.links) != n {
-					t.Fatalf("%v's record has room for %d links, want its degree %d", src, cap(fo.links), n)
+				if fo := recordOf(m, p, src); sized && cap(fo.links) != degree(topo, src) {
+					t.Fatalf("%v's record has room for %d links, want its degree %d", src, cap(fo.links), degree(topo, src))
 				}
 			}
 			for _, loc := range locs {

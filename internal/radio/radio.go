@@ -212,7 +212,18 @@ type Stats struct {
 type Port struct {
 	r   Receiver
 	ctx *sim.Ctx
-	fo  *fanout // the record sends from the port's location last used; nil before the first
+	fo  *fanout // the record of the port's location: built with the port, nil after a move until the next send
+}
+
+// NeighborRoom reports how many links the port's fan-out record has room
+// for: its location's topology degree when the port was taken, 0 when the
+// topology cannot enumerate its neighbours or the port has moved since.
+// A node sizes its other neighbour tables from it.
+func (p *Port) NeighborRoom() int {
+	if p.fo == nil {
+		return 0
+	}
+	return cap(p.fo.links)
 }
 
 // link is one directed link out of a fan-out's source: who is at the far
@@ -242,10 +253,11 @@ type link struct {
 // resolved against; topology mutations (attach, move) bump the medium
 // version instead of touching any record, and each record re-resolves
 // itself on its source's next send — the incremental invalidation that
-// lets world events stay O(1) in the deployment size. Re-resolving never drops a used link:
-// its chain position and stream outlive any number of rebuilds, exactly as
-// if the state were keyed by the link's coordinates. Detached/dead
-// receivers need no invalidation at all: delivery skips them.
+// lets world events stay O(1) in the deployment size. Re-resolving never
+// drops a used link: its chain position and stream outlive any number of
+// rebuilds, exactly as if the state were keyed by the link's coordinates.
+// Detached/dead receivers need no invalidation at all: delivery skips
+// them.
 type fanout struct {
 	epoch uint64
 	links []link
@@ -335,11 +347,14 @@ type mediumShard struct {
 	fan   map[topology.Location]*fanout // by source location
 	free  []*delivery
 
-	// The resolution in progress on this shard: collect, bound once by
-	// NewMedium, adds src's connected neighbours to fo, so re-resolving a
-	// record allocates no closure.
+	// The enumeration in progress on this shard, over src's candidate
+	// neighbours. Both visitors are bound once by NewMedium, so sizing or
+	// resolving a record allocates no closure: count tallies src's
+	// connected candidates in n, collect adds them to fo.
 	src     topology.Location
+	n       int
 	fo      *fanout
+	count   func(topology.Location)
 	collect func(topology.Location)
 }
 
@@ -347,8 +362,12 @@ type mediumShard struct {
 // Detach may only be called while the executor is paused; Send is called
 // from simulation events (or from the host between runs).
 type Medium struct {
-	ex     *sim.Parallel
-	topo   topology.Topology
+	ex   *sim.Parallel
+	topo topology.Topology
+	// en is topo as a NeighborEnumerator, or nil. Asserted once here: an
+	// assertion per resolution may also grow the runtime's type-assertion
+	// cache, an allocation on a send path that otherwise makes none.
+	en     topology.NeighborEnumerator
 	params Params
 	random bool
 	att    map[topology.Location]*Port
@@ -382,9 +401,15 @@ func NewMedium(ex *sim.Parallel, topo topology.Topology, params Params) *Medium 
 		att:    make(map[topology.Location]*Port),
 		sh:     make([]mediumShard, ex.Shards()),
 	}
+	m.en, _ = topo.(topology.NeighborEnumerator)
 	for i := range m.sh {
 		sh := &m.sh[i]
 		sh.fan = make(map[topology.Location]*fanout)
+		sh.count = func(loc topology.Location) {
+			if loc != sh.src && m.topo.Connected(sh.src, loc) {
+				sh.n++
+			}
+		}
 		sh.collect = func(loc topology.Location) { m.collect(sh, loc) }
 	}
 	return m
@@ -433,9 +458,11 @@ func (m *Medium) Port(loc topology.Location) *Port {
 	// port's first send resolves its membership as a lazily built record's
 	// would. A record left at loc by an earlier occupant keeps its link
 	// state.
-	if sh := &m.sh[a.ctx.Shard()]; sh.fan[loc] == nil {
-		sh.fan[loc] = m.newFanout(loc)
+	sh := &m.sh[a.ctx.Shard()]
+	if sh.fan[loc] == nil {
+		sh.fan[loc] = m.newFanout(loc, sh)
 	}
+	a.fo = sh.fan[loc]
 	// A brand-new location invalidates every fan-out that should now
 	// include it; bumping the version makes each source re-resolve its own
 	// lazily. Delivery skips a port with no receiver, so one that is
@@ -504,13 +531,18 @@ func (m *Medium) ctxOf(loc topology.Location) *sim.Ctx {
 	return m.ex.Context(sim.Key2D(loc.X, loc.Y))
 }
 
-// newFanout returns an empty record for sends from src whose links have
-// room for src's topology degree, so resolving its neighbours appends
-// without growing; a topology that cannot enumerate leaves them to grow.
-func (m *Medium) newFanout(src topology.Location) *fanout {
+// newFanout returns an empty record for sends from src on sh whose links
+// have room for src's topology degree — the enumerated candidates
+// Connected to src — so resolving its neighbours appends without growing.
+// A candidate enumerated twice counts twice: the figure is a capacity. A
+// topology that cannot enumerate leaves the links to grow on use.
+func (m *Medium) newFanout(src topology.Location, sh *mediumShard) *fanout {
 	fo := new(fanout)
-	if n, ok := topology.Degree(m.topo, src); ok && n > 0 {
-		fo.links = make([]link, 0, n)
+	if m.en != nil {
+		sh.src, sh.n = src, 0
+		if m.en.EnumerateNeighbors(src, sh.count) && sh.n > 0 {
+			fo.links = make([]link, 0, sh.n)
+		}
 	}
 	return fo
 }
@@ -527,7 +559,7 @@ func (m *Medium) newFanout(src topology.Location) *fanout {
 func (m *Medium) fanoutOf(src topology.Location, sh *mediumShard) *fanout {
 	fo := sh.fan[src]
 	if fo == nil {
-		fo = m.newFanout(src)
+		fo = m.newFanout(src, sh)
 		sh.fan[src] = fo
 	} else if fo.epoch == m.version {
 		return fo
@@ -548,7 +580,7 @@ func (m *Medium) fanoutOf(src topology.Location, sh *mediumShard) *fanout {
 	// this O(degree); otherwise scan every ever-attached location —
 	// correct for any topology but quadratic across a large deployment's
 	// first broadcasts.
-	if en, ok := m.topo.(topology.NeighborEnumerator); !ok || !en.EnumerateNeighbors(src, sh.collect) {
+	if m.en == nil || !m.en.EnumerateNeighbors(src, sh.collect) {
 		//lint:maprange links are inserted in (Y, X) order whatever order they are visited in
 		for loc := range m.att {
 			m.collect(sh, loc)

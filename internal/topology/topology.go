@@ -84,58 +84,6 @@ type NeighborEnumerator interface {
 	EnumerateNeighbors(src Location, visit func(Location)) bool
 }
 
-// Degree counts the candidates t enumerates for src that are Connected to
-// it: the capacity a mote's neighbour tables are built with, so its first
-// beacon round appends within room it already holds. ok is false when t
-// cannot enumerate; such a topology's tables grow on use. A candidate
-// enumerated twice counts twice — the figure is a capacity, not a
-// neighbour count.
-func Degree(t Topology, src Location) (int, bool) {
-	// A grid, alone or behind the base station a deployment adds, is
-	// enumerated through Grid's own method, where the counter stays on the
-	// stack; through the interface it escapes, two allocations per call
-	// and two calls per mote built.
-	if g, w, isGrid := grid(t); isGrid && (w == nil || src != w.Base) {
-		n := 0
-		count := func(l Location) {
-			if l != src && t.Connected(src, l) {
-				n++
-			}
-		}
-		if w != nil && src == w.Gateway {
-			count(w.Base)
-		}
-		g.EnumerateNeighbors(src, count)
-		return n, true
-	}
-	return enumerated(t, src)
-}
-
-// enumerated is Degree through the NeighborEnumerator interface.
-func enumerated(t Topology, src Location) (n int, ok bool) {
-	en, ok := t.(NeighborEnumerator)
-	if !ok || !en.EnumerateNeighbors(src, func(l Location) {
-		if l != src && t.Connected(src, l) {
-			n++
-		}
-	}) {
-		return 0, false
-	}
-	return n, true
-}
-
-// grid returns the Grid t is, or the one under the base station t adds.
-func grid(t Topology) (Grid, *WithBase, bool) {
-	switch t := t.(type) {
-	case Grid:
-		return t, nil, true
-	case *WithBase:
-		g, ok := t.Inner.(Grid)
-		return g, t, ok
-	}
-	return Grid{}, nil, false
-}
-
 // Movable is implemented by topologies whose connectivity is explicit
 // state keyed by location and must be rewritten when a node moves
 // (Adjacency, *WithBase). Geometric topologies (Grid, Disk) derive

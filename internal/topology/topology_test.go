@@ -194,74 +194,3 @@ func TestLocationCompare(t *testing.T) {
 		}
 	}
 }
-
-// TestDegree: Degree counts the enumerated candidates Connected to the
-// source. A Grid clips its candidates at the int16 extremes, so a corner
-// of the coordinate range has 2 (3 with Diag) and an edge 3 (5); WithBase
-// adds the base–gateway link; Adjacency counts its explicit partners; a
-// topology that cannot enumerate reports ok=false.
-func TestDegree(t *testing.T) {
-	const lo, hi = -32768, 32767
-	adj := NewAdjacency()
-	adj.Link(Loc(1, 1), Loc(5, 5))
-	adj.Link(Loc(1, 1), Loc(9, 2))
-	cases := []struct {
-		name string
-		topo Topology
-		src  Location
-		n    int
-		ok   bool
-	}{
-		{"grid interior", Grid{}, Loc(3, 3), 4, true},
-		{"grid corner of the range", Grid{}, Loc(hi, hi), 2, true},
-		{"grid low corner of the range", Grid{}, Loc(lo, lo), 2, true},
-		{"grid edge of the range", Grid{}, Loc(lo, 0), 3, true},
-		{"diagonal grid interior", Grid{Diag: true}, Loc(3, 3), 8, true},
-		{"diagonal grid corner of the range", Grid{Diag: true}, Loc(hi, lo), 3, true},
-		{"diagonal grid edge of the range", Grid{Diag: true}, Loc(0, hi), 5, true},
-		{"adjacency", adj, Loc(1, 1), 2, true},
-		{"adjacency without links", adj, Loc(7, 7), 0, true},
-		{"base", WithBase{Inner: Grid{}, Base: Loc(0, 0), Gateway: Loc(1, 1)}, Loc(0, 0), 1, true},
-		{"gateway", WithBase{Inner: Grid{}, Base: Loc(0, 0), Gateway: Loc(1, 1)}, Loc(1, 1), 5, true},
-		{"disk", Disk{Range: 2}, Loc(3, 3), 0, false},
-		{"base over a disk", WithBase{Inner: Disk{Range: 2}, Base: Loc(0, 0), Gateway: Loc(1, 1)}, Loc(1, 1), 0, false},
-	}
-	for _, c := range cases {
-		if n, ok := Degree(c.topo, c.src); n != c.n || ok != c.ok {
-			t.Errorf("%s: Degree at %v = %d, %v; want %d, %v", c.name, c.src, n, ok, c.n, c.ok)
-		}
-	}
-}
-
-// TestDegreeOfAGridMatchesEnumeration: Degree counts a grid, alone or
-// under a base station, through Grid's own method; that count is the one
-// the NeighborEnumerator interface gives — the base, its gateway, a base
-// beside the gateway and the int16 extremes included — and costs no
-// allocation.
-func TestDegreeOfAGridMatchesEnumeration(t *testing.T) {
-	const lo, hi = -32768, 32767
-	var topos []Topology
-	for _, g := range []Grid{{}, {Diag: true}} {
-		topos = append(topos, g,
-			&WithBase{Inner: g, Base: Loc(0, 0), Gateway: Loc(1, 1)},
-			&WithBase{Inner: g, Base: Loc(0, 1), Gateway: Loc(1, 1)},
-			&WithBase{Inner: g, Base: Loc(hi, hi), Gateway: Loc(hi-1, hi)})
-	}
-	vals := []int16{lo, lo + 1, -1, 0, 1, 2, hi - 1, hi}
-	for _, topo := range topos {
-		for _, y := range vals {
-			for _, x := range vals {
-				src := Loc(x, y)
-				n, ok := Degree(topo, src)
-				want, wantOK := enumerated(topo, src)
-				if n != want || ok != wantOK {
-					t.Fatalf("%+v: Degree at %v = %d, %v; the enumerator counts %d, %v", topo, src, n, ok, want, wantOK)
-				}
-			}
-		}
-	}
-	topo := &WithBase{Inner: Grid{}, Base: Loc(0, 0), Gateway: Loc(1, 1)}
-	if avg := testing.AllocsPerRun(100, func() { Degree(topo, Loc(5, 7)) }); avg != 0 {
-		t.Errorf("Degree on a grid under a base station allocates %.1f objects, want 0", avg)
-	}
-}
