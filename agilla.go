@@ -284,9 +284,6 @@ func (nw *Network) Now() time.Duration { return nw.d.Sim.Now() }
 // pumped every quantum so beacons relay across the border and both halves
 // discover their cross-process neighbors.
 func (nw *Network) WarmUp() error {
-	if nw.bridge == nil {
-		return nw.d.WarmUp()
-	}
 	nw.d.Start()
 	return nw.Run(nw.d.WarmUpSpan())
 }

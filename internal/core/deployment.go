@@ -114,11 +114,7 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 	}
 	// The base bridge is a pointer so a moving gateway can carry the
 	// bridge with it (Medium.Move rekeys via topology.Movable).
-	topo := &topology.WithBase{
-		Inner:   spec.Layout.Links,
-		Base:    baseLoc,
-		Gateway: spec.Layout.Gateway,
-	}
+	topo := topology.NewWithBase(spec.Layout.Links, baseLoc, spec.Layout.Gateway)
 
 	// All cross-node interaction flows through radio frames, so the
 	// minimum frame delay is a sound conservative lookahead whatever the

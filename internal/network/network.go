@@ -206,7 +206,7 @@ func NewStack(s *sim.Ctx, medium *radio.Medium, self topology.Location, cfg Conf
 // (Config.WithDefaults) and must not change afterwards. The stack takes
 // the medium's port at self, which the node's receiver is attached to
 // before or after. The acquaintance list gets the room the port's fan-out
-// record was built with, self's topology degree, which the first beacon
+// was built with, self's topology degree, which the first beacon
 // round fills: hearing a neighbour for the first time allocates nothing,
 // and Clear and Expire keep that room.
 func (st *Stack) Init(s *sim.Ctx, self topology.Location, sh *Shard) {
@@ -220,11 +220,15 @@ func (st *Stack) Init(s *sim.Ctx, self topology.Location, sh *Shard) {
 // Self returns this node's location.
 func (st *Stack) Self() topology.Location { return st.self }
 
-// SetSelf rebinds the stack to a new location (the mote moved). Future
-// frames originate from the new address; the acquaintance list is kept
-// and expires naturally, so routing may briefly chase stale geometry,
-// exactly as a physical deployment would after a move.
-func (st *Stack) SetSelf(loc topology.Location) { st.self = loc }
+// SetSelf rebinds the stack to a new location right after
+// radio.Medium.Move took the mote there, re-taking the port that Move
+// handed the mote's receiver. Future frames originate from the new
+// address; the acquaintance list is kept and expires naturally, so
+// routing may briefly chase stale geometry, as after a physical move.
+func (st *Stack) SetSelf(loc topology.Location) {
+	st.self = loc
+	st.port = st.shard.Medium.Port(loc)
+}
 
 // Acquaintances returns the neighbor table.
 func (st *Stack) Acquaintances() *AcquaintanceList { return &st.acq }

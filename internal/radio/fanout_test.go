@@ -22,14 +22,8 @@ func mallocs(f func()) uint64 {
 	return after.Mallocs - before.Mallocs
 }
 
-// recordOf returns the fan-out record the medium holds for sends from
-// loc by the port p, or nil.
-func recordOf(m *Medium, p *Port, loc topology.Location) *fanout {
-	return m.sh[p.ctx.Shard()].fan[loc]
-}
-
 // TestFirstBroadcastAllocatesNothing: taking a port builds its fan-out
-// record with room for the location's topology degree, so once the
+// with room for the location's topology degree, so once the
 // delivery pool is warm a port's first broadcast — the send that resolves
 // its neighbours — allocates nothing, and neither does re-resolving them
 // after a new attachment bumps the medium's version.
@@ -44,8 +38,8 @@ func TestFirstBroadcastAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		ports[i] = m.Port(loc)
-		if fo := recordOf(m, ports[i], loc); fo == nil || cap(fo.links) != 4 {
-			t.Fatalf("taking the port at %v built no record with room for its 4 links", loc)
+		if cap(ports[i].fo.links) != 4 {
+			t.Fatalf("taking the port at %v built no fan-out with room for its 4 links", loc)
 		}
 	}
 	payload := []byte{1, 2, 3}
@@ -75,7 +69,7 @@ func TestFirstBroadcastAllocatesNothing(t *testing.T) {
 	if heard == 0 {
 		t.Fatal("no broadcast was heard")
 	}
-	// A new attachment beside the corner bumps the version: every record
+	// A new attachment beside the corner bumps the version: every fan-out
 	// re-resolves, and (1,1)'s takes the newcomer in within its room.
 	if err := m.Attach(topology.Loc(0, 1), receiverFunc(func(Frame) {})); err != nil {
 		t.Fatal(err)
@@ -83,16 +77,16 @@ func TestFirstBroadcastAllocatesNothing(t *testing.T) {
 	if got := mallocs(round); got != 0 {
 		t.Errorf("re-resolving %d ports after a version bump allocates %d objects, want 0", len(ports)-1, got)
 	}
-	if fo := recordOf(m, ports[0], locs[0]); len(fo.links) != 3 || cap(fo.links) != 4 {
-		t.Fatalf("(1,1)'s record after the attachment: %d links in room for %d, want 3 in 4", len(fo.links), cap(fo.links))
+	if fo := &ports[0].fo; len(fo.links) != 3 || cap(fo.links) != 4 {
+		t.Fatalf("(1,1)'s fan-out after the attachment: %d links in room for %d, want 3 in 4", len(fo.links), cap(fo.links))
 	}
 }
 
 // plainTopology hides a topology's NeighborEnumerator, so the medium
-// scans its attachments and grows each record on use.
+// scans its ports and grows each fan-out on use.
 type plainTopology struct{ topology.Topology }
 
-// TestNeighborRoom: taking a port sizes its record from the candidates
+// TestNeighborRoom: taking a port sizes its fan-out from the candidates
 // the topology enumerates that are Connected to the location, and a
 // network stack reads that room back. A Grid clips its candidates at the
 // int16 extremes, so a corner of the coordinate range has 2 (3 with
@@ -104,7 +98,7 @@ func TestNeighborRoom(t *testing.T) {
 	adj := topology.NewAdjacency()
 	adj.Link(topology.Loc(1, 1), topology.Loc(5, 5))
 	adj.Link(topology.Loc(1, 1), topology.Loc(9, 2))
-	base := &topology.WithBase{Inner: topology.Grid{}, Base: topology.Loc(0, 0), Gateway: topology.Loc(1, 1)}
+	base := topology.NewWithBase(topology.Grid{}, topology.Loc(0, 0), topology.Loc(1, 1))
 	cases := []struct {
 		name string
 		topo topology.Topology
@@ -123,7 +117,7 @@ func TestNeighborRoom(t *testing.T) {
 		{"base", base, topology.Loc(0, 0), 1},
 		{"gateway", base, topology.Loc(1, 1), 5},
 		{"disk", topology.Disk{Range: 2}, topology.Loc(3, 3), 0},
-		{"base over a disk", &topology.WithBase{Inner: topology.Disk{Range: 2}, Base: topology.Loc(0, 0), Gateway: topology.Loc(1, 1)}, topology.Loc(1, 1), 0},
+		{"base over a disk", topology.NewWithBase(topology.Disk{Range: 2}, topology.Loc(0, 0), topology.Loc(1, 1)), topology.Loc(1, 1), 0},
 	}
 	for _, c := range cases {
 		m := NewMedium(sim.New(1), c.topo, ZeroLoss())
@@ -151,8 +145,9 @@ func degree(topo topology.Topology, src topology.Location) int {
 // from each port reaches the attached locations Connected to it, in (Y,X)
 // order — what a record grown on use delivers to — whether the record was
 // sized at build (enumerating topologies) or not (plainTopology). After a
-// mote moves, the record of its new coordinate is sized from the degree
-// there, and its broadcast again reaches exactly its new neighbours.
+// mote moves, it takes the port of its new coordinate, whose fan-out is
+// sized from the degree there, and its broadcast again reaches exactly
+// its new neighbours.
 func TestSizedRecordsMatchLazyOnes(t *testing.T) {
 	adj := topology.NewAdjacency()
 	field := topology.GridLocations(4, 4)
@@ -170,7 +165,7 @@ func TestSizedRecordsMatchLazyOnes(t *testing.T) {
 		{"Grid diagonal", func() topology.Topology { return topology.Grid{Diag: true} }, false, topology.Loc(5, 4)},
 		{"Adjacency", func() topology.Topology { return adj }, false, topology.Loc(9, 9)},
 		{"WithBase", func() topology.Topology {
-			return &topology.WithBase{Inner: topology.Grid{}, Base: topology.Loc(0, 0), Gateway: topology.Loc(1, 1)}
+			return topology.NewWithBase(topology.Grid{}, topology.Loc(0, 0), topology.Loc(1, 1))
 		}, true, topology.Loc(5, 4)},
 		{"no enumerator", func() topology.Topology { return plainTopology{topology.Grid{Diag: true}} }, false, topology.Loc(5, 4)},
 	}
@@ -221,8 +216,8 @@ func TestSizedRecordsMatchLazyOnes(t *testing.T) {
 				if w := want(src); !slices.Equal(heard, w) {
 					t.Fatalf("broadcast from %v reached %v, want %v", src, heard, w)
 				}
-				if fo := recordOf(m, p, src); sized && cap(fo.links) != degree(topo, src) {
-					t.Fatalf("%v's record has room for %d links, want its degree %d", src, cap(fo.links), degree(topo, src))
+				if sized && cap(p.fo.links) != degree(topo, src) {
+					t.Fatalf("%v's fan-out has room for %d links, want its degree %d", src, cap(p.fo.links), degree(topo, src))
 				}
 			}
 			for _, loc := range locs {
@@ -232,7 +227,7 @@ func TestSizedRecordsMatchLazyOnes(t *testing.T) {
 			if err := m.Move(from, c.moved); err != nil {
 				t.Fatal(err)
 			}
-			ports[c.moved] = ports[from]
+			ports[c.moved] = m.Port(c.moved)
 			delete(ports, from)
 			send(c.moved)
 		})

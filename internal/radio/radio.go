@@ -21,16 +21,15 @@
 // Topology, which for the paper's testbed filters everything except
 // immediate grid neighbors (§4).
 //
-// The medium is driven by a sim.Parallel. Each attached location gets a
-// scheduling context; a frame's delivery is keyed by the sender's context
-// and scheduled onto the receiver's, which is what lets a multi-shard run
-// replay the one-shard schedule exactly. All per-frame
-// randomness (loss sampling, processing jitter) draws from a stream owned
-// by the directed link, so the values never depend on what other links
-// transmitted in between. Statistics and the per-source fan-out records —
-// each neighbour's resolved receiver and the link's channel state, by
-// value — are held in per-shard arenas: every send executes on the
-// sending node's shard, so the arenas are touched without locks.
+// The medium is driven by a sim.Parallel. A frame's delivery is keyed by
+// the sender's scheduling context and scheduled onto the receiver's,
+// which is what lets a multi-shard run replay the one-shard schedule
+// exactly. All per-frame randomness (loss sampling, processing jitter)
+// draws from a stream owned by the directed link, so the values never
+// depend on what other links transmitted in between. Link state lives in
+// the fan-out of its source location's Port, by value; statistics and
+// pooled deliveries live in per-shard arenas. Every send executes on the
+// sending node's shard, so none of it needs locks.
 package radio
 
 import (
@@ -197,34 +196,26 @@ type Stats struct {
 	Links     uint64 // directed links with live channel state
 }
 
-// Port is one location's attachment to the medium: its receiver (nil
-// until Attach and after Detach — the context outlives the node so
-// in-flight traffic keyed by it stays deterministic), its scheduling
-// context, and the fan-out record of its current location. Taking a port
-// builds that record, with room for the location's topology degree, so
-// the node's first broadcast resolves its neighbours into capacity it
-// already holds. A node holds its port and sends through it (SendFrom),
-// so a send finds its context and its fan-out without hashing its
-// location. Move carries the port to the new location and drops its
-// cached record; the next send through the port then resolves the record
-// of the new location, so link state stays keyed by coordinates exactly
-// as for a send through Medium.Send.
+// Port is the medium's one record of a location, made when the medium
+// first meets it and never moved: the receiver and scheduling context of
+// the mote that holds it (both nil while none does; Detach clears only
+// the receiver, so in-flight traffic keyed by the context stays
+// deterministic), and the location's fan-out, by value, with room from
+// the start for the location's topology degree. A moving mote hands its
+// receiver and context to its new location's port (Move); the fan-out
+// it leaves keeps its link history for the next holder. A node holds its
+// port and sends through it (SendFrom), so a send hashes nothing.
 type Port struct {
 	r   Receiver
 	ctx *sim.Ctx
-	fo  *fanout // the record of the port's location: built with the port, nil after a move until the next send
+	fo  fanout
 }
 
-// NeighborRoom reports how many links the port's fan-out record has room
-// for: its location's topology degree when the port was taken, 0 when the
-// topology cannot enumerate its neighbours or the port has moved since.
-// A node sizes its other neighbour tables from it.
-func (p *Port) NeighborRoom() int {
-	if p.fo == nil {
-		return 0
-	}
-	return cap(p.fo.links)
-}
+// NeighborRoom reports how many links the port's fan-out has room for:
+// its location's topology degree when the port was made, 0 when the
+// topology cannot enumerate its neighbours. A node sizes its other
+// neighbour tables from it.
+func (p *Port) NeighborRoom() int { return cap(p.fo.links) }
 
 // link is one directed link out of a fan-out's source: who is at the far
 // end and the link's channel state — the Gilbert–Elliott chain position
@@ -242,7 +233,7 @@ type link struct {
 	// seeded and the link counts in Stats.Links.
 	used bool
 	bad  bool     // Gilbert–Elliott state
-	a    *Port    // the port attached at to as of the epoch; nil when there is none
+	a    *Port    // the port at to, which never moves
 	rng  sim.Rand // seeded at first use from the root seed and the endpoint coordinates alone
 }
 
@@ -255,9 +246,10 @@ type link struct {
 // itself on its source's next send — the incremental invalidation that
 // lets world events stay O(1) in the deployment size. Re-resolving never
 // drops a used link: its chain position and stream outlive any number of
-// rebuilds, exactly as if the state were keyed by the link's coordinates.
-// Detached/dead receivers need no invalidation at all: delivery skips
-// them.
+// rebuilds, and the record outlives the motes that hold its port, so
+// link state is keyed by the link's coordinates. Detached, dead and
+// departed receivers need no invalidation at all: delivery skips ports
+// with no receiver.
 type fanout struct {
 	epoch uint64
 	links []link
@@ -340,16 +332,15 @@ func (d *delivery) run() {
 
 // mediumShard is the slice of medium state owned by one executor shard.
 // Every field is only touched by sends whose source node lives on the
-// shard (free also by the deliveries that end there), so no locking is
-// needed even under the parallel executor.
+// shard (free also by the deliveries that end there) or by the host, so
+// no locking is needed even under the parallel executor.
 type mediumShard struct {
 	stats Stats
-	fan   map[topology.Location]*fanout // by source location
 	free  []*delivery
 
 	// The enumeration in progress on this shard, over src's candidate
 	// neighbours. Both visitors are bound once by NewMedium, so sizing or
-	// resolving a record allocates no closure: count tallies src's
+	// resolving a fan-out allocates no closure: count tallies src's
 	// connected candidates in n, collect adds them to fo.
 	src     topology.Location
 	n       int
@@ -370,12 +361,12 @@ type Medium struct {
 	en     topology.NeighborEnumerator
 	params Params
 	random bool
-	att    map[topology.Location]*Port
 	sh     []mediumShard
-	// version counts topology mutations (attaches, moves). It is written
-	// only while no event is executing — at construction, between runs,
-	// or from a world event at an executor barrier — and read by sends to
-	// validate the per-source fan-out records.
+	// att holds every location's Port, and version counts topology
+	// mutations (new locations, moves). Both are written only while no
+	// event is executing — between runs, or from a world event at an
+	// executor barrier — and read by sends.
+	att     map[topology.Location]*Port
 	version uint64
 
 	// Trace, when non-nil, observes every send attempt outcome. Used by
@@ -404,7 +395,6 @@ func NewMedium(ex *sim.Parallel, topo topology.Topology, params Params) *Medium 
 	m.en, _ = topo.(topology.NeighborEnumerator)
 	for i := range m.sh {
 		sh := &m.sh[i]
-		sh.fan = make(map[topology.Location]*fanout)
 		sh.count = func(loc topology.Location) {
 			if loc != sh.src && m.topo.Connected(sh.src, loc) {
 				sh.n++
@@ -444,25 +434,28 @@ func (m *Medium) Attach(loc topology.Location, r Receiver) error {
 	return nil
 }
 
-// Port returns the port at loc: the one a receiver attached there holds,
-// or, when nobody has attached there yet, a new one with no receiver that
-// a later Attach at loc fills. A node's network stack takes its port here
-// once, and sends through it from then on.
+// Port returns the port at loc, making it if the medium has not met loc.
+// A port no mote holds gets loc's own scheduling context, and no
+// receiver until an Attach at loc. A node's network stack takes its port
+// here when it is built and again after a move.
 func (m *Medium) Port(loc topology.Location) *Port {
+	a := m.portAt(loc)
+	if a.ctx == nil {
+		a.ctx = m.ex.Context(sim.Key2D(loc.X, loc.Y))
+	}
+	return a
+}
+
+// portAt returns the port at loc, making it with no context if the
+// medium has not met loc. Only the host makes ports, so any shard's
+// scratch can size the fan-out, which starts stale (epoch 0 is behind the
+// bump below): the port's first send resolves its membership.
+func (m *Medium) portAt(loc topology.Location) *Port {
 	if a, ok := m.att[loc]; ok {
 		return a
 	}
-	a := &Port{ctx: m.ex.Context(sim.Key2D(loc.X, loc.Y))}
+	a := &Port{fo: m.newFanout(loc, &m.sh[0])}
 	m.att[loc] = a
-	// The record starts stale (epoch 0 is behind the bump below), so the
-	// port's first send resolves its membership as a lazily built record's
-	// would. A record left at loc by an earlier occupant keeps its link
-	// state.
-	sh := &m.sh[a.ctx.Shard()]
-	if sh.fan[loc] == nil {
-		sh.fan[loc] = m.newFanout(loc, sh)
-	}
-	a.fo = sh.fan[loc]
 	// A brand-new location invalidates every fan-out that should now
 	// include it; bumping the version makes each source re-resolve its own
 	// lazily. Delivery skips a port with no receiver, so one that is
@@ -471,13 +464,14 @@ func (m *Medium) Port(loc topology.Location) *Port {
 	return a
 }
 
-// Attached reports whether the medium holds a port at loc: a receiver
-// was attached there, or a node took the port to attach one, and has not
-// moved away since. A location whose receiver was detached still counts.
-// Unlike Port, it registers nothing.
+// Attached reports whether a node holds the port at loc: a receiver was
+// attached there, a node took the port to attach one, a mote moved there
+// or a frame was sent from there, and no mote has moved away since. A
+// location whose receiver was detached still counts. Unlike Port, it
+// makes nothing.
 func (m *Medium) Attached(loc topology.Location) bool {
-	_, ok := m.att[loc]
-	return ok
+	a, ok := m.att[loc]
+	return ok && a.ctx != nil
 }
 
 // Detach removes the receiver at loc (a dead mote). Fan-outs stay valid:
@@ -488,12 +482,16 @@ func (m *Medium) Detach(loc topology.Location) {
 	}
 }
 
-// Move rekeys the port at from to to: the mote carried its radio to a new
-// coordinate while staying on the air. The port keeps its
-// scheduling context (the node's ordering identity is its birth location),
-// the medium's topology is rekeyed when it is Movable (explicit link
-// sets; geometric topologies re-derive connectivity from the new
-// coordinates), and the version bump invalidates every fan-out lazily.
+// Move carries the mote at from to to: it took its radio to a new
+// coordinate while staying on the air. The medium's topology is rekeyed
+// first when it is Movable (explicit link sets; geometric topologies
+// re-derive connectivity from the new coordinates). The port at to —
+// made now, sized from to's new degree, if the medium has not met to —
+// then takes the mover's receiver and scheduling context (the node's
+// ordering identity is its birth location), and the port at from is left
+// unheld, its fan-out kept for whoever holds from next. The version bump
+// invalidates every fan-out lazily. The mover's network stack re-takes
+// its port afterwards (network.Stack.SetSelf).
 //
 // Like Attach, Move may only be called while no ordinary event is
 // executing: from the host between runs, or from a world event
@@ -510,34 +508,24 @@ func (m *Medium) Move(from, to topology.Location) error {
 	if b, ok := m.att[to]; ok && b.r != nil {
 		return fmt.Errorf("radio: %v is already occupied", to)
 	}
-	delete(m.att, from)
-	m.att[to] = a
-	// The port's cached record is from's, which a send from there — by a
-	// port moved in later — can bring up to the new version: drop it.
-	a.fo = nil
 	if mv, ok := m.topo.(topology.Movable); ok {
 		mv.Rekey(from, to)
 	}
+	b := m.portAt(to)
+	b.r, b.ctx = a.r, a.ctx
+	a.r, a.ctx = nil, nil
 	m.version++
 	return nil
 }
 
-// ctxOf returns the scheduling context keyed to loc, registering one on
-// the fly for senders that were never attached (test harness frames).
-func (m *Medium) ctxOf(loc topology.Location) *sim.Ctx {
-	if a, ok := m.att[loc]; ok {
-		return a.ctx
-	}
-	return m.ex.Context(sim.Key2D(loc.X, loc.Y))
-}
-
-// newFanout returns an empty record for sends from src on sh whose links
-// have room for src's topology degree — the enumerated candidates
-// Connected to src — so resolving its neighbours appends without growing.
-// A candidate enumerated twice counts twice: the figure is a capacity. A
-// topology that cannot enumerate leaves the links to grow on use.
-func (m *Medium) newFanout(src topology.Location, sh *mediumShard) *fanout {
-	fo := new(fanout)
+// newFanout returns an empty fan-out for sends from src whose links have
+// room for src's topology degree — the enumerated candidates Connected to
+// src, counted with sh's scratch — so resolving its neighbours appends
+// without growing. A candidate enumerated twice counts twice: the figure
+// is a capacity. A topology that cannot enumerate leaves the links to
+// grow on use.
+func (m *Medium) newFanout(src topology.Location, sh *mediumShard) fanout {
+	var fo fanout
 	if m.en != nil {
 		sh.src, sh.n = src, 0
 		if m.en.EnumerateNeighbors(src, sh.count) && sh.n > 0 {
@@ -547,30 +535,21 @@ func (m *Medium) newFanout(src topology.Location, sh *mediumShard) *fanout {
 	return fo
 }
 
-// fanoutOf returns the fan-out record for sends from src, resolving it on
-// the source's first send and again after a topology mutation. A port's
-// record was built with the port; a source that has none yet — a moved
-// mote's new coordinate, or a Send from a location holding no port — gets
-// one here, sized the same way. The broadcast membership — every
-// ever-attached location connected to src — is computed once per source
-// and medium version on the source's shard and reused for every
-// subsequent send; re-sorting the whole attachment table per beacon was
-// the medium's hottest path.
-func (m *Medium) fanoutOf(src topology.Location, sh *mediumShard) *fanout {
-	fo := sh.fan[src]
-	if fo == nil {
-		fo = m.newFanout(src, sh)
-		sh.fan[src] = fo
-	} else if fo.epoch == m.version {
-		return fo
-	}
+// resolve brings fo, the fan-out of sends from src, up to the medium's
+// version, on sh, the source's shard: at the source's first send and
+// again after a topology mutation. The broadcast membership — every
+// location with a port that is connected to src — is computed once per
+// source and medium version and reused for every subsequent send;
+// re-sorting the whole port table per beacon was the medium's hottest
+// path.
+func (m *Medium) resolve(fo *fanout, src topology.Location, sh *mediumShard) {
 	fo.epoch = m.version
 	// Keep what must outlive the rebuild — the links that have carried a
 	// frame — and resolve the membership afresh around them.
 	kept := fo.links[:0]
 	for _, l := range fo.links {
 		if l.used {
-			l.bcast, l.a = false, m.att[l.to]
+			l.bcast = false
 			kept = append(kept, l)
 		}
 	}
@@ -586,11 +565,10 @@ func (m *Medium) fanoutOf(src topology.Location, sh *mediumShard) *fanout {
 			m.collect(sh, loc)
 		}
 	}
-	return fo
 }
 
-// collect is sh.collect's body: it adds loc to the record being resolved
-// on sh when loc is an ever-attached location connected to its source.
+// collect is sh.collect's body: it adds loc to the fan-out being resolved
+// on sh when loc is a location with a port connected to its source.
 func (m *Medium) collect(sh *mediumShard, loc topology.Location) {
 	if loc == sh.src || !m.topo.Connected(sh.src, loc) {
 		return
@@ -608,53 +586,36 @@ func (m *Medium) collect(sh *mediumShard, loc topology.Location) {
 	}
 }
 
-// Send transmits a frame. Unicast frames are delivered to the destination
-// node if it is attached and connected to the source; broadcast frames are
-// offered to every connected node. Loss is sampled per receiving link.
-// Delivery happens after the modelled frame delay.
-//
-// Each delivery copies the payload into a buffer of its own before Send
-// returns, so the sender may reuse its buffer as soon as Send returns;
-// Trace and Drop see the sender's bytes, during Send. A receiver gets the
-// delivery's copy under the rule on Receiver.
-//
-// Send finds the source's context and fan-out by its location, which
-// suits frames from senders that hold no port (test harnesses); an
-// attached node sends through SendFrom.
-func (m *Medium) Send(f Frame) {
-	src := m.ctxOf(f.Src)
-	sh := &m.sh[src.Shard()]
-	m.send(f, src, sh, m.fanoutOf(f.Src, sh))
-}
+// Send is SendFrom through Port(f.Src), for the host's harnesses and
+// probes that hold no port. From a location no node holds, it makes that
+// location's port: Attached then reports it, and neighbours' broadcasts
+// list it and deliver nothing to it.
+func (m *Medium) Send(f Frame) { m.SendFrom(m.Port(f.Src), f) }
 
-// SendFrom is Send for a frame from the node that holds p, whose Src must
-// be the port's current location: the port's context and cached fan-out
-// stand in for the two location lookups, and the frame's outcome —
-// deliveries, link random draws, Stats — is the one Send gives.
+// SendFrom transmits a frame from the node that holds p, the port at
+// f.Src. Unicast frames are delivered to the destination node if it is
+// attached and connected to the source; broadcast frames are offered to
+// every connected node. Loss is sampled per receiving link. Delivery
+// happens after the modelled frame delay.
+//
+// Each delivery copies the payload into a buffer of its own before
+// SendFrom returns, so the sender may reuse its buffer as soon as it
+// returns; Trace and Drop see the sender's bytes, during the call. A
+// receiver gets the delivery's copy under the rule on Receiver.
 func (m *Medium) SendFrom(p *Port, f Frame) {
 	sh := &m.sh[p.ctx.Shard()]
-	fo := p.fo
-	if fo == nil || fo.epoch != m.version {
-		// The first send since the port was taken or moved, or the
-		// topology changed since the last one: resolve the record of where
-		// it is.
-		fo = m.fanoutOf(f.Src, sh)
-		p.fo = fo
+	fo := &p.fo
+	if fo.epoch != m.version {
+		m.resolve(fo, f.Src, sh)
 	}
-	m.send(f, p.ctx, sh, fo)
-}
-
-// send is the body of Send and SendFrom: fo is src's up-to-date fan-out
-// record and sh its shard's arena.
-func (m *Medium) send(f Frame, src *sim.Ctx, sh *mediumShard, fo *fanout) {
 	sh.stats.Sent++
 	sh.stats.Bytes += uint64(len(f.Payload))
 	if f.IsBroadcast() {
 		// Deliver in sorted location order: map iteration order would
 		// leak nondeterminism into the loss sampling and event sequence.
 		for i := range fo.links {
-			if l := &fo.links[i]; l.bcast && l.a != nil && l.a.r != nil {
-				m.deliver(f, l, src, sh)
+			if l := &fo.links[i]; l.bcast && l.a.r != nil {
+				m.deliver(f, l, p.ctx, sh)
 			}
 		}
 		return
@@ -663,7 +624,7 @@ func (m *Medium) send(f Frame, src *sim.Ctx, sh *mediumShard, fo *fanout) {
 	// failure-injecting one may sever a link between two sends — but the
 	// receiver and the link state come from the fan-out; only a link the
 	// record has not met (no such neighbour, or connectivity that grew
-	// without a version bump) falls back to the attachment table.
+	// without a version bump) falls back to the port table.
 	l := fo.find(f.Dst)
 	var a *Port
 	if l != nil {
@@ -681,7 +642,7 @@ func (m *Medium) send(f Frame, src *sim.Ctx, sh *mediumShard, fo *fanout) {
 	if l == nil {
 		l = fo.insert(link{to: f.Dst, a: a})
 	}
-	m.deliver(f, l, src, sh)
+	m.deliver(f, l, p.ctx, sh)
 }
 
 // deliver offers one frame to the receiver at the far end of l. The
@@ -736,7 +697,7 @@ func (m *Medium) deliver(f Frame, l *link, src *sim.Ctx, sh *mediumShard) {
 // false when no live receiver is attached at f.Dst (the peer's map is
 // stale or the node died); the frame is counted as NoRoute.
 //
-// As with Send, the frame travels in a pooled delivery, here the
+// As with SendFrom, the frame travels in a pooled delivery, here the
 // receiving shard's, which copies the payload before Inject returns; the
 // receiver sees it under the rule on Receiver.
 func (m *Medium) Inject(f Frame) bool {

@@ -466,89 +466,130 @@ func TestLinkStateOutlivesFanoutRebuild(t *testing.T) {
 	}
 }
 
-// TestPortSendMatchesSend: frames sent through the senders' ports give
-// exactly what the same frames sent through Medium.Send give — the
-// deliveries with their times, every link's loss and jitter draws, and
-// Stats — also after the sender moves to a vacated location with link
-// history of its own and back, where the port's cached fan-out must
-// follow it. While the mover is away, a second port moves into the
-// location it left and sends first, bringing that location's record up to
-// date: the mover's cached copy of it must not pass for its own.
-func TestPortSendMatchesSend(t *testing.T) {
+// TestLinkHistoryOutlivesItsHolder: a location's links keep their
+// channel state when the mote holding it leaves and another arrives.
+// Mote X sends n unicasts from A to B and moves far away; mote Y, whose
+// context lives on the executor's other shard, moves into A and sends n
+// more. Every frame's fate and arrival time must be those of a run where
+// X stays at A and sends all 2n: A→B is one link whoever holds A.
+func TestLinkHistoryOutlivesItsHolder(t *testing.T) {
 	p := Lossy()
 	p.LossGood, p.PGoodBad, p.PBadGood = 0.3, 0.2, 0.3 // a busy chain: every draw matters
-	type heard struct {
-		at       time.Duration
-		to, from topology.Location
-		tag      byte
+	const n = 200
+	a, b := topology.Loc(1, 1), topology.Loc(2, 1)
+	xAway, yHome := topology.Loc(20, 20), topology.Loc(30, 30)
+	type arrival struct {
+		tag uint16
+		at  time.Duration
 	}
-	type outcome struct {
-		to        topology.Location
-		delivered bool
-	}
-	run := func(viaPort bool) ([]heard, []outcome, Stats) {
-		s := sim.New(1)
+	run := func(handOver bool) ([]bool, []arrival) {
+		s := sim.NewParallel(1, 2, p.FrameDelay(0), func(k sim.ContextKey) int {
+			if k == sim.Key2D(yHome.X, yHome.Y) {
+				return 1
+			}
+			return 0
+		})
 		m := NewMedium(s, topology.Grid{}, p)
-		var log []heard
-		var outs []outcome
-		m.Trace = func(_ Frame, to topology.Location, delivered bool) { outs = append(outs, outcome{to, delivered}) }
-		for _, loc := range topology.GridLocations(3, 3) {
-			if err := m.Attach(loc, receiverFunc(func(f Frame) {
-				log = append(log, heard{s.Now(), loc, f.Src, f.Payload[0]})
-			})); err != nil {
+		var fates []bool
+		var got []arrival
+		m.Trace = func(_ Frame, _ topology.Location, delivered bool) { fates = append(fates, delivered) }
+		rx := m.Port(b)
+		for loc, r := range map[topology.Location]Receiver{
+			a:     &captureNode{},
+			yHome: &captureNode{},
+			b: receiverFunc(func(f Frame) {
+				got = append(got, arrival{uint16(f.Payload[0])<<8 | uint16(f.Payload[1]), rx.ctx.Now()})
+			}),
+		} {
+			if err := m.Attach(loc, r); err != nil {
 				t.Fatal(err)
 			}
 		}
-		mover, vacated, other := topology.Loc(2, 2), topology.Loc(3, 2), topology.Loc(1, 2)
-		port := m.Port(mover)
-		tag := byte(0)
-		send := func(from topology.Location, via *Port, frames int) {
-			for i := 0; i < frames; i++ {
+		tag := uint16(0)
+		send := func(via *Port) {
+			for range n {
+				m.SendFrom(via, Frame{Src: a, Dst: b, Kind: KindRemoteTS, Payload: []byte{byte(tag >> 8), byte(tag)}})
 				tag++
-				f := Frame{Src: from, Dst: Broadcast, Kind: KindBeacon, Payload: []byte{tag}}
-				if i%3 == 1 {
-					f.Dst, f.Kind = topology.Loc(from.X, from.Y-1), KindRemoteTS
-				}
-				if viaPort {
-					m.SendFrom(via, f)
-				} else {
-					m.Send(f)
-				}
 			}
 			if err := s.Run(s.Now() + time.Second); err != nil {
 				t.Fatal(err)
 			}
 		}
-		move := func(from, to topology.Location) {
-			if err := m.Move(from, to); err != nil {
-				t.Fatal(err)
-			}
+		x := m.Port(a)
+		send(x)
+		if !handOver {
+			send(x)
+			return fates, got
 		}
-		send(vacated, m.Port(vacated), 30) // the location the mover takes gets link history
-		send(mover, port, 60)
-		move(vacated, topology.Loc(9, 9))
-		move(mover, vacated)
-		move(other, mover)
-		send(mover, m.Port(mover), 30) // the other port, sending from where the mover was
-		send(vacated, port, 60)
-		move(mover, other)
-		move(vacated, mover)
-		send(mover, port, 60)
-		return log, outs, m.Stats()
+		if err := m.Move(a, xAway); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Move(yHome, a); err != nil {
+			t.Fatal(err)
+		}
+		y := m.Port(a)
+		if y.ctx.Shard() != 1 {
+			t.Fatalf("Y sends from shard %d, want its own shard 1", y.ctx.Shard())
+		}
+		send(y)
+		return fates, got
 	}
-	wantLog, wantOuts, wantStats := run(false)
-	gotLog, gotOuts, gotStats := run(true)
-	if len(wantLog) == 0 || len(wantOuts) == len(wantLog) || wantStats.Dropped == 0 {
-		t.Fatalf("the reference run exercised too little: %d heard, %d offered, %+v", len(wantLog), len(wantOuts), wantStats)
+	wantFates, wantGot := run(false)
+	gotFates, gotGot := run(true)
+	if len(wantFates) != 2*n || len(wantGot) == 0 || len(wantGot) == 2*n {
+		t.Fatalf("the reference run exercised too little: %d fates, %d of them delivered", len(wantFates), len(wantGot))
 	}
-	if !slices.Equal(gotOuts, wantOuts) {
-		t.Fatal("loss decisions through the port differ from Medium.Send's")
+	if !slices.Equal(gotFates, wantFates) {
+		t.Fatal("frames sent after the hand-over met a different channel: A's link history was lost")
 	}
-	if !slices.Equal(gotLog, wantLog) {
-		t.Fatal("deliveries through the port differ from Medium.Send's")
+	if !slices.Equal(gotGot, wantGot) {
+		t.Fatal("deliveries after the hand-over arrived at different times: A's link stream was reset")
 	}
-	if gotStats != wantStats {
-		t.Fatalf("Stats through the port %+v, through Medium.Send %+v", gotStats, wantStats)
+}
+
+// TestAttached: a location counts as attached while a node holds its
+// port — once something was attached there, also after Detach, and at a
+// move's target — but not once its mote has moved away, until a node
+// attaches there again. A Send from a location no node held takes its
+// port: it then counts, and neighbours' broadcasts list it and deliver
+// nothing to it.
+func TestAttached(t *testing.T) {
+	s, m, nodes := newTestMedium(t, ZeroLoss())
+	home, away, detached, stranger := topology.Loc(1, 1), topology.Loc(9, 9), topology.Loc(3, 3), topology.Loc(4, 2)
+	m.Detach(detached)
+	if err := m.Move(home, away); err != nil {
+		t.Fatal(err)
+	}
+	for loc, want := range map[topology.Location]bool{home: false, away: true, detached: true, stranger: false} {
+		if got := m.Attached(loc); got != want {
+			t.Errorf("Attached(%v) = %v, want %v", loc, got, want)
+		}
+	}
+	m.Send(Frame{Src: stranger, Dst: Broadcast, Kind: KindBeacon})
+	if !m.Attached(stranger) {
+		t.Error("a Send from a location no node held left it unattached")
+	}
+	back := &captureNode{}
+	if err := m.Attach(home, back); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Attached(home) {
+		t.Error("a node attached at a vacated location does not count")
+	}
+	for _, src := range []topology.Location{topology.Loc(2, 1), topology.Loc(3, 2)} {
+		m.Send(Frame{Src: src, Dst: Broadcast, Kind: KindBeacon})
+	}
+	if err := s.Run(time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if len(back.got) != 1 {
+		t.Errorf("the node attached at vacated %v heard %d broadcasts, want 1", home, len(back.got))
+	}
+	if n := len(nodes[detached].got); n != 0 {
+		t.Errorf("detached %v heard %d frames", detached, n)
+	}
+	if fo := &m.att[topology.Loc(3, 2)].fo; fo.find(stranger) == nil || fo.find(detached) == nil {
+		t.Errorf("(3,2)'s broadcast does not list its portless neighbours: %v", fo.links)
 	}
 }
 
@@ -605,7 +646,7 @@ func TestUnicastFindsItsLinkInTheFanout(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Send(Frame{Src: src, Dst: Broadcast})
-	fo := m.sh[0].fan[src]
+	fo := &m.att[src].fo
 	if len(fo.links) != degree {
 		t.Fatalf("fan-out lists %d links, want %d", len(fo.links), degree)
 	}

@@ -149,10 +149,23 @@ func (g Grid) EnumerateNeighbors(src Location, visit func(Location)) bool {
 // laptop base station at (0,0) to the network through a MIB510 interface
 // board (§3.1); node (0,0) is one hop from the gateway at (1,1), which makes
 // (h,1) exactly h hops from the base — the layout behind Figures 9 and 10.
+// Build it with NewWithBase (a literal cannot enumerate its neighbours),
+// and do not replace Inner afterwards.
 type WithBase struct {
 	Inner   Topology
 	Base    Location
 	Gateway Location
+	en      NeighborEnumerator // Inner as a NeighborEnumerator, or nil
+}
+
+// NewWithBase returns inner with a link between base and gateway. It
+// asserts inner's NeighborEnumerator once: the radio medium enumerates on
+// its send path, where an assertion per call may also build the runtime's
+// type-assertion cache, an allocation.
+func NewWithBase(inner Topology, base, gateway Location) *WithBase {
+	w := &WithBase{Inner: inner, Base: base, Gateway: gateway}
+	w.en, _ = inner.(NeighborEnumerator)
+	return w
 }
 
 // Connected implements Topology.
@@ -173,14 +186,13 @@ func (w WithBase) EnumerateNeighbors(src Location, visit func(Location)) bool {
 		visit(w.Gateway)
 		return true
 	}
-	en, ok := w.Inner.(NeighborEnumerator)
-	if !ok {
+	if w.en == nil {
 		return false
 	}
 	if src == w.Gateway {
 		visit(w.Base)
 	}
-	return en.EnumerateNeighbors(src, visit)
+	return w.en.EnumerateNeighbors(src, visit)
 }
 
 // Rekey implements Movable: a moving gateway carries the base bridge with

@@ -897,7 +897,7 @@ func splitGrid(w, h, x int16, peer Addr) (local []topology.Location, peers map[t
 // while Owns still answers for every peer-owned location.
 func TestBridgeAttachesRing(t *testing.T) {
 	for _, diag := range []bool{false, true} {
-		topo := topology.WithBase{Inner: topology.Grid{Diag: diag}, Base: topology.Loc(0, 0), Gateway: topology.Loc(1, 1)}
+		topo := topology.NewWithBase(topology.Grid{Diag: diag}, topology.Loc(0, 0), topology.Loc(1, 1))
 		med := radio.NewMedium(sim.New(1), topo, radio.ZeroLoss())
 		local, peers := splitGrid(40, 20, 20, "loop:ring-peer")
 		br, err := NewBridge(NewLoopback(Addr(fmt.Sprintf("loop:ring-%v", diag))), med, local, peers)
