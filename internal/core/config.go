@@ -116,7 +116,7 @@ func (c Config) withDefaults() Config {
 	if c.MaxAgents <= 0 {
 		c.MaxAgents = DefaultMaxAgents
 	}
-	c.MaxAgents = min(c.MaxAgents, math.MaxUint16) // Node.reserve counts below it in 16 bits
+	c.MaxAgents = min(c.MaxAgents, math.MaxUint16) // agent IDs are 16 bits: no mote hosts more
 	if c.CodeBlocks <= 0 {
 		c.CodeBlocks = DefaultCodeBlocks
 	}

@@ -60,12 +60,10 @@ type Deployment struct {
 	Base   *Node
 	Trace  *Trace
 
-	nodes   map[topology.Location]*Node
-	order   []*Node // the base station, then the motes in dispatch order: the order they were built
-	layout  topology.Layout
-	spec    DeploymentSpec
-	workers int
-	world   WorldStats
+	order  []*Node // the base station, then the motes in dispatch order: the order they were built
+	layout topology.Layout
+	spec   DeploymentSpec
+	world  WorldStats
 }
 
 // DeploymentSpec assembles a Deployment from a layout.
@@ -144,14 +142,12 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 	trace := &Trace{}
 
 	d := &Deployment{
-		Sim:     s,
-		Medium:  medium,
-		Trace:   trace,
-		nodes:   make(map[topology.Location]*Node, len(spec.Layout.Nodes)+1),
-		order:   make([]*Node, 0, len(spec.Layout.Nodes)+1),
-		layout:  spec.Layout,
-		spec:    spec,
-		workers: workers,
+		Sim:    s,
+		Medium: medium,
+		Trace:  trace,
+		order:  make([]*Node, 0, len(spec.Layout.Nodes)+1),
+		layout: spec.Layout,
+		spec:   spec,
 	}
 
 	// One environment per shard for the motes (separately allocated: their
@@ -174,7 +170,6 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 		return nil, fmt.Errorf("core: base station: %w", err)
 	}
 	d.Base = base
-	d.nodes[baseLoc] = base
 	d.order = append(d.order, base)
 
 	// Motes are built in the order each shard dispatches them, ascending
@@ -200,7 +195,6 @@ func NewDeployment(spec DeploymentSpec) (*Deployment, error) {
 			n.EnableReplication(*spec.Replication,
 				sim.Stream(spec.Seed, saltReplica, uint64(sim.Key2D(loc.X, loc.Y))))
 		}
-		d.nodes[loc] = n
 		d.order = append(d.order, n)
 	}
 	return d, nil
@@ -233,13 +227,13 @@ func (d *Deployment) Replication() *Replication {
 
 // Workers returns the effective parallelism of the deployment's executor:
 // its shard count, 1 when the kernel runs inline on one shard.
-func (d *Deployment) Workers() int { return d.workers }
+func (d *Deployment) Workers() int { return d.Sim.Shards() }
 
 // NowAt returns the virtual clock of the node at loc — exact even while a
 // parallel run is in flight, where the executor-wide clock is only
 // barrier-accurate. Unknown locations fall back to the executor clock.
 func (d *Deployment) NowAt(loc topology.Location) time.Duration {
-	if n := d.nodes[loc]; n != nil {
+	if n := d.Node(loc); n != nil {
 		return n.Now()
 	}
 	return d.Sim.Now()
@@ -337,8 +331,13 @@ func (d *Deployment) WarmUp() error {
 	return d.Sim.Run(d.Sim.Now() + d.WarmUpSpan())
 }
 
-// Node returns the mote at loc, or nil.
-func (d *Deployment) Node(loc topology.Location) *Node { return d.nodes[loc] }
+// Node returns the mote at loc, or nil: the node that holds the medium's
+// port there, which a move hands over (radio.Medium.Move). A dead mote
+// stays attached, its radio deaf in ReceiveFrame, so revival finds it.
+func (d *Deployment) Node(loc topology.Location) *Node {
+	n, _ := d.Medium.Holder(loc).(*Node)
+	return n
+}
 
 // Nodes returns all nodes (including the base) sorted by location.
 func (d *Deployment) Nodes() []*Node {
@@ -359,12 +358,13 @@ func (d *Deployment) Motes() []*Node {
 }
 
 // TotalAgents counts live agents across the network, including agents
-// mid-handoff that are reserved on a receiver but not yet instantiated, so
-// the count never dips to zero while an agent is in flight.
+// mid-handoff whose inbound transfer holds a slot on a receiver but has not
+// yet instantiated them, so the count never dips to zero while an agent is
+// in flight.
 func (d *Deployment) TotalAgents() int {
 	total := 0
 	for _, n := range d.order {
-		total += len(n.agents) + int(n.reserve)
+		total += n.slots()
 	}
 	return total
 }

@@ -61,8 +61,8 @@ func TestAgentRunsAndHalts(t *testing.T) {
 		t.Errorf("AgentsHalted = %d", n.Stats().AgentsHalted)
 	}
 	// Resources released.
-	if n.InstrMem().FreeBlocks() != n.InstrMem().TotalBlocks() {
-		t.Error("instruction memory leaked")
+	if n.slots() != 0 || n.codeBlocks() != 0 {
+		t.Errorf("%d slots and %d code blocks still in use", n.slots(), n.codeBlocks())
 	}
 	if _, ok := n.Space().Rdp(tuplespace.Tmpl(tuplespace.Str("agt"), tuplespace.AgentIDV(id))); ok {
 		t.Error("agent context tuple not removed on death")

@@ -24,11 +24,14 @@ import (
 
 // TestHostBytesPerMote builds a 50×50 field of sensing agents, lets a
 // virtual second of beacons and wake-ups pass, and measures the live
-// heap: 1,864 B per mote. Every mote's radio fan-out and acquaintance
+// heap: 1,802 B per mote. Every mote's radio fan-out and acquaintance
 // list are built with it, sized from its topology degree (1,754 B when
-// they grew on first use and half the motes had not beaconed yet), and
-// its radio port holds the fan-out by value (1,893 B when each shard
-// kept a map of separately allocated fan-outs beside the ports).
+// they grew on first use and half the motes had not beaconed yet), its
+// radio port holds the fan-out by value (1,893 B when each shard kept a
+// map of separately allocated fan-outs beside the ports), and the mote
+// at a location is found through its port, its agent slots and code
+// blocks counted from its agents (1,850 B with a deployment node map
+// and an instruction-memory allocator beside them).
 func TestHostBytesPerMote(t *testing.T) {
 	const g = 50
 	runtime.GC()
@@ -59,17 +62,17 @@ func TestHostBytesPerMote(t *testing.T) {
 }
 
 // TestStructSizes pins the by-value layouts. Node is one object holding
-// the stack, space, registry, instruction manager and run ring; with the
-// allocator's 8-byte header for pointerful objects over 512 B it must stay
-// within the 640-byte size class. A record and a vm.Agent are pinned at
-// their size, so per-agent scratch cannot creep in: a shard's agents
-// share one (vm.Host.Scratch).
+// the stack, space, registry and run ring; with the allocator's 8-byte
+// header for pointerful objects over 512 B it must stay within the
+// 640-byte size class. Node, a record and a vm.Agent are pinned at their
+// size, so per-mote or per-agent scratch cannot creep in: a shard's
+// agents share one (vm.Host.Scratch).
 func TestStructSizes(t *testing.T) {
 	pins := []struct {
 		name      string
 		got, most uintptr
 	}{
-		{"core.Node", unsafe.Sizeof(Node{}), 624},
+		{"core.Node", unsafe.Sizeof(Node{}), 584},
 		{"core.record", unsafe.Sizeof(record{}), 120},
 		{"tuplespace.Value", unsafe.Sizeof(tuplespace.Value{}), 8},
 		{"vm.Agent", unsafe.Sizeof(vm.Agent{}), 264},

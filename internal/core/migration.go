@@ -154,6 +154,18 @@ func (im *inMigration) want(t wire.MsgType) uint8 {
 // CodeBlockSize re-exports the wire block size for readability here.
 const CodeBlockSize = wire.CodeBlockSize
 
+// BlocksFor returns how many 22-byte blocks a program of n bytes needs.
+// Since TinyOS has no dynamic memory allocation, the instruction manager
+// hands out the minimum number of fixed blocks an agent's code needs
+// (§3.2): "We found that 22 byte blocks are a good compromise between
+// internal fragmentation and undue forward pointer overhead."
+func BlocksFor(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return (n + CodeBlockSize - 1) / CodeBlockSize
+}
+
 // reuse takes from a free list the longest-released record whose timer can
 // run on c (see sim.Timer.Rebind), or returns nil. The list is kept in
 // release order: the stale timer entries a transfer leaves behind drain
@@ -610,13 +622,13 @@ func (n *Node) recvState(st wire.StateMsg, from topology.Location, e2e bool) {
 	if n.hosted(st.AgentID) != nil && (st.Kind == wire.MigStrongMove || st.Kind == wire.MigWeakMove || st.Kind == wire.MigInject) {
 		return // an agent with this identity already lives here
 	}
-	// Admission control: the transfer holds an agent slot and its code's
-	// instruction memory until it ends, so an acked agent always fits. A
-	// refused transfer is ignored; the sender times out and resumes it.
-	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents || !n.instr.hold(int(st.CodeLen)) {
+	// Admission control: an open transfer counts as an agent slot and as
+	// its code's instruction memory until it ends (slots, codeBlocks), so
+	// an acked agent always fits. A refused transfer is ignored; the
+	// sender times out and resumes it.
+	if n.slots() >= n.cfg.MaxAgents || n.codeBlocks()+BlocksFor(int(st.CodeLen)) > n.cfg.CodeBlocks {
 		return
 	}
-	n.reserve++
 	im := n.newIn()
 	im.key, im.st, im.e2e = key, st, e2e
 	im.code = slices.Grow(im.code[:0], int(st.NCode)*CodeBlockSize)[:int(st.NCode)*CodeBlockSize]
@@ -679,8 +691,6 @@ func (n *Node) onStall(im *inMigration) {
 // abortIn implements the receiver stall abort (§3.2).
 func (n *Node) abortIn(im *inMigration) {
 	remove(&n.ses.in, im)
-	n.reserve--
-	n.instr.release(int(im.st.CodeLen))
 	n.releaseIn(im)
 }
 
@@ -693,9 +703,9 @@ func (n *Node) finalizeIn(im *inMigration) {
 	if !ok || s.in[i] != im {
 		return // the node crashed during the reassembly delay
 	}
+	// Out of s.in the transfer no longer counts against the mote; the
+	// agent admitRecord installs counts in its place.
 	s.in = slices.Delete(s.in, i, i+1)
-	n.reserve--
-	n.instr.release(int(im.st.CodeLen)) // admitRecord charges the agent itself
 	s.done.note(im.key, struct{}{}, n.sim.Now(), 3*time.Second)
 	if im.e2e {
 		// End-to-end mode: one completion ack, routed back to the origin.
@@ -732,7 +742,7 @@ func (n *Node) finalizeIn(im *inMigration) {
 
 	rec, err := n.admitRecord(a)
 	if err != nil {
-		return // unreachable: the reservation kept the slot and the blocks
+		return // unreachable: the open transfer kept the slot and the blocks
 	}
 	// Restore the agent's reactions (§3.2: "When an agent arrives, it
 	// automatically restores all of the agent's reactions").
@@ -825,14 +835,22 @@ func (n *Node) freeAgent(a *vm.Agent) {
 }
 
 // admitRecord installs an agent without enqueueing it; callers decide when
-// it becomes runnable. It leaves the inbound transfers' reservations be.
+// it becomes runnable. It refuses the agent when the mote's agent slots
+// are taken, when an agent with its ID is already hosted, or when its code
+// does not fit the instruction memory left, in that order; the slots and
+// blocks in use count the open inbound transfers too (slots, codeBlocks).
 // An agent it refuses goes back to the shard's free list.
 func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
-	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents {
-		n.freeAgent(a)
-		return nil, fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
+	i, dup := n.agentIndex(a.ID)
+	var err error
+	if n.slots() >= n.cfg.MaxAgents {
+		err = fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
+	} else if dup {
+		err = fmt.Errorf("core: agent %d already hosted", a.ID)
+	} else if need, free := BlocksFor(len(a.Code)), n.cfg.CodeBlocks-n.codeBlocks(); need > free {
+		err = fmt.Errorf("%w: need %d blocks, %d free", ErrNoInstrMem, need, free)
 	}
-	if err := n.instr.Alloc(a.ID, len(a.Code)); err != nil {
+	if err != nil {
 		n.freeAgent(a)
 		return nil, err
 	}
@@ -841,7 +859,6 @@ func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
 	if n.cfg.Exec != ExecStep {
 		rec.prog = progCache.Get(a.Code)
 	}
-	i, _ := n.agentIndex(a.ID) // instr.Alloc above refused an ID already hosted
 	n.agents = append(n.agents, nil)
 	copy(n.agents[i+1:], n.agents[i:])
 	n.agents[i] = rec
@@ -852,17 +869,10 @@ func (n *Node) admitRecord(a *vm.Agent) (*record, error) {
 	return rec, nil
 }
 
-// presence returns the <"agt", id> tuple that announces a hosted agent.
-// Tuples are immutable once built, so the shard builds each agent's once
-// and every node it visits stores the same one.
+// presence returns the <"agt", id> tuple that announces a hosted agent,
+// built in the shard's scratch: Space.Out copies it into the arena, and
+// the next presence overwrites it.
 func (n *Node) presence(id uint16) tuplespace.Tuple {
-	t, ok := n.agt[id]
-	if !ok {
-		if n.agt == nil {
-			n.agt = make(map[uint16]tuplespace.Tuple)
-		}
-		t = tuplespace.T(tuplespace.Str("agt"), tuplespace.AgentIDV(id))
-		n.agt[id] = t
-	}
-	return t
+	n.agt = [2]tuplespace.Value{tuplespace.Str("agt"), tuplespace.AgentIDV(id)}
+	return tuplespace.Tuple{Fields: n.agt[:]}
 }

@@ -371,11 +371,8 @@ func TestReceiverStallAborts(t *testing.T) {
 	if len(openIn(dst)) != 0 {
 		t.Error("stalled inbound transfer not aborted")
 	}
-	if dst.reserve != 0 {
-		t.Errorf("reservation leaked: %d", dst.reserve)
-	}
-	if free, total := dst.InstrMem().FreeBlocks(), dst.InstrMem().TotalBlocks(); free != total {
-		t.Errorf("held code blocks leaked: %d of %d free", free, total)
+	if dst.slots() != 0 || dst.codeBlocks() != 0 {
+		t.Errorf("the aborted transfer still counts: %d slots, %d code blocks", dst.slots(), dst.codeBlocks())
 	}
 	if dst.NumAgents() != 0 {
 		t.Error("partial agent materialized")
@@ -612,8 +609,8 @@ func TestFragmentIndexesBoundTheTransfer(t *testing.T) {
 			if h := n.Stats().AgentsHosted; h != 0 {
 				t.Fatalf("%d agents installed from an incomplete or malformed transfer", h)
 			}
-			if len(openIn(n)) != 0 || n.reserve != 0 {
-				t.Fatalf("transfer not released: %d open, %d reserved", len(openIn(n)), n.reserve)
+			if len(openIn(n)) != 0 || n.slots() != 0 {
+				t.Fatalf("transfer not released: %d open, %d slots in use", len(openIn(n)), n.slots())
 			}
 		})
 	}

@@ -19,6 +19,10 @@ import (
 // ErrAgentLimit is returned when a node cannot host another agent.
 var ErrAgentLimit = errors.New("core: agent limit reached")
 
+// ErrNoInstrMem is returned when an agent's code does not fit in the
+// instruction-memory blocks its node has left.
+var ErrNoInstrMem = errors.New("core: out of instruction memory")
+
 // ErrKilled is the cause of death of an agent the host killed
 // (Node.KillAgent).
 var ErrKilled = errors.New("core: agent killed")
@@ -119,7 +123,7 @@ func (rec *record) popFiring() firing {
 // by events running there.
 //
 // A mote is one object on the host: the network stack, tuple space,
-// reaction registry, instruction manager and run queue are held by value,
+// reaction registry and run queue are held by value,
 // so a wake-up finds them beside the fields that led to them. What every
 // mote of a shard can share (the configuration, the hook table, the
 // engine's scratch) is pointed at, and what a mote has not used yet — its
@@ -137,7 +141,6 @@ type Node struct {
 	migSeq     uint16
 	reqSeq     uint16
 	led        int16
-	reserve    uint16 // agent slots held by inbound migrations: below cfg.MaxAgents, which withDefaults caps at 65535
 
 	bat   *battery      // nil when the deployment has no energy model
 	repl  *replicaState // nil without replication (see replica.go)
@@ -146,11 +149,12 @@ type Node struct {
 	net      network.Stack
 	space    tuplespace.Space
 	registry tuplespace.Registry
-	instr    InstrMem
 
 	// agents holds the hosted agents' records in ascending ID order: the
 	// paper bounds it to MaxAgents (4), so a search is a few comparisons
-	// and iterating is already deterministic.
+	// and iterating is already deterministic. The agent manager's slots
+	// and the instruction manager's blocks in use are counted from these
+	// records and the open inbound transfers (slots, codeBlocks).
 	agents []*record
 	runq   runRing
 	stepFn func() // engineStep as a value: one instruction per event makes a fresh method closure per step measurable
@@ -307,8 +311,8 @@ type shardEnv struct {
 	remFree   []*pendingRemote
 	recFree   []*record
 	agentFree []*vm.Agent
-	agt       map[uint16]tuplespace.Tuple // presence tuples by agent ID
-	rxnBuf    []tuplespace.Reaction       // encodeAgent's scratch
+	agt       [2]tuplespace.Value   // presence's scratch
+	rxnBuf    []tuplespace.Reaction // encodeAgent's scratch
 
 	// deltaFields is recvReplicaDelta's decode scratch for the fields of
 	// a delta's tuples (on the stack it would escape through the entries).
@@ -362,10 +366,10 @@ func newNode(s *sim.Ctx, loc topology.Location, nodeIndex uint8, board *sensor.B
 	return n, nil
 }
 
-// resetRAM makes the tuple space, reaction registry and instruction memory
-// empty at their configured budgets — a mote's RAM at power-on — and
-// re-hooks the space. Without replication the remove hook stays nil, so
-// removals copy out no tuple.
+// resetRAM makes the tuple space and reaction registry empty at their
+// configured budgets — a mote's RAM at power-on — and re-hooks the
+// space. Without replication the remove hook stays nil, so removals copy
+// out no tuple.
 func (n *Node) resetRAM() {
 	n.space.Init(n.cfg.ArenaBytes)
 	var onRemove func(tuplespace.Tuple)
@@ -374,7 +378,6 @@ func (n *Node) resetRAM() {
 	}
 	n.space.SetHooks(n.onTupleInserted, onRemove)
 	n.registry.Init(n.cfg.RegistryBytes, n.cfg.RegistryMax)
-	n.instr.Init(n.cfg.CodeBlocks)
 }
 
 // Start begins beaconing (and, with an energy model, the idle-drain
@@ -409,9 +412,6 @@ func (n *Node) Space() *tuplespace.Space { return &n.space }
 // Registry returns the reaction registry.
 func (n *Node) Registry() *tuplespace.Registry { return &n.registry }
 
-// InstrMem returns the instruction manager.
-func (n *Node) InstrMem() *InstrMem { return &n.instr }
-
 // Net returns the network stack.
 func (n *Node) Net() *network.Stack { return &n.net }
 
@@ -431,6 +431,31 @@ func (n *Node) AgentIDs() []uint16 {
 		out[i] = rec.agent.ID
 	}
 	return out
+}
+
+// slots returns the agent slots in use: one per hosted agent and one per
+// open inbound transfer, which holds its agent's slot from its state
+// message until it ends.
+func (n *Node) slots() int {
+	if n.ses == nil {
+		return len(n.agents)
+	}
+	return len(n.agents) + len(n.ses.in)
+}
+
+// codeBlocks returns the instruction-memory blocks in use: those of the
+// hosted agents' code and of the code the open inbound transfers carry.
+func (n *Node) codeBlocks() int {
+	used := 0
+	for _, rec := range n.agents {
+		used += BlocksFor(len(rec.agent.Code))
+	}
+	if n.ses != nil {
+		for _, im := range n.ses.in {
+			used += BlocksFor(int(im.st.CodeLen))
+		}
+	}
+	return used
 }
 
 // agentIndex returns the position of agent id in n.agents, or where it
@@ -537,7 +562,7 @@ func (n *Node) seedContextTuples() {
 }
 
 // CreateAgent hosts a fresh agent with the given code, as if injected
-// locally. It charges instruction memory and an agent slot, inserts the
+// locally. It takes an agent slot and instruction memory, inserts the
 // arrival context tuple, and schedules the agent to run.
 func (n *Node) CreateAgent(code []byte) (uint16, error) {
 	rec, err := n.admitNew(code)
@@ -558,7 +583,7 @@ func (n *Node) admitNew(code []byte) (*record, error) {
 	if n.life != NodeUp {
 		return nil, fmt.Errorf("%w: %v", ErrNodeDown, n.loc)
 	}
-	if len(n.agents)+int(n.reserve) >= n.cfg.MaxAgents { // admitRecord's check, before an ID is spent
+	if n.slots() >= n.cfg.MaxAgents { // admitRecord's check, before an ID is spent
 		return nil, fmt.Errorf("%w: %d hosted", ErrAgentLimit, len(n.agents))
 	}
 	a := n.newAgent()
@@ -576,7 +601,6 @@ func (n *Node) reclaim(id uint16) {
 	rec := n.agents[i]
 	rec.state = AgentDead
 	rec.wake.Stop()
-	n.instr.Free(id)
 	n.registry.RemoveAgent(id)
 	n.replicaMuted(func() {
 		n.space.Drop(tuplespace.Tmpl(tuplespace.Str("agt"), tuplespace.AgentIDV(id)))

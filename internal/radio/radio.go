@@ -424,26 +424,43 @@ func (m *Medium) Stats() Stats {
 }
 
 // Attach registers a receiver at the given location. Attaching twice at the
-// same location is a configuration bug and returns an error.
+// same location is a configuration bug and returns an error, and so is
+// attaching where a mote has moved away from: the scheduling context keyed
+// to that location is still the mover's.
 func (m *Medium) Attach(loc topology.Location, r Receiver) error {
 	a := m.Port(loc)
-	if a.r != nil {
+	switch {
+	case a.ctx == nil:
+		return fmt.Errorf("radio: %v was vacated by a move", loc)
+	case a.r != nil:
 		return fmt.Errorf("radio: node already attached at %v", loc)
 	}
-	a.r = r // a new port, or a reattach at a previously vacated location
+	a.r = r // a new port, or one a node took to attach
 	return nil
 }
 
-// Port returns the port at loc, making it if the medium has not met loc.
-// A port no mote holds gets loc's own scheduling context, and no
-// receiver until an Attach at loc. A node's network stack takes its port
-// here when it is built and again after a move.
+// Port returns the port at loc, making it, with loc's own scheduling
+// context and no receiver until an Attach at loc, if the medium has not
+// met loc. A port with no context is one a mote has moved away from
+// (Move): its context stays the mover's. A node's network stack takes its
+// port here when it is built and again after a move.
 func (m *Medium) Port(loc topology.Location) *Port {
-	a := m.portAt(loc)
-	if a.ctx == nil {
+	a, ok := m.att[loc]
+	if !ok {
+		a = m.portAt(loc)
 		a.ctx = m.ex.Context(sim.Key2D(loc.X, loc.Y))
 	}
 	return a
+}
+
+// Holder returns the receiver attached at loc, or nil when none is: loc
+// unknown, vacated by a move or detached. Like Attached, it makes
+// nothing.
+func (m *Medium) Holder(loc topology.Location) Receiver {
+	if a, ok := m.att[loc]; ok {
+		return a.r
+	}
+	return nil
 }
 
 // portAt returns the port at loc, making it with no context if the
@@ -587,10 +604,19 @@ func (m *Medium) collect(sh *mediumShard, loc topology.Location) {
 }
 
 // Send is SendFrom through Port(f.Src), for the host's harnesses and
-// probes that hold no port. From a location no node holds, it makes that
-// location's port: Attached then reports it, and neighbours' broadcasts
-// list it and deliver nothing to it.
-func (m *Medium) Send(f Frame) { m.SendFrom(m.Port(f.Src), f) }
+// probes that hold no port. From a location the medium has not met, it
+// makes that location's port: Attached then reports it, and neighbours'
+// broadcasts list it and deliver nothing to it. From a location a mote
+// has moved away from, it sends nothing and counts NoRoute, on shard 0
+// as Inject does: no context there is the sender's own.
+func (m *Medium) Send(f Frame) {
+	p := m.Port(f.Src)
+	if p.ctx == nil {
+		m.sh[0].stats.NoRoute++
+		return
+	}
+	m.SendFrom(p, f)
+}
 
 // SendFrom transmits a frame from the node that holds p, the port at
 // f.Src. Unicast frames are delivered to the destination node if it is

@@ -549,13 +549,17 @@ func TestLinkHistoryOutlivesItsHolder(t *testing.T) {
 
 // TestAttached: a location counts as attached while a node holds its
 // port — once something was attached there, also after Detach, and at a
-// move's target — but not once its mote has moved away, until a node
-// attaches there again. A Send from a location no node held takes its
-// port: it then counts, and neighbours' broadcasts list it and deliver
-// nothing to it.
+// move's target — but not once its mote has moved away. The port a move
+// vacates keeps no context, as the one keyed to its location is still
+// the mover's: a node may not attach there, and a Send from there sends
+// nothing and counts NoRoute. A Send from a location the medium has not
+// met takes its port: it then counts, and neighbours' broadcasts list it
+// and deliver nothing to it. Holder reports the receiver attached at each
+// location.
 func TestAttached(t *testing.T) {
 	s, m, nodes := newTestMedium(t, ZeroLoss())
 	home, away, detached, stranger := topology.Loc(1, 1), topology.Loc(9, 9), topology.Loc(3, 3), topology.Loc(4, 2)
+	mover, next := nodes[home], topology.Loc(2, 1)
 	m.Detach(detached)
 	if err := m.Move(home, away); err != nil {
 		t.Fatal(err)
@@ -565,25 +569,35 @@ func TestAttached(t *testing.T) {
 			t.Errorf("Attached(%v) = %v, want %v", loc, got, want)
 		}
 	}
+	for loc, want := range map[topology.Location]Receiver{home: nil, away: mover, detached: nil, stranger: nil, next: nodes[next]} {
+		if got := m.Holder(loc); got != want {
+			t.Errorf("Holder(%v) = %v, want %v", loc, got, want)
+		}
+	}
 	m.Send(Frame{Src: stranger, Dst: Broadcast, Kind: KindBeacon})
 	if !m.Attached(stranger) {
 		t.Error("a Send from a location no node held left it unattached")
 	}
-	back := &captureNode{}
-	if err := m.Attach(home, back); err != nil {
-		t.Fatal(err)
+	if err := m.Attach(home, &captureNode{}); err == nil {
+		t.Errorf("a node attached at %v, vacated by a move, where the mover's context is keyed", home)
 	}
-	if !m.Attached(home) {
-		t.Error("a node attached at a vacated location does not count")
+	before := m.Stats()
+	m.Send(Frame{Src: home, Dst: next, Kind: KindRemoteTS})
+	if st := m.Stats(); st.Sent != before.Sent || st.NoRoute != before.NoRoute+1 {
+		t.Errorf("a Send from vacated %v: Sent %d -> %d, NoRoute %d -> %d; want no send and one NoRoute",
+			home, before.Sent, st.Sent, before.NoRoute, st.NoRoute)
 	}
-	for _, src := range []topology.Location{topology.Loc(2, 1), topology.Loc(3, 2)} {
+	if m.Attached(home) || m.Holder(home) != nil {
+		t.Errorf("the refused Attach or the Send took vacated %v", home)
+	}
+	for _, src := range []topology.Location{next, topology.Loc(3, 2)} {
 		m.Send(Frame{Src: src, Dst: Broadcast, Kind: KindBeacon})
 	}
 	if err := s.Run(time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.got) != 1 {
-		t.Errorf("the node attached at vacated %v heard %d broadcasts, want 1", home, len(back.got))
+	if n := len(nodes[next].got); n != 0 {
+		t.Errorf("%v heard %d frames, want none: its only sender was vacated %v", next, n, home)
 	}
 	if n := len(nodes[detached].got); n != 0 {
 		t.Errorf("detached %v heard %d frames", detached, n)

@@ -21,8 +21,8 @@
 // A finding that is wrong or deliberate can be suppressed with a
 // justification comment on the same line or the line directly above:
 //
-//	//lint:maprange keys are drained into a slice and sorted below
-//	for loc, n := range d.nodes {
+//	//lint:maprange links are inserted in (Y, X) order whatever order they are visited in
+//	for loc := range m.att {
 //
 // The justification is mandatory: a bare //lint:<analyzer> comment is
 // itself reported, so every suppression documents why the flagged code
